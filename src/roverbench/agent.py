@@ -303,9 +303,12 @@ class Intention:
         return self.steps[self.index] if self.index < len(self.steps) else None
 
     def to_state(self) -> dict:
+        # Bindings are left out: after adoption they only label explanations.
+        # start_patrol binds whichever ready message arrived first, so keeping
+        # them would make same-tick arrival order, which the inbox key sorts
+        # away, decide a successor's key.
         return {
             "rule": self.rule.name,
-            "bindings": dict(sorted(self.bindings.items())),
             "index": self.index,
             "steps": [s.to_state() for s in self.steps[self.index:]],
         }
@@ -614,6 +617,7 @@ class AgentHost:
     def to_state(self) -> dict:
         return {
             "agent": self.agent.to_state(),
-            "goal_actions": {gid: a.text() for gid, a in sorted(self.goal_actions.items())},
+            # Pairs, not a dict: goal ids are renamed after the keys are sorted.
+            "goal_actions": [[gid, a.text()] for gid, a in sorted(self.goal_actions.items())],
             "clients": {e: c.to_state() for e, c in sorted(self.clients.items())},
         }

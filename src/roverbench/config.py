@@ -144,11 +144,6 @@ class ScenarioConfig:
         except KeyError as exc:  # pragma: no cover - attribute typo guard
             raise AttributeError(name) from exc
 
-    def __deepcopy__(self, memo: dict) -> "ScenarioConfig":
-        # Validated configs are never mutated after construction, so model
-        # snapshots can share one instance instead of copying the whole tree.
-        return self
-
     # -- derived views -------------------------------------------------------
 
     def coords(self, wp: str) -> tuple[int, int]:

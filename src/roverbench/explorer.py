@@ -21,12 +21,19 @@ behavior reports divergence instead of guessing.
 
 from __future__ import annotations
 
-import copy
+import io
 import json
+import pickle
+import re
 import time
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, is_dataclass
+from itertools import groupby
 
+from . import prop_dsl
+from .agent import PlanRule
 from .config import ConfigError, ScenarioConfig, make_config
+from .messages import Topology
 from .monitor import (
     IllegalOperatorForRuntime,
     MonitorShapeError,
@@ -133,17 +140,20 @@ class _Bundle:
         self.trackers = trackers  # name -> _ResponseTracker
         self.beliefs: set[str] = set()
 
-    def clone(self) -> "_Bundle":
-        return copy.deepcopy(self)
+    @staticmethod
+    def clone(snapshot: bytes) -> "_Bundle":
+        """A live bundle restored from a snapshot of the running walk."""
+        return pickle.loads(snapshot)
 
     def step(self, script: list | None, strict: bool = False) -> tuple[list[dict], list]:
-        """Advance one tick under a choice script; returns (events, choice log)."""
-        tracer = self.model.tracer
-        tracer.events.clear()
-        self.model.host.agent.explanations.clear()
+        """Advance one tick under a choice script; returns (events, choice log).
+        The tick's events are handed over and its explanations dropped, so a
+        snapshot taken between steps carries neither."""
         sink = ChoiceSink(script, strict=strict)
         self.model.step_tick(sink)
-        events = list(tracer.events)
+        tracer = self.model.tracer
+        events, tracer.events = tracer.events, []
+        self.model.host.agent.explanations.clear()
         now = self.model.tick
         for event in events:
             if event.get("kind") == "belief":
@@ -170,50 +180,80 @@ class _Bundle:
             "monitors": {n: m.to_state(now) for n, m in sorted(self.monitors.items())},
             "trackers": {n: t.to_state() for n, t in sorted(self.trackers.items())},
         }
-        return json.dumps(_renumber_goals(raw), sort_keys=True, separators=(",", ":"))
+        return _rank_goal_ids(json.dumps(raw, sort_keys=True, separators=(",", ":")))
 
 
-_GOAL_ID_NODES = ("wheelsClient", "armClient", "mastClient")
+# A goal id ("wheelsClient:12") as a whole JSON string: an unescaped quote
+# follows only a structural character, never string content.
+_GOAL_ID = re.compile(r'(?<=[\[{,:])"(wheelsClient|armClient|mastClient):(\d+)"')
 
 
-def _collect_goal_ids(value, found: set) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _collect_goal_ids(k, found)
-            _collect_goal_ids(v, found)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _collect_goal_ids(v, found)
-    elif isinstance(value, str):
-        node, _, num = value.partition(":")
-        if node in _GOAL_ID_NODES and num.isdigit():
-            found.add(value)
+def _rank_goal_ids(text: str) -> str:
+    """Rename the goal ids in canonical JSON by their rank per client node, so
+    that states differing only in how many goals came before compare equal.
+    No ``to_state`` puts a goal id in a dict key, so renaming after the keys
+    were sorted leaves them sorted."""
+    parts = _GOAL_ID.split(text)
+    ids = list(zip(parts[1::3], map(int, parts[2::3])))
+    names = {}
+    for node, same_node in groupby(sorted(set(ids)), key=lambda gid: gid[0]):
+        names.update((gid, f'"{node}#{rank}"') for rank, gid in enumerate(same_node))
+    parts[1::3] = [names[gid] for gid in ids]
+    parts[2::3] = [""] * len(ids)
+    return "".join(parts)
 
 
-def _renumber_goals(state: dict):
-    """Replace live goal ids with rank-based names so that states differing
-    only in how many goals came before compare equal."""
-    ids: set[str] = set()
-    _collect_goal_ids(state, ids)
-    by_node: dict[str, list[int]] = {}
-    for gid in ids:
-        node, _, num = gid.partition(":")
-        by_node.setdefault(node, []).append(int(num))
-    mapping = {}
-    for node, nums in by_node.items():
-        for rank, num in enumerate(sorted(nums)):
-            mapping[f"{node}:{num}"] = f"{node}#{rank}"
+# -- state snapshots ---------------------------------------------------------
 
-    def swap(value):
-        if isinstance(value, dict):
-            return {swap(k): swap(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [swap(v) for v in value]
-        if isinstance(value, str):
-            return mapping.get(value, value)
-        return value
+# Never mutated once built, so every bundle of a walk shares one of each:
+# closures and compiled predicates, the config, the bus topology, plan rules
+# and the formula AST (the dataclasses of prop_dsl).
+_SHARED_TYPES = frozenset(
+    [types.FunctionType, ScenarioConfig, Topology, PlanRule]
+    + [c for c in vars(prop_dsl).values() if isinstance(c, type) and is_dataclass(c)])
 
-    return swap(state)
+# The shared objects of the running walks, which nest but never run in
+# parallel threads; a snapshot holds their positions.
+_SHARED: list = []
+
+
+def _shared(position: int):
+    return _SHARED[position]
+
+
+class _Snapshots(pickle.Pickler):
+    """Freezes the bundles of one walk to ``bytes`` (SPIN-style state-vector
+    storage; Holzmann, *The SPIN Model Checker*, ch. 8-9).  Shared objects
+    are written as references into ``_SHARED`` and stay there until the
+    ``with`` block ends."""
+
+    def __init__(self):
+        self.buffer = io.BytesIO()
+        super().__init__(self.buffer, pickle.HIGHEST_PROTOCOL)
+        self.base = len(_SHARED)
+        self.positions: dict[int, int] = {}  # id(obj) -> position in _SHARED
+
+    def __enter__(self) -> "_Snapshots":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        del _SHARED[self.base:]
+
+    def freeze(self, bundle: _Bundle) -> bytes:
+        self.buffer.seek(0)
+        self.buffer.truncate()
+        self.clear_memo()
+        self.dump(bundle)
+        return self.buffer.getvalue()
+
+    def reducer_override(self, obj):
+        if type(obj) not in _SHARED_TYPES or obj is _shared:
+            return NotImplemented
+        position = self.positions.get(id(obj))
+        if position is None:
+            position = self.positions[id(obj)] = len(_SHARED)
+            _SHARED.append(obj)
+        return _shared, (position,)
 
 
 # -- liveness helpers --------------------------------------------------------
@@ -309,7 +349,7 @@ class ExplorationReport:
 
 @dataclass
 class _Node:
-    bundle: _Bundle
+    snapshot: bytes  # the frozen bundle, restored once per successor
     parent: str | None
     picks: list  # choice log of the edge that discovered this node
     depth: int
@@ -384,21 +424,22 @@ class Explorer:
 
     def _roots(self) -> list[tuple[_Bundle, list]]:
         base, signature = self._build_bundle(None)
-        roots = [(base, signature)]
-        for script in _variants(signature):
-            if all(entry[2] == 0 for entry in script):
-                continue  # the all-first script is the base bundle
-            bundle, log = self._build_bundle(script)
-            roots.append((bundle, log))
-        return roots
+        # The first script takes every first option: that is the base bundle.
+        return [(base, signature)] + [self._build_bundle(script)
+                                      for script in _variants(signature)[1:]]
 
     # -- main walk -----------------------------------------------------------
 
-    def explore(self) -> ExplorationReport:
+    def explore(self, invariant=None) -> ExplorationReport:
+        """Breadth-first walk over every reachable state.  States are keyed by
+        ``canonical()`` and stored as snapshots; every successor is restored
+        from its source's snapshot.  ``invariant(model) -> bool``, if given,
+        is checked on every new state: the walk stops at the first state
+        where it is false, reporting that state's trail as the ``invariant``
+        counterexample of an incomplete report."""
         started = time.monotonic()
         states: dict[str, _Node] = {}
         edges: list[_Edge] = []
-        order: list[str] = []
         queue: list[str] = []
         verdicts: dict[str, str] = {n: UNDETERMINED for n in self.suite}
         verdicts.update({n: UNDETERMINED for n in self.extra_monitors})
@@ -411,7 +452,10 @@ class Explorer:
             if elapsed > self.budget_secs:
                 raise StateSpaceBudgetExceeded(len(states), elapsed, "time")
 
-        def note_violations(bundle: _Bundle, key: str) -> None:
+        def add_state(bundle: _Bundle, key: str, node: _Node) -> bool:
+            """Store a new state; False if it breaks the invariant."""
+            states[key] = node
+            queue.append(key)
             for name, monitor in bundle.violations():
                 if name not in counterexamples:
                     ce = self._trail(states, key, monitor.shape, monitor.reason)
@@ -419,74 +463,77 @@ class Explorer:
                     counterexamples[name] = ce
                     verdicts[name] = VIOLATED
                 del bundle.monitors[name]
+            node.snapshot = snapshots.freeze(bundle)
+            if invariant is None or invariant(bundle.model):
+                return True
+            ce = self._trail(states, key, "safety", "invariant predicate is false")
+            ce.prop = "invariant"
+            counterexamples["invariant"] = ce
+            return False
 
-        for bundle, init_log in self._roots():
-            key = bundle.canonical()
-            if key in states:
-                continue
-            states[key] = _Node(bundle, None, init_log, 0)
-            order.append(key)
-            queue.append(key)
-            note_violations(bundle, key)
-            check_budget()
-
-        head = 0
-        while head < len(queue):
-            key = queue[head]
-            head += 1
-            node = states[key]
-            probe = node.bundle.clone()
-            open_src = {n: t.open for n, t in node.bundle.trackers.items()}
-            events, signature = probe.step(None)
-            successors = [(probe, signature, events)]
-            for script in _variants(signature):
-                if all(entry[2] == 0 for entry in script):
+        def walk() -> bool:
+            for bundle, init_log in self._roots():
+                key = bundle.canonical()
+                if key in states:
                     continue
-                branch = node.bundle.clone()
-                branch_events, branch_log = branch.step(script)
-                successors.append((branch, branch_log, branch_events))
-            for succ, picks, events in successors:
-                succ_key = succ.canonical()
-                edge = _Edge(key, succ_key, picks)
-                for name, live in self.liveness.items():
-                    edge.awaited[name] = self._events_match(live.pred, events, node.bundle)
-                edge.open_src = open_src
-                edge.open_dst = {n: t.open for n, t in succ.trackers.items()}
-                edges.append(edge)
-                if succ_key not in states:
-                    states[succ_key] = _Node(succ, key, picks, node.depth + 1)
-                    order.append(succ_key)
-                    queue.append(succ_key)
-                    note_violations(succ, succ_key)
+                if not add_state(bundle, key, _Node(b"", None, init_log, 0)):
+                    return False
                 check_budget()
 
+            head = 0
+            while head < len(queue):
+                key = queue[head]
+                head += 1
+                node = states[key]
+                # Called through the class, which instrumentation may patch.
+                probe = _Bundle.clone(node.snapshot)
+                open_src = {n: t.open for n, t in probe.trackers.items()}
+                beliefs = set(probe.beliefs)
+                events, signature = probe.step(None)
+                successors = [(probe, events, signature)]
+                for script in _variants(signature)[1:]:  # [0] is the probe's
+                    branch = _Bundle.clone(node.snapshot)
+                    successors.append((branch, *branch.step(script)))
+                for succ, events, picks in successors:
+                    succ_key = succ.canonical()
+                    edge = _Edge(key, succ_key, picks)
+                    for name, live in self.liveness.items():
+                        edge.awaited[name] = self._events_match(live.pred, events, beliefs)
+                    edge.open_src = open_src
+                    edge.open_dst = {n: t.open for n, t in succ.trackers.items()}
+                    edges.append(edge)
+                    if succ_key not in states and not add_state(
+                            succ, succ_key, _Node(b"", key, picks, node.depth + 1)):
+                        return False
+                    check_budget()
+            return True
+
+        with _Snapshots() as snapshots:
+            complete = walk()
         elapsed = time.monotonic() - started
 
-        # Monitored properties that never violated anywhere: on an exhaustive
-        # finite graph every infinite run keeps satisfying them.
-        for name in list(self.monitored) + list(self.extra_monitors):
-            if verdicts[name] == UNDETERMINED:
-                verdicts[name] = SATISFIED
-
-        self._decide_liveness(states, edges, verdicts, counterexamples)
-
-        schedule_invariant = None
-        if self.config.schedule_sensitivity:
-            schedule_invariant = self._schedule_invariant(edges)
+        if complete:
+            # Monitored properties that never violated anywhere: on an
+            # exhaustive finite graph every infinite run keeps satisfying them.
+            for name in list(self.monitored) + list(self.extra_monitors):
+                if verdicts[name] == UNDETERMINED:
+                    verdicts[name] = SATISFIED
+            self._decide_liveness(states, edges, verdicts, counterexamples)
 
         return ExplorationReport(
             states=len(states),
             transitions=len(edges),
             verdicts=verdicts,
             counterexamples=counterexamples,
-            complete=True,
+            complete=complete,
             seconds=elapsed,
-            schedule_invariant=schedule_invariant,
+            schedule_invariant=(self._schedule_invariant(edges) if complete
+                                and self.config.schedule_sensitivity else None),
         )
 
-    def _events_match(self, pred, events: list[dict], src_bundle: _Bundle) -> bool:
+    def _events_match(self, pred, events: list[dict], beliefs: set) -> bool:
         # Re-derive per-event belief state along the edge for holds() atoms.
-        beliefs = set(src_bundle.beliefs)
+        beliefs = set(beliefs)
         for event in events:
             if event.get("kind") == "belief":
                 if event["op"] == "add":
@@ -644,57 +691,10 @@ def check_invariant(config: ScenarioConfig, predicate,
                     budget_secs: float = DEFAULT_BUDGET_SECS):
     """BFS over all reachable states; ``predicate(model) -> bool`` must hold
     in every one.  Returns (True, report) or (False, counterexample)."""
-    explorer = Explorer(config, suite={}, names=[],
-                        budget_states=budget_states, budget_secs=budget_secs)
-    started = time.monotonic()
-    states: dict[str, _Node] = {}
-    queue: list[str] = []
-
-    def offending(bundle: _Bundle, key: str):
-        if not predicate(bundle.model):
-            ce = explorer._trail(states, key, "safety", "invariant predicate is false")
-            ce.prop = "invariant"
-            return ce
-        return None
-
-    for bundle, init_log in explorer._roots():
-        key = bundle.canonical()
-        if key in states:
-            continue
-        states[key] = _Node(bundle, None, init_log, 0)
-        queue.append(key)
-        bad = offending(bundle, key)
-        if bad:
-            return False, bad
-
-    head = 0
-    while head < len(queue):
-        key = queue[head]
-        head += 1
-        node = states[key]
-        probe = node.bundle.clone()
-        events, signature = probe.step(None)
-        branches = [(probe, signature)]
-        for script in _variants(signature):
-            if all(entry[2] == 0 for entry in script):
-                continue
-            branch = node.bundle.clone()
-            _, log = branch.step(script)
-            branches.append((branch, log))
-        for succ, picks in branches:
-            succ_key = succ.canonical()
-            if succ_key not in states:
-                states[succ_key] = _Node(succ, key, picks, node.depth + 1)
-                queue.append(succ_key)
-                bad = offending(succ, succ_key)
-                if bad:
-                    return False, bad
-            elapsed = time.monotonic() - started
-            if len(states) > budget_states:
-                raise StateSpaceBudgetExceeded(len(states), elapsed, "state")
-            if elapsed > budget_secs:
-                raise StateSpaceBudgetExceeded(len(states), elapsed, "time")
-    return True, {"states": len(states)}
+    report = Explorer(config, suite={}, names=[], budget_states=budget_states,
+                      budget_secs=budget_secs).explore(invariant=predicate)
+    ce = report.counterexamples.get("invariant")
+    return (False, ce) if ce else (True, {"states": report.states})
 
 
 def check_response(config: ScenarioConfig, trigger: str, goal: str,

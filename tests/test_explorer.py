@@ -9,6 +9,7 @@ up here first.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from importlib.resources import files
 
@@ -93,21 +94,24 @@ class TestNominalExploration:
                              "schedule_invariant"}
 
 
+@pytest.fixture(scope="module")
+def schedule_report():
+    """One exploration with schedule permutations, shared by the tests of
+    ``TestScheduleSensitivity``."""
+    return explore_properties(make_config({"schedule_sensitivity": True}), SUITE)
+
+
 class TestScheduleSensitivity:
     """Permuting the per-tick node order multiplies transitions but must
     not change where any of them lead."""
 
-    def test_permutations_collapse(self):
-        report = explore_properties(
-            make_config({"schedule_sensitivity": True}), SUITE)
-        assert report.states == 133
-        assert report.transitions == 3264
-        assert report.schedule_invariant is True
+    def test_permutations_collapse(self, schedule_report):
+        assert schedule_report.states == 133
+        assert schedule_report.transitions == 3264
+        assert schedule_report.schedule_invariant is True
 
-    def test_properties_still_hold(self):
-        report = explore_properties(
-            make_config({"schedule_sensitivity": True}), SUITE)
-        assert set(report.verdicts.values()) == {"Satisfied"}
+    def test_properties_still_hold(self, schedule_report):
+        assert set(schedule_report.verdicts.values()) == {"Satisfied"}
 
 
 # -- guard rails -------------------------------------------------------------
@@ -186,11 +190,29 @@ class TestMutantKills:
                                     "readiness_guard_wheels",
                                     "response_move_A", "revisits_B"]
 
-    def test_every_kill_has_a_counterexample(self):
+    # sha256 of each mutant's counterexample file for its killer property.
+    # How the walk stores and restores states must not change these bytes.
+    COUNTEREXAMPLE_SHA256 = {
+        "env-blind": "fdabb6d337c4b3d3f3b581d38e2cc87d9024fa557d7cbc40215bd4a0cf24ade6",
+        "misroute-bus": "250307a7583bda87dc81143dc01a19f2303941a5d5e40eccf421727f703869b1",
+        "no-stop-wheels": "9ad158db086f758dd4a3d16914a56043dd2a07f59dcdc6ed982472ec46b6fdea",
+        "premature-action": "600f3e51e730259bb75402779b6087f2cc2a5ec9195f1dc0ddb45d039547ae9f",
+    }
+
+    def test_every_kill_has_a_counterexample(self, tmp_path):
+        """Each kill's counterexample file is byte-identical to the pinned
+        one and replays."""
         for name in mutant_names():
+            prop = killer_property(name)
             report = explore_properties(mutant_demo_config(name), SUITE,
-                                        names=[killer_property(name)])
-            assert killer_property(name) in report.counterexamples
+                                        names=[prop])
+            assert prop in report.counterexamples
+            path = tmp_path / f"{name}.json"
+            write_counterexample(report.counterexamples[prop], str(path))
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == self.COUNTEREXAMPLE_SHA256[name], name
+            outcome = replay_counterexample(load_counterexample(str(path)), SUITE)
+            assert outcome["reproduced"] is True
 
 
 # -- liveness ----------------------------------------------------------------

@@ -150,11 +150,6 @@ class ScenarioConfig:
         x, y = self.raw["waypoints"][wp]
         return (x, y)
 
-    def manhattan(self, a: str, b: str) -> int:
-        ax, ay = self.coords(a)
-        bx, by = self.coords(b)
-        return abs(ax - bx) + abs(ay - by)
-
     def successor(self, wp: str) -> str:
         """Next waypoint on the patrol loop (the start pad is never revisited)."""
         patrol = self.raw["patrol"]
@@ -170,10 +165,6 @@ class ScenarioConfig:
             chain.append(wp)
             wp = self.successor(wp)
         return chain
-
-    def max_leg_ticks(self) -> int:
-        names = [self.raw["start"]] + list(self.raw["patrol"])
-        return max(self.manhattan(a, b) for a in names for b in names if a != b)
 
     def to_json(self) -> dict[str, Any]:
         return copy.deepcopy(self.raw)

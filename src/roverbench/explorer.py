@@ -10,9 +10,12 @@ mission is cyclic.
 Safety and bounded-response properties ride along as monitor states inside
 the product; a violation is reported with the shortest choice path that
 reaches it.  Unbounded liveness (plain ``eventually``, ``always(eventually)``
-and unbounded response) is decided on the finished graph by cycle detection
-over labeled edges: a reachable cycle that never produces the awaited event
-is a lasso-shaped counterexample.
+and unbounded response) is decided on the finished graph by one lasso search:
+a depth-first search on an explicit stack, so graph depth is never bounded by
+the recursion limit, over the states each shape allows (those reached before
+the awaited event, all states, or those with the response obligation open).
+The step labels every edge with the awaited events it produced; a cycle of
+unlabelled edges is a lasso-shaped counterexample.
 
 Counterexamples embed the scenario config plus the per-tick choice vectors
 and can be replayed later; a replay that no longer produces the recorded
@@ -27,7 +30,7 @@ import pickle
 import re
 import time
 import types
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from itertools import groupby
 
 from . import prop_dsl
@@ -48,6 +51,7 @@ from .prop_dsl import (
     Eventually,
     Implies,
     compile_event_predicate,
+    fold_belief,
     parse_formula,
 )
 from .simulator import Model
@@ -134,10 +138,12 @@ def _variants(signature: list[list]) -> list[list[list]]:
 class _Bundle:
     """One exploration branch: the model plus all riding monitor states."""
 
-    def __init__(self, model: Model, monitors: dict, trackers: dict):
+    def __init__(self, model: Model, monitors: dict, trackers: dict, awaited: dict):
         self.model = model
         self.monitors = monitors  # name -> OnlineMonitor (log mode)
         self.trackers = trackers  # name -> _ResponseTracker
+        self.awaited = awaited  # liveness name -> awaited-event predicate
+        self.fired: set[str] = set()  # names whose awaited event the last step produced
         self.beliefs: set[str] = set()
 
     @staticmethod
@@ -155,17 +161,17 @@ class _Bundle:
         events, tracer.events = tracer.events, []
         self.model.host.agent.explanations.clear()
         now = self.model.tick
+        self.fired = fired = set()
         for event in events:
-            if event.get("kind") == "belief":
-                if event["op"] == "add":
-                    self.beliefs.add(event["atom"])
-                else:
-                    self.beliefs.discard(event["atom"])
+            fold_belief(self.beliefs, event)
             state = frozenset(self.beliefs)
             for m in self.monitors.values():
                 m.observe(event, state)
             for tr in self.trackers.values():
                 tr.observe(event, state)
+            for name, pred in self.awaited.items():
+                if name not in fired and pred(event, state):
+                    fired.add(name)
         for m in self.monitors.values():
             m.on_tick(now)
         return events, sink.log
@@ -282,7 +288,6 @@ class _Liveness:
     name: str
     kind: str  # "recurrence" | "eventually" | "response"
     pred: object  # awaited-event predicate (edge label)
-    tracker: str | None = None  # tracker name for response shapes
 
 
 def _classify_liveness(name: str, ast) -> _Liveness | None:
@@ -294,8 +299,7 @@ def _classify_liveness(name: str, ast) -> _Liveness | None:
             return _Liveness(name, "recurrence", compile_event_predicate(sub.sub))
         if (isinstance(sub, Implies) and isinstance(sub.right, Eventually)
                 and sub.right.bound is None):
-            return _Liveness(name, "response", compile_event_predicate(sub.right.sub),
-                             tracker=name)
+            return _Liveness(name, "response", compile_event_predicate(sub.right.sub))
     return None
 
 
@@ -353,6 +357,7 @@ class _Node:
     parent: str | None
     picks: list  # choice log of the edge that discovered this node
     depth: int
+    open: frozenset = frozenset()  # response trackers with an open obligation
 
 
 @dataclass
@@ -360,9 +365,7 @@ class _Edge:
     src: str
     dst: str
     picks: list
-    awaited: dict = field(default_factory=dict)  # liveness name -> event seen
-    open_src: dict = field(default_factory=dict)
-    open_dst: dict = field(default_factory=dict)
+    awaited: set  # liveness names whose awaited event the edge produces
 
 
 def _reject_scripted(config: ScenarioConfig) -> None:
@@ -420,7 +423,8 @@ class Explorer:
             if live.kind == "response":
                 trigger = compile_event_predicate(self.suite[name].sub.left)
                 trackers[name] = _ResponseTracker(trigger, live.pred)
-        return _Bundle(model, monitors, trackers), sink.log
+        awaited = {name: live.pred for name, live in self.liveness.items()}
+        return _Bundle(model, monitors, trackers, awaited), sink.log
 
     def _roots(self) -> list[tuple[_Bundle, list]]:
         base, signature = self._build_bundle(None)
@@ -464,6 +468,7 @@ class Explorer:
                     verdicts[name] = VIOLATED
                 del bundle.monitors[name]
             node.snapshot = snapshots.freeze(bundle)
+            node.open = frozenset(n for n, t in bundle.trackers.items() if t.open)
             if invariant is None or invariant(bundle.model):
                 return True
             ce = self._trail(states, key, "safety", "invariant predicate is false")
@@ -487,21 +492,14 @@ class Explorer:
                 node = states[key]
                 # Called through the class, which instrumentation may patch.
                 probe = _Bundle.clone(node.snapshot)
-                open_src = {n: t.open for n, t in probe.trackers.items()}
-                beliefs = set(probe.beliefs)
-                events, signature = probe.step(None)
-                successors = [(probe, events, signature)]
+                _, signature = probe.step(None)
+                successors = [(probe, signature)]
                 for script in _variants(signature)[1:]:  # [0] is the probe's
                     branch = _Bundle.clone(node.snapshot)
-                    successors.append((branch, *branch.step(script)))
-                for succ, events, picks in successors:
+                    successors.append((branch, branch.step(script)[1]))
+                for succ, picks in successors:
                     succ_key = succ.canonical()
-                    edge = _Edge(key, succ_key, picks)
-                    for name, live in self.liveness.items():
-                        edge.awaited[name] = self._events_match(live.pred, events, beliefs)
-                    edge.open_src = open_src
-                    edge.open_dst = {n: t.open for n, t in succ.trackers.items()}
-                    edges.append(edge)
+                    edges.append(_Edge(key, succ_key, picks, succ.fired))
                     if succ_key not in states and not add_state(
                             succ, succ_key, _Node(b"", key, picks, node.depth + 1)):
                         return False
@@ -531,19 +529,6 @@ class Explorer:
                                 and self.config.schedule_sensitivity else None),
         )
 
-    def _events_match(self, pred, events: list[dict], beliefs: set) -> bool:
-        # Re-derive per-event belief state along the edge for holds() atoms.
-        beliefs = set(beliefs)
-        for event in events:
-            if event.get("kind") == "belief":
-                if event["op"] == "add":
-                    beliefs.add(event["atom"])
-                else:
-                    beliefs.discard(event["atom"])
-            if pred(event, frozenset(beliefs)):
-                return True
-        return False
-
     def _trail(self, states: dict, key: str, kind: str, reason: str) -> Counterexample:
         picks: list[list] = []
         cursor = key
@@ -564,6 +549,10 @@ class Explorer:
     # -- liveness decisions --------------------------------------------------
 
     def _decide_liveness(self, states, edges, verdicts, counterexamples) -> None:
+        """Every unbounded shape is a lasso search over its own state set:
+        plain ``eventually`` over the states reachable before the awaited
+        event, recurrence over all states, response over the states whose
+        obligation is open."""
         if not self.liveness:
             return
         out: dict[str, list[_Edge]] = {}
@@ -573,11 +562,11 @@ class Explorer:
         for name, live in self.liveness.items():
             if live.kind == "eventually":
                 allowed = self._reach_without(states, out, name)
-                cycle = self._find_cycle(allowed, out, name, restrict_open=None)
             elif live.kind == "recurrence":
-                cycle = self._find_cycle(set(states), out, name, restrict_open=None)
+                allowed = states.keys()
             else:  # response
-                cycle = self._find_cycle(set(states), out, name, restrict_open=name)
+                allowed = {key for key, node in states.items() if name in node.open}
+            cycle = self._find_lasso(allowed, out, name)
             if cycle is None:
                 verdicts[name] = SATISFIED
                 continue
@@ -597,71 +586,43 @@ class Explorer:
         stack = list(roots)
         while stack:
             key = stack.pop()
-            for edge in out.get(key, ()):  # noqa: B905
-                if edge.awaited.get(name):
-                    continue
-                if edge.dst not in seen:
+            for edge in out.get(key, ()):
+                if name not in edge.awaited and edge.dst not in seen:
                     seen.add(edge.dst)
                     stack.append(edge.dst)
         return seen
 
-    def _find_cycle(self, allowed: set, out, name: str, restrict_open: str | None):
-        """A cycle over ``allowed`` states using only edges that never produce
-        the awaited event (and, for response, keep the obligation open).
-        Returns (entry_key, [edges around the cycle]) or None."""
-
-        def usable(edge: _Edge) -> bool:
-            if edge.awaited.get(name):
-                return False
-            if edge.dst not in allowed:
-                return False
-            if restrict_open is not None:
-                if not edge.open_src.get(restrict_open) or not edge.open_dst.get(restrict_open):
-                    return False
-            return True
-
-        color: dict[str, int] = {}  # 1 = on stack, 2 = done
-        trail: list[_Edge] = []
-
-        def dfs(key: str):
-            color[key] = 1
-            for edge in out.get(key, ()):
-                if not usable(edge):
-                    continue
-                if color.get(edge.dst) == 1:
-                    # Found a lasso: unwind the stack back to edge.dst.
-                    cycle = [edge]
-                    for back in reversed(trail):
-                        cycle.append(back)
-                        if back.src == edge.dst:
-                            break
-                    cycle.reverse()
-                    return edge.dst, cycle
-                if color.get(edge.dst) is None:
+    @staticmethod
+    def _find_lasso(allowed, out, name: str):
+        """A cycle through ``allowed`` states whose edges never produce the
+        awaited event, found by a depth-first search on an explicit stack
+        (so graph depth is not bounded by the recursion limit).  Start keys
+        are tried in sorted order and out-edges in insertion order, so the
+        reported lasso does not depend on set hashing.  Returns (entry key,
+        [edges around the cycle]) or None."""
+        done: set[str] = set()
+        for start in sorted(allowed):
+            if start in done:
+                continue
+            on_path = {start: 0}  # key -> position on the DFS path
+            trail: list[_Edge] = []  # trail[i] leads out of the i-th path key
+            pending = [iter(out.get(start, ()))]
+            while pending:
+                for edge in pending[-1]:
+                    dst = edge.dst
+                    if name in edge.awaited or dst not in allowed or dst in done:
+                        continue
+                    if dst in on_path:
+                        return dst, trail[on_path[dst]:] + [edge]
+                    on_path[dst] = len(on_path)
                     trail.append(edge)
-                    found = dfs(edge.dst)
-                    trail.pop()
-                    if found:
-                        return found
-            color[key] = 2
-            return None
-
-        # Sorted so the lasso we report does not depend on set hashing.
-        for key in sorted(allowed):
-            if restrict_open is not None:
-                continue_outer = False
-                # Only start from states where the obligation is open.
-                for edge in out.get(key, ()):
-                    if edge.open_src.get(restrict_open):
-                        break
+                    pending.append(iter(out.get(dst, ())))
+                    break
                 else:
-                    continue_outer = True
-                if continue_outer:
-                    continue
-            if color.get(key) is None:
-                found = dfs(key)
-                if found:
-                    return found
+                    done.add(on_path.popitem()[0])
+                    pending.pop()
+                    if trail:
+                        trail.pop()
         return None
 
     def _schedule_invariant(self, edges) -> bool:
@@ -789,12 +750,11 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
         raise ReplayDivergenceError("initial choices were not all consumed")
 
     monitors = {}
-    trackers = {}
     if data["kind"] in ("safety", "deadline"):
         if prop not in suite:
             raise ExplorationError(f"property {prop!r} not in the suite")
         monitors[prop] = synthesize(prop, suite[prop], "log")
-    bundle = _Bundle(model, monitors, trackers)
+    bundle = _Bundle(model, monitors, {}, {})
 
     loop_from = data.get("loop_from")
     snapshots = []

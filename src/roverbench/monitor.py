@@ -32,6 +32,7 @@ from .prop_dsl import (
     Until,
     compile_event_predicate,
     evaluate,
+    fold_belief,
     to_text,
 )
 
@@ -400,11 +401,7 @@ class MonitorEngine:
     def observe(self, event: dict) -> None:
         if self._closed:
             return
-        if event.get("kind") == "belief":
-            if event["op"] == "add":
-                self.beliefs.add(event["atom"])
-            else:
-                self.beliefs.discard(event["atom"])
+        fold_belief(self.beliefs, event)
         state = frozenset(self.beliefs)
         for m in self.monitors:
             if m.verdict == VIOLATED or event.get("prop") == m.name:

@@ -553,16 +553,21 @@ def uses_holds(node) -> bool:
     return False
 
 
+def fold_belief(beliefs: set, event: dict) -> None:
+    """Apply a belief add/del event to a belief base; other events leave it."""
+    if event.get("kind") == "belief":
+        if event["op"] == "add":
+            beliefs.add(event["atom"])
+        else:
+            beliefs.discard(event["atom"])
+
+
 def belief_states(trace: list[dict]) -> list[frozenset]:
     """Belief base after each event, reconstructed from belief add/del events."""
     states: list[frozenset] = []
     current: set = set()
     for event in trace:
-        if event.get("kind") == "belief":
-            if event["op"] == "add":
-                current.add(event["atom"])
-            else:
-                current.discard(event["atom"])
+        fold_belief(current, event)
         states.append(frozenset(current))
     return states
 

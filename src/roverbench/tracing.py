@@ -47,12 +47,6 @@ def dump_event(event: dict) -> str:
     return json.dumps(event, separators=(",", ":"))
 
 
-def write_trace(events: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(dump_event(ev) + "\n")
-
-
 def read_trace(path: str) -> list[dict]:
     events = []
     with open(path, encoding="utf-8") as fh:

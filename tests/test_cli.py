@@ -175,6 +175,25 @@ class TestVerify:
         assert doc["budget_exceeded"] is True
         assert doc["limit"] == "state"
 
+    def test_deep_lasso_replays(self, capsys, tmp_path):
+        """500-cell legs and a hot stop that never cools: the lasso is
+        deeper than Python's recursion limit, yet verify ends in a verdict
+        and the counterexample file replays."""
+        config = write_json(tmp_path / "far.json", {
+            "decay_rate": 0,
+            "waypoints": {"o": [0, 0], "A": [500, 0], "B": [500, -4],
+                          "C": [500, -500]}})
+        code, doc, _ = run_cli(capsys, "verify", "revisits_B",
+                               "--config", config,
+                               "--trace", str(tmp_path / "far"))
+        assert code == 1
+        assert doc["verdicts"] == {"revisits_B": "Violated"}
+        code, doc, _ = run_cli(capsys, "replay",
+                               doc["counterexample_files"]["revisits_B"])
+        assert code == 1
+        assert doc["reproduced"] is True
+        assert doc["loop_from"] == 506
+
 
 # -- check -------------------------------------------------------------------
 

@@ -14,10 +14,13 @@ import json
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roverbench.config import ConfigError, make_config
 from roverbench.explorer import (
     ExplorationError,
+    Explorer,
     ReplayDivergenceError,
     StateSpaceBudgetExceeded,
     check_invariant,
@@ -26,6 +29,7 @@ from roverbench.explorer import (
     explore_properties,
     load_counterexample,
     replay_counterexample,
+    _Edge,
     write_counterexample,
 )
 from roverbench.mutants import (
@@ -240,6 +244,176 @@ class TestLiveness:
         outcome = replay_counterexample(load_counterexample(str(path)), SUITE)
         assert outcome == {"reproduced": True, "prop": "revisits_B",
                            "kind": "liveness", "ticks": 54, "loop_from": 12}
+
+
+def lasso_digest(ce, path) -> str:
+    """Write ``ce``, check that it replays as a lasso, return its sha256."""
+    write_counterexample(ce, str(path))
+    outcome = replay_counterexample(load_counterexample(str(path)), SUITE)
+    assert outcome == {"reproduced": True, "prop": ce.prop, "kind": "liveness",
+                       "ticks": len(ce.ticks), "loop_from": ce.loop_from}
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+EVENTUALLY_B = parse_formula('eventually(belief("at(B)"))')
+RESPONSE_A_B = parse_formula(
+    'always(action("move_to_waypoint(A)") => eventually(belief("at(B)")))')
+
+
+class TestLivenessShapes:
+    """Each unbounded shape (plain ``eventually``, recurrence, response)
+    holds on the default map and fails with a pinned lasso where the hot stop
+    never cools or a wheels fault can stall the rover.  How the lasso is
+    searched for must not change these bytes."""
+
+    def test_unbounded_eventually(self, tmp_path):
+        report = explore_properties(make_config({"decay_rate": 0}),
+                                    {"eventually_B": EVENTUALLY_B})
+        assert report.states == 87
+        assert report.verdicts == {"eventually_B": "Violated"}
+        ce = report.counterexamples["eventually_B"]
+        assert (ce.loop_from, len(ce.ticks)) == (12, 54)
+        assert lasso_digest(ce, tmp_path / "ev.json") == \
+            "5f61e63a3102a9409989d4a4d56a0b06f555a89bd6cc23bfd18cd58b79caea7c"
+
+    def test_unbounded_response(self, tmp_path):
+        report = explore_properties(make_config({"decay_rate": 0}),
+                                    {"response_A_B": RESPONSE_A_B})
+        assert report.states == 87
+        assert report.verdicts == {"response_A_B": "Violated"}
+        ce = report.counterexamples["response_A_B"]
+        assert (ce.loop_from, len(ce.ticks)) == (12, 54)
+        assert lasso_digest(ce, tmp_path / "resp.json") == \
+            "aa03ddc094491502e9deb3af02cb6976f9065d383fe07854a1fd1a8661a46fd7"
+
+    def test_check_response_under_wheel_faults(self, tmp_path):
+        report = check_response(
+            make_config({"fault_exploration": {"wheels": True}}),
+            'action("move_to_waypoint(A)")', 'belief("at(A)")')
+        assert (report.states, report.transitions) == (250, 284)
+        assert report.verdicts == {"response": "Violated"}
+        ce = report.counterexamples["response"]
+        assert (ce.loop_from, len(ce.ticks)) == (43, 45)
+        assert lasso_digest(ce, tmp_path / "wheels.json") == \
+            "01959da4d302d5e1c465962a58bd930909dc8c58957d66400c3c2fdc85be0776"
+
+    def test_every_shape_holds_on_the_default_map(self):
+        report = explore_properties(
+            make_config(), {"eventually_B": EVENTUALLY_B,
+                            "response_A_B": RESPONSE_A_B,
+                            "revisits_B": SUITE["revisits_B"]})
+        assert report.verdicts == {"eventually_B": "Satisfied",
+                                   "response_A_B": "Satisfied",
+                                   "revisits_B": "Satisfied"}
+        assert report.counterexamples == {}
+        report = check_response(make_config(), 'action("move_to_waypoint(A)")',
+                                'belief("at(A)")')
+        assert report.verdicts == {"response": "Satisfied"}
+
+
+def recursive_lasso(allowed, out, name):
+    """Reference for ``Explorer._find_lasso``: the same depth-first search,
+    written recursively (so only for small graphs)."""
+    done: set = set()
+    path: list = []
+    trail: list = []
+
+    def dfs(key):
+        path.append(key)
+        for edge in out.get(key, ()):
+            if name in edge.awaited or edge.dst not in allowed or edge.dst in done:
+                continue
+            if edge.dst in path:
+                return edge.dst, trail[path.index(edge.dst):] + [edge]
+            trail.append(edge)
+            found = dfs(edge.dst)
+            if found:
+                return found
+            trail.pop()
+        path.pop()
+        done.add(key)
+        return None
+
+    for key in sorted(allowed):
+        if key not in done:
+            found = dfs(key)
+            if found:
+                return found
+    return None
+
+
+def has_cycle(allowed, out, name) -> bool:
+    """Whether the usable edges close a cycle: strip states without a usable
+    out-edge until none is left to strip."""
+    live = set(allowed)
+    while True:
+        stuck = {key for key in live
+                 if not any(name not in e.awaited and e.dst in live
+                            for e in out.get(key, ()))}
+        if not stuck:
+            return bool(live)
+        live -= stuck
+
+
+@st.composite
+def labelled_graphs(draw):
+    size = draw(st.integers(1, 8))
+    keys = [f"s{i}" for i in range(size)]
+    out: dict = {}
+    for n, (src, dst, fires) in enumerate(draw(st.lists(
+            st.tuples(st.sampled_from(keys), st.sampled_from(keys), st.booleans()),
+            max_size=20))):
+        out.setdefault(src, []).append(
+            _Edge(src, dst, [n], {"p"} if fires else set()))
+    allowed = set(draw(st.lists(st.sampled_from(keys), min_size=1)))
+    return allowed, out
+
+
+class TestLassoSearch:
+    """The iterative lasso search on arbitrary labelled graphs."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(labelled_graphs())
+    def test_matches_recursive_search(self, graph):
+        allowed, out = graph
+        found = Explorer._find_lasso(allowed, out, "p")
+        assert found == recursive_lasso(allowed, out, "p")
+        assert (found is not None) == has_cycle(allowed, out, "p")
+        if found is not None:
+            entry, cycle = found
+            assert cycle[0].src == cycle[-1].dst == entry
+            assert all(a.dst == b.src for a, b in zip(cycle, cycle[1:]))
+            assert all("p" not in e.awaited and e.dst in allowed for e in cycle)
+
+    def test_self_loop_below_the_start(self):
+        """A self-loop reached a few edges into the search is a one-edge
+        cycle, not the path that led to it."""
+        ab, bc, cc = _Edge("a", "b", [0], set()), _Edge("b", "c", [1], set()), \
+            _Edge("c", "c", [2], set())
+        out = {"a": [ab], "b": [bc], "c": [cc]}
+        assert Explorer._find_lasso({"a", "b", "c"}, out, "p") == ("c", [cc])
+
+
+# 500-cell legs with a hot stop that never cools: the lasso's cycle and the
+# path into it are each hundreds of states long, deeper than Python's
+# default recursion limit.
+FAR_MAP = {"decay_rate": 0,
+           "waypoints": {"o": [0, 0], "A": [500, 0], "B": [500, -4],
+                         "C": [500, -500]}}
+
+
+class TestDeepLasso:
+    """A deep state graph ends in a verdict and a replayable lasso."""
+
+    def test_far_map_lasso(self, tmp_path):
+        report = explore_properties(make_config(FAR_MAP), SUITE,
+                                    names=["revisits_B"])
+        assert report.states == 2549
+        assert report.verdicts == {"revisits_B": "Violated"}
+        ce = report.counterexamples["revisits_B"]
+        assert (ce.loop_from, len(ce.ticks)) == (506, 1532)
+        assert lasso_digest(ce, tmp_path / "far.json") == \
+            "428e941e61ff5c8ee81e8ce5facd0eeb2fb3977cbc4320ae7e1d7abcd570679f"
 
 
 # -- counterexample replay ---------------------------------------------------

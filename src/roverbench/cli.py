@@ -10,7 +10,8 @@ Subcommands
 Every command writes one machine-readable JSON document to standard output
 and a short human summary to standard error.  Exit codes: 0 all checks pass,
 1 a property is violated, 2 bad configuration or malformed input, 3 state or
-time budget exceeded, 4 a counterexample replay diverged from its record.
+time budget exceeded, 4 a counterexample replay diverged from its record,
+5 an internal error (an unexpected exception, reported on standard error).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from importlib import resources
 
 from .config import CONFIG_SCHEMA, DEFAULT_SCENARIO, ConfigError, make_config
@@ -48,6 +50,7 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_DIVERGENCE = 4
+EXIT_INTERNAL = 5
 
 
 def _say(text: str) -> None:
@@ -277,7 +280,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # a crash must not read as a verdict
+        traceback.print_exc(file=sys.stderr)
+        _say(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

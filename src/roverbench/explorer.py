@@ -38,6 +38,7 @@ from .agent import PlanRule
 from .config import ConfigError, ScenarioConfig, make_config
 from .messages import Topology
 from .monitor import (
+    DispatchIndex,
     IllegalOperatorForRuntime,
     MonitorShapeError,
     OnlineMonitor,
@@ -135,14 +136,24 @@ def _variants(signature: list[list]) -> list[list[list]]:
 
 # -- product bundle ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Dispatch:
+    """Where a bundle's events go, the same for every bundle of a walk: the
+    monitor index over monitor names, and the awaited-event predicate of
+    each liveness property."""
+
+    monitors: DispatchIndex
+    awaited: dict  # liveness name -> awaited-event predicate
+
+
 class _Bundle:
     """One exploration branch: the model plus all riding monitor states."""
 
-    def __init__(self, model: Model, monitors: dict, trackers: dict, awaited: dict):
+    def __init__(self, model: Model, monitors: dict, trackers: dict, dispatch: _Dispatch):
         self.model = model
         self.monitors = monitors  # name -> OnlineMonitor (log mode)
         self.trackers = trackers  # name -> _ResponseTracker
-        self.awaited = awaited  # liveness name -> awaited-event predicate
+        self.dispatch = dispatch
         self.fired: set[str] = set()  # names whose awaited event the last step produced
         self.beliefs: set[str] = set()
 
@@ -156,23 +167,31 @@ class _Bundle:
         The tick's events are handed over and its explanations dropped, so a
         snapshot taken between steps carries neither."""
         sink = ChoiceSink(script, strict=strict)
+        # A root bundle's first step reaches every monitor, so a monitor
+        # keyed on the belief state alone sees the first event.
+        first = self.model.tick == 0
         self.model.step_tick(sink)
         tracer = self.model.tracer
         events, tracer.events = tracer.events, []
         self.model.host.agent.explanations.clear()
         now = self.model.tick
+        monitors, index = self.monitors, self.dispatch.monitors
         self.fired = fired = set()
+        state = frozenset(self.beliefs)
         for event in events:
-            fold_belief(self.beliefs, event)
-            state = frozenset(self.beliefs)
-            for m in self.monitors.values():
-                m.observe(event, state)
+            if event.get("kind") == "belief":
+                fold_belief(self.beliefs, event)
+                state = frozenset(self.beliefs)
+            for name in index.every if first else index.targets(event):
+                m = monitors.get(name)
+                if m is not None:
+                    m.observe(event, state)
             for tr in self.trackers.values():
                 tr.observe(event, state)
-            for name, pred in self.awaited.items():
+            for name, pred in self.dispatch.awaited.items():
                 if name not in fired and pred(event, state):
                     fired.add(name)
-        for m in self.monitors.values():
+        for m in monitors.values():
             m.on_tick(now)
         return events, sink.log
 
@@ -211,11 +230,12 @@ def _rank_goal_ids(text: str) -> str:
 
 # -- state snapshots ---------------------------------------------------------
 
-# Never mutated once built, so every bundle of a walk shares one of each:
-# closures and compiled predicates, the config, the bus topology, plan rules
-# and the formula AST (the dataclasses of prop_dsl).
+# Never changed once built, so every bundle of a walk shares one of each:
+# closures and compiled predicates, the config, the bus topology, plan rules,
+# the formula AST (the dataclasses of prop_dsl) and the dispatch table (whose
+# memo only grows).
 _SHARED_TYPES = frozenset(
-    [types.FunctionType, ScenarioConfig, Topology, PlanRule]
+    [types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch]
     + [c for c in vars(prop_dsl).values() if isinstance(c, type) and is_dataclass(c)])
 
 # The shared objects of the running walks, which nest but never run in
@@ -288,6 +308,7 @@ class _Liveness:
     name: str
     kind: str  # "recurrence" | "eventually" | "response"
     pred: object  # awaited-event predicate (edge label)
+    trigger: object = None  # response only: the predicate that opens the obligation
 
 
 def _classify_liveness(name: str, ast) -> _Liveness | None:
@@ -299,7 +320,8 @@ def _classify_liveness(name: str, ast) -> _Liveness | None:
             return _Liveness(name, "recurrence", compile_event_predicate(sub.sub))
         if (isinstance(sub, Implies) and isinstance(sub.right, Eventually)
                 and sub.right.bound is None):
-            return _Liveness(name, "response", compile_event_predicate(sub.right.sub))
+            return _Liveness(name, "response", compile_event_predicate(sub.right.sub),
+                             compile_event_predicate(sub.left))
     return None
 
 
@@ -394,13 +416,14 @@ class Explorer:
         self.extra_monitors = dict(extra_monitors or {})  # name -> factory
         self.monitored: dict = {}
         self.liveness: dict[str, _Liveness] = {}
+        keys: list[tuple[str, frozenset | None]] = []
         for name, ast in self.suite.items():
             live = _classify_liveness(name, ast)
             if live is not None:
                 self.liveness[name] = live
                 continue
             try:
-                synthesize(name, ast, "log")
+                keys.append((name, synthesize(name, ast, "log").keys))
             except IllegalOperatorForRuntime:
                 raise ExplorationError(
                     f"{name}: unbounded liveness in a shape the explorer does "
@@ -408,6 +431,9 @@ class Explorer:
             except MonitorShapeError as exc:
                 raise ExplorationError(str(exc)) from exc
             self.monitored[name] = ast  # synthesized afresh per root bundle
+        keys += [(name, factory().keys) for name, factory in self.extra_monitors.items()]
+        self.dispatch = _Dispatch(
+            DispatchIndex(keys), {name: live.pred for name, live in self.liveness.items()})
 
     # -- bundle construction -------------------------------------------------
 
@@ -418,13 +444,9 @@ class Explorer:
         monitors = {n: synthesize(n, ast, "log") for n, ast in self.monitored.items()}
         for name, factory in self.extra_monitors.items():
             monitors[name] = factory()
-        trackers = {}
-        for name, live in self.liveness.items():
-            if live.kind == "response":
-                trigger = compile_event_predicate(self.suite[name].sub.left)
-                trackers[name] = _ResponseTracker(trigger, live.pred)
-        awaited = {name: live.pred for name, live in self.liveness.items()}
-        return _Bundle(model, monitors, trackers, awaited), sink.log
+        trackers = {name: _ResponseTracker(live.trigger, live.pred)
+                    for name, live in self.liveness.items() if live.kind == "response"}
+        return _Bundle(model, monitors, trackers, self.dispatch), sink.log
 
     def _roots(self) -> list[tuple[_Bundle, list]]:
         base, signature = self._build_bundle(None)
@@ -737,46 +759,61 @@ def load_counterexample(path: str) -> dict:
 
 def replay_counterexample(data: dict, suite: dict) -> dict:
     """Re-run a recorded counterexample; returns a report with
-    ``reproduced`` set, or raises ReplayDivergenceError."""
+    ``reproduced`` set, or raises ReplayDivergenceError.  A liveness lasso
+    reproduces only if its loop returns to its entry state without producing
+    the awaited event, and for a response, with the obligation open at the
+    entry."""
     try:
         config = make_config(data["config"])
     except ConfigError as exc:
         raise ExplorationError(f"embedded config invalid: {exc}") from exc
-    prop = data["prop"]
+    prop, kind = data["prop"], data["kind"]
+    if prop not in suite:
+        raise ExplorationError(f"property {prop!r} not in the suite")
+    loop_from = data.get("loop_from")
+    monitors, trackers, awaited = {}, {}, {}
+    if kind in ("safety", "deadline"):
+        monitors[prop] = synthesize(prop, suite[prop], "log")
+    else:
+        live = _classify_liveness(prop, suite[prop])
+        if live is None:
+            raise ExplorationError(f"{prop} is not an unbounded liveness property")
+        if loop_from is None:
+            raise ExplorationError("liveness counterexample lacks loop_from")
+        awaited[prop] = live.pred
+        if live.kind == "response":
+            trackers[prop] = _ResponseTracker(live.trigger, live.pred)
+
     tracer = EventTracer()
     sink = ChoiceSink(data["init"], strict=True)
     model = Model(config, tracer, explore=True, sink=sink)
     if not sink.finished():
         raise ReplayDivergenceError("initial choices were not all consumed")
+    index = DispatchIndex([(name, m.keys) for name, m in monitors.items()])
+    bundle = _Bundle(model, monitors, trackers, _Dispatch(index, awaited))
 
-    monitors = {}
-    if data["kind"] in ("safety", "deadline"):
-        if prop not in suite:
-            raise ExplorationError(f"property {prop!r} not in the suite")
-        monitors[prop] = synthesize(prop, suite[prop], "log")
-    bundle = _Bundle(model, monitors, {}, {})
-
-    loop_from = data.get("loop_from")
-    snapshots = []
-    for index, script in enumerate(data["ticks"]):
-        if loop_from is not None and index == loop_from:
-            snapshots.append(bundle.canonical())
+    entry = None
+    for tick, script in enumerate(data["ticks"]):
+        if tick == loop_from:
+            entry = bundle.canonical()
+            if prop in trackers and not trackers[prop].open:
+                raise ReplayDivergenceError(
+                    f"the obligation of {prop} is not open at the loop entry")
         bundle.step(script, strict=True)
+        if entry is not None and prop in bundle.fired:
+            raise ReplayDivergenceError(
+                f"tick {tick} of the loop produces the event {prop} awaits")
 
-    if data["kind"] in ("safety", "deadline"):
-        verdict = bundle.monitors.get(prop)
-        reproduced = verdict is not None and verdict.verdict == VIOLATED
+    if kind in ("safety", "deadline"):
+        reproduced = bundle.monitors[prop].verdict == VIOLATED
         if not reproduced:
             raise ReplayDivergenceError(
-                f"replay did not reproduce the {data['kind']} violation of {prop}")
-        return {"reproduced": True, "prop": prop, "kind": data["kind"],
+                f"replay did not reproduce the {kind} violation of {prop}")
+        return {"reproduced": True, "prop": prop, "kind": kind,
                 "ticks": len(data["ticks"])}
 
     # Liveness lasso: the state at the loop entry must recur at the end.
-    if loop_from is None:
-        raise ExplorationError("liveness counterexample lacks loop_from")
-    final = bundle.canonical()
-    if not snapshots or snapshots[0] != final:
+    if entry is None or entry != bundle.canonical():
         raise ReplayDivergenceError("replayed loop does not return to its entry state")
     return {"reproduced": True, "prop": prop, "kind": "liveness",
             "ticks": len(data["ticks"]), "loop_from": loop_from}

@@ -16,6 +16,12 @@ Modes: a ``log`` monitor records violations; a ``block`` monitor additionally
 vetoes the violating bus publish, so the message is never delivered (the
 trace keeps a ``block`` event as the tombstone).  Only per-event safety
 monitors may block - a deadline expiry has no message to veto.
+
+Dispatch is indexed by event (as in JavaMOP; Chen and Rosu, OOPSLA 2007): an
+event's key is its ``kind``, or ``("publish", topic)`` for a publish, and
+each monitor's ``keys`` are the events whose step can change its state,
+found at synthesis by partially evaluating its compiled predicates.  The
+engine hands an event only to the monitors its key can match.
 """
 
 from __future__ import annotations
@@ -24,11 +30,17 @@ from .prop_dsl import (
     SATISFIED,
     UNDETERMINED,
     VIOLATED,
+    ActionAtom,
     Always,
+    BeliefAtom,
+    Compare,
     Eventually,
+    HoldsAtom,
     Implies,
     Never,
     Not,
+    Or,
+    TopicAtom,
     Until,
     compile_event_predicate,
     evaluate,
@@ -65,6 +77,12 @@ class OnlineMonitor:
         self.verdict = UNDETERMINED
         self.reason = ""
         self.blocked = 0
+
+    @property
+    def keys(self) -> frozenset | None:
+        """Event keys whose step can change this monitor; None for every
+        event, which is all a monitor whose no-op is not proven gets."""
+        return None
 
     def observe(self, event: dict, state: frozenset) -> None:
         if self.verdict != VIOLATED:
@@ -104,6 +122,17 @@ class SafetyMonitor(OnlineMonitor):
         super().__init__(name, ast, mode)
         self._violates = violates  # fn(event, state) -> bool
 
+    @property
+    def keys(self):
+        # Over the belief state alone the verdict can flip only where this
+        # monitor may not have seen the current state yet: at a belief event;
+        # at a verdict event, which the engine emits while still handing out
+        # the event before it; or at the first event, against the empty
+        # state, which the engine and the explorer hand to every monitor.
+        if self._violates.outside == STATE_ONLY:
+            return frozenset(["belief", "verdict"])
+        return _quiet_keys((self._violates, False))
+
     def _observe(self, event, state):
         if self._violates(event, state):
             self._violate(f"event at t={event.get('t')} violates {to_text(self.ast)}")
@@ -128,6 +157,10 @@ class BoundedResponseMonitor(OnlineMonitor):
         self._goal = goal
         self.bound = bound
         self.deadline: int | None = None
+
+    @property
+    def keys(self):
+        return _quiet_keys((self._trigger, False), (self._goal, False))
 
     def _observe(self, event, state):
         if self._goal(event, state):
@@ -224,6 +257,10 @@ class UntilMonitor(OnlineMonitor):
         self._right = right
         self.done = False
 
+    @property
+    def keys(self):
+        return _quiet_keys((self._left, True), (self._right, False))
+
     def _observe(self, event, state):
         if self.done:
             return
@@ -253,6 +290,10 @@ class TriggeredUntilMonitor(OnlineMonitor):
         self._right = right
         self.open = False
 
+    @property
+    def keys(self):
+        return _quiet_keys((self._trigger, False), (self._left, True), (self._right, False))
+
     def _observe(self, event, state):
         right = self._right(event, state)
         if self.open:
@@ -276,13 +317,88 @@ class TriggeredUntilMonitor(OnlineMonitor):
         return {"verdict": self.verdict, "open": self.open}
 
 
+# -- dispatch keys -----------------------------------------------------------
+
+STATE_ONLY = "state"  # partial value of a predicate over holds atoms alone
+
+
+def _partial(node) -> tuple[frozenset, object]:
+    """Partial evaluation of an event predicate: (keys, value), where keys
+    are the event keys its atoms can match and value is its truth on every
+    event outside them: True or False, STATE_ONLY when it reads nothing but
+    the belief state, or None when it depends on the event."""
+    if isinstance(node, TopicAtom):
+        return frozenset([("publish", node.name)]), False
+    if isinstance(node, BeliefAtom):
+        return frozenset(["belief"]), False
+    if isinstance(node, ActionAtom):
+        return frozenset(["action"]), False
+    if isinstance(node, HoldsAtom):
+        return frozenset(), STATE_ONLY
+    if isinstance(node, Compare):
+        if node.path.parts == ("kind",) and node.op == "==" and isinstance(node.value, str):
+            return frozenset([node.value]), False
+        return frozenset(), None
+    if isinstance(node, Not):
+        keys, value = _partial(node.sub)
+        return keys, (not value) if isinstance(value, bool) else value
+    left_keys, left = _partial(node.left)
+    right_keys, right = _partial(node.right)
+    if isinstance(node, Implies):
+        left = (not left) if isinstance(left, bool) else left
+    absorbing = isinstance(node, (Or, Implies))  # the value that decides the node alone
+    if left is absorbing or right is absorbing:
+        value = absorbing
+    else:
+        value = left if left == right else None
+    return left_keys | right_keys, value
+
+
+def _quiet_keys(*wanted) -> frozenset | None:
+    """Keys of a monitor whose step is a no-op while each (predicate, value)
+    pair holds: the union of the predicates' keys, or None (every event) if
+    some predicate is not fixed to its value outside its keys."""
+    keys = frozenset()
+    for pred, value in wanted:
+        if pred.outside is not value:
+            return None
+        keys |= pred.keys
+    return keys
+
+
+class DispatchIndex:
+    """Event -> the entries whose keys its key can match, memoised per key.
+    ``entries`` are (item, keys) pairs, keys None for every event; each
+    looked-up list keeps entry order, so verdict events keep their order."""
+
+    def __init__(self, entries: list[tuple[object, frozenset | None]]):
+        self.every = [item for item, _keys in entries]
+        self._entries = entries
+        self._memo: dict = {}
+
+    def targets(self, event: dict) -> list:
+        kind = event.get("kind")
+        key = (kind, event.get("topic")) if kind == "publish" else kind
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = [item for item, keys in self._entries
+                                     if keys is None or key in keys or kind in keys]
+        return hit
+
+
 # -- synthesis ---------------------------------------------------------------
 
 def _try_pure(node):
+    """The compiled event predicate of ``node``, labelled with its partial
+    evaluation (``keys`` and ``outside``); None if ``node`` is temporal.
+    The labels sit on the predicate, which explorer snapshots write as a
+    reference, so a stored state does not grow by them."""
     try:
-        return compile_event_predicate(node)
+        pred = compile_event_predicate(node)
     except ValueError:
         return None
+    pred.keys, pred.outside = _partial(node)
+    return pred
 
 
 def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
@@ -300,10 +416,9 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
 
     if isinstance(body, Always):
         sub = body.sub
-        pred = _try_pure(sub)
+        pred = _try_pure(Not(sub))
         if pred is not None:
-            return SafetyMonitor(name, ast, mode,
-                                 lambda e, s, _p=pred: not _p(e, s))
+            return SafetyMonitor(name, ast, mode, pred)
         if isinstance(sub, Implies):
             trigger = _try_pure(sub.left)
             if trigger is not None:
@@ -366,9 +481,12 @@ class MonitorEngine:
                     f"{m.name}: only per-event safety monitors may block "
                     "(a deadline expiry has no message to veto)")
         self.monitors = monitors
+        self.index = DispatchIndex([(m, m.keys) for m in monitors])
         self.beliefs: set[str] = set()
+        self.state = frozenset()  # ``beliefs`` as of the last belief event
         self.tracer = None
         self.last_tick = 0
+        self._fresh = True  # events go to every monitor until one lacks "prop"
         self._closed = False
 
     def attach(self, tracer, bus) -> None:
@@ -379,10 +497,9 @@ class MonitorEngine:
 
     # The bus consults the gate before a publish event is enqueued.
     def gate(self, event: dict) -> bool:
-        state = frozenset(self.beliefs)
         blocked = False
         for m in self.monitors:
-            if m.mode == "block" and m.would_violate(event, state):
+            if m.mode == "block" and m.would_violate(event, self.state):
                 m.note_block(event)
                 blocked = True
                 self.tracer.emit(
@@ -401,9 +518,19 @@ class MonitorEngine:
     def observe(self, event: dict) -> None:
         if self._closed:
             return
-        fold_belief(self.beliefs, event)
-        state = frozenset(self.beliefs)
-        for m in self.monitors:
+        if event.get("kind") == "belief":
+            fold_belief(self.beliefs, event)
+            self.state = frozenset(self.beliefs)
+        state = self.state
+        if self._fresh:
+            # Every monitor sees the first event that none of them skips (only
+            # verdict events carry a "prop"), so a monitor keyed on the
+            # belief state alone is checked against the empty state too.
+            monitors = self.index.every
+            self._fresh = "prop" in event
+        else:
+            monitors = self.index.targets(event)
+        for m in monitors:
             if m.verdict == VIOLATED or event.get("prop") == m.name:
                 continue  # sticky verdicts; monitors skip their own verdict events
             before = m.verdict

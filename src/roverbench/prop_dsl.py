@@ -543,16 +543,6 @@ def compile_event_predicate(node):
     raise ValueError(f"temporal operator {type(node).__name__} is not an event predicate")
 
 
-def uses_holds(node) -> bool:
-    if isinstance(node, HoldsAtom):
-        return True
-    if isinstance(node, (Not, Always, Never, Eventually)):
-        return uses_holds(node.sub)
-    if isinstance(node, (And, Or, Implies, Until)):
-        return uses_holds(node.left) or uses_holds(node.right)
-    return False
-
-
 def fold_belief(beliefs: set, event: dict) -> None:
     """Apply a belief add/del event to a belief base; other events leave it."""
     if event.get("kind") == "belief":

@@ -22,7 +22,8 @@ class MalformedTraceError(ValueError):
 
 
 class EventTracer:
-    """Collects events in memory and optionally streams them to a file."""
+    """Streams events to a file, or without one collects them in
+    ``events``, so a streamed run's memory does not grow with its length."""
 
     def __init__(self, sink: IO[str] | None = None):
         self.events: list[dict] = []
@@ -33,8 +34,9 @@ class EventTracer:
         self._observers.append(fn)
 
     def emit(self, event: dict) -> dict:
-        self.events.append(event)
-        if self._sink is not None:
+        if self._sink is None:
+            self.events.append(event)
+        else:
             self._sink.write(dump_event(event) + "\n")
         for fn in self._observers:
             fn(event)

@@ -2,13 +2,14 @@
 
 Each command is driven in-process through ``main(argv)``.  Exit codes under
 test: 0 clean, 1 property violated (or counterexample reproduced), 2 bad
-input, 3 exploration budget exceeded, 4 replay divergence.
+input, 3 exploration budget exceeded, 4 replay divergence, 5 internal error.
 """
 
 from __future__ import annotations
 
 import json
 
+from roverbench import cli
 from roverbench.cli import main
 
 
@@ -288,3 +289,20 @@ class TestSchema:
         assert doc["defaults"]["decay_rate"] == 1
         assert "properties" in doc["schema"]
         assert set(doc["defaults"]) == set(doc["schema"]["properties"])
+
+
+# -- internal errors ---------------------------------------------------------
+
+
+class TestInternalError:
+    """A crash exits 5, never with a verdict's code."""
+
+    def test_unexpected_exception_exits_5(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_schema", crash)
+        code, doc, err = run_cli(capsys, "schema")
+        assert code == 5
+        assert doc is None
+        assert "internal error: RuntimeError: boom" in err

@@ -245,11 +245,35 @@ class TestLiveness:
         assert outcome == {"reproduced": True, "prop": "revisits_B",
                            "kind": "liveness", "ticks": 54, "loop_from": 12}
 
+    def test_loop_through_the_awaited_event_does_not_replay(self, monkeypatch):
+        """A cycle of the default map, where B keeps coming back, is no
+        lasso for ``revisits_B``: its loop believes at(B)."""
+        search = Explorer._find_lasso
+        monkeypatch.setattr(Explorer, "_find_lasso", staticmethod(
+            lambda allowed, out, name: search(allowed, out, "no awaited event")))
+        report = explore_properties(make_config(), SUITE, names=["revisits_B"])
+        ce = report.counterexamples["revisits_B"]
+        with pytest.raises(ReplayDivergenceError, match="of the loop produces"):
+            replay_counterexample(ce.to_json(), SUITE)
 
-def lasso_digest(ce, path) -> str:
-    """Write ``ce``, check that it replays as a lasso, return its sha256."""
+    def test_response_lasso_needs_an_open_obligation(self, monkeypatch):
+        """A cycle whose obligation never opened is no lasso for an
+        unbounded response, although the awaited event never comes."""
+        search = Explorer._find_lasso
+        monkeypatch.setattr(Explorer, "_find_lasso", staticmethod(
+            lambda allowed, out, name: search(set(out), out, name)))
+        suite = {"idle": parse_formula(
+            'always(action("dance") => eventually(belief("at(Z)")))')}
+        ce = explore_properties(make_config(), suite).counterexamples["idle"]
+        with pytest.raises(ReplayDivergenceError, match="not open at the loop entry"):
+            replay_counterexample(ce.to_json(), suite)
+
+
+def lasso_digest(ce, path, suite=SUITE) -> str:
+    """Write ``ce``, check that it replays as a lasso against ``suite`` (which
+    must hold its property), return its sha256."""
     write_counterexample(ce, str(path))
-    outcome = replay_counterexample(load_counterexample(str(path)), SUITE)
+    outcome = replay_counterexample(load_counterexample(str(path)), suite)
     assert outcome == {"reproduced": True, "prop": ce.prop, "kind": "liveness",
                        "ticks": len(ce.ticks), "loop_from": ce.loop_from}
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -258,6 +282,9 @@ def lasso_digest(ce, path) -> str:
 EVENTUALLY_B = parse_formula('eventually(belief("at(B)"))')
 RESPONSE_A_B = parse_formula(
     'always(action("move_to_waypoint(A)") => eventually(belief("at(B)")))')
+# The formula ``check_response`` builds from its trigger and goal text.
+RESPONSE_A_A = parse_formula(
+    'always((action("move_to_waypoint(A)")) => eventually((belief("at(A)"))))')
 
 
 class TestLivenessShapes:
@@ -273,7 +300,7 @@ class TestLivenessShapes:
         assert report.verdicts == {"eventually_B": "Violated"}
         ce = report.counterexamples["eventually_B"]
         assert (ce.loop_from, len(ce.ticks)) == (12, 54)
-        assert lasso_digest(ce, tmp_path / "ev.json") == \
+        assert lasso_digest(ce, tmp_path / "ev.json", {"eventually_B": EVENTUALLY_B}) == \
             "5f61e63a3102a9409989d4a4d56a0b06f555a89bd6cc23bfd18cd58b79caea7c"
 
     def test_unbounded_response(self, tmp_path):
@@ -283,7 +310,7 @@ class TestLivenessShapes:
         assert report.verdicts == {"response_A_B": "Violated"}
         ce = report.counterexamples["response_A_B"]
         assert (ce.loop_from, len(ce.ticks)) == (12, 54)
-        assert lasso_digest(ce, tmp_path / "resp.json") == \
+        assert lasso_digest(ce, tmp_path / "resp.json", {"response_A_B": RESPONSE_A_B}) == \
             "aa03ddc094491502e9deb3af02cb6976f9065d383fe07854a1fd1a8661a46fd7"
 
     def test_check_response_under_wheel_faults(self, tmp_path):
@@ -294,7 +321,7 @@ class TestLivenessShapes:
         assert report.verdicts == {"response": "Violated"}
         ce = report.counterexamples["response"]
         assert (ce.loop_from, len(ce.ticks)) == (43, 45)
-        assert lasso_digest(ce, tmp_path / "wheels.json") == \
+        assert lasso_digest(ce, tmp_path / "wheels.json", {"response": RESPONSE_A_A}) == \
             "01959da4d302d5e1c465962a58bd930909dc8c58957d66400c3c2fdc85be0776"
 
     def test_every_shape_holds_on_the_default_map(self):

@@ -5,14 +5,19 @@ from __future__ import annotations
 import importlib.resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roverbench.bus import MessageBus
 from roverbench.config import make_config
+from roverbench.explorer import Explorer
 from roverbench.messages import NODE_ENV_INTERFACE, NODE_WORLD, Topology
 from roverbench.monitor import (
+    STATE_ONLY,
     BoundedRecurrenceMonitor,
     BoundedResponseMonitor,
     DeadlineMonitor,
+    DispatchIndex,
     IllegalOperatorForRuntime,
     MonitorConfigError,
     MonitorEngine,
@@ -20,12 +25,32 @@ from roverbench.monitor import (
     SafetyMonitor,
     TriggeredUntilMonitor,
     UntilMonitor,
+    _try_pure,
     build_engine,
     check_trace,
     synthesizable,
     synthesize,
 )
-from roverbench.prop_dsl import SATISFIED, UNDETERMINED, VIOLATED, parse_formula, parse_suite
+from roverbench.prop_dsl import (
+    SATISFIED,
+    UNDETERMINED,
+    VIOLATED,
+    ActionAtom,
+    Always,
+    And,
+    BeliefAtom,
+    Eventually,
+    HoldsAtom,
+    Implies,
+    Never,
+    Not,
+    Or,
+    TopicAtom,
+    Until,
+    fold_belief,
+    parse_formula,
+    parse_suite,
+)
 from roverbench.simulator import run_simulation
 from roverbench.tracing import EventTracer
 
@@ -409,3 +434,202 @@ class TestDualRoute:
                       if ev["kind"] == "verdict" and ev["outcome"] == "violation"
                       and ev["prop"] == "env_nonnegative"]
         assert violations[0]["t"] == 10
+
+
+# -- indexed dispatch --------------------------------------------------------
+
+
+class TestDispatchKeys:
+    """Each monitor's keys are the events whose step can change it."""
+
+    def test_packaged_suite_keys(self):
+        suite = packaged_suite()
+        keys = {n: synthesize(n, suite[n]).keys
+                for n in ("env_nonnegative", "readiness_guard_arm",
+                          "correct_server_routing", "wind_posture_safety",
+                          "response_goal_result_arm")}
+        assert keys == {
+            "env_nonnegative": {("publish", "/env/sample")},
+            "readiness_guard_arm": {"action", "belief"},
+            "correct_server_routing": {"goal"},
+            "wind_posture_safety": {"belief", "verdict"},
+            "response_goal_result_arm": {("publish", "/arm/goal"), ("publish", "/arm/result")},
+        }
+
+    @pytest.mark.parametrize("text", [
+        'always(eventually[<=4](action("ping")))',  # arms on any event
+        'eventually[<=5](belief("at(A)"))',  # anchored at the first event
+        "always(payload.wind >= 0)",  # reads every event
+        'never(!topic("/a"))',  # true off its key
+        'never(holds("x") && !topic("/a"))',  # mixes the state and the event
+    ])
+    def test_unproven_no_op_gets_every_event(self, text):
+        assert mon(text).keys is None
+
+    def test_index_matches_kind_and_topic(self):
+        index = DispatchIndex([("any publish", frozenset(["publish"])),
+                               ("/x", frozenset([("publish", "/x")])),
+                               ("every", None),
+                               ("belief", frozenset(["belief"]))])
+        assert index.targets(pub(0, "/x")) == ["any publish", "/x", "every"]
+        assert index.targets(pub(0, "/y")) == ["any publish", "every"]
+        assert index.targets(bel(0, "at(A)")) == ["every", "belief"]
+        assert index.targets({"t": 0}) == ["every"]
+        assert index.every == ["any publish", "/x", "every", "belief"]
+
+
+TOPICS = ("/env/sample", "/wheels/goal")
+BELIEFS = ("arm(Closed)", "at(o)")
+NAMES = ("p0", "p1", "p2", "p3", "p4", "p5")
+
+atoms = st.one_of(
+    st.sampled_from(TOPICS).map(TopicAtom),
+    st.sampled_from(BELIEFS).map(BeliefAtom),
+    st.sampled_from(BELIEFS).map(HoldsAtom),
+    st.sampled_from(("*", "move_to_waypoint(A)")).map(ActionAtom),
+    st.sampled_from([parse_formula(text) for text in (
+        'kind == "goal"', 'kind == "deliver"', 'kind == "publish"', 'kind == "verdict"',
+        'kind != "belief"', "payload.wind >= 5", "server != target")]),
+)
+predicates = st.recursive(atoms, lambda sub: st.one_of(
+    sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+    st.builds(Implies, sub, sub)), max_leaves=4)
+bounds = st.integers(1, 3)
+# Every shape ``synthesize`` accepts.
+formulas = st.one_of(
+    predicates.map(Always),
+    predicates.map(Never),
+    st.builds(lambda t, g, k: Always(Implies(t, Eventually(g, k))), predicates, predicates, bounds),
+    st.builds(lambda t, l, r: Always(Implies(t, Until(l, r))), predicates, predicates, predicates),
+    st.builds(lambda p, k: Always(Eventually(p, k)), predicates, bounds),
+    st.builds(Until, predicates, predicates),
+    st.builds(Eventually, predicates, bounds),
+)
+suites = st.lists(formulas, min_size=1, max_size=len(NAMES)).map(
+    lambda fs: dict(zip(NAMES, fs)))
+
+bodies = st.one_of(
+    st.builds(lambda topic, wind: {"kind": "publish", "topic": topic, "payload": {"wind": wind}},
+              st.sampled_from(TOPICS), st.integers(3, 6)),
+    st.builds(lambda topic: {"kind": "deliver", "topic": topic}, st.sampled_from(TOPICS)),
+    st.builds(lambda op, atom: {"kind": "belief", "op": op, "atom": atom},
+              st.sampled_from(("add", "del")), st.sampled_from(BELIEFS)),
+    st.builds(lambda action: {"kind": "action", "action": action},
+              st.sampled_from(("move_to_waypoint(A)", "open_arm"))),
+    st.builds(lambda server, target: {"kind": "goal", "phase": "accept",
+                                      "server": server, "target": target},
+              st.sampled_from("wa"), st.sampled_from("wa")),
+    st.builds(lambda prop: {"kind": "verdict", "prop": prop, "outcome": "violation"},
+              st.sampled_from(NAMES)),
+    st.just({"kind": "header", "format": 1}),
+)
+# (ticks to advance before the event, event without its tick)
+streams = st.lists(st.tuples(st.sampled_from((0, 0, 1)), bodies), max_size=40)
+
+# Over the belief state alone, and false on the empty state: the explorer's
+# first step holds a belief event that adds arm(Closed), after other events.
+HOLDS_ARM = {"p0": parse_formula('always(holds("arm(Closed)"))')}
+HEADER = {"kind": "header", "format": 1}
+# An open until obligation broken by an event of no key of the monitor's.
+UNTIL_GUARD = {"p0": parse_formula(
+    'always(action("*") => (kind != "header" until belief("at(o)")))')}
+
+
+def event_key_matches(keys, event) -> bool:
+    return bool(DispatchIndex([(None, keys)]).targets(event))
+
+
+class ReferenceEngine(MonitorEngine):
+    """The unindexed loop: every event to every monitor, with a fresh
+    belief snapshot per event."""
+
+    def observe(self, event):
+        if self._closed:
+            return
+        fold_belief(self.beliefs, event)
+        state = frozenset(self.beliefs)
+        for m in self.monitors:
+            if m.verdict == VIOLATED or event.get("prop") == m.name:
+                continue
+            before = m.verdict
+            m.observe(event, state)
+            if m.verdict == VIOLATED and before != VIOLATED:
+                self._emit_violation(m, event.get("t", self.last_tick))
+
+
+def monitor_states(monitors, now: int) -> list:
+    return [(m.name, m.to_state(now), m.verdict, m.reason) for m in monitors]
+
+
+class TestIndexedDispatch:
+    """Indexed dispatch changes which monitors are called, never a result:
+    the engine and the explorer's step agree with the unindexed loop."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(predicates, bodies, bodies, st.sets(st.sampled_from(BELIEFS)))
+    def test_partial_evaluation_is_sound(self, node, first, second, beliefs):
+        """Off its keys a predicate takes its partial value; one over the
+        belief state alone has the same value at any two events."""
+        pred, state = _try_pure(node), frozenset(beliefs)
+        first, second = {"t": 0, **first}, {"t": 0, **second}
+        if pred.outside == STATE_ONLY:
+            assert pred.keys == frozenset()
+            assert pred(first, state) == pred(second, state)
+        elif isinstance(pred.outside, bool) and not event_key_matches(pred.keys, first):
+            assert pred(first, state) is pred.outside
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(suites, streams)
+    @example(HOLDS_ARM, [(0, HEADER), (1, HEADER)])
+    @example(HOLDS_ARM, [(0, {"kind": "verdict", "prop": "p0"}), (0, HEADER)])
+    @example(UNTIL_GUARD, [(0, {"kind": "action", "action": "open_arm"}), (0, HEADER)])
+    def test_engine_matches_unindexed_loop(self, suite, stream):
+        engines, tracers = [], []
+        for kind in (MonitorEngine, ReferenceEngine):
+            tracer = EventTracer()
+            engine = kind([synthesize(n, ast) for n, ast in suite.items()])
+            engine.attach(tracer, MessageBus(Topology(), tracer))
+            engines.append(engine)
+            tracers.append(tracer)
+        indexed, reference = engines
+        tick = 0
+        for advance, body in stream:
+            if advance:
+                tick += advance
+                for engine in engines:
+                    engine.on_tick(tick)
+            for tracer in tracers:
+                tracer.emit({"t": tick, **body})
+            assert monitor_states(indexed.monitors, tick) == \
+                monitor_states(reference.monitors, tick)
+            assert tracers[0].events == tracers[1].events
+        assert indexed.finalize() == reference.finalize()
+        assert tracers[0].events == tracers[1].events
+
+    def test_state_only_monitor_fails_at_the_first_event(self):
+        tracer = EventTracer()
+        engine = build_engine(HOLDS_ARM, [{"prop": "p0"}])
+        engine.attach(tracer, MessageBus(Topology(), tracer))
+        tracer.emit({"t": 0, **HEADER})
+        assert engine.monitors[0].verdict == VIOLATED
+        assert "t=0" in engine.monitors[0].reason
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(suites)
+    @example(HOLDS_ARM)
+    def test_bundle_step_matches_unindexed_loop(self, suite):
+        bundle, _log = Explorer(make_config(), suite)._build_bundle(None)
+        reference = [synthesize(n, ast) for n, ast in suite.items()]
+        beliefs: set = set()
+        for _ in range(30):
+            events, _picks = bundle.step(None)
+            for event in events:
+                fold_belief(beliefs, event)
+                state = frozenset(beliefs)
+                for m in reference:
+                    m.observe(event, state)
+            now = bundle.model.tick
+            for m in reference:
+                m.on_tick(now)
+            assert monitor_states(bundle.monitors.values(), now) == \
+                monitor_states(reference, now)

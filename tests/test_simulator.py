@@ -9,10 +9,12 @@ the readiness beliefs land.
 
 from __future__ import annotations
 
+import io
 import json
 
 from roverbench.config import make_config
 from roverbench.simulator import TRACE_FORMAT, run_simulation
+from roverbench.tracing import EventTracer
 
 
 # -- helpers -----------------------------------------------------------------
@@ -285,3 +287,19 @@ class TestVariants:
         _, events = run(tmp_path, overrides={"mutant": "premature-action"},
                         ticks=20)
         assert actions(events)[0] == (0, "move_to_waypoint(A)")
+
+
+class TestStreaming:
+    """A tracer with a sink streams events instead of holding them, so a
+    streamed run's memory does not grow with its length."""
+
+    def test_sink_gets_every_line_and_nothing_is_kept(self):
+        sink = io.StringIO()
+        tracer = EventTracer(sink=sink)
+        seen = []
+        tracer.add_observer(seen.append)
+        for t in range(3):
+            tracer.emit({"t": t, "kind": "header"})
+        assert [json.loads(line) for line in sink.getvalue().splitlines()] == seen
+        assert len(seen) == 3
+        assert tracer.events == []

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import traceback
 from importlib import resources
 
@@ -188,13 +189,19 @@ def cmd_verify(args) -> int:
 def cmd_check(args) -> int:
     try:
         suite = _load_suite(args.props)
+        started = time.perf_counter()
         events = read_trace(args.trace)
+        read_s = time.perf_counter() - started
         verdicts = check_trace(suite, events, args.names or None)
+        evaluate_s = time.perf_counter() - started - read_s
     except (PropertyError, MalformedTraceError, MonitorConfigError,
             OSError, json.JSONDecodeError) as exc:
         _say(f"error: {exc}")
         return EXIT_BAD_INPUT
-    _emit({"trace": args.trace, "events": len(events), "verdicts": verdicts})
+    stats = {"events": len(events), "properties": len(verdicts),
+             "read_s": round(read_s, 6), "evaluate_s": round(evaluate_s, 6)}
+    _emit({"trace": args.trace, "events": len(events), "verdicts": verdicts,
+           "stats": stats})
     violated = sorted(n for n, v in verdicts.items() if v == VIOLATED)
     _say(f"checked {len(verdicts)} properties over {len(events)} events")
     if violated:

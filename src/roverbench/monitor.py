@@ -43,7 +43,7 @@ from .prop_dsl import (
     TopicAtom,
     Until,
     compile_event_predicate,
-    evaluate,
+    evaluate_suite,
     fold_belief,
     to_text,
 )
@@ -611,11 +611,10 @@ def build_engine(suite: dict, selection: list[dict]) -> MonitorEngine:
 
 def check_trace(suite: dict, events: list[dict],
                 names: list[str] | None = None) -> dict:
-    """Offline verdicts via the declarative reference semantics."""
+    """Offline verdicts via the declarative reference semantics, all picked
+    properties in one pass over the trace."""
     picked = names if names is not None else list(suite)
-    out = {}
     for name in picked:
         if name not in suite:
             raise MonitorConfigError(f"unknown property {name!r}")
-        out[name] = evaluate(suite[name], events)
-    return out
+    return evaluate_suite({name: suite[name] for name in picked}, events)

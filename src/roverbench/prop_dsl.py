@@ -32,10 +32,22 @@ obligation; Undetermined means the trace ends with an obligation still open
 (or is empty).  Bounded windows (``eventually[<=k]``) compare event
 timestamps, not positions, and expire to Violated only once the trace has
 advanced past the window.
+
+``evaluate_suite`` computes every verdict of a suite in one pass over one
+shared view of the trace.  A verdict is an int, 0/1/2 for
+Violated/Undetermined/Satisfied, and each formula node gets one column of
+them, a ``bytearray`` holding its verdict at every start position; equal
+sub-formulas share a column.  In that order And, Or, Not and Implies are
+``min``, ``max``, ``2 - v`` and ``max(2 - a, b)``, applied to whole columns
+through byte translation tables.  An atom column is Violated except at the
+positions where the atom can hold, found from an index of event positions
+by key, so an atom is never tested at an event of another key.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -482,6 +494,9 @@ def _resolve(event: dict, path: Path):
     return value
 
 
+_ORDER = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
 def _compare(op: str, left, right) -> bool:
     if left is _MISSING or right is _MISSING:
         return False
@@ -493,8 +508,7 @@ def _compare(op: str, left, right) -> bool:
         return left != right
     if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
         return False
-    return {"<": left < right, ">": left > right,
-            "<=": left <= right, ">=": left >= right}[op]
+    return _ORDER[op](left, right)
 
 
 def atom_holds(node, event: dict, state: frozenset) -> bool:
@@ -553,169 +567,188 @@ def fold_belief(beliefs: set, event: dict) -> None:
 
 
 def belief_states(trace: list[dict]) -> list[frozenset]:
-    """Belief base after each event, reconstructed from belief add/del events."""
+    """Belief base after each event, reconstructed from belief add/del events.
+    The events between two belief events share one frozenset."""
     states: list[frozenset] = []
     current: set = set()
+    state = frozenset()
     for event in trace:
-        fold_belief(current, event)
-        states.append(frozenset(current))
+        if event.get("kind") == "belief":
+            fold_belief(current, event)
+            state = frozenset(current)
+        states.append(state)
     return states
 
 
-# -- reference semantics -----------------------------------------------------
+# -- evaluation --------------------------------------------------------------
 
-def _merge_and(a: str, b: str) -> str:
-    if VIOLATED in (a, b):
-        return VIOLATED
-    if UNDETERMINED in (a, b):
-        return UNDETERMINED
-    return SATISFIED
+_VERDICTS = (VIOLATED, UNDETERMINED, SATISFIED)
 
 
-def _merge_or(a: str, b: str) -> str:
-    if SATISFIED in (a, b):
-        return SATISFIED
-    if UNDETERMINED in (a, b):
-        return UNDETERMINED
-    return VIOLATED
+def _pair_table(fn) -> bytes:
+    """Translation table from a verdict pair packed as 3*a + b to fn(a, b)."""
+    return bytes(fn(v // 3, v % 3) for v in range(9)) + bytes(247)
 
 
-def _negate(a: str) -> str:
-    if a == SATISFIED:
-        return VIOLATED
-    if a == VIOLATED:
-        return SATISFIED
-    return UNDETERMINED
+_AND = _pair_table(min)
+_OR = _pair_table(max)
+_IMPLIES = _pair_table(lambda a, b: max(2 - a, b))
+_NOT = bytes((2, 1, 0)) + bytes(253)
+# An until decides at a position where its right side holds (2) or, failing
+# that, where its left side fails: refuted (0) if the right side is
+# Violated there, else open (1).  Any other position (3) takes the verdict
+# of the next deciding position.
+_UNTIL = _pair_table(lambda a, b: 2 if b == 2 else (b if a == 0 else 3))
+_UNTIL_STEP = re.compile(rb"\x03*([\x00-\x02])")
 
 
-def _columns(node, trace: list[dict], states: list[frozenset], memo: dict) -> list[str]:
-    """Verdict of ``node`` at every start position, computed bottom-up."""
-    if node in memo:
-        return memo[node]
-    n = len(trace)
-    if isinstance(node, (TopicAtom, BeliefAtom, HoldsAtom, ActionAtom, Compare)):
-        out = [SATISFIED if atom_holds(node, trace[i], states[i]) else VIOLATED
-               for i in range(n)]
-    elif isinstance(node, Not):
-        out = [_negate(v) for v in _columns(node.sub, trace, states, memo)]
-    elif isinstance(node, And):
-        left = _columns(node.left, trace, states, memo)
-        right = _columns(node.right, trace, states, memo)
-        out = [_merge_and(a, b) for a, b in zip(left, right)]
-    elif isinstance(node, Or):
-        left = _columns(node.left, trace, states, memo)
-        right = _columns(node.right, trace, states, memo)
-        out = [_merge_or(a, b) for a, b in zip(left, right)]
-    elif isinstance(node, Implies):
-        left = _columns(node.left, trace, states, memo)
-        right = _columns(node.right, trace, states, memo)
-        out = [_merge_or(_negate(a), b) for a, b in zip(left, right)]
-    elif isinstance(node, (Always, Never)):
-        sub = _columns(node.sub, trace, states, memo)
-        if isinstance(node, Never):
-            sub = [_negate(v) for v in sub]
-        out = [SATISFIED] * n
-        tail = SATISFIED
-        for i in range(n - 1, -1, -1):
-            tail = _merge_and(sub[i], tail)
-            out[i] = tail
-    elif isinstance(node, Eventually) and node.bound is None:
-        sub = _columns(node.sub, trace, states, memo)
-        out = [UNDETERMINED] * n
-        tail = UNDETERMINED  # never refutable on a finite trace
-        for i in range(n - 1, -1, -1):
-            tail = SATISFIED if sub[i] == SATISFIED else tail
-            out[i] = tail
-    elif isinstance(node, Eventually):
-        sub = _columns(node.sub, trace, states, memo)
-        # next_hit[i]: first position >= i where the subformula is Satisfied.
-        next_hit = [n] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            next_hit[i] = i if sub[i] == SATISFIED else next_hit[i + 1]
-        last_t = trace[-1]["t"] if n else 0
-        out = []
-        for i in range(n):
-            deadline = trace[i]["t"] + node.bound
-            j = next_hit[i]
-            if j < n and trace[j]["t"] <= deadline:
-                out.append(SATISFIED)
-            elif last_t > deadline:
-                out.append(VIOLATED)
-            else:
-                out.append(UNDETERMINED)
-    elif isinstance(node, Until):
-        left = _columns(node.left, trace, states, memo)
-        right = _columns(node.right, trace, states, memo)
-        out = [UNDETERMINED] * n
-        tail = UNDETERMINED  # obligation still open past the end
-        for i in range(n - 1, -1, -1):
-            if right[i] == SATISFIED:
-                tail = SATISFIED
-            elif left[i] == VIOLATED:
-                tail = VIOLATED if right[i] == VIOLATED else UNDETERMINED
-            out[i] = tail
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-    memo[node] = out
+def _pack(a: bytearray, b: bytearray) -> bytes:
+    """Byte i is 3*a[i] + b[i]: read as big-endian integers, no byte of
+    3*a + b carries into the next, since each is at most 8."""
+    return (3 * int.from_bytes(a, "big") + int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _suffix(col: bytearray, found: tuple, default: int) -> bytearray:
+    """``out[i]`` is the verdict of the first ``(value, verdict)`` pair of
+    ``found`` whose value occurs in ``col[i:]``, else ``default``."""
+    out = bytearray((default,)) * len(col)
+    for value, verdict in reversed(found):
+        last = col.rfind(value) + 1
+        out[:last] = bytes((verdict,)) * last
     return out
+
+
+class _TraceView:
+    """One trace as every column of an evaluation reads it: belief states
+    built in one pass, event positions by key (an event ``kind``, and
+    ``("publish", topic)`` for a publish), and the positions and values of
+    each compared field path, built on first use.  ``column`` memoises one
+    verdict column per formula node, so equal sub-formulas of different
+    properties share it."""
+
+    def __init__(self, trace: list[dict]):
+        self.trace = trace
+        self.n = len(trace)
+        self.states = belief_states(trace)
+        self.keys: dict = {}
+        for i, event in enumerate(trace):
+            kind = event.get("kind")
+            self.keys.setdefault(kind, []).append(i)
+            if kind == "publish":
+                self.keys.setdefault((kind, event.get("topic")), []).append(i)
+        self._fields: dict = {}
+        self._times: list | None = None
+        self._columns: dict = {}
+
+    def at(self, key) -> list[int]:
+        return self.keys.get(key, [])
+
+    def field(self, path: Path) -> tuple[list[int], list]:
+        """Positions where ``path`` resolves, and the values it resolves to."""
+        hit = self._fields.get(path)
+        if hit is None:
+            positions, values = [], []
+            head = path.parts[0]
+            for i, event in enumerate(self.trace):
+                if head in event:
+                    value = _resolve(event, path)
+                    if value is not _MISSING:
+                        positions.append(i)
+                        values.append(value)
+            hit = self._fields[path] = (positions, values)
+        return hit
+
+    def times(self) -> list:
+        if self._times is None:
+            self._times = [event["t"] for event in self.trace]
+        return self._times
+
+    def column(self, node) -> bytearray:
+        """Verdict of ``node`` at every start position, 0/1/2 for
+        Violated/Undetermined/Satisfied."""
+        out = self._columns.get(node)
+        if out is None:
+            out = self._columns[node] = self._build(node)
+        return out
+
+    def _atom(self, node) -> bytearray:
+        """An atom column: Violated except where the atom can hold."""
+        out = bytearray(self.n)
+        trace, states = self.trace, self.states
+        if isinstance(node, TopicAtom):
+            for i in self.at(("publish", node.name)):
+                out[i] = 2
+        elif isinstance(node, (BeliefAtom, ActionAtom)):
+            for i in self.at("belief" if isinstance(node, BeliefAtom) else "action"):
+                if atom_holds(node, trace[i], states[i]):
+                    out[i] = 2
+        elif isinstance(node, HoldsAtom):
+            starts = [0] + self.at("belief")
+            for start, end in zip(starts, starts[1:] + [self.n]):
+                if node.atom in states[start]:
+                    out[start:end] = b"\x02" * (end - start)
+        elif node.path.parts == ("kind",) and node.op == "==" and isinstance(node.value, str):
+            for i in self.at(node.value):
+                out[i] = 2
+        else:
+            positions, lefts = self.field(node.path)
+            if isinstance(node.value, Path):
+                rights = [_resolve(trace[i], node.value) for i in positions]
+            else:
+                rights = itertools.repeat(node.value)
+            for i, left, right in zip(positions, lefts, rights):
+                if _compare(node.op, left, right):
+                    out[i] = 2
+        return out
+
+    def _build(self, node) -> bytearray:
+        if isinstance(node, (TopicAtom, BeliefAtom, HoldsAtom, ActionAtom, Compare)):
+            return self._atom(node)
+        if isinstance(node, Not):
+            return self.column(node.sub).translate(_NOT)
+        if isinstance(node, (And, Or, Implies)):
+            table = _AND if isinstance(node, And) else _OR if isinstance(node, Or) else _IMPLIES
+            return bytearray(_pack(self.column(node.left), self.column(node.right)).translate(table))
+        if isinstance(node, Always):
+            return _suffix(self.column(node.sub), ((0, 0), (1, 1)), 2)
+        if isinstance(node, Never):
+            return _suffix(self.column(node.sub), ((2, 0), (1, 1)), 2)
+        if isinstance(node, Eventually) and node.bound is None:
+            # Never refutable on a finite trace.
+            return _suffix(self.column(node.sub), ((2, 2),), 1)
+        if isinstance(node, Eventually):
+            sub, times = self.column(node.sub), self.times()
+            last_t = times[-1]
+            out = bytearray(self.n)
+            hit = float("inf")  # time of the first Satisfied position >= i
+            for i in range(self.n - 1, -1, -1):
+                if sub[i] == 2:
+                    hit = times[i]
+                deadline = times[i] + node.bound
+                if hit <= deadline:
+                    out[i] = 2
+                elif last_t <= deadline:
+                    out[i] = 1
+            return out
+        if isinstance(node, Until):
+            steps = _pack(self.column(node.left), self.column(node.right)).translate(_UNTIL)
+            # Past the last step the obligation is still open.
+            out = bytearray(b"\x01") * self.n
+            for m in _UNTIL_STEP.finditer(steps):
+                out[m.start():m.end()] = m.group(1) * (m.end() - m.start())
+            return out
+        raise TypeError(f"not a formula node: {node!r}")
+
+
+def evaluate_suite(suite: dict, trace: list[dict]) -> dict:
+    """Three-valued verdict of every formula of a name->AST map over a
+    finite, completed trace, in one pass over one shared view of it."""
+    if not trace:
+        return {name: UNDETERMINED for name in suite}
+    view = _TraceView(trace)
+    return {name: _VERDICTS[view.column(node)[0]] for name, node in suite.items()}
 
 
 def evaluate(node, trace: list[dict]) -> str:
     """Three-valued verdict of ``node`` over a finite, completed trace."""
-    if not trace:
-        return UNDETERMINED
-    states = belief_states(trace)
-    return _columns(node, trace, states, {})[0]
-
-
-def evaluate_naive(node, trace: list[dict]) -> str:
-    """Direct recursive restatement of the semantics; cross-checks ``evaluate``."""
-    if not trace:
-        return UNDETERMINED
-    states = belief_states(trace)
-    n = len(trace)
-
-    def ev(f, i: int) -> str:
-        if isinstance(f, (TopicAtom, BeliefAtom, HoldsAtom, ActionAtom, Compare)):
-            return SATISFIED if atom_holds(f, trace[i], states[i]) else VIOLATED
-        if isinstance(f, Not):
-            return _negate(ev(f.sub, i))
-        if isinstance(f, And):
-            return _merge_and(ev(f.left, i), ev(f.right, i))
-        if isinstance(f, Or):
-            return _merge_or(ev(f.left, i), ev(f.right, i))
-        if isinstance(f, Implies):
-            return _merge_or(_negate(ev(f.left, i)), ev(f.right, i))
-        if isinstance(f, Always):
-            verdict = SATISFIED
-            for j in range(i, n):
-                verdict = _merge_and(verdict, ev(f.sub, j))
-                if verdict == VIOLATED:
-                    return VIOLATED
-            return verdict
-        if isinstance(f, Never):
-            return ev(Always(Not(f.sub)), i)
-        if isinstance(f, Eventually) and f.bound is None:
-            for j in range(i, n):
-                if ev(f.sub, j) == SATISFIED:
-                    return SATISFIED
-            return UNDETERMINED
-        if isinstance(f, Eventually):
-            deadline = trace[i]["t"] + f.bound
-            for j in range(i, n):
-                if trace[j]["t"] > deadline:
-                    return VIOLATED
-                if ev(f.sub, j) == SATISFIED:
-                    return SATISFIED
-            return VIOLATED if trace[-1]["t"] > deadline else UNDETERMINED
-        if isinstance(f, Until):
-            for j in range(i, n):
-                right = ev(f.right, j)
-                if right == SATISFIED:
-                    return SATISFIED
-                if ev(f.left, j) == VIOLATED:
-                    return VIOLATED if right == VIOLATED else UNDETERMINED
-            return UNDETERMINED
-        raise TypeError(f"not a formula node: {f!r}")
-
-    return ev(node, 0)
+    return evaluate_suite({None: node}, trace)[None]

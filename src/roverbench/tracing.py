@@ -49,8 +49,30 @@ def dump_event(event: dict) -> str:
     return json.dumps(event, separators=(",", ":"))
 
 
+def _malformed(event, last_t: float) -> str | None:
+    """Why ``event`` cannot follow an event at tick ``last_t``, or None.
+    Bounded windows compare timestamps, so ``t`` may not decrease."""
+    if not isinstance(event, dict) or not isinstance(event.get("kind"), str):
+        return "event must be an object with a string 'kind'"
+    t = event.get("t")
+    if type(t) is not int:
+        return "event must have an integer 't'"
+    if t < last_t:
+        return f"'t' decreases from {last_t} to {t}"
+    kind = event["kind"]
+    if kind == "publish" and not isinstance(event.get("topic"), str):
+        return "publish event must have a string 'topic'"
+    if kind == "belief" and (event.get("op") not in ("add", "del")
+                             or not isinstance(event.get("atom"), str)):
+        return "belief event must have 'op' add or del and a string 'atom'"
+    if kind == "action" and not isinstance(event.get("action"), str):
+        return "action event must have a string 'action'"
+    return None
+
+
 def read_trace(path: str) -> list[dict]:
     events = []
+    last_t = float("-inf")
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -60,7 +82,9 @@ def read_trace(path: str) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedTraceError(lineno, f"bad JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "kind" not in obj:
-                raise MalformedTraceError(lineno, "event must be an object with a 'kind'")
+            reason = _malformed(obj, last_t)
+            if reason is not None:
+                raise MalformedTraceError(lineno, reason)
+            last_t = obj["t"]
             events.append(obj)
     return events

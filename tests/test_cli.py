@@ -227,10 +227,33 @@ class TestCheck:
 
     def test_malformed_trace(self, capsys, tmp_path):
         trace = tmp_path / "broken.jsonl"
-        trace.write_text('{"t": 0, "kind": "header", "format": 1}\n{oops\n')
-        code, _, err = run_cli(capsys, "check", "--trace", str(trace))
-        assert code == 2
-        assert err.startswith("error:")
+        header = '{"t": 0, "kind": "header", "format": 1}\n'
+        for broken in (
+            "{oops",
+            '{"t": 1, "kind": ["publish"], "topic": "/pose"}',
+            '{"t": 1, "kind": "publish", "topic": ["/pose"]}',
+            '{"kind": "publish", "topic": "/pose"}',
+            '{"t": "1", "kind": "publish", "topic": "/pose"}',
+            '{"t": true, "kind": "publish", "topic": "/pose"}',
+            '{"t": 1, "kind": "belief", "atom": "at(A)"}',
+            '{"t": 1, "kind": "belief", "op": "add"}',
+            '{"t": 1, "kind": "action"}',
+            '{"t": 1, "kind": "action", "action": 3}',
+            '{"t": 5, "kind": "header"}\n{"t": 1, "kind": "header"}',
+        ):
+            trace.write_text(header + broken + "\n")
+            code, _, err = run_cli(capsys, "check", "--trace", str(trace))
+            assert code == 2, broken
+            assert err.startswith("error:"), broken
+
+    def test_stats_block(self, capsys, tmp_path):
+        trace = str(tmp_path / "t.jsonl")
+        run_cli(capsys, "simulate", "--ticks", "20", "--trace", trace)
+        code, doc, _ = run_cli(capsys, "check", "--trace", trace, "env_nonnegative")
+        assert code == 0
+        assert set(doc["stats"]) == {"events", "properties", "read_s", "evaluate_s"}
+        assert doc["stats"]["events"] == doc["events"]
+        assert doc["stats"]["properties"] == 1
 
 
 # -- replay ------------------------------------------------------------------

@@ -6,11 +6,19 @@ import importlib.resources
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from naive_semantics import evaluate_naive
+from roverbench.monitor import check_trace
 from roverbench.prop_dsl import (
+    ActionAtom,
+    Always,
     And,
+    BeliefAtom,
     Compare,
     Eventually,
+    HoldsAtom,
     Implies,
     Never,
     NonPositiveBoundError,
@@ -28,7 +36,6 @@ from roverbench.prop_dsl import (
     belief_states,
     compile_event_predicate,
     evaluate,
-    evaluate_naive,
     parse_formula,
     parse_suite,
     to_text,
@@ -376,3 +383,98 @@ class TestEvaluatorAgreement:
                 for ast in formulas:
                     seen.add(evaluate(ast, trace))
         assert seen == {SATISFIED, VIOLATED, UNDETERMINED}
+
+
+# -- randomized cross-check --------------------------------------------------
+
+BELIEFS = ("at(A)", "at(B)")
+
+atoms = st.one_of(
+    st.sampled_from(("/pose", "/env/sample", "/wheels/telemetry")).map(TopicAtom),
+    st.sampled_from(BELIEFS).map(BeliefAtom),
+    st.sampled_from(BELIEFS).map(HoldsAtom),
+    st.sampled_from(("*", "move_to_waypoint(*)", "move_to_waypoint(A)")).map(ActionAtom),
+    st.sampled_from([parse_formula(text) for text in (
+        'kind == "goal"', 'kind == "deliver"', 'kind != "belief"',
+        "payload.speeds == [0,0]", "payload.speeds != [0,0]", "payload.wind >= 5",
+        'status == "Aborted"', "server != target", "server == target")]),
+)
+bounds = st.integers(1, 3)
+formulas = st.recursive(atoms, lambda sub: st.one_of(
+    sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+    st.builds(Implies, sub, sub), sub.map(Always), sub.map(Never),
+    st.builds(Eventually, sub), st.builds(Eventually, sub, bounds),
+    st.builds(Until, sub, sub)), max_leaves=5)
+
+bodies = st.one_of(
+    st.builds(lambda topic: {"kind": "publish", "topic": topic, "payload": {"x": 1}},
+              st.sampled_from(("/pose", "/env/sample"))),
+    st.builds(lambda wind: {"kind": "publish", "topic": "/env/sample",
+                            "payload": {"wind": wind}}, st.integers(3, 6)),
+    st.builds(lambda speeds: {"kind": "publish", "topic": "/wheels/telemetry",
+                              "payload": {"speeds": speeds}},
+              st.sampled_from(([0, 0], [1, 0]))),
+    st.builds(lambda topic: {"kind": "deliver", "topic": topic, "payload": {"wind": 5}},
+              st.sampled_from(("/pose", "/env/sample"))),
+    st.builds(lambda op, atom: {"kind": "belief", "op": op, "atom": atom},
+              st.sampled_from(("add", "del")), st.sampled_from(BELIEFS)),
+    st.builds(lambda action: {"kind": "action", "action": action},
+              st.sampled_from(("move_to_waypoint(A)", "move_to_waypoint(B)", "open_arm"))),
+    st.builds(lambda server, target, status: {"kind": "goal", "phase": "accept",
+                                              "server": server, "target": target,
+                                              "status": status},
+              st.sampled_from("wa"), st.sampled_from("wa"),
+              st.sampled_from(("Aborted", "Active"))),
+    st.just({"kind": "header", "format": 1}),
+)
+
+
+@st.composite
+def traces(draw):
+    """Events with non-decreasing ``t``, several to a tick or ticks apart,
+    so bounded windows open and expire within a trace."""
+    t, trace = 0, []
+    for advance, body in draw(st.lists(st.tuples(st.sampled_from((0, 0, 1, 2)), bodies),
+                                       max_size=10)):
+        t += advance
+        trace.append({"t": t, **body})
+    return trace
+
+
+@st.composite
+def suites(draw):
+    """Properties over a few shared sub-formulas, each also used alone."""
+    parts = draw(st.lists(formulas, min_size=1, max_size=3))
+    index = st.integers(0, len(parts) - 1)
+    combos = draw(st.lists(st.tuples(st.sampled_from((And, Implies, Until)), index, index),
+                           max_size=3))
+    suite = {f"p{i}": part for i, part in enumerate(parts)}
+    for k, (op, i, j) in enumerate(combos):
+        suite[f"q{k}"] = Always(op(parts[i], parts[j]))
+    return suite
+
+
+class TestRandomizedAgreement:
+    """The column evaluator equals the direct recursive semantics on random
+    formulas over every atom form and operator, and random traces."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(formulas, traces())
+    @example(parse_formula('eventually[<=2](belief("at(A)"))'),
+             [{"t": 0, "kind": "header"}, {"t": 2, "kind": "belief", "op": "add", "atom": "at(A)"},
+              {"t": 3, "kind": "header"}])
+    @example(parse_formula('!holds("at(A)") until server != target'),
+             [{"t": 0, "kind": "belief", "op": "add", "atom": "at(A)"},
+              {"t": 0, "kind": "goal", "server": "w", "target": "a"}])
+    @example(parse_formula("always(server != target)"),
+             [{"t": 0, "kind": "goal", "server": "w", "target": "w"}])
+    @example(parse_formula('!topic("/pose") until eventually(holds("at(A)"))'),
+             [{"t": 0, "kind": "publish", "topic": "/pose", "payload": {}}])
+    def test_evaluate_matches_naive(self, node, trace):
+        assert evaluate(node, trace) == evaluate_naive(node, trace)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(suites(), traces())
+    def test_check_trace_matches_naive(self, suite, trace):
+        assert check_trace(suite, trace) == {
+            name: evaluate_naive(node, trace) for name, node in suite.items()}

@@ -81,6 +81,15 @@ class GoalRecord:
         return self.status in TERMINAL
 
 
+def _without_finished_goals(endpoint) -> dict:
+    """Pickled (and deep-copied) state of an endpoint: its finished goals are
+    left out.  No state key holds them, and no step of the model reads one
+    again, since the model never cancels a goal."""
+    state = endpoint.__dict__.copy()
+    state["records"] = {gid: r for gid, r in endpoint.records.items() if not r.terminal}
+    return state
+
+
 class ClientEndpoint:
     """Client half: submits goals, requests cancels, mirrors server progress."""
 
@@ -141,6 +150,8 @@ class ClientEndpoint:
 
     def live_records(self) -> list[GoalRecord]:
         return [r for r in self.records.values() if not r.terminal]
+
+    __getstate__ = _without_finished_goals
 
     def to_state(self) -> dict:
         return {
@@ -294,6 +305,8 @@ class ServerBase:
 
     def live_records(self) -> list[GoalRecord]:
         return [r for r in self.records.values() if not r.terminal]
+
+    __getstate__ = _without_finished_goals
 
     def base_state(self) -> dict:
         state = {

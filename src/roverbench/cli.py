@@ -161,8 +161,8 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
     except StateSpaceBudgetExceeded as exc:
         _say(f"error: {exc}")
-        _emit({"budget_exceeded": True, "states": exc.states,
-               "seconds": round(exc.seconds, 3), "limit": exc.limit})
+        _emit({"budget_exceeded": True, "states": exc.states, "limit": exc.limit,
+               "stats": {"seconds": round(exc.seconds, 3)}})
         return EXIT_BUDGET
 
     doc = report.to_json()

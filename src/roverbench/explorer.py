@@ -3,9 +3,14 @@
 The explorer enumerates every nondeterministic choice the model can make -
 initial radiation levels, wind re-rolls on arrival, effector fault outcomes,
 and (optionally) node scheduling order - and walks the induced state graph
-breadth-first.  States are canonical JSON snapshots with every absolute-tick
-quantity replaced by a relative counter, so the graph is finite whenever the
-mission is cyclic.
+breadth-first.  A state's key is the ``to_state`` view of the model and its
+riding monitors, with every absolute-tick quantity replaced by a relative
+counter and goal ids renamed by rank, so the graph is finite whenever the
+mission is cyclic.  The key is that view in ``marshal`` bytes, exact and
+cheap to compare; its sorted JSON text is built only for new states, and
+orders the lasso search.  A state is stored as a pickled snapshot that
+leaves out finished goals, and the snapshot is freed once the state's
+successors are made.
 
 Safety and bounded-response properties ride along as monitor states inside
 the product; a violation is reported with the shortest choice path that
@@ -26,11 +31,11 @@ from __future__ import annotations
 
 import io
 import json
+import marshal
 import pickle
-import re
 import time
 import types
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from itertools import groupby
 
 from . import prop_dsl
@@ -198,44 +203,66 @@ class _Bundle:
     def violations(self) -> list[tuple[str, OnlineMonitor]]:
         return [(name, m) for name, m in self.monitors.items() if m.verdict == VIOLATED]
 
-    def canonical(self) -> str:
+    def canonical(self) -> tuple[bytes, dict]:
+        """The dedupe key and the ranked ``to_state`` view it encodes.
+
+        ``marshal`` protocol 2 writes every value with its exact type and no
+        references, so equal views give equal bytes as long as their dicts
+        are built in the same order, which every ``to_state`` does."""
         now = self.model.tick
         raw = {
-            "model": self.model.to_state(),
+            "model": _rank_goals(self.model.to_state()),
             "monitors": {n: m.to_state(now) for n, m in sorted(self.monitors.items())},
             "trackers": {n: t.to_state() for n, t in sorted(self.trackers.items())},
         }
-        return _rank_goal_ids(json.dumps(raw, sort_keys=True, separators=(",", ":")))
+        return marshal.dumps(raw, 2), raw
 
 
-# A goal id ("wheelsClient:12") as a whole JSON string: an unescaped quote
-# follows only a structural character, never string content.
-_GOAL_ID = re.compile(r'(?<=[\[{,:])"(wheelsClient|armClient|mastClient):(\d+)"')
+def _sorted_text(raw: dict) -> str:
+    """The sorted JSON text of a ranked view: what orders the lasso search."""
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
-def _rank_goal_ids(text: str) -> str:
-    """Rename the goal ids in canonical JSON by their rank per client node, so
-    that states differing only in how many goals came before compare equal.
-    No ``to_state`` puts a goal id in a dict key, so renaming after the keys
-    were sorted leaves them sorted."""
-    parts = _GOAL_ID.split(text)
-    ids = list(zip(parts[1::3], map(int, parts[2::3])))
+def _rank_goals(model: dict) -> dict:
+    """Rename the goal ids ("wheelsClient:12") of a ``Model.to_state`` view
+    by their rank per client node, so that states differing only in how many
+    goals came before compare equal.  Ids occur only as the first item of a
+    host ``goal_actions`` pair and as the ``goal_id`` of a live goal or of a
+    queued message's payload, which is copied first: it is the message's own."""
+    host = model["host"]
+    pairs = host["goal_actions"]
+    entries = [g for c in host["clients"].values() for g in c["live"]]
+    entries += [g for s in model["servers"].values() for g in s["live"]]
+    for messages in model["inboxes"].values():
+        for message in messages:
+            if "goal_id" in message["payload"]:
+                message["payload"] = payload = dict(message["payload"])
+                entries.append(payload)
+    ids = {pair[0] for pair in pairs}
+    ids.update(entry["goal_id"] for entry in entries)
+    if not ids:
+        return model
+    numbered = sorted((node, int(num), gid)
+                      for gid in ids for node, _, num in [gid.rpartition(":")])
     names = {}
-    for node, same_node in groupby(sorted(set(ids)), key=lambda gid: gid[0]):
-        names.update((gid, f'"{node}#{rank}"') for rank, gid in enumerate(same_node))
-    parts[1::3] = [names[gid] for gid in ids]
-    parts[2::3] = [""] * len(ids)
-    return "".join(parts)
+    for node, same_node in groupby(numbered, key=lambda parts: parts[0]):
+        names.update((gid, f"{node}#{rank}") for rank, (_, _, gid) in enumerate(same_node))
+    for pair in pairs:
+        pair[0] = names[pair[0]]
+    for entry in entries:
+        entry["goal_id"] = names[entry["goal_id"]]
+    return model
 
 
 # -- state snapshots ---------------------------------------------------------
 
 # Never changed once built, so every bundle of a walk shares one of each:
-# closures and compiled predicates, the config, the bus topology, plan rules,
-# the formula AST (the dataclasses of prop_dsl) and the dispatch table (whose
+# classes (a table lookup restores faster than an import by name), closures
+# and compiled predicates, the config, the bus topology, plan rules, the
+# formula AST (the dataclasses of prop_dsl) and the dispatch table (whose
 # memo only grows).
 _SHARED_TYPES = frozenset(
-    [types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch]
+    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch]
     + [c for c in vars(prop_dsl).values() if isinstance(c, type) and is_dataclass(c)])
 
 # The shared objects of the running walks, which nest but never run in
@@ -360,6 +387,7 @@ class ExplorationReport:
     complete: bool
     seconds: float
     schedule_invariant: bool | None = None
+    stats: dict = field(default_factory=dict)  # dedupe hit rate, seconds per phase
 
     def to_json(self) -> dict:
         return {
@@ -368,24 +396,27 @@ class ExplorationReport:
             "verdicts": self.verdicts,
             "counterexamples": {n: c.to_json() for n, c in self.counterexamples.items()},
             "complete": self.complete,
-            "seconds": round(self.seconds, 3),
             "schedule_invariant": self.schedule_invariant,
+            # The only wall-clock figures, kept apart from the verdicts.
+            "stats": {"seconds": round(self.seconds, 3), **self.stats},
         }
 
 
 @dataclass
 class _Node:
-    snapshot: bytes  # the frozen bundle, restored once per successor
-    parent: str | None
+    key: bytes  # the one copy every edge into this state holds
+    parent: bytes | None
     picks: list  # choice log of the edge that discovered this node
     depth: int
+    snapshot: bytes | None = None  # the frozen bundle, until its successors are made
+    text: str = ""  # sorted JSON text of the state: the lasso search's order
     open: frozenset = frozenset()  # response trackers with an open obligation
 
 
 @dataclass
 class _Edge:
-    src: str
-    dst: str
+    src: bytes
+    dst: bytes
     picks: list
     awaited: set  # liveness names whose awaited event the edge produces
 
@@ -459,17 +490,25 @@ class Explorer:
     def explore(self, invariant=None) -> ExplorationReport:
         """Breadth-first walk over every reachable state.  States are keyed by
         ``canonical()`` and stored as snapshots; every successor is restored
-        from its source's snapshot.  ``invariant(model) -> bool``, if given,
-        is checked on every new state: the walk stops at the first state
-        where it is false, reporting that state's trail as the ``invariant``
-        counterexample of an incomplete report."""
+        from its source's snapshot, which is freed once they are all made:
+        breadth-first order never expands a state twice.  ``invariant(model)
+        -> bool``, if given, is checked on every new state: the walk stops at
+        the first state where it is false, reporting that state's trail as the
+        ``invariant`` counterexample of an incomplete report."""
         started = time.monotonic()
-        states: dict[str, _Node] = {}
+        states: dict[bytes, _Node] = {}
         edges: list[_Edge] = []
-        queue: list[str] = []
+        queue: list[_Node] = []  # breadth-first frontier, expanded from ``head`` on
         verdicts: dict[str, str] = {n: UNDETERMINED for n in self.suite}
         verdicts.update({n: UNDETERMINED for n in self.extra_monitors})
         counterexamples: dict[str, Counterexample] = {}
+        phase_s = dict.fromkeys(("restore", "step", "key", "freeze", "liveness"), 0.0)
+
+        def timed(phase: str, call, *args):
+            mark = time.perf_counter()
+            result = call(*args)
+            phase_s[phase] += time.perf_counter() - mark
+            return result
 
         def check_budget() -> None:
             elapsed = time.monotonic() - started
@@ -478,10 +517,11 @@ class Explorer:
             if elapsed > self.budget_secs:
                 raise StateSpaceBudgetExceeded(len(states), elapsed, "time")
 
-        def add_state(bundle: _Bundle, key: str, node: _Node) -> bool:
+        def add_state(bundle: _Bundle, key: bytes, raw: dict, node: _Node) -> bool:
             """Store a new state; False if it breaks the invariant."""
+            node.text = timed("key", _sorted_text, raw)
             states[key] = node
-            queue.append(key)
+            queue.append(node)
             for name, monitor in bundle.violations():
                 if name not in counterexamples:
                     ce = self._trail(states, key, monitor.shape, monitor.reason)
@@ -489,7 +529,7 @@ class Explorer:
                     counterexamples[name] = ce
                     verdicts[name] = VIOLATED
                 del bundle.monitors[name]
-            node.snapshot = snapshots.freeze(bundle)
+            node.snapshot = timed("freeze", snapshots.freeze, bundle)
             node.open = frozenset(n for n, t in bundle.trackers.items() if t.open)
             if invariant is None or invariant(bundle.model):
                 return True
@@ -498,34 +538,46 @@ class Explorer:
             counterexamples["invariant"] = ce
             return False
 
+        def visit(source: _Node, succ: _Bundle, picks: list) -> bool:
+            """Key one successor, record its edge and store it if it is new;
+            False if it breaks the invariant."""
+            key, raw = timed("key", succ.canonical)
+            known = states.get(key)
+            # Edges share the stored key and the one empty label set: on a
+            # walk of mostly duplicates, copies of either would fill memory.
+            edges.append(_Edge(source.key, key if known is None else known.key, picks,
+                               succ.fired or frozenset()))
+            if known is None and not add_state(
+                    succ, key, raw, _Node(key, source.key, picks, source.depth + 1)):
+                return False
+            check_budget()
+            return True
+
         def walk() -> bool:
             for bundle, init_log in self._roots():
-                key = bundle.canonical()
+                key, raw = timed("key", bundle.canonical)
                 if key in states:
                     continue
-                if not add_state(bundle, key, _Node(b"", None, init_log, 0)):
+                if not add_state(bundle, key, raw, _Node(key, None, init_log, 0)):
                     return False
                 check_budget()
 
             head = 0
             while head < len(queue):
-                key = queue[head]
+                node = queue[head]
                 head += 1
-                node = states[key]
+                # Breadth-first order expands a state once, so its snapshot
+                # is dropped now and each successor is keyed as it is made.
+                snapshot, node.snapshot = node.snapshot, None
                 # Called through the class, which instrumentation may patch.
-                probe = _Bundle.clone(node.snapshot)
-                _, signature = probe.step(None)
-                successors = [(probe, signature)]
+                probe = timed("restore", _Bundle.clone, snapshot)
+                _, signature = timed("step", probe.step, None)
+                if not visit(node, probe, signature):
+                    return False
                 for script in _variants(signature)[1:]:  # [0] is the probe's
-                    branch = _Bundle.clone(node.snapshot)
-                    successors.append((branch, branch.step(script)[1]))
-                for succ, picks in successors:
-                    succ_key = succ.canonical()
-                    edges.append(_Edge(key, succ_key, picks, succ.fired))
-                    if succ_key not in states and not add_state(
-                            succ, succ_key, _Node(b"", key, picks, node.depth + 1)):
+                    branch = timed("restore", _Bundle.clone, snapshot)
+                    if not visit(node, branch, timed("step", branch.step, script)[1]):
                         return False
-                    check_budget()
             return True
 
         with _Snapshots() as snapshots:
@@ -538,8 +590,9 @@ class Explorer:
             for name in list(self.monitored) + list(self.extra_monitors):
                 if verdicts[name] == UNDETERMINED:
                     verdicts[name] = SATISFIED
-            self._decide_liveness(states, edges, verdicts, counterexamples)
+            timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples)
 
+        reached = sum(node.parent is not None for node in states.values())  # not as roots
         return ExplorationReport(
             states=len(states),
             transitions=len(edges),
@@ -549,9 +602,14 @@ class Explorer:
             seconds=elapsed,
             schedule_invariant=(self._schedule_invariant(edges) if complete
                                 and self.config.schedule_sensitivity else None),
+            stats={
+                # The share of successors that were known states.
+                "dedupe_hit_rate": round(1 - reached / len(edges), 4) if edges else 0.0,
+                "phase_s": {phase: round(spent, 3) for phase, spent in phase_s.items()},
+            },
         )
 
-    def _trail(self, states: dict, key: str, kind: str, reason: str) -> Counterexample:
+    def _trail(self, states: dict, key: bytes, kind: str, reason: str) -> Counterexample:
         picks: list[list] = []
         cursor = key
         init: list = []
@@ -577,17 +635,21 @@ class Explorer:
         obligation is open."""
         if not self.liveness:
             return
-        out: dict[str, list[_Edge]] = {}
+        out: dict[bytes, list[_Edge]] = {}
         for edge in edges:
             out.setdefault(edge.src, []).append(edge)
+        # Start states in the order of their sorted JSON text, so the reported
+        # lasso depends neither on set hashing nor on the key's encoding.
+        order = sorted(states, key=lambda key: states[key].text)
 
         for name, live in self.liveness.items():
             if live.kind == "eventually":
-                allowed = self._reach_without(states, out, name)
+                reach = self._reach_without(states, out, name)
+                allowed = dict.fromkeys(key for key in order if key in reach)
             elif live.kind == "recurrence":
-                allowed = states.keys()
+                allowed = dict.fromkeys(order)
             else:  # response
-                allowed = {key for key, node in states.items() if name in node.open}
+                allowed = dict.fromkeys(key for key in order if name in states[key].open)
             cycle = self._find_lasso(allowed, out, name)
             if cycle is None:
                 verdicts[name] = SATISFIED
@@ -619,11 +681,11 @@ class Explorer:
         """A cycle through ``allowed`` states whose edges never produce the
         awaited event, found by a depth-first search on an explicit stack
         (so graph depth is not bounded by the recursion limit).  Start keys
-        are tried in sorted order and out-edges in insertion order, so the
-        reported lasso does not depend on set hashing.  Returns (entry key,
-        [edges around the cycle]) or None."""
-        done: set[str] = set()
-        for start in sorted(allowed):
+        are tried in the iteration order of ``allowed`` and out-edges in
+        insertion order.  Returns (entry key, [edges around the cycle]) or
+        None."""
+        done: set[bytes] = set()
+        for start in allowed:
             if start in done:
                 continue
             on_path = {start: 0}  # key -> position on the DFS path
@@ -795,7 +857,7 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
     entry = None
     for tick, script in enumerate(data["ticks"]):
         if tick == loop_from:
-            entry = bundle.canonical()
+            entry = bundle.canonical()[0]
             if prop in trackers and not trackers[prop].open:
                 raise ReplayDivergenceError(
                     f"the obligation of {prop} is not open at the loop entry")
@@ -813,7 +875,7 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
                 "ticks": len(data["ticks"])}
 
     # Liveness lasso: the state at the loop entry must recur at the end.
-    if entry is None or entry != bundle.canonical():
+    if entry is None or entry != bundle.canonical()[0]:
         raise ReplayDivergenceError("replayed loop does not return to its entry state")
     return {"reproduced": True, "prop": prop, "kind": "liveness",
             "ticks": len(data["ticks"]), "loop_from": loop_from}

@@ -26,6 +26,9 @@ TRACE_FORMAT = 1
 
 _SCHEDULES = tuple(itertools.permutations(range(4)))
 
+# ``json.dumps(entry, sort_keys=True)`` without building an encoder per call.
+_ENTRY_ORDER = json.JSONEncoder(sort_keys=True).encode
+
 
 class Model:
     """A fully wired system: bus, world, three servers, agent host."""
@@ -71,21 +74,19 @@ class Model:
         # Inbox entries are sorted, not left in arrival order: same-tick
         # publishes from different stages are order-independent to every
         # consumer, so arrival order is scheduling noise, not state.
+        inboxes = {}
+        for node, msgs in sorted(self.bus.inboxes.items()):
+            if msgs:
+                entries = [{"topic": m.topic, "sender": m.sender, "payload": m.payload}
+                           for m in msgs]
+                if len(entries) > 1:  # a sort computes the key of a lone entry too
+                    entries.sort(key=_ENTRY_ORDER)
+                inboxes[node] = entries
         return {
             "world": self.world.to_state(),
             "servers": {e: s.to_state() for e, s in sorted(self.servers.items())},
             "host": self.host.to_state(),
-            "inboxes": {
-                node: sorted(
-                    (
-                        {"topic": m.topic, "sender": m.sender, "payload": m.payload}
-                        for m in msgs
-                    ),
-                    key=lambda entry: json.dumps(entry, sort_keys=True),
-                )
-                for node, msgs in sorted(self.bus.inboxes.items())
-                if msgs
-            },
+            "inboxes": inboxes,
         }
 
 

@@ -8,6 +8,7 @@ input, 3 exploration budget exceeded, 4 replay divergence, 5 internal error.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from roverbench import cli
 from roverbench.cli import main
@@ -175,6 +176,25 @@ class TestVerify:
         assert code == 3
         assert doc["budget_exceeded"] is True
         assert doc["limit"] == "state"
+        assert set(doc) == {"budget_exceeded", "states", "limit", "stats"}
+
+    def test_stdout_without_stats_repeats(self, capsys, tmp_path):
+        """Wall-clock figures live only in the stats block: the rest of the
+        output, and every counterexample file, is the same on a rerun."""
+        prefix = str(tmp_path / "run")
+        outputs, files = [], []
+        for _ in range(2):
+            code = main(["verify", "--mutant", "no-stop-wheels", "--trace", prefix])
+            assert code == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert set(doc.pop("stats")) == {"seconds", "dedupe_hit_rate", "phase_s"}
+            # Dumped as the CLI dumps it: the bytes of stdout outside `stats`.
+            outputs.append(json.dumps(doc, indent=2, sort_keys=True))
+            cex = doc["counterexample_files"]
+            assert cex
+            files.append({prop: Path(path).read_bytes() for prop, path in cex.items()})
+        assert outputs[0] == outputs[1]
+        assert files[0] == files[1]
 
     def test_deep_lasso_replays(self, capsys, tmp_path):
         """500-cell legs and a hot stop that never cools: the lasso is

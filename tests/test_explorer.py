@@ -94,8 +94,14 @@ class TestNominalExploration:
         assert data["complete"] is True
         assert data["schedule_invariant"] is None
         assert set(data) == {"states", "transitions", "verdicts",
-                             "counterexamples", "complete", "seconds",
-                             "schedule_invariant"}
+                             "counterexamples", "complete",
+                             "schedule_invariant", "stats"}
+        stats = data["stats"]
+        assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s"}
+        assert set(stats["phase_s"]) == {"restore", "step", "key", "freeze", "liveness"}
+        assert all(stats["phase_s"][phase] > 0 for phase in ("restore", "step", "key", "freeze"))
+        # 133 states over 136 transitions and the roots' lookups.
+        assert 0 < stats["dedupe_hit_rate"] < 0.1
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +409,7 @@ class TestLassoSearch:
     @given(labelled_graphs())
     def test_matches_recursive_search(self, graph):
         allowed, out = graph
-        found = Explorer._find_lasso(allowed, out, "p")
+        found = Explorer._find_lasso(dict.fromkeys(sorted(allowed)), out, "p")
         assert found == recursive_lasso(allowed, out, "p")
         assert (found is not None) == has_cycle(allowed, out, "p")
         if found is not None:

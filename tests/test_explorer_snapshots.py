@@ -1,16 +1,24 @@
-"""Snapshot store and canonical keys of the explorer.
+"""Snapshot store and state keys of the explorer.
 
-States are stored as pickled snapshots and every successor is restored from
-its source's snapshot, so these tests pin down what that must preserve:
+A state's key is the ``marshal`` encoding of its ``to_state`` view with goal
+ids renamed by rank; the view's sorted JSON text, built for new states only,
+orders the lasso search.  A state is stored as a pickled snapshot that leaves
+out finished goals, every successor is restored from its source's snapshot,
+and the snapshot is freed once the state is expanded.  These tests pin down
+what that must preserve:
 
-* a restored bundle has the canonical key of the bundle that was frozen, and
-  steps exactly like a ``copy.deepcopy`` of it (deepcopy is the reference);
-* canonical-state dedupe is sound: bundles reached with the same key have the
-  same successor keys;
-* the one-pass goal-id renaming gives the same key as the two-walk reference
-  ``_renumber_goals`` kept below, and no ``to_state`` puts a goal id in a dict
-  key (the one-pass form renames after the keys are sorted);
-* the table of shared objects lives for one walk only.
+* the key is exact: two bundles have equal keys exactly when their sorted
+  texts are equal, and that text is the one of the reference renaming
+  ``_renumber_goals`` kept below, which renames every goal id wherever it
+  stands;
+* the structural renaming finds goal ids where the model puts them, and no
+  ``to_state`` puts a goal id in a dict key;
+* a restored bundle has the key of the bundle that was frozen, and steps
+  exactly like that live bundle, which still holds its finished goals;
+* dedupe is sound: bundles reached with the same key have the same
+  successor keys;
+* the table of shared objects lives for one walk only, and a finished walk
+  holds no snapshot.
 
 Each scenario is walked once, by a breadth-first walk that mirrors
 ``Explorer.explore`` and visits every root and successor, duplicates
@@ -31,8 +39,9 @@ from roverbench.explorer import (
     Explorer,
     StateSpaceBudgetExceeded,
     _Bundle,
-    _rank_goal_ids,
+    _rank_goals,
     _Snapshots,
+    _sorted_text,
     _variants,
     explore_properties,
 )
@@ -113,20 +122,53 @@ def goal_id_keys(value) -> set:
     return found
 
 
+def model_view(goal_actions=(), clients=(), servers=(), inboxes=()) -> dict:
+    """A hand-made ``Model.to_state`` view with goal ids where the model puts
+    them: host action pairs, live goal lists and queued message payloads."""
+    return {
+        "world": {"pose": [0, 0]},
+        "servers": {e: {"live": live, "ready": True} for e, live in servers},
+        "host": {"agent": {"beliefs": ["at(o)"]},
+                 "goal_actions": [list(pair) for pair in goal_actions],
+                 "clients": {e: {"live": live, "ready": True} for e, live in clients}},
+        "inboxes": dict(inboxes),
+    }
+
+
+def message(topic, payload) -> dict:
+    return {"topic": topic, "sender": "x", "payload": payload}
+
+
 class TestRankGoalIds:
-    """The one-pass renaming against the reference on hand-made JSON."""
+    """The structural renaming against the reference on hand-made views."""
 
     @pytest.mark.parametrize("raw", [
-        {"a": 1, "b": ["x"]},
-        {"live": ["wheelsClient:9", "wheelsClient:10", "armClient:4"]},
-        {"g": [["mastClient:7", "control_mast(open)"], ["mastClient:3", "x"]]},
-        {"text": "wheelsClient:3 is busy", "quoted": 'say "wheelsClient:3"'},
-        {"tail": 'ends with "armClient:2', "real": "armClient:2"},
-        {"near": ["wheelsClient:", "wheelsClient:x1", "wheelsServer:1", "wheelsClient:1"]},
+        model_view(),
+        model_view(clients=[("wheels", [{"goal_id": "wheelsClient:9"},
+                                        {"goal_id": "wheelsClient:10"}]),
+                            ("arm", [{"goal_id": "armClient:4"}])]),
+        model_view(goal_actions=[("mastClient:7", "control_mast(open)"),
+                                 ("wheelsClient:3", "wheelsClient:3 is busy")],
+                   servers=[("mast", [{"goal_id": "mastClient:7", "request": {"cmd": "open"}}])]),
+        # An id that only a queued result still names, ranked below a live one.
+        model_view(clients=[("wheels", [{"goal_id": "wheelsClient:12"}])],
+                   inboxes=[("wheelsClient", [
+                       message("/wheels/feedback", {"goal_id": "wheelsClient:12", "progress": 0.5}),
+                       message("/wheels/result", {"goal_id": "wheelsClient:11", "status": "Succeeded"}),
+                       message("/pose", {"x": 1, "y": 0})])]),
+        model_view(inboxes=[("armServer", [message("/arm/goal", {"goal_id": "armClient:2", "cmd": "open"})]),
+                            ("mastServer", [message("/mast/cancel", {"goal_id": "mastClient:0"})])]),
+        # Ranks follow the number, not the text: 99 comes before 100.
+        model_view(goal_actions=[("armClient:100", "control_arm(open)")],
+                   clients=[("arm", [{"goal_id": "armClient:99"}])],
+                   servers=[("arm", [{"goal_id": "armClient:100", "request": {"cmd": "open"}}])]),
     ])
     def test_matches_reference(self, raw):
-        text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-        assert _rank_goal_ids(text) == reference_key(raw)
+        view = copy.deepcopy(raw)
+        payloads = [m["payload"] for msgs in view["inboxes"].values() for m in msgs]
+        assert _sorted_text(_rank_goals(view)) == reference_key(raw)
+        # Queued payloads are the messages' own dicts: copied, never renamed.
+        assert payloads == [m["payload"] for msgs in raw["inboxes"].values() for m in msgs]
 
 
 # -- one instrumented walk per scenario --------------------------------------
@@ -156,53 +198,71 @@ LAST_DUPLICATE_ONLY = {"schedule"}
 def successor_keys(snapshot: bytes) -> set:
     probe = _Bundle.clone(snapshot)
     _, signature = probe.step(None)
-    keys = {probe.canonical()}
+    keys = {probe.canonical()[0]}
     for script in _variants(signature)[1:]:
         branch = _Bundle.clone(snapshot)
         branch.step(script)
-        keys.add(branch.canonical())
+        keys.add(branch.canonical()[0])
     return keys
 
 
-def restore_problems(bundle: _Bundle, snapshot: bytes) -> list[str]:
-    """Round-trip and step checks of one frozen bundle."""
+def finished_goals(bundle: _Bundle) -> int:
+    endpoints = [*bundle.model.clients.values(), *bundle.model.servers.values()]
+    return sum(r.terminal for e in endpoints for r in e.records.values())
+
+
+def restore_problems(bundle: _Bundle, snapshot: bytes, pick: int) -> list[str]:
+    """Round-trip check of one frozen bundle, then one step, under the
+    ``pick``-th choice script (wrapped), of the restored copy against the
+    live bundle itself, which still holds the goals its last step finished."""
     problems = []
-    if _Bundle.clone(snapshot).canonical() != bundle.canonical():
-        problems.append(f"restored key differs at tick {bundle.model.tick}")
+    tick = bundle.model.tick
+    restored = _Bundle.clone(snapshot)
+    if finished_goals(restored):
+        problems.append(f"snapshot holds finished goals at tick {tick}")
+    if restored.canonical()[0] != bundle.canonical()[0]:
+        problems.append(f"restored key differs at tick {tick}")
     _, signature = _Bundle.clone(snapshot).step(None)
-    scripts = [None] + _variants(signature)[-1:]
-    for script in scripts:
-        restored = _Bundle.clone(snapshot)
-        reference = copy.deepcopy(restored)
-        if restored.step(script) != reference.step(script):
-            problems.append(f"step({script}) differs from deepcopy at tick {bundle.model.tick}")
-        elif restored.canonical() != reference.canonical():
-            problems.append(f"state after step({script}) differs from deepcopy")
+    scripts = _variants(signature)
+    script = scripts[pick % len(scripts)]
+    if restored.step(script) != bundle.step(script):
+        problems.append(f"step({script}) differs from the live bundle at tick {tick}")
+    elif restored.canonical()[0] != bundle.canonical()[0]:
+        problems.append(f"state after step({script}) differs from the live bundle")
     return problems
 
 
 def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     found = {"states": 0, "transitions": 0, "canonical_calls": 0, "oracle_mismatch": [],
-             "goal_id_keys": set(), "restore": [], "unsound": [], "compared": 0}
-    stored: dict[str, bytes] = {}
-    successors: dict[str, set] = {}  # stored key -> its successor keys
-    duplicates: dict[str, list[_Bundle]] = {}
-    queue: list[str] = []
+             "merged": [], "split": [], "goal_id_keys": set(), "restore": [],
+             "unsound": [], "compared": 0}
+    texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
+    keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
+    stored: dict[bytes, bytes] = {}  # the frontier's snapshots
+    successors: dict[bytes, set] = {}  # stored key -> its successor keys
+    duplicates: dict[bytes, list[_Bundle]] = {}
+    queue: list[bytes] = []
 
-    def reach(bundle: _Bundle) -> str:
+    def reach(bundle: _Bundle) -> bytes:
         raw = raw_state(bundle)
-        key = bundle.canonical()
+        key, ranked = bundle.canonical()
         found["canonical_calls"] += 1
-        if key != reference_key(raw):
-            found["oracle_mismatch"].append(key)
+        text = reference_key(raw)
+        if _sorted_text(ranked) != text:
+            found["oracle_mismatch"].append(text)
+        if texts.setdefault(key, text) != text:
+            found["merged"].append(text)
+        if keys.setdefault(text, key) != key:
+            found["split"].append(text)
         found["goal_id_keys"] |= goal_id_keys(raw)
         # Violated monitors leave a stored state, as in the explorer.
         for name, _monitor in bundle.violations():
             del bundle.monitors[name]
-        if key not in stored:
+        if key not in successors:
+            successors[key] = set()
             stored[key] = snapshot = store.freeze(bundle)
             queue.append(key)
-            found["restore"] += restore_problems(bundle, snapshot)
+            found["restore"] += restore_problems(bundle, snapshot, len(queue))
         elif last_duplicate_only:
             duplicates[key] = [bundle]
         else:
@@ -216,15 +276,18 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         while head < len(queue):
             key = queue[head]
             head += 1
-            probe = _Bundle.clone(stored[key])
+            # Freed once expanded, and each successor keyed as it is made,
+            # as in the explorer.
+            snapshot = stored.pop(key)
+            probe = _Bundle.clone(snapshot)
             _, signature = probe.step(None)
-            successors[key] = {reach(probe)}
+            successors[key].add(reach(probe))
             for script in _variants(signature)[1:]:
-                branch = _Bundle.clone(stored[key])
+                branch = _Bundle.clone(snapshot)
                 branch.step(script)
                 successors[key].add(reach(branch))
             found["transitions"] += len(_variants(signature))
-        found["states"] = len(stored)
+        found["states"] = len(successors)
         for key, bundles in duplicates.items():
             for bundle in bundles:
                 found["compared"] += 1
@@ -249,6 +312,10 @@ class TestSnapshotWalk:
         assert found["canonical_calls"] > EXPLORED[name][1]
         assert found["oracle_mismatch"] == []
 
+    def test_key_equal_exactly_when_text_equal(self, walked):
+        assert walked[1]["merged"] == []
+        assert walked[1]["split"] == []
+
     def test_no_goal_id_dict_keys(self, walked):
         assert walked[1]["goal_id_keys"] == set()
 
@@ -262,6 +329,27 @@ class TestSnapshotWalk:
             assert found["compared"] > 0
 
 
+class TestLiveHistory:
+    """Along one long path, a bundle restored from each tick's snapshot
+    steps exactly like the live bundle, which keeps every finished goal
+    (a deep copy drops them too, so it is no reference here)."""
+
+    @pytest.mark.parametrize("scenario", ["default", "schedule"])
+    def test_restored_steps_like_live(self, scenario):
+        live, _log = Explorer(SCENARIOS[scenario](), SUITE)._roots()[0]
+        with _Snapshots() as store:
+            for tick in range(150):
+                snapshot = store.freeze(live)
+                restored = _Bundle.clone(snapshot)
+                assert finished_goals(restored) == 0
+                _, signature = _Bundle.clone(snapshot).step(None)
+                scripts = _variants(signature)
+                script = scripts[tick * 7 % len(scripts)]
+                assert restored.step(script) == live.step(script), tick
+                assert restored.canonical()[0] == live.canonical()[0], tick
+        assert finished_goals(live) > 20
+
+
 # -- table scope -------------------------------------------------------------
 
 class TestSharedTable:
@@ -273,9 +361,21 @@ class TestSharedTable:
         assert explorer._SHARED == []
         second = explore_properties(config, SUITE).to_json()
         assert explorer._SHARED == []
-        first.pop("seconds")
-        second.pop("seconds")
+        first.pop("stats")
+        second.pop("stats")
         assert first == second
+
+    def test_finished_walk_holds_no_snapshot(self, monkeypatch):
+        """Every state of a complete walk was expanded, so its snapshot was
+        freed; its sorted text is kept for the lasso search."""
+        seen = {}
+        decide = Explorer._decide_liveness
+        monkeypatch.setattr(Explorer, "_decide_liveness",
+                            lambda self, states, *rest: seen.update(states) or
+                            decide(self, states, *rest))
+        explore_properties(mutant_demo_config("misroute-bus"), SUITE)
+        assert len(seen) == EXPLORED["mutant-misroute-bus"][0]
+        assert all(node.snapshot is None and node.text for node in seen.values())
 
     def test_released_when_budget_runs_out(self):
         with pytest.raises(StateSpaceBudgetExceeded):

@@ -42,15 +42,6 @@ class InboxOverflowError(BusError):
     """A node inbox exceeded its bound; configuration or wiring bug."""
 
 
-class SubscriptionHandle:
-    def __init__(self, node: str, topic: str):
-        self.node = node
-        self.topic = topic
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SubscriptionHandle({self.node!r}, {self.topic!r})"
-
-
 class MessageBus:
     def __init__(
         self,
@@ -74,7 +65,7 @@ class MessageBus:
 
     # -- wiring --------------------------------------------------------------
 
-    def subscribe(self, node: str, topic: str) -> SubscriptionHandle:
+    def subscribe(self, node: str, topic: str) -> None:
         spec = self.topology.spec_for(topic)
         if spec is None:
             raise UnknownTopicError(topic)
@@ -83,7 +74,6 @@ class MessageBus:
         subs = self._subs.setdefault(topic, [])
         if node not in subs:  # duplicate subscribe is a no-op
             subs.append(node)
-        return SubscriptionHandle(node, topic)
 
     def _counter(self, topic: str) -> dict[str, int]:
         return self.counters.setdefault(

@@ -48,13 +48,12 @@ def clamp_level(value: int, cap: int) -> int:
 class World:
     """Environment node: hazard field, sampling, arrivals, fault scripts."""
 
-    def __init__(self, config: ScenarioConfig, explore: bool = False, sink=None):
+    def __init__(self, config: ScenarioConfig, sink=None):
         self.config = config
-        self.explore = explore
         self.order = [config.start] + list(config.patrol)
         cap = config.level_cap
         self.wind = {wp: clamp_level(config.wind[wp], cap) for wp in self.order}
-        if explore:
+        if sink is not None:  # exploring: the starting levels are choices
             self.radiation = {
                 wp: clamp_level(sink.choose(("radiation0", wp), config.radiation_choices[wp]), cap)
                 for wp in self.order
@@ -98,8 +97,9 @@ class World:
         if wp is None:
             return
         # Arrival: when exploring, the wind at the reached waypoint is re-drawn
-        # from its declared choice set; a plain simulation keeps it static.
-        if self.explore and sink is not None:
+        # from its declared choice set; a plain simulation, which steps
+        # without a sink, keeps it static.
+        if sink is not None:
             options = self.config.wind_choices[wp]
             self.wind[wp] = clamp_level(sink.choose(("wind", wp), options), self.config.level_cap)
 

@@ -54,8 +54,12 @@ from .prop_dsl import (
     UNDETERMINED,
     VIOLATED,
     Always,
+    And,
     Eventually,
     Implies,
+    Never,
+    Not,
+    Until,
     compile_event_predicate,
     fold_belief,
     parse_formula,
@@ -433,8 +437,7 @@ class Explorer:
     def __init__(self, config: ScenarioConfig, suite: dict,
                  names: list[str] | None = None,
                  budget_states: int = DEFAULT_BUDGET_STATES,
-                 budget_secs: float = DEFAULT_BUDGET_SECS,
-                 extra_monitors: dict | None = None):
+                 budget_secs: float = DEFAULT_BUDGET_SECS):
         _reject_scripted(config)
         self.config = config
         picked = names if names is not None else list(suite)
@@ -444,7 +447,6 @@ class Explorer:
         self.suite = {n: suite[n] for n in picked}
         self.budget_states = budget_states
         self.budget_secs = budget_secs
-        self.extra_monitors = dict(extra_monitors or {})  # name -> factory
         self.monitored: dict = {}
         self.liveness: dict[str, _Liveness] = {}
         keys: list[tuple[str, frozenset | None]] = []
@@ -462,7 +464,6 @@ class Explorer:
             except MonitorShapeError as exc:
                 raise ExplorationError(str(exc)) from exc
             self.monitored[name] = ast  # synthesized afresh per root bundle
-        keys += [(name, factory().keys) for name, factory in self.extra_monitors.items()]
         self.dispatch = _Dispatch(
             DispatchIndex(keys), {name: live.pred for name, live in self.liveness.items()})
 
@@ -471,10 +472,8 @@ class Explorer:
     def _build_bundle(self, init_script: list | None, strict: bool = False) -> tuple[_Bundle, list]:
         tracer = EventTracer()
         sink = ChoiceSink(init_script, strict=strict)
-        model = Model(self.config, tracer, explore=True, sink=sink)
+        model = Model(self.config, tracer, sink=sink)
         monitors = {n: synthesize(n, ast, "log") for n, ast in self.monitored.items()}
-        for name, factory in self.extra_monitors.items():
-            monitors[name] = factory()
         trackers = {name: _ResponseTracker(live.trigger, live.pred)
                     for name, live in self.liveness.items() if live.kind == "response"}
         return _Bundle(model, monitors, trackers, self.dispatch), sink.log
@@ -500,7 +499,6 @@ class Explorer:
         edges: list[_Edge] = []
         queue: list[_Node] = []  # breadth-first frontier, expanded from ``head`` on
         verdicts: dict[str, str] = {n: UNDETERMINED for n in self.suite}
-        verdicts.update({n: UNDETERMINED for n in self.extra_monitors})
         counterexamples: dict[str, Counterexample] = {}
         phase_s = dict.fromkeys(("restore", "step", "key", "freeze", "liveness"), 0.0)
 
@@ -587,7 +585,7 @@ class Explorer:
         if complete:
             # Monitored properties that never violated anywhere: on an
             # exhaustive finite graph every infinite run keeps satisfying them.
-            for name in list(self.monitored) + list(self.extra_monitors):
+            for name in self.monitored:
                 if verdicts[name] == UNDETERMINED:
                     verdicts[name] = SATISFIED
             timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples)
@@ -754,52 +752,38 @@ def check_response(config: ScenarioConfig, trigger: str, goal: str,
                               budget_states=budget_states, budget_secs=budget_secs)
 
 
-class _SequenceMonitor(OnlineMonitor):
-    """First occurrences of the listed predicates must appear in order; any
-    forbidden event is an immediate violation."""
-
-    def __init__(self, name, steps, forbidden):
-        super().__init__(name, None, "log")
-        self.steps = steps
-        self.forbidden = forbidden
-        self.reached = 0
-
-    def _observe(self, event, state):
-        for i, pred in enumerate(self.forbidden):
-            if pred(event, state):
-                self._violate(f"forbidden event #{i} occurred at t={event.get('t')}")
-                return
-        for i in range(len(self.steps) - 1, self.reached - 1, -1):
-            if self.steps[i](event, state):
-                if i > self.reached:
-                    self._violate(
-                        f"step {i} occurred before step {self.reached} at t={event.get('t')}")
-                else:
-                    self.reached += 1
-                return
-
-    def finalize(self):
-        return self.verdict if self.verdict == VIOLATED else SATISFIED
-
-    def to_state(self, now: int = 0):
-        return {"verdict": self.verdict, "reached": self.reached}
+def _sequence_suite(steps: list, forbidden: list) -> dict:
+    """A sequence as formulas over event predicates: ``never(f)`` for each
+    forbidden ``f``, and ``!s until (r && !s)`` for each step ``s`` and the
+    step ``r`` before it.  The later step may occur only after an event of
+    the earlier one that is not also its own, so the first occurrences come
+    in order and an event matching two steps at once breaks the order."""
+    suite = {f"forbidden #{i}": Never(pred) for i, pred in enumerate(forbidden)}
+    for i in range(1, len(steps)):
+        later = Not(steps[i])
+        suite[f"step {i} after step {i - 1}"] = Until(later, And(steps[i - 1], later))
+    return suite
 
 
 def check_sequence(config: ScenarioConfig, steps: list[str],
                    forbidden: list[str] | None = None,
                    budget_states: int = DEFAULT_BUDGET_STATES,
-                   budget_secs: float = DEFAULT_BUDGET_SECS):
+                   budget_secs: float = DEFAULT_BUDGET_SECS) -> ExplorationReport:
     """Explore requiring the first occurrences of ``steps`` (property-language
-    event predicates) to appear in the given order on every path."""
-    step_preds = [compile_event_predicate(parse_formula(s)) for s in steps]
-    forb_preds = [compile_event_predicate(parse_formula(s)) for s in (forbidden or [])]
-    explorer = Explorer(
-        config, suite={}, names=[],
-        budget_states=budget_states, budget_secs=budget_secs,
-        extra_monitors={
-            "sequence": lambda: _SequenceMonitor("sequence", step_preds, forb_preds),
-        })
-    return explorer.explore()
+    event predicates) to appear in the given order on every path, and no event
+    to match a ``forbidden`` predicate.  The one ``sequence`` verdict is the
+    conjunction of ``_sequence_suite``; its counterexample is the first the
+    walk found, and its reason names the part it broke."""
+    suite = _sequence_suite([parse_formula(s) for s in steps],
+                            [parse_formula(f) for f in forbidden or []])
+    report = explore_properties(config, suite,
+                                budget_states=budget_states, budget_secs=budget_secs)
+    report.verdicts = {"sequence": VIOLATED if report.counterexamples else SATISFIED}
+    if report.counterexamples:
+        part, ce = next(iter(report.counterexamples.items()))
+        ce.prop, ce.reason = "sequence", f"{part}: {ce.reason}"
+        report.counterexamples = {"sequence": ce}
+    return report
 
 
 # -- counterexample replay ---------------------------------------------------
@@ -820,8 +804,9 @@ def load_counterexample(path: str) -> dict:
 
 
 def replay_counterexample(data: dict, suite: dict) -> dict:
-    """Re-run a recorded counterexample; returns a report with
-    ``reproduced`` set, or raises ReplayDivergenceError.  A liveness lasso
+    """Re-run a recorded counterexample on a bundle built as the walk
+    builds its roots; returns a report with ``reproduced`` set, or raises
+    ReplayDivergenceError.  A liveness lasso
     reproduces only if its loop returns to its entry state without producing
     the awaited event, and for a response, with the obligation open at the
     entry."""
@@ -832,33 +817,22 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
     prop, kind = data["prop"], data["kind"]
     if prop not in suite:
         raise ExplorationError(f"property {prop!r} not in the suite")
+    explorer = Explorer(config, suite, [prop])
+    if (kind == "liveness") != (prop in explorer.liveness):
+        raise ExplorationError(f"{prop} cannot have a {kind} counterexample")
     loop_from = data.get("loop_from")
-    monitors, trackers, awaited = {}, {}, {}
-    if kind in ("safety", "deadline"):
-        monitors[prop] = synthesize(prop, suite[prop], "log")
-    else:
-        live = _classify_liveness(prop, suite[prop])
-        if live is None:
-            raise ExplorationError(f"{prop} is not an unbounded liveness property")
-        if loop_from is None:
-            raise ExplorationError("liveness counterexample lacks loop_from")
-        awaited[prop] = live.pred
-        if live.kind == "response":
-            trackers[prop] = _ResponseTracker(live.trigger, live.pred)
-
-    tracer = EventTracer()
-    sink = ChoiceSink(data["init"], strict=True)
-    model = Model(config, tracer, explore=True, sink=sink)
-    if not sink.finished():
+    if kind == "liveness" and loop_from is None:
+        raise ExplorationError("liveness counterexample lacks loop_from")
+    bundle, init_log = explorer._build_bundle(data["init"], strict=True)
+    if len(init_log) < len(data["init"]):
         raise ReplayDivergenceError("initial choices were not all consumed")
-    index = DispatchIndex([(name, m.keys) for name, m in monitors.items()])
-    bundle = _Bundle(model, monitors, trackers, _Dispatch(index, awaited))
+    tracker = bundle.trackers.get(prop)
 
     entry = None
     for tick, script in enumerate(data["ticks"]):
         if tick == loop_from:
             entry = bundle.canonical()[0]
-            if prop in trackers and not trackers[prop].open:
+            if tracker is not None and not tracker.open:
                 raise ReplayDivergenceError(
                     f"the obligation of {prop} is not open at the loop entry")
         bundle.step(script, strict=True)
@@ -866,9 +840,8 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
             raise ReplayDivergenceError(
                 f"tick {tick} of the loop produces the event {prop} awaits")
 
-    if kind in ("safety", "deadline"):
-        reproduced = bundle.monitors[prop].verdict == VIOLATED
-        if not reproduced:
+    if kind != "liveness":
+        if bundle.monitors[prop].verdict != VIOLATED:
             raise ReplayDivergenceError(
                 f"replay did not reproduce the {kind} violation of {prop}")
         return {"reproduced": True, "prop": prop, "kind": kind,

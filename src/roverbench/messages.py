@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 EFFECTORS = ("wheels", "arm", "mast")
-WAYPOINTS = ("o", "A", "B", "C")
 
 # Node names.  "agent" talks to the rest of the system only through its
 # interface node; the clients live on the interface side of the bus.
@@ -103,10 +102,7 @@ class Topology:
 
 # -- payload shape checks ----------------------------------------------------
 
-GOAL_STATUSES = ("Pending", "Active", "Succeeded", "Canceled", "Aborted")
 DIRECTIONS = ("forward", "backward", "left", "right")
-POSTURES = ("Open", "Closed", "Moving")
-ENV_CLASSES = ("Fine", "Windy", "Radiation")
 
 # Field registry used by the property DSL to reject unknown payload fields at
 # parse time.  Keep it in sync with the validators below.

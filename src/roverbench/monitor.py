@@ -582,12 +582,6 @@ class MonitorEngine:
                 )
         return verdicts
 
-    def summary(self) -> dict:
-        return {
-            m.name: {"verdict": m.verdict, "mode": m.mode, "blocked": m.blocked}
-            for m in self.monitors
-        }
-
 
 # -- configuration and the offline reference path ----------------------------
 

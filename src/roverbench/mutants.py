@@ -3,7 +3,8 @@
 Each mutant is a deliberate, realistic defect wired into the model when
 ``config.mutant`` names it.  The catalog records, for each one, which
 property in the default suite flags it and which scenario settings make the
-defect observable in a short run - used by the demo tests and the CLI.
+defect observable in a short run - used by the demo tests.  The CLI does
+not read it: ``--mutant`` sets only ``config.mutant``.
 """
 
 from __future__ import annotations

@@ -63,10 +63,6 @@ EVENT_FIELDS = {
     "target", "goal_id", "status", "atom", "op", "action", "module", "payload",
 }
 
-_KEYWORDS = {"prop", "until", "always", "never", "eventually",
-             "topic", "belief", "holds", "action"}
-
-
 class PropertyError(ValueError):
     def __init__(self, msg: str, line: int = 0, col: int = 0):
         super().__init__(f"line {line} col {col}: {msg}" if line else msg)

@@ -33,8 +33,7 @@ _ENTRY_ORDER = json.JSONEncoder(sort_keys=True).encode
 class Model:
     """A fully wired system: bus, world, three servers, agent host."""
 
-    def __init__(self, config: ScenarioConfig, tracer: EventTracer,
-                 explore: bool = False, sink=None):
+    def __init__(self, config: ScenarioConfig, tracer: EventTracer, sink=None):
         self.config = config
         self.tracer = tracer
         topology = Topology()
@@ -45,7 +44,7 @@ class Model:
         for spec in topology.topics.values():
             for node in spec.subscribers:
                 self.bus.subscribe(node, spec.name)
-        self.world = World(config, explore=explore, sink=sink)
+        self.world = World(config, sink=sink)
         self.servers = build_servers(config, tracer, mutant=config.mutant)
         self.clients = {e: ClientEndpoint(e) for e in EFFECTORS}
         self.host = AgentHost(config, tracer, self.clients, mutant=config.mutant)

@@ -318,6 +318,16 @@ class TestReplay:
         assert code == 2
         assert "lacks" in err
 
+    def test_kind_not_fitting_the_property(self, capsys, tmp_path):
+        """A safety record of a liveness property is bad input, not a crash."""
+        path = self.counterexample(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["prop"] = "revisits_B"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "replay", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
 
 # -- schema ------------------------------------------------------------------
 

@@ -110,7 +110,7 @@ def make_world(overrides: dict | None = None, explore: bool = False, sink=None):
     tracer = EventTracer()
     bus = MessageBus(Topology(), tracer)
     bus.subscribe(NODE_ENV_INTERFACE, "/env/sample")
-    world = World(config, explore=explore, sink=sink)
+    world = World(config, sink=sink if explore else None)
     return world, bus, tracer
 
 

@@ -30,15 +30,24 @@ from roverbench.explorer import (
     load_counterexample,
     replay_counterexample,
     _Edge,
+    _sequence_suite,
     write_counterexample,
 )
+from roverbench.monitor import OnlineMonitor, synthesize
 from roverbench.mutants import (
     describe,
     killer_property,
     mutant_demo_config,
     mutant_names,
 )
-from roverbench.prop_dsl import parse_formula, parse_suite
+from roverbench.prop_dsl import (
+    VIOLATED,
+    compile_event_predicate,
+    fold_belief,
+    parse_formula,
+    parse_suite,
+)
+from test_monitor import predicates, streams
 
 
 # -- helpers -----------------------------------------------------------------
@@ -565,9 +574,78 @@ class TestCheckers:
             ['belief("at(A)")', 'belief("at(C)")'],
             forbidden=['topic("/env/sample") && payload.radiation > 50'])
         assert report.verdicts == {"sequence": "Satisfied"}
-        assert report.states == 157
+        assert report.states == 133
 
-    def test_sequence_out_of_order(self):
+    def test_sequence_out_of_order(self, tmp_path):
         report = check_sequence(make_config(),
                                 ['belief("at(C)")', 'belief("at(A)")'])
         assert report.verdicts == {"sequence": "Violated"}
+        ce = report.counterexamples["sequence"]
+        # A is reached at t=10, under the first wind pick on arrival.
+        assert ce.init == [[["radiation0", wp], 1, 0] for wp in "oABC"]
+        assert ce.ticks == [[]] * 9 + [[[["wind", "A"], 2, 0]], []]
+        assert ce.reason.startswith("step 1 after step 0:")
+        path = tmp_path / "sequence.json"
+        write_counterexample(ce, str(path))
+        part = parse_formula('!belief("at(A)") until (belief("at(C)") && !belief("at(A)"))')
+        outcome = replay_counterexample(load_counterexample(str(path)), {"sequence": part})
+        assert outcome == {"reproduced": True, "prop": "sequence",
+                           "kind": "safety", "ticks": 11}
+
+
+class SequenceReference(OnlineMonitor):
+    """Hand-written reference for ``check_sequence``: first occurrences of
+    the listed predicates must appear in order; any forbidden event is an
+    immediate violation."""
+
+    def __init__(self, steps, forbidden):
+        super().__init__("sequence", None, "log")
+        self.steps = steps
+        self.forbidden = forbidden
+        self.reached = 0
+
+    def _observe(self, event, state):
+        for i, pred in enumerate(self.forbidden):
+            if pred(event, state):
+                self._violate(f"forbidden event #{i} occurred at t={event.get('t')}")
+                return
+        for i in range(len(self.steps) - 1, self.reached - 1, -1):
+            if self.steps[i](event, state):
+                if i > self.reached:
+                    self._violate(
+                        f"step {i} occurred before step {self.reached} at t={event.get('t')}")
+                else:
+                    self.reached += 1
+                return
+
+
+def first_violation(monitors, events) -> int | None:
+    beliefs: set = set()
+    for position, event in enumerate(events):
+        fold_belief(beliefs, event)
+        state = frozenset(beliefs)
+        for monitor in monitors:
+            monitor.observe(event, state)
+        if any(monitor.verdict == VIOLATED for monitor in monitors):
+            return position
+    return None
+
+
+class TestSequenceSuite:
+    """The formulas ``check_sequence`` explores are first violated where
+    the hand-written reference monitor is."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(predicates, min_size=1, max_size=4),
+           st.lists(predicates, max_size=2), streams)
+    def test_matches_reference_monitor(self, steps, forbidden, stream):
+        events, tick = [], 0
+        for advance, body in stream:
+            tick += advance
+            events.append({"t": tick, **body})
+        reference = SequenceReference([compile_event_predicate(s) for s in steps],
+                                      [compile_event_predicate(f) for f in forbidden])
+        suite = _sequence_suite(steps, forbidden)
+        assert len(suite) == len(forbidden) + len(steps) - 1
+        monitors = [synthesize(name, ast) for name, ast in suite.items()]
+        assert first_violation(monitors, events) == first_violation([reference], events)

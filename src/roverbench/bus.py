@@ -54,8 +54,9 @@ class MessageBus:
         self.inbox_limit = inbox_limit
         self.tick = 0
         self._next_seq = 0
-        # topic -> ordered active subscriber list
-        self._subs: dict[str, list[str]] = {}
+        # topic -> ordered active subscribers; replaced, never mutated, so a
+        # publish can keep the tuple as its snapshot
+        self._subs: dict[str, tuple[str, ...]] = {}
         # (message, active subscribers snapshotted at publish time)
         self._pending: list[tuple[Message, tuple[str, ...]]] = []
         self.inboxes: dict[str, list[Message]] = {n: [] for n in topology.nodes}
@@ -71,14 +72,16 @@ class MessageBus:
             raise UnknownTopicError(topic)
         if node not in spec.subscribers:
             raise UnknownSubscriberError(f"{node} is not a declared subscriber of {topic}")
-        subs = self._subs.setdefault(topic, [])
+        subs = self._subs.get(topic, ())
         if node not in subs:  # duplicate subscribe is a no-op
-            subs.append(node)
+            self._subs[topic] = subs + (node,)
 
     def _counter(self, topic: str) -> dict[str, int]:
-        return self.counters.setdefault(
-            topic, {"attempts": 0, "published": 0, "blocked": 0, "delivered": 0}
-        )
+        counter = self.counters.get(topic)
+        if counter is None:
+            counter = self.counters[topic] = {
+                "attempts": 0, "published": 0, "blocked": 0, "delivered": 0}
+        return counter
 
     # -- traffic -------------------------------------------------------------
 
@@ -113,7 +116,7 @@ class MessageBus:
         counter["published"] += 1
         self.tracer.emit(event)
         msg = Message(seq=seq, tick=self.tick, sender=sender, topic=topic, payload=payload)
-        self._pending.append((msg, tuple(self._subs.get(topic, ()))))
+        self._pending.append((msg, self._subs.get(topic, ())))
         return seq
 
     def step_deliver(self) -> list[tuple[str, Message]]:
@@ -122,13 +125,14 @@ class MessageBus:
         self.tick += 1
         delivered: list[tuple[str, Message]] = []
         for msg, subscribers in pending:  # already in seq order
+            counter = self._counter(msg.topic)
             for node in subscribers:
                 inbox = self.inboxes[node]
                 if len(inbox) >= self.inbox_limit:
                     raise InboxOverflowError(f"inbox of {node} exceeded {self.inbox_limit}")
                 inbox.append(msg)
                 delivered.append((node, msg))
-                self._counter(msg.topic)["delivered"] += 1
+                counter["delivered"] += 1
                 self.tracer.emit(
                     {
                         "t": self.tick,

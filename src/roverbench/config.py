@@ -134,15 +134,10 @@ class ConfigError(Exception):
 class ScenarioConfig:
     raw: dict[str, Any] = field(default_factory=lambda: copy.deepcopy(DEFAULT_SCENARIO))
 
-    def __getattr__(self, name: str) -> Any:
-        # Dunder probes (copy/pickle) and a half-constructed instance must not
-        # fall through to raw-dict lookup, or lookup recurses on ``raw`` itself.
-        if name == "raw" or name.startswith("__"):
-            raise AttributeError(name)
-        try:
-            return self.raw[name]
-        except KeyError as exc:  # pragma: no cover - attribute typo guard
-            raise AttributeError(name) from exc
+    def __post_init__(self) -> None:
+        # Every key is also a plain attribute (``config.decay_rate``), so a
+        # read is an instance-dict hit.  No schema key may name a method.
+        self.__dict__.update(self.raw)
 
     # -- derived views -------------------------------------------------------
 

@@ -65,7 +65,7 @@ from .prop_dsl import (
     parse_formula,
 )
 from .simulator import Model
-from .tracing import EventTracer
+from .tracing import EventTracer, json_encoder
 
 DEFAULT_BUDGET_STATES = 1_000_000
 DEFAULT_BUDGET_SECS = 60.0
@@ -222,9 +222,8 @@ class _Bundle:
         return marshal.dumps(raw, 2), raw
 
 
-def _sorted_text(raw: dict) -> str:
-    """The sorted JSON text of a ranked view: what orders the lasso search."""
-    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
+# The sorted JSON text of a ranked view: what orders the lasso search.
+_sorted_text = json_encoder(separators=(",", ":"), sort_keys=True)
 
 
 def _rank_goals(model: dict) -> dict:

@@ -118,9 +118,9 @@ class PayloadShapeError(ValueError):
 
 
 def _require(payload: dict, keys: set[str], kind: PayloadKind) -> None:
-    missing = keys - payload.keys()
-    extra = payload.keys() - keys
-    if missing or extra:
+    if payload.keys() != keys:
+        missing = keys - payload.keys()
+        extra = payload.keys() - keys
         raise PayloadShapeError(
             f"{kind.value} payload mismatch: missing={sorted(missing)} extra={sorted(extra)}"
         )

@@ -11,7 +11,7 @@ at every snapshot point.
 from __future__ import annotations
 
 import itertools
-import json
+import time
 
 from .action_protocol import ClientEndpoint
 from .agent import AgentHost, atom_text
@@ -20,14 +20,17 @@ from .config import ScenarioConfig
 from .effectors import build_servers
 from .environment import World
 from .messages import EFFECTORS, Topology, server_node
-from .tracing import EventTracer
+from .tracing import EventTracer, json_encoder
 
 TRACE_FORMAT = 1
 
 _SCHEDULES = tuple(itertools.permutations(range(4)))
 
-# ``json.dumps(entry, sort_keys=True)`` without building an encoder per call.
-_ENTRY_ORDER = json.JSONEncoder(sort_keys=True).encode
+# The text of ``json.dumps(entry, sort_keys=True)``, from an encoder built once.
+_ENTRY_ORDER = json_encoder(sort_keys=True)
+
+# One line of the ``.explain`` file: ``json.dumps(entry, separators=(",", ":"))``.
+_EXPLAIN_LINE = json_encoder(separators=(",", ":"))
 
 
 class Model:
@@ -98,7 +101,10 @@ def header_event(config: ScenarioConfig, ticks: int | None = None) -> dict:
 
 def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = None,
                    monitor_engine=None) -> dict:
-    """Run the mission for ``ticks`` ticks; returns a run summary."""
+    """Run the mission for ``ticks`` ticks; returns a run summary.  Its
+    ``stats`` block holds the wall-clock figures and the per-topic bus
+    counters; everything outside it repeats exactly for a config."""
+    started = time.perf_counter()
     sink_file = open(trace_path, "w", encoding="utf-8") if trace_path is not None else None
     tracer = EventTracer(sink=sink_file)
     visits: list[str] = []
@@ -123,7 +129,7 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
         if trace_path is not None:
             with open(trace_path + ".explain", "w", encoding="utf-8") as fh:
                 for entry in model.host.agent.explanations:
-                    fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+                    fh.write(_EXPLAIN_LINE(entry) + "\n")
         summary = {
             "ticks": ticks,
             "final_tick": model.tick,
@@ -139,6 +145,13 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
         if trace_path is not None:
             summary["trace"] = trace_path
             summary["explanations"] = trace_path + ".explain"
+        seconds = time.perf_counter() - started
+        summary["stats"] = {
+            "seconds": round(seconds, 6),
+            "ticks_per_s": round(ticks / seconds, 1),
+            "trace_bytes": sink_file.tell() if sink_file is not None else 0,
+            "topics": {topic: dict(c) for topic, c in sorted(model.bus.counters.items())},
+        }
         return summary
     finally:
         if sink_file is not None:

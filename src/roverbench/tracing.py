@@ -10,6 +10,7 @@ wall-clock time or unordered collections.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, IO
 
 
@@ -43,10 +44,36 @@ class EventTracer:
         return event
 
 
-def dump_event(event: dict) -> str:
-    # Insertion order is preserved deliberately: emitters build dicts with
-    # "t" and "kind" first so the files stay human-scannable.
-    return json.dumps(event, separators=(",", ":"))
+def json_encoder(separators: tuple[str, str] | None = None,
+                 sort_keys: bool = False) -> Callable[[object], str]:
+    """``json.dumps(obj, separators=..., sort_keys=...)`` with the encoder
+    built once: the same text, without a new ``JSONEncoder`` and C encoder
+    on every call.  Calls share one circular-reference table, so one
+    encoder is not for several threads at once."""
+    encoder = json.JSONEncoder(separators=separators, sort_keys=sort_keys)
+    if c_make_encoder is None:
+        return encoder.encode
+    markers: dict = {}
+    encode = c_make_encoder(markers, encoder.default, encode_basestring_ascii, None,
+                            encoder.key_separator, encoder.item_separator,
+                            sort_keys, False, True)
+
+    def dumps(obj) -> str:
+        try:
+            return "".join(encode(obj, 0))
+        except Exception:
+            # An aborted encode leaves its containers in the circular
+            # reference markers, which would keep them alive.
+            markers.clear()
+            raise
+
+    return dumps
+
+
+# One trace line of ``event``, without its newline.  Insertion order is
+# preserved deliberately: emitters build dicts with "t" and "kind" first so
+# the files stay human-scannable.
+dump_event = json_encoder(separators=(",", ":"))
 
 
 def _malformed(event, last_t: float) -> str | None:
@@ -70,6 +97,9 @@ def _malformed(event, last_t: float) -> str | None:
     return None
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
 def read_trace(path: str) -> list[dict]:
     events = []
     last_t = float("-inf")
@@ -78,10 +108,18 @@ def read_trace(path: str) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
+            # A stripped line starts with no JSON whitespace, so one scan
+            # from 0 that ends at the line's end is all of ``json.loads``;
+            # any other line goes through ``json.loads`` for its error.
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedTraceError(lineno, f"bad JSON ({exc.msg})") from exc
+                obj, end = _scan_once(line, 0)
+            except (json.JSONDecodeError, StopIteration):
+                end = -1
+            if end != len(line):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedTraceError(lineno, f"bad JSON ({exc.msg})") from exc
             reason = _malformed(obj, last_t)
             if reason is not None:
                 raise MalformedTraceError(lineno, reason)

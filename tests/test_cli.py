@@ -7,6 +7,7 @@ input, 3 exploration budget exceeded, 4 replay divergence, 5 internal error.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -125,6 +126,43 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--ticks", "5",
                              "--monitors", str(rows))
         assert code == 2
+
+    def test_default_run_bytes_pinned(self, capsys, tmp_path):
+        """A 300-tick default monitored run writes exactly these bytes:
+        the trace encoder and the bus must not change what is written."""
+        trace = tmp_path / "t.jsonl"
+        code, doc, _ = run_cli(capsys, "simulate", "--ticks", "300", "--trace", str(trace))
+        assert code == 0
+        assert doc["messages_published"] == 1918
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+            "35d086bbf4cd73cf340f97ae235accde726baff6c94911db66104f3928f3f408"
+        assert hashlib.sha256((tmp_path / "t.jsonl.explain").read_bytes()).hexdigest() == \
+            "8c78ccc2d59f106e17db792bb6cbac05b4e758ad88ac923e39e61e94c64d7e1b"
+
+    def test_stats_block(self, capsys, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        code, doc, _ = run_cli(capsys, "simulate", "--ticks", "50", "--trace", str(trace))
+        assert code == 0
+        stats = doc["stats"]
+        assert set(stats) == {"seconds", "ticks_per_s", "trace_bytes", "topics"}
+        assert stats["trace_bytes"] == trace.stat().st_size
+        topics = stats["topics"]
+        assert sum(c["published"] for c in topics.values()) == doc["messages_published"]
+        assert topics["/pose"]["delivered"] == 2 * topics["/pose"]["published"]
+        code, doc, _ = run_cli(capsys, "simulate", "--ticks", "5")
+        assert doc["stats"]["trace_bytes"] == 0
+
+    def test_stdout_without_stats_repeats(self, capsys, tmp_path):
+        """Wall-clock figures live only in the stats block: the rest of the
+        output is the same on a rerun."""
+        trace = str(tmp_path / "t.jsonl")
+        outputs = []
+        for _ in range(2):
+            assert main(["simulate", "--ticks", "120", "--trace", trace]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("stats")
+            outputs.append(json.dumps(doc, indent=2, sort_keys=True))
+        assert outputs[0] == outputs[1]
 
 
 # -- verify ------------------------------------------------------------------

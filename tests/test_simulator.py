@@ -54,8 +54,8 @@ class TestSummary:
         summary, _ = run(tmp_path, ticks=10)
         assert sorted(summary) == [
             "beliefs", "explanations", "final_tick", "messages_blocked",
-            "messages_published", "pose", "ticks", "trace", "verdicts",
-            "visited",
+            "messages_published", "pose", "stats", "ticks", "trace",
+            "verdicts", "visited",
         ]
 
     def test_zero_ticks_is_header_only(self, tmp_path):

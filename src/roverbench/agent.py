@@ -3,8 +3,7 @@
 The agent runs one reasoning cycle per tick: fold perceptions into beliefs,
 let belief-addition events pick a plan (first matching rule in declaration
 order), then advance the current intention by at most one action-emitting
-step.  Movement decisions and the instrument-posture policy are also exposed
-as pure functions over the belief base so they can be examined directly.
+step.
 
 Beliefs are ground tuples: ``("at", "A")``, ``("ready", "wheels")``,
 ``("env", "B", "Radiation")``, ``("arm", "Open")``.  The ``at``/``arm``/
@@ -65,7 +64,7 @@ def atom_text(belief: tuple) -> str:
     return f"{belief[0]}({','.join(str(a) for a in belief[1:])})"
 
 
-# -- pure decision surface ---------------------------------------------------
+# -- belief queries ----------------------------------------------------------
 
 def belief_value(beliefs: set, family: str, *key) -> str | None:
     """Value of a functional belief, e.g. belief_value(b, "env", "B")."""
@@ -86,41 +85,6 @@ def next_waypoint(config: ScenarioConfig, current: str, beliefs: set) -> str:
         if belief_value(beliefs, "env", wp) != "Radiation":
             return wp
     return WAIT
-
-
-def select_actions(config: ScenarioConfig, beliefs: set) -> list[AgentAction]:
-    """Movement decision over a belief base.  Empty unless the wheels, arm and
-    mast have all reported ready."""
-    if not mission_ready(beliefs):
-        return []
-    current = belief_value(beliefs, "at")
-    if current is None:
-        return []
-    nxt = next_waypoint(config, current, beliefs)
-    if nxt == WAIT:
-        return []
-    return [move_to(nxt)]
-
-
-def posture_policy(config: ScenarioConfig, beliefs: set) -> list[AgentAction]:
-    """Instrument policy at the current waypoint: open both for science when
-    conditions are Fine, shut anything open when it is windy (or worse)."""
-    if not config.posture_policy_enabled:
-        return []
-    current = belief_value(beliefs, "at")
-    if current is None:
-        return []
-    env = belief_value(beliefs, "env", current)
-    actions = []
-    if env == "Fine":
-        for inst in ("arm", "mast"):
-            if belief_value(beliefs, inst) != "Open":
-                actions.append(posture_cmd(inst, "open"))
-    elif env in ("Windy", "Radiation"):
-        for inst in ("arm", "mast"):
-            if belief_value(beliefs, inst) != "Closed":
-                actions.append(posture_cmd(inst, "close"))
-    return actions
 
 
 # -- intention machinery -----------------------------------------------------
@@ -471,11 +435,10 @@ class RoverAgent:
                 step.on_resolution(self, p["action"], p["status"])
         self._settle()
         for event in events:
-            if self.intention is None:
-                self._adopt(event)
-            elif not self._try_preempt(event):
-                log.debug("event %s ignored: intention %s busy",
-                          event, self.intention.rule.name)
+            busy = self.intention is not None
+            if not self._adopt(event, preempt_only=busy):
+                log.debug("event %s dropped: %s", event,
+                          "intention busy" if busy else "no applicable plan")
 
         return self._advance(t)
 
@@ -489,29 +452,17 @@ class RoverAgent:
             else:
                 return
 
-    def _adopt(self, event: tuple) -> None:
+    def _adopt(self, event: tuple, preempt_only: bool) -> bool:
+        """Adopt the first applicable plan for ``event``; True if one was.
+        Only a preempting rule may replace a busy intention (urgent hazards)."""
         for rule in self.plans:
-            bindings = _match(rule.trigger, event)
-            if bindings is None:
-                continue
-            if not rule.guard(self, bindings):
-                continue
-            intention = Intention(rule, bindings)
-            intention.steps = rule.body(self, bindings)
-            self.intention = intention
-            return
-        log.debug("no applicable plan for event %s; dropped", event)
-
-    def _try_preempt(self, event: tuple) -> bool:
-        """A preempting rule may replace a busy intention (urgent hazards)."""
-        for rule in self.plans:
-            if not rule.preempt:
+            if preempt_only and not rule.preempt:
                 continue
             bindings = _match(rule.trigger, event)
             if bindings is None or not rule.guard(self, bindings):
                 continue
-            log.debug("intention %s preempted by %s",
-                      self.intention.rule.name, rule.name)
+            if preempt_only:
+                log.debug("intention %s preempted by %s", self.intention.rule.name, rule.name)
             intention = Intention(rule, bindings)
             intention.steps = rule.body(self, bindings)
             self.intention = intention

@@ -12,10 +12,12 @@ orders the lasso search.  A state is stored as a pickled snapshot that
 leaves out finished goals, and the snapshot is freed once the state's
 successors are made.
 
-Safety and bounded-response properties ride along as monitor states inside
-the product; a violation is reported with the shortest choice path that
-reaches it.  Unbounded liveness (plain ``eventually``, ``always(eventually)``
-and unbounded response) is decided on the finished graph by one lasso search:
+Every property's shape comes from ``monitor.synthesize``.  Safety, until
+and bounded-window properties ride along as monitor states inside the
+product; a violation is reported with the shortest choice path that reaches
+it.  Unbounded liveness (plain ``eventually``, ``always(eventually)`` and
+unbounded response), which ``synthesize`` refuses with its shape attached,
+is decided on the finished graph by one lasso search:
 a depth-first search on an explicit stack, so graph depth is never bounded by
 the recursion limit, over the states each shape allows (those reached before
 the awaited event, all states, or those with the response obligation open).
@@ -45,6 +47,7 @@ from .messages import Topology
 from .monitor import (
     DispatchIndex,
     IllegalOperatorForRuntime,
+    Liveness,
     MonitorShapeError,
     OnlineMonitor,
     synthesize,
@@ -53,14 +56,10 @@ from .prop_dsl import (
     SATISFIED,
     UNDETERMINED,
     VIOLATED,
-    Always,
     And,
-    Eventually,
-    Implies,
     Never,
     Not,
     Until,
-    compile_event_predicate,
     fold_belief,
     parse_formula,
 )
@@ -333,28 +332,6 @@ class _ResponseTracker:
         return {"open": self.open}
 
 
-@dataclass
-class _Liveness:
-    name: str
-    kind: str  # "recurrence" | "eventually" | "response"
-    pred: object  # awaited-event predicate (edge label)
-    trigger: object = None  # response only: the predicate that opens the obligation
-
-
-def _classify_liveness(name: str, ast) -> _Liveness | None:
-    if isinstance(ast, Eventually) and ast.bound is None:
-        return _Liveness(name, "eventually", compile_event_predicate(ast.sub))
-    if isinstance(ast, Always):
-        sub = ast.sub
-        if isinstance(sub, Eventually) and sub.bound is None:
-            return _Liveness(name, "recurrence", compile_event_predicate(sub.sub))
-        if (isinstance(sub, Implies) and isinstance(sub.right, Eventually)
-                and sub.right.bound is None):
-            return _Liveness(name, "response", compile_event_predicate(sub.right.sub),
-                             compile_event_predicate(sub.left))
-    return None
-
-
 # -- exploration -------------------------------------------------------------
 
 @dataclass
@@ -447,24 +424,19 @@ class Explorer:
         self.budget_states = budget_states
         self.budget_secs = budget_secs
         self.monitored: dict = {}
-        self.liveness: dict[str, _Liveness] = {}
+        self.liveness: dict[str, Liveness] = {}
         keys: list[tuple[str, frozenset | None]] = []
         for name, ast in self.suite.items():
-            live = _classify_liveness(name, ast)
-            if live is not None:
-                self.liveness[name] = live
-                continue
             try:
                 keys.append((name, synthesize(name, ast, "log").keys))
-            except IllegalOperatorForRuntime:
-                raise ExplorationError(
-                    f"{name}: unbounded liveness in a shape the explorer does "
-                    "not decide; restructure as response or recurrence")
+            except IllegalOperatorForRuntime as exc:
+                self.liveness[name] = exc.liveness
+                continue
             except MonitorShapeError as exc:
                 raise ExplorationError(str(exc)) from exc
             self.monitored[name] = ast  # synthesized afresh per root bundle
         self.dispatch = _Dispatch(
-            DispatchIndex(keys), {name: live.pred for name, live in self.liveness.items()})
+            DispatchIndex(keys), {name: live.goal for name, live in self.liveness.items()})
 
     # -- bundle construction -------------------------------------------------
 
@@ -473,7 +445,7 @@ class Explorer:
         sink = ChoiceSink(init_script, strict=strict)
         model = Model(self.config, tracer, sink=sink)
         monitors = {n: synthesize(n, ast, "log") for n, ast in self.monitored.items()}
-        trackers = {name: _ResponseTracker(live.trigger, live.pred)
+        trackers = {name: _ResponseTracker(live.trigger, live.goal)
                     for name, live in self.liveness.items() if live.kind == "response"}
         return _Bundle(model, monitors, trackers, self.dispatch), sink.log
 

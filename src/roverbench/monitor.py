@@ -1,10 +1,13 @@
 """Runtime monitors synthesized from temporal properties.
 
 ``synthesize`` compiles a property into an incremental monitor when its shape
-admits one: per-event safety checks, bounded response windows, until
-obligations, and bounded recurrence.  Unbounded liveness (``eventually`` with
-no window, ``always(eventually(...))``) cannot be falsified by a running
-system and is rejected for runtime use; the state-space explorer handles it.
+admits one: per-event safety checks, until obligations, and bounded
+windows.  One window monitor serves every ``eventually[<=k]`` shape: bounded
+response, recurrence (a window opened at every event) and a bare deadline (a
+window opened at the first event).  Unbounded liveness (``eventually`` with
+no window, ``always(eventually(...))``, unbounded response) cannot be
+falsified by a running system and is rejected for runtime use, with its
+shape attached for the state-space explorer, which decides it.
 
 A monitor's running verdict starts Undetermined and can only harden to
 Violated while the run is live; Satisfied is issued at ``finalize`` when the
@@ -25,6 +28,8 @@ engine hands an event only to the monitors its key can match.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .prop_dsl import (
     SATISFIED,
@@ -53,8 +58,24 @@ class MonitorShapeError(ValueError):
     """The formula's shape has no incremental monitor."""
 
 
+@dataclass(frozen=True)
+class Liveness:
+    """An unbounded shape, which only the explorer decides: ``kind`` is
+    "eventually", "recurrence" or "response", ``goal`` the awaited-event
+    predicate, and ``trigger`` the predicate that opens a response."""
+
+    kind: str
+    goal: object
+    trigger: object = None
+
+
 class IllegalOperatorForRuntime(MonitorShapeError):
-    """Unbounded liveness cannot be monitored online; use the explorer."""
+    """Unbounded liveness cannot be monitored online; the explorer decides
+    the shape named by ``liveness``."""
+
+    def __init__(self, message: str, liveness: Liveness):
+        super().__init__(message)
+        self.liveness = liveness
 
 
 class MonitorConfigError(ValueError):
@@ -144,30 +165,39 @@ class SafetyMonitor(OnlineMonitor):
         return self.verdict if self.verdict == VIOLATED else SATISFIED
 
 
-class BoundedResponseMonitor(OnlineMonitor):
-    """always(T => eventually[<=k](G)).  Keeps only the earliest open
-    deadline: any G-event discharges every open obligation at once, so if the
-    earliest has not expired, none has."""
+class WindowMonitor(OnlineMonitor):
+    """always(T => eventually[<=k](G)).  Recurrence, always(eventually[<=k](G)),
+    has T = every event (``trigger`` None); a bare eventually[<=k](G) has T =
+    the first event only (``once``).  Keeps only the earliest open deadline:
+    a G-event stamped no later than it discharges every open window at once,
+    so if the earliest has not expired, none has.  A G-event stamped after it
+    discharges nothing, as in ``check``; the tick then reports the expiry."""
 
     shape = "deadline"
 
-    def __init__(self, name, ast, mode, trigger, goal, bound):
+    def __init__(self, name, ast, mode, goal, bound, trigger=None, once=False):
         super().__init__(name, ast, mode)
-        self._trigger = trigger
         self._goal = goal
+        self._trigger = trigger
         self.bound = bound
+        self.once = once
+        self.armed = True  # a trigger may still open a window
         self.deadline: int | None = None
 
     @property
     def keys(self):
+        if self._trigger is None:
+            return None  # every event may open a window
         return _quiet_keys((self._trigger, False), (self._goal, False))
 
     def _observe(self, event, state):
         if self._goal(event, state):
-            self.deadline = None
-            return
-        if self._trigger(event, state) and self.deadline is None:
+            if self.deadline is not None and event["t"] <= self.deadline:
+                self.deadline = None
+        elif self.armed and self.deadline is None and (
+                self._trigger is None or self._trigger(event, state)):
             self.deadline = event["t"] + self.bound
+        self.armed = not self.once
 
     def on_tick(self, t):
         if self.verdict != VIOLATED and self.deadline is not None and t > self.deadline:
@@ -176,75 +206,14 @@ class BoundedResponseMonitor(OnlineMonitor):
     def finalize(self):
         if self.verdict == VIOLATED:
             return VIOLATED
-        return UNDETERMINED if self.deadline is not None else SATISFIED
+        # Open: a window not yet discharged, or a bare one before any event.
+        return UNDETERMINED if self.deadline is not None or self.once and self.armed else SATISFIED
 
     def to_state(self, now: int = 0):
         due = None if self.deadline is None else self.deadline - now
+        if self.once:
+            return {"verdict": self.verdict, "due": due, "armed": self.armed}
         return {"verdict": self.verdict, "due": due}
-
-
-class BoundedRecurrenceMonitor(OnlineMonitor):
-    """always(eventually[<=k](P)): every stretch without P is at most k ticks."""
-
-    shape = "deadline"
-
-    def __init__(self, name, ast, mode, pred, bound):
-        super().__init__(name, ast, mode)
-        self._pred = pred
-        self.bound = bound
-        self.deadline: int | None = None
-
-    def _observe(self, event, state):
-        if self._pred(event, state):
-            self.deadline = None
-        elif self.deadline is None:
-            self.deadline = event["t"] + self.bound
-
-    def on_tick(self, t):
-        if self.verdict != VIOLATED and self.deadline is not None and t > self.deadline:
-            self._violate(f"recurrence gap exceeded {self.bound} ticks")
-
-    def finalize(self):
-        if self.verdict == VIOLATED:
-            return VIOLATED
-        return UNDETERMINED if self.deadline is not None else SATISFIED
-
-    def to_state(self, now: int = 0):
-        due = None if self.deadline is None else self.deadline - now
-        return {"verdict": self.verdict, "due": due}
-
-
-class DeadlineMonitor(OnlineMonitor):
-    """Bare eventually[<=k](G): G must show up within k ticks of the start."""
-
-    shape = "deadline"
-
-    def __init__(self, name, ast, mode, goal, bound):
-        super().__init__(name, ast, mode)
-        self._goal = goal
-        self.bound = bound
-        self.deadline: int | None = None
-        self.done = False
-
-    def _observe(self, event, state):
-        if self.deadline is None:
-            self.deadline = event["t"] + self.bound
-        if not self.done and self._goal(event, state) and event["t"] <= self.deadline:
-            self.done = True
-
-    def on_tick(self, t):
-        if self.verdict != VIOLATED and not self.done:
-            if self.deadline is not None and t > self.deadline:
-                self._violate(f"nothing matched within {self.bound} ticks of the start")
-
-    def finalize(self):
-        if self.verdict == VIOLATED:
-            return VIOLATED
-        return SATISFIED if self.done else UNDETERMINED
-
-    def to_state(self, now: int = 0):
-        due = None if self.deadline is None else self.deadline - now
-        return {"verdict": self.verdict, "due": due, "done": self.done}
 
 
 class UntilMonitor(OnlineMonitor):
@@ -403,7 +372,8 @@ def _try_pure(node):
 
 def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
     """Build the incremental monitor for a property, or raise
-    MonitorShapeError / IllegalOperatorForRuntime."""
+    MonitorShapeError / IllegalOperatorForRuntime.  This is the one match of
+    a formula's shape: the explorer reads its unbounded shapes from here."""
     if mode not in MODES:
         raise MonitorConfigError(f"unknown monitor mode {mode!r}")
 
@@ -426,11 +396,7 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
                 if isinstance(rhs, Eventually):
                     goal = _try_pure(rhs.sub)
                     if goal is not None:
-                        if rhs.bound is None:
-                            raise IllegalOperatorForRuntime(
-                                f"{name}: unbounded response cannot be monitored "
-                                "online; check it with the explorer")
-                        return BoundedResponseMonitor(name, ast, mode, trigger, goal, rhs.bound)
+                        return _window(name, ast, mode, "response", goal, rhs.bound, trigger)
                 elif isinstance(rhs, Until):
                     left, right = _try_pure(rhs.left), _try_pure(rhs.right)
                     if left is not None and right is not None:
@@ -438,11 +404,7 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
         elif isinstance(sub, Eventually):
             goal = _try_pure(sub.sub)
             if goal is not None:
-                if sub.bound is None:
-                    raise IllegalOperatorForRuntime(
-                        f"{name}: unbounded recurrence cannot be monitored online; "
-                        "check it with the explorer")
-                return BoundedRecurrenceMonitor(name, ast, mode, goal, sub.bound)
+                return _window(name, ast, mode, "recurrence", goal, sub.bound)
 
     if isinstance(ast, Until):
         left, right = _try_pure(ast.left), _try_pure(ast.right)
@@ -452,20 +414,19 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
     if isinstance(ast, Eventually):
         goal = _try_pure(ast.sub)
         if goal is not None:
-            if ast.bound is None:
-                raise IllegalOperatorForRuntime(
-                    f"{name}: bare unbounded eventually cannot be monitored online")
-            return DeadlineMonitor(name, ast, mode, goal, ast.bound)
+            return _window(name, ast, mode, "eventually", goal, ast.bound)
 
-    raise MonitorShapeError(f"{name}: no incremental monitor for shape {to_text(ast)}")
+    raise MonitorShapeError(
+        f"{name}: no incremental monitor for shape {to_text(ast)} (the monitored "
+        "shapes apply always, never, eventually and until to event predicates)")
 
 
-def synthesizable(ast) -> bool:
-    try:
-        synthesize("probe", ast)
-        return True
-    except MonitorShapeError:
-        return False
+def _window(name, ast, mode, kind, goal, bound, trigger=None) -> WindowMonitor:
+    if bound is None:
+        raise IllegalOperatorForRuntime(
+            f"{name}: unbounded {kind} cannot be monitored online; "
+            "check it with the explorer", Liveness(kind, goal, trigger))
+    return WindowMonitor(name, ast, mode, goal, bound, trigger, once=kind == "eventually")
 
 
 # -- engine ------------------------------------------------------------------

@@ -11,7 +11,7 @@ Syntax (one property per ``prop name: formula`` stanza, ``#`` comments)::
               | "eventually" ("[" "<=" INT "]")? "(" formula ")"
               | "(" formula ")" | atom
     atom     := topic(STRING) | belief(STRING) | holds(STRING)
-              | action(STRING) | path cmp value
+              | action(STRING) | path cmp value   # topic/action: paths too
     path     := IDENT ("." IDENT)*
     cmp      := == | != | <= | >= | < | >
     value    := NUMBER | STRING | "[" values "]" | path
@@ -233,8 +233,9 @@ class _Parser:
         token = token or self.here
         raise ParseError(msg, token.line, token.col)
 
-    def peek_op(self, op: str) -> bool:
-        return self.here.type == "op" and self.here.value == op
+    def peek_op(self, op: str, ahead: int = 0) -> bool:
+        token = self.tokens[self.pos + ahead]
+        return token.type == "op" and token.value == op
 
     def peek_word(self, word: str) -> bool:
         return self.here.type == "name" and self.here.value == word
@@ -316,7 +317,10 @@ class _Parser:
 
     def atom(self):
         token = self.here
-        if token.type == "name" and token.value in ("topic", "belief", "holds", "action"):
+        # ``topic`` and ``action`` are event fields too: an atom only when
+        # called, a comparison path otherwise.
+        if (token.type == "name" and token.value in ("topic", "belief", "holds", "action")
+                and self.peek_op("(", 1)):
             word = self.take()
             self.expect_op("(")
             arg = self.here

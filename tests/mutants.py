@@ -1,15 +1,16 @@
-"""Catalog of the built-in fault seeds and the properties that catch them.
+"""Test catalog of the built-in fault seeds and the properties that catch
+them.
 
 Each mutant is a deliberate, realistic defect wired into the model when
-``config.mutant`` names it.  The catalog records, for each one, which
-property in the default suite flags it and which scenario settings make the
-defect observable in a short run - used by the demo tests.  The CLI does
-not read it: ``--mutant`` sets only ``config.mutant``.
+``config.mutant`` names it (``roverbench.config.MUTANT_NAMES`` lists them).
+The catalog records, for each one, which property in the default suite flags
+it and which scenario settings make the defect observable in a short run.
+Only the tests read it: ``--mutant`` sets only ``config.mutant``.
 """
 
 from __future__ import annotations
 
-from .config import MUTANT_NAMES, ScenarioConfig, make_config
+from roverbench.config import MUTANT_NAMES, ScenarioConfig, make_config
 
 _CATALOG = {
     "env-blind": {

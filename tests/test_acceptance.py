@@ -26,10 +26,11 @@ from roverbench.explorer import (
     write_counterexample,
 )
 from roverbench.monitor import build_engine, check_trace
-from roverbench.mutants import killer_property, mutant_demo_config, mutant_names
 from roverbench.prop_dsl import parse_suite
 from roverbench.simulator import run_simulation
 from roverbench.tracing import read_trace
+
+from mutants import killer_property, mutant_demo_config, mutant_names
 
 
 SUITE = parse_suite(

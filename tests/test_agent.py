@@ -1,10 +1,11 @@
-"""Tests for the patrol agent: decision functions, beliefs, and the cycle."""
+"""Tests for the patrol agent: belief queries, plan steps, and the cycle."""
 
 from __future__ import annotations
 
 from roverbench.agent import (
     AgentAction,
     RoverAgent,
+    SetPosture,
     WAIT,
     atom_text,
     belief_value,
@@ -13,8 +14,6 @@ from roverbench.agent import (
     move_to,
     next_waypoint,
     posture_cmd,
-    posture_policy,
-    select_actions,
 )
 from roverbench.config import make_config
 from roverbench.tracing import EventTracer
@@ -127,60 +126,76 @@ class TestNextWaypoint:
 
 
 class TestSelectActions:
+    """The movement decision as the reasoning cycle takes it: the
+    start_patrol guard, then the patrol body's next stop."""
+
     def test_empty_until_mission_ready(self):
-        config = make_config()
-        beliefs = {("at", "o"), ("ready", "wheels")}
-        assert select_actions(config, beliefs) == []
+        agent = make_agent()
+        assert agent.cycle(0, ALL_READY[:1]) == []
+        assert agent.intention is None
 
     def test_moves_toward_first_clear_stop(self):
-        config = make_config()
-        beliefs = {("at", "o"), ("ready", "wheels"), ("ready", "arm"), ("ready", "mast")}
-        assert select_actions(config, beliefs) == [move_to("A")]
+        agent = make_agent()
+        assert agent.cycle(0, [env_percept("A", "Radiation"), *ALL_READY]) == [move_to("B")]
 
     def test_waits_when_everything_radiated(self):
-        config = make_config()
-        beliefs = {
-            ("at", "A"),
-            ("env", "B", "Radiation"),
-            ("env", "C", "Radiation"),
-            ("ready", "wheels"),
-            ("ready", "arm"),
-            ("ready", "mast"),
-        }
-        assert select_actions(config, beliefs) == []
+        agent = make_agent()
+        hot = [env_percept(wp, "Radiation") for wp in ("A", "B", "C")]
+        assert agent.cycle(0, hot + ALL_READY) == []
+        assert agent.intention.rule.name == "start_patrol"
+        assert agent.cycle(1, [env_percept("C", "Fine")]) == [move_to("C")]
+
+
+def opened(agent: RoverAgent, *instruments: str) -> RoverAgent:
+    agent.perceive(0, [resolved(posture_cmd(inst, "open")) for inst in instruments])
+    return agent
+
+
+def arrive(agent: RoverAgent, wp: str, env: str | None, *instruments: str) -> list[AgentAction]:
+    """Start the patrol, then arrive at its first stop ``wp`` with ``env``
+    (None: no weather reading) perceived and ``instruments`` believed open;
+    returns the arrival's actions."""
+    assert agent.cycle(0, ALL_READY) == [move_to(wp)]
+    percepts = [resolved(posture_cmd(inst, "open")) for inst in instruments]
+    percepts += [] if env is None else [env_percept(wp, env)]
+    return agent.cycle(1, percepts + [resolved(move_to(wp))])
 
 
 class TestPosturePolicy:
+    """The posture policy as the plans run it: ``SetPosture.wanted`` under
+    the arrival guards."""
+
     def test_fine_opens_closed_instruments(self):
-        config = make_config()
-        beliefs = {("at", "A"), ("env", "A", "Fine"), ("arm", "Closed"), ("mast", "Closed")}
-        actions = posture_policy(config, beliefs)
-        assert actions == [posture_cmd("arm", "open"), posture_cmd("mast", "open")]
+        assert SetPosture("open").wanted(make_agent()) == [
+            posture_cmd("arm", "open"), posture_cmd("mast", "open")]
+        assert arrive(make_agent(), "A", "Fine") == [
+            posture_cmd("arm", "open"), posture_cmd("mast", "open")]
 
     def test_fine_skips_already_open(self):
-        config = make_config()
-        beliefs = {("at", "A"), ("env", "A", "Fine"), ("arm", "Open"), ("mast", "Closed")}
-        assert posture_policy(config, beliefs) == [posture_cmd("mast", "open")]
+        agent = opened(make_agent(), "arm")
+        assert SetPosture("open").wanted(agent) == [posture_cmd("mast", "open")]
 
     def test_windy_closes_open_instruments(self):
-        config = make_config()
-        beliefs = {("at", "A"), ("env", "A", "Windy"), ("arm", "Open"), ("mast", "Open")}
-        actions = posture_policy(config, beliefs)
-        assert actions == [posture_cmd("arm", "close"), posture_cmd("mast", "close")]
+        agent = make_agent()
+        assert arrive(agent, "A", "Windy", "arm", "mast") == [
+            posture_cmd("arm", "close"), posture_cmd("mast", "close")]
+        assert agent.intention.rule.name == "pass_through_windy"
 
     def test_radiation_also_closes(self):
-        config = make_config()
-        beliefs = {("at", "B"), ("env", "B", "Radiation"), ("arm", "Open"), ("mast", "Closed")}
-        assert posture_policy(config, beliefs) == [posture_cmd("arm", "close")]
+        agent = make_agent()
+        assert arrive(agent, "A", "Radiation", "arm") == [posture_cmd("arm", "close")]
+        assert agent.intention.rule.name == "move_on"
 
     def test_disabled_policy_is_silent(self):
-        config = make_config({"posture_policy_enabled": False})
-        beliefs = {("at", "A"), ("env", "A", "Fine"), ("arm", "Closed")}
-        assert posture_policy(config, beliefs) == []
+        agent = opened(make_agent({"posture_policy_enabled": False}), "arm")
+        assert SetPosture("open").wanted(agent) == []
+        assert SetPosture("close").wanted(agent) == []
+        agent = make_agent({"posture_policy_enabled": False})
+        assert arrive(agent, "A", "Fine", "arm") == [move_to("B")]
 
     def test_no_location_no_actions(self):
-        config = make_config()
-        assert posture_policy(config, {("env", "A", "Fine")}) == []
+        """A stop with no weather reading opens nothing: the agent moves on."""
+        assert arrive(make_agent(), "A", None) == [move_to("B")]
 
 
 # -- perception --------------------------------------------------------------

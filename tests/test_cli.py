@@ -234,6 +234,14 @@ class TestVerify:
         assert outputs[0] == outputs[1]
         assert files[0] == files[1]
 
+    def test_liveness_inside_a_temporal_operator(self, capsys, tmp_path):
+        """A formula with no shape is bad input, not an internal error."""
+        props = tmp_path / "nested.props"
+        props.write_text('prop settle_B: eventually(always(belief("at(B)")))\n')
+        code, doc, err = run_cli(capsys, "verify", "--props", str(props))
+        assert (code, doc) == (2, None)
+        assert err.startswith("error: settle_B: no incremental monitor")
+
     def test_deep_lasso_replays(self, capsys, tmp_path):
         """500-cell legs and a hot stop that never cools: the lasso is
         deeper than Python's recursion limit, yet verify ends in a verdict
@@ -277,6 +285,23 @@ class TestCheck:
                                "env_nonnegative")
         assert code == 1
         assert doc["verdicts"] == {"env_nonnegative": "Violated"}
+
+    def test_topic_of_a_deliver_event(self, capsys, tmp_path):
+        """``topic`` compared as a field reaches deliver events, which the
+        ``topic(...)`` atom, matching publishes only, never does."""
+        trace = str(tmp_path / "t.jsonl")
+        run_cli(capsys, "simulate", "--ticks", "60", "--trace", trace)
+        props = tmp_path / "deliver.props"
+        props.write_text(
+            'prop goals_reach_the_server: always((kind == "deliver" && '
+            'topic == "/wheels/goal") => node == "wheelsServer")\n'
+            'prop no_goal_delivered: never(kind == "deliver" && topic == "/wheels/goal")\n'
+            'prop no_goal_atom_at_delivery: never(kind == "deliver" && topic("/wheels/goal"))\n')
+        code, doc, _ = run_cli(capsys, "check", "--trace", trace, "--props", str(props))
+        assert code == 1
+        assert doc["verdicts"] == {"goals_reach_the_server": "Satisfied",
+                                   "no_goal_delivered": "Violated",
+                                   "no_goal_atom_at_delivery": "Satisfied"}
 
     def test_missing_trace(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", "--trace",
@@ -365,6 +390,17 @@ class TestReplay:
         code, _, err = run_cli(capsys, "replay", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_liveness_inside_a_temporal_operator(self, capsys, tmp_path):
+        path = self.counterexample(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data.update(prop="settle_B", kind="liveness", loop_from=0)
+        path.write_text(json.dumps(data))
+        props = tmp_path / "nested.props"
+        props.write_text('prop settle_B: eventually(always(belief("at(B)")))\n')
+        code, doc, err = run_cli(capsys, "replay", str(path), "--props", str(props))
+        assert (code, doc) == (2, None)
+        assert err.startswith("error: settle_B: no incremental monitor")
 
 
 # -- schema ------------------------------------------------------------------

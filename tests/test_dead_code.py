@@ -1,7 +1,8 @@
 """Dead-code guard: every module-level function, class and constant of the
-package is named somewhere besides its definition, in the package, the
-tests or the benchmark harness.  Dunder names (``__all__``,
-``__version__``) are read by Python and tooling, not by name in code."""
+package is named somewhere besides its definition, in the package or the
+benchmark harness.  A helper only the tests call belongs under ``tests/``.
+Dunder names (``__all__``, ``__version__``) are read by Python and tooling,
+not by name in code."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ def module_level_names(tree: ast.Module) -> list[str]:
 
 def test_every_module_level_name_is_used():
     words = Counter()
-    for tree in ("src", "tests", "bench"):
+    for tree in ("src", "bench"):
         for path in (ROOT / tree).rglob("*.py"):
             words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     unused = [f"{path.name}: {name}"

@@ -34,18 +34,19 @@ from roverbench.explorer import (
     write_counterexample,
 )
 from roverbench.monitor import OnlineMonitor, synthesize
-from roverbench.mutants import (
-    describe,
-    killer_property,
-    mutant_demo_config,
-    mutant_names,
-)
 from roverbench.prop_dsl import (
     VIOLATED,
     compile_event_predicate,
     fold_belief,
     parse_formula,
     parse_suite,
+)
+
+from mutants import (
+    describe,
+    killer_property,
+    mutant_demo_config,
+    mutant_names,
 )
 from test_monitor import predicates, streams
 
@@ -163,6 +164,15 @@ class TestExplorationGuards:
         with pytest.raises(ValueError, match="event predicate"):
             explore_properties(make_config(), {"weird": formula},
                                names=["weird"])
+
+    def test_met_deadline_stops_counting(self):
+        """A bare bounded ``eventually`` whose goal is met holds no due
+        tick, so the walk closes at the model's own states."""
+        report = explore_properties(make_config(), {"ready_soon": parse_formula(
+            'eventually[<=10](belief("ready(wheels)"))')}, budget_states=5000)
+        assert (report.states, report.transitions) == (133, 136)
+        assert report.verdicts == {"ready_soon": "Satisfied"}
+        assert report.complete
 
 
 # -- seeded defect variants --------------------------------------------------

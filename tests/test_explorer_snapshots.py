@@ -45,8 +45,9 @@ from roverbench.explorer import (
     _variants,
     explore_properties,
 )
-from roverbench.mutants import mutant_demo_config, mutant_names
 from roverbench.prop_dsl import parse_suite
+
+from mutants import mutant_demo_config, mutant_names
 
 SUITE = parse_suite((files("roverbench") / "data" / "default.props").read_text())
 

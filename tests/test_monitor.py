@@ -14,9 +14,6 @@ from roverbench.explorer import Explorer
 from roverbench.messages import NODE_ENV_INTERFACE, NODE_WORLD, Topology
 from roverbench.monitor import (
     STATE_ONLY,
-    BoundedRecurrenceMonitor,
-    BoundedResponseMonitor,
-    DeadlineMonitor,
     DispatchIndex,
     IllegalOperatorForRuntime,
     MonitorConfigError,
@@ -25,10 +22,10 @@ from roverbench.monitor import (
     SafetyMonitor,
     TriggeredUntilMonitor,
     UntilMonitor,
+    WindowMonitor,
     _try_pure,
     build_engine,
     check_trace,
-    synthesizable,
     synthesize,
 )
 from roverbench.prop_dsl import (
@@ -76,6 +73,14 @@ def mon(text: str, mode: str = "log"):
     return synthesize("probe", parse_formula(text), mode)
 
 
+def synthesizable(ast) -> bool:
+    try:
+        synthesize("probe", ast)
+        return True
+    except MonitorShapeError:
+        return False
+
+
 # -- synthesis shapes --------------------------------------------------------
 
 
@@ -90,7 +95,7 @@ class TestSynthesis:
 
     def test_bounded_response_shape(self):
         monitor = mon('always(action("go") => eventually[<=3](belief("done")))')
-        assert isinstance(monitor, BoundedResponseMonitor)
+        assert isinstance(monitor, WindowMonitor)
         assert monitor.shape == "deadline"
         assert monitor.bound == 3
 
@@ -100,7 +105,7 @@ class TestSynthesis:
 
     def test_bounded_recurrence_shape(self):
         monitor = mon('always(eventually[<=4](action("ping")))')
-        assert isinstance(monitor, BoundedRecurrenceMonitor)
+        assert isinstance(monitor, WindowMonitor)
 
     def test_top_level_until_shape(self):
         monitor = mon('(!action("*")) until belief("ready(wheels)")')
@@ -108,7 +113,7 @@ class TestSynthesis:
 
     def test_bare_bounded_eventually_shape(self):
         monitor = mon('eventually[<=5](belief("at(A)"))')
-        assert isinstance(monitor, DeadlineMonitor)
+        assert isinstance(monitor, WindowMonitor)
 
     def test_unbounded_response_rejected_for_runtime(self):
         with pytest.raises(IllegalOperatorForRuntime):
@@ -121,6 +126,20 @@ class TestSynthesis:
     def test_bare_unbounded_eventually_rejected_for_runtime(self):
         with pytest.raises(IllegalOperatorForRuntime):
             mon('eventually(belief("at(A)"))')
+
+    @pytest.mark.parametrize("text, kind, triggered", [
+        ('eventually(belief("done"))', "eventually", False),
+        ('always(eventually(belief("done")))', "recurrence", False),
+        ('always(action("go") => eventually(belief("done")))', "response", True),
+    ])
+    def test_unbounded_shape_comes_with_its_liveness(self, text, kind, triggered):
+        """The explorer decides these from the shape ``synthesize`` reports."""
+        with pytest.raises(IllegalOperatorForRuntime) as refused:
+            mon(text)
+        live = refused.value.liveness
+        assert live.kind == kind
+        assert live.goal(bel(0, "done"), frozenset())
+        assert (live.trigger is not None) == triggered
 
     def test_nested_temporal_shape_rejected(self):
         with pytest.raises(MonitorShapeError):
@@ -170,6 +189,7 @@ class TestBoundedResponseMonitor:
         monitor = mon('always(action("go") => eventually[<=3](belief("done")))')
         monitor.observe(act(2, "go"), frozenset())
         assert monitor.deadline == 5
+        assert monitor.to_state(4) == {"verdict": UNDETERMINED, "due": 1}
         monitor.observe(bel(4, "done"), frozenset())
         assert monitor.deadline is None
         monitor.on_tick(9)
@@ -198,6 +218,20 @@ class TestBoundedResponseMonitor:
         monitor.on_tick(99)
         assert monitor.finalize() == SATISFIED
 
+    def test_goal_after_the_deadline_discharges_nothing(self):
+        """A goal event stamped past the deadline leaves the window open, even
+        seen before that tick ends, as a run's deliveries are: the tick
+        reports the expiry, as ``check`` does on the same events."""
+        monitor = mon('always(action("go") => eventually[<=3](belief("done")))')
+        events = [act(2, "go"), bel(6, "done")]
+        for event in events:
+            monitor.observe(event, frozenset())
+        assert monitor.deadline == 5
+        monitor.on_tick(6)
+        assert monitor.verdict == VIOLATED
+        assert monitor.reason == "no response by t=5 (window 3)"
+        assert check_trace({"probe": monitor.ast}, events)["probe"] == VIOLATED
+
 
 class TestBoundedRecurrenceMonitor:
     def test_gap_within_bound_is_clean(self):
@@ -225,6 +259,15 @@ class TestBoundedRecurrenceMonitor:
             monitor.on_tick(t + 1)
         assert monitor.verdict == UNDETERMINED
 
+    def test_hit_after_the_gap_discharges_nothing(self):
+        monitor = mon('always(eventually[<=2](action("ping")))')
+        monitor.observe(act(0, "other"), frozenset())
+        monitor.observe(act(3, "ping"), frozenset())
+        assert monitor.deadline == 2
+        monitor.on_tick(3)
+        assert monitor.verdict == VIOLATED
+        assert monitor.to_state(3) == {"verdict": VIOLATED, "due": -1}
+
 
 class TestDeadlineMonitor:
     def test_hit_within_window(self):
@@ -249,6 +292,17 @@ class TestDeadlineMonitor:
         monitor = mon('eventually[<=5](belief("at(A)"))')
         monitor.on_tick(9)  # no anchor yet, nothing to expire
         assert monitor.finalize() == UNDETERMINED
+
+    def test_discharged_window_holds_no_due(self):
+        """Once the goal is met nothing counts down, so the state stops
+        changing: the explorer's graph of the property stays finite."""
+        monitor = mon('eventually[<=5](belief("at(A)"))')
+        monitor.observe(pub(0, "/pose", x=0, y=0), frozenset())
+        monitor.observe(bel(3, "at(A)"), frozenset())
+        monitor.on_tick(9)
+        assert monitor.to_state(4) == monitor.to_state(9) == {
+            "verdict": UNDETERMINED, "due": None, "armed": False}
+        assert monitor.finalize() == SATISFIED
 
 
 class TestUntilMonitor:
@@ -435,6 +489,21 @@ class TestDualRoute:
                       and ev["prop"] == "env_nonnegative"]
         assert violations[0]["t"] == 10
 
+    def test_late_delivery_violates_on_both_routes(self, tmp_path):
+        """A goal delivery stamped a tick past its one-tick window: the
+        monitor must not take it as the response that ``check`` refuses."""
+        suite = parse_suite(
+            'prop fast_delivery: always(topic("/wheels/goal") => eventually[<=1]'
+            '(kind == "deliver" && sender == "wheelsServer" && node == "wheelsClient"))\n')
+        engine = build_engine(suite, [{"prop": "fast_delivery"}])
+        trace = tmp_path / "late.jsonl"
+        summary = run_simulation(make_config(), 60, trace_path=str(trace),
+                                 monitor_engine=engine)
+        from roverbench.tracing import read_trace
+
+        assert summary["verdicts"] == {"fast_delivery": VIOLATED}
+        assert check_trace(suite, read_trace(str(trace))) == {"fast_delivery": VIOLATED}
+
 
 # -- indexed dispatch --------------------------------------------------------
 
@@ -533,6 +602,47 @@ HEADER = {"kind": "header", "format": 1}
 # An open until obligation broken by an event of no key of the monitor's.
 UNTIL_GUARD = {"p0": parse_formula(
     'always(action("*") => (kind != "header" until belief("at(o)")))')}
+
+
+# Every bounded-window shape, over streams without verdict events, which a
+# lone monitor neither emits nor skips.
+windows = st.one_of(
+    st.builds(lambda t, g, k: Always(Implies(t, Eventually(g, k))), predicates, predicates, bounds),
+    st.builds(lambda p, k: Always(Eventually(p, k)), predicates, bounds),
+    st.builds(Eventually, predicates, bounds),
+)
+# (ticks to advance before the event, whether the tick ends after it, event
+# without its tick)
+model_streams = st.lists(
+    st.tuples(st.sampled_from((0, 0, 1, 2)), st.booleans(),
+              bodies.filter(lambda b: b["kind"] != "verdict")),
+    min_size=1, max_size=30)
+
+
+class TestWindowAgreesWithCheck:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(windows, model_streams)
+    @example(parse_formula('always(topic("/wheels/goal") => eventually[<=1](kind == "deliver"))'),
+             [(0, True, {"kind": "publish", "topic": "/wheels/goal"}),
+              (2, True, {"kind": "deliver", "topic": "/wheels/goal"})])
+    def test_window_matches_check(self, ast, stream):
+        """A window monitor's final verdict is ``check``'s over the same
+        events.  As in a run, a tick ends after some events of its own time
+        stamp (a run's deliver events come before the tick's end), and the
+        last tick ends before the verdict."""
+        monitor = synthesize("p0", ast)
+        beliefs: set = set()
+        tick, events = 0, []
+        for advance, tick_ends, body in stream:
+            tick += advance
+            event = {"t": tick, **body}
+            events.append(event)
+            fold_belief(beliefs, event)
+            monitor.observe(event, frozenset(beliefs))
+            if tick_ends:
+                monitor.on_tick(tick)
+        monitor.on_tick(tick)  # a run ends with its last tick
+        assert monitor.finalize() == check_trace({"p0": ast}, events)["p0"]
 
 
 def event_key_matches(keys, event) -> bool:

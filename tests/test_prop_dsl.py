@@ -114,6 +114,17 @@ class TestParser:
         ast = parse_formula("server != target")
         assert ast == Compare(Path(("server",)), "!=", Path(("target",)))
 
+    def test_topic_and_action_are_comparison_paths(self):
+        """Both are event fields as well as atoms: a call is the atom, and
+        anything else the field."""
+        assert parse_formula('topic == "/x"') == Compare(Path(("topic",)), "==", "/x")
+        assert parse_formula('action != "open_arm"') == \
+            Compare(Path(("action",)), "!=", "open_arm")
+        assert parse_formula('topic("/x") && topic == "/x"') == \
+            And(TopicAtom("/x"), Compare(Path(("topic",)), "==", "/x"))
+        with pytest.raises(UnknownFieldError):
+            parse_formula('belief == "at(A)"')
+
     def test_list_literal_value(self):
         ast = parse_formula("payload.speeds == [0,0,0,0,0,0]")
         assert ast.value == (0, 0, 0, 0, 0, 0)
@@ -157,6 +168,7 @@ class TestPrinterRoundTrip:
             'never(payload.wind < 0)',
             'payload.speeds != [0,0,0,0,0,0]',
             "server != target",
+            'kind == "deliver" && topic == "/wheels/goal"',
         ]
         for text in formulas:
             ast = parse_formula(text)

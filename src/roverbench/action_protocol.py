@@ -81,12 +81,17 @@ class GoalRecord:
         return self.status in TERMINAL
 
 
+def unfinished_goals(endpoint) -> dict:
+    """An endpoint's goal records without the finished ones.  No state key
+    holds a finished goal, and no step of the model reads one again, since
+    the model never cancels a goal."""
+    return {gid: r for gid, r in endpoint.records.items() if not r.terminal}
+
+
 def _without_finished_goals(endpoint) -> dict:
-    """Pickled (and deep-copied) state of an endpoint: its finished goals are
-    left out.  No state key holds them, and no step of the model reads one
-    again, since the model never cancels a goal."""
+    """Pickled (and deep-copied) state of an endpoint: its unfinished goals."""
     state = endpoint.__dict__.copy()
-    state["records"] = {gid: r for gid, r in endpoint.records.items() if not r.terminal}
+    state["records"] = unfinished_goals(endpoint)
     return state
 
 

@@ -7,10 +7,12 @@ breadth-first.  A state's key is the ``to_state`` view of the model and its
 riding monitors, with every absolute-tick quantity replaced by a relative
 counter and goal ids renamed by rank, so the graph is finite whenever the
 mission is cyclic.  The key is that view in ``marshal`` bytes, exact and
-cheap to compare; its sorted JSON text is built only for new states, and
-orders the lasso search.  A state is stored as a pickled snapshot that
-leaves out finished goals, and the snapshot is freed once the state's
-successors are made.
+cheap to compare.  A state is stored as a pickled snapshot that leaves out
+finished goals, and the snapshot is freed once the state's successors are
+made.  A new state also keeps its live bundle, trimmed of finished goals so
+it holds what a restore would, and its first successor is stepped on that
+bundle instead of on a restore; at most ``_LIVE_LIMIT`` live bundles are
+held at once, and past that a state keeps only its snapshot.
 
 Every property's shape comes from ``monitor.synthesize``.  Safety, until
 and bounded-window properties ride along as monitor states inside the
@@ -22,7 +24,11 @@ a depth-first search on an explicit stack, so graph depth is never bounded by
 the recursion limit, over the states each shape allows (those reached before
 the awaited event, all states, or those with the response obligation open).
 The step labels every edge with the awaited events it produced; a cycle of
-unlabelled edges is a lasso-shaped counterexample.
+unlabelled edges is a lasso-shaped counterexample.  Whether a cycle exists
+does not depend on where the search starts, so it first runs in discovery
+order; only when it finds a lasso are the states' sorted JSON texts built,
+from their keys, and the search rerun from start states in text order, so
+the reported lasso depends neither on hashing nor on the key's encoding.
 
 Counterexamples embed the scenario config plus the per-tick choice vectors
 and can be replayed later; a replay that no longer produces the recorded
@@ -41,6 +47,7 @@ from dataclasses import dataclass, field, is_dataclass
 from itertools import groupby
 
 from . import prop_dsl
+from .action_protocol import unfinished_goals
 from .agent import PlanRule
 from .config import ConfigError, ScenarioConfig, make_config
 from .messages import Topology
@@ -68,6 +75,11 @@ from .tracing import EventTracer, json_encoder
 
 DEFAULT_BUDGET_STATES = 1_000_000
 DEFAULT_BUDGET_SECS = 60.0
+
+# Live bundles a walk holds at once for its states' first successors: 25-40
+# KB each, against a snapshot's 6-7 KB.  The frontier of every packaged
+# scenario and benchmark workload, at most 14 states, fits inside it.
+_LIVE_LIMIT = 64
 
 
 class ExplorationError(ValueError):
@@ -206,22 +218,28 @@ class _Bundle:
     def violations(self) -> list[tuple[str, OnlineMonitor]]:
         return [(name, m) for name, m in self.monitors.items() if m.verdict == VIOLATED]
 
-    def canonical(self) -> tuple[bytes, dict]:
-        """The dedupe key and the ranked ``to_state`` view it encodes.
+    def canonical(self) -> bytes:
+        """The dedupe key: the ranked ``to_state`` view in ``marshal`` bytes.
 
         ``marshal`` protocol 2 writes every value with its exact type and no
         references, so equal views give equal bytes as long as their dicts
         are built in the same order, which every ``to_state`` does."""
         now = self.model.tick
-        raw = {
+        return marshal.dumps({
             "model": _rank_goals(self.model.to_state()),
             "monitors": {n: m.to_state(now) for n, m in sorted(self.monitors.items())},
             "trackers": {n: t.to_state() for n, t in sorted(self.trackers.items())},
-        }
-        return marshal.dumps(raw, 2), raw
+        }, 2)
+
+    def drop_finished_goals(self) -> None:
+        """Leave the model the goals a restore of its snapshot would hold."""
+        model = self.model
+        for endpoint in (*model.clients.values(), *model.servers.values()):
+            endpoint.records = unfinished_goals(endpoint)
 
 
-# The sorted JSON text of a ranked view: what orders the lasso search.
+# The sorted JSON text of a ranked view, read back from its key: what orders
+# the lasso search.
 _sorted_text = json_encoder(separators=(",", ":"), sort_keys=True)
 
 
@@ -367,7 +385,7 @@ class ExplorationReport:
     complete: bool
     seconds: float
     schedule_invariant: bool | None = None
-    stats: dict = field(default_factory=dict)  # dedupe hit rate, seconds per phase
+    stats: dict = field(default_factory=dict)  # dedupe, phases, BFS shape
 
     def to_json(self) -> dict:
         return {
@@ -389,7 +407,7 @@ class _Node:
     picks: list  # choice log of the edge that discovered this node
     depth: int
     snapshot: bytes | None = None  # the frozen bundle, until its successors are made
-    text: str = ""  # sorted JSON text of the state: the lasso search's order
+    bundle: _Bundle | None = None  # the live bundle, until its first successor is stepped
     open: frozenset = frozenset()  # response trackers with an open obligation
 
 
@@ -459,8 +477,9 @@ class Explorer:
 
     def explore(self, invariant=None) -> ExplorationReport:
         """Breadth-first walk over every reachable state.  States are keyed by
-        ``canonical()`` and stored as snapshots; every successor is restored
-        from its source's snapshot, which is freed once they are all made:
+        ``canonical()`` and stored as snapshots.  A state's first successor
+        is stepped on its live bundle, if it kept one, and every other one is
+        restored from the snapshot, which is freed once they are all made:
         breadth-first order never expands a state twice.  ``invariant(model)
         -> bool``, if given, is checked on every new state: the walk stops at
         the first state where it is false, reporting that state's trail as the
@@ -472,6 +491,8 @@ class Explorer:
         verdicts: dict[str, str] = {n: UNDETERMINED for n in self.suite}
         counterexamples: dict[str, Counterexample] = {}
         phase_s = dict.fromkeys(("restore", "step", "key", "freeze", "liveness"), 0.0)
+        live = 0  # states holding their live bundle
+        frontier_max = 0  # most states waiting to be expanded at once
 
         def timed(phase: str, call, *args):
             mark = time.perf_counter()
@@ -486,9 +507,9 @@ class Explorer:
             if elapsed > self.budget_secs:
                 raise StateSpaceBudgetExceeded(len(states), elapsed, "time")
 
-        def add_state(bundle: _Bundle, key: bytes, raw: dict, node: _Node) -> bool:
+        def add_state(bundle: _Bundle, key: bytes, node: _Node) -> bool:
             """Store a new state; False if it breaks the invariant."""
-            node.text = timed("key", _sorted_text, raw)
+            nonlocal live
             states[key] = node
             queue.append(node)
             for name, monitor in bundle.violations():
@@ -500,46 +521,57 @@ class Explorer:
                 del bundle.monitors[name]
             node.snapshot = timed("freeze", snapshots.freeze, bundle)
             node.open = frozenset(n for n, t in bundle.trackers.items() if t.open)
-            if invariant is None or invariant(bundle.model):
-                return True
-            ce = self._trail(states, key, "safety", "invariant predicate is false")
-            ce.prop = "invariant"
-            counterexamples["invariant"] = ce
-            return False
+            if invariant is not None and not invariant(bundle.model):
+                ce = self._trail(states, key, "safety", "invariant predicate is false")
+                ce.prop = "invariant"
+                counterexamples["invariant"] = ce
+                return False
+            if live < _LIVE_LIMIT:
+                bundle.drop_finished_goals()
+                node.bundle = bundle
+                live += 1
+            return True
 
         def visit(source: _Node, succ: _Bundle, picks: list) -> bool:
             """Key one successor, record its edge and store it if it is new;
             False if it breaks the invariant."""
-            key, raw = timed("key", succ.canonical)
+            key = timed("key", succ.canonical)
             known = states.get(key)
             # Edges share the stored key and the one empty label set: on a
             # walk of mostly duplicates, copies of either would fill memory.
             edges.append(_Edge(source.key, key if known is None else known.key, picks,
                                succ.fired or frozenset()))
             if known is None and not add_state(
-                    succ, key, raw, _Node(key, source.key, picks, source.depth + 1)):
+                    succ, key, _Node(key, source.key, picks, source.depth + 1)):
                 return False
             check_budget()
             return True
 
         def walk() -> bool:
+            nonlocal live, frontier_max
             for bundle, init_log in self._roots():
-                key, raw = timed("key", bundle.canonical)
+                key = timed("key", bundle.canonical)
                 if key in states:
                     continue
-                if not add_state(bundle, key, raw, _Node(key, None, init_log, 0)):
+                if not add_state(bundle, key, _Node(key, None, init_log, 0)):
                     return False
                 check_budget()
 
             head = 0
             while head < len(queue):
+                frontier_max = max(frontier_max, len(queue) - head)
                 node = queue[head]
                 head += 1
                 # Breadth-first order expands a state once, so its snapshot
-                # is dropped now and each successor is keyed as it is made.
+                # and live bundle are dropped now and each successor is keyed
+                # as it is made.
                 snapshot, node.snapshot = node.snapshot, None
-                # Called through the class, which instrumentation may patch.
-                probe = timed("restore", _Bundle.clone, snapshot)
+                probe, node.bundle = node.bundle, None
+                if probe is None:
+                    # Called through the class, which instrumentation may patch.
+                    probe = timed("restore", _Bundle.clone, snapshot)
+                else:
+                    live -= 1
                 _, signature = timed("step", probe.step, None)
                 if not visit(node, probe, signature):
                     return False
@@ -575,6 +607,11 @@ class Explorer:
                 # The share of successors that were known states.
                 "dedupe_hit_rate": round(1 - reached / len(edges), 4) if edges else 0.0,
                 "phase_s": {phase: round(spent, 3) for phase, spent in phase_s.items()},
+                # States per breadth-first depth: the queue holds every state
+                # in order of depth.
+                "states_per_depth": [sum(1 for _ in same)
+                                     for _, same in groupby(node.depth for node in queue)],
+                "frontier_max": frontier_max,
             },
         )
 
@@ -607,24 +644,28 @@ class Explorer:
         out: dict[bytes, list[_Edge]] = {}
         for edge in edges:
             out.setdefault(edge.src, []).append(edge)
-        # Start states in the order of their sorted JSON text, so the reported
-        # lasso depends neither on set hashing nor on the key's encoding.
-        order = sorted(states, key=lambda key: states[key].text)
+        order = None  # every state, by sorted JSON text, once a lasso exists
 
         for name, live in self.liveness.items():
             if live.kind == "eventually":
                 reach = self._reach_without(states, out, name)
-                allowed = dict.fromkeys(key for key in order if key in reach)
+                allowed = dict.fromkeys(key for key in states if key in reach)
             elif live.kind == "recurrence":
-                allowed = dict.fromkeys(order)
+                allowed = dict.fromkeys(states)
             else:  # response
-                allowed = dict.fromkeys(key for key in order if name in states[key].open)
-            cycle = self._find_lasso(allowed, out, name)
-            if cycle is None:
+                allowed = dict.fromkeys(key for key in states if name in states[key].open)
+            # Whether a cycle exists does not depend on the start order.
+            if self._find_lasso(allowed, out, name) is None:
                 verdicts[name] = SATISFIED
                 continue
+            if order is None:
+                # Start states in the order of their sorted JSON text, so the
+                # reported lasso depends neither on set hashing nor on the
+                # key's encoding.
+                order = sorted(states, key=lambda key: _sorted_text(marshal.loads(key)))
             verdicts[name] = VIOLATED
-            entry, loop_edges = cycle
+            entry, loop_edges = self._find_lasso(
+                dict.fromkeys(key for key in order if key in allowed), out, name)
             ce = self._trail(states, entry, "liveness",
                              "a reachable cycle never produces the awaited event")
             ce.prop = name
@@ -802,7 +843,7 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
     entry = None
     for tick, script in enumerate(data["ticks"]):
         if tick == loop_from:
-            entry = bundle.canonical()[0]
+            entry = bundle.canonical()
             if tracker is not None and not tracker.open:
                 raise ReplayDivergenceError(
                     f"the obligation of {prop} is not open at the loop entry")
@@ -819,7 +860,7 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
                 "ticks": len(data["ticks"])}
 
     # Liveness lasso: the state at the loop entry must recur at the end.
-    if entry is None or entry != bundle.canonical()[0]:
+    if entry is None or entry != bundle.canonical():
         raise ReplayDivergenceError("replayed loop does not return to its entry state")
     return {"reproduced": True, "prop": prop, "kind": "liveness",
             "ticks": len(data["ticks"]), "loop_from": loop_from}

@@ -117,7 +117,21 @@ class PayloadShapeError(ValueError):
     """Payload does not match the topic's declared payload kind."""
 
 
-def _require(payload: dict, keys: set[str], kind: PayloadKind) -> None:
+# The exact key set of each payload shape, built once rather than per publish.
+_POSTURE_GOAL = frozenset({"goal_id", "cmd"})
+_DIRECTION_GOAL = frozenset({"goal_id", "kind", "dir", "speed", "distance"})
+_WAYPOINT_GOAL = frozenset({"goal_id", "kind", "wp"})
+_CANCEL = frozenset({"goal_id"})
+_FEEDBACK = frozenset({"goal_id", "progress"})
+_RESULT = frozenset({"goal_id", "status"})
+_READY = frozenset({"module", "ready"})
+_PERCEPTION = frozenset({"wp", "wind", "radiation", "env"})
+_POSE = frozenset({"x", "y"})
+_WHEEL_TELEMETRY = frozenset({"speeds"})
+_EFFECTOR_TELEMETRY = frozenset({"effector", "joints", "posture"})
+
+
+def _require(payload: dict, keys: frozenset[str], kind: PayloadKind) -> None:
     if payload.keys() != keys:
         missing = keys - payload.keys()
         extra = payload.keys() - keys
@@ -130,35 +144,35 @@ def validate_payload(spec: TopicSpec, payload: dict) -> None:
     kind = spec.kind
     if kind is PayloadKind.GOAL:
         if "cmd" in payload:
-            _require(payload, {"goal_id", "cmd"}, kind)
+            _require(payload, _POSTURE_GOAL, kind)
             if payload["cmd"] not in ("open", "close"):
                 raise PayloadShapeError(f"bad posture command {payload['cmd']!r}")
         elif payload.get("kind") == "direction":
-            _require(payload, {"goal_id", "kind", "dir", "speed", "distance"}, kind)
+            _require(payload, _DIRECTION_GOAL, kind)
         elif payload.get("kind") == "waypoint":
-            _require(payload, {"goal_id", "kind", "wp"}, kind)
+            _require(payload, _WAYPOINT_GOAL, kind)
         else:
             raise PayloadShapeError(f"unrecognized goal payload {sorted(payload)}")
     elif kind is PayloadKind.CANCEL:
-        _require(payload, {"goal_id"}, kind)
+        _require(payload, _CANCEL, kind)
     elif kind is PayloadKind.FEEDBACK:
-        _require(payload, {"goal_id", "progress"}, kind)
+        _require(payload, _FEEDBACK, kind)
     elif kind is PayloadKind.RESULT:
-        _require(payload, {"goal_id", "status"}, kind)
+        _require(payload, _RESULT, kind)
         if payload["status"] not in ("Succeeded", "Canceled", "Aborted"):
             raise PayloadShapeError(f"bad result status {payload['status']!r}")
     elif kind is PayloadKind.READY:
-        _require(payload, {"module", "ready"}, kind)
+        _require(payload, _READY, kind)
     elif kind is PayloadKind.PERCEPTION:
-        _require(payload, {"wp", "wind", "radiation", "env"}, kind)
+        _require(payload, _PERCEPTION, kind)
     elif kind is PayloadKind.TELEMETRY:
         if spec.name == "/pose":
-            _require(payload, {"x", "y"}, kind)
+            _require(payload, _POSE, kind)
         elif spec.name == "/wheels/telemetry":
-            _require(payload, {"speeds"}, kind)
+            _require(payload, _WHEEL_TELEMETRY, kind)
             if len(payload["speeds"]) != 6:
                 raise PayloadShapeError("wheel telemetry must carry six speeds")
         else:
-            _require(payload, {"effector", "joints", "posture"}, kind)
+            _require(payload, _EFFECTOR_TELEMETRY, kind)
     else:  # pragma: no cover - enum is closed
         raise PayloadShapeError(f"unknown payload kind {kind}")

@@ -225,7 +225,10 @@ class TestVerify:
             code = main(["verify", "--mutant", "no-stop-wheels", "--trace", prefix])
             assert code == 1
             doc = json.loads(capsys.readouterr().out)
-            assert set(doc.pop("stats")) == {"seconds", "dedupe_hit_rate", "phase_s"}
+            stats = doc.pop("stats")
+            assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
+                                  "states_per_depth", "frontier_max"}
+            assert sum(stats["states_per_depth"]) == doc["states"]
             # Dumped as the CLI dumps it: the bytes of stdout outside `stats`.
             outputs.append(json.dumps(doc, indent=2, sort_keys=True))
             cex = doc["counterexample_files"]
@@ -241,6 +244,16 @@ class TestVerify:
         code, doc, err = run_cli(capsys, "verify", "--props", str(props))
         assert (code, doc) == (2, None)
         assert err.startswith("error: settle_B: no incremental monitor")
+
+    def test_stats_breadth_first_shape(self, capsys):
+        """States per depth sum to the states, and the largest frontier is
+        at least the widest depth."""
+        code, doc, _ = run_cli(capsys, "verify")
+        assert code == 0
+        depths = doc["stats"]["states_per_depth"]
+        assert sum(depths) == doc["states"] == 133
+        assert len(depths) == 66 and min(depths) >= 1
+        assert max(depths) <= doc["stats"]["frontier_max"] <= doc["states"]
 
     def test_deep_lasso_replays(self, capsys, tmp_path):
         """500-cell legs and a hot stop that never cools: the lasso is

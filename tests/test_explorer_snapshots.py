@@ -1,16 +1,18 @@
 """Snapshot store and state keys of the explorer.
 
 A state's key is the ``marshal`` encoding of its ``to_state`` view with goal
-ids renamed by rank; the view's sorted JSON text, built for new states only,
-orders the lasso search.  A state is stored as a pickled snapshot that leaves
-out finished goals, every successor is restored from its source's snapshot,
-and the snapshot is freed once the state is expanded.  These tests pin down
-what that must preserve:
+ids renamed by rank; the view's sorted JSON text, read back from the key once
+a lasso exists, orders the lasso search.  A state is stored as a pickled
+snapshot that leaves out finished goals, and the snapshot is freed once the
+state is expanded.  A state's first successor is stepped on its live bundle,
+trimmed of finished goals, while at most ``_LIVE_LIMIT`` are held; every
+other successor is restored from the snapshot.  These tests pin down what
+that must preserve:
 
-* the key is exact: two bundles have equal keys exactly when their sorted
-  texts are equal, and that text is the one of the reference renaming
-  ``_renumber_goals`` kept below, which renames every goal id wherever it
-  stands;
+* the key is exact: two bundles have equal keys exactly when the sorted
+  texts of their keys are equal, and that text is the one of the reference
+  renaming ``_renumber_goals`` kept below, which renames every goal id
+  wherever it stands;
 * the structural renaming finds goal ids where the model puts them, and no
   ``to_state`` puts a goal id in a dict key;
 * a restored bundle has the key of the bundle that was frozen, and steps
@@ -18,17 +20,21 @@ what that must preserve:
 * dedupe is sound: bundles reached with the same key have the same
   successor keys;
 * the table of shared objects lives for one walk only, and a finished walk
-  holds no snapshot.
+  holds no snapshot and no live bundle;
+* stepping first successors on live bundles changes no output byte, and no
+  walk holds more live bundles than the limit.
 
 Each scenario is walked once, by a breadth-first walk that mirrors
-``Explorer.explore`` and visits every root and successor, duplicates
-included; its state and transition counts must match the explorer's.
+``Explorer.explore`` with every successor restored from its source's
+snapshot, and visits every root and successor, duplicates included; its
+state and transition counts must match the explorer's.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import marshal
 from importlib.resources import files
 
 import pytest
@@ -44,6 +50,7 @@ from roverbench.explorer import (
     _sorted_text,
     _variants,
     explore_properties,
+    write_counterexample,
 )
 from roverbench.prop_dsl import parse_suite
 
@@ -199,11 +206,11 @@ LAST_DUPLICATE_ONLY = {"schedule"}
 def successor_keys(snapshot: bytes) -> set:
     probe = _Bundle.clone(snapshot)
     _, signature = probe.step(None)
-    keys = {probe.canonical()[0]}
+    keys = {probe.canonical()}
     for script in _variants(signature)[1:]:
         branch = _Bundle.clone(snapshot)
         branch.step(script)
-        keys.add(branch.canonical()[0])
+        keys.add(branch.canonical())
     return keys
 
 
@@ -221,14 +228,14 @@ def restore_problems(bundle: _Bundle, snapshot: bytes, pick: int) -> list[str]:
     restored = _Bundle.clone(snapshot)
     if finished_goals(restored):
         problems.append(f"snapshot holds finished goals at tick {tick}")
-    if restored.canonical()[0] != bundle.canonical()[0]:
+    if restored.canonical() != bundle.canonical():
         problems.append(f"restored key differs at tick {tick}")
     _, signature = _Bundle.clone(snapshot).step(None)
     scripts = _variants(signature)
     script = scripts[pick % len(scripts)]
     if restored.step(script) != bundle.step(script):
         problems.append(f"step({script}) differs from the live bundle at tick {tick}")
-    elif restored.canonical()[0] != bundle.canonical()[0]:
+    elif restored.canonical() != bundle.canonical():
         problems.append(f"state after step({script}) differs from the live bundle")
     return problems
 
@@ -246,10 +253,10 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
 
     def reach(bundle: _Bundle) -> bytes:
         raw = raw_state(bundle)
-        key, ranked = bundle.canonical()
+        key = bundle.canonical()
         found["canonical_calls"] += 1
         text = reference_key(raw)
-        if _sorted_text(ranked) != text:
+        if _sorted_text(marshal.loads(key)) != text:
             found["oracle_mismatch"].append(text)
         if texts.setdefault(key, text) != text:
             found["merged"].append(text)
@@ -347,7 +354,7 @@ class TestLiveHistory:
                 scripts = _variants(signature)
                 script = scripts[tick * 7 % len(scripts)]
                 assert restored.step(script) == live.step(script), tick
-                assert restored.canonical()[0] == live.canonical()[0], tick
+                assert restored.canonical() == live.canonical(), tick
         assert finished_goals(live) > 20
 
 
@@ -367,8 +374,8 @@ class TestSharedTable:
         assert first == second
 
     def test_finished_walk_holds_no_snapshot(self, monkeypatch):
-        """Every state of a complete walk was expanded, so its snapshot was
-        freed; its sorted text is kept for the lasso search."""
+        """Every state of a complete walk was expanded, so its snapshot and
+        its live bundle were freed."""
         seen = {}
         decide = Explorer._decide_liveness
         monkeypatch.setattr(Explorer, "_decide_liveness",
@@ -376,9 +383,77 @@ class TestSharedTable:
                             decide(self, states, *rest))
         explore_properties(mutant_demo_config("misroute-bus"), SUITE)
         assert len(seen) == EXPLORED["mutant-misroute-bus"][0]
-        assert all(node.snapshot is None and node.text for node in seen.values())
+        assert all(node.snapshot is None and node.bundle is None for node in seen.values())
 
     def test_released_when_budget_runs_out(self):
         with pytest.raises(StateSpaceBudgetExceeded):
             explore_properties(make_config(), SUITE, budget_states=10)
         assert explorer._SHARED == []
+
+
+# -- live first successors ---------------------------------------------------
+
+def long_decay_config():
+    """B radiated at its level cap and cooling one level a tick: a long chain
+    of mostly new states, widest at 14 states per depth."""
+    return make_config({
+        "wind": {"o": 0, "A": 7, "B": 0, "C": 0},
+        "wind_choices": {"o": [0], "A": [0, 7], "B": [0], "C": [0]},
+        "radiation": {"o": 0, "A": 0, "B": 200, "C": 0},
+        "radiation_choices": {"o": [0], "A": [0], "B": [200], "C": [0]},
+        "level_cap": 200,
+    })
+
+
+LIVE_SCENARIOS = {**SCENARIOS, "long-decay": long_decay_config}
+
+
+def walk_output(config, directory) -> tuple[str, dict]:
+    """A walk's JSON without ``stats``, and its counterexample files' bytes."""
+    report = explore_properties(config, SUITE)
+    doc = report.to_json()
+    doc.pop("stats")
+    files = {}
+    for prop, ce in report.counterexamples.items():
+        directory.mkdir(exist_ok=True)
+        path = directory / f"{prop}.json"
+        write_counterexample(ce, str(path))
+        files[prop] = path.read_bytes()
+    return json.dumps(doc, indent=2, sort_keys=True), files
+
+
+class TestLiveFirstSuccessor:
+    @pytest.mark.parametrize("scenario", sorted(LIVE_SCENARIOS))
+    def test_same_bytes_without_live_bundles(self, scenario, monkeypatch, tmp_path):
+        config = LIVE_SCENARIOS[scenario]()
+        live = walk_output(config, tmp_path / "live")
+        monkeypatch.setattr(explorer, "_LIVE_LIMIT", 0)
+        restored = walk_output(config, tmp_path / "restored")
+        assert live == restored
+        if scenario.startswith("mutant-"):
+            assert live[1]
+
+    @pytest.mark.parametrize("limit", [2, explorer._LIVE_LIMIT])
+    def test_never_more_live_bundles_than_the_limit(self, limit, monkeypatch):
+        held: set[int] = set()  # ids of the nodes holding a live bundle
+        peak = [0]
+        finished = []  # finished goals of each live bundle as it is kept
+
+        class CountingNode(explorer._Node):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if name == "bundle":
+                    (held.discard if value is None else held.add)(id(self))
+                    peak[0] = max(peak[0], len(held))
+                    if value is not None:
+                        finished.append(finished_goals(value))
+
+        monkeypatch.setattr(explorer, "_Node", CountingNode)
+        monkeypatch.setattr(explorer, "_LIVE_LIMIT", limit)
+        report = explore_properties(long_decay_config(), SUITE)
+        assert report.complete and report.stats["frontier_max"] == 14
+        assert peak[0] == min(limit, 14)
+        assert held == set()
+        assert finished and not any(finished)
+        if limit >= 14:  # the whole frontier fits: every state kept its bundle
+            assert len(finished) == report.states

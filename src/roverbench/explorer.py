@@ -14,6 +14,14 @@ it holds what a restore would, and its first successor is stepped on that
 bundle instead of on a restore; at most ``_LIVE_LIMIT`` live bundles are
 held at once, and past that a state keeps only its snapshot.
 
+With schedule permutations, a stage (an effector server or the agent host)
+reads only its own state, its own inbox and ``bus.tick``, and acts only
+through ``bus.publish``, tracer emits and ``sink.choose``.  So when at most
+one stage acts in a step, every order gives the same events, state and
+choices, bar the schedule pick (partial-order reduction; Godefroid, LNCS
+1032, 1996), and the other orders get a copy of that schedule-0 step's edge
+with no restore, step or key.  No edge is dropped.
+
 Every property's shape comes from ``monitor.synthesize``.  Safety, until
 and bounded-window properties ride along as monitor states inside the
 product; a violation is reported with the shortest choice path that reaches
@@ -40,6 +48,7 @@ from __future__ import annotations
 import io
 import json
 import marshal
+import math
 import pickle
 import time
 import types
@@ -190,7 +199,7 @@ class _Bundle:
         # A root bundle's first step reaches every monitor, so a monitor
         # keyed on the belief state alone sees the first event.
         first = self.model.tick == 0
-        self.model.step_tick(sink)
+        self.acting = self.model.step_tick(sink)  # stages that acted, see Model.step_tick
         tracer = self.model.tracer
         events, tracer.events = tracer.events, []
         self.model.host.agent.explanations.clear()
@@ -493,6 +502,7 @@ class Explorer:
         phase_s = dict.fromkeys(("restore", "step", "key", "freeze", "liveness"), 0.0)
         live = 0  # states holding their live bundle
         frontier_max = 0  # most states waiting to be expanded at once
+        unstepped = 0  # edges copied from a schedule-0 step, with no step of their own
 
         def timed(phase: str, call, *args):
             mark = time.perf_counter()
@@ -548,7 +558,7 @@ class Explorer:
             return True
 
         def walk() -> bool:
-            nonlocal live, frontier_max
+            nonlocal live, frontier_max, unstepped
             for bundle, init_log in self._roots():
                 key = timed("key", bundle.canonical)
                 if key in states:
@@ -573,12 +583,29 @@ class Explorer:
                 else:
                     live -= 1
                 _, signature = timed("step", probe.step, None)
-                if not visit(node, probe, signature):
-                    return False
-                for script in _variants(signature)[1:]:  # [0] is the probe's
-                    branch = timed("restore", _Bundle.clone, snapshot)
-                    if not visit(node, branch, timed("step", branch.step, script)[1]):
+                # Variant n's schedule pick has weight ``stride`` in the
+                # odometer order, so n - pick * stride is its schedule-0
+                # sibling, stepped before it.  If at most one stage acted in
+                # that step (counted only with the schedule as a choice),
+                # every order ends where it did: copy its edge.
+                at = next((i for i, (k, _, _) in enumerate(signature) if k == ["schedule"]), -1)
+                stride = math.prod(count for _, count, _ in signature[at + 1:])
+                alone: dict[int, _Edge] = {}  # schedule-0 variant -> its edge
+                branch, picks = probe, signature  # [0] is the probe's
+                for n, script in enumerate(_variants(signature)):
+                    if n:
+                        edge = alone.get(n - script[at][2] * stride)
+                        if edge is not None:
+                            picks = [*edge.picks[:at], script[at], *edge.picks[at + 1:]]
+                            edges.append(_Edge(node.key, edge.dst, picks, edge.awaited))
+                            unstepped += 1
+                            continue
+                        branch = timed("restore", _Bundle.clone, snapshot)
+                        picks = timed("step", branch.step, script)[1]
+                    if not visit(node, branch, picks):
                         return False
+                    if branch.acting <= 1 and picks[at] == signature[at]:
+                        alone[n] = edges[-1]
             return True
 
         with _Snapshots() as snapshots:
@@ -612,6 +639,7 @@ class Explorer:
                 "states_per_depth": [sum(1 for _ in same)
                                      for _, same in groupby(node.depth for node in queue)],
                 "frontier_max": frontier_max,
+                "unstepped_transitions": unstepped,
             },
         )
 
@@ -722,7 +750,9 @@ class Explorer:
     def _schedule_invariant(self, edges) -> bool:
         """With schedule permutations enabled, the successor of a state must
         not depend on the schedule pick: group edges by (src, non-schedule
-        picks) and check each group lands on a single destination."""
+        picks) and check each group lands on a single destination.  Copied
+        edges agree by construction, so the check bites on the groups whose
+        schedule-0 step had two or more acting stages."""
         groups: dict[tuple, set] = {}
         for edge in edges:
             rest = tuple(

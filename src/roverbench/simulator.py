@@ -56,21 +56,35 @@ class Model:
     def tick(self) -> int:
         return self.bus.tick
 
-    def step_tick(self, sink=None) -> None:
+    def step_tick(self, sink=None) -> int:
+        """Advance one tick; return how many stages acted, counted only when
+        the schedule is a choice (``schedule_sensitivity`` and a sink), else 4.
+
+        A stage (an effector server or the agent host) reads only its own
+        state, its own inbox and ``bus.tick``, and acts only through
+        ``bus.publish``, tracer emits and ``sink.choose``.  So when at most
+        one stage emits or chooses, every order gives the same events, state
+        and choices, bar the schedule pick."""
         t = self.bus.tick
         self.world.step(t, self.bus, sink)
-        order = range(4)
-        if self.config.schedule_sensitivity and sink is not None:
-            order = _SCHEDULES[sink.choose(("schedule",), tuple(range(len(_SCHEDULES))))]
         stages = [
             lambda: self.servers["wheels"].step(t, self.bus, sink),
             lambda: self.servers["arm"].step(t, self.bus, sink),
             lambda: self.servers["mast"].step(t, self.bus, sink),
             lambda: self.host.step(t, self.bus),
         ]
-        for i in order:
-            stages[i]()
+        acting = len(stages)
+        if self.config.schedule_sensitivity and sink is not None:
+            events, acting = self.tracer.events, 0
+            for i in _SCHEDULES[sink.choose(("schedule",), tuple(range(len(_SCHEDULES))))]:
+                before = len(events), sink.index
+                stages[i]()
+                acting += before != (len(events), sink.index)
+        else:
+            for stage in stages:
+                stage()
         self.bus.step_deliver()
+        return acting
 
     def to_state(self) -> dict:
         # Inbox entries are sorted, not left in arrival order: same-tick

@@ -108,11 +108,14 @@ class TestNominalExploration:
                              "schedule_invariant", "stats"}
         stats = data["stats"]
         assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
-                              "states_per_depth", "frontier_max"}
+                              "states_per_depth", "frontier_max",
+                              "unstepped_transitions"}
         assert set(stats["phase_s"]) == {"restore", "step", "key", "freeze", "liveness"}
         assert all(stats["phase_s"][phase] > 0 for phase in ("restore", "step", "key", "freeze"))
         # 133 states over 136 transitions and the roots' lookups.
         assert 0 < stats["dedupe_hit_rate"] < 0.1
+        # Without schedule permutations every transition has its own step.
+        assert stats["unstepped_transitions"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +133,11 @@ class TestScheduleSensitivity:
         assert schedule_report.states == 133
         assert schedule_report.transitions == 3264
         assert schedule_report.schedule_invariant is True
+
+    def test_single_actor_orders_share_a_step(self, schedule_report):
+        """98 groups of 24 orders had at most one acting stage: one step
+        each stands for the other 23."""
+        assert schedule_report.stats["unstepped_transitions"] == 98 * 23
 
     def test_properties_still_hold(self, schedule_report):
         assert set(schedule_report.verdicts.values()) == {"Satisfied"}

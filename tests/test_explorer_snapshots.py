@@ -22,7 +22,12 @@ that must preserve:
 * the table of shared objects lives for one walk only, and a finished walk
   holds no snapshot and no live bundle;
 * stepping first successors on live bundles changes no output byte, and no
-  walk holds more live bundles than the limit.
+  walk holds more live bundles than the limit;
+* with schedule permutations, copying the edge of a schedule-0 step where at
+  most one stage acted to the other orders changes no output byte and no
+  edge, every order of a step where one stage acts ends where the others do,
+  and ``schedule_invariant`` still fails for a stage whose output depends
+  on the order.
 
 Each scenario is walked once, by a breadth-first walk that mirrors
 ``Explorer.explore`` with every successor restored from its source's
@@ -40,6 +45,7 @@ from importlib.resources import files
 import pytest
 
 from roverbench import explorer
+from roverbench.action_protocol import ServerBase
 from roverbench.config import make_config
 from roverbench.explorer import (
     Explorer,
@@ -53,6 +59,7 @@ from roverbench.explorer import (
     write_counterexample,
 )
 from roverbench.prop_dsl import parse_suite
+from roverbench.simulator import Model
 
 from mutants import mutant_demo_config, mutant_names
 
@@ -240,10 +247,36 @@ def restore_problems(bundle: _Bundle, snapshot: bytes, pick: int) -> list[str]:
     return problems
 
 
+def order_dependence(steps: list) -> tuple[int, list]:
+    """One state's steps, as (script, log, acting stages, fired, successor
+    key), grouped by their picks other than the schedule's.  Wherever the
+    schedule-0 step of a group had at most one acting stage, every order must
+    give the same successor key, the same fired set and the same choice log
+    up to the schedule pick.  Returns (groups checked, problems)."""
+    at = next((i for i, (k, _, _) in enumerate(steps[0][0]) if k == ["schedule"]), None)
+    if at is None:
+        return 0, []
+    groups: dict[str, list] = {}
+    for script, log, acting, fired, key in steps:
+        outcome = (repr(log[:at] + log[at + 1:]), frozenset(fired), key)
+        groups.setdefault(repr(script[:at] + script[at + 1:]), []).append(
+            (script[at][2], acting, log[at] == script[at], outcome))
+    checked, problems = 0, []
+    for rest, group in groups.items():
+        if next(acting for pick, acting, _, _ in group if pick == 0) > 1:
+            continue
+        checked += 1
+        if (len(group) != 24 or not all(logged for _, _, logged, _ in group)
+                or len({outcome for *_, outcome in group}) != 1):
+            problems.append(rest)
+    return checked, problems
+
+
 def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     found = {"states": 0, "transitions": 0, "canonical_calls": 0, "oracle_mismatch": [],
              "merged": [], "split": [], "goal_id_keys": set(), "restore": [],
-             "unsound": [], "compared": 0}
+             "unsound": [], "compared": 0, "single_actor_groups": 0,
+             "order_dependent": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
     keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
     stored: dict[bytes, bytes] = {}  # the frontier's snapshots
@@ -289,12 +322,16 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             snapshot = stored.pop(key)
             probe = _Bundle.clone(snapshot)
             _, signature = probe.step(None)
-            successors[key].add(reach(probe))
+            steps = [(signature, signature, probe.acting, probe.fired, reach(probe))]
             for script in _variants(signature)[1:]:
                 branch = _Bundle.clone(snapshot)
-                branch.step(script)
-                successors[key].add(reach(branch))
-            found["transitions"] += len(_variants(signature))
+                _, log = branch.step(script)
+                steps.append((script, log, branch.acting, branch.fired, reach(branch)))
+            successors[key].update(step[-1] for step in steps)
+            checked, problems = order_dependence(steps)
+            found["single_actor_groups"] += checked
+            found["order_dependent"] += problems
+            found["transitions"] += len(steps)
         found["states"] = len(successors)
         for key, bundles in duplicates.items():
             for bundle in bundles:
@@ -329,6 +366,14 @@ class TestSnapshotWalk:
 
     def test_restore_round_trip_and_step(self, walked):
         assert walked[1]["restore"] == []
+
+    def test_single_actor_orders_agree(self, walked):
+        """The independence the explorer's reduction rests on, checked on
+        every order the walk steps."""
+        name, found = walked
+        assert found["order_dependent"] == []
+        if name == "schedule":
+            assert found["single_actor_groups"] > 0
 
     def test_same_key_same_successors(self, walked):
         name, found = walked
@@ -408,9 +453,19 @@ def long_decay_config():
 LIVE_SCENARIOS = {**SCENARIOS, "long-decay": long_decay_config}
 
 
-def walk_output(config, directory) -> tuple[str, dict]:
-    """A walk's JSON without ``stats``, and its counterexample files' bytes."""
-    report = explore_properties(config, SUITE)
+def walk_output(config, directory) -> tuple[str, dict, list]:
+    """A walk's JSON without ``stats``, its counterexample files' bytes and
+    its ordered edges."""
+    edges = []
+    decide = Explorer._decide_liveness
+
+    def record(self, states, walked, *rest):
+        edges.extend((e.src, e.dst, e.picks, e.awaited) for e in walked)
+        return decide(self, states, walked, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Explorer, "_decide_liveness", record)
+        report = explore_properties(config, SUITE)
     doc = report.to_json()
     doc.pop("stats")
     files = {}
@@ -419,7 +474,7 @@ def walk_output(config, directory) -> tuple[str, dict]:
         path = directory / f"{prop}.json"
         write_counterexample(ce, str(path))
         files[prop] = path.read_bytes()
-    return json.dumps(doc, indent=2, sort_keys=True), files
+    return json.dumps(doc, indent=2, sort_keys=True), files, edges
 
 
 class TestLiveFirstSuccessor:
@@ -457,3 +512,74 @@ class TestLiveFirstSuccessor:
         assert finished and not any(finished)
         if limit >= 14:  # the whole frontier fits: every state kept its bundle
             assert len(finished) == report.states
+
+
+# -- schedule orders stepped once --------------------------------------------
+
+SCHEDULE = {"schedule_sensitivity": True}
+
+REDUCTION_SCENARIOS = {
+    "schedule": lambda: make_config(SCHEDULE),
+    **{f"mutant-{name}": (lambda n=name: mutant_demo_config(n, SCHEDULE))
+       for name in mutant_names()},
+    # The mast server also gets the arm's goals, and each of its results is
+    # a choice taken after the schedule pick.
+    "mast-faults": lambda: make_config(
+        {**SCHEDULE, "mutant": "misroute-bus", "fault_exploration": {"mast": True}}),
+}
+
+
+def reduction_off(monkeypatch) -> None:
+    """Every step reports two acting stages, so every order is stepped."""
+    step_tick = Model.step_tick
+    monkeypatch.setattr(Model, "step_tick",
+                        lambda self, sink=None: max(2, step_tick(self, sink)))
+
+
+class TestScheduleReduction:
+    @pytest.mark.parametrize("scenario", sorted(REDUCTION_SCENARIOS))
+    def test_same_bytes_with_every_order_stepped(self, scenario, monkeypatch, tmp_path):
+        config = REDUCTION_SCENARIOS[scenario]()
+        reduced = walk_output(config, tmp_path / "reduced")
+        reduction_off(monkeypatch)
+        stepped = walk_output(config, tmp_path / "stepped")
+        assert reduced == stepped
+        assert json.loads(reduced[0])["schedule_invariant"] is True
+        if scenario.startswith("mutant-"):
+            assert reduced[1]
+
+
+# A goal id no client holds: the client drops the feedback when it arrives.
+_STRAY_GOAL = "mastClient:1000"
+
+
+@pytest.fixture
+def order_dependent(monkeypatch):
+    """In the tick the mast server announces readiness, it also publishes a
+    feedback whose progress is the number of messages published before it in
+    that tick.  All three servers announce in the same tick, so the number
+    depends on the schedule: the stage breaks the stage contract of
+    ``Model.step_tick`` by reading the bus's pending queue."""
+    step = ServerBase.step
+
+    def step_and_count(self, t, bus, sink=None):
+        announced = self.ready_published
+        step(self, t, bus, sink)
+        if self.effector == "mast" and self.ready_published != announced:
+            bus.publish(self.node, "/mast/feedback",
+                        {"goal_id": _STRAY_GOAL, "progress": len(bus._pending)})
+
+    monkeypatch.setattr(ServerBase, "step", step_and_count)
+
+
+class TestScheduleInvariantCanFail:
+    """The check reads the model alone, so no property rides along."""
+
+    @pytest.mark.parametrize("reduction", ["on", "off"])
+    def test_order_dependent_stage(self, order_dependent, reduction, monkeypatch):
+        if reduction == "off":
+            reduction_off(monkeypatch)
+        report = explore_properties(make_config(SCHEDULE), SUITE, names=[])
+        assert report.complete
+        assert report.to_json()["schedule_invariant"] is False
+        assert (report.stats["unstepped_transitions"] > 0) == (reduction == "on")

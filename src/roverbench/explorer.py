@@ -7,12 +7,18 @@ breadth-first.  A state's key is the ``to_state`` view of the model and its
 riding monitors, with every absolute-tick quantity replaced by a relative
 counter and goal ids renamed by rank, so the graph is finite whenever the
 mission is cyclic.  The key is that view in ``marshal`` bytes, exact and
-cheap to compare.  A state is stored as a pickled snapshot that leaves out
-finished goals, and the snapshot is freed once the state's successors are
-made.  A new state also keeps its live bundle, trimmed of finished goals so
-it holds what a restore would, and its first successor is stepped on that
-bundle instead of on a restore; at most ``_LIVE_LIMIT`` live bundles are
-held at once, and past that a state keeps only its snapshot.
+cheap to compare.  A new state keeps its live bundle, trimmed of finished
+goals so it holds what a restore would, and its first successor is stepped
+on it (at most ``_LIVE_LIMIT`` are held).  Other successors are restored
+from a pickled snapshot, but only checkpoints (every ``_CHECKPOINT``-th
+depth, roots included), states past the live limit and states made by a
+branching step are frozen when added.  Any other state whose step branches
+has its pre-step bundle rebuilt once from its checkpoint by replaying the
+tree's picks (stateless search; Godefroid, POPL 1997).  That is exact: a
+step is a deterministic function of the bundle and its choices, and strict
+replay fails on any choice point that differs from the recorded one.  A
+snapshot is freed once its state's successors are made, a checkpoint once
+the walk is ``_CHECKPOINT`` depths below it.
 
 With schedule permutations, a stage (an effector server or the agent host)
 reads only its own state, its own inbox and ``bus.tick``, and acts only
@@ -52,6 +58,7 @@ import math
 import pickle
 import time
 import types
+from collections import deque
 from dataclasses import dataclass, field, is_dataclass
 from itertools import groupby
 
@@ -89,6 +96,10 @@ DEFAULT_BUDGET_SECS = 60.0
 # KB each, against a snapshot's 6-7 KB.  The frontier of every packaged
 # scenario and benchmark workload, at most 14 states, fits inside it.
 _LIVE_LIMIT = 64
+
+# Depths at which every new state is frozen, so that rebuilding a state
+# that kept only its live bundle replays fewer than this many steps.
+_CHECKPOINT = 16
 
 
 class ExplorationError(ValueError):
@@ -415,7 +426,10 @@ class _Node:
     parent: bytes | None
     picks: list  # choice log of the edge that discovered this node
     depth: int
-    snapshot: bytes | None = None  # the frozen bundle, until its successors are made
+    # The frozen bundle, if the state was frozen: a checkpoint's until the
+    # walk expands states _CHECKPOINT depths below it, any other's until
+    # its successors are made.
+    snapshot: bytes | None = None
     bundle: _Bundle | None = None  # the live bundle, until its first successor is stepped
     open: frozenset = frozenset()  # response trackers with an open obligation
 
@@ -486,13 +500,13 @@ class Explorer:
 
     def explore(self, invariant=None) -> ExplorationReport:
         """Breadth-first walk over every reachable state.  States are keyed by
-        ``canonical()`` and stored as snapshots.  A state's first successor
-        is stepped on its live bundle, if it kept one, and every other one is
-        restored from the snapshot, which is freed once they are all made:
-        breadth-first order never expands a state twice.  ``invariant(model)
-        -> bool``, if given, is checked on every new state: the walk stops at
-        the first state where it is false, reporting that state's trail as the
-        ``invariant`` counterexample of an incomplete report."""
+        ``canonical()``.  A state's first successor is stepped on its live
+        bundle, if it kept one, and every other one is restored from its
+        snapshot, rebuilt by replay if the state was not frozen when added.
+        ``invariant(model) -> bool``, if given, is checked on every new
+        state: the walk stops at the first state where it is false, reporting
+        that state's trail as the ``invariant`` counterexample of an
+        incomplete report."""
         started = time.monotonic()
         states: dict[bytes, _Node] = {}
         edges: list[_Edge] = []
@@ -501,8 +515,10 @@ class Explorer:
         counterexamples: dict[str, Counterexample] = {}
         phase_s = dict.fromkeys(("restore", "step", "key", "freeze", "liveness"), 0.0)
         live = 0  # states holding their live bundle
+        held: deque[_Node] = deque()  # checkpoints holding their snapshot, by depth
         frontier_max = 0  # most states waiting to be expanded at once
         unstepped = 0  # edges copied from a schedule-0 step, with no step of their own
+        frozen = rebuilt = 0  # snapshots written; of them, pre-step bundles replayed
 
         def timed(phase: str, call, *args):
             mark = time.perf_counter()
@@ -517,9 +533,10 @@ class Explorer:
             if elapsed > self.budget_secs:
                 raise StateSpaceBudgetExceeded(len(states), elapsed, "time")
 
-        def add_state(bundle: _Bundle, key: bytes, node: _Node) -> bool:
-            """Store a new state; False if it breaks the invariant."""
-            nonlocal live
+        def add_state(bundle: _Bundle, key: bytes, node: _Node, branched: bool) -> bool:
+            """Store a new state, made by a step that offered more than one
+            choice script if ``branched``; False if it breaks the invariant."""
+            nonlocal live, frozen
             states[key] = node
             queue.append(node)
             for name, monitor in bundle.violations():
@@ -529,20 +546,44 @@ class Explorer:
                     counterexamples[name] = ce
                     verdicts[name] = VIOLATED
                 del bundle.monitors[name]
-            node.snapshot = timed("freeze", snapshots.freeze, bundle)
+            keep = live < _LIVE_LIMIT
+            checkpoint = node.depth % _CHECKPOINT == 0
+            if checkpoint or branched or not keep:
+                node.snapshot = timed("freeze", snapshots.freeze, bundle)
+                frozen += 1
+                if checkpoint:
+                    held.append(node)
             node.open = frozenset(n for n, t in bundle.trackers.items() if t.open)
             if invariant is not None and not invariant(bundle.model):
                 ce = self._trail(states, key, "safety", "invariant predicate is false")
                 ce.prop = "invariant"
                 counterexamples["invariant"] = ce
                 return False
-            if live < _LIVE_LIMIT:
+            if keep:
                 bundle.drop_finished_goals()
                 node.bundle = bundle
                 live += 1
             return True
 
-        def visit(source: _Node, succ: _Bundle, picks: list) -> bool:
+        def rebuild(node: _Node) -> bytes:
+            """The snapshot of a state that kept only its live bundle: replay
+            the picks down from the nearest ancestor holding a snapshot,
+            dropping violated monitors as ``add_state`` does."""
+            nonlocal frozen, rebuilt
+            path = []
+            while node.snapshot is None:
+                path.append(node)
+                node = states[node.parent]
+            bundle = timed("restore", _Bundle.clone, node.snapshot)
+            for below in reversed(path):
+                timed("step", bundle.step, below.picks, True)
+                for name, _ in bundle.violations():
+                    del bundle.monitors[name]
+            frozen += 1
+            rebuilt += 1
+            return timed("freeze", snapshots.freeze, bundle)
+
+        def visit(source: _Node, succ: _Bundle, picks: list, branched: bool) -> bool:
             """Key one successor, record its edge and store it if it is new;
             False if it breaks the invariant."""
             key = timed("key", succ.canonical)
@@ -552,7 +593,7 @@ class Explorer:
             edges.append(_Edge(source.key, key if known is None else known.key, picks,
                                succ.fired or frozenset()))
             if known is None and not add_state(
-                    succ, key, _Node(key, source.key, picks, source.depth + 1)):
+                    succ, key, _Node(key, source.key, picks, source.depth + 1), branched):
                 return False
             check_budget()
             return True
@@ -563,7 +604,7 @@ class Explorer:
                 key = timed("key", bundle.canonical)
                 if key in states:
                     continue
-                if not add_state(bundle, key, _Node(key, None, init_log, 0)):
+                if not add_state(bundle, key, _Node(key, None, init_log, 0), True):
                     return False
                 check_budget()
 
@@ -572,10 +613,16 @@ class Explorer:
                 frontier_max = max(frontier_max, len(queue) - head)
                 node = queue[head]
                 head += 1
-                # Breadth-first order expands a state once, so its snapshot
-                # and live bundle are dropped now and each successor is keyed
-                # as it is made.
-                snapshot, node.snapshot = node.snapshot, None
+                # Every state left to expand has a checkpoint nearer than one
+                # _CHECKPOINT depths above the head: free those.
+                while held and held[0].depth + _CHECKPOINT <= node.depth:
+                    held.popleft().snapshot = None
+                # Breadth-first order expands a state once, so its snapshot,
+                # bar a checkpoint's, and its live bundle are dropped now and
+                # each successor is keyed as it is made.
+                snapshot = node.snapshot
+                if node.depth % _CHECKPOINT:
+                    node.snapshot = None
                 probe, node.bundle = node.bundle, None
                 if probe is None:
                     # Called through the class, which instrumentation may patch.
@@ -583,6 +630,10 @@ class Explorer:
                 else:
                     live -= 1
                 _, signature = timed("step", probe.step, None)
+                scripts = _variants(signature)
+                branched = len(scripts) > 1
+                if branched and snapshot is None:
+                    snapshot = rebuild(node)
                 # Variant n's schedule pick has weight ``stride`` in the
                 # odometer order, so n - pick * stride is its schedule-0
                 # sibling, stepped before it.  If at most one stage acted in
@@ -592,7 +643,7 @@ class Explorer:
                 stride = math.prod(count for _, count, _ in signature[at + 1:])
                 alone: dict[int, _Edge] = {}  # schedule-0 variant -> its edge
                 branch, picks = probe, signature  # [0] is the probe's
-                for n, script in enumerate(_variants(signature)):
+                for n, script in enumerate(scripts):
                     if n:
                         edge = alone.get(n - script[at][2] * stride)
                         if edge is not None:
@@ -602,7 +653,7 @@ class Explorer:
                             continue
                         branch = timed("restore", _Bundle.clone, snapshot)
                         picks = timed("step", branch.step, script)[1]
-                    if not visit(node, branch, picks):
+                    if not visit(node, branch, picks, branched):
                         return False
                     if branch.acting <= 1 and picks[at] == signature[at]:
                         alone[n] = edges[-1]
@@ -610,6 +661,8 @@ class Explorer:
 
         with _Snapshots() as snapshots:
             complete = walk()
+        for node in held:  # the last checkpoints, which no head passed
+            node.snapshot = None
         elapsed = time.monotonic() - started
 
         if complete:
@@ -640,6 +693,8 @@ class Explorer:
                                      for _, same in groupby(node.depth for node in queue)],
                 "frontier_max": frontier_max,
                 "unstepped_transitions": unstepped,
+                "frozen": frozen,
+                "rebuilt": rebuilt,
             },
         )
 

@@ -64,7 +64,9 @@ class Model:
         state, its own inbox and ``bus.tick``, and acts only through
         ``bus.publish``, tracer emits and ``sink.choose``.  So when at most
         one stage emits or chooses, every order gives the same events, state
-        and choices, bar the schedule pick."""
+        and choices, bar the schedule pick.  Emits are counted in
+        ``tracer.events``, which a tracer streaming to a file never grows, so
+        with one every stage counts as acting."""
         t = self.bus.tick
         self.world.step(t, self.bus, sink)
         stages = [
@@ -75,11 +77,11 @@ class Model:
         ]
         acting = len(stages)
         if self.config.schedule_sensitivity and sink is not None:
-            events, acting = self.tracer.events, 0
+            events, acting, streams = self.tracer.events, 0, self.tracer.streams
             for i in _SCHEDULES[sink.choose(("schedule",), tuple(range(len(_SCHEDULES))))]:
                 before = len(events), sink.index
                 stages[i]()
-                acting += before != (len(events), sink.index)
+                acting += streams or before != (len(events), sink.index)
         else:
             for stage in stages:
                 stage()

@@ -109,7 +109,7 @@ class TestNominalExploration:
         stats = data["stats"]
         assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
                               "states_per_depth", "frontier_max",
-                              "unstepped_transitions"}
+                              "unstepped_transitions", "frozen", "rebuilt"}
         assert set(stats["phase_s"]) == {"restore", "step", "key", "freeze", "liveness"}
         assert all(stats["phase_s"][phase] > 0 for phase in ("restore", "step", "key", "freeze"))
         # 133 states over 136 transitions and the roots' lookups.

@@ -2,12 +2,14 @@
 
 A state's key is the ``marshal`` encoding of its ``to_state`` view with goal
 ids renamed by rank; the view's sorted JSON text, read back from the key once
-a lasso exists, orders the lasso search.  A state is stored as a pickled
-snapshot that leaves out finished goals, and the snapshot is freed once the
-state is expanded.  A state's first successor is stepped on its live bundle,
-trimmed of finished goals, while at most ``_LIVE_LIMIT`` are held; every
-other successor is restored from the snapshot.  These tests pin down what
-that must preserve:
+a lasso exists, orders the lasso search.  A state's first successor is
+stepped on its live bundle, trimmed of finished goals, while at most
+``_LIVE_LIMIT`` are held; every other successor is restored from a pickled
+snapshot that leaves out finished goals.  Only checkpoints (every
+``_CHECKPOINT``-th depth), states past the live limit and states made by a
+branching step are frozen when they are added; any other state whose step
+branches gets its snapshot by replaying the tree's picks from its
+checkpoint.  These tests pin down what that must preserve:
 
 * the key is exact: two bundles have equal keys exactly when the sorted
   texts of their keys are equal, and that text is the one of the reference
@@ -21,6 +23,10 @@ that must preserve:
   successor keys;
 * the table of shared objects lives for one walk only, and a finished walk
   holds no snapshot and no live bundle;
+* freezing every state, freezing only the roots and the default checkpoints
+  give the same output bytes and edges; a replayed bundle freezes to the
+  bytes of the state's own bundle, and checkpoints are held at no more than
+  two depths at once;
 * stepping first successors on live bundles changes no output byte, and no
   walk holds more live bundles than the limit;
 * with schedule permutations, copying the edge of a schedule-0 step where at
@@ -420,7 +426,8 @@ class TestSharedTable:
 
     def test_finished_walk_holds_no_snapshot(self, monkeypatch):
         """Every state of a complete walk was expanded, so its snapshot and
-        its live bundle were freed."""
+        its live bundle were freed, and the last checkpoints, which no head
+        passed, were freed when the walk ended."""
         seen = {}
         decide = Explorer._decide_liveness
         monkeypatch.setattr(Explorer, "_decide_liveness",
@@ -429,6 +436,8 @@ class TestSharedTable:
         explore_properties(mutant_demo_config("misroute-bus"), SUITE)
         assert len(seen) == EXPLORED["mutant-misroute-bus"][0]
         assert all(node.snapshot is None and node.bundle is None for node in seen.values())
+        # The deepest states lie below a checkpoint other than the roots.
+        assert max(node.depth for node in seen.values()) > explorer._CHECKPOINT
 
     def test_released_when_budget_runs_out(self):
         with pytest.raises(StateSpaceBudgetExceeded):
@@ -583,3 +592,110 @@ class TestScheduleInvariantCanFail:
         assert report.complete
         assert report.to_json()["schedule_invariant"] is False
         assert (report.stats["unstepped_transitions"] > 0) == (reduction == "on")
+
+
+# -- checkpoints and replayed bundles ----------------------------------------
+
+# _CHECKPOINT settings: every state frozen, only the roots (every rebuild
+# replays from a root), and the default.
+CHECKPOINTS = {"every": 1, "roots": 10**6, "default": explorer._CHECKPOINT}
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("scenario", sorted(LIVE_SCENARIOS))
+    def test_same_bytes_at_every_checkpoint_spacing(self, scenario, monkeypatch, tmp_path):
+        config = LIVE_SCENARIOS[scenario]()
+        outputs = {}
+        for name, checkpoint in CHECKPOINTS.items():
+            monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
+            outputs[name] = walk_output(config, tmp_path / name)
+        assert outputs["every"] == outputs["roots"] == outputs["default"]
+        if scenario.startswith("mutant-"):
+            assert outputs["default"][1]
+
+    def test_stats_count_freezes_and_rebuilds(self, monkeypatch):
+        """On the long chain a rebuild replays from a root when only the
+        roots are checkpoints; freezing every state rebuilds none."""
+        stats = {}
+        for name, checkpoint in CHECKPOINTS.items():
+            monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
+            report = explore_properties(long_decay_config(), SUITE)
+            assert report.complete
+            stats[name] = report.stats
+        assert stats["every"]["rebuilt"] == 0
+        assert stats["every"]["frozen"] == report.states
+        assert stats["roots"]["rebuilt"] > 0
+        assert stats["default"]["rebuilt"] > 0
+        # Frozen when added, or rebuilt: far fewer snapshots than states.
+        assert stats["default"]["frozen"] < report.states / 4
+
+    @pytest.mark.parametrize("checkpoint", ["roots", "default"])
+    def test_replayed_bundle_steps_like_the_eager_snapshot(self, checkpoint, monkeypatch):
+        """On the long chain, every pre-step bundle rebuilt by replay is the
+        state that freezing it when it was added would have stored.  The
+        bytes cannot match: a set's order and which equal strings are one
+        object depend on how the bundle was reached.  So the rebuilt
+        snapshot must have the key of the state's own live bundle, frozen
+        just before its first step, and every choice script must step both
+        to the same events, choice log and successor key."""
+        store = []  # the walk's pickler
+        probed = []  # the last first step's state: (key, snapshot)
+        replayed = [False]  # a strict step ran since the last freeze
+        compared, problems = [], []
+        step, freeze = _Bundle.step, _Snapshots.freeze
+
+        def successors(snapshot: bytes) -> list:
+            probe = _Bundle.clone(snapshot)
+            events, signature = step(probe, None)
+            out = [(events, signature, probe.canonical())]
+            for script in _variants(signature)[1:]:
+                branch = _Bundle.clone(snapshot)
+                out.append((*step(branch, script), branch.canonical()))
+            return out
+
+        def watch_step(self, script, strict=False):
+            if strict:
+                replayed[0] = True
+            elif script is None:  # a state's first step, rebuilt or not after it
+                probed[:] = [self.canonical(), freeze(store[0], self)]
+            return step(self, script, strict)
+
+        def watch_freeze(self, bundle):
+            store[:1] = [self]
+            data = freeze(self, bundle)
+            if replayed[0]:
+                replayed[0] = False
+                key, eager = probed
+                compared.append(key)
+                if bundle.canonical() != key or successors(data) != successors(eager):
+                    problems.append(key)
+            return data
+
+        monkeypatch.setattr(_Bundle, "step", watch_step)
+        monkeypatch.setattr(_Snapshots, "freeze", watch_freeze)
+        monkeypatch.setattr(explorer, "_CHECKPOINT", CHECKPOINTS[checkpoint])
+        report = explore_properties(long_decay_config(), SUITE)
+        assert report.complete and report.stats["rebuilt"] == len(compared) > 0
+        assert problems == []
+
+    @pytest.mark.parametrize("checkpoint", [1, 4, explorer._CHECKPOINT])
+    def test_checkpoints_held_at_two_depths_at_most(self, checkpoint, monkeypatch):
+        held: dict[int, int] = {}  # id of a checkpoint holding its snapshot -> depth
+        peak = [0]
+
+        class CountingNode(explorer._Node):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if name == "snapshot" and self.depth % checkpoint == 0:
+                    if value is None:
+                        held.pop(id(self), None)
+                    else:
+                        held[id(self)] = self.depth
+                    peak[0] = max(peak[0], len(set(held.values())))
+
+        monkeypatch.setattr(explorer, "_Node", CountingNode)
+        monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
+        report = explore_properties(long_decay_config(), SUITE)
+        assert report.complete and len(report.stats["states_per_depth"]) > 4 * checkpoint
+        assert peak[0] == 2
+        assert held == {}

@@ -13,7 +13,8 @@ import io
 import json
 
 from roverbench.config import make_config
-from roverbench.simulator import TRACE_FORMAT, run_simulation
+from roverbench.explorer import ChoiceSink
+from roverbench.simulator import TRACE_FORMAT, Model, run_simulation
 from roverbench.tracing import EventTracer
 
 
@@ -303,3 +304,17 @@ class TestStreaming:
         assert [json.loads(line) for line in sink.getvalue().splitlines()] == seen
         assert len(seen) == 3
         assert tracer.events == []
+
+    def test_streaming_tracer_never_counts_fewer_acting_stages(self):
+        """A streamed emit does not grow ``events``, so with the schedule as
+        a choice a streaming tracer counts every stage as acting: never
+        fewer than a tracer that keeps its events counts on the same step."""
+        config = make_config({"schedule_sensitivity": True})
+        kept = Model(config, EventTracer(), sink=ChoiceSink())
+        streamed = Model(config, EventTracer(sink=io.StringIO()), sink=ChoiceSink())
+        counts = [(kept.step_tick(ChoiceSink()), streamed.step_tick(ChoiceSink()))
+                  for _ in range(60)]
+        assert all(s >= k for k, s in counts)
+        # The kept events show steps where at most one stage acted.
+        assert min(k for k, _ in counts) <= 1
+        assert kept.to_state() == streamed.to_state()

@@ -22,11 +22,17 @@ the walk is ``_CHECKPOINT`` depths below it.
 
 With schedule permutations, a stage (an effector server or the agent host)
 reads only its own state, its own inbox and ``bus.tick``, and acts only
-through ``bus.publish``, tracer emits and ``sink.choose``.  So when at most
-one stage acts in a step, every order gives the same events, state and
-choices, bar the schedule pick (partial-order reduction; Godefroid, LNCS
-1032, 1996), and the other orders get a copy of that schedule-0 step's edge
-with no restore, step or key.  No edge is dropped.
+through ``bus.publish``, tracer emits and ``sink.choose``.  A stage that
+does not act changes nothing another stage sees, so a step's events, state
+and choices, bar the schedule pick, depend only on the relative order of the
+stages that act (partial-order reduction; Godefroid, LNCS 1032, 1996).  The
+schedule-0 step of each combination of the other picks reports its acting
+stages, and an order that runs them in the same relative order as an
+earlier order gets a copy of that order's edge with no restore, step or
+key.  No edge is dropped.
+
+A walk that lasts longer than ``_PROGRESS_EVERY`` seconds writes a progress
+line to stderr that often; stdout and counterexample files do not change.
 
 Every property's shape comes from ``monitor.synthesize``.  Safety, until
 and bounded-window properties ride along as monitor states inside the
@@ -56,6 +62,7 @@ import json
 import marshal
 import math
 import pickle
+import sys
 import time
 import types
 from collections import deque
@@ -86,7 +93,7 @@ from .prop_dsl import (
     fold_belief,
     parse_formula,
 )
-from .simulator import Model
+from .simulator import ALL_STAGES, SAME_ORDER, Model
 from .tracing import EventTracer, json_encoder
 
 DEFAULT_BUDGET_STATES = 1_000_000
@@ -100,6 +107,9 @@ _LIVE_LIMIT = 64
 # Depths at which every new state is frozen, so that rebuilding a state
 # that kept only its live bundle replays fewer than this many steps.
 _CHECKPOINT = 16
+
+# Seconds between the progress lines a walk writes to stderr.
+_PROGRESS_EVERY = 2.0
 
 
 class ExplorationError(ValueError):
@@ -210,7 +220,7 @@ class _Bundle:
         # A root bundle's first step reaches every monitor, so a monitor
         # keyed on the belief state alone sees the first event.
         first = self.model.tick == 0
-        self.acting = self.model.step_tick(sink)  # stages that acted, see Model.step_tick
+        self.acting = self.model.step_tick(sink)  # mask of the stages that acted
         tracer = self.model.tracer
         events, tracer.events = tracer.events, []
         self.model.host.agent.explanations.clear()
@@ -511,14 +521,16 @@ class Explorer:
         states: dict[bytes, _Node] = {}
         edges: list[_Edge] = []
         queue: list[_Node] = []  # breadth-first frontier, expanded from ``head`` on
+        head = 0
         verdicts: dict[str, str] = {n: UNDETERMINED for n in self.suite}
         counterexamples: dict[str, Counterexample] = {}
         phase_s = dict.fromkeys(("restore", "step", "key", "freeze", "liveness"), 0.0)
         live = 0  # states holding their live bundle
         held: deque[_Node] = deque()  # checkpoints holding their snapshot, by depth
         frontier_max = 0  # most states waiting to be expanded at once
-        unstepped = 0  # edges copied from a schedule-0 step, with no step of their own
+        unstepped = 0  # edges copied from an earlier order's, with no step of their own
         frozen = rebuilt = 0  # snapshots written; of them, pre-step bundles replayed
+        reported = started  # when the last progress line went to stderr
 
         def timed(phase: str, call, *args):
             mark = time.perf_counter()
@@ -527,11 +539,18 @@ class Explorer:
             return result
 
         def check_budget() -> None:
-            elapsed = time.monotonic() - started
+            nonlocal reported
+            now = time.monotonic()
+            elapsed = now - started
             if len(states) > self.budget_states:
                 raise StateSpaceBudgetExceeded(len(states), elapsed, "state")
             if elapsed > self.budget_secs:
                 raise StateSpaceBudgetExceeded(len(states), elapsed, "time")
+            if now - reported >= _PROGRESS_EVERY:
+                reported = now
+                print(f"verify: {len(states)} states, depth {queue[-1].depth}, "
+                      f"frontier {len(queue) - head}, "
+                      f"{len(edges) / elapsed:.0f} transitions/s", file=sys.stderr)
 
         def add_state(bundle: _Bundle, key: bytes, node: _Node, branched: bool) -> bool:
             """Store a new state, made by a step that offered more than one
@@ -599,7 +618,7 @@ class Explorer:
             return True
 
         def walk() -> bool:
-            nonlocal live, frontier_max, unstepped
+            nonlocal head, live, frontier_max, unstepped
             for bundle, init_log in self._roots():
                 key = timed("key", bundle.canonical)
                 if key in states:
@@ -608,7 +627,6 @@ class Explorer:
                     return False
                 check_budget()
 
-            head = 0
             while head < len(queue):
                 frontier_max = max(frontier_max, len(queue) - head)
                 node = queue[head]
@@ -636,17 +654,21 @@ class Explorer:
                     snapshot = rebuild(node)
                 # Variant n's schedule pick has weight ``stride`` in the
                 # odometer order, so n - pick * stride is its schedule-0
-                # sibling, stepped before it.  If at most one stage acted in
-                # that step (counted only with the schedule as a choice),
-                # every order ends where it did: copy its edge.
+                # sibling, stepped before it.  The orders that run the stages
+                # that acted in that step (taken only with the schedule as a
+                # choice) in the same relative order end alike: each copies
+                # the edge of the first of them.
                 at = next((i for i, (k, _, _) in enumerate(signature) if k == ["schedule"]), -1)
                 stride = math.prod(count for _, count, _ in signature[at + 1:])
-                alone: dict[int, _Edge] = {}  # schedule-0 variant -> its edge
+                masks: dict[int, int] = {}  # schedule-0 variant -> its acting stages
+                base = len(edges)  # variant n's edge is edges[base + n]
                 branch, picks = probe, signature  # [0] is the probe's
                 for n, script in enumerate(scripts):
                     if n:
-                        edge = alone.get(n - script[at][2] * stride)
-                        if edge is not None:
+                        pick = script[at][2] if at >= 0 else 0
+                        same = SAME_ORDER[masks.get(n - pick * stride, ALL_STAGES)][pick]
+                        if same < pick:
+                            edge = edges[base + n - (pick - same) * stride]
                             picks = [*edge.picks[:at], script[at], *edge.picks[at + 1:]]
                             edges.append(_Edge(node.key, edge.dst, picks, edge.awaited))
                             unstepped += 1
@@ -655,8 +677,8 @@ class Explorer:
                         picks = timed("step", branch.step, script)[1]
                     if not visit(node, branch, picks, branched):
                         return False
-                    if branch.acting <= 1 and picks[at] == signature[at]:
-                        alone[n] = edges[-1]
+                    if at >= 0 and picks[at] == signature[at]:
+                        masks[n] = branch.acting
             return True
 
         with _Snapshots() as snapshots:
@@ -806,8 +828,9 @@ class Explorer:
         """With schedule permutations enabled, the successor of a state must
         not depend on the schedule pick: group edges by (src, non-schedule
         picks) and check each group lands on a single destination.  Copied
-        edges agree by construction, so the check bites on the groups whose
-        schedule-0 step had two or more acting stages."""
+        edges agree by construction, so the check bites on one order per
+        relative order of the stages that acted in the group's schedule-0
+        step."""
         groups: dict[tuple, set] = {}
         for edge in edges:
             rest = tuple(

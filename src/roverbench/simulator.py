@@ -26,6 +26,23 @@ TRACE_FORMAT = 1
 
 _SCHEDULES = tuple(itertools.permutations(range(4)))
 
+# The acting mask of ``Model.step_tick`` when every stage acts.
+ALL_STAGES = (1 << 4) - 1
+
+
+def _first_same_order() -> tuple:
+    """``[mask][s]``: the first schedule that runs the stages in ``mask`` in
+    the same relative order as schedule ``s`` does."""
+    table = []
+    for mask in range(ALL_STAGES + 1):
+        first: dict[tuple, int] = {}
+        table.append(tuple(first.setdefault(tuple(i for i in order if mask >> i & 1), s)
+                           for s, order in enumerate(_SCHEDULES)))
+    return tuple(table)
+
+
+SAME_ORDER = _first_same_order()
+
 # The text of ``json.dumps(entry, sort_keys=True)``, from an encoder built once.
 _ENTRY_ORDER = json_encoder(sort_keys=True)
 
@@ -57,16 +74,19 @@ class Model:
         return self.bus.tick
 
     def step_tick(self, sink=None) -> int:
-        """Advance one tick; return how many stages acted, counted only when
-        the schedule is a choice (``schedule_sensitivity`` and a sink), else 4.
+        """Advance one tick; return the stages that acted as a bit mask, bit
+        i for ``stages[i]`` (wheels, arm, mast, host), taken only when the
+        schedule is a choice (``schedule_sensitivity`` and a sink), else
+        every stage's bit.
 
         A stage (an effector server or the agent host) reads only its own
         state, its own inbox and ``bus.tick``, and acts only through
-        ``bus.publish``, tracer emits and ``sink.choose``.  So when at most
-        one stage emits or chooses, every order gives the same events, state
-        and choices, bar the schedule pick.  Emits are counted in
-        ``tracer.events``, which a tracer streaming to a file never grows, so
-        with one every stage counts as acting."""
+        ``bus.publish``, tracer emits and ``sink.choose``.  So a stage that
+        does not emit or choose changes nothing another stage sees, and
+        the tick's events, state and choices depend only on the relative
+        order of the stages that act, bar the schedule pick.  Emits are
+        counted in ``tracer.events``, which a tracer streaming to a file
+        never grows, so with one every stage counts as acting."""
         t = self.bus.tick
         self.world.step(t, self.bus, sink)
         stages = [
@@ -75,13 +95,14 @@ class Model:
             lambda: self.servers["mast"].step(t, self.bus, sink),
             lambda: self.host.step(t, self.bus),
         ]
-        acting = len(stages)
+        acting = ALL_STAGES
         if self.config.schedule_sensitivity and sink is not None:
             events, acting, streams = self.tracer.events, 0, self.tracer.streams
             for i in _SCHEDULES[sink.choose(("schedule",), tuple(range(len(_SCHEDULES))))]:
                 before = len(events), sink.index
                 stages[i]()
-                acting += streams or before != (len(events), sink.index)
+                if streams or before != (len(events), sink.index):
+                    acting |= 1 << i
         else:
             for stage in stages:
                 stage()

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
-from roverbench import cli
+from roverbench import cli, explorer
 from roverbench.cli import main
 
 
@@ -237,6 +238,29 @@ class TestVerify:
             files.append({prop: Path(path).read_bytes() for prop, path in cex.items()})
         assert outputs[0] == outputs[1]
         assert files[0] == files[1]
+
+    def test_progress_lines_go_to_stderr_alone(self, capsys, monkeypatch, tmp_path):
+        """A walk writes a progress line to stderr every ``_PROGRESS_EVERY``
+        seconds: none on a short walk, one per root and per stepped successor
+        when the interval is 0.  Stdout outside ``stats`` and the counterexample
+        files are the same either way."""
+        prefix = str(tmp_path / "run")
+        outputs, progress = [], []
+        for every in (explorer._PROGRESS_EVERY, 0):
+            monkeypatch.setattr(explorer, "_PROGRESS_EVERY", every)
+            code, doc, err = run_cli(capsys, "verify", "--mutant", "no-stop-wheels",
+                                     "--trace", prefix)
+            assert code == 1
+            doc.pop("stats")
+            files = {p: Path(path).read_bytes() for p, path in doc["counterexample_files"].items()}
+            outputs.append((doc, files))
+            progress.append([line for line in err.splitlines() if line.startswith("verify: ")])
+        assert outputs[0] == outputs[1]
+        assert progress[0] == []
+        assert len(progress[1]) > outputs[1][0]["states"]
+        assert all(re.fullmatch(r"verify: \d+ states, depth \d+, frontier \d+, "
+                                r"\d+ transitions/s", line) for line in progress[1])
+        assert progress[1][-1].startswith(f"verify: {outputs[1][0]['states']} states, ")
 
     def test_liveness_inside_a_temporal_operator(self, capsys, tmp_path):
         """A formula with no shape is bad input, not an internal error."""

@@ -135,9 +135,12 @@ class TestScheduleSensitivity:
         assert schedule_report.schedule_invariant is True
 
     def test_single_actor_orders_share_a_step(self, schedule_report):
-        """98 groups of 24 orders had at most one acting stage: one step
-        each stands for the other 23."""
-        assert schedule_report.stats["unstepped_transitions"] == 98 * 23
+        """One step stands for every order that runs the acting stages in
+        the same relative order: of the 136 groups of 24 orders, 98 had at
+        most one acting stage (one step each), 36 had the arm and mast
+        acting and one the wheels and host (two steps each), and one had
+        all four acting (24 steps): 196 steps, and 3068 copied edges."""
+        assert schedule_report.stats["unstepped_transitions"] == 3068
 
     def test_properties_still_hold(self, schedule_report):
         assert set(schedule_report.verdicts.values()) == {"Satisfied"}

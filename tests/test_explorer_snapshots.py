@@ -29,11 +29,11 @@ checkpoint.  These tests pin down what that must preserve:
   two depths at once;
 * stepping first successors on live bundles changes no output byte, and no
   walk holds more live bundles than the limit;
-* with schedule permutations, copying the edge of a schedule-0 step where at
-  most one stage acted to the other orders changes no output byte and no
-  edge, every order of a step where one stage acts ends where the others do,
-  and ``schedule_invariant`` still fails for a stage whose output depends
-  on the order.
+* with schedule permutations, copying an earlier order's edge to every
+  order that runs the stages acting in the schedule-0 step in the same
+  relative order changes no output byte and no edge, all orders of such a
+  class end alike, and ``schedule_invariant`` still fails for a stage whose
+  output depends on the order.
 
 Each scenario is walked once, by a breadth-first walk that mirrors
 ``Explorer.explore`` with every successor restored from its source's
@@ -44,8 +44,10 @@ state and transition counts must match the explorer's.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import marshal
+import math
 from importlib.resources import files
 
 import pytest
@@ -65,7 +67,7 @@ from roverbench.explorer import (
     write_counterexample,
 )
 from roverbench.prop_dsl import parse_suite
-from roverbench.simulator import Model
+from roverbench.simulator import ALL_STAGES, SAME_ORDER, Model
 
 from mutants import mutant_demo_config, mutant_names
 
@@ -253,12 +255,17 @@ def restore_problems(bundle: _Bundle, snapshot: bytes, pick: int) -> list[str]:
     return problems
 
 
+# The stage order of each schedule pick, as ``Model.step_tick`` numbers them.
+ORDERS = list(itertools.permutations(range(4)))
+
+
 def order_dependence(steps: list) -> tuple[int, list]:
-    """One state's steps, as (script, log, acting stages, fired, successor
-    key), grouped by their picks other than the schedule's.  Wherever the
-    schedule-0 step of a group had at most one acting stage, every order must
-    give the same successor key, the same fired set and the same choice log
-    up to the schedule pick.  Returns (groups checked, problems)."""
+    """One state's steps, as (script, log, acting stages mask, fired,
+    successor key), grouped by their picks other than the schedule's.  In
+    each group, the orders that run the stages that acted in the group's
+    schedule-0 step in the same relative order must give the same successor
+    key, the same fired set and the same choice log up to the schedule pick.
+    Returns (groups checked, problems)."""
     at = next((i for i, (k, _, _) in enumerate(steps[0][0]) if k == ["schedule"]), None)
     if at is None:
         return 0, []
@@ -269,11 +276,14 @@ def order_dependence(steps: list) -> tuple[int, list]:
             (script[at][2], acting, log[at] == script[at], outcome))
     checked, problems = 0, []
     for rest, group in groups.items():
-        if next(acting for pick, acting, _, _ in group if pick == 0) > 1:
-            continue
+        mask = next(acting for pick, acting, _, _ in group if pick == 0)
+        classes: dict[tuple, set] = {}
+        for pick, _, _, outcome in group:
+            order = tuple(i for i in ORDERS[pick] if mask >> i & 1)
+            classes.setdefault(order, set()).add(outcome)
         checked += 1
         if (len(group) != 24 or not all(logged for _, _, logged, _ in group)
-                or len({outcome for *_, outcome in group}) != 1):
+                or any(len(outcomes) != 1 for outcomes in classes.values())):
             problems.append(rest)
     return checked, problems
 
@@ -281,7 +291,7 @@ def order_dependence(steps: list) -> tuple[int, list]:
 def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     found = {"states": 0, "transitions": 0, "canonical_calls": 0, "oracle_mismatch": [],
              "merged": [], "split": [], "goal_id_keys": set(), "restore": [],
-             "unsound": [], "compared": 0, "single_actor_groups": 0,
+             "unsound": [], "compared": 0, "same_order_groups": 0,
              "order_dependent": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
     keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
@@ -335,7 +345,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
                 steps.append((script, log, branch.acting, branch.fired, reach(branch)))
             successors[key].update(step[-1] for step in steps)
             checked, problems = order_dependence(steps)
-            found["single_actor_groups"] += checked
+            found["same_order_groups"] += checked
             found["order_dependent"] += problems
             found["transitions"] += len(steps)
         found["states"] = len(successors)
@@ -375,11 +385,12 @@ class TestSnapshotWalk:
 
     def test_single_actor_orders_agree(self, walked):
         """The independence the explorer's reduction rests on, checked on
-        every order the walk steps."""
+        every order the walk steps: orders that run the acting stages in the
+        same relative order agree, in every group of orders."""
         name, found = walked
         assert found["order_dependent"] == []
         if name == "schedule":
-            assert found["single_actor_groups"] > 0
+            assert found["same_order_groups"] == 136
 
     def test_same_key_same_successors(self, walked):
         name, found = walked
@@ -535,17 +546,35 @@ REDUCTION_SCENARIOS = {
     # a choice taken after the schedule pick.
     "mast-faults": lambda: make_config(
         {**SCHEDULE, "mutant": "misroute-bus", "fault_exploration": {"mast": True}}),
+    # Two stages whose results are choices taken after the schedule pick, in
+    # the order the schedule runs them.
+    "arm-mast-faults": lambda: make_config(
+        {**SCHEDULE, "fault_exploration": {"arm": True, "mast": True}}),
 }
 
 
 def reduction_off(monkeypatch) -> None:
-    """Every step reports two acting stages, so every order is stepped."""
+    """Every step reports every stage as acting, so every order is stepped."""
     step_tick = Model.step_tick
     monkeypatch.setattr(Model, "step_tick",
-                        lambda self, sink=None: max(2, step_tick(self, sink)))
+                        lambda self, sink=None: step_tick(self, sink) | ALL_STAGES)
 
 
 class TestScheduleReduction:
+    def test_first_order_with_the_same_relative_order(self):
+        """``SAME_ORDER[mask][s]`` is the first schedule that runs the stages
+        in ``mask`` in the order schedule ``s`` runs them, so a mask of k
+        stages leaves k! schedules that are stepped."""
+        def relative(mask, s):
+            return [i for i in ORDERS[s] if mask >> i & 1]
+
+        for mask, firsts in enumerate(SAME_ORDER):
+            assert len(firsts) == len(ORDERS)
+            for s, first in enumerate(firsts):
+                assert relative(mask, first) == relative(mask, s)
+                assert all(relative(mask, t) != relative(mask, s) for t in range(first))
+            assert len(set(firsts)) == math.factorial(bin(mask).count("1"))
+
     @pytest.mark.parametrize("scenario", sorted(REDUCTION_SCENARIOS))
     def test_same_bytes_with_every_order_stepped(self, scenario, monkeypatch, tmp_path):
         config = REDUCTION_SCENARIOS[scenario]()

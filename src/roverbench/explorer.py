@@ -14,11 +14,12 @@ from a pickled snapshot, but only checkpoints (every ``_CHECKPOINT``-th
 depth, roots included), states past the live limit and states made by a
 branching step are frozen when added.  Any other state whose step branches
 has its pre-step bundle rebuilt once from its checkpoint by replaying the
-tree's picks (stateless search; Godefroid, POPL 1997).  That is exact: a
-step is a deterministic function of the bundle and its choices, and strict
-replay fails on any choice point that differs from the recorded one.  A
-snapshot is freed once its state's successors are made, a checkpoint once
-the walk is ``_CHECKPOINT`` depths below it.
+tree's picks (stateless search; Godefroid, POPL 1997), and steps the
+second choice script itself, frozen first only if more scripts follow.
+That is exact: a step is a deterministic function of the bundle and its
+choices, and strict replay fails on any choice point that differs from the
+recorded one.  A snapshot is freed once its state's successors are made, a
+checkpoint once the walk is ``_CHECKPOINT`` depths below it.
 
 With schedule permutations, a stage (an effector server or the agent host)
 reads only its own state, its own inbox and ``bus.tick``, and acts only
@@ -529,7 +530,7 @@ class Explorer:
         held: deque[_Node] = deque()  # checkpoints holding their snapshot, by depth
         frontier_max = 0  # most states waiting to be expanded at once
         unstepped = 0  # edges copied from an earlier order's, with no step of their own
-        frozen = rebuilt = 0  # snapshots written; of them, pre-step bundles replayed
+        frozen = rebuilt = 0  # snapshots written; pre-step bundles replayed
         reported = started  # when the last progress line went to stderr
 
         def timed(phase: str, call, *args):
@@ -584,11 +585,12 @@ class Explorer:
                 live += 1
             return True
 
-        def rebuild(node: _Node) -> bytes:
-            """The snapshot of a state that kept only its live bundle: replay
-            the picks down from the nearest ancestor holding a snapshot,
-            dropping violated monitors as ``add_state`` does."""
-            nonlocal frozen, rebuilt
+        def rebuild(node: _Node) -> _Bundle:
+            """The pre-step bundle of a state that kept only its live bundle:
+            replay the picks down from the nearest ancestor holding a
+            snapshot, dropping violated monitors as ``add_state`` does, and
+            trimmed as a restore of its snapshot would be."""
+            nonlocal rebuilt
             path = []
             while node.snapshot is None:
                 path.append(node)
@@ -598,9 +600,9 @@ class Explorer:
                 timed("step", bundle.step, below.picks, True)
                 for name, _ in bundle.violations():
                     del bundle.monitors[name]
-            frozen += 1
+            bundle.drop_finished_goals()
             rebuilt += 1
-            return timed("freeze", snapshots.freeze, bundle)
+            return bundle
 
         def visit(source: _Node, succ: _Bundle, picks: list, branched: bool) -> bool:
             """Key one successor, record its edge and store it if it is new;
@@ -618,7 +620,7 @@ class Explorer:
             return True
 
         def walk() -> bool:
-            nonlocal head, live, frontier_max, unstepped
+            nonlocal head, live, frontier_max, unstepped, frozen
             for bundle, init_log in self._roots():
                 key = timed("key", bundle.canonical)
                 if key in states:
@@ -650,8 +652,12 @@ class Explorer:
                 _, signature = timed("step", probe.step, None)
                 scripts = _variants(signature)
                 branched = len(scripts) > 1
+                replayed = None  # a rebuilt bundle, which steps the next script itself
                 if branched and snapshot is None:
-                    snapshot = rebuild(node)
+                    replayed = rebuild(node)
+                    if len(scripts) > 2:
+                        snapshot = timed("freeze", snapshots.freeze, replayed)
+                        frozen += 1
                 # Variant n's schedule pick has weight ``stride`` in the
                 # odometer order, so n - pick * stride is its schedule-0
                 # sibling, stepped before it.  The orders that run the stages
@@ -673,7 +679,10 @@ class Explorer:
                             edges.append(_Edge(node.key, edge.dst, picks, edge.awaited))
                             unstepped += 1
                             continue
-                        branch = timed("restore", _Bundle.clone, snapshot)
+                        if replayed is None:
+                            branch = timed("restore", _Bundle.clone, snapshot)
+                        else:
+                            branch, replayed = replayed, None
                         picks = timed("step", branch.step, script)[1]
                     if not visit(node, branch, picks, branched):
                         return False

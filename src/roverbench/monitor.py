@@ -50,6 +50,7 @@ from .prop_dsl import (
     compile_event_predicate,
     evaluate_suite,
     fold_belief,
+    left_spine,
     to_text,
 )
 
@@ -311,16 +312,21 @@ def _partial(node) -> tuple[frozenset, object]:
     if isinstance(node, Not):
         keys, value = _partial(node.sub)
         return keys, (not value) if isinstance(value, bool) else value
-    left_keys, left = _partial(node.left)
-    right_keys, right = _partial(node.right)
-    if isinstance(node, Implies):
-        left = (not left) if isinstance(left, bool) else left
-    absorbing = isinstance(node, (Or, Implies))  # the value that decides the node alone
-    if left is absorbing or right is absorbing:
-        value = absorbing
-    else:
-        value = left if left == right else None
-    return left_keys | right_keys, value
+    spine, below = left_spine(node)
+    if not spine:
+        raise TypeError(f"not an event predicate: {node!r}")
+    keys, left = _partial(below)
+    for link in reversed(spine):
+        right_keys, right = _partial(link.right)
+        if isinstance(link, Implies):
+            left = (not left) if isinstance(left, bool) else left
+        absorbing = isinstance(link, (Or, Implies))  # the value that decides the link alone
+        if left is absorbing or right is absorbing:
+            left = absorbing
+        else:
+            left = left if left == right else None
+        keys |= right_keys
+    return keys, left
 
 
 def _quiet_keys(*wanted) -> frozenset | None:
@@ -449,6 +455,11 @@ class MonitorEngine:
         self.last_tick = 0
         self._fresh = True  # events go to every monitor until one lacks "prop"
         self._closed = False
+        # Events handed out, counted once per event, not per monitor: to
+        # every monitor, and per event key beside that key's targets, which
+        # ``dispatched`` expands the counts through.
+        self._to_every = 0
+        self._routes: dict = {}  # event key -> [targets, events]
 
     def attach(self, tracer, bus) -> None:
         self.tracer = tracer
@@ -489,8 +500,15 @@ class MonitorEngine:
             # belief state alone is checked against the empty state too.
             monitors = self.index.every
             self._fresh = "prop" in event
+            self._to_every += 1
         else:
-            monitors = self.index.targets(event)
+            kind = event.get("kind")
+            key = (kind, event.get("topic")) if kind == "publish" else kind
+            route = self._routes.get(key)
+            if route is None:
+                route = self._routes[key] = [self.index.targets(event), 0]
+            route[1] += 1
+            monitors = route[0]
         for m in monitors:
             if m.verdict == VIOLATED or event.get("prop") == m.name:
                 continue  # sticky verdicts; monitors skip their own verdict events
@@ -521,6 +539,14 @@ class MonitorEngine:
                     "reason": m.reason,
                 }
             )
+
+    def dispatched(self) -> dict:
+        """Events handed to each monitor, by name."""
+        counts = dict.fromkeys((m.name for m in self.monitors), self._to_every)
+        for monitors, events in self._routes.values():
+            for m in monitors:
+                counts[m.name] += events
+        return counts
 
     def finalize(self) -> dict:
         # Close the loop first: the verdict events emitted below must not feed

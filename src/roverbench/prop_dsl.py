@@ -42,6 +42,15 @@ sub-formulas share a column.  In that order And, Or, Not and Implies are
 through byte translation tables.  An atom column is Violated except at the
 positions where the atom can hold, found from an index of event positions
 by key, so an atom is never tested at an event of another key.
+
+``compile_event_predicate`` turns a temporal-operator-free formula into one
+generated function ``fn(event, state)``, built once per distinct formula
+per process, for the online monitors.  Atoms become inline expressions with
+the semantics of ``atom_holds``, which stays the reference; the operators
+become ``not``, ``and`` and ``or``.  The property's constants reach that
+code only through its globals, so no text of a property is ever compiled.
+A chain such as ``a && b && c`` nests as deep as it is long, so everything
+that walks a formula, equality and hashing included, folds chains in a loop.
 """
 
 from __future__ import annotations
@@ -92,74 +101,135 @@ class Path:
         return ".".join(self.parts)
 
 
-@dataclass(frozen=True)
-class TopicAtom:
+class _Formula:
+    """Base of the formula nodes.  ``a && b && c`` parses to And(And(a, b), c),
+    so a formula nests as deep as a chain is long: hashing and equality read
+    it in a loop, not by recursion, and each node keeps its hash once known."""
+
+    __slots__ = ("_hash",)
+
+    def _fields(self) -> tuple:
+        # Read by name: ``vars`` would give the node a real ``__dict__``,
+        # which makes every later attribute read slower.
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __hash__(self):
+        stack = [self]
+        while not hasattr(self, "_hash"):
+            node = stack[-1]
+            below = [f for f in node._fields()
+                     if isinstance(f, _Formula) and not hasattr(f, "_hash")]
+            if below:
+                stack += below
+            else:  # every child's hash is known
+                object.__setattr__(node, "_hash", hash((type(node), *node._fields())))
+                stack.pop()
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: a hash is only good in its process.
+        return type(self), self._fields()
+
+    def _preorder(self) -> tuple:
+        """Node types and leaf values in preorder, which every node type's
+        fixed arity makes equal exactly for equal formulas."""
+        flat, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Formula):
+                flat.append(type(node))
+                stack += node._fields()
+            else:
+                flat.append(node)
+        return tuple(flat)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return hash(self) == hash(other) and self._preorder() == other._preorder()
+
+
+@dataclass(frozen=True, eq=False)
+class TopicAtom(_Formula):
     name: str
 
 
-@dataclass(frozen=True)
-class BeliefAtom:
+@dataclass(frozen=True, eq=False)
+class BeliefAtom(_Formula):
     atom: str
 
 
-@dataclass(frozen=True)
-class HoldsAtom:
+@dataclass(frozen=True, eq=False)
+class HoldsAtom(_Formula):
     atom: str
 
 
-@dataclass(frozen=True)
-class ActionAtom:
+@dataclass(frozen=True, eq=False)
+class ActionAtom(_Formula):
     pattern: str
 
 
-@dataclass(frozen=True)
-class Compare:
+@dataclass(frozen=True, eq=False)
+class Compare(_Formula):
     path: Path
     op: str
     value: object  # number | str | tuple | Path
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Formula):
     sub: object
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Formula):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Formula):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Formula):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Always:
+_CONNECTIVES = (And, Or, Implies)
+
+
+def left_spine(node) -> tuple[list, object]:
+    """The left spine of binary connectives from ``node`` down, root first,
+    and the node below it: what folds a chain in a loop."""
+    spine = []
+    while type(node) in _CONNECTIVES:
+        spine.append(node)
+        node = node.left
+    return spine, node
+
+
+@dataclass(frozen=True, eq=False)
+class Always(_Formula):
     sub: object
 
 
-@dataclass(frozen=True)
-class Never:
+@dataclass(frozen=True, eq=False)
+class Never(_Formula):
     sub: object
 
 
-@dataclass(frozen=True)
-class Eventually:
+@dataclass(frozen=True, eq=False)
+class Eventually(_Formula):
     sub: object
     bound: int | None = None
 
 
-@dataclass(frozen=True)
-class Until:
+@dataclass(frozen=True, eq=False)
+class Until(_Formula):
     left: object
     right: object
 
@@ -431,16 +501,38 @@ def parse_suite(text: str) -> dict:
 
 _PREC = {Until: 1, Implies: 2, Or: 3, And: 4}
 
+# Per binary connective: its symbol, and the least precedence its left and
+# its right side print without parentheses.
+_INFIX = {And: ("&&", 4, 5), Or: ("||", 3, 4), Implies: ("=>", 3, 2)}
+
 
 def _prec(node) -> int:
     return _PREC.get(type(node), 5)
 
 
-def to_text(node) -> str:
-    def wrap(child, minimum: int) -> str:
-        text = to_text(child)
-        return f"({text})" if _prec(child) < minimum else text
+def _wrap(child, minimum: int) -> str:
+    text = to_text(child)
+    return f"({text})" if _prec(child) < minimum else text
 
+
+def to_text(node) -> str:
+    spine, below = left_spine(node)
+    text = _node_text(below)
+    for link in reversed(spine):
+        symbol, left, right = _INFIX[type(link)]
+        if _prec(below) < left:
+            text = f"({text})"
+        text = f"{text} {symbol} {_wrap(link.right, right)}"
+        below = link
+    return text
+
+
+def _node_text(node) -> str:
+    if isinstance(node, Not):
+        bangs = 0
+        while type(node) is Not:
+            node, bangs = node.sub, bangs + 1
+        return "!" * bangs + _wrap(node, 5)
     if isinstance(node, TopicAtom):
         return f'topic("{node.name}")'
     if isinstance(node, BeliefAtom):
@@ -459,14 +551,6 @@ def to_text(node) -> str:
         else:
             value = str(node.value)
         return f"{node.path.text()} {node.op} {value}"
-    if isinstance(node, Not):
-        return f"!{wrap(node.sub, 5)}"
-    if isinstance(node, And):
-        return f"{wrap(node.left, 4)} && {wrap(node.right, 5)}"
-    if isinstance(node, Or):
-        return f"{wrap(node.left, 3)} || {wrap(node.right, 4)}"
-    if isinstance(node, Implies):
-        return f"{wrap(node.left, 3)} => {wrap(node.right, 2)}"
     if isinstance(node, Always):
         return f"always({to_text(node.sub)})"
     if isinstance(node, Never):
@@ -475,7 +559,7 @@ def to_text(node) -> str:
         window = f"[<={node.bound}]" if node.bound is not None else ""
         return f"eventually{window}({to_text(node.sub)})"
     if isinstance(node, Until):
-        return f"{wrap(node.left, 2)} until {wrap(node.right, 2)}"
+        return f"{_wrap(node.left, 2)} until {_wrap(node.right, 2)}"
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -537,24 +621,148 @@ def atom_holds(node, event: dict, state: frozenset) -> bool:
     raise TypeError(f"not an atomic predicate: {node!r}")
 
 
+# Python's parser refuses source nested about 200 parentheses deep: a
+# subformula whose source nests this deep becomes a function of its own.
+_SPLIT_DEPTH = 50
+
+# The ordering operators as source text: an operator reaches the source only
+# from this table, never from the formula.
+_ORDER_TEXT = {"<": "<", ">": ">", "<=": "<=", ">=": ">="}
+
+
+class _Codegen:
+    """Python source for one event predicate: a function per formula, plus
+    one per subformula nested past ``_SPLIT_DEPTH``.  Atoms are inline
+    expressions over ``event`` and ``state`` with the semantics of
+    ``atom_holds``; ``!``, ``&&``, ``||`` and ``=>`` are ``not``, ``and``
+    and ``or``, chains flattened.  Every constant of the formula (topic
+    names, atoms, patterns, field names, compared values) reaches the code
+    through the functions' globals under a generated name, so no text of a
+    property is ever part of the source."""
+
+    def __init__(self):
+        self.names: dict = {
+            "__builtins__": {}, "isinstance": isinstance, "dict": dict,
+            "_M": _MISSING, "_num": (int, float), "_resolve": _resolve, "_compare": _compare,
+        }
+        self.defs: list[str] = []
+
+    def const(self, value) -> str:
+        name = f"_k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def define(self, text: str) -> str:
+        name = f"_f{len(self.defs)}"
+        self.defs.append(f"def {name}(event, state):\n    return {text}\n")
+        return name
+
+    def term(self, node) -> tuple[str, int]:
+        """``node`` as one parenthesized expression, and its nesting depth."""
+        text, depth = self.expr(node)
+        if depth < _SPLIT_DEPTH:
+            return text, depth
+        return f"{self.define(text)}(event, state)", 1
+
+    def expr(self, node) -> tuple[str, int]:
+        kind = type(node)
+        if kind is Not:
+            negate = False
+            while type(node) is Not:  # every term is a bool: ``not not x`` is x
+                node, negate = node.sub, not negate
+            text, depth = self.term(node)
+            return (f"(not {text})", depth + 1) if negate else (text, depth)
+        if kind in _CONNECTIVES:
+            terms = [self.term(t) for t in _flat(node)]
+            joiner = " and " if kind is And else " or "
+            return "(" + joiner.join(t for t, _ in terms) + ")", max(d for _, d in terms) + 1
+        return self.atom(node), 1
+
+    def atom(self, node) -> str:
+        if isinstance(node, TopicAtom):
+            return (f'(event.get("kind") == "publish" '
+                    f'and event.get("topic") == {self.const(node.name)})')
+        if isinstance(node, BeliefAtom):
+            return (f'(event.get("kind") == "belief" and event.get("op") == "add" '
+                    f'and event.get("atom") == {self.const(node.atom)})')
+        if isinstance(node, HoldsAtom):
+            return f"({self.const(node.atom)} in state)"
+        if isinstance(node, ActionAtom):
+            # The field is read, as ``atom_holds`` reads it, for every pattern.
+            if node.pattern == "*":
+                test = 'event["action"] is not _M'
+            elif node.pattern.endswith("(*)"):
+                test = f'event["action"].startswith({self.const(node.pattern[:-2])})'
+            else:
+                test = f'event["action"] == {self.const(node.pattern)}'
+            return f'(event.get("kind") == "action" and {test})'
+        if isinstance(node, Compare):
+            left = self.path(node.path)
+            value = node.value
+            if isinstance(value, Path):
+                return f"_compare({self.const(node.op)}, {left}, {self.path(value)})"
+            if isinstance(value, tuple):
+                value = list(value)
+            if node.op == "==":  # a missing field (_M) equals no constant
+                return f"({left} == {self.const(value)})"
+            if node.op == "!=":
+                return f"((w := {left}) is not _M and w != {self.const(value)})"
+            order = _ORDER_TEXT.get(node.op)
+            if order is None:
+                raise TypeError(f"unknown comparison operator {node.op!r}")
+            if not isinstance(value, (int, float)):
+                return "False"
+            return f"(isinstance(w := {left}, _num) and w {order} {self.const(value)})"
+        raise ValueError(f"temporal operator {type(node).__name__} is not an event predicate")
+
+    def path(self, path: Path) -> str:
+        """An expression for the value at ``path`` in the event, or _M."""
+        parts = path.parts
+        if len(parts) == 1:
+            return f"event.get({self.const(parts[0])}, _M)"
+        if len(parts) == 2:
+            return (f"(v.get({self.const(parts[1])}, _M) "
+                    f"if isinstance(v := event.get({self.const(parts[0])}), dict) else _M)")
+        return f"_resolve(event, {self.const(path)})"
+
+
+def _flat(node) -> list:
+    """The terms of a chain of one connective, left to right: ``a && b``
+    and ``a || b`` nested in either side, and ``a => b`` as ``!a || b``."""
+    kind = And if type(node) is And else Or
+    terms, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind:
+            stack += (node.right, node.left)
+        elif kind is Or and type(node) is Implies:
+            stack += (node.right, Not(node.left))
+        else:
+            terms.append(node)
+    return terms
+
+
+def _predicate_source(node) -> tuple[str, dict, str]:
+    """The generated source of ``node``'s predicate, its globals, and the
+    name of its entry function."""
+    code = _Codegen()
+    entry = code.define(code.expr(node)[0])
+    return "\n".join(code.defs), code.names, entry
+
+
+_COMPILED: dict = {}  # formula node -> its predicate, built once per process
+
+
 def compile_event_predicate(node):
-    """Compile a temporal-operator-free formula to ``fn(event, state) -> bool``.
-    Raises ValueError if the formula contains a temporal operator."""
-    if isinstance(node, (TopicAtom, BeliefAtom, HoldsAtom, ActionAtom, Compare)):
-        return lambda event, state: atom_holds(node, event, state)
-    if isinstance(node, Not):
-        sub = compile_event_predicate(node.sub)
-        return lambda event, state: not sub(event, state)
-    if isinstance(node, And):
-        left, right = compile_event_predicate(node.left), compile_event_predicate(node.right)
-        return lambda event, state: left(event, state) and right(event, state)
-    if isinstance(node, Or):
-        left, right = compile_event_predicate(node.left), compile_event_predicate(node.right)
-        return lambda event, state: left(event, state) or right(event, state)
-    if isinstance(node, Implies):
-        left, right = compile_event_predicate(node.left), compile_event_predicate(node.right)
-        return lambda event, state: (not left(event, state)) or right(event, state)
-    raise ValueError(f"temporal operator {type(node).__name__} is not an event predicate")
+    """Compile a temporal-operator-free formula to ``fn(event, state) -> bool``,
+    one generated function, the same object for equal formulas.  Raises
+    ValueError if the formula contains a temporal operator."""
+    fn = _COMPILED.get(node)
+    if fn is None:
+        source, names, entry = _predicate_source(node)
+        exec(compile(source, "<event predicate>", "exec"), names)
+        fn = _COMPILED[node] = names[entry]
+    return fn
 
 
 def fold_belief(beliefs: set, event: dict) -> None:
@@ -594,6 +802,7 @@ _AND = _pair_table(min)
 _OR = _pair_table(max)
 _IMPLIES = _pair_table(lambda a, b: max(2 - a, b))
 _NOT = bytes((2, 1, 0)) + bytes(253)
+_TABLES = {And: _AND, Or: _OR, Implies: _IMPLIES}
 # An until decides at a position where its right side holds (2) or, failing
 # that, where its left side fails: refuted (0) if the right side is
 # Violated there, else open (1).  Any other position (3) takes the verdict
@@ -706,9 +915,12 @@ class _TraceView:
             return self._atom(node)
         if isinstance(node, Not):
             return self.column(node.sub).translate(_NOT)
-        if isinstance(node, (And, Or, Implies)):
-            table = _AND if isinstance(node, And) else _OR if isinstance(node, Or) else _IMPLIES
-            return bytearray(_pack(self.column(node.left), self.column(node.right)).translate(table))
+        if isinstance(node, _CONNECTIVES):
+            spine, below = left_spine(node)
+            out = self.column(below)
+            for link in reversed(spine):
+                out = bytearray(_pack(out, self.column(link.right)).translate(_TABLES[type(link)]))
+            return out
         if isinstance(node, Always):
             return _suffix(self.column(node.sub), ((0, 0), (1, 1)), 2)
         if isinstance(node, Never):

@@ -139,8 +139,9 @@ def header_event(config: ScenarioConfig, ticks: int | None = None) -> dict:
 def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = None,
                    monitor_engine=None) -> dict:
     """Run the mission for ``ticks`` ticks; returns a run summary.  Its
-    ``stats`` block holds the wall-clock figures and the per-topic bus
-    counters; everything outside it repeats exactly for a config."""
+    ``stats`` block holds the wall-clock figures, the per-topic bus counters
+    and the events handed to each monitor; everything outside it repeats
+    exactly for a config."""
     started = time.perf_counter()
     sink_file = open(trace_path, "w", encoding="utf-8") if trace_path is not None else None
     tracer = EventTracer(sink=sink_file)
@@ -188,6 +189,7 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
             "ticks_per_s": round(ticks / seconds, 1),
             "trace_bytes": sink_file.tell() if sink_file is not None else 0,
             "topics": {topic: dict(c) for topic, c in sorted(model.bus.counters.items())},
+            "monitor_events": monitor_engine.dispatched() if monitor_engine is not None else {},
         }
         return summary
     finally:

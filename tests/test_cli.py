@@ -145,7 +145,7 @@ class TestSimulate:
         code, doc, _ = run_cli(capsys, "simulate", "--ticks", "50", "--trace", str(trace))
         assert code == 0
         stats = doc["stats"]
-        assert set(stats) == {"seconds", "ticks_per_s", "trace_bytes", "topics"}
+        assert set(stats) == {"seconds", "ticks_per_s", "trace_bytes", "topics", "monitor_events"}
         assert stats["trace_bytes"] == trace.stat().st_size
         topics = stats["topics"]
         assert sum(c["published"] for c in topics.values()) == doc["messages_published"]

@@ -470,7 +470,14 @@ def long_decay_config():
     })
 
 
-LIVE_SCENARIOS = {**SCENARIOS, "long-decay": long_decay_config}
+def three_winds_config():
+    """Three wind draws on arrival at A: a step that follows a one-way step
+    branches three ways, so its rebuilt bundle is frozen before it steps."""
+    return make_config({"wind_choices": {"o": [0], "A": [0, 3, 7], "B": [0], "C": [0]}})
+
+
+LIVE_SCENARIOS = {**SCENARIOS, "long-decay": long_decay_config,
+                  "three-winds": three_winds_config}
 
 
 def walk_output(config, directory) -> tuple[str, dict, list]:
@@ -666,11 +673,13 @@ class TestCheckpoints:
         object depend on how the bundle was reached.  So the rebuilt
         snapshot must have the key of the state's own live bundle, frozen
         just before its first step, and every choice script must step both
-        to the same events, choice log and successor key."""
+        to the same events, choice log and successor key.  A two-way step
+        runs its second script on the rebuilt bundle, unfrozen: that step
+        must match the eager snapshot's too."""
         store = []  # the walk's pickler
         probed = []  # the last first step's state: (key, snapshot)
-        replayed = [False]  # a strict step ran since the last freeze
-        compared, problems = [], []
+        replayed = [None]  # the bundle strict steps last replayed, until checked
+        compared, problems, unfrozen = [], [], []
         step, freeze = _Bundle.step, _Snapshots.freeze
 
         def successors(snapshot: bytes) -> list:
@@ -684,16 +693,26 @@ class TestCheckpoints:
 
         def watch_step(self, script, strict=False):
             if strict:
-                replayed[0] = True
+                replayed[0] = self
             elif script is None:  # a state's first step, rebuilt or not after it
                 probed[:] = [self.canonical(), freeze(store[0], self)]
+            elif replayed[0] is self:  # the second script, on the rebuilt bundle
+                replayed[0] = None
+                key, eager = probed
+                compared.append(key)
+                unfrozen.append(key)
+                rebuilt_key = self.canonical()
+                out = (*step(self, script, strict), self.canonical())
+                if rebuilt_key != key or [out] != successors(eager)[1:]:
+                    problems.append(key)
+                return out[:2]
             return step(self, script, strict)
 
         def watch_freeze(self, bundle):
             store[:1] = [self]
             data = freeze(self, bundle)
-            if replayed[0]:
-                replayed[0] = False
+            if replayed[0] is bundle:
+                replayed[0] = None
                 key, eager = probed
                 compared.append(key)
                 if bundle.canonical() != key or successors(data) != successors(eager):
@@ -705,6 +724,7 @@ class TestCheckpoints:
         monkeypatch.setattr(explorer, "_CHECKPOINT", CHECKPOINTS[checkpoint])
         report = explore_properties(long_decay_config(), SUITE)
         assert report.complete and report.stats["rebuilt"] == len(compared) > 0
+        assert unfrozen  # the long chain has two-way steps
         assert problems == []
 
     @pytest.mark.parametrize("checkpoint", [1, 4, explorer._CHECKPOINT])

@@ -716,6 +716,28 @@ class TestIndexedDispatch:
         assert indexed.finalize() == reference.finalize()
         assert tracers[0].events == tracers[1].events
 
+    def test_dispatched_counts_each_handed_event(self):
+        """``dispatched`` counts events once per event key and expands the
+        counts through the index: each monitor's count is the number of
+        events handed to it, counted one by one here."""
+        suite = {**packaged_suite(), "no_pose": parse_formula('never(topic("/pose"))')}
+        handed: dict = {}
+
+        class Counting(MonitorEngine):
+            def observe(self, event):
+                if not self._closed:
+                    for m in self.index.every if self._fresh else self.index.targets(event):
+                        handed[m.name] = handed.get(m.name, 0) + 1
+                super().observe(event)
+
+        monitors = [m for m in (synthesizable(ast) and synthesize(n, ast)
+                                for n, ast in suite.items()) if m]
+        summary = run_simulation(make_config(), 200, None, Counting(monitors))
+        counts = summary["stats"]["monitor_events"]
+        assert summary["verdicts"]["no_pose"] == VIOLATED
+        assert counts == {m.name: handed[m.name] for m in monitors}
+        assert min(counts.values()) < max(counts.values())
+
     def test_state_only_monitor_fails_at_the_first_event(self):
         tracer = EventTracer()
         engine = build_engine(HOLDS_ARM, [{"prop": "p0"}])

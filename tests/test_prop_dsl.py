@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_semantics import evaluate_naive
-from roverbench.monitor import check_trace
+from roverbench.bus import MessageBus
+from roverbench.messages import Topology
+from roverbench.monitor import build_engine, check_trace
 from roverbench.prop_dsl import (
     ActionAtom,
     Always,
@@ -32,6 +34,7 @@ from roverbench.prop_dsl import (
     Until,
     UnknownFieldError,
     VIOLATED,
+    _predicate_source,
     atom_holds,
     belief_states,
     compile_event_predicate,
@@ -40,6 +43,7 @@ from roverbench.prop_dsl import (
     parse_suite,
     to_text,
 )
+from roverbench.tracing import EventTracer
 
 
 def packaged_suite() -> str:
@@ -490,3 +494,179 @@ class TestRandomizedAgreement:
     def test_check_trace_matches_naive(self, suite, trace):
         assert check_trace(suite, trace) == {
             name: evaluate_naive(node, trace) for name, node in suite.items()}
+
+
+# -- compiled event predicates -----------------------------------------------
+
+def tree_walk(node, event: dict, state: frozenset) -> bool:
+    """The reference for a compiled predicate: the formula walked node by
+    node, every atom through ``atom_holds``."""
+    if isinstance(node, Not):
+        return not tree_walk(node.sub, event, state)
+    if isinstance(node, And):
+        return tree_walk(node.left, event, state) and tree_walk(node.right, event, state)
+    if isinstance(node, Or):
+        return tree_walk(node.left, event, state) or tree_walk(node.right, event, state)
+    if isinstance(node, Implies):
+        return not tree_walk(node.left, event, state) or tree_walk(node.right, event, state)
+    return atom_holds(node, event, state)
+
+
+# Paths of one, two and three parts, to present, missing and non-dict fields.
+PATHS = [Path(parts) for parts in (
+    ("kind",), ("server",), ("target",), ("x",), ("missing",), ("payload", "a"),
+    ("payload", "b"), ("payload", "missing"), ("x", "a"), ("payload", "inner", "a"))]
+# Compared constants: bool against int, tuples against lists, and strings and
+# None under ordering operators.
+CONSTANTS = (0, 1, 5, 2.5, -1, True, False, None, "", "a", "b", (0, 0), (1,))
+# Field values: the constants, and lists, and nested dicts for 3-part paths.
+FIELD_VALUES = st.one_of(st.sampled_from(CONSTANTS + ([0, 0], [1], (True, False))),
+                         st.fixed_dictionaries({}, optional={"a": st.sampled_from(CONSTANTS)}))
+
+compare_atoms = st.builds(
+    Compare, st.sampled_from(PATHS), st.sampled_from(("==", "!=", "<", ">", "<=", ">=")),
+    st.one_of(st.sampled_from(CONSTANTS), st.sampled_from(PATHS)))
+event_atoms = st.one_of(
+    st.sampled_from(("/a", "/b")).map(TopicAtom),
+    st.sampled_from(("p", "q")).map(BeliefAtom),
+    st.sampled_from(("p", "q")).map(HoldsAtom),
+    st.sampled_from(("*", "go(*)", "go(A)", "stop")).map(ActionAtom),
+    compare_atoms,
+)
+event_predicates = st.recursive(event_atoms, lambda sub: st.one_of(
+    sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+    st.builds(Implies, sub, sub)), max_leaves=6)
+
+
+@st.composite
+def random_events(draw) -> dict:
+    kind = draw(st.sampled_from(("publish", "belief", "action", "goal", None)))
+    event = {"t": 0} if kind is None else {"t": 0, "kind": kind}
+    if kind == "action":  # every action event names its action
+        event["action"] = draw(st.sampled_from(("go(A)", "go(B)", "stop", "go")))
+    fields = {
+        "topic": st.sampled_from(("/a", "/b")), "op": st.sampled_from(("add", "del")),
+        "atom": st.sampled_from(("p", "q")), "server": FIELD_VALUES, "target": FIELD_VALUES,
+        "x": FIELD_VALUES,
+        "payload": st.one_of(FIELD_VALUES, st.fixed_dictionaries({}, optional={
+            "a": FIELD_VALUES, "b": FIELD_VALUES, "inner": FIELD_VALUES})),
+    }
+    for name, values in fields.items():
+        if draw(st.booleans()):
+            event[name] = draw(values)
+    return event
+
+
+class TestCompiledPredicates:
+    """``compile_event_predicate`` emits one generated function per formula:
+    it must equal the node-by-node reference everywhere, however the
+    formula's text is written and however deep it nests."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(event_predicates, random_events(), st.sets(st.sampled_from(("p", "q"))))
+    @example(parse_formula("payload.wind == 1"), {"t": 0, "payload": {"wind": True}}, set())
+    @example(parse_formula("payload.wind == [0,0]"), {"t": 0, "payload": {"wind": [0, 0]}}, set())
+    @example(parse_formula("payload.wind == [0,0]"), {"t": 0, "payload": {"wind": (0, 0)}}, set())
+    @example(parse_formula("payload.wind != 1"), {"t": 0, "payload": 5}, set())
+    @example(parse_formula("server != target"), {"t": 0, "server": (1,), "target": (1,)}, set())
+    @example(parse_formula("server != target"), {"t": 0, "server": "w"}, set())
+    @example(parse_formula('server >= "a"'), {"t": 0, "server": "b"}, set())
+    @example(parse_formula("server < 1"), {"t": 0, "server": None}, set())
+    @example(parse_formula("server < 5"), {"t": 0, "server": 2.5}, set())
+    @example(Compare(Path(("payload", "inner", "a")), "<=", 2.5),
+             {"t": 0, "payload": {"inner": {"a": 1}}}, set())
+    @example(Compare(Path(("payload", "inner", "a")), "<=", 2.5), {"t": 0, "payload": {"inner": 1}},
+             set())
+    @example(parse_formula('action("*") && !action("go(*)")'),
+             {"t": 0, "kind": "action", "action": "stop"}, set())
+    @example(parse_formula('holds("p") => belief("q")'),
+             {"t": 0, "kind": "belief", "op": "add", "atom": "q"}, {"p"})
+    def test_matches_the_tree_walk(self, node, event, state):
+        state = frozenset(state)
+        assert compile_event_predicate(node)(event, state) is tree_walk(node, event, state)
+
+    NASTY = ('say "hi"', "back\\slash", "new\nline", ") or True or (", "__import__('os')")
+
+    @pytest.mark.parametrize("text", NASTY)
+    def test_property_text_is_never_source(self, text):
+        """Strings with quotes, backslashes, newlines or Python code compile,
+        match their exact string only, and never appear in the source."""
+        quoted = '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        nodes = [parse_formula(f"{word}({quoted})") for word in ("topic", "belief", "holds", "action")]
+        nodes += [ActionAtom(text + "(*)"), parse_formula(f"payload.env == {quoted}")]
+        assert nodes[0] == TopicAtom(text)
+
+        def holding(string):
+            """Per node, an event and a state where it holds for ``string``."""
+            return [({"t": 0, "kind": "publish", "topic": string, "payload": {}}, frozenset()),
+                    ({"t": 0, "kind": "belief", "op": "add", "atom": string}, frozenset()),
+                    ({"t": 0}, frozenset([string])),
+                    ({"t": 0, "kind": "action", "action": string}, frozenset()),
+                    ({"t": 0, "kind": "action", "action": string + "(B)"}, frozenset()),
+                    ({"t": 0, "kind": "publish", "topic": "/x", "payload": {"env": string}},
+                     frozenset())]
+
+        for node, (event, state) in zip(nodes, holding(text)):
+            assert compile_event_predicate(node)(event, state) is True
+            source = _predicate_source(node)[0]
+            assert not any(nasty in source for nasty in self.NASTY)
+        for near in (text + " ", text[:-1], " " + text):
+            for node, (event, state) in zip(nodes, holding(near)):
+                assert compile_event_predicate(node)(event, state) is False
+
+    def test_equal_formulas_share_one_function(self):
+        text = 'topic("/env/sample") && payload.wind >= 5'
+        assert compile_event_predicate(parse_formula(text)) is \
+            compile_event_predicate(parse_formula(text))
+
+
+def deep_properties() -> dict:
+    """Formulas nesting far deeper than Python's recursion limit or its
+    parser's limit on nested parentheses."""
+    nested = "holds(\"a0\")"
+    for i in range(1, 80):
+        nested = f'holds("a{i % 3}") && !({nested})'
+    return {
+        "conjunction": "never(" + " && ".join(f'holds("a{i % 3}")' for i in range(3000)) + ")",
+        "disjunction": "never(" + " || ".join(f'topic("/t{i}")' for i in range(3000)) + ")",
+        "implications": "always(" + " => ".join(f'!topic("/t{i}")' for i in range(300)) + ")",
+        "negations": "never(" + "!" * 300 + 'topic("/t2999"))',
+        "odd_negations": "always(" + "!" * 301 + 'holds("a0"))',
+        "alternating": f"never({nested})",
+    }
+
+
+class TestDeepFormulas:
+    TRACES = {
+        "quiet": [{"t": 0, "kind": "header"}, {"t": 1, "kind": "publish", "topic": "/u",
+                                               "payload": {}}],
+        "busy": [{"t": 0, "kind": "belief", "op": "add", "atom": "a0"},
+                 {"t": 1, "kind": "belief", "op": "add", "atom": "a1"},
+                 {"t": 1, "kind": "belief", "op": "add", "atom": "a2"},
+                 {"t": 2, "kind": "publish", "topic": "/t2999", "payload": {}}],
+    }
+
+    @pytest.mark.parametrize("trace", sorted(TRACES))
+    @pytest.mark.parametrize("name", sorted(deep_properties()))
+    def test_online_matches_evaluate(self, name, trace):
+        suite = {name: parse_formula(deep_properties()[name])}
+        events = self.TRACES[trace]
+        engine = build_engine(suite, [{"prop": name}])
+        tracer = EventTracer()
+        engine.attach(tracer, MessageBus(Topology(), tracer))
+        for event in events:
+            tracer.emit(dict(event))
+        assert engine.finalize() == {name: evaluate(suite[name], events)}
+
+    def test_verdicts_differ_between_traces(self):
+        """The deep properties are not vacuous: the busy trace violates the
+        conjunction, the disjunction and the negations, the quiet one none."""
+        props = {n: parse_formula(t) for n, t in deep_properties().items()}
+        for name in ("conjunction", "disjunction", "negations"):
+            assert evaluate(props[name], self.TRACES["busy"]) == VIOLATED
+            assert evaluate(props[name], self.TRACES["quiet"]) == SATISFIED
+
+    def test_deep_nesting_splits_the_source(self):
+        node = parse_formula(deep_properties()["alternating"]).sub
+        assert _predicate_source(node)[0].count("def ") > 1
+        assert parse_formula(to_text(node)) == node

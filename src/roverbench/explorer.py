@@ -81,6 +81,7 @@ from .monitor import (
     Liveness,
     MonitorShapeError,
     OnlineMonitor,
+    hand_out,
     synthesize,
 )
 from .prop_dsl import (
@@ -91,7 +92,6 @@ from .prop_dsl import (
     Never,
     Not,
     Until,
-    fold_belief,
     parse_formula,
 )
 from .simulator import ALL_STAGES, SAME_ORDER, Model
@@ -218,9 +218,7 @@ class _Bundle:
         The tick's events are handed over and its explanations dropped, so a
         snapshot taken between steps carries neither."""
         sink = ChoiceSink(script, strict=strict)
-        # A root bundle's first step reaches every monitor, so a monitor
-        # keyed on the belief state alone sees the first event.
-        first = self.model.tick == 0
+        first = self.model.tick == 0  # a root's first event reaches every monitor
         self.acting = self.model.step_tick(sink)  # mask of the stages that acted
         tracer = self.model.tracer
         events, tracer.events = tracer.events, []
@@ -230,13 +228,8 @@ class _Bundle:
         self.fired = fired = set()
         state = frozenset(self.beliefs)
         for event in events:
-            if event.get("kind") == "belief":
-                fold_belief(self.beliefs, event)
-                state = frozenset(self.beliefs)
-            for name in index.every if first else index.targets(event):
-                m = monitors.get(name)
-                if m is not None:
-                    m.observe(event, state)
+            state = hand_out(index, monitors, self.beliefs, state, event, first)
+            first = False
             for tr in self.trackers.values():
                 tr.observe(event, state)
             for name, pred in self.dispatch.awaited.items():
@@ -717,7 +710,7 @@ class Explorer:
             stats={
                 # The share of successors that were known states.
                 "dedupe_hit_rate": round(1 - reached / len(edges), 4) if edges else 0.0,
-                "phase_s": {phase: round(spent, 3) for phase, spent in phase_s.items()},
+                "phase_s": {phase: round(spent, 6) for phase, spent in phase_s.items()},
                 # States per breadth-first depth: the queue holds every state
                 # in order of depth.
                 "states_per_depth": [sum(1 for _ in same)

@@ -146,13 +146,12 @@ class SafetyMonitor(OnlineMonitor):
 
     @property
     def keys(self):
-        # Over the belief state alone the verdict can flip only where this
-        # monitor may not have seen the current state yet: at a belief event;
-        # at a verdict event, which the engine emits while still handing out
-        # the event before it; or at the first event, against the empty
-        # state, which the engine and the explorer hand to every monitor.
+        # Over the belief state alone the verdict can flip only where the
+        # state is new to this monitor: at a belief event, or at the first
+        # event, against the empty state, which ``hand_out`` gives every
+        # monitor.
         if self._violates.outside == STATE_ONLY:
-            return frozenset(["belief", "verdict"])
+            return frozenset(["belief"])
         return _quiet_keys((self._violates, False))
 
     def _observe(self, event, state):
@@ -342,23 +341,54 @@ def _quiet_keys(*wanted) -> frozenset | None:
 
 
 class DispatchIndex:
-    """Event -> the entries whose keys its key can match, memoised per key.
-    ``entries`` are (item, keys) pairs, keys None for every event; each
-    looked-up list keeps entry order, so verdict events keep their order."""
+    """Event -> the entries whose keys its key can match, memoised per key
+    beside the number of events looked up under it.  ``entries`` are
+    (item, keys) pairs, keys None for every event; each looked-up list keeps
+    entry order.  The first model event of a run or root reaches every
+    entry, so a monitor keyed on the belief state alone meets the empty
+    state too."""
 
     def __init__(self, entries: list[tuple[object, frozenset | None]]):
-        self.every = [item for item, _keys in entries]
         self._entries = entries
-        self._memo: dict = {}
+        self._memo: dict = {}  # event key, () at a first event -> [targets, events]
 
-    def targets(self, event: dict) -> list:
+    def targets(self, event: dict, first: bool = False) -> list:
         kind = event.get("kind")
-        key = (kind, event.get("topic")) if kind == "publish" else kind
+        key = () if first else (kind, event.get("topic")) if kind == "publish" else kind
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = [item for item, keys in self._entries
-                                     if keys is None or key in keys or kind in keys]
-        return hit
+            hit = self._memo[key] = [[item for item, keys in self._entries if first
+                                      or keys is None or key in keys or kind in keys], 0]
+        hit[1] += 1
+        return hit[0]
+
+    def handed(self) -> dict:
+        """Events looked up for each entry, from the counts of its keys."""
+        counts = {item: 0 for item, _keys in self._entries}
+        for items, events in self._memo.values():
+            for item in items:
+                counts[item] += events
+        return counts
+
+
+def hand_out(index: DispatchIndex, monitors: dict, beliefs: set, state: frozenset,
+             event: dict, first: bool, violated=None) -> frozenset:
+    """The one loop that hands a model event to monitors, online and in the
+    explorer: fold a belief event into ``beliefs``, pick the targets of the
+    event, and let each target still undecided observe it.  ``monitors``
+    maps the index's items to monitors (an item not there is skipped);
+    ``violated(m, t)`` hears of each monitor the event makes Violated.
+    Returns the belief state after the event."""
+    if event.get("kind") == "belief":
+        fold_belief(beliefs, event)
+        state = frozenset(beliefs)
+    for item in index.targets(event, first):
+        m = monitors.get(item)
+        if m is not None and m.verdict != VIOLATED:
+            m.observe(event, state)
+            if violated is not None and m.verdict == VIOLATED:
+                violated(m, event.get("t"))
+    return state
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -439,7 +469,8 @@ def _window(name, ast, mode, kind, goal, bound, trigger=None) -> WindowMonitor:
 
 class MonitorEngine:
     """Feeds the live event stream to a set of monitors, emits verdict events
-    into the same trace, and gates bus publishes for block-mode monitors."""
+    into the same trace, and gates bus publishes for block-mode monitors.
+    Verdict events are monitor output, which no monitor observes."""
 
     def __init__(self, monitors: list[OnlineMonitor]):
         for m in monitors:
@@ -448,18 +479,13 @@ class MonitorEngine:
                     f"{m.name}: only per-event safety monitors may block "
                     "(a deadline expiry has no message to veto)")
         self.monitors = monitors
-        self.index = DispatchIndex([(m, m.keys) for m in monitors])
+        self.named = {m.name: m for m in monitors}
+        self.index = DispatchIndex([(m.name, m.keys) for m in monitors])
         self.beliefs: set[str] = set()
         self.state = frozenset()  # ``beliefs`` as of the last belief event
         self.tracer = None
         self.last_tick = 0
-        self._fresh = True  # events go to every monitor until one lacks "prop"
-        self._closed = False
-        # Events handed out, counted once per event, not per monitor: to
-        # every monitor, and per event key beside that key's targets, which
-        # ``dispatched`` expands the counts through.
-        self._to_every = 0
-        self._routes: dict = {}  # event key -> [targets, events]
+        self.first = True  # until the first model event
 
     def attach(self, tracer, bus) -> None:
         self.tracer = tracer
@@ -488,43 +514,19 @@ class MonitorEngine:
         return blocked
 
     def observe(self, event: dict) -> None:
-        if self._closed:
+        if event.get("kind") == "verdict":
             return
-        if event.get("kind") == "belief":
-            fold_belief(self.beliefs, event)
-            self.state = frozenset(self.beliefs)
-        state = self.state
-        if self._fresh:
-            # Every monitor sees the first event that none of them skips (only
-            # verdict events carry a "prop"), so a monitor keyed on the
-            # belief state alone is checked against the empty state too.
-            monitors = self.index.every
-            self._fresh = "prop" in event
-            self._to_every += 1
-        else:
-            kind = event.get("kind")
-            key = (kind, event.get("topic")) if kind == "publish" else kind
-            route = self._routes.get(key)
-            if route is None:
-                route = self._routes[key] = [self.index.targets(event), 0]
-            route[1] += 1
-            monitors = route[0]
-        for m in monitors:
-            if m.verdict == VIOLATED or event.get("prop") == m.name:
-                continue  # sticky verdicts; monitors skip their own verdict events
-            before = m.verdict
-            m.observe(event, state)
-            if m.verdict == VIOLATED and before != VIOLATED:
-                self._emit_violation(m, event.get("t", self.last_tick))
+        self.state = hand_out(self.index, self.named, self.beliefs, self.state,
+                              event, self.first, self._emit_violation)
+        self.first = False
 
     def on_tick(self, t: int) -> None:
         self.last_tick = t
         for m in self.monitors:
-            if m.verdict == VIOLATED:
-                continue
-            m.on_tick(t)
-            if m.verdict == VIOLATED:
-                self._emit_violation(m, t)
+            if m.verdict != VIOLATED:
+                m.on_tick(t)
+                if m.verdict == VIOLATED:
+                    self._emit_violation(m, t)
 
     def _emit_violation(self, m: OnlineMonitor, t: int) -> None:
         if self.tracer is not None:
@@ -540,18 +542,7 @@ class MonitorEngine:
                 }
             )
 
-    def dispatched(self) -> dict:
-        """Events handed to each monitor, by name."""
-        counts = dict.fromkeys((m.name for m in self.monitors), self._to_every)
-        for monitors, events in self._routes.values():
-            for m in monitors:
-                counts[m.name] += events
-        return counts
-
     def finalize(self) -> dict:
-        # Close the loop first: the verdict events emitted below must not feed
-        # back into monitors that are still waiting to be finalized.
-        self._closed = True
         verdicts = {}
         for m in self.monitors:
             verdicts[m.name] = m.finalize()
@@ -593,9 +584,11 @@ def build_engine(suite: dict, selection: list[dict]) -> MonitorEngine:
 def check_trace(suite: dict, events: list[dict],
                 names: list[str] | None = None) -> dict:
     """Offline verdicts via the declarative reference semantics, all picked
-    properties in one pass over the trace."""
+    properties in one pass over the trace's model events: verdict lines are
+    monitor output.  No model events leave every property Undetermined."""
     picked = names if names is not None else list(suite)
     for name in picked:
         if name not in suite:
             raise MonitorConfigError(f"unknown property {name!r}")
-    return evaluate_suite({name: suite[name] for name in picked}, events)
+    return evaluate_suite({name: suite[name] for name in picked},
+                          [event for event in events if event.get("kind") != "verdict"])

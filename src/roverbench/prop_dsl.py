@@ -284,6 +284,9 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             value = raw
         tokens.append(_Token(kind, value, line, col))
+        if kind == "string" and "\n" in raw:  # a literal may span lines
+            line += raw.count("\n")
+            line_start = m.start() + raw.rindex("\n") + 1
     tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 

@@ -189,7 +189,7 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
             "ticks_per_s": round(ticks / seconds, 1),
             "trace_bytes": sink_file.tell() if sink_file is not None else 0,
             "topics": {topic: dict(c) for topic, c in sorted(model.bus.counters.items())},
-            "monitor_events": monitor_engine.dispatched() if monitor_engine is not None else {},
+            "monitor_events": monitor_engine.index.handed() if monitor_engine is not None else {},
         }
         return summary
     finally:

@@ -324,6 +324,24 @@ class TestCheck:
         assert code == 1
         assert doc["verdicts"] == {"env_nonnegative": "Violated"}
 
+    def test_verdict_lines_are_judged_by_neither_route(self, capsys, tmp_path):
+        """``simulate`` and ``check`` of its trace agree on properties about
+        verdict events, which both routes leave out: the trace's final
+        verdict lines hold for neither."""
+        props = tmp_path / "verdicts.props"
+        props.write_text('prop no_verdicts: always(kind != "verdict")\n'
+                         'prop some_verdict: eventually[<=1000](kind == "verdict")\n')
+        monitors = write_json(tmp_path / "monitors.json", {"monitors": [
+            {"prop": "no_verdicts"}, {"prop": "some_verdict"}]})
+        trace = str(tmp_path / "t.jsonl")
+        code, online, _ = run_cli(capsys, "simulate", "--ticks", "50", "--props", str(props),
+                                  "--monitors", monitors, "--trace", trace)
+        assert code == 0
+        code, offline, _ = run_cli(capsys, "check", "--trace", trace, "--props", str(props))
+        assert code == 0
+        assert online["verdicts"] == offline["verdicts"] == {
+            "no_verdicts": "Satisfied", "some_verdict": "Undetermined"}
+
     def test_topic_of_a_deliver_event(self, capsys, tmp_path):
         """``topic`` compared as a field reaches deliver events, which the
         ``topic(...)`` atom, matching publishes only, never does."""

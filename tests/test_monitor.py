@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from naive_semantics import evaluate_naive
 from roverbench.bus import MessageBus
 from roverbench.config import make_config
 from roverbench.explorer import Explorer
@@ -489,6 +490,22 @@ class TestDualRoute:
                       and ev["prop"] == "env_nonnegative"]
         assert violations[0]["t"] == 10
 
+    @pytest.mark.parametrize("events", [[], [
+        {"t": 0, "kind": "verdict", "prop": "p0", "outcome": "final", "verdict": SATISFIED}]])
+    def test_trace_without_model_events_is_undetermined(self, events):
+        """``check`` of a trace with no model events is Undetermined for
+        every property, as the semantics say of the empty trace."""
+        suite = {**packaged_suite(), **NO_VERDICT}
+        assert check_trace(suite, events) == dict.fromkeys(suite, UNDETERMINED)
+        assert {evaluate_naive(ast, []) for ast in suite.values()} == {UNDETERMINED}
+
+    def test_online_never_judges_an_empty_stream(self):
+        """A run of no ticks still hands its monitors the header."""
+        engine = build_engine(NO_VERDICT, [{"prop": "p0"}])
+        summary = run_simulation(make_config(), 0, None, engine)
+        assert summary["stats"]["monitor_events"] == {"p0": 1}
+        assert summary["verdicts"] == {"p0": SATISFIED}
+
     def test_late_delivery_violates_on_both_routes(self, tmp_path):
         """A goal delivery stamped a tick past its one-tick window: the
         monitor must not take it as the response that ``check`` refuses."""
@@ -521,7 +538,7 @@ class TestDispatchKeys:
             "env_nonnegative": {("publish", "/env/sample")},
             "readiness_guard_arm": {"action", "belief"},
             "correct_server_routing": {"goal"},
-            "wind_posture_safety": {"belief", "verdict"},
+            "wind_posture_safety": {"belief"},
             "response_goal_result_arm": {("publish", "/arm/goal"), ("publish", "/arm/result")},
         }
 
@@ -544,7 +561,8 @@ class TestDispatchKeys:
         assert index.targets(pub(0, "/y")) == ["any publish", "every"]
         assert index.targets(bel(0, "at(A)")) == ["every", "belief"]
         assert index.targets({"t": 0}) == ["every"]
-        assert index.every == ["any publish", "/x", "every", "belief"]
+        assert index.targets(bel(0, "at(A)"), first=True) == \
+            ["any publish", "/x", "every", "belief"]
 
 
 TOPICS = ("/env/sample", "/wheels/goal")
@@ -602,6 +620,10 @@ HEADER = {"kind": "header", "format": 1}
 # An open until obligation broken by an event of no key of the monitor's.
 UNTIL_GUARD = {"p0": parse_formula(
     'always(action("*") => (kind != "header" until belief("at(o)")))')}
+# Satisfied and Undetermined on every route, though a run's trace holds
+# verdict lines.
+NO_VERDICT = {"p0": parse_formula('always(kind != "verdict")')}
+SOME_VERDICT = {"p0": parse_formula('eventually[<=1000](kind == "verdict")')}
 
 
 # Every bounded-window shape, over streams without verdict events, which a
@@ -650,21 +672,19 @@ def event_key_matches(keys, event) -> bool:
 
 
 class ReferenceEngine(MonitorEngine):
-    """The unindexed loop: every event to every monitor, with a fresh
+    """The unindexed loop: every model event to every monitor, with a fresh
     belief snapshot per event."""
 
     def observe(self, event):
-        if self._closed:
+        if event["kind"] == "verdict":
             return
         fold_belief(self.beliefs, event)
         state = frozenset(self.beliefs)
         for m in self.monitors:
-            if m.verdict == VIOLATED or event.get("prop") == m.name:
-                continue
-            before = m.verdict
-            m.observe(event, state)
-            if m.verdict == VIOLATED and before != VIOLATED:
-                self._emit_violation(m, event.get("t", self.last_tick))
+            if m.verdict != VIOLATED:
+                m.observe(event, state)
+                if m.verdict == VIOLATED:
+                    self._emit_violation(m, event["t"])
 
 
 def monitor_states(monitors, now: int) -> list:
@@ -693,7 +713,12 @@ class TestIndexedDispatch:
     @example(HOLDS_ARM, [(0, HEADER), (1, HEADER)])
     @example(HOLDS_ARM, [(0, {"kind": "verdict", "prop": "p0"}), (0, HEADER)])
     @example(UNTIL_GUARD, [(0, {"kind": "action", "action": "open_arm"}), (0, HEADER)])
+    # Verdict lines are output: no route judges them, final ones included.
+    @example(NO_VERDICT, [(0, HEADER), (1, HEADER)])
+    @example(SOME_VERDICT, [(0, HEADER), (1, HEADER)])
     def test_engine_matches_unindexed_loop(self, suite, stream):
+        """... and its final verdicts are ``check``'s over the trace it
+        emitted and the naive semantics' over that trace's model events."""
         engines, tracers = [], []
         for kind in (MonitorEngine, ReferenceEngine):
             tracer = EventTracer()
@@ -704,7 +729,10 @@ class TestIndexedDispatch:
         indexed, reference = engines
         tick = 0
         for advance, body in stream:
-            if advance:
+            # A tick starts at a model event stamped with it, as a run's
+            # tick ends after the deliveries stamped with the next tick: the
+            # clock the monitors see is one the trace shows.
+            if advance and body["kind"] != "verdict":
                 tick += advance
                 for engine in engines:
                     engine.on_tick(tick)
@@ -713,21 +741,27 @@ class TestIndexedDispatch:
             assert monitor_states(indexed.monitors, tick) == \
                 monitor_states(reference.monitors, tick)
             assert tracers[0].events == tracers[1].events
-        assert indexed.finalize() == reference.finalize()
+        verdicts = indexed.finalize()
+        assert verdicts == reference.finalize()
         assert tracers[0].events == tracers[1].events
+        model = [ev for ev in tracers[0].events if ev["kind"] != "verdict"]
+        if model:
+            assert verdicts == check_trace(suite, tracers[0].events)
+            assert verdicts == {n: evaluate_naive(ast, model) for n, ast in suite.items()}
 
     def test_dispatched_counts_each_handed_event(self):
-        """``dispatched`` counts events once per event key and expands the
-        counts through the index: each monitor's count is the number of
+        """The index counts events once per event key and expands the
+        counts through its targets: each monitor's count is the number of
         events handed to it, counted one by one here."""
         suite = {**packaged_suite(), "no_pose": parse_formula('never(topic("/pose"))')}
         handed: dict = {}
 
         class Counting(MonitorEngine):
             def observe(self, event):
-                if not self._closed:
-                    for m in self.index.every if self._fresh else self.index.targets(event):
-                        handed[m.name] = handed.get(m.name, 0) + 1
+                if event["kind"] != "verdict":
+                    for m in self.monitors:
+                        if self.first or event_key_matches(m.keys, event):
+                            handed[m.name] = handed.get(m.name, 0) + 1
                 super().observe(event)
 
         monitors = [m for m in (synthesizable(ast) and synthesize(n, ast)

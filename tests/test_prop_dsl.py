@@ -110,6 +110,11 @@ class TestParser:
         assert exc_info.value.line == 1
         assert exc_info.value.col > 1
 
+    def test_newline_inside_a_string_counts_as_a_line(self):
+        with pytest.raises(UnknownFieldError) as exc_info:
+            parse_suite('prop a: topic("x\ny")\nprop b: bogus(')
+        assert (exc_info.value.line, exc_info.value.col) == (3, 9)
+
     def test_non_payload_fields_have_no_subfields(self):
         with pytest.raises(UnknownFieldError):
             parse_formula("t.seconds == 1")

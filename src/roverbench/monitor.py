@@ -107,8 +107,7 @@ class OnlineMonitor:
         return None
 
     def observe(self, event: dict, state: frozenset) -> None:
-        if self.verdict != VIOLATED:
-            self._observe(event, state)
+        self._observe(event, state)  # ``hand_out`` skips a Violated monitor
 
     def _observe(self, event: dict, state: frozenset) -> None:
         raise NotImplementedError
@@ -342,14 +341,15 @@ def _quiet_keys(*wanted) -> frozenset | None:
 
 class DispatchIndex:
     """Event -> the entries whose keys its key can match, memoised per key
-    beside the number of events looked up under it.  ``entries`` are
-    (item, keys) pairs, keys None for every event; each looked-up list keeps
-    entry order.  The first model event of a run or root reaches every
-    entry, so a monitor keyed on the belief state alone meets the empty
-    state too."""
+    beside the number of events looked up under it when ``counted``.
+    ``entries`` are (item, keys) pairs, keys None for every event; each
+    looked-up list keeps entry order.  The first model event of a run or
+    root reaches every entry, so a monitor keyed on the belief state alone
+    meets the empty state too."""
 
-    def __init__(self, entries: list[tuple[object, frozenset | None]]):
+    def __init__(self, entries: list[tuple[object, frozenset | None]], counted: bool = False):
         self._entries = entries
+        self.counted = counted
         self._memo: dict = {}  # event key, () at a first event -> [targets, events]
 
     def targets(self, event: dict, first: bool = False) -> list:
@@ -359,7 +359,8 @@ class DispatchIndex:
         if hit is None:
             hit = self._memo[key] = [[item for item, keys in self._entries if first
                                       or keys is None or key in keys or kind in keys], 0]
-        hit[1] += 1
+        if self.counted:
+            hit[1] += 1
         return hit[0]
 
     def handed(self) -> dict:
@@ -480,11 +481,14 @@ class MonitorEngine:
                     "(a deadline expiry has no message to veto)")
         self.monitors = monitors
         self.named = {m.name: m for m in monitors}
-        self.index = DispatchIndex([(m.name, m.keys) for m in monitors])
+        self.index = DispatchIndex([(m.name, m.keys) for m in monitors], counted=True)
         self.beliefs: set[str] = set()
         self.state = frozenset()  # ``beliefs`` as of the last belief event
         self.tracer = None
         self.last_tick = 0
+        # The time of the last model event: windows expire on the clock the
+        # trace shows, so ``check`` sees the event past each missed deadline.
+        self.clock = 0
         self.first = True  # until the first model event
 
     def attach(self, tracer, bus) -> None:
@@ -500,64 +504,41 @@ class MonitorEngine:
             if m.mode == "block" and m.would_violate(event, self.state):
                 m.note_block(event)
                 blocked = True
-                self.tracer.emit(
-                    {
-                        "t": event["t"],
-                        "kind": "verdict",
-                        "prop": m.name,
-                        "outcome": "blocked",
-                        "verdict": m.verdict,
-                        "mode": m.mode,
-                        "topic": event.get("topic"),
-                    }
-                )
+                self._emit(event["t"], m, "blocked", m.verdict, topic=event.get("topic"))
         return blocked
 
     def observe(self, event: dict) -> None:
         if event.get("kind") == "verdict":
             return
+        self.clock = event["t"]
         self.state = hand_out(self.index, self.named, self.beliefs, self.state,
                               event, self.first, self._emit_violation)
         self.first = False
 
     def on_tick(self, t: int) -> None:
+        """End of tick ``t``: expire the windows due before the last model
+        event, stamping each violation ``t``."""
         self.last_tick = t
         for m in self.monitors:
             if m.verdict != VIOLATED:
-                m.on_tick(t)
+                m.on_tick(self.clock)
                 if m.verdict == VIOLATED:
                     self._emit_violation(m, t)
 
     def _emit_violation(self, m: OnlineMonitor, t: int) -> None:
+        self._emit(t, m, "violation", VIOLATED, reason=m.reason)
+
+    def _emit(self, t: int, m: OnlineMonitor, outcome: str, verdict: str, **extra) -> None:
         if self.tracer is not None:
-            self.tracer.emit(
-                {
-                    "t": t,
-                    "kind": "verdict",
-                    "prop": m.name,
-                    "outcome": "violation",
-                    "verdict": VIOLATED,
-                    "mode": m.mode,
-                    "reason": m.reason,
-                }
-            )
+            self.tracer.emit({"t": t, "kind": "verdict", "prop": m.name, "outcome": outcome,
+                              "verdict": verdict, "mode": m.mode, **extra})
 
     def finalize(self) -> dict:
+        self.on_tick(self.last_tick)  # for model events after the last tick's end
         verdicts = {}
         for m in self.monitors:
             verdicts[m.name] = m.finalize()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    {
-                        "t": self.last_tick,
-                        "kind": "verdict",
-                        "prop": m.name,
-                        "outcome": "final",
-                        "verdict": verdicts[m.name],
-                        "mode": m.mode,
-                        "blocked": m.blocked,
-                    }
-                )
+            self._emit(self.last_tick, m, "final", verdicts[m.name], blocked=m.blocked)
         return verdicts
 
 

@@ -342,6 +342,24 @@ class TestCheck:
         assert online["verdicts"] == offline["verdicts"] == {
             "no_verdicts": "Satisfied", "some_verdict": "Undetermined"}
 
+    def test_deadline_after_the_last_model_event_is_open_on_both_routes(self, capsys, tmp_path):
+        """A block-mode monitor vetoes every publish, so the last tick of the
+        run delivers nothing: the deadline passes on the tick clock but at
+        no model event, and both routes leave the window open."""
+        props = tmp_path / "silent.props"
+        props.write_text('prop no_publish: never(kind == "publish")\n'
+                         'prop arm_goal_due: eventually[<=49](topic("/arm/goal"))\n')
+        monitors = write_json(tmp_path / "monitors.json", {"monitors": [
+            {"prop": "no_publish", "mode": "block"}, {"prop": "arm_goal_due"}]})
+        trace = str(tmp_path / "t.jsonl")
+        code, online, _ = run_cli(capsys, "simulate", "--ticks", "50", "--props", str(props),
+                                  "--monitors", monitors, "--trace", trace)
+        assert code == 0
+        code, offline, _ = run_cli(capsys, "check", "--trace", trace, "--props", str(props))
+        assert code == 0
+        assert online["verdicts"] == offline["verdicts"] == {
+            "no_publish": "Satisfied", "arm_goal_due": "Undetermined"}
+
     def test_topic_of_a_deliver_event(self, capsys, tmp_path):
         """``topic`` compared as a field reaches deliver events, which the
         ``topic(...)`` atom, matching publishes only, never does."""

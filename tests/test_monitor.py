@@ -624,6 +624,7 @@ UNTIL_GUARD = {"p0": parse_formula(
 # verdict lines.
 NO_VERDICT = {"p0": parse_formula('always(kind != "verdict")')}
 SOME_VERDICT = {"p0": parse_formula('eventually[<=1000](kind == "verdict")')}
+DUE_NOW = {"p0": parse_formula('eventually[<=1](topic("/arm/goal"))')}
 
 
 # Every bounded-window shape, over streams without verdict events, which a
@@ -678,6 +679,7 @@ class ReferenceEngine(MonitorEngine):
     def observe(self, event):
         if event["kind"] == "verdict":
             return
+        self.clock = event["t"]
         fold_belief(self.beliefs, event)
         state = frozenset(self.beliefs)
         for m in self.monitors:
@@ -716,6 +718,10 @@ class TestIndexedDispatch:
     # Verdict lines are output: no route judges them, final ones included.
     @example(NO_VERDICT, [(0, HEADER), (1, HEADER)])
     @example(SOME_VERDICT, [(0, HEADER), (1, HEADER)])
+    # A window expires on the clock of the model events: not at a tick that
+    # only verdict lines show, and at the end for an event after the tick.
+    @example(DUE_NOW, [(0, HEADER), (2, {"kind": "verdict", "prop": "p0"})])
+    @example(DUE_NOW, [(0, HEADER), (2, HEADER)])
     def test_engine_matches_unindexed_loop(self, suite, stream):
         """... and its final verdicts are ``check``'s over the trace it
         emitted and the naive semantics' over that trace's model events."""
@@ -729,10 +735,7 @@ class TestIndexedDispatch:
         indexed, reference = engines
         tick = 0
         for advance, body in stream:
-            # A tick starts at a model event stamped with it, as a run's
-            # tick ends after the deliveries stamped with the next tick: the
-            # clock the monitors see is one the trace shows.
-            if advance and body["kind"] != "verdict":
+            if advance:
                 tick += advance
                 for engine in engines:
                     engine.on_tick(tick)
@@ -793,7 +796,8 @@ class TestIndexedDispatch:
                 fold_belief(beliefs, event)
                 state = frozenset(beliefs)
                 for m in reference:
-                    m.observe(event, state)
+                    if m.verdict != VIOLATED:
+                        m.observe(event, state)
             now = bundle.model.tick
             for m in reference:
                 m.on_tick(now)

@@ -11,14 +11,11 @@ environment and fault choice.
 
 from __future__ import annotations
 
-from .config import ConfigError, ScenarioConfig, load_config, make_config
+from .config import ConfigError, ScenarioConfig, make_config
 from .explorer import (
     ExplorationError,
     ReplayDivergenceError,
     StateSpaceBudgetExceeded,
-    check_invariant,
-    check_response,
-    check_sequence,
     explore_properties,
     replay_counterexample,
 )
@@ -39,14 +36,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
-    "load_config",
     "make_config",
     "ExplorationError",
     "ReplayDivergenceError",
     "StateSpaceBudgetExceeded",
-    "check_invariant",
-    "check_response",
-    "check_sequence",
     "explore_properties",
     "replay_counterexample",
     "MonitorEngine",

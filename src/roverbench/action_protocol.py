@@ -1,10 +1,9 @@
-"""Goal/cancel/feedback/result protocol between effector clients and servers.
+"""Goal/feedback/result protocol between effector clients and servers.
 
 Both endpoints are plain state machines stepped by the simulator; they talk
 only through bus topics.  Lifecycle: a goal is Pending when submitted, Active
 once the server takes it up, and ends Succeeded, Canceled or Aborted exactly
-once.  A new goal preempts a running one (the old goal resolves Canceled); a
-cancel for an already-terminal goal is acknowledged as a no-op.
+once.  A new goal preempts a running one, which resolves Canceled.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class ProtocolError(Exception):
 
 class NotReadyError(ProtocolError):
     """Goal submitted before the server announced readiness: a startup-ordering bug."""
-
-
-class UnknownGoalError(ProtocolError):
-    pass
 
 
 class IllegalTransitionError(ProtocolError):
@@ -83,8 +78,9 @@ class GoalRecord:
 
 def unfinished_goals(endpoint) -> dict:
     """An endpoint's goal records without the finished ones.  No state key
-    holds a finished goal, and no step of the model reads one again, since
-    the model never cancels a goal."""
+    holds a finished goal, and no step of the model reads one again: each
+    goal is resolved once, and a client ignores feedback on a finished goal
+    as on an unknown one."""
     return {gid: r for gid, r in endpoint.records.items() if not r.terminal}
 
 
@@ -96,7 +92,7 @@ def _without_finished_goals(endpoint) -> dict:
 
 
 class ClientEndpoint:
-    """Client half: submits goals, requests cancels, mirrors server progress."""
+    """Client half: submits goals and mirrors server progress."""
 
     def __init__(self, effector: str):
         self.effector = effector
@@ -116,16 +112,6 @@ class ClientEndpoint:
         )
         bus.publish(self.node, f"/{self.effector}/goal", {"goal_id": goal_id, **request})
         return goal_id
-
-    def cancel(self, bus: MessageBus, goal_id: str) -> str:
-        record = self.records.get(goal_id)
-        if record is None:
-            raise UnknownGoalError(goal_id)
-        if record.terminal:
-            log.info("cancel of %s ignored: already %s", goal_id, record.status)
-            return "already_resolved"
-        bus.publish(self.node, f"/{self.effector}/cancel", {"goal_id": goal_id})
-        return "requested"
 
     def on_message(self, msg: Message) -> list[tuple[str, str]]:
         """Consume one delivered message; return [(goal_id, terminal_status)] news."""
@@ -153,9 +139,6 @@ class ClientEndpoint:
             return [(record.goal_id, status)]
         return []
 
-    def live_records(self) -> list[GoalRecord]:
-        return [r for r in self.records.values() if not r.terminal]
-
     __getstate__ = _without_finished_goals
 
     def to_state(self) -> dict:
@@ -163,7 +146,7 @@ class ClientEndpoint:
             "ready": self.server_ready,
             "live": [
                 {"goal_id": r.goal_id, "status": r.status, "progress": r.progress}
-                for r in sorted(self.live_records(), key=lambda r: r.goal_id)
+                for r in sorted(unfinished_goals(self).values(), key=lambda r: r.goal_id)
             ],
         }
 
@@ -223,30 +206,18 @@ class ServerBase:
         self._execute(t, bus, sink)
 
     def _receive(self, msg: Message, t: int, bus: MessageBus) -> None:
-        if msg.topic.endswith("/goal"):
-            # The topic names the server the goal was meant for; accept events
-            # record it so monitors can spot traffic landing on the wrong node.
-            intended = server_node(msg.topic.split("/")[1])
-            payload = dict(msg.payload)
-            goal_id = payload.pop("goal_id")
-            record = GoalRecord(
-                goal_id=goal_id, target=intended, request=payload,
-                submitted_tick=msg.tick,
-            )
-            self.records[goal_id] = record
-            self._accept(record, t, bus)
-        elif msg.topic.endswith("/cancel"):
-            goal_id = msg.payload["goal_id"]
-            record = self.records.get(goal_id)
-            if record is None:
-                log.info("%s: cancel for unknown goal %s ignored", self.node, goal_id)
-                return
-            if record.terminal:
-                log.info("%s: cancel of %s ignored: already %s",
-                         self.node, goal_id, record.status)
-                self._trace_goal(t, "cancel_ignored", record)
-                return
-            self._resolve(record, CANCELED, t, bus)
+        # A server subscribes to goals only.  The topic names the server the
+        # goal was meant for; accept events record it so monitors can spot
+        # traffic landing on the wrong node.
+        intended = server_node(msg.topic.split("/")[1])
+        payload = dict(msg.payload)
+        goal_id = payload.pop("goal_id")
+        record = GoalRecord(
+            goal_id=goal_id, target=intended, request=payload,
+            submitted_tick=msg.tick,
+        )
+        self.records[goal_id] = record
+        self._accept(record, t, bus)
 
     def _accept(self, record: GoalRecord, t: int, bus: MessageBus) -> None:
         if self.active is not None and not self.active.terminal:
@@ -308,9 +279,6 @@ class ServerBase:
 
     # -- exploration support -------------------------------------------------
 
-    def live_records(self) -> list[GoalRecord]:
-        return [r for r in self.records.values() if not r.terminal]
-
     __getstate__ = _without_finished_goals
 
     def base_state(self) -> dict:
@@ -324,7 +292,7 @@ class ServerBase:
                     "request": r.request,
                     "active": r is self.active,
                 }
-                for r in sorted(self.live_records(), key=lambda r: r.goal_id)
+                for r in sorted(unfinished_goals(self).values(), key=lambda r: r.goal_id)
             ],
         }
         if self.active is not None and not self.active.terminal:

@@ -1,4 +1,4 @@
-"""Scenario configuration: schema, defaults, validation, loading.
+"""Scenario configuration: schema, defaults, merging, validation.
 
 A scenario file is JSON; user files are merged over the shipped defaults and
 the merged result is validated against a published JSON schema.  Unknown keys
@@ -8,7 +8,6 @@ are rejected rather than ignored so typos fail loudly before a run starts.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -238,17 +237,3 @@ def make_config(overrides: dict[str, Any] | None = None) -> ScenarioConfig:
     validate_config(raw)
     return ScenarioConfig(raw)
 
-
-def load_config(path: str | None) -> ScenarioConfig:
-    if path is None:
-        return make_config()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must contain a JSON object")
-    return make_config(data)

@@ -4,8 +4,9 @@ The wheels server executes direction goals (timed runs at a commanded speed)
 and waypoint goals (grid moves along Manhattan paths, one cell per tick).
 Every wheels resolution is preceded by an all-zero telemetry frame: the drive
 always stops before reporting.  The posture servers move their joints linearly
-between the closed and open poses over a configured number of ticks; a cancel
-freezes the joints wherever they are and a later goal resumes from there.
+between the closed and open poses over a configured number of ticks; a
+preempted goal leaves the joints wherever they are and the next goal resumes
+from there.
 """
 
 from __future__ import annotations

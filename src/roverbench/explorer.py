@@ -84,16 +84,7 @@ from .monitor import (
     hand_out,
     synthesize,
 )
-from .prop_dsl import (
-    SATISFIED,
-    UNDETERMINED,
-    VIOLATED,
-    And,
-    Never,
-    Not,
-    Until,
-    parse_formula,
-)
+from .prop_dsl import SATISFIED, UNDETERMINED, VIOLATED
 from .simulator import ALL_STAGES, SAME_ORDER, Model
 from .tracing import EventTracer, json_encoder
 
@@ -160,7 +151,7 @@ class ChoiceSink:
                 raise ReplayDivergenceError(
                     f"choice point {position} is {list(key)}/{len(options)} options, "
                     f"recorded as {want_key}/{want_count}")
-            if pick >= len(options):
+            if not 0 <= pick < len(options):
                 raise ReplayDivergenceError(
                     f"choice point {position} offers {len(options)} options, "
                     f"recorded pick was {pick}")
@@ -172,9 +163,6 @@ class ChoiceSink:
             pick = 0
         self.log.append([list(key), len(options), pick])
         return options[pick]
-
-    def finished(self) -> bool:
-        return self.index == len(self.script)
 
 
 def _variants(signature: list[list]) -> list[list[list]]:
@@ -406,8 +394,9 @@ class ExplorationReport:
     transitions: int
     verdicts: dict
     counterexamples: dict
-    complete: bool
     seconds: float
+    # Only a finished walk builds a report: one that runs out of budget raises.
+    complete: bool = True
     schedule_invariant: bool | None = None
     stats: dict = field(default_factory=dict)  # dedupe, phases, BFS shape
 
@@ -502,15 +491,11 @@ class Explorer:
 
     # -- main walk -----------------------------------------------------------
 
-    def explore(self, invariant=None) -> ExplorationReport:
+    def explore(self) -> ExplorationReport:
         """Breadth-first walk over every reachable state.  States are keyed by
         ``canonical()``.  A state's first successor is stepped on its live
         bundle, if it kept one, and every other one is restored from its
-        snapshot, rebuilt by replay if the state was not frozen when added.
-        ``invariant(model) -> bool``, if given, is checked on every new
-        state: the walk stops at the first state where it is false, reporting
-        that state's trail as the ``invariant`` counterexample of an
-        incomplete report."""
+        snapshot, rebuilt by replay if the state was not frozen when added."""
         started = time.monotonic()
         states: dict[bytes, _Node] = {}
         edges: list[_Edge] = []
@@ -546,9 +531,9 @@ class Explorer:
                       f"frontier {len(queue) - head}, "
                       f"{len(edges) / elapsed:.0f} transitions/s", file=sys.stderr)
 
-        def add_state(bundle: _Bundle, key: bytes, node: _Node, branched: bool) -> bool:
+        def add_state(bundle: _Bundle, key: bytes, node: _Node, branched: bool) -> None:
             """Store a new state, made by a step that offered more than one
-            choice script if ``branched``; False if it breaks the invariant."""
+            choice script if ``branched``."""
             nonlocal live, frozen
             states[key] = node
             queue.append(node)
@@ -567,16 +552,10 @@ class Explorer:
                 if checkpoint:
                     held.append(node)
             node.open = frozenset(n for n, t in bundle.trackers.items() if t.open)
-            if invariant is not None and not invariant(bundle.model):
-                ce = self._trail(states, key, "safety", "invariant predicate is false")
-                ce.prop = "invariant"
-                counterexamples["invariant"] = ce
-                return False
             if keep:
                 bundle.drop_finished_goals()
                 node.bundle = bundle
                 live += 1
-            return True
 
         def rebuild(node: _Node) -> _Bundle:
             """The pre-step bundle of a state that kept only its live bundle:
@@ -597,29 +576,25 @@ class Explorer:
             rebuilt += 1
             return bundle
 
-        def visit(source: _Node, succ: _Bundle, picks: list, branched: bool) -> bool:
-            """Key one successor, record its edge and store it if it is new;
-            False if it breaks the invariant."""
+        def visit(source: _Node, succ: _Bundle, picks: list, branched: bool) -> None:
+            """Key one successor, record its edge and store it if it is new."""
             key = timed("key", succ.canonical)
             known = states.get(key)
             # Edges share the stored key and the one empty label set: on a
             # walk of mostly duplicates, copies of either would fill memory.
             edges.append(_Edge(source.key, key if known is None else known.key, picks,
                                succ.fired or frozenset()))
-            if known is None and not add_state(
-                    succ, key, _Node(key, source.key, picks, source.depth + 1), branched):
-                return False
+            if known is None:
+                add_state(succ, key, _Node(key, source.key, picks, source.depth + 1), branched)
             check_budget()
-            return True
 
-        def walk() -> bool:
+        def walk() -> None:
             nonlocal head, live, frontier_max, unstepped, frozen
             for bundle, init_log in self._roots():
                 key = timed("key", bundle.canonical)
                 if key in states:
                     continue
-                if not add_state(bundle, key, _Node(key, None, init_log, 0), True):
-                    return False
+                add_state(bundle, key, _Node(key, None, init_log, 0), True)
                 check_budget()
 
             while head < len(queue):
@@ -677,25 +652,22 @@ class Explorer:
                         else:
                             branch, replayed = replayed, None
                         picks = timed("step", branch.step, script)[1]
-                    if not visit(node, branch, picks, branched):
-                        return False
+                    visit(node, branch, picks, branched)
                     if at >= 0 and picks[at] == signature[at]:
                         masks[n] = branch.acting
-            return True
 
         with _Snapshots() as snapshots:
-            complete = walk()
+            walk()
         for node in held:  # the last checkpoints, which no head passed
             node.snapshot = None
         elapsed = time.monotonic() - started
 
-        if complete:
-            # Monitored properties that never violated anywhere: on an
-            # exhaustive finite graph every infinite run keeps satisfying them.
-            for name in self.monitored:
-                if verdicts[name] == UNDETERMINED:
-                    verdicts[name] = SATISFIED
-            timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples)
+        # Monitored properties that never violated anywhere: on an exhaustive
+        # finite graph every infinite run keeps satisfying them.
+        for name in self.monitored:
+            if verdicts[name] == UNDETERMINED:
+                verdicts[name] = SATISFIED
+        timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples)
 
         reached = sum(node.parent is not None for node in states.values())  # not as roots
         return ExplorationReport(
@@ -703,10 +675,9 @@ class Explorer:
             transitions=len(edges),
             verdicts=verdicts,
             counterexamples=counterexamples,
-            complete=complete,
             seconds=elapsed,
-            schedule_invariant=(self._schedule_invariant(edges) if complete
-                                and self.config.schedule_sensitivity else None),
+            schedule_invariant=(self._schedule_invariant(edges)
+                                if self.config.schedule_sensitivity else None),
             stats={
                 # The share of successors that were known states.
                 "dedupe_hit_rate": round(1 - reached / len(edges), 4) if edges else 0.0,
@@ -851,63 +822,6 @@ def explore_properties(config: ScenarioConfig, suite: dict,
     return Explorer(config, suite, names, budget_states, budget_secs).explore()
 
 
-def check_invariant(config: ScenarioConfig, predicate,
-                    budget_states: int = DEFAULT_BUDGET_STATES,
-                    budget_secs: float = DEFAULT_BUDGET_SECS):
-    """BFS over all reachable states; ``predicate(model) -> bool`` must hold
-    in every one.  Returns (True, report) or (False, counterexample)."""
-    report = Explorer(config, suite={}, names=[], budget_states=budget_states,
-                      budget_secs=budget_secs).explore(invariant=predicate)
-    ce = report.counterexamples.get("invariant")
-    return (False, ce) if ce else (True, {"states": report.states})
-
-
-def check_response(config: ScenarioConfig, trigger: str, goal: str,
-                   bound: int | None = None,
-                   budget_states: int = DEFAULT_BUDGET_STATES,
-                   budget_secs: float = DEFAULT_BUDGET_SECS) -> ExplorationReport:
-    """Explore ``always(trigger => eventually[<=bound](goal))`` for event
-    predicates given as property-language text."""
-    window = f"[<={bound}]" if bound is not None else ""
-    formula = parse_formula(f"always(({trigger}) => eventually{window}(({goal})))")
-    return explore_properties(config, {"response": formula},
-                              budget_states=budget_states, budget_secs=budget_secs)
-
-
-def _sequence_suite(steps: list, forbidden: list) -> dict:
-    """A sequence as formulas over event predicates: ``never(f)`` for each
-    forbidden ``f``, and ``!s until (r && !s)`` for each step ``s`` and the
-    step ``r`` before it.  The later step may occur only after an event of
-    the earlier one that is not also its own, so the first occurrences come
-    in order and an event matching two steps at once breaks the order."""
-    suite = {f"forbidden #{i}": Never(pred) for i, pred in enumerate(forbidden)}
-    for i in range(1, len(steps)):
-        later = Not(steps[i])
-        suite[f"step {i} after step {i - 1}"] = Until(later, And(steps[i - 1], later))
-    return suite
-
-
-def check_sequence(config: ScenarioConfig, steps: list[str],
-                   forbidden: list[str] | None = None,
-                   budget_states: int = DEFAULT_BUDGET_STATES,
-                   budget_secs: float = DEFAULT_BUDGET_SECS) -> ExplorationReport:
-    """Explore requiring the first occurrences of ``steps`` (property-language
-    event predicates) to appear in the given order on every path, and no event
-    to match a ``forbidden`` predicate.  The one ``sequence`` verdict is the
-    conjunction of ``_sequence_suite``; its counterexample is the first the
-    walk found, and its reason names the part it broke."""
-    suite = _sequence_suite([parse_formula(s) for s in steps],
-                            [parse_formula(f) for f in forbidden or []])
-    report = explore_properties(config, suite,
-                                budget_states=budget_states, budget_secs=budget_secs)
-    report.verdicts = {"sequence": VIOLATED if report.counterexamples else SATISFIED}
-    if report.counterexamples:
-        part, ce = next(iter(report.counterexamples.items()))
-        ce.prop, ce.reason = "sequence", f"{part}: {ce.reason}"
-        report.counterexamples = {"sequence": ce}
-    return report
-
-
 # -- counterexample replay ---------------------------------------------------
 
 def write_counterexample(ce: Counterexample, path: str) -> None:
@@ -916,12 +830,31 @@ def write_counterexample(ce: Counterexample, path: str) -> None:
         fh.write("\n")
 
 
+def _is_choice(entry) -> bool:
+    """A recorded choice: [key parts, option count, pick below the count]."""
+    return (isinstance(entry, list) and len(entry) == 3
+            and isinstance(entry[0], list) and all(isinstance(p, str) for p in entry[0])
+            and type(entry[1]) is int and type(entry[2]) is int  # bool is no count
+            and 0 <= entry[2] < entry[1])
+
+
 def load_counterexample(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     for field_name in ("config", "init", "ticks", "prop", "kind"):
         if field_name not in data:
             raise ExplorationError(f"counterexample file lacks {field_name!r}")
+    init, ticks = data["init"], data["ticks"]
+    if not (isinstance(init, list) and isinstance(ticks, list)
+            and all(isinstance(script, list) for script in ticks)):
+        raise ExplorationError("counterexample init and ticks must be lists of choices")
+    for where, script in [("init", init), *((f"tick {i}", s) for i, s in enumerate(ticks))]:
+        for entry in script:
+            if not _is_choice(entry):
+                raise ExplorationError(f"malformed choice {entry!r} in {where}")
+    loop_from = data.get("loop_from")
+    if "loop_from" in data and not (type(loop_from) is int and 0 <= loop_from <= len(ticks)):
+        raise ExplorationError(f"loop_from {loop_from!r} is not a tick in 0..{len(ticks)}")
     return data
 
 

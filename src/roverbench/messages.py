@@ -30,7 +30,6 @@ def server_node(effector: str) -> str:
 
 class PayloadKind(Enum):
     GOAL = "goal"
-    CANCEL = "cancel"
     FEEDBACK = "feedback"
     RESULT = "result"
     PERCEPTION = "perception"
@@ -61,7 +60,6 @@ def _effector_topics(effector: str) -> list[TopicSpec]:
     c, s = client_node(effector), server_node(effector)
     return [
         TopicSpec(f"/{effector}/goal", PayloadKind.GOAL, c, (s,)),
-        TopicSpec(f"/{effector}/cancel", PayloadKind.CANCEL, c, (s,)),
         TopicSpec(f"/{effector}/feedback", PayloadKind.FEEDBACK, s, (c,)),
         TopicSpec(f"/{effector}/result", PayloadKind.RESULT, s, (c, NODE_ENV_INTERFACE)),
         TopicSpec(f"/ready/{effector}", PayloadKind.READY, s, (c, NODE_ENV_INTERFACE)),
@@ -121,7 +119,6 @@ class PayloadShapeError(ValueError):
 _POSTURE_GOAL = frozenset({"goal_id", "cmd"})
 _DIRECTION_GOAL = frozenset({"goal_id", "kind", "dir", "speed", "distance"})
 _WAYPOINT_GOAL = frozenset({"goal_id", "kind", "wp"})
-_CANCEL = frozenset({"goal_id"})
 _FEEDBACK = frozenset({"goal_id", "progress"})
 _RESULT = frozenset({"goal_id", "status"})
 _READY = frozenset({"module", "ready"})
@@ -153,8 +150,6 @@ def validate_payload(spec: TopicSpec, payload: dict) -> None:
             _require(payload, _WAYPOINT_GOAL, kind)
         else:
             raise PayloadShapeError(f"unrecognized goal payload {sorted(payload)}")
-    elif kind is PayloadKind.CANCEL:
-        _require(payload, _CANCEL, kind)
     elif kind is PayloadKind.FEEDBACK:
         _require(payload, _FEEDBACK, kind)
     elif kind is PayloadKind.RESULT:

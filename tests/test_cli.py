@@ -12,6 +12,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from roverbench import cli, explorer
 from roverbench.cli import main
 
@@ -454,6 +456,26 @@ class TestReplay:
         code, _, err = run_cli(capsys, "replay", str(path))
         assert code == 2
         assert "lacks" in err
+
+    @pytest.mark.parametrize("field, value", [
+        *((("ticks", 9, 0, 2), pick) for pick in (-1, -3, "0", 1.0)),
+        (("init", 0, 1), True),  # a bool is no option count
+        (("loop_from",), 11),
+    ], ids=["pick-1", "pick-3", "pick-str", "pick-float", "count-bool", "loop-past-end"])
+    def test_malformed_choice_is_bad_input(self, capsys, tmp_path, field, value):
+        """A pick outside its options, or not an int, is never replayed: the
+        tick-9 wind pick of -1 once reproduced as the last option."""
+        path = self.counterexample(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        *inner, last = field
+        target = data
+        for part in inner:
+            target = target[part]
+        target[last] = value
+        path.write_text(json.dumps(data))
+        code, doc, err = run_cli(capsys, "replay", str(path))
+        assert (code, doc) == (2, None)
+        assert err.startswith("error:")
 
     def test_kind_not_fitting_the_property(self, capsys, tmp_path):
         """A safety record of a liveness property is bad input, not a crash."""

@@ -30,7 +30,6 @@ def make_rig(effector: str, config_overrides: dict | None = None, **server_kwarg
     else:
         server = PostureServer(effector, config, tracer, **server_kwargs)
     bus.subscribe(server.node, f"/{effector}/goal")
-    bus.subscribe(server.node, f"/{effector}/cancel")
     for topic in (f"/{effector}/feedback", f"/{effector}/result", f"/ready/{effector}"):
         bus.subscribe(client.node, topic)
     return bus, client, server, tracer

@@ -23,19 +23,19 @@ from roverbench.explorer import (
     Explorer,
     ReplayDivergenceError,
     StateSpaceBudgetExceeded,
-    check_invariant,
-    check_response,
-    check_sequence,
     explore_properties,
     load_counterexample,
     replay_counterexample,
     _Edge,
-    _sequence_suite,
     write_counterexample,
 )
 from roverbench.monitor import OnlineMonitor, synthesize
 from roverbench.prop_dsl import (
     VIOLATED,
+    And,
+    Never,
+    Not,
+    Until,
     compile_event_predicate,
     fold_belief,
     parse_formula,
@@ -319,7 +319,6 @@ def lasso_digest(ce, path, suite=SUITE) -> str:
 EVENTUALLY_B = parse_formula('eventually(belief("at(B)"))')
 RESPONSE_A_B = parse_formula(
     'always(action("move_to_waypoint(A)") => eventually(belief("at(B)")))')
-# The formula ``check_response`` builds from its trigger and goal text.
 RESPONSE_A_A = parse_formula(
     'always((action("move_to_waypoint(A)")) => eventually((belief("at(A)"))))')
 
@@ -351,9 +350,8 @@ class TestLivenessShapes:
             "aa03ddc094491502e9deb3af02cb6976f9065d383fe07854a1fd1a8661a46fd7"
 
     def test_check_response_under_wheel_faults(self, tmp_path):
-        report = check_response(
-            make_config({"fault_exploration": {"wheels": True}}),
-            'action("move_to_waypoint(A)")', 'belief("at(A)")')
+        report = explore_properties(make_config({"fault_exploration": {"wheels": True}}),
+                                    {"response": RESPONSE_A_A})
         assert (report.states, report.transitions) == (250, 284)
         assert report.verdicts == {"response": "Violated"}
         ce = report.counterexamples["response"]
@@ -370,8 +368,7 @@ class TestLivenessShapes:
                                    "response_A_B": "Satisfied",
                                    "revisits_B": "Satisfied"}
         assert report.counterexamples == {}
-        report = check_response(make_config(), 'action("move_to_waypoint(A)")',
-                                'belief("at(A)")')
+        report = explore_properties(make_config(), {"response": RESPONSE_A_A})
         assert report.verdicts == {"response": "Satisfied"}
 
 
@@ -524,6 +521,15 @@ class TestReplay:
                            match="did not reproduce"):
             replay_counterexample(data, SUITE)
 
+    def test_negative_pick_diverges(self):
+        """A record handed to ``replay_counterexample`` without
+        ``load_counterexample``'s checks cannot pick from the end."""
+        ce = self.safety_counterexample()
+        data = json.loads(json.dumps(ce.to_json()))
+        data["ticks"][9][0][2] = -1
+        with pytest.raises(ReplayDivergenceError, match="recorded pick was -1"):
+            replay_counterexample(data, SUITE)
+
     def test_missing_field_rejected(self, tmp_path):
         ce = self.safety_counterexample()
         path = tmp_path / "ce.json"
@@ -553,70 +559,86 @@ class TestReplay:
             replay_counterexample(data, SUITE)
 
 
-# -- programmatic checkers ---------------------------------------------------
+# -- checks written as suites ------------------------------------------------
+
+
+def response(bound: int) -> dict:
+    """``always(T => eventually[<=bound](G))`` from A's move to arrival at A."""
+    return {"response": parse_formula(
+        f'always((action("move_to_waypoint(A)")) => eventually[<={bound}]((belief("at(A)"))))')}
+
+
+def sequence_suite(steps: list, forbidden: list) -> dict:
+    """A sequence as formulas over event predicates: ``never(f)`` for each
+    forbidden ``f``, and ``!s until (r && !s)`` for each step ``s`` and the
+    step ``r`` before it.  The later step may occur only after an event of
+    the earlier one that is not also its own, so the first occurrences come
+    in order and an event matching two steps at once breaks the order."""
+    suite = {f"forbidden #{i}": Never(pred) for i, pred in enumerate(forbidden)}
+    for i in range(1, len(steps)):
+        later = Not(steps[i])
+        suite[f"step {i} after step {i - 1}"] = Until(later, And(steps[i - 1], later))
+    return suite
 
 
 class TestCheckers:
-    """The invariant/response/sequence helpers wrap the explorer for
-    assertions written in Python or property-language text."""
+    """Invariants, bounded responses and sequences are property-language
+    suites handed to ``explore_properties``."""
 
     def test_invariant_holds(self):
-        ok, info = check_invariant(
-            make_config(), lambda m: abs(m.servers["wheels"].pose[1]) <= 8)
-        assert ok is True
-        assert info == {"states": 133}
+        report = explore_properties(make_config(), {"invariant": parse_formula(
+            'never(topic("/pose") && (payload.y > 8 || payload.y < -8))')})
+        assert report.verdicts == {"invariant": "Satisfied"}
+        assert report.states == 133
 
     def test_invariant_fails_with_trail(self):
-        ok, ce = check_invariant(
-            make_config(), lambda m: m.servers["wheels"].pose != (6, 0))
-        assert ok is False
+        report = explore_properties(make_config(), {"invariant": parse_formula(
+            'never(topic("/pose") && payload.x == 6 && payload.y == 0)')})
+        assert report.verdicts == {"invariant": "Violated"}
+        assert report.states == 133
+        ce = report.counterexamples["invariant"]
         assert ce.kind == "safety"
         assert ce.prop == "invariant"
         assert len(ce.ticks) == 9
 
     def test_response_within_bound(self):
-        report = check_response(make_config(),
-                                'action("move_to_waypoint(A)")',
-                                'belief("at(A)")', bound=16)
+        report = explore_properties(make_config(), response(16))
         assert report.verdicts == {"response": "Satisfied"}
         assert report.states == 133
 
     def test_response_bound_too_tight(self):
-        report = check_response(make_config(),
-                                'action("move_to_waypoint(A)")',
-                                'belief("at(A)")', bound=3)
+        report = explore_properties(make_config(), response(3))
         assert report.verdicts == {"response": "Violated"}
         ce = report.counterexamples["response"]
         assert ce.kind == "deadline"
         assert len(ce.ticks) == 6
 
     def test_sequence_in_order(self):
-        report = check_sequence(
-            make_config(),
-            ['belief("at(A)")', 'belief("at(C)")'],
-            forbidden=['topic("/env/sample") && payload.radiation > 50'])
-        assert report.verdicts == {"sequence": "Satisfied"}
+        suite = sequence_suite(
+            [parse_formula('belief("at(A)")'), parse_formula('belief("at(C)")')],
+            [parse_formula('topic("/env/sample") && payload.radiation > 50')])
+        report = explore_properties(make_config(), suite)
+        assert report.verdicts == {"forbidden #0": "Satisfied",
+                                   "step 1 after step 0": "Satisfied"}
         assert report.states == 133
 
     def test_sequence_out_of_order(self, tmp_path):
-        report = check_sequence(make_config(),
-                                ['belief("at(C)")', 'belief("at(A)")'])
+        part = parse_formula('!belief("at(A)") until (belief("at(C)") && !belief("at(A)"))')
+        report = explore_properties(make_config(), {"sequence": part})
         assert report.verdicts == {"sequence": "Violated"}
         ce = report.counterexamples["sequence"]
         # A is reached at t=10, under the first wind pick on arrival.
         assert ce.init == [[["radiation0", wp], 1, 0] for wp in "oABC"]
         assert ce.ticks == [[]] * 9 + [[[["wind", "A"], 2, 0]], []]
-        assert ce.reason.startswith("step 1 after step 0:")
         path = tmp_path / "sequence.json"
         write_counterexample(ce, str(path))
-        part = parse_formula('!belief("at(A)") until (belief("at(C)") && !belief("at(A)"))')
         outcome = replay_counterexample(load_counterexample(str(path)), {"sequence": part})
         assert outcome == {"reproduced": True, "prop": "sequence",
                            "kind": "safety", "ticks": 11}
 
 
 class SequenceReference(OnlineMonitor):
-    """Hand-written reference for ``check_sequence``: first occurrences of
+    """Hand-written reference for ``sequence_suite``: first occurrences of
     the listed predicates must appear in order; any forbidden event is an
     immediate violation."""
 
@@ -654,7 +676,7 @@ def first_violation(monitors, events) -> int | None:
 
 
 class TestSequenceSuite:
-    """The formulas ``check_sequence`` explores are first violated where
+    """The formulas of ``sequence_suite`` are first violated where
     the hand-written reference monitor is."""
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -667,7 +689,7 @@ class TestSequenceSuite:
             events.append({"t": tick, **body})
         reference = SequenceReference([compile_event_predicate(s) for s in steps],
                                       [compile_event_predicate(f) for f in forbidden])
-        suite = _sequence_suite(steps, forbidden)
+        suite = sequence_suite(steps, forbidden)
         assert len(suite) == len(forbidden) + len(steps) - 1
         monitors = [synthesize(name, ast) for name, ast in suite.items()]
         assert first_violation(monitors, events) == first_violation([reference], events)

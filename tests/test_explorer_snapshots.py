@@ -180,7 +180,7 @@ class TestRankGoalIds:
                        message("/wheels/result", {"goal_id": "wheelsClient:11", "status": "Succeeded"}),
                        message("/pose", {"x": 1, "y": 0})])]),
         model_view(inboxes=[("armServer", [message("/arm/goal", {"goal_id": "armClient:2", "cmd": "open"})]),
-                            ("mastServer", [message("/mast/cancel", {"goal_id": "mastClient:0"})])]),
+                            ("mastServer", [message("/mast/goal", {"goal_id": "mastClient:0", "cmd": "close"})])]),
         # Ranks follow the number, not the text: 99 comes before 100.
         model_view(goal_actions=[("armClient:100", "control_arm(open)")],
                    clients=[("arm", [{"goal_id": "armClient:99"}])],

@@ -14,6 +14,7 @@ import json
 
 from roverbench.config import make_config
 from roverbench.explorer import ChoiceSink
+from roverbench.messages import PayloadKind, Topology
 from roverbench.simulator import ALL_STAGES, TRACE_FORMAT, Model, run_simulation
 from roverbench.tracing import EventTracer
 
@@ -77,6 +78,19 @@ class TestSummary:
         summary, _ = run(tmp_path, ticks=5)
         assert summary["trace"].endswith("trace.jsonl")
         assert summary["explanations"].endswith("trace.jsonl.explain")
+
+
+class TestTopology:
+    """No declared topic or payload kind is wiring that no run uses."""
+
+    def test_every_declared_topic_is_published(self):
+        summary = run_simulation(make_config(), 60)
+        published = {topic for topic, c in summary["stats"]["topics"].items() if c["published"]}
+        assert sorted(set(Topology().topics) - published) == []
+
+    def test_every_payload_kind_has_a_topic(self):
+        declared = {spec.kind for spec in Topology().topics.values()}
+        assert [kind for kind in PayloadKind if kind not in declared] == []
 
 
 # -- trace header ------------------------------------------------------------

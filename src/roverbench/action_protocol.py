@@ -3,13 +3,15 @@
 Both endpoints are plain state machines stepped by the simulator; they talk
 only through bus topics.  Lifecycle: a goal is Pending when submitted, Active
 once the server takes it up, and ends Succeeded, Canceled or Aborted exactly
-once.  A new goal preempts a running one, which resolves Canceled.
+once.  A new goal preempts a running one, which resolves Canceled.  An
+endpoint keeps a goal's record only while the goal is unfinished: a client
+forgets it on its result, and a server holds only its active goal.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bus import MessageBus
 from .messages import Message, client_node, server_node
@@ -21,8 +23,6 @@ ACTIVE = "Active"
 SUCCEEDED = "Succeeded"
 CANCELED = "Canceled"
 ABORTED = "Aborted"
-
-TERMINAL = (SUCCEEDED, CANCELED, ABORTED)
 
 _LEGAL_TRANSITIONS = {
     (PENDING, ACTIVE),
@@ -47,48 +47,18 @@ class IllegalTransitionError(ProtocolError):
 
 @dataclass
 class GoalRecord:
-    """One goal's lifecycle, kept by each endpoint that observes it."""
+    """One unfinished goal, kept by each endpoint that observes it."""
 
     goal_id: str
     target: str
     request: dict
     status: str = PENDING
-    submitted_tick: int = 0
-    resolved_tick: int | None = None
     progress: float = 0.0
-    # (status, tick) history, including the initial Pending entry.
-    history: list[tuple[str, int]] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if not self.history:
-            self.history = [(PENDING, self.submitted_tick)]
-
-    def transition(self, new_status: str, tick: int) -> None:
+    def transition(self, new_status: str) -> None:
         if (self.status, new_status) not in _LEGAL_TRANSITIONS:
             raise IllegalTransitionError(f"{self.goal_id}: {self.status} -> {new_status}")
         self.status = new_status
-        self.history.append((new_status, tick))
-        if new_status in TERMINAL:
-            self.resolved_tick = tick
-
-    @property
-    def terminal(self) -> bool:
-        return self.status in TERMINAL
-
-
-def unfinished_goals(endpoint) -> dict:
-    """An endpoint's goal records without the finished ones.  No state key
-    holds a finished goal, and no step of the model reads one again: each
-    goal is resolved once, and a client ignores feedback on a finished goal
-    as on an unknown one."""
-    return {gid: r for gid, r in endpoint.records.items() if not r.terminal}
-
-
-def _without_finished_goals(endpoint) -> dict:
-    """Pickled (and deep-copied) state of an endpoint: its unfinished goals."""
-    state = endpoint.__dict__.copy()
-    state["records"] = unfinished_goals(endpoint)
-    return state
 
 
 class ClientEndpoint:
@@ -107,9 +77,7 @@ class ClientEndpoint:
         goal_id = f"{self.node}:{self._counter}"
         self._counter += 1
         self.records[goal_id] = GoalRecord(
-            goal_id=goal_id, target=server_node(self.effector), request=dict(request),
-            submitted_tick=bus.tick,
-        )
+            goal_id=goal_id, target=server_node(self.effector), request=dict(request))
         bus.publish(self.node, f"/{self.effector}/goal", {"goal_id": goal_id, **request})
         return goal_id
 
@@ -122,31 +90,25 @@ class ClientEndpoint:
         if record is None:
             return []
         if msg.topic == f"/{self.effector}/feedback":
-            if record.terminal:
-                return []
             if record.status == PENDING:
-                record.transition(ACTIVE, msg.tick)
+                record.transition(ACTIVE)
             record.progress = msg.payload["progress"]
             return []
         if msg.topic == f"/{self.effector}/result":
             status = msg.payload["status"]
-            if status == CANCELED and record.status == PENDING:
-                record.transition(CANCELED, msg.tick)
-            else:
-                if record.status == PENDING:
-                    record.transition(ACTIVE, msg.tick)
-                record.transition(status, msg.tick)
+            if record.status == PENDING and status != CANCELED:
+                record.transition(ACTIVE)
+            record.transition(status)
+            del self.records[record.goal_id]
             return [(record.goal_id, status)]
         return []
-
-    __getstate__ = _without_finished_goals
 
     def to_state(self) -> dict:
         return {
             "ready": self.server_ready,
             "live": [
                 {"goal_id": r.goal_id, "status": r.status, "progress": r.progress}
-                for r in sorted(unfinished_goals(self).values(), key=lambda r: r.goal_id)
+                for r in sorted(self.records.values(), key=lambda r: r.goal_id)
             ],
         }
 
@@ -166,7 +128,6 @@ class ServerBase:
         self.tracer = tracer
         self.ready_published = False
         self.delay_remaining = init_delay
-        self.records: dict[str, GoalRecord] = {}
         self.active: GoalRecord | None = None
         self.accepted_count = 0
         self.fault_explore = fault_explore
@@ -212,18 +173,13 @@ class ServerBase:
         intended = server_node(msg.topic.split("/")[1])
         payload = dict(msg.payload)
         goal_id = payload.pop("goal_id")
-        record = GoalRecord(
-            goal_id=goal_id, target=intended, request=payload,
-            submitted_tick=msg.tick,
-        )
-        self.records[goal_id] = record
-        self._accept(record, t, bus)
+        self._accept(GoalRecord(goal_id=goal_id, target=intended, request=payload), t, bus)
 
     def _accept(self, record: GoalRecord, t: int, bus: MessageBus) -> None:
-        if self.active is not None and not self.active.terminal:
+        if self.active is not None:
             # Preemption: the running goal gives way to the newcomer.
             self._resolve(self.active, CANCELED, t, bus)
-        record.transition(ACTIVE, t)
+        record.transition(ACTIVE)
         index = self.accepted_count
         self.accepted_count += 1
         self._trace_goal(t, "accept", record)
@@ -241,7 +197,7 @@ class ServerBase:
 
     def _execute(self, t: int, bus: MessageBus, sink) -> None:
         record = self.active
-        if record is None or record.terminal:
+        if record is None:
             return
         if self.work_done < self.duration:
             self.work_done += 1
@@ -257,7 +213,7 @@ class ServerBase:
 
     def _resolve(self, record: GoalRecord, status: str, t: int, bus: MessageBus) -> None:
         self.pre_resolve(record, status, t, bus)
-        record.transition(status, t)
+        record.transition(status)
         if self.active is record:
             self.active = None
         self._trace_goal(t, "resolve", record)
@@ -279,22 +235,18 @@ class ServerBase:
 
     # -- exploration support -------------------------------------------------
 
-    __getstate__ = _without_finished_goals
-
     def base_state(self) -> dict:
+        record = self.active
         state = {
             "ready": self.ready_published,
             "delay": self.delay_remaining,
-            "live": [
-                {
-                    "goal_id": r.goal_id,
-                    "status": r.status,
-                    "request": r.request,
-                    "active": r is self.active,
-                }
-                for r in sorted(unfinished_goals(self).values(), key=lambda r: r.goal_id)
-            ],
+            "live": [] if record is None else [{
+                "goal_id": record.goal_id,
+                "status": record.status,
+                "request": record.request,
+                "active": True,
+            }],
         }
-        if self.active is not None and not self.active.terminal:
+        if record is not None:
             state["work"] = [self.work_done, self.duration]
         return state

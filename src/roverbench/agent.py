@@ -39,16 +39,13 @@ class AgentAction:
         return f"{self.name}({','.join(str(a) for a in self.args)})"
 
     def effector(self) -> str:
-        if self.name in ("move_to_waypoint", "control_wheels"):
+        if self.name == "move_to_waypoint":
             return "wheels"
         return "arm" if self.name == "control_arm" else "mast"
 
     def request(self) -> dict:
         if self.name == "move_to_waypoint":
             return {"kind": "waypoint", "wp": self.args[0]}
-        if self.name == "control_wheels":
-            direction, speed, distance = self.args
-            return {"kind": "direction", "dir": direction, "speed": speed, "distance": distance}
         return {"cmd": self.args[0]}
 
 

@@ -1,9 +1,9 @@
 """Effector servers: six-wheel drive base, four-joint arm, two-joint mast.
 
-The wheels server executes direction goals (timed runs at a commanded speed)
-and waypoint goals (grid moves along Manhattan paths, one cell per tick).
-Every wheels resolution is preceded by an all-zero telemetry frame: the drive
-always stops before reporting.  The posture servers move their joints linearly
+The wheels server executes waypoint goals: grid moves along Manhattan paths,
+one cell per tick, with every wheel at the nominal speed.  Every wheels
+resolution is preceded by an all-zero telemetry frame: the drive always
+stops before reporting.  The posture servers move their joints linearly
 between the closed and open poses over a configured number of ticks; a
 preempted goal leaves the joints wherever they are and the next goal resumes
 from there.
@@ -14,21 +14,9 @@ from __future__ import annotations
 from .action_protocol import GoalRecord, ServerBase
 from .bus import MessageBus
 from .config import ScenarioConfig
-from .messages import DIRECTIONS
 
 WHEEL_COUNT = 6
 NOMINAL_SPEED = 1
-
-
-def direction_speeds(direction: str, speed: int) -> list[int]:
-    """Per-wheel speeds for a direction command (left wheels listed first)."""
-    if direction == "forward":
-        return [speed] * WHEEL_COUNT
-    if direction == "backward":
-        return [-speed] * WHEEL_COUNT
-    if direction == "left":
-        return [-speed] * 3 + [speed] * 3
-    return [speed] * 3 + [-speed] * 3  # right
 
 
 class WheelsServer(ServerBase):
@@ -38,18 +26,9 @@ class WheelsServer(ServerBase):
         self.config = config
         self.pose: tuple[int, int] = config.coords(config.start)
         self.skip_stop = skip_stop  # no-stop mutant: omit the halt frame
-        self._speeds: list[int] = []
         self._target: tuple[int, int] | None = None
 
     def validate(self, request: dict) -> str | None:
-        if request.get("kind") == "direction":
-            if request["dir"] not in DIRECTIONS:
-                return f"unknown direction {request['dir']!r}"
-            if request["speed"] <= 0:
-                return "speed must be positive"
-            if request["distance"] <= 0:
-                return "distance must be positive"
-            return None
         if request.get("kind") == "waypoint":
             if request["wp"] not in self.config.waypoints:
                 return f"unknown waypoint {request['wp']!r}"
@@ -57,28 +36,21 @@ class WheelsServer(ServerBase):
         return "unrecognized wheels request"
 
     def begin(self, record: GoalRecord) -> int:
-        request = record.request
-        if request["kind"] == "direction":
-            self._speeds = direction_speeds(request["dir"], request["speed"])
-            self._target = None
-            return request["distance"]
-        self._target = self.config.coords(request["wp"])
-        self._speeds = [NOMINAL_SPEED] * WHEEL_COUNT
+        self._target = self.config.coords(record.request["wp"])
         x, y = self.pose
         tx, ty = self._target
         return abs(tx - x) + abs(ty - y)
 
     def work_tick(self, record: GoalRecord, t: int, bus: MessageBus) -> None:
-        if self._target is not None:
-            x, y = self.pose
-            tx, ty = self._target
-            if x != tx:
-                x += 1 if tx > x else -1
-            elif y != ty:
-                y += 1 if ty > y else -1
-            self.pose = (x, y)
-            bus.publish(self.node, "/pose", {"x": x, "y": y})
-        bus.publish(self.node, "/wheels/telemetry", {"speeds": list(self._speeds)})
+        x, y = self.pose
+        tx, ty = self._target
+        if x != tx:
+            x += 1 if tx > x else -1
+        elif y != ty:
+            y += 1 if ty > y else -1
+        self.pose = (x, y)
+        bus.publish(self.node, "/pose", {"x": x, "y": y})
+        bus.publish(self.node, "/wheels/telemetry", {"speeds": [NOMINAL_SPEED] * WHEEL_COUNT})
 
     def pre_resolve(self, record: GoalRecord, status: str, t: int, bus: MessageBus) -> None:
         if not self.skip_stop:
@@ -88,8 +60,8 @@ class WheelsServer(ServerBase):
         state = self.base_state()
         state["pose"] = list(self.pose)
         if self.active is not None:
-            state["speeds"] = list(self._speeds)
-            state["march"] = list(self._target) if self._target else None
+            state["speeds"] = [NOMINAL_SPEED] * WHEEL_COUNT
+            state["march"] = list(self._target)
         return state
 
 

@@ -7,19 +7,18 @@ breadth-first.  A state's key is the ``to_state`` view of the model and its
 riding monitors, with every absolute-tick quantity replaced by a relative
 counter and goal ids renamed by rank, so the graph is finite whenever the
 mission is cyclic.  The key is that view in ``marshal`` bytes, exact and
-cheap to compare.  A new state keeps its live bundle, trimmed of finished
-goals so it holds what a restore would, and its first successor is stepped
-on it (at most ``_LIVE_LIMIT`` are held).  Other successors are restored
-from a pickled snapshot, but only checkpoints (every ``_CHECKPOINT``-th
-depth, roots included), states past the live limit and states made by a
-branching step are frozen when added.  Any other state whose step branches
-has its pre-step bundle rebuilt once from its checkpoint by replaying the
-tree's picks (stateless search; Godefroid, POPL 1997), and steps the
-second choice script itself, frozen first only if more scripts follow.
-That is exact: a step is a deterministic function of the bundle and its
-choices, and strict replay fails on any choice point that differs from the
-recorded one.  A snapshot is freed once its state's successors are made, a
-checkpoint once the walk is ``_CHECKPOINT`` depths below it.
+cheap to compare.  A new state keeps its live bundle, and its first
+successor is stepped on it (at most ``_LIVE_LIMIT`` are held).  Other
+successors are restored from a pickled snapshot, but only checkpoints (every
+``_CHECKPOINT``-th depth, roots included), states past the live limit and
+states made by a branching step are frozen when added.  Any other state
+whose step branches has its pre-step bundle rebuilt once from its checkpoint
+by replaying the tree's picks (stateless search; Godefroid, POPL 1997), and
+steps the second choice script itself, frozen first only if more scripts
+follow.  That is exact: a step is a deterministic function of the bundle and
+its choices, and strict replay fails on any choice point that differs from
+the recorded one.  A snapshot is freed once its state's successors are made,
+a checkpoint once the walk is ``_CHECKPOINT`` depths below it.
 
 With schedule permutations, a stage (an effector server or the agent host)
 reads only its own state, its own inbox and ``bus.tick``, and acts only
@@ -71,7 +70,6 @@ from dataclasses import dataclass, field, is_dataclass
 from itertools import groupby
 
 from . import prop_dsl
-from .action_protocol import unfinished_goals
 from .agent import PlanRule
 from .config import ConfigError, ScenarioConfig, make_config
 from .messages import Topology
@@ -242,12 +240,6 @@ class _Bundle:
             "monitors": {n: m.to_state(now) for n, m in sorted(self.monitors.items())},
             "trackers": {n: t.to_state() for n, t in sorted(self.trackers.items())},
         }, 2)
-
-    def drop_finished_goals(self) -> None:
-        """Leave the model the goals a restore of its snapshot would hold."""
-        model = self.model
-        for endpoint in (*model.clients.values(), *model.servers.values()):
-            endpoint.records = unfinished_goals(endpoint)
 
 
 # The sorted JSON text of a ranked view, read back from its key: what orders
@@ -553,15 +545,13 @@ class Explorer:
                     held.append(node)
             node.open = frozenset(n for n, t in bundle.trackers.items() if t.open)
             if keep:
-                bundle.drop_finished_goals()
                 node.bundle = bundle
                 live += 1
 
         def rebuild(node: _Node) -> _Bundle:
             """The pre-step bundle of a state that kept only its live bundle:
             replay the picks down from the nearest ancestor holding a
-            snapshot, dropping violated monitors as ``add_state`` does, and
-            trimmed as a restore of its snapshot would be."""
+            snapshot, dropping violated monitors as ``add_state`` does."""
             nonlocal rebuilt
             path = []
             while node.snapshot is None:
@@ -572,7 +562,6 @@ class Explorer:
                 timed("step", bundle.step, below.picks, True)
                 for name, _ in bundle.violations():
                     del bundle.monitors[name]
-            bundle.drop_finished_goals()
             rebuilt += 1
             return bundle
 

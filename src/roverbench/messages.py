@@ -100,12 +100,10 @@ class Topology:
 
 # -- payload shape checks ----------------------------------------------------
 
-DIRECTIONS = ("forward", "backward", "left", "right")
-
 # Field registry used by the property DSL to reject unknown payload fields at
 # parse time.  Keep it in sync with the validators below.
 PAYLOAD_FIELDS = {
-    "goal_id", "kind", "dir", "speed", "distance", "wp", "cmd",
+    "goal_id", "kind", "wp", "cmd",
     "progress", "status", "wind", "radiation", "env", "module", "ready",
     "x", "y", "speeds", "joints", "posture", "effector",
 }
@@ -117,7 +115,6 @@ class PayloadShapeError(ValueError):
 
 # The exact key set of each payload shape, built once rather than per publish.
 _POSTURE_GOAL = frozenset({"goal_id", "cmd"})
-_DIRECTION_GOAL = frozenset({"goal_id", "kind", "dir", "speed", "distance"})
 _WAYPOINT_GOAL = frozenset({"goal_id", "kind", "wp"})
 _FEEDBACK = frozenset({"goal_id", "progress"})
 _RESULT = frozenset({"goal_id", "status"})
@@ -144,8 +141,6 @@ def validate_payload(spec: TopicSpec, payload: dict) -> None:
             _require(payload, _POSTURE_GOAL, kind)
             if payload["cmd"] not in ("open", "close"):
                 raise PayloadShapeError(f"bad posture command {payload['cmd']!r}")
-        elif payload.get("kind") == "direction":
-            _require(payload, _DIRECTION_GOAL, kind)
         elif payload.get("kind") == "waypoint":
             _require(payload, _WAYPOINT_GOAL, kind)
         else:

@@ -906,8 +906,9 @@ class _TraceView:
             positions, lefts = self.field(node.path)
             if isinstance(node.value, Path):
                 rights = [_resolve(trace[i], node.value) for i in positions]
-            else:
-                rights = itertools.repeat(node.value)
+            else:  # a tuple constant becomes a list once, not at each position
+                value = node.value
+                rights = itertools.repeat(list(value) if isinstance(value, tuple) else value)
             for i, left, right in zip(positions, lefts, rights):
                 if _compare(node.op, left, right):
                     out[i] = 2

@@ -14,12 +14,11 @@ from roverbench.action_protocol import (
     NotReadyError,
     PENDING,
     SUCCEEDED,
-    unfinished_goals,
 )
 from roverbench.bus import MessageBus
 from roverbench.config import make_config
 from roverbench.effectors import PostureServer, WheelsServer
-from roverbench.messages import Topology, client_node, server_node
+from roverbench.messages import Message, Topology, client_node, server_node
 from roverbench.tracing import EventTracer
 
 
@@ -54,19 +53,10 @@ def pump(bus, client, server, ticks: int) -> list[tuple[str, str]]:
 
 
 class TestGoalRecord:
-    def test_initial_history_holds_pending(self):
-        record = GoalRecord(goal_id="g", target="armServer", request={}, submitted_tick=4)
-        assert record.status == PENDING
-        assert record.history == [(PENDING, 4)]
-        assert not record.terminal
-
-    def test_full_lifecycle_history(self):
+    def test_starts_pending(self):
         record = GoalRecord(goal_id="g", target="armServer", request={})
-        record.transition(ACTIVE, 1)
-        record.transition(SUCCEEDED, 3)
-        assert record.terminal
-        assert record.resolved_tick == 3
-        assert [s for s, _ in record.history] == [PENDING, ACTIVE, SUCCEEDED]
+        assert record.status == PENDING
+        assert record.progress == 0.0
 
     def test_every_illegal_transition_rejected(self):
         """Enumerate all status pairs; exactly the five legal ones pass."""
@@ -83,18 +73,18 @@ class TestGoalRecord:
                 record = GoalRecord(goal_id="g", target="x", request={})
                 record.status = src
                 if (src, dst) in legal:
-                    record.transition(dst, 0)
+                    record.transition(dst)
                     assert record.status == dst
                 else:
                     with pytest.raises(IllegalTransitionError):
-                        record.transition(dst, 0)
+                        record.transition(dst)
 
     def test_terminal_states_are_final(self):
         record = GoalRecord(goal_id="g", target="x", request={})
-        record.transition(ACTIVE, 0)
-        record.transition(CANCELED, 1)
+        record.transition(ACTIVE)
+        record.transition(CANCELED)
         with pytest.raises(IllegalTransitionError):
-            record.transition(ACTIVE, 2)
+            record.transition(ACTIVE)
 
 
 # -- client endpoint ---------------------------------------------------------
@@ -136,15 +126,28 @@ class TestClient:
         goal_id = client.send_goal(bus, {"cmd": "open"})
         news = pump(bus, client, server, 6)
         assert (goal_id, SUCCEEDED) in news
-        assert client.records[goal_id].terminal
-        assert unfinished_goals(client) == {}
+        assert goal_id not in client.records
 
-    def test_client_and_server_agree_on_final_status(self):
+    def test_feedback_after_result_is_ignored(self):
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)
         goal_id = client.send_goal(bus, {"cmd": "open"})
         pump(bus, client, server, 6)
-        assert client.records[goal_id].status == server.records[goal_id].status == SUCCEEDED
+        late = Message(seq=0, tick=bus.tick, sender=server.node, topic="/arm/feedback",
+                       payload={"goal_id": goal_id, "progress": 0.5})
+        assert client.on_message(late) == []
+        assert client.records == {}
+
+    def test_client_and_server_agree_on_final_status(self):
+        bus, client, server, tracer = make_rig()
+        pump(bus, client, server, 1)
+        goal_id = client.send_goal(bus, {"cmd": "open"})
+        news = pump(bus, client, server, 6)
+        resolves = [ev for ev in tracer.events
+                    if ev["kind"] == "goal" and ev["phase"] == "resolve"]
+        assert [(ev["goal_id"], ev["status"]) for ev in resolves] == news
+        assert news == [(goal_id, SUCCEEDED)]
+        assert server.active is None
 
 
 # -- server endpoint ---------------------------------------------------------
@@ -175,11 +178,10 @@ class TestServer:
     def test_invalid_request_aborts(self):
         bus, client, server, _ = make_rig(effector="wheels")
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(
-            bus, {"kind": "direction", "dir": "forward", "speed": 0, "distance": 3}
-        )
+        goal_id = client.send_goal(bus, {"kind": "waypoint", "wp": "Z"})
         news = pump(bus, client, server, 3)
         assert (goal_id, ABORTED) in news
+        assert server.active is None
 
     def test_scripted_fault_aborts_by_accept_index(self):
         bus, client, server, _ = make_rig()
@@ -203,8 +205,11 @@ class TestServer:
         assert accepts[0]["target"] == server_node("arm")
 
     def test_progress_reaches_one_before_success(self):
-        bus, client, server, _ = make_rig()
+        bus, client, server, tracer = make_rig()
         pump(bus, client, server, 1)
         goal_id = client.send_goal(bus, {"cmd": "open"})
         pump(bus, client, server, 6)
-        assert server.records[goal_id].progress == 1.0
+        publishes = [ev for ev in tracer.events if ev["kind"] == "publish"]
+        result = next(i for i, ev in enumerate(publishes) if ev["topic"] == "/arm/result")
+        feedback = [ev["payload"] for ev in publishes[:result] if ev["topic"] == "/arm/feedback"]
+        assert feedback[-1] == {"goal_id": goal_id, "progress": 1.0}

@@ -45,13 +45,10 @@ class TestAgentAction:
         assert move_to("A").effector() == "wheels"
         assert posture_cmd("arm", "close").effector() == "arm"
         assert posture_cmd("mast", "open").effector() == "mast"
-        assert AgentAction("control_wheels", ("forward", 1, 2)).effector() == "wheels"
 
     def test_request_shapes(self):
         assert move_to("C").request() == {"kind": "waypoint", "wp": "C"}
         assert posture_cmd("mast", "close").request() == {"cmd": "close"}
-        raw = AgentAction("control_wheels", ("left", 2, 5)).request()
-        assert raw == {"kind": "direction", "dir": "left", "speed": 2, "distance": 5}
 
     def test_atom_text(self):
         assert atom_text(("at", "A")) == "at(A)"

@@ -16,6 +16,7 @@ from roverbench.messages import (
     NODE_WORLD,
     PayloadShapeError,
     Topology,
+    client_node,
     server_node,
 )
 from roverbench.tracing import EventTracer
@@ -157,6 +158,15 @@ class TestWiring:
         bus = make_bus()
         with pytest.raises(PayloadShapeError):
             bus.publish(server_node("wheels"), "/wheels/telemetry", {"speeds": [0, 0]})
+
+    def test_direction_goal_rejected(self):
+        """The wheels take waypoint goals only: no publish carries a
+        direction run."""
+        bus = make_bus()
+        with pytest.raises(PayloadShapeError):
+            bus.publish(client_node("wheels"), "/wheels/goal",
+                        {"goal_id": "g", "kind": "direction", "dir": "forward",
+                         "speed": 1, "distance": 2})
 
     def test_inbox_overflow_raises(self):
         bus = make_bus(inbox_limit=2)

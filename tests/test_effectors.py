@@ -11,7 +11,6 @@ from roverbench.effectors import (
     WHEEL_COUNT,
     WheelsServer,
     build_servers,
-    direction_speeds,
 )
 from roverbench.messages import Topology
 from roverbench.tracing import EventTracer
@@ -51,26 +50,6 @@ def published(tracer, topic: str) -> list[dict]:
 
 
 # -- wheel kinematics --------------------------------------------------------
-
-
-class TestDirectionSpeeds:
-    def test_forward(self):
-        assert direction_speeds("forward", 2) == [2] * 6
-
-    def test_backward(self):
-        assert direction_speeds("backward", 2) == [-2] * 6
-
-    def test_left_spins_sides_opposite(self):
-        assert direction_speeds("left", 1) == [-1, -1, -1, 1, 1, 1]
-
-    def test_right_mirrors_left(self):
-        left = direction_speeds("left", 3)
-        right = direction_speeds("right", 3)
-        assert right == [-v for v in left]
-
-    def test_always_six_wheels(self):
-        for direction in ("forward", "backward", "left", "right"):
-            assert len(direction_speeds(direction, 1)) == WHEEL_COUNT
 
 
 class TestWheelsWaypointGoals:
@@ -145,43 +124,6 @@ class TestWheelsWaypointGoals:
         goal_id = client.send_goal(bus, {"kind": "waypoint", "wp": "Z"})
         news = pump(bus, client, server, 3)
         assert (goal_id, ABORTED) in news
-
-
-class TestWheelsDirectionGoals:
-    def test_direction_run_lasts_distance_ticks(self):
-        bus, client, server, tracer = make_rig("wheels")
-        pump(bus, client, server, 1)
-        goal_id = client.send_goal(
-            bus, {"kind": "direction", "dir": "left", "speed": 2, "distance": 3}
-        )
-        news = pump(bus, client, server, 6)
-        assert (goal_id, SUCCEEDED) in news
-        frames = published(tracer, "/wheels/telemetry")
-        moving = [f for f in frames if f["speeds"] != [0] * WHEEL_COUNT]
-        assert len(moving) == 3
-        assert all(f["speeds"] == direction_speeds("left", 2) for f in moving)
-
-    def test_direction_run_does_not_move_grid_pose(self):
-        """Raw drive commands are pose-agnostic: no /pose traffic."""
-        bus, client, server, tracer = make_rig("wheels")
-        pump(bus, client, server, 1)
-        client.send_goal(bus, {"kind": "direction", "dir": "forward", "speed": 1, "distance": 2})
-        pump(bus, client, server, 5)
-        assert published(tracer, "/pose") == []
-        assert server.pose == (0, 0)
-
-    def test_bad_direction_requests_abort(self):
-        bus, client, server, _ = make_rig("wheels")
-        pump(bus, client, server, 1)
-        bad_requests = [
-            {"kind": "direction", "dir": "sideways", "speed": 1, "distance": 1},
-            {"kind": "direction", "dir": "forward", "speed": 0, "distance": 1},
-            {"kind": "direction", "dir": "forward", "speed": 1, "distance": -2},
-        ]
-        for request in bad_requests:
-            goal_id = client.send_goal(bus, request)
-            news = pump(bus, client, server, 3)
-            assert (goal_id, ABORTED) in news
 
 
 # -- posture servers ---------------------------------------------------------

@@ -3,13 +3,13 @@
 A state's key is the ``marshal`` encoding of its ``to_state`` view with goal
 ids renamed by rank; the view's sorted JSON text, read back from the key once
 a lasso exists, orders the lasso search.  A state's first successor is
-stepped on its live bundle, trimmed of finished goals, while at most
-``_LIVE_LIMIT`` are held; every other successor is restored from a pickled
-snapshot that leaves out finished goals.  Only checkpoints (every
-``_CHECKPOINT``-th depth), states past the live limit and states made by a
-branching step are frozen when they are added; any other state whose step
-branches gets its snapshot by replaying the tree's picks from its
-checkpoint.  These tests pin down what that must preserve:
+stepped on its live bundle while at most ``_LIVE_LIMIT`` are held; every
+other successor is restored from a pickled snapshot.  Neither holds a
+finished goal: an endpoint forgets a goal once it finishes.  Only
+checkpoints (every ``_CHECKPOINT``-th depth), states past the live limit and
+states made by a branching step are frozen when they are added; any other
+state whose step branches gets its snapshot by replaying the tree's picks
+from its checkpoint.  These tests pin down what that must preserve:
 
 * the key is exact: two bundles have equal keys exactly when the sorted
   texts of their keys are equal, and that text is the one of the reference
@@ -18,7 +18,9 @@ checkpoint.  These tests pin down what that must preserve:
 * the structural renaming finds goal ids where the model puts them, and no
   ``to_state`` puts a goal id in a dict key;
 * a restored bundle has the key of the bundle that was frozen, and steps
-  exactly like that live bundle, which still holds its finished goals;
+  exactly like that live bundle;
+* every explored step ends on an event stamped with the model's tick, the
+  clock at which the riding monitors expire their windows;
 * dedupe is sound: bundles reached with the same key have the same
   successor keys;
 * the table of shared objects lives for one walk only, and a finished walk
@@ -53,7 +55,7 @@ from importlib.resources import files
 import pytest
 
 from roverbench import explorer
-from roverbench.action_protocol import ServerBase
+from roverbench.action_protocol import ACTIVE, PENDING, ServerBase
 from roverbench.config import make_config
 from roverbench.explorer import (
     Explorer,
@@ -230,14 +232,15 @@ def successor_keys(snapshot: bytes) -> set:
 
 
 def finished_goals(bundle: _Bundle) -> int:
-    endpoints = [*bundle.model.clients.values(), *bundle.model.servers.values()]
-    return sum(r.terminal for e in endpoints for r in e.records.values())
+    records = [r for c in bundle.model.clients.values() for r in c.records.values()]
+    records += [s.active for s in bundle.model.servers.values() if s.active is not None]
+    return sum(r.status not in (PENDING, ACTIVE) for r in records)
 
 
 def restore_problems(bundle: _Bundle, snapshot: bytes, pick: int) -> list[str]:
     """Round-trip check of one frozen bundle, then one step, under the
     ``pick``-th choice script (wrapped), of the restored copy against the
-    live bundle itself, which still holds the goals its last step finished."""
+    live bundle itself."""
     problems = []
     tick = bundle.model.tick
     restored = _Bundle.clone(snapshot)
@@ -292,7 +295,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     found = {"states": 0, "transitions": 0, "canonical_calls": 0, "oracle_mismatch": [],
              "merged": [], "split": [], "goal_id_keys": set(), "restore": [],
              "unsound": [], "compared": 0, "same_order_groups": 0,
-             "order_dependent": []}
+             "order_dependent": [], "clock_split": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
     keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
     stored: dict[bytes, bytes] = {}  # the frontier's snapshots
@@ -326,6 +329,14 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             duplicates.setdefault(key, []).append(bundle)
         return key
 
+    def stepped(bundle: _Bundle, script) -> list:
+        # The engine expires windows at the last model event's ``t``, the
+        # riding monitors at ``on_tick(model.tick)``: the two must agree.
+        events, log = bundle.step(script)
+        if not events or events[-1]["t"] != bundle.model.tick:
+            found["clock_split"].append(bundle.model.tick)
+        return log
+
     with _Snapshots() as store:
         for bundle, _log in Explorer(config, SUITE)._roots():
             reach(bundle)
@@ -337,11 +348,11 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             # as in the explorer.
             snapshot = stored.pop(key)
             probe = _Bundle.clone(snapshot)
-            _, signature = probe.step(None)
+            signature = stepped(probe, None)
             steps = [(signature, signature, probe.acting, probe.fired, reach(probe))]
             for script in _variants(signature)[1:]:
                 branch = _Bundle.clone(snapshot)
-                _, log = branch.step(script)
+                log = stepped(branch, script)
                 steps.append((script, log, branch.acting, branch.fired, reach(branch)))
             successors[key].update(step[-1] for step in steps)
             checked, problems = order_dependence(steps)
@@ -383,6 +394,9 @@ class TestSnapshotWalk:
     def test_restore_round_trip_and_step(self, walked):
         assert walked[1]["restore"] == []
 
+    def test_last_event_at_model_tick(self, walked):
+        assert walked[1]["clock_split"] == []
+
     def test_single_actor_orders_agree(self, walked):
         """The independence the explorer's reduction rests on, checked on
         every order the walk steps: orders that run the acting stages in the
@@ -401,8 +415,7 @@ class TestSnapshotWalk:
 
 class TestLiveHistory:
     """Along one long path, a bundle restored from each tick's snapshot
-    steps exactly like the live bundle, which keeps every finished goal
-    (a deep copy drops them too, so it is no reference here)."""
+    steps exactly like the live bundle, and neither holds a finished goal."""
 
     @pytest.mark.parametrize("scenario", ["default", "schedule"])
     def test_restored_steps_like_live(self, scenario):
@@ -411,13 +424,13 @@ class TestLiveHistory:
             for tick in range(150):
                 snapshot = store.freeze(live)
                 restored = _Bundle.clone(snapshot)
-                assert finished_goals(restored) == 0
+                assert finished_goals(restored) == finished_goals(live) == 0
                 _, signature = _Bundle.clone(snapshot).step(None)
                 scripts = _variants(signature)
                 script = scripts[tick * 7 % len(scripts)]
                 assert restored.step(script) == live.step(script), tick
                 assert restored.canonical() == live.canonical(), tick
-        assert finished_goals(live) > 20
+        assert finished_goals(live) == 0
 
 
 # -- table scope -------------------------------------------------------------

@@ -104,6 +104,12 @@ class TestParser:
         with pytest.raises(UnknownFieldError):
             parse_formula("payload.bogus == 1")
 
+    def test_direction_goal_fields_rejected(self):
+        """No payload carries the fields of the removed direction goal."""
+        for field in ("dir", "speed", "distance"):
+            with pytest.raises(UnknownFieldError):
+                parse_formula(f"payload.{field} > 0")
+
     def test_field_error_carries_position(self):
         with pytest.raises(UnknownFieldError) as exc_info:
             parse_formula('topic("/pose") && payload.bogus == 1')

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 
+from roverbench.action_protocol import ACTIVE, PENDING
 from roverbench.config import make_config
 from roverbench.explorer import ChoiceSink
 from roverbench.messages import PayloadKind, Topology
@@ -198,6 +199,20 @@ class TestLongRun:
         """Tick 500 lands mid-travel between B and C."""
         summary, _ = run(tmp_path, ticks=500, name="long.jsonl")
         assert summary["pose"] == [6, -5]
+
+
+class TestGoalRecords:
+    def test_endpoints_hold_only_unfinished_goals(self):
+        """A client forgets a goal on its result and a server holds only its
+        active goal, so no endpoint keeps a finished goal after any tick."""
+        model = Model(make_config(), EventTracer(sink=io.StringIO()))
+        for _ in range(300):
+            model.step_tick()
+            for client in model.clients.values():
+                assert all(r.status in (PENDING, ACTIVE) for r in client.records.values())
+            for server in model.servers.values():
+                assert server.active is None or server.active.status == ACTIVE
+        assert sum(c._counter for c in model.clients.values()) > 20
 
 
 # -- request/response latency ------------------------------------------------

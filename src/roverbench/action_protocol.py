@@ -10,13 +10,10 @@ forgets it on its result, and a server holds only its active goal.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .bus import MessageBus
 from .messages import Message, client_node, server_node
-
-log = logging.getLogger(__name__)
 
 PENDING = "Pending"
 ACTIVE = "Active"
@@ -116,9 +113,10 @@ class ClientEndpoint:
 class ServerBase:
     """Server half: accepts, executes and resolves goals, one at a time.
 
-    Subclasses provide the effector-specific behavior through ``validate``,
-    ``begin``, ``work_tick`` and ``pre_resolve``; execution takes
-    ``duration`` work ticks followed by one resolution tick.
+    Subclasses provide the effector-specific behavior through ``begin``,
+    ``work_tick`` and ``pre_resolve``; execution takes ``duration`` work
+    ticks followed by one resolution tick.  A server trusts every goal it
+    receives: the bus has already checked it against its topic's shape.
     """
 
     def __init__(self, effector: str, init_delay: int, tracer, fault_explore: bool = False,
@@ -137,10 +135,6 @@ class ServerBase:
         self.duration = 0
 
     # -- subclass hooks ------------------------------------------------------
-
-    def validate(self, request: dict) -> str | None:
-        """Return a rejection reason for an invalid request, else None."""
-        raise NotImplementedError
 
     def begin(self, record: GoalRecord) -> int:
         """Set up execution state; return the work duration in ticks."""
@@ -183,11 +177,6 @@ class ServerBase:
         index = self.accepted_count
         self.accepted_count += 1
         self._trace_goal(t, "accept", record)
-        reason = self.validate(record.request)
-        if reason is not None:
-            log.info("%s: goal %s rejected: %s", self.node, record.goal_id, reason)
-            self._resolve(record, ABORTED, t, bus)
-            return
         if index in self.scripted_faults:
             self._resolve(record, ABORTED, t, bus)
             return

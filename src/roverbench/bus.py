@@ -1,5 +1,10 @@
 """Deterministic in-process pub/sub bus with synchronous tick delivery.
 
+The topology is the only wiring: a publish is accepted only from the topic's
+declared publisher and only with a payload of a declared shape, and each
+message goes to exactly the topic's declared subscribers, in declared order.
+Nodes do not subscribe.
+
 Delivery model: messages published during tick t sit in a pending queue and
 are moved to subscriber inboxes, in global seq order, by the single
 ``step_deliver`` call that closes the tick.  Nodes therefore always observe
@@ -34,10 +39,6 @@ class UnauthorizedPublisherError(BusError):
     pass
 
 
-class UnknownSubscriberError(BusError):
-    pass
-
-
 class InboxOverflowError(BusError):
     """A node inbox exceeded its bound; configuration or wiring bug."""
 
@@ -54,27 +55,11 @@ class MessageBus:
         self.inbox_limit = inbox_limit
         self.tick = 0
         self._next_seq = 0
-        # topic -> ordered active subscribers; replaced, never mutated, so a
-        # publish can keep the tuple as its snapshot
-        self._subs: dict[str, tuple[str, ...]] = {}
-        # (message, active subscribers snapshotted at publish time)
-        self._pending: list[tuple[Message, tuple[str, ...]]] = []
+        self._pending: list[Message] = []
         self.inboxes: dict[str, list[Message]] = {n: [] for n in topology.nodes}
         self.counters: dict[str, dict[str, int]] = {}
         # gate(event_dict) -> True to drop the message (set by the monitor engine)
         self.gate: Callable[[dict], bool] | None = None
-
-    # -- wiring --------------------------------------------------------------
-
-    def subscribe(self, node: str, topic: str) -> None:
-        spec = self.topology.spec_for(topic)
-        if spec is None:
-            raise UnknownTopicError(topic)
-        if node not in spec.subscribers:
-            raise UnknownSubscriberError(f"{node} is not a declared subscriber of {topic}")
-        subs = self._subs.get(topic, ())
-        if node not in subs:  # duplicate subscribe is a no-op
-            self._subs[topic] = subs + (node,)
 
     def _counter(self, topic: str) -> dict[str, int]:
         counter = self.counters.get(topic)
@@ -115,8 +100,7 @@ class MessageBus:
 
         counter["published"] += 1
         self.tracer.emit(event)
-        msg = Message(seq=seq, tick=self.tick, sender=sender, topic=topic, payload=payload)
-        self._pending.append((msg, self._subs.get(topic, ())))
+        self._pending.append(Message(seq=seq, sender=sender, topic=topic, payload=payload))
         return seq
 
     def step_deliver(self) -> list[tuple[str, Message]]:
@@ -124,9 +108,9 @@ class MessageBus:
         pending, self._pending = self._pending, []
         self.tick += 1
         delivered: list[tuple[str, Message]] = []
-        for msg, subscribers in pending:  # already in seq order
+        for msg in pending:  # already in seq order
             counter = self._counter(msg.topic)
-            for node in subscribers:
+            for node in self.topology.topics[msg.topic].subscribers:
                 inbox = self.inboxes[node]
                 if len(inbox) >= self.inbox_limit:
                     raise InboxOverflowError(f"inbox of {node} exceeded {self.inbox_limit}")

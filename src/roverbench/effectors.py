@@ -7,6 +7,10 @@ stops before reporting.  The posture servers move their joints linearly
 between the closed and open poses over a configured number of ticks; a
 preempted goal leaves the joints wherever they are and the next goal resumes
 from there.
+
+Servers run every goal the bus hands them.  The topic table pins each goal's
+keys and posture command, and the agent names only patrol waypoints, which
+config validation keeps on the map.
 """
 
 from __future__ import annotations
@@ -27,13 +31,6 @@ class WheelsServer(ServerBase):
         self.pose: tuple[int, int] = config.coords(config.start)
         self.skip_stop = skip_stop  # no-stop mutant: omit the halt frame
         self._target: tuple[int, int] | None = None
-
-    def validate(self, request: dict) -> str | None:
-        if request.get("kind") == "waypoint":
-            if request["wp"] not in self.config.waypoints:
-                return f"unknown waypoint {request['wp']!r}"
-            return None
-        return "unrecognized wheels request"
 
     def begin(self, record: GoalRecord) -> int:
         self._target = self.config.coords(record.request["wp"])
@@ -78,11 +75,6 @@ class PostureServer(ServerBase):
         self._start: list[float] = []
         self._goal_joints: list[float] = []
         self._goal_posture = "Closed"
-
-    def validate(self, request: dict) -> str | None:
-        if request.get("cmd") not in ("open", "close"):
-            return f"unknown posture command {request.get('cmd')!r}"
-        return None
 
     def begin(self, record: GoalRecord) -> int:
         opening = record.request["cmd"] == "open"

@@ -1,15 +1,18 @@
-"""Message types, topic table and the static pub/sub topology.
+"""Message types and the topic table: the one statement of the node
+interfaces.
 
 Every payload that crosses the bus is a plain JSON-compatible dict so that
-traces can be written verbatim as JSON lines.  Each topic declares a payload
-kind; publishing a payload whose shape does not match the declared kind is a
-hard error (it signals a wiring bug, not an environment condition).
+traces can be written verbatim as JSON lines.  Each topic declares its one
+publisher, its subscribers in delivery order, and the exact key sets its
+payloads may have.  The bus delivers and checks payloads from this table
+alone, so a node trusts what it receives; publishing a payload that matches
+no declared shape is a hard error (it signals a wiring bug, not an
+environment condition).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 
 EFFECTORS = ("wheels", "arm", "mast")
 
@@ -28,21 +31,11 @@ def server_node(effector: str) -> str:
     return f"{effector}Server"
 
 
-class PayloadKind(Enum):
-    GOAL = "goal"
-    FEEDBACK = "feedback"
-    RESULT = "result"
-    PERCEPTION = "perception"
-    TELEMETRY = "telemetry"
-    READY = "ready"
-
-
 @dataclass(frozen=True)
 class Message:
     """One bus message.  ``seq`` is globally unique and totally orders traffic."""
 
     seq: int
-    tick: int
     sender: str
     topic: str
     payload: dict
@@ -51,19 +44,27 @@ class Message:
 @dataclass(frozen=True)
 class TopicSpec:
     name: str
-    kind: PayloadKind
+    shapes: tuple[frozenset[str], ...]  # the exact key sets a payload may have
     publisher: str
-    subscribers: tuple[str, ...]
+    subscribers: tuple[str, ...]  # in delivery order
+
+
+def _shape(*keys: str) -> tuple[frozenset[str], ...]:
+    return (frozenset(keys),)
 
 
 def _effector_topics(effector: str) -> list[TopicSpec]:
     c, s = client_node(effector), server_node(effector)
+    if effector == "wheels":
+        goal, telemetry = _shape("goal_id", "kind", "wp"), _shape("speeds")
+    else:
+        goal, telemetry = _shape("goal_id", "cmd"), _shape("effector", "joints", "posture")
     return [
-        TopicSpec(f"/{effector}/goal", PayloadKind.GOAL, c, (s,)),
-        TopicSpec(f"/{effector}/feedback", PayloadKind.FEEDBACK, s, (c,)),
-        TopicSpec(f"/{effector}/result", PayloadKind.RESULT, s, (c, NODE_ENV_INTERFACE)),
-        TopicSpec(f"/ready/{effector}", PayloadKind.READY, s, (c, NODE_ENV_INTERFACE)),
-        TopicSpec(f"/{effector}/telemetry", PayloadKind.TELEMETRY, s, (NODE_ENV_INTERFACE,)),
+        TopicSpec(f"/{effector}/goal", goal, c, (s,)),
+        TopicSpec(f"/{effector}/feedback", _shape("goal_id", "progress"), s, (c,)),
+        TopicSpec(f"/{effector}/result", _shape("goal_id", "status"), s, (c, NODE_ENV_INTERFACE)),
+        TopicSpec(f"/ready/{effector}", _shape("module", "ready"), s, (c, NODE_ENV_INTERFACE)),
+        TopicSpec(f"/{effector}/telemetry", telemetry, s, (NODE_ENV_INTERFACE,)),
     ]
 
 
@@ -71,9 +72,11 @@ def default_topics() -> list[TopicSpec]:
     topics: list[TopicSpec] = []
     for e in EFFECTORS:
         topics.extend(_effector_topics(e))
-    topics.append(TopicSpec("/env/sample", PayloadKind.PERCEPTION, NODE_WORLD, (NODE_ENV_INTERFACE,)))
+    topics.append(TopicSpec("/env/sample", _shape("wp", "wind", "radiation", "env"),
+                            NODE_WORLD, (NODE_ENV_INTERFACE,)))
     # Pose feeds the world (arrival detection) and the interface (visibility).
-    topics.append(TopicSpec("/pose", PayloadKind.TELEMETRY, server_node("wheels"), (NODE_WORLD, NODE_ENV_INTERFACE)))
+    topics.append(TopicSpec("/pose", _shape("x", "y"), server_node("wheels"),
+                            (NODE_WORLD, NODE_ENV_INTERFACE)))
     return topics
 
 
@@ -94,75 +97,34 @@ class Topology:
 
     def reroute(self, topic: str, subscribers: tuple[str, ...]) -> None:
         """Replace a topic's subscriber set (used by the misrouting mutant)."""
-        old = self.topics[topic]
-        self.topics[topic] = TopicSpec(old.name, old.kind, old.publisher, subscribers)
+        self.topics[topic] = replace(self.topics[topic], subscribers=subscribers)
 
 
 # -- payload shape checks ----------------------------------------------------
 
-# Field registry used by the property DSL to reject unknown payload fields at
-# parse time.  Keep it in sync with the validators below.
-PAYLOAD_FIELDS = {
-    "goal_id", "kind", "wp", "cmd",
-    "progress", "status", "wind", "radiation", "env", "module", "ready",
-    "x", "y", "speeds", "joints", "posture", "effector",
+# Every field some payload carries: the property DSL rejects any other
+# payload field at parse time.
+PAYLOAD_FIELDS = frozenset().union(*(shape for spec in default_topics() for shape in spec.shapes))
+
+# The values a field may take where the key set alone does not pin them.
+_FIELD_VALUES = {
+    "cmd": ("open", "close"),
+    "kind": ("waypoint",),
+    "status": ("Succeeded", "Canceled", "Aborted"),
 }
 
 
 class PayloadShapeError(ValueError):
-    """Payload does not match the topic's declared payload kind."""
-
-
-# The exact key set of each payload shape, built once rather than per publish.
-_POSTURE_GOAL = frozenset({"goal_id", "cmd"})
-_WAYPOINT_GOAL = frozenset({"goal_id", "kind", "wp"})
-_FEEDBACK = frozenset({"goal_id", "progress"})
-_RESULT = frozenset({"goal_id", "status"})
-_READY = frozenset({"module", "ready"})
-_PERCEPTION = frozenset({"wp", "wind", "radiation", "env"})
-_POSE = frozenset({"x", "y"})
-_WHEEL_TELEMETRY = frozenset({"speeds"})
-_EFFECTOR_TELEMETRY = frozenset({"effector", "joints", "posture"})
-
-
-def _require(payload: dict, keys: frozenset[str], kind: PayloadKind) -> None:
-    if payload.keys() != keys:
-        missing = keys - payload.keys()
-        extra = payload.keys() - keys
-        raise PayloadShapeError(
-            f"{kind.value} payload mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-        )
+    """Payload does not match any shape its topic declares."""
 
 
 def validate_payload(spec: TopicSpec, payload: dict) -> None:
-    kind = spec.kind
-    if kind is PayloadKind.GOAL:
-        if "cmd" in payload:
-            _require(payload, _POSTURE_GOAL, kind)
-            if payload["cmd"] not in ("open", "close"):
-                raise PayloadShapeError(f"bad posture command {payload['cmd']!r}")
-        elif payload.get("kind") == "waypoint":
-            _require(payload, _WAYPOINT_GOAL, kind)
-        else:
-            raise PayloadShapeError(f"unrecognized goal payload {sorted(payload)}")
-    elif kind is PayloadKind.FEEDBACK:
-        _require(payload, _FEEDBACK, kind)
-    elif kind is PayloadKind.RESULT:
-        _require(payload, _RESULT, kind)
-        if payload["status"] not in ("Succeeded", "Canceled", "Aborted"):
-            raise PayloadShapeError(f"bad result status {payload['status']!r}")
-    elif kind is PayloadKind.READY:
-        _require(payload, _READY, kind)
-    elif kind is PayloadKind.PERCEPTION:
-        _require(payload, _PERCEPTION, kind)
-    elif kind is PayloadKind.TELEMETRY:
-        if spec.name == "/pose":
-            _require(payload, _POSE, kind)
-        elif spec.name == "/wheels/telemetry":
-            _require(payload, _WHEEL_TELEMETRY, kind)
-            if len(payload["speeds"]) != 6:
-                raise PayloadShapeError("wheel telemetry must carry six speeds")
-        else:
-            _require(payload, _EFFECTOR_TELEMETRY, kind)
-    else:  # pragma: no cover - enum is closed
-        raise PayloadShapeError(f"unknown payload kind {kind}")
+    if payload.keys() not in spec.shapes:
+        raise PayloadShapeError(
+            f"{spec.name} payload keys {sorted(payload)} match no declared shape "
+            f"{[sorted(shape) for shape in spec.shapes]}")
+    for field, allowed in _FIELD_VALUES.items():
+        if field in payload and payload[field] not in allowed:
+            raise PayloadShapeError(f"bad {field} {payload[field]!r} on {spec.name}")
+    if "speeds" in payload and len(payload["speeds"]) != 6:
+        raise PayloadShapeError("wheel telemetry must carry six speeds")

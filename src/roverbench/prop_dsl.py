@@ -69,7 +69,7 @@ UNDETERMINED = "Undetermined"
 # Event fields addressable in comparisons, beyond payload.*.
 EVENT_FIELDS = {
     "t", "kind", "seq", "topic", "sender", "node", "phase", "server",
-    "target", "goal_id", "status", "atom", "op", "action", "module", "payload",
+    "target", "goal_id", "status", "atom", "op", "action", "payload",
 }
 
 class PropertyError(ValueError):

@@ -61,9 +61,6 @@ class Model:
             # The wiring bug under test: arm goals land on the mast server.
             topology.reroute("/arm/goal", (server_node("mast"),))
         self.bus = MessageBus(topology, tracer, inbox_limit=config.inbox_limit)
-        for spec in topology.topics.values():
-            for node in spec.subscribers:
-                self.bus.subscribe(node, spec.name)
         self.world = World(config, sink=sink)
         self.servers = build_servers(config, tracer, mutant=config.mutant)
         self.clients = {e: ClientEndpoint(e) for e in EFFECTORS}

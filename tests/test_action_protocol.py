@@ -23,7 +23,7 @@ from roverbench.tracing import EventTracer
 
 
 def make_rig(effector: str = "arm", init_delay: int = 0):
-    """A bus wired with one client/server pair stepped by hand."""
+    """A bus with one client/server pair stepped by hand."""
     config = make_config({"init_delays": {"wheels": 0, "arm": init_delay, "mast": 0}})
     tracer = EventTracer()
     bus = MessageBus(Topology(), tracer)
@@ -32,9 +32,6 @@ def make_rig(effector: str = "arm", init_delay: int = 0):
         server = WheelsServer(config, tracer)
     else:
         server = PostureServer(effector, config, tracer)
-    bus.subscribe(server.node, f"/{effector}/goal")
-    for topic in (f"/{effector}/feedback", f"/{effector}/result", f"/ready/{effector}"):
-        bus.subscribe(client.node, topic)
     return bus, client, server, tracer
 
 
@@ -133,7 +130,7 @@ class TestClient:
         pump(bus, client, server, 1)
         goal_id = client.send_goal(bus, {"cmd": "open"})
         pump(bus, client, server, 6)
-        late = Message(seq=0, tick=bus.tick, sender=server.node, topic="/arm/feedback",
+        late = Message(seq=0, sender=server.node, topic="/arm/feedback",
                        payload={"goal_id": goal_id, "progress": 0.5})
         assert client.on_message(late) == []
         assert client.records == {}
@@ -174,14 +171,6 @@ class TestServer:
         news = pump(bus, client, server, 8)
         assert (first, CANCELED) in news
         assert (second, SUCCEEDED) in news
-
-    def test_invalid_request_aborts(self):
-        bus, client, server, _ = make_rig(effector="wheels")
-        pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"kind": "waypoint", "wp": "Z"})
-        news = pump(bus, client, server, 3)
-        assert (goal_id, ABORTED) in news
-        assert server.active is None
 
     def test_scripted_fault_aborts_by_accept_index(self):
         bus, client, server, _ = make_rig()

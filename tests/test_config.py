@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from roverbench.config import CONFIG_SCHEMA, ScenarioConfig, make_config
+from roverbench.config import CONFIG_SCHEMA, ConfigError, ScenarioConfig, make_config
 
 KEYS = sorted(CONFIG_SCHEMA["properties"])
 
@@ -39,3 +39,11 @@ class TestAttributes:
         assert other == config
         assert (other.decay_rate, other.mutant) == (3, "env-blind")
         assert [getattr(other, key) for key in KEYS] == [other.raw[key] for key in KEYS]
+
+
+class TestCrossChecks:
+    def test_patrol_stop_off_the_map_rejected(self):
+        """The agent sends the wheels only patrol stops, and the wheels
+        server runs any goal it gets, so every stop must be on the map."""
+        with pytest.raises(ConfigError, match="patrol waypoint 'Z'"):
+            make_config({"patrol": ["A", "Z"]})

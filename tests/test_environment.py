@@ -17,7 +17,7 @@ from roverbench.environment import (
     classify,
     decay_radiation,
 )
-from roverbench.messages import Message, NODE_ENV_INTERFACE, NODE_WORLD, Topology
+from roverbench.messages import Message, Topology
 from roverbench.tracing import EventTracer
 
 
@@ -109,7 +109,6 @@ def make_world(overrides: dict | None = None, explore: bool = False, sink=None):
     config = make_config(overrides or {})
     tracer = EventTracer()
     bus = MessageBus(Topology(), tracer)
-    bus.subscribe(NODE_ENV_INTERFACE, "/env/sample")
     world = World(config, sink=sink if explore else None)
     return world, bus, tracer
 
@@ -209,7 +208,7 @@ class TestWorldExploration:
         choice set at A offers calm and windy options."""
         sink = ScriptSink(picks={("wind", "A"): 0})
         world, bus, _ = make_world(explore=True, sink=sink)
-        msg = Message(seq=0, tick=1, sender="wheelsServer", topic="/pose",
+        msg = Message(seq=0, sender="wheelsServer", topic="/pose",
                       payload={"x": 6, "y": 0})
         world._observe_pose(msg, sink)
         assert ("wind", "A") in sink.calls
@@ -219,7 +218,7 @@ class TestWorldExploration:
         sink = ScriptSink()
         world, bus, _ = make_world(explore=True, sink=sink)
         calls_before = len(sink.calls)
-        msg = Message(seq=0, tick=1, sender="wheelsServer", topic="/pose",
+        msg = Message(seq=0, sender="wheelsServer", topic="/pose",
                       payload={"x": 3, "y": 0})
         world._observe_pose(msg, sink)
         assert len(sink.calls) == calls_before

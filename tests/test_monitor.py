@@ -12,7 +12,7 @@ from naive_semantics import evaluate_naive
 from roverbench.bus import MessageBus
 from roverbench.config import make_config
 from roverbench.explorer import Explorer
-from roverbench.messages import NODE_ENV_INTERFACE, NODE_WORLD, Topology
+from roverbench.messages import NODE_WORLD, Topology
 from roverbench.monitor import (
     STATE_ONLY,
     DispatchIndex,
@@ -369,7 +369,6 @@ class TestEngine:
     def test_log_monitor_emits_violation_event(self):
         tracer = EventTracer()
         bus = MessageBus(Topology(), tracer)
-        bus.subscribe(NODE_ENV_INTERFACE, "/env/sample")
         engine = build_engine(SMALL_SUITE, [{"prop": "no_negative_wind"}])
         engine.attach(tracer, bus)
         bus.publish(NODE_WORLD, "/env/sample", {"wp": "A", "wind": -1, "radiation": 0, "env": "Fine"})
@@ -386,7 +385,6 @@ class TestEngine:
         recorded, nothing is delivered, and the trace re-checks clean."""
         tracer = EventTracer()
         bus = MessageBus(Topology(), tracer)
-        bus.subscribe(NODE_ENV_INTERFACE, "/env/sample")
         engine = build_engine(SMALL_SUITE, [{"prop": "no_negative_wind", "mode": "block"}])
         engine.attach(tracer, bus)
         bus.publish(NODE_WORLD, "/env/sample", {"wp": "A", "wind": -1, "radiation": 0, "env": "Fine"})

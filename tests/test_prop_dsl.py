@@ -110,6 +110,13 @@ class TestParser:
             with pytest.raises(UnknownFieldError):
                 parse_formula(f"payload.{field} > 0")
 
+    def test_module_is_not_an_event_field(self):
+        """Ready announcements carry the module in their payload; no event
+        has a top-level ``module``."""
+        with pytest.raises(UnknownFieldError):
+            parse_formula('module == "arm"')
+        parse_formula('payload.module == "arm"')
+
     def test_field_error_carries_position(self):
         with pytest.raises(UnknownFieldError) as exc_info:
             parse_formula('topic("/pose") && payload.bogus == 1')

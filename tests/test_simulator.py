@@ -12,10 +12,12 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from roverbench.action_protocol import ACTIVE, PENDING
 from roverbench.config import make_config
 from roverbench.explorer import ChoiceSink
-from roverbench.messages import PayloadKind, Topology
+from roverbench.messages import Topology, server_node
 from roverbench.simulator import ALL_STAGES, TRACE_FORMAT, Model, run_simulation
 from roverbench.tracing import EventTracer
 
@@ -81,17 +83,45 @@ class TestSummary:
         assert summary["explanations"].endswith("trace.jsonl.explain")
 
 
+def model_events(overrides=None, ticks=60) -> list[dict]:
+    tracer = EventTracer()
+    model = Model(make_config(overrides or {}), tracer)
+    for _ in range(ticks):
+        model.step_tick()
+    return tracer.events
+
+
 class TestTopology:
-    """No declared topic or payload kind is wiring that no run uses."""
+    """The topic table is the wiring, and none of it goes unused."""
 
     def test_every_declared_topic_is_published(self):
         summary = run_simulation(make_config(), 60)
         published = {topic for topic, c in summary["stats"]["topics"].items() if c["published"]}
         assert sorted(set(Topology().topics) - published) == []
 
-    def test_every_payload_kind_has_a_topic(self):
-        declared = {spec.kind for spec in Topology().topics.values()}
-        assert [kind for kind in PayloadKind if kind not in declared] == []
+    def test_every_declared_shape_is_published(self):
+        published = {(ev["topic"], frozenset(ev["payload"]))
+                     for ev in model_events() if ev["kind"] == "publish"}
+        declared = {(spec.name, shape)
+                    for spec in Topology().topics.values() for shape in spec.shapes}
+        assert sorted(name for name, _ in declared - published) == []
+
+    @pytest.mark.parametrize("mutant", [None, "misroute-bus"])
+    def test_delivery_follows_the_topic_table(self, mutant):
+        """Each message goes to exactly its topic's declared subscribers, in
+        declared order; the misrouting mutant rewrites one row of the table."""
+        topics = Topology()
+        if mutant == "misroute-bus":
+            topics.reroute("/arm/goal", (server_node("mast"),))
+        events = model_events({"mutant": mutant})
+        delivered: dict[int, list[str]] = {}
+        for ev in events:
+            if ev["kind"] == "deliver":
+                delivered.setdefault(ev["seq"], []).append(ev["node"])
+        expected = {ev["seq"]: list(topics.topics[ev["topic"]].subscribers)
+                    for ev in events if ev["kind"] == "publish"}
+        assert any(ev.get("topic") == "/arm/goal" for ev in events)
+        assert delivered == expected
 
 
 # -- trace header ------------------------------------------------------------

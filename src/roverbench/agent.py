@@ -246,7 +246,6 @@ class MoveNext(_GoalStep):
 class PlanRule:
     name: str
     trigger: tuple  # belief pattern; VAR slots bind
-    guard_name: str
     guard: object  # callable(agent, bindings) -> bool
     body: object  # callable(agent, bindings) -> list[Step]
     preempt: bool = False  # may replace a busy intention
@@ -287,7 +286,7 @@ def _match(trigger: tuple, event: tuple) -> dict | None:
     return bindings
 
 
-def build_plans(config: ScenarioConfig, unguarded_start: bool = False) -> list[PlanRule]:
+def build_plans(config: ScenarioConfig) -> list[PlanRule]:
     def all_ready(agent, b):
         return mission_ready(agent.beliefs)
 
@@ -318,21 +317,20 @@ def build_plans(config: ScenarioConfig, unguarded_start: bool = False) -> list[P
     ]
 
     plans = []
-    if unguarded_start:
+    if config.mutant == "premature-action":
         # Mutant: launches the patrol at startup without the readiness gate.
-        plans.append(PlanRule("start_patrol_unguarded", ("start",), "true", true, patrol_body))
+        plans.append(PlanRule("start_patrol_unguarded", ("start",), true, patrol_body))
     if config.strict_radiation_mode:
         # Avoidance generalized beyond route planning: radiation appearing at
         # the waypoint the rover occupies abandons whatever it was doing there.
         plans.append(PlanRule("evacuate_radiation", ("env", VAR, "Radiation"),
-                              "radiated_here", radiated_here, patrol_body,
-                              preempt=True))
+                              radiated_here, patrol_body, preempt=True))
     plans.extend(
         [
-            PlanRule("start_patrol", ("ready", VAR), "all_ready", all_ready, patrol_body),
-            PlanRule("collect_here", ("at", VAR), "fine_here", fine_here, collect_body),
-            PlanRule("pass_through_windy", ("at", VAR), "windy_here", windy_here, patrol_body),
-            PlanRule("move_on", ("at", VAR), "true", true, patrol_body),
+            PlanRule("start_patrol", ("ready", VAR), all_ready, patrol_body),
+            PlanRule("collect_here", ("at", VAR), fine_here, collect_body),
+            PlanRule("pass_through_windy", ("at", VAR), windy_here, patrol_body),
+            PlanRule("move_on", ("at", VAR), true, patrol_body),
         ]
     )
     return plans
@@ -341,16 +339,16 @@ def build_plans(config: ScenarioConfig, unguarded_start: bool = False) -> list[P
 # -- the agent ---------------------------------------------------------------
 
 class RoverAgent:
-    def __init__(self, config: ScenarioConfig, tracer, mutant: str | None = None):
+    def __init__(self, config: ScenarioConfig, tracer):
         self.config = config
         self.tracer = tracer
-        self.ignore_env = mutant == "env-blind"
+        self.ignore_env = config.mutant == "env-blind"
         self.beliefs: set = {
             ("at", config.start),
             ("arm", "Closed"),
             ("mast", "Closed"),
         }
-        self.plans = build_plans(config, unguarded_start=(mutant == "premature-action"))
+        self.plans = build_plans(config)
         self.intention: Intention | None = None
         self.started = False
         self.explanations: list[dict] = []
@@ -486,7 +484,7 @@ class RoverAgent:
                         "t": t,
                         "rule": self.intention.rule.name,
                         "guard": {
-                            "name": self.intention.rule.guard_name,
+                            "name": self.intention.rule.guard.__name__,
                             "bindings": dict(sorted(self.intention.bindings.items())),
                         },
                         "action": action.text(),
@@ -512,12 +510,12 @@ class AgentHost:
     perceptions, hands emitted actions to the per-effector clients, and maps
     goal results back to the actions that caused them."""
 
-    def __init__(self, config: ScenarioConfig, tracer, clients: dict, mutant: str | None = None):
+    def __init__(self, config: ScenarioConfig, tracer, clients: dict):
         from .messages import NODE_ENV_INTERFACE, client_node
 
         self.config = config
         self.tracer = tracer
-        self.agent = RoverAgent(config, tracer, mutant=mutant)
+        self.agent = RoverAgent(config, tracer)
         self.clients = clients  # effector -> ClientEndpoint
         self.goal_actions: dict[str, AgentAction] = {}
         self._interface_node = NODE_ENV_INTERFACE

@@ -113,7 +113,7 @@ class PostureServer(ServerBase):
         return state
 
 
-def build_servers(config: ScenarioConfig, tracer, mutant: str | None = None) -> dict:
+def build_servers(config: ScenarioConfig, tracer) -> dict:
     scripted: dict[str, tuple[int, ...]] = {}
     for fault in config.scripted_faults:
         scripted.setdefault(fault["effector"], ())
@@ -124,7 +124,7 @@ def build_servers(config: ScenarioConfig, tracer, mutant: str | None = None) -> 
     }
     return {
         "wheels": WheelsServer(
-            config, tracer, skip_stop=(mutant == "no-stop-wheels"), **common("wheels")
+            config, tracer, skip_stop=(config.mutant == "no-stop-wheels"), **common("wheels")
         ),
         "arm": PostureServer("arm", config, tracer, **common("arm")),
         "mast": PostureServer("mast", config, tracer, **common("mast")),

@@ -35,15 +35,18 @@ A walk that lasts longer than ``_PROGRESS_EVERY`` seconds writes a progress
 line to stderr that often; stdout and counterexample files do not change.
 
 Every property's shape comes from ``monitor.synthesize``.  Safety, until
-and bounded-window properties ride along as monitor states inside the
-product; a violation is reported with the shortest choice path that reaches
-it.  Unbounded liveness (plain ``eventually``, ``always(eventually)`` and
+and bounded-window properties ride along inside the product in a
+``MonitorEngine``, one per root, as in ``simulate``; a violation is reported
+with the shortest choice path that reaches it.  Keys count deadlines from
+``model.tick`` and the engine expires windows at the last model event's
+time, so a step that ends before ``model.tick`` is an internal error.
+Unbounded liveness (plain ``eventually``, ``always(eventually)`` and
 unbounded response), which ``synthesize`` refuses with its shape attached,
-is decided on the finished graph by one lasso search:
-a depth-first search on an explicit stack, so graph depth is never bounded by
-the recursion limit, over the states each shape allows (those reached before
-the awaited event, all states, or those with the response obligation open).
-The step labels every edge with the awaited events it produced; a cycle of
+is decided on the finished graph by one lasso search: a depth-first search
+on an explicit stack, so graph depth is never bounded by the recursion
+limit, over the states each shape allows (those reached before the awaited
+event, all states, or those with the response obligation open).  The step
+labels every edge with the awaited events it produced; a cycle of
 unlabelled edges is a lasso-shaped counterexample.  Whether a cycle exists
 does not depend on where the search starts, so it first runs in discovery
 order; only when it finds a lasso are the states' sorted JSON texts built,
@@ -77,9 +80,9 @@ from .monitor import (
     DispatchIndex,
     IllegalOperatorForRuntime,
     Liveness,
+    MonitorEngine,
     MonitorShapeError,
     OnlineMonitor,
-    hand_out,
     synthesize,
 )
 from .prop_dsl import SATISFIED, UNDETERMINED, VIOLATED
@@ -175,24 +178,21 @@ def _variants(signature: list[list]) -> list[list[list]]:
 
 @dataclass(frozen=True)
 class _Dispatch:
-    """Where a bundle's events go, the same for every bundle of a walk: the
-    monitor index over monitor names, and the awaited-event predicate of
-    each liveness property."""
+    """The awaited-event predicate of each liveness property, the same for
+    every bundle of a walk."""
 
-    monitors: DispatchIndex
     awaited: dict  # liveness name -> awaited-event predicate
 
 
 class _Bundle:
     """One exploration branch: the model plus all riding monitor states."""
 
-    def __init__(self, model: Model, monitors: dict, trackers: dict, dispatch: _Dispatch):
+    def __init__(self, model: Model, engine: MonitorEngine, trackers: dict, dispatch: _Dispatch):
         self.model = model
-        self.monitors = monitors  # name -> OnlineMonitor (log mode)
+        self.engine = engine  # log-mode monitors; a walk drops each once Violated
         self.trackers = trackers  # name -> _ResponseTracker
         self.dispatch = dispatch
         self.fired: set[str] = set()  # names whose awaited event the last step produced
-        self.beliefs: set[str] = set()
 
     @staticmethod
     def clone(snapshot: bytes) -> "_Bundle":
@@ -204,29 +204,29 @@ class _Bundle:
         The tick's events are handed over and its explanations dropped, so a
         snapshot taken between steps carries neither."""
         sink = ChoiceSink(script, strict=strict)
-        first = self.model.tick == 0  # a root's first event reaches every monitor
         self.acting = self.model.step_tick(sink)  # mask of the stages that acted
         tracer = self.model.tracer
         events, tracer.events = tracer.events, []
         self.model.host.agent.explanations.clear()
-        now = self.model.tick
-        monitors, index = self.monitors, self.dispatch.monitors
+        engine, observe, now = self.engine, self.engine.observe, self.model.tick
+        trackers, awaited = self.trackers.values(), self.dispatch.awaited.items()
         self.fired = fired = set()
-        state = frozenset(self.beliefs)
         for event in events:
-            state = hand_out(index, monitors, self.beliefs, state, event, first)
-            first = False
-            for tr in self.trackers.values():
+            observe(event)
+            state = engine.state
+            for tr in trackers:
                 tr.observe(event, state)
-            for name, pred in self.dispatch.awaited.items():
+            for name, pred in awaited:
                 if name not in fired and pred(event, state):
                     fired.add(name)
-        for m in monitors.values():
-            m.on_tick(now)
+        if engine.clock != now:
+            raise RuntimeError(f"tick {now} ended at event time {engine.clock}: the "
+                               "key's deadlines, relative to the tick, would be unsound")
+        engine.on_tick(now)
         return events, sink.log
 
     def violations(self) -> list[tuple[str, OnlineMonitor]]:
-        return [(name, m) for name, m in self.monitors.items() if m.verdict == VIOLATED]
+        return [(name, m) for name, m in self.engine.monitors.items() if m.verdict == VIOLATED]
 
     def canonical(self) -> bytes:
         """The dedupe key: the ranked ``to_state`` view in ``marshal`` bytes.
@@ -237,7 +237,7 @@ class _Bundle:
         now = self.model.tick
         return marshal.dumps({
             "model": _rank_goals(self.model.to_state()),
-            "monitors": {n: m.to_state(now) for n, m in sorted(self.monitors.items())},
+            "monitors": {n: m.to_state(now) for n, m in sorted(self.engine.monitors.items())},
             "trackers": {n: t.to_state() for n, t in sorted(self.trackers.items())},
         }, 2)
 
@@ -283,10 +283,10 @@ def _rank_goals(model: dict) -> dict:
 # Never changed once built, so every bundle of a walk shares one of each:
 # classes (a table lookup restores faster than an import by name), closures
 # and compiled predicates, the config, the bus topology, plan rules, the
-# formula AST (the dataclasses of prop_dsl) and the dispatch table (whose
-# memo only grows).
+# formula AST (the dataclasses of prop_dsl), the awaited predicates, and
+# each root's monitor index (whose memo and counts only grow).
 _SHARED_TYPES = frozenset(
-    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch]
+    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch, DispatchIndex]
     + [c for c in vars(prop_dsl).values() if isinstance(c, type) and is_dataclass(c)])
 
 # The shared objects of the running walks, which nest but never run in
@@ -451,18 +451,15 @@ class Explorer:
         self.budget_secs = budget_secs
         self.monitored: dict = {}
         self.liveness: dict[str, Liveness] = {}
-        keys: list[tuple[str, frozenset | None]] = []
         for name, ast in self.suite.items():
             try:
-                keys.append((name, synthesize(name, ast, "log").keys))
+                synthesize(name, ast, "log")
+                self.monitored[name] = ast  # synthesized afresh per root bundle
             except IllegalOperatorForRuntime as exc:
                 self.liveness[name] = exc.liveness
-                continue
             except MonitorShapeError as exc:
                 raise ExplorationError(str(exc)) from exc
-            self.monitored[name] = ast  # synthesized afresh per root bundle
-        self.dispatch = _Dispatch(
-            DispatchIndex(keys), {name: live.goal for name, live in self.liveness.items()})
+        self.dispatch = _Dispatch({name: live.goal for name, live in self.liveness.items()})
 
     # -- bundle construction -------------------------------------------------
 
@@ -470,10 +467,10 @@ class Explorer:
         tracer = EventTracer()
         sink = ChoiceSink(init_script, strict=strict)
         model = Model(self.config, tracer, sink=sink)
-        monitors = {n: synthesize(n, ast, "log") for n, ast in self.monitored.items()}
+        engine = MonitorEngine([synthesize(n, ast, "log") for n, ast in self.monitored.items()])
         trackers = {name: _ResponseTracker(live.trigger, live.goal)
                     for name, live in self.liveness.items() if live.kind == "response"}
-        return _Bundle(model, monitors, trackers, self.dispatch), sink.log
+        return _Bundle(model, engine, trackers, self.dispatch), sink.log
 
     def _roots(self) -> list[tuple[_Bundle, list]]:
         base, signature = self._build_bundle(None)
@@ -535,7 +532,7 @@ class Explorer:
                     ce.prop = name
                     counterexamples[name] = ce
                     verdicts[name] = VIOLATED
-                del bundle.monitors[name]
+                del bundle.engine.monitors[name]
             keep = live < _LIVE_LIMIT
             checkpoint = node.depth % _CHECKPOINT == 0
             if checkpoint or branched or not keep:
@@ -561,7 +558,7 @@ class Explorer:
             for below in reversed(path):
                 timed("step", bundle.step, below.picks, True)
                 for name, _ in bundle.violations():
-                    del bundle.monitors[name]
+                    del bundle.engine.monitors[name]
             rebuilt += 1
             return bundle
 
@@ -885,7 +882,7 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
                 f"tick {tick} of the loop produces the event {prop} awaits")
 
     if kind != "liveness":
-        if bundle.monitors[prop].verdict != VIOLATED:
+        if bundle.engine.monitors[prop].verdict != VIOLATED:
             raise ReplayDivergenceError(
                 f"replay did not reproduce the {kind} violation of {prop}")
         return {"reproduced": True, "prop": prop, "kind": kind,

@@ -44,38 +44,35 @@ class Message:
 @dataclass(frozen=True)
 class TopicSpec:
     name: str
-    shapes: tuple[frozenset[str], ...]  # the exact key sets a payload may have
+    keys: frozenset[str]  # the exact key set of a payload
     publisher: str
     subscribers: tuple[str, ...]  # in delivery order
-
-
-def _shape(*keys: str) -> tuple[frozenset[str], ...]:
-    return (frozenset(keys),)
 
 
 def _effector_topics(effector: str) -> list[TopicSpec]:
     c, s = client_node(effector), server_node(effector)
     if effector == "wheels":
-        goal, telemetry = _shape("goal_id", "kind", "wp"), _shape("speeds")
+        goal, telemetry = {"goal_id", "kind", "wp"}, {"speeds"}
     else:
-        goal, telemetry = _shape("goal_id", "cmd"), _shape("effector", "joints", "posture")
-    return [
-        TopicSpec(f"/{effector}/goal", goal, c, (s,)),
-        TopicSpec(f"/{effector}/feedback", _shape("goal_id", "progress"), s, (c,)),
-        TopicSpec(f"/{effector}/result", _shape("goal_id", "status"), s, (c, NODE_ENV_INTERFACE)),
-        TopicSpec(f"/ready/{effector}", _shape("module", "ready"), s, (c, NODE_ENV_INTERFACE)),
-        TopicSpec(f"/{effector}/telemetry", telemetry, s, (NODE_ENV_INTERFACE,)),
+        goal, telemetry = {"goal_id", "cmd"}, {"effector", "joints", "posture"}
+    rows = [
+        (f"/{effector}/goal", goal, c, (s,)),
+        (f"/{effector}/feedback", {"goal_id", "progress"}, s, (c,)),
+        (f"/{effector}/result", {"goal_id", "status"}, s, (c, NODE_ENV_INTERFACE)),
+        (f"/ready/{effector}", {"module", "ready"}, s, (c, NODE_ENV_INTERFACE)),
+        (f"/{effector}/telemetry", telemetry, s, (NODE_ENV_INTERFACE,)),
     ]
+    return [TopicSpec(name, frozenset(keys), pub, subs) for name, keys, pub, subs in rows]
 
 
 def default_topics() -> list[TopicSpec]:
     topics: list[TopicSpec] = []
     for e in EFFECTORS:
         topics.extend(_effector_topics(e))
-    topics.append(TopicSpec("/env/sample", _shape("wp", "wind", "radiation", "env"),
+    topics.append(TopicSpec("/env/sample", frozenset({"wp", "wind", "radiation", "env"}),
                             NODE_WORLD, (NODE_ENV_INTERFACE,)))
     # Pose feeds the world (arrival detection) and the interface (visibility).
-    topics.append(TopicSpec("/pose", _shape("x", "y"), server_node("wheels"),
+    topics.append(TopicSpec("/pose", frozenset({"x", "y"}), server_node("wheels"),
                             (NODE_WORLD, NODE_ENV_INTERFACE)))
     return topics
 
@@ -104,7 +101,7 @@ class Topology:
 
 # Every field some payload carries: the property DSL rejects any other
 # payload field at parse time.
-PAYLOAD_FIELDS = frozenset().union(*(shape for spec in default_topics() for shape in spec.shapes))
+PAYLOAD_FIELDS = frozenset().union(*(spec.keys for spec in default_topics()))
 
 # The values a field may take where the key set alone does not pin them.
 _FIELD_VALUES = {
@@ -115,14 +112,14 @@ _FIELD_VALUES = {
 
 
 class PayloadShapeError(ValueError):
-    """Payload does not match any shape its topic declares."""
+    """Payload does not match the shape its topic declares."""
 
 
 def validate_payload(spec: TopicSpec, payload: dict) -> None:
-    if payload.keys() not in spec.shapes:
+    if payload.keys() != spec.keys:
         raise PayloadShapeError(
-            f"{spec.name} payload keys {sorted(payload)} match no declared shape "
-            f"{[sorted(shape) for shape in spec.shapes]}")
+            f"{spec.name} payload keys {sorted(payload)} are not the declared "
+            f"{sorted(spec.keys)}")
     for field, allowed in _FIELD_VALUES.items():
         if field in payload and payload[field] not in allowed:
             raise PayloadShapeError(f"bad {field} {payload[field]!r} on {spec.name}")

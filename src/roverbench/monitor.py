@@ -25,6 +25,10 @@ event's key is its ``kind``, or ``("publish", topic)`` for a publish, and
 each monitor's ``keys`` are the events whose step can change its state,
 found at synthesis by partially evaluating its compiled predicates.  The
 engine hands an event only to the monitors its key can match.
+
+``MonitorEngine`` is the one driver of monitors: ``simulate`` attaches one
+to the run's tracer, and the explorer carries one, built afresh for each
+root, in every branch of its walk.  Both expire windows on the same clock.
 """
 
 from __future__ import annotations
@@ -107,21 +111,18 @@ class OnlineMonitor:
         return None
 
     def observe(self, event: dict, state: frozenset) -> None:
-        self._observe(event, state)  # ``hand_out`` skips a Violated monitor
+        self._observe(event, state)  # the engine skips a Violated monitor
 
     def _observe(self, event: dict, state: frozenset) -> None:
         raise NotImplementedError
 
-    def on_tick(self, t: int) -> None:
-        pass
+    def on_tick(self, t: int) -> bool:
+        return False  # True only when this call makes the monitor Violated
 
     def would_violate(self, event: dict, state: frozenset) -> bool:
         """True if observing ``event`` would flip the verdict to Violated.
         Must be side-effect free; only safety monitors can say yes."""
         return False
-
-    def note_block(self, event: dict) -> None:
-        self.blocked += 1
 
     def finalize(self) -> str:
         raise NotImplementedError
@@ -147,7 +148,7 @@ class SafetyMonitor(OnlineMonitor):
     def keys(self):
         # Over the belief state alone the verdict can flip only where the
         # state is new to this monitor: at a belief event, or at the first
-        # event, against the empty state, which ``hand_out`` gives every
+        # event, against the empty state, which the engine hands to every
         # monitor.
         if self._violates.outside == STATE_ONLY:
             return frozenset(["belief"])
@@ -201,6 +202,8 @@ class WindowMonitor(OnlineMonitor):
     def on_tick(self, t):
         if self.verdict != VIOLATED and self.deadline is not None and t > self.deadline:
             self._violate(f"no response by t={self.deadline} (window {self.bound})")
+            return True
+        return False
 
     def finalize(self):
         if self.verdict == VIOLATED:
@@ -341,15 +344,13 @@ def _quiet_keys(*wanted) -> frozenset | None:
 
 class DispatchIndex:
     """Event -> the entries whose keys its key can match, memoised per key
-    beside the number of events looked up under it when ``counted``.
-    ``entries`` are (item, keys) pairs, keys None for every event; each
-    looked-up list keeps entry order.  The first model event of a run or
-    root reaches every entry, so a monitor keyed on the belief state alone
-    meets the empty state too."""
+    beside the number of events looked up under it.  ``entries`` are (item,
+    keys) pairs, keys None for every event; each looked-up list keeps entry
+    order.  The first model event of a run or root reaches every entry, so a
+    monitor keyed on the belief state alone meets the empty state too."""
 
-    def __init__(self, entries: list[tuple[object, frozenset | None]], counted: bool = False):
+    def __init__(self, entries: list[tuple[object, frozenset | None]]):
         self._entries = entries
-        self.counted = counted
         self._memo: dict = {}  # event key, () at a first event -> [targets, events]
 
     def targets(self, event: dict, first: bool = False) -> list:
@@ -359,8 +360,7 @@ class DispatchIndex:
         if hit is None:
             hit = self._memo[key] = [[item for item, keys in self._entries if first
                                       or keys is None or key in keys or kind in keys], 0]
-        if self.counted:
-            hit[1] += 1
+        hit[1] += 1
         return hit[0]
 
     def handed(self) -> dict:
@@ -370,26 +370,6 @@ class DispatchIndex:
             for item in items:
                 counts[item] += events
         return counts
-
-
-def hand_out(index: DispatchIndex, monitors: dict, beliefs: set, state: frozenset,
-             event: dict, first: bool, violated=None) -> frozenset:
-    """The one loop that hands a model event to monitors, online and in the
-    explorer: fold a belief event into ``beliefs``, pick the targets of the
-    event, and let each target still undecided observe it.  ``monitors``
-    maps the index's items to monitors (an item not there is skipped);
-    ``violated(m, t)`` hears of each monitor the event makes Violated.
-    Returns the belief state after the event."""
-    if event.get("kind") == "belief":
-        fold_belief(beliefs, event)
-        state = frozenset(beliefs)
-    for item in index.targets(event, first):
-        m = monitors.get(item)
-        if m is not None and m.verdict != VIOLATED:
-            m.observe(event, state)
-            if violated is not None and m.verdict == VIOLATED:
-                violated(m, event.get("t"))
-    return state
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -469,9 +449,13 @@ def _window(name, ast, mode, kind, goal, bound, trigger=None) -> WindowMonitor:
 # -- engine ------------------------------------------------------------------
 
 class MonitorEngine:
-    """Feeds the live event stream to a set of monitors, emits verdict events
-    into the same trace, and gates bus publishes for block-mode monitors.
-    Verdict events are monitor output, which no monitor observes."""
+    """Hands model events to a set of monitors, live in ``simulate`` and on
+    each branch of the explorer: folds belief events into the belief state,
+    lets each undecided monitor the index picks observe the event, and at
+    the end of a tick expires windows on the clock of the model events.
+    When attached to a run it also emits verdict events into the same trace
+    and gates bus publishes for block-mode monitors.  Verdict events are
+    monitor output, which no monitor observes."""
 
     def __init__(self, monitors: list[OnlineMonitor]):
         for m in monitors:
@@ -479,9 +463,8 @@ class MonitorEngine:
                 raise MonitorConfigError(
                     f"{m.name}: only per-event safety monitors may block "
                     "(a deadline expiry has no message to veto)")
-        self.monitors = monitors
-        self.named = {m.name: m for m in monitors}
-        self.index = DispatchIndex([(m.name, m.keys) for m in monitors], counted=True)
+        self.monitors = {m.name: m for m in monitors}  # the explorer drops Violated ones
+        self.index = DispatchIndex([(m.name, m.keys) for m in monitors])
         self.beliefs: set[str] = set()
         self.state = frozenset()  # ``beliefs`` as of the last belief event
         self.tracer = None
@@ -494,39 +477,43 @@ class MonitorEngine:
     def attach(self, tracer, bus) -> None:
         self.tracer = tracer
         tracer.add_observer(self.observe)
-        if any(m.mode == "block" for m in self.monitors):
+        if any(m.mode == "block" for m in self.monitors.values()):
             bus.gate = self.gate
 
     # The bus consults the gate before a publish event is enqueued.
     def gate(self, event: dict) -> bool:
         blocked = False
-        for m in self.monitors:
+        for m in self.monitors.values():
             if m.mode == "block" and m.would_violate(event, self.state):
-                m.note_block(event)
+                m.blocked += 1
                 blocked = True
                 self._emit(event["t"], m, "blocked", m.verdict, topic=event.get("topic"))
         return blocked
 
     def observe(self, event: dict) -> None:
-        if event.get("kind") == "verdict":
+        kind = event.get("kind")
+        if kind == "verdict":
             return
-        self.clock = event["t"]
-        self.state = hand_out(self.index, self.named, self.beliefs, self.state,
-                              event, self.first, self._emit_violation)
+        self.clock = t = event["t"]
+        if kind == "belief":
+            fold_belief(self.beliefs, event)
+            self.state = frozenset(self.beliefs)
+        monitors, state = self.monitors, self.state
+        for name in self.index.targets(event, self.first):
+            m = monitors.get(name)
+            if m is not None and m.verdict != VIOLATED:
+                m.observe(event, state)
+                if m.verdict == VIOLATED:
+                    self._emit(t, m, "violation", VIOLATED, reason=m.reason)
         self.first = False
 
     def on_tick(self, t: int) -> None:
         """End of tick ``t``: expire the windows due before the last model
         event, stamping each violation ``t``."""
         self.last_tick = t
-        for m in self.monitors:
-            if m.verdict != VIOLATED:
-                m.on_tick(self.clock)
-                if m.verdict == VIOLATED:
-                    self._emit_violation(m, t)
-
-    def _emit_violation(self, m: OnlineMonitor, t: int) -> None:
-        self._emit(t, m, "violation", VIOLATED, reason=m.reason)
+        for m in self.monitors.values():
+            if m.on_tick(self.clock):
+                self._emit(t, m, "violation", VIOLATED, reason=m.reason)
 
     def _emit(self, t: int, m: OnlineMonitor, outcome: str, verdict: str, **extra) -> None:
         if self.tracer is not None:
@@ -536,7 +523,7 @@ class MonitorEngine:
     def finalize(self) -> dict:
         self.on_tick(self.last_tick)  # for model events after the last tick's end
         verdicts = {}
-        for m in self.monitors:
+        for m in self.monitors.values():
             verdicts[m.name] = m.finalize()
             self._emit(self.last_tick, m, "final", verdicts[m.name], blocked=m.blocked)
         return verdicts

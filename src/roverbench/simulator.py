@@ -62,9 +62,9 @@ class Model:
             topology.reroute("/arm/goal", (server_node("mast"),))
         self.bus = MessageBus(topology, tracer, inbox_limit=config.inbox_limit)
         self.world = World(config, sink=sink)
-        self.servers = build_servers(config, tracer, mutant=config.mutant)
+        self.servers = build_servers(config, tracer)
         self.clients = {e: ClientEndpoint(e) for e in EFFECTORS}
-        self.host = AgentHost(config, tracer, self.clients, mutant=config.mutant)
+        self.host = AgentHost(config, tracer, self.clients)
 
     @property
     def tick(self) -> int:

@@ -21,8 +21,8 @@ from roverbench.tracing import EventTracer
 ALL_READY = [{"kind": "ready", "module": m} for m in ("wheels", "arm", "mast")]
 
 
-def make_agent(overrides: dict | None = None, mutant: str | None = None) -> RoverAgent:
-    return RoverAgent(make_config(overrides or {}), EventTracer(), mutant=mutant)
+def make_agent(overrides: dict | None = None) -> RoverAgent:
+    return RoverAgent(make_config(overrides or {}), EventTracer())
 
 
 def env_percept(wp: str, cls: str) -> dict:
@@ -373,7 +373,7 @@ class TestPlanVariants:
         assert agent.intention.rule.name == "collect_here"
 
     def test_env_blind_mutant_sees_fine_everywhere(self):
-        agent = make_agent(mutant="env-blind")
+        agent = make_agent({"mutant": "env-blind"})
         agent.perceive(0, [env_percept("B", "Radiation")])
         assert agent.env_view("B") == "Fine"
         assert agent.pick_next("A") == "B"
@@ -381,6 +381,6 @@ class TestPlanVariants:
     def test_premature_mutant_moves_before_readiness(self):
         """The unguarded-start mutant issues its first drive on cycle one,
         before any readiness announcement."""
-        agent = make_agent(mutant="premature-action")
+        agent = make_agent({"mutant": "premature-action"})
         assert agent.cycle(0, []) == [move_to("A")]
         assert make_agent().cycle(0, []) == []

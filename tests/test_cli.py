@@ -16,6 +16,7 @@ import pytest
 
 from roverbench import cli, explorer
 from roverbench.cli import main
+from roverbench.environment import World
 
 
 # -- helpers -----------------------------------------------------------------
@@ -529,3 +530,10 @@ class TestInternalError:
         assert code == 5
         assert doc is None
         assert "internal error: RuntimeError: boom" in err
+
+    def test_step_ending_before_its_tick_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(World, "step", lambda self, t, bus, sink=None: None)
+        code, doc, err = run_cli(capsys, "verify")
+        assert code == 5
+        assert doc is None
+        assert "internal error: RuntimeError: tick 1 ended at event time 0" in err

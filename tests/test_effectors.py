@@ -196,8 +196,8 @@ class TestBuildServers:
         assert not servers["wheels"].skip_stop
 
     def test_no_stop_mutant_flags_wheels(self):
-        config = make_config()
-        servers = build_servers(config, EventTracer(), mutant="no-stop-wheels")
+        config = make_config({"mutant": "no-stop-wheels"})
+        servers = build_servers(config, EventTracer())
         assert servers["wheels"].skip_stop
         assert isinstance(servers["arm"], PostureServer)
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roverbench.config import ConfigError, make_config
+from roverbench.environment import World
 from roverbench.explorer import (
     ExplorationError,
     Explorer,
@@ -185,6 +186,15 @@ class TestExplorationGuards:
         assert (report.states, report.transitions) == (133, 136)
         assert report.verdicts == {"ready_soon": "Satisfied"}
         assert report.complete
+
+    def test_step_ending_before_its_tick_fails(self, monkeypatch):
+        """Keys count deadlines from ``model.tick`` and the monitors expire
+        windows at the last event's time, so a step must end at its tick:
+        with a world that publishes nothing, the first tick ends at event
+        time 0 with ``model.tick`` 1."""
+        monkeypatch.setattr(World, "step", lambda self, t, bus, sink=None: None)
+        with pytest.raises(RuntimeError, match="tick 1 ended at event time 0"):
+            explore_properties(make_config(), SUITE)
 
 
 # -- seeded defect variants --------------------------------------------------

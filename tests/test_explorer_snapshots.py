@@ -129,7 +129,7 @@ def raw_state(bundle: _Bundle) -> dict:
     now = bundle.model.tick
     return {
         "model": bundle.model.to_state(),
-        "monitors": {n: m.to_state(now) for n, m in sorted(bundle.monitors.items())},
+        "monitors": {n: m.to_state(now) for n, m in sorted(bundle.engine.monitors.items())},
         "trackers": {n: t.to_state() for n, t in sorted(bundle.trackers.items())},
     }
 
@@ -317,7 +317,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         found["goal_id_keys"] |= goal_id_keys(raw)
         # Violated monitors leave a stored state, as in the explorer.
         for name, _monitor in bundle.violations():
-            del bundle.monitors[name]
+            del bundle.engine.monitors[name]
         if key not in successors:
             successors[key] = set()
             stored[key] = snapshot = store.freeze(bundle)
@@ -330,8 +330,8 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         return key
 
     def stepped(bundle: _Bundle, script) -> list:
-        # The engine expires windows at the last model event's ``t``, the
-        # riding monitors at ``on_tick(model.tick)``: the two must agree.
+        # The monitors expire windows at the last model event's ``t``, the
+        # key counts deadlines from ``model.tick``: the two must agree.
         events, log = bundle.step(script)
         if not events or events[-1]["t"] != bundle.model.tick:
             found["clock_split"].append(bundle.model.tick)

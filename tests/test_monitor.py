@@ -391,7 +391,7 @@ class TestEngine:
         assert bus.step_deliver() == []
         kinds = [ev["kind"] for ev in tracer.events]
         assert "block" in kinds and "publish" not in kinds
-        (monitor,) = engine.monitors
+        (monitor,) = engine.monitors.values()
         assert monitor.blocked == 1
         assert monitor.verdict == UNDETERMINED  # the violation never happened
         assert engine.finalize()["no_negative_wind"] == SATISFIED
@@ -680,11 +680,11 @@ class ReferenceEngine(MonitorEngine):
         self.clock = event["t"]
         fold_belief(self.beliefs, event)
         state = frozenset(self.beliefs)
-        for m in self.monitors:
+        for m in self.monitors.values():
             if m.verdict != VIOLATED:
                 m.observe(event, state)
                 if m.verdict == VIOLATED:
-                    self._emit_violation(m, event["t"])
+                    self._emit(event["t"], m, "violation", VIOLATED, reason=m.reason)
 
 
 def monitor_states(monitors, now: int) -> list:
@@ -739,8 +739,8 @@ class TestIndexedDispatch:
                     engine.on_tick(tick)
             for tracer in tracers:
                 tracer.emit({"t": tick, **body})
-            assert monitor_states(indexed.monitors, tick) == \
-                monitor_states(reference.monitors, tick)
+            assert monitor_states(indexed.monitors.values(), tick) == \
+                monitor_states(reference.monitors.values(), tick)
             assert tracers[0].events == tracers[1].events
         verdicts = indexed.finalize()
         assert verdicts == reference.finalize()
@@ -760,7 +760,7 @@ class TestIndexedDispatch:
         class Counting(MonitorEngine):
             def observe(self, event):
                 if event["kind"] != "verdict":
-                    for m in self.monitors:
+                    for m in self.monitors.values():
                         if self.first or event_key_matches(m.keys, event):
                             handed[m.name] = handed.get(m.name, 0) + 1
                 super().observe(event)
@@ -778,8 +778,8 @@ class TestIndexedDispatch:
         engine = build_engine(HOLDS_ARM, [{"prop": "p0"}])
         engine.attach(tracer, MessageBus(Topology(), tracer))
         tracer.emit({"t": 0, **HEADER})
-        assert engine.monitors[0].verdict == VIOLATED
-        assert "t=0" in engine.monitors[0].reason
+        assert engine.monitors["p0"].verdict == VIOLATED
+        assert "t=0" in engine.monitors["p0"].reason
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(suites)
@@ -799,5 +799,5 @@ class TestIndexedDispatch:
             now = bundle.model.tick
             for m in reference:
                 m.on_tick(now)
-            assert monitor_states(bundle.monitors.values(), now) == \
+            assert monitor_states(bundle.engine.monitors.values(), now) == \
                 monitor_states(reference, now)

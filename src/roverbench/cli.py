@@ -190,20 +190,21 @@ def cmd_check(args) -> int:
     try:
         suite = _load_suite(args.props)
         started = time.perf_counter()
-        events = read_trace(args.trace)
+        trace = read_trace(args.trace)
         read_s = time.perf_counter() - started
-        verdicts = check_trace(suite, events, args.names or None)
+        verdicts = check_trace(suite, trace, args.names or None)
         evaluate_s = time.perf_counter() - started - read_s
     except (PropertyError, MalformedTraceError, MonitorConfigError,
             OSError, json.JSONDecodeError) as exc:
         _say(f"error: {exc}")
         return EXIT_BAD_INPUT
-    stats = {"events": len(events), "properties": len(verdicts),
+    # Every event read, verdict lines included.
+    stats = {"events": len(trace), "properties": len(verdicts),
              "read_s": round(read_s, 6), "evaluate_s": round(evaluate_s, 6)}
-    _emit({"trace": args.trace, "events": len(events), "verdicts": verdicts,
+    _emit({"trace": args.trace, "events": len(trace), "verdicts": verdicts,
            "stats": stats})
     violated = sorted(n for n, v in verdicts.items() if v == VIOLATED)
-    _say(f"checked {len(verdicts)} properties over {len(events)} events")
+    _say(f"checked {len(verdicts)} properties over {len(trace)} events")
     if violated:
         _say("violated: " + ", ".join(violated))
         return EXIT_VIOLATION

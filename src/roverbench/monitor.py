@@ -53,10 +53,10 @@ from .prop_dsl import (
     Until,
     compile_event_predicate,
     evaluate_suite,
-    fold_belief,
     left_spine,
     to_text,
 )
+from .tracing import next_beliefs
 
 
 class MonitorShapeError(ValueError):
@@ -465,8 +465,7 @@ class MonitorEngine:
                     "(a deadline expiry has no message to veto)")
         self.monitors = {m.name: m for m in monitors}  # the explorer drops Violated ones
         self.index = DispatchIndex([(m.name, m.keys) for m in monitors])
-        self.beliefs: set[str] = set()
-        self.state = frozenset()  # ``beliefs`` as of the last belief event
+        self.state = frozenset()  # the belief base as of the last belief event
         self.tracer = None
         self.last_tick = 0
         # The time of the last model event: windows expire on the clock the
@@ -496,8 +495,7 @@ class MonitorEngine:
             return
         self.clock = t = event["t"]
         if kind == "belief":
-            fold_belief(self.beliefs, event)
-            self.state = frozenset(self.beliefs)
+            self.state = next_beliefs(self.state, event["op"], event["atom"])
         monitors, state = self.monitors, self.state
         for name in self.index.targets(event, self.first):
             m = monitors.get(name)
@@ -549,14 +547,13 @@ def build_engine(suite: dict, selection: list[dict]) -> MonitorEngine:
     return MonitorEngine(monitors)
 
 
-def check_trace(suite: dict, events: list[dict],
-                names: list[str] | None = None) -> dict:
+def check_trace(suite: dict, events, names: list[str] | None = None) -> dict:
     """Offline verdicts via the declarative reference semantics, all picked
-    properties in one pass over the trace's model events: verdict lines are
-    monitor output.  No model events leave every property Undetermined."""
+    properties in one pass over the model events of ``events``, a ``Trace``
+    from ``read_trace`` or a list of event dicts: verdict lines are monitor
+    output.  No model events leave every property Undetermined."""
     picked = names if names is not None else list(suite)
     for name in picked:
         if name not in suite:
             raise MonitorConfigError(f"unknown property {name!r}")
-    return evaluate_suite({name: suite[name] for name in picked},
-                          [event for event in events if event.get("kind") != "verdict"])
+    return evaluate_suite({name: suite[name] for name in picked}, events)

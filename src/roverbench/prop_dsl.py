@@ -33,15 +33,19 @@ obligation; Undetermined means the trace ends with an obligation still open
 timestamps, not positions, and expire to Violated only once the trace has
 advanced past the window.
 
-``evaluate_suite`` computes every verdict of a suite in one pass over one
-shared view of the trace.  A verdict is an int, 0/1/2 for
-Violated/Undetermined/Satisfied, and each formula node gets one column of
-them, a ``bytearray`` holding its verdict at every start position; equal
-sub-formulas share a column.  In that order And, Or, Not and Implies are
-``min``, ``max``, ``2 - v`` and ``max(2 - a, b)``, applied to whole columns
-through byte translation tables.  An atom column is Violated except at the
-positions where the atom can hold, found from an index of event positions
-by key, so an atom is never tested at an event of another key.
+``evaluate_suite`` computes every verdict of a suite over one columnar
+``tracing.Trace``, in the manner of stream evaluation over columns (Lola;
+D'Angelo et al., TIME 2005): no event dict is walked.  A verdict is an
+int, 0/1/2 for Violated/Undetermined/Satisfied, and each formula node gets
+one column of them, a ``bytearray`` holding its verdict at every start
+position; equal sub-formulas share a column.  In that order And, Or, Not
+and Implies are ``min``, ``max``, ``2 - v`` and ``max(2 - a, b)``, applied
+to whole columns through byte translation tables.  An atom column is
+Violated except at the positions where the atom holds: the positions of
+its event key, the positions of its field path's values that compare true,
+or the belief stretches that hold it.
+A bounded window is decided per run of Satisfied positions, against the
+runs of equal ``t``.
 
 ``compile_event_predicate`` turns a temporal-operator-free formula into one
 generated function ``fn(event, state)``, built once per distinct formula
@@ -55,22 +59,17 @@ that walks a formula, equality and hashing included, folds chains in a loop.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import operator
 import re
 from dataclasses import dataclass
 
 from .messages import PAYLOAD_FIELDS
+from .tracing import EVENT_FIELDS, Trace
 
 SATISFIED = "Satisfied"
 VIOLATED = "Violated"
 UNDETERMINED = "Undetermined"
-
-# Event fields addressable in comparisons, beyond payload.*.
-EVENT_FIELDS = {
-    "t", "kind", "seq", "topic", "sender", "node", "phase", "server",
-    "target", "goal_id", "status", "atom", "op", "action", "payload",
-}
 
 class PropertyError(ValueError):
     def __init__(self, msg: str, line: int = 0, col: int = 0):
@@ -598,6 +597,22 @@ def _compare(op: str, left, right) -> bool:
     return _ORDER[op](left, right)
 
 
+def _matches(op: str, positions, values, constant) -> list[int]:
+    """The positions whose value compares true against ``constant``, as
+    ``_compare`` decides each, with the operator and constant resolved once."""
+    if isinstance(constant, tuple):
+        constant = list(constant)
+    if op == "==":
+        return [i for i, value in zip(positions, values) if value == constant]
+    if op == "!=":
+        return [i for i, value in zip(positions, values) if value != constant]
+    if not isinstance(constant, (int, float)):
+        return []
+    order = _ORDER[op]
+    return [i for i, value in zip(positions, values)
+            if isinstance(value, (int, float)) and order(value, constant)]
+
+
 def atom_holds(node, event: dict, state: frozenset) -> bool:
     """Truth of an atomic predicate at one event.  ``state`` is the belief
     base after the event has been applied."""
@@ -768,29 +783,6 @@ def compile_event_predicate(node):
     return fn
 
 
-def fold_belief(beliefs: set, event: dict) -> None:
-    """Apply a belief add/del event to a belief base; other events leave it."""
-    if event.get("kind") == "belief":
-        if event["op"] == "add":
-            beliefs.add(event["atom"])
-        else:
-            beliefs.discard(event["atom"])
-
-
-def belief_states(trace: list[dict]) -> list[frozenset]:
-    """Belief base after each event, reconstructed from belief add/del events.
-    The events between two belief events share one frozenset."""
-    states: list[frozenset] = []
-    current: set = set()
-    state = frozenset()
-    for event in trace:
-        if event.get("kind") == "belief":
-            fold_belief(current, event)
-            state = frozenset(current)
-        states.append(state)
-    return states
-
-
 # -- evaluation --------------------------------------------------------------
 
 _VERDICTS = (VIOLATED, UNDETERMINED, SATISFIED)
@@ -812,6 +804,7 @@ _TABLES = {And: _AND, Or: _OR, Implies: _IMPLIES}
 # of the next deciding position.
 _UNTIL = _pair_table(lambda a, b: 2 if b == 2 else (b if a == 0 else 3))
 _UNTIL_STEP = re.compile(rb"\x03*([\x00-\x02])")
+_SATISFIED_RUN = re.compile(rb"\x02+")
 
 
 def _pack(a: bytearray, b: bytearray) -> bytes:
@@ -831,49 +824,39 @@ def _suffix(col: bytearray, found: tuple, default: int) -> bytearray:
 
 
 class _TraceView:
-    """One trace as every column of an evaluation reads it: belief states
-    built in one pass, event positions by key (an event ``kind``, and
-    ``("publish", topic)`` for a publish), and the positions and values of
-    each compared field path, built on first use.  ``column`` memoises one
-    verdict column per formula node, so equal sub-formulas of different
-    properties share it."""
+    """One columnar trace as every column of an evaluation reads it: the
+    ``Trace`` columns, read without walking an event.  An atom is decided
+    over the positions of its key (``topic``, ``belief``, ``action``,
+    ``kind == "..."``), of its field path (comparisons) or over the belief
+    stretches (``holds``).  A comparison with a constant runs down its
+    path's column with the operator and constant resolved once; a
+    path-to-path comparison pairs the two columns by position.  ``column`` memoises one verdict column per formula
+    node, so equal sub-formulas of different properties share it."""
 
-    def __init__(self, trace: list[dict]):
+    def __init__(self, trace: Trace):
         self.trace = trace
-        self.n = len(trace)
-        self.states = belief_states(trace)
-        self.keys: dict = {}
-        for i, event in enumerate(trace):
-            kind = event.get("kind")
-            self.keys.setdefault(kind, []).append(i)
-            if kind == "publish":
-                self.keys.setdefault((kind, event.get("topic")), []).append(i)
+        self.n = trace.size
         self._fields: dict = {}
-        self._times: list | None = None
         self._columns: dict = {}
 
-    def at(self, key) -> list[int]:
-        return self.keys.get(key, [])
+    def at(self, key):
+        return self.trace.keys.get(key, ())
 
-    def field(self, path: Path) -> tuple[list[int], list]:
+    def field(self, path: Path):
         """Positions where ``path`` resolves, and the values it resolves to."""
         hit = self._fields.get(path)
         if hit is None:
-            positions, values = [], []
-            head = path.parts[0]
-            for i, event in enumerate(self.trace):
-                if head in event:
-                    value = _resolve(event, path)
-                    if value is not _MISSING:
-                        positions.append(i)
-                        values.append(value)
-            hit = self._fields[path] = (positions, values)
+            hit = self._fields[path] = self.trace.column(path.parts)
         return hit
 
-    def times(self) -> list:
-        if self._times is None:
-            self._times = [event["t"] for event in self.trace]
-        return self._times
+    def values_at(self, positions, path: Path) -> list:
+        """The values of ``path`` at ``positions``, _MISSING where it does
+        not resolve."""
+        have, values = self.field(path)
+        if have == positions:
+            return values
+        found = dict(zip(have, values))
+        return [found.get(i, _MISSING) for i in positions]
 
     def column(self, node) -> bytearray:
         """Verdict of ``node`` at every start position, 0/1/2 for
@@ -884,34 +867,43 @@ class _TraceView:
         return out
 
     def _atom(self, node) -> bytearray:
-        """An atom column: Violated except where the atom can hold."""
+        """An atom column: Violated except where the atom holds."""
         out = bytearray(self.n)
-        trace, states = self.trace, self.states
         if isinstance(node, TopicAtom):
-            for i in self.at(("publish", node.name)):
-                out[i] = 2
-        elif isinstance(node, (BeliefAtom, ActionAtom)):
-            for i in self.at("belief" if isinstance(node, BeliefAtom) else "action"):
-                if atom_holds(node, trace[i], states[i]):
-                    out[i] = 2
+            hits = self.at(("publish", node.name))
+        elif isinstance(node, BeliefAtom):
+            at = self.at("belief")
+            hits = [i for i, op, atom in zip(at, self.values_at(at, Path(("op",))),
+                                             self.values_at(at, Path(("atom",))))
+                    if op == "add" and atom == node.atom]
+        elif isinstance(node, ActionAtom):
+            at, pattern = self.at("action"), node.pattern
+            actions = self.values_at(at, Path(("action",)))
+            if pattern == "*":
+                hits = at
+            elif pattern.endswith("(*)"):
+                prefix = pattern[:-2]
+                hits = [i for i, action in zip(at, actions) if action.startswith(prefix)]
+            else:
+                hits = [i for i, action in zip(at, actions) if action == pattern]
         elif isinstance(node, HoldsAtom):
-            starts = [0] + self.at("belief")
-            for start, end in zip(starts, starts[1:] + [self.n]):
-                if node.atom in states[start]:
+            starts = [0, *self.at("belief")]
+            for start, end, state in zip(starts, starts[1:] + [self.n],
+                                         [frozenset(), *self.trace.states]):
+                if node.atom in state:
                     out[start:end] = b"\x02" * (end - start)
+            return out
         elif node.path.parts == ("kind",) and node.op == "==" and isinstance(node.value, str):
-            for i in self.at(node.value):
-                out[i] = 2
-        else:
+            hits = self.at(node.value)
+        elif isinstance(node.value, Path):
             positions, lefts = self.field(node.path)
-            if isinstance(node.value, Path):
-                rights = [_resolve(trace[i], node.value) for i in positions]
-            else:  # a tuple constant becomes a list once, not at each position
-                value = node.value
-                rights = itertools.repeat(list(value) if isinstance(value, tuple) else value)
-            for i, left, right in zip(positions, lefts, rights):
-                if _compare(node.op, left, right):
-                    out[i] = 2
+            hits = [i for i, left, right in zip(positions, lefts,
+                                                self.values_at(positions, node.value))
+                    if _compare(node.op, left, right)]
+        else:
+            hits = _matches(node.op, *self.field(node.path), node.value)
+        for i in hits:
+            out[i] = 2
         return out
 
     def _build(self, node) -> bytearray:
@@ -933,18 +925,21 @@ class _TraceView:
             # Never refutable on a finite trace.
             return _suffix(self.column(node.sub), ((2, 2),), 1)
         if isinstance(node, Eventually):
-            sub, times = self.column(node.sub), self.times()
-            last_t = times[-1]
-            out = bytearray(self.n)
-            hit = float("inf")  # time of the first Satisfied position >= i
-            for i in range(self.n - 1, -1, -1):
-                if sub[i] == 2:
-                    hit = times[i]
-                deadline = times[i] + node.bound
-                if hit <= deadline:
-                    out[i] = 2
-                elif last_t <= deadline:
-                    out[i] = 1
+            # A position holds when a Satisfied one at or after it comes by
+            # its deadline: the positions of a run of Satisfied ones, and
+            # those before it, back to the previous run, whose ``t`` is at
+            # least the run's ``t`` minus the bound.  After the last run, a
+            # position whose deadline the trace has not passed stays open.
+            times, starts = self.trace.tick_times, self.trace.tick_starts
+            out, end = bytearray(self.n), 0
+            for run in _SATISFIED_RUN.finditer(self.column(node.sub)):
+                first, last = run.span()
+                due = times[bisect.bisect_right(starts, first) - 1] - node.bound
+                begin = max(end, starts[bisect.bisect_left(times, due)])
+                out[begin:last] = b"\x02" * (last - begin)
+                end = last
+            begin = max(end, starts[bisect.bisect_left(times, times[-1] - node.bound)])
+            out[begin:] = b"\x01" * (self.n - begin)
             return out
         if isinstance(node, Until):
             steps = _pack(self.column(node.left), self.column(node.right)).translate(_UNTIL)
@@ -956,15 +951,21 @@ class _TraceView:
         raise TypeError(f"not a formula node: {node!r}")
 
 
-def evaluate_suite(suite: dict, trace: list[dict]) -> dict:
+def evaluate_suite(suite: dict, trace) -> dict:
     """Three-valued verdict of every formula of a name->AST map over a
-    finite, completed trace, in one pass over one shared view of it."""
-    if not trace:
+    finite, completed trace, in one pass over one shared view of it: a
+    ``Trace``, or a list of event dicts, which the same column builder
+    checks and files first, numbering them from 1 for its errors.  Verdict
+    events are monitor output, not model events: a trace of none is
+    Undetermined for every formula."""
+    if not isinstance(trace, Trace):
+        trace = Trace(enumerate(trace, start=1))
+    if not trace.size:
         return {name: UNDETERMINED for name in suite}
     view = _TraceView(trace)
     return {name: _VERDICTS[view.column(node)[0]] for name, node in suite.items()}
 
 
-def evaluate(node, trace: list[dict]) -> str:
+def evaluate(node, trace) -> str:
     """Three-valued verdict of ``node`` over a finite, completed trace."""
     return evaluate_suite({None: node}, trace)[None]

@@ -1,17 +1,27 @@
-"""Trace event stream: JSON-lines writer and reader.
+"""Trace event stream: JSON-lines writer and columnar reader.
 
 Every observable event in a run becomes one dict appended to a single ordered
 stream: bus traffic (publish/deliver/block), agent activity (belief/action),
 goal lifecycle transitions, and monitor verdicts.  Two runs with the same
 config and seed must produce byte-identical streams, so nothing here may touch
 wall-clock time or unordered collections.
+
+``read_trace`` reads a trace file into a ``Trace`` in one pass: each line is
+parsed, checked and filed into columns (the event times, the positions of
+each event key, the belief states, and the values of every field path a
+property can compare), then dropped, so no list of event dicts is kept.
+The offline evaluator (``prop_dsl.evaluate_suite``) reads only the columns;
+a list of event dicts goes through the same builder first.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Callable, IO
+from sys import intern
+from typing import Callable, IO, Sequence
+
+from .messages import PAYLOAD_FIELDS
 
 
 class MalformedTraceError(ValueError):
@@ -20,6 +30,12 @@ class MalformedTraceError(ValueError):
     def __init__(self, lineno: int, reason: str):
         super().__init__(f"line {lineno}: {reason}")
         self.lineno = lineno
+
+
+def next_beliefs(beliefs: frozenset, op: str, atom: str) -> frozenset:
+    """The belief base after a belief event: ``op`` add or del of ``atom``.
+    The offline columns and the online monitors both fold beliefs here."""
+    return beliefs | {atom} if op == "add" else beliefs - {atom}
 
 
 class EventTracer:
@@ -77,53 +93,161 @@ def json_encoder(separators: tuple[str, str] | None = None,
 dump_event = json_encoder(separators=(",", ":"))
 
 
-def _malformed(event, last_t: float) -> str | None:
-    """Why ``event`` cannot follow an event at tick ``last_t``, or None.
-    Bounded windows compare timestamps, so ``t`` may not decrease."""
-    if not isinstance(event, dict) or not isinstance(event.get("kind"), str):
-        return "event must be an object with a string 'kind'"
-    t = event.get("t")
-    if type(t) is not int:
-        return "event must have an integer 't'"
-    if t < last_t:
-        return f"'t' decreases from {last_t} to {t}"
-    kind = event["kind"]
-    if kind == "publish" and not isinstance(event.get("topic"), str):
-        return "publish event must have a string 'topic'"
-    if kind == "belief" and (event.get("op") not in ("add", "del")
-                             or not isinstance(event.get("atom"), str)):
-        return "belief event must have 'op' add or del and a string 'atom'"
-    if kind == "action" and not isinstance(event.get("action"), str):
-        return "action event must have a string 'action'"
-    return None
+# Event fields a property may compare (``prop_dsl``), besides one field of
+# the payload: ``payload.<f>`` for ``f`` in ``messages.PAYLOAD_FIELDS``.
+EVENT_FIELDS = {
+    "t", "kind", "seq", "topic", "sender", "node", "phase", "server",
+    "target", "goal_id", "status", "atom", "op", "action", "payload",
+}
+
+
+class Trace:
+    """A trace in columns, built in the one pass that reads it.
+
+    ``len`` is the number of events read, verdict lines included.  Verdict
+    lines are monitor output: they are checked and counted, not stored.
+    The model events are stored by their position among themselves, 0 to
+    ``size - 1``:
+
+    - ``tick_times`` and ``tick_starts``: the ``t`` of each run of events
+      of one ``t``, and the position where the run starts;
+    - ``keys``: the positions of each event key, an event ``kind``, and
+      ``("publish", topic)`` for a publish;
+    - ``states``: the belief base after each belief event, in the order of
+      ``keys["belief"]``; it holds up to the next belief event;
+    - ``column(parts)``: the positions where a field path resolves and its
+      values there, for each path a property can compare.
+
+    Equal strings in the columns share one object.
+    """
+
+    def __init__(self, numbered):
+        """Check and file each ``(line number, event)`` pair of ``numbered``.
+        An event must be an object with a string ``kind`` and an integer
+        ``t`` that does not decrease (bounded windows compare timestamps); a
+        publish needs a string ``topic``, a belief ``op`` add or del and a
+        string ``atom``, an action a string ``action``.  Raises
+        MalformedTraceError at the first event that breaks a rule."""
+        self.tick_times: list[int] = []
+        self.tick_starts: list[int] = []
+        self.keys: dict = {}
+        self.states: list[frozenset] = []
+        # Per field name, positions and values interleaved: one list takes
+        # both with two appends, the cheapest filing there is.
+        self._fields = fields = {name: [] for name in EVENT_FIELDS - {"t", "kind", "payload"}}
+        self._payload = payload_fields = {name: [] for name in PAYLOAD_FIELDS}
+        tick_times, tick_starts = self.tick_times, self.tick_starts
+        keys, states = self.keys, self.states
+        last_t = tick_t = float("-inf")
+        read = i = 0
+        beliefs = frozenset()
+        for lineno, event in numbered:
+            kind = event.get("kind") if isinstance(event, dict) else None
+            if not isinstance(kind, str):
+                raise MalformedTraceError(lineno, "event must be an object with a string 'kind'")
+            t = event.get("t")
+            if type(t) is not int:
+                raise MalformedTraceError(lineno, "event must have an integer 't'")
+            if t < last_t:
+                raise MalformedTraceError(lineno, f"'t' decreases from {last_t} to {t}")
+            last_t = t
+            read += 1
+            if kind == "verdict":
+                continue
+            if kind == "publish":
+                topic = event.get("topic")
+                if not isinstance(topic, str):
+                    raise MalformedTraceError(lineno, "publish event must have a string 'topic'")
+                at = keys.get(("publish", topic))
+                if at is None:
+                    at = keys[("publish", topic)] = []
+                at.append(i)
+            elif kind == "belief":
+                op, atom = event.get("op"), event.get("atom")
+                if op not in ("add", "del") or not isinstance(atom, str):
+                    raise MalformedTraceError(
+                        lineno, "belief event must have 'op' add or del and a string 'atom'")
+                beliefs = next_beliefs(beliefs, op, atom)
+                states.append(beliefs)
+            elif kind == "action" and not isinstance(event.get("action"), str):
+                raise MalformedTraceError(lineno, "action event must have a string 'action'")
+            at = keys.get(kind)
+            if at is None:
+                at = keys[kind] = []
+            at.append(i)
+            if t != tick_t:
+                tick_t = t
+                tick_times.append(t)
+                tick_starts.append(i)
+            for name, value in event.items():
+                filed = fields.get(name)
+                if filed is not None:
+                    filed.append(i)
+                    filed.append(intern(value) if value.__class__ is str else value)
+                elif name == "payload" and isinstance(value, dict):
+                    for name, value in value.items():
+                        filed = payload_fields.get(name)
+                        if filed is not None:
+                            filed.append(i)
+                            filed.append(intern(value) if value.__class__ is str else value)
+            i += 1
+        self.read, self.size = read, i
+
+    def __len__(self) -> int:
+        return self.read
+
+    def column(self, parts: tuple) -> tuple[Sequence, list] | None:
+        """Positions where the field path ``parts`` (``Path.parts``:
+        ``("seq",)``, ``("payload", "wind")``) resolves and its values there,
+        or None for a path no property can compare.  A payload that is not
+        an object resolves no field."""
+        if parts == ("t",):
+            ends = self.tick_starts[1:] + [self.size]
+            return range(self.size), [t for t, start, end in zip(self.tick_times,
+                                                                 self.tick_starts, ends)
+                                      for _ in range(start, end)]
+        if parts == ("kind",):
+            kinds = [None] * self.size
+            for key, positions in self.keys.items():
+                if isinstance(key, str):
+                    for i in positions:
+                        kinds[i] = key
+            return range(self.size), kinds
+        if len(parts) == 1:
+            filed = self._fields.get(parts[0])
+        elif len(parts) == 2 and parts[0] == "payload":
+            filed = self._payload.get(parts[1])
+        else:
+            filed = None
+        return None if filed is None else (filed[0::2], filed[1::2])
 
 
 _scan_once = json.JSONDecoder().scan_once
 
 
-def read_trace(path: str) -> list[dict]:
-    events = []
-    last_t = float("-inf")
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            # A stripped line starts with no JSON whitespace, so one scan
-            # from 0 that ends at the line's end is all of ``json.loads``;
-            # any other line goes through ``json.loads`` for its error.
+def _parsed(lines):
+    """``(line number, event)`` for each non-blank line."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        # A stripped line starts with no JSON whitespace, so one scan
+        # from 0 that ends at the line's end is all of ``json.loads``;
+        # any other line goes through ``json.loads`` for its error.
+        try:
+            obj, end = _scan_once(line, 0)
+        except (json.JSONDecodeError, StopIteration):
+            end = -1
+        if end != len(line):
             try:
-                obj, end = _scan_once(line, 0)
-            except (json.JSONDecodeError, StopIteration):
-                end = -1
-            if end != len(line):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedTraceError(lineno, f"bad JSON ({exc.msg})") from exc
-            reason = _malformed(obj, last_t)
-            if reason is not None:
-                raise MalformedTraceError(lineno, reason)
-            last_t = obj["t"]
-            events.append(obj)
-    return events
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedTraceError(lineno, f"bad JSON ({exc.msg})") from exc
+        yield lineno, obj
+
+
+def read_trace(path: str) -> Trace:
+    """The trace file at ``path`` in columns, read in one pass; raises
+    MalformedTraceError with the line number of the first bad line."""
+    with open(path, encoding="utf-8") as fh:
+        return Trace(_parsed(fh))

@@ -1,7 +1,8 @@
 """Reference semantics of the property language, for cross-checking
 ``prop_dsl.evaluate``: a direct recursive restatement that evaluates each
-formula at each position from scratch, over string verdicts.  It shares
-only ``atom_holds`` and ``belief_states`` with the evaluator under test."""
+formula at each position from scratch, over string verdicts and a list of
+event dicts, with the belief base folded here from the belief events.  It
+shares only ``atom_holds`` with the evaluator under test."""
 
 from __future__ import annotations
 
@@ -23,8 +24,30 @@ from roverbench.prop_dsl import (
     TopicAtom,
     Until,
     atom_holds,
-    belief_states,
 )
+
+
+def fold_belief(beliefs: set, event: dict) -> None:
+    """Apply a belief add/del event to a belief base; other events leave it."""
+    if event.get("kind") == "belief":
+        if event["op"] == "add":
+            beliefs.add(event["atom"])
+        else:
+            beliefs.discard(event["atom"])
+
+
+def belief_states(trace: list[dict]) -> list[frozenset]:
+    """Belief base after each event, reconstructed from belief add/del events.
+    The events between two belief events share one frozenset."""
+    states: list[frozenset] = []
+    current: set = set()
+    state = frozenset()
+    for event in trace:
+        if event.get("kind") == "belief":
+            fold_belief(current, event)
+            state = frozenset(current)
+        states.append(state)
+    return states
 
 
 def _merge_and(a: str, b: str) -> str:

@@ -380,6 +380,27 @@ class TestCheck:
                                    "no_goal_delivered": "Violated",
                                    "no_goal_atom_at_delivery": "Satisfied"}
 
+    def test_blocked_publish_agrees_on_both_routes(self, capsys, tmp_path):
+        """A block-mode run vetoes the faulted sample, and its trace keeps
+        the ``block`` event on /env/sample.  ``topic(...)`` matches no block
+        event, so ``check`` of the trace gives exactly the online verdicts:
+        env_nonnegative is Satisfied on both routes."""
+        config = write_json(tmp_path / "fault.json", FAULT_CONFIG)
+        trace = tmp_path / "blocked.jsonl"
+        code, online, _ = run_cli(capsys, "simulate", "--ticks", "40", "--config", config,
+                                  "--block-mode", "--trace", str(trace))
+        assert code == 0
+        assert online["messages_blocked"] == 1
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [(e["topic"], e["payload"]["wind"]) for e in events
+                if e["kind"] == "block"] == [("/env/sample", -1)]
+        code, offline, _ = run_cli(capsys, "check", "--trace", str(trace),
+                                   *online["verdicts"])
+        assert code == 0
+        assert offline["verdicts"] == online["verdicts"]
+        assert offline["verdicts"]["env_nonnegative"] == "Satisfied"
+        assert offline["events"] == len(events)
+
     def test_missing_trace(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", "--trace",
                                str(tmp_path / "nope.jsonl"))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naive_semantics import fold_belief
 from roverbench.config import ConfigError, make_config
 from roverbench.environment import World
 from roverbench.explorer import (
@@ -38,7 +39,6 @@ from roverbench.prop_dsl import (
     Not,
     Until,
     compile_event_predicate,
-    fold_belief,
     parse_formula,
     parse_suite,
 )

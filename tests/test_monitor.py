@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import importlib.resources
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naive_semantics import evaluate_naive
+from naive_semantics import evaluate_naive, fold_belief
 from roverbench.bus import MessageBus
 from roverbench.config import make_config
 from roverbench.explorer import Explorer
@@ -45,12 +46,11 @@ from roverbench.prop_dsl import (
     Or,
     TopicAtom,
     Until,
-    fold_belief,
     parse_formula,
     parse_suite,
 )
 from roverbench.simulator import run_simulation
-from roverbench.tracing import EventTracer
+from roverbench.tracing import EventTracer, read_trace
 
 
 def packaged_suite() -> dict:
@@ -453,36 +453,31 @@ class TestEngine:
 
 
 class TestDualRoute:
-    def test_verdicts_agree_on_nominal_run(self):
+    def test_verdicts_agree_on_nominal_run(self, tmp_path):
         """Every online-monitorable shipped property gets the same verdict from
         the incremental monitors and from re-evaluating the recorded trace."""
         suite = packaged_suite()
         names = [n for n, ast in suite.items() if synthesizable(ast)]
         engine = build_engine(suite, [{"prop": n} for n in names])
         config = make_config()
-        summary = run_simulation(config, 120, trace_path="/tmp/dual_nominal.jsonl",
-                                 monitor_engine=engine)
-        from roverbench.tracing import read_trace
-
-        events = read_trace("/tmp/dual_nominal.jsonl")
-        offline = check_trace(suite, events, names)
+        trace = tmp_path / "dual_nominal.jsonl"
+        summary = run_simulation(config, 120, trace_path=str(trace), monitor_engine=engine)
+        offline = check_trace(suite, read_trace(str(trace)), names)
         assert summary["verdicts"] == offline
 
-    def test_verdicts_agree_on_faulted_run(self):
+    def test_verdicts_agree_on_faulted_run(self, tmp_path):
         """A wind fault flips the nonnegativity property to Violated at the
         injection tick on both routes."""
         suite = packaged_suite()
         names = [n for n, ast in suite.items() if synthesizable(ast)]
         engine = build_engine(suite, [{"prop": n} for n in names])
         config = make_config({"env_faults": [{"tick": 10, "wp": "A", "wind": -1}]})
-        summary = run_simulation(config, 40, trace_path="/tmp/dual_fault.jsonl",
-                                 monitor_engine=engine)
-        from roverbench.tracing import read_trace
-
-        events = read_trace("/tmp/dual_fault.jsonl")
-        offline = check_trace(suite, events, names)
+        trace = tmp_path / "dual_fault.jsonl"
+        summary = run_simulation(config, 40, trace_path=str(trace), monitor_engine=engine)
+        offline = check_trace(suite, read_trace(str(trace)), names)
         assert summary["verdicts"] == offline
         assert summary["verdicts"]["env_nonnegative"] == VIOLATED
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
         violations = [ev for ev in events
                       if ev["kind"] == "verdict" and ev["outcome"] == "violation"
                       and ev["prop"] == "env_nonnegative"]
@@ -514,8 +509,6 @@ class TestDualRoute:
         trace = tmp_path / "late.jsonl"
         summary = run_simulation(make_config(), 60, trace_path=str(trace),
                                  monitor_engine=engine)
-        from roverbench.tracing import read_trace
-
         assert summary["verdicts"] == {"fast_delivery": VIOLATED}
         assert check_trace(suite, read_trace(str(trace))) == {"fast_delivery": VIOLATED}
 
@@ -672,7 +665,11 @@ def event_key_matches(keys, event) -> bool:
 
 class ReferenceEngine(MonitorEngine):
     """The unindexed loop: every model event to every monitor, with a fresh
-    belief snapshot per event."""
+    belief snapshot per event, folded from its own belief set."""
+
+    def __init__(self, monitors):
+        super().__init__(monitors)
+        self.beliefs: set = set()
 
     def observe(self, event):
         if event["kind"] == "verdict":

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import importlib.resources
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naive_semantics import evaluate_naive
+from naive_semantics import belief_states, evaluate_naive
 from roverbench.bus import MessageBus
-from roverbench.messages import Topology
+from roverbench.messages import PAYLOAD_FIELDS, Topology
 from roverbench.monitor import build_engine, check_trace
 from roverbench.prop_dsl import (
     ActionAtom,
@@ -34,16 +35,17 @@ from roverbench.prop_dsl import (
     Until,
     UnknownFieldError,
     VIOLATED,
+    _TraceView,
     _predicate_source,
     atom_holds,
-    belief_states,
     compile_event_predicate,
     evaluate,
     parse_formula,
     parse_suite,
     to_text,
 )
-from roverbench.tracing import EventTracer
+from roverbench.tracing import EVENT_FIELDS, EventTracer, dump_event, read_trace
+from test_tracing import assert_columns_match
 
 
 def packaged_suite() -> str:
@@ -502,6 +504,10 @@ class TestRandomizedAgreement:
               {"t": 0, "kind": "goal", "server": "w", "target": "a"}])
     @example(parse_formula("always(server != target)"),
              [{"t": 0, "kind": "goal", "server": "w", "target": "w"}])
+    # A tuple is no list, though its items are: it never equals a list literal.
+    @example(parse_formula("eventually(payload.speeds == [0,0])"),
+             [{"t": 0, "kind": "publish", "topic": "/pose", "payload": {"speeds": (0, 0)}},
+              {"t": 0, "kind": "publish", "topic": "/pose", "payload": {"speeds": [0, 0]}}])
     @example(parse_formula('!topic("/pose") until eventually(holds("at(A)"))'),
              [{"t": 0, "kind": "publish", "topic": "/pose", "payload": {}}])
     def test_evaluate_matches_naive(self, node, trace):
@@ -512,6 +518,128 @@ class TestRandomizedAgreement:
     def test_check_trace_matches_naive(self, suite, trace):
         assert check_trace(suite, trace) == {
             name: evaluate_naive(node, trace) for name, node in suite.items()}
+
+
+# -- the columns against the events ------------------------------------------
+
+# Every path a property can compare, the values events carry there, and the
+# constants a property can write: numbers, strings and number lists.
+ADDRESSABLE = ([Path((name,)) for name in sorted(EVENT_FIELDS - {"payload"})]
+               + [Path(("payload", name)) for name in sorted(PAYLOAD_FIELDS)])
+COLUMN_VALUES = st.one_of(
+    st.sampled_from([0, 1, 5, -1, 2.5, -0.0, 0.0, True, False, None,
+                     "", "a", "b", "/a", "add", "goal"]),
+    st.lists(st.sampled_from([0, 1, 0.0, True]), max_size=2))
+COLUMN_CONSTANTS = st.sampled_from([0, 1, 5, -1, 2.5, 0.0, "", "a", "b", "/a", "goal",
+                                    (), (0,), (1, 0)])
+COLUMN_KINDS = ("publish", "deliver", "block", "belief", "action", "goal", "verdict", "header")
+
+
+@st.composite
+def column_traces(draw) -> list[dict]:
+    """Valid events of every kind, each with a random set of the addressable
+    fields and a payload that may be missing, not an object, or an object
+    with any of the payload fields and one no property can name."""
+    t, events = 0, []
+    for _ in range(draw(st.integers(0, 10))):
+        t += draw(st.sampled_from((0, 0, 1, 3)))
+        # Beliefs weigh more: a removal must follow an addition now and then.
+        kind = draw(st.sampled_from(COLUMN_KINDS + ("belief", "belief")))
+        event = {"t": t, "kind": kind}
+        for path in ADDRESSABLE[:-len(PAYLOAD_FIELDS)]:
+            if path.parts[0] not in ("t", "kind") and draw(st.booleans()):
+                event[path.parts[0]] = draw(COLUMN_VALUES)
+        if kind == "publish":
+            event["topic"] = draw(st.sampled_from(("/a", "/b")))
+        elif kind == "belief":
+            event["op"] = draw(st.sampled_from(("add", "del")))
+            event["atom"] = draw(st.sampled_from(("p", "q")))
+        elif kind == "action":
+            event["action"] = draw(st.sampled_from(("go(A)", "go(B)", "go", "stop")))
+        shape = draw(st.integers(0, 3))
+        if shape == 1:
+            event["payload"] = draw(COLUMN_VALUES)
+        elif shape > 1:
+            names = draw(st.lists(st.sampled_from(sorted(PAYLOAD_FIELDS) + ["extra"]),
+                                  max_size=4, unique=True))
+            event["payload"] = {name: draw(COLUMN_VALUES) for name in names}
+        events.append(event)
+    return events
+
+
+column_atoms = st.one_of(
+    st.sampled_from(("/a", "/b")).map(TopicAtom),
+    st.sampled_from(("p", "q")).map(BeliefAtom),
+    st.sampled_from(("p", "q")).map(HoldsAtom),
+    st.sampled_from(("*", "go(*)", "go(A)", "stop")).map(ActionAtom),
+    st.builds(Compare, st.sampled_from(ADDRESSABLE),
+              st.sampled_from(("==", "!=", "<", ">", "<=", ">=")),
+              st.one_of(COLUMN_CONSTANTS, st.sampled_from(ADDRESSABLE))),
+    st.sampled_from(COLUMN_KINDS).map(lambda kind: Compare(Path(("kind",)), "==", kind)),
+)
+column_formulas = st.recursive(column_atoms, lambda sub: st.one_of(
+    sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+    st.builds(Implies, sub, sub), sub.map(Always), sub.map(Never),
+    st.builds(Eventually, sub), st.builds(Eventually, sub, st.integers(1, 4)),
+    st.builds(Until, sub, sub)), max_leaves=4)
+
+
+def atoms_of(nodes: list) -> list:
+    found, stack = [], list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (TopicAtom, BeliefAtom, HoldsAtom, ActionAtom, Compare)):
+            found.append(node)
+        else:
+            stack += [getattr(node, side) for side in ("sub", "left", "right")
+                      if hasattr(node, side)]
+    return found
+
+
+class TestColumnarAgreement:
+    """``check`` over the columns ``read_trace`` builds equals the naive
+    semantics over the events ``json.loads`` gives, on random traces of
+    every event kind and comparisons on every addressable path."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(column_formulas, min_size=1, max_size=4), column_traces())
+    @example([Compare(Path(("payload", "wind")), ">=", 0)],
+             [{"t": 0, "kind": "publish", "topic": "/a", "payload": {"wind": -0.0}},
+              {"t": 0, "kind": "deliver", "payload": {"wind": True}},
+              {"t": 1, "kind": "goal", "payload": [1]}])
+    @example([Compare(Path(("server",)), "!=", Path(("target",)))],
+             [{"t": 0, "kind": "goal", "server": "a"}, {"t": 0, "kind": "goal", "target": "b"}])
+    @example([Never(Compare(Path(("server",)), "!=", Path(("target",)))), HoldsAtom("p")],
+             [{"t": 0, "kind": "goal", "server": 1, "target": 1},
+              {"t": 0, "kind": "belief", "op": "add", "atom": "p"},
+              {"t": 1, "kind": "goal", "server": "a", "target": "b"},
+              {"t": 1, "kind": "belief", "op": "del", "atom": "p"}])
+    @example([Compare(Path(("server",)), "!=", Path(("target",)))],
+             [{"t": 0, "kind": "goal", "server": [0], "target": [0.0]},
+              {"t": 0, "kind": "goal", "server": "a"},
+              {"t": 2, "kind": "verdict", "server": "a", "target": "b"},
+              {"t": 2, "kind": "goal", "server": 1, "target": True}])
+    @example([Eventually(Compare(Path(("t",)), ">=", 3), 2),
+              Compare(Path(("kind",)), "!=", "goal")],
+             [{"t": 0, "kind": "goal"}, {"t": 1, "kind": "verdict"},
+              {"t": 3, "kind": "header"}])
+    def test_check_of_the_file_matches_naive(self, tmp_path_factory, nodes, events):
+        """... and so do the columns, and every atom's column at every
+        position, against ``atom_holds`` on the event."""
+        path = tmp_path_factory.mktemp("columns") / "t.jsonl"
+        path.write_text("".join(dump_event(e) + "\n" for e in events), encoding="utf-8")
+        loaded = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        model = [e for e in loaded if e["kind"] != "verdict"]
+        suite = {f"p{i}": node for i, node in enumerate(nodes)}
+        trace = read_trace(str(path))
+        assert check_trace(suite, trace) == {
+            name: evaluate_naive(node, model) for name, node in suite.items()}
+        assert_columns_match(trace, loaded)
+        if model:
+            view, states = _TraceView(trace), belief_states(model)
+            for atom in atoms_of(nodes):
+                assert list(view.column(atom)) == [
+                    2 if atom_holds(atom, e, state) else 0 for e, state in zip(model, states)]
 
 
 # -- compiled event predicates -----------------------------------------------

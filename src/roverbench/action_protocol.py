@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bus import MessageBus
+from .bus import StagePort
 from .messages import Message, client_node, server_node
 
 PENDING = "Pending"
@@ -68,14 +68,14 @@ class ClientEndpoint:
         self._counter = 0
         self.records: dict[str, GoalRecord] = {}
 
-    def send_goal(self, bus: MessageBus, request: dict) -> str:
+    def send_goal(self, port: StagePort, request: dict) -> str:
         if not self.server_ready:
             raise NotReadyError(f"{self.effector} server has not announced readiness")
         goal_id = f"{self.node}:{self._counter}"
         self._counter += 1
         self.records[goal_id] = GoalRecord(
             goal_id=goal_id, target=server_node(self.effector), request=dict(request))
-        bus.publish(self.node, f"/{self.effector}/goal", {"goal_id": goal_id, **request})
+        port.publish(self.node, f"/{self.effector}/goal", {"goal_id": goal_id, **request})
         return goal_id
 
     def on_message(self, msg: Message) -> list[tuple[str, str]]:
@@ -116,14 +116,14 @@ class ServerBase:
     Subclasses provide the effector-specific behavior through ``begin``,
     ``work_tick`` and ``pre_resolve``; execution takes ``duration`` work
     ticks followed by one resolution tick.  A server trusts every goal it
-    receives: the bus has already checked it against its topic's shape.
+    receives: the bus has already checked it against its topic's shape.  It
+    steps through the ``StagePort`` of its node, which holds all it reaches.
     """
 
-    def __init__(self, effector: str, init_delay: int, tracer, fault_explore: bool = False,
+    def __init__(self, effector: str, init_delay: int, fault_explore: bool = False,
                  scripted_faults: tuple[int, ...] = ()):
         self.effector = effector
         self.node = server_node(effector)
-        self.tracer = tracer
         self.ready_published = False
         self.delay_remaining = init_delay
         self.active: GoalRecord | None = None
@@ -140,87 +140,80 @@ class ServerBase:
         """Set up execution state; return the work duration in ticks."""
         raise NotImplementedError
 
-    def work_tick(self, record: GoalRecord, t: int, bus: MessageBus) -> None:
+    def work_tick(self, record: GoalRecord, port: StagePort) -> None:
         raise NotImplementedError
 
-    def pre_resolve(self, record: GoalRecord, status: str, t: int, bus: MessageBus) -> None:
+    def pre_resolve(self, record: GoalRecord, status: str, port: StagePort) -> None:
         """Last chance to publish effector state before the result goes out."""
 
     # -- protocol ------------------------------------------------------------
 
-    def step(self, t: int, bus: MessageBus, sink=None) -> None:
-        for msg in bus.drain_inbox(self.node):
-            self._receive(msg, t, bus)
+    nodes = property(lambda self: (self.node,))  # the nodes of its StagePort
+
+    def step(self, port: StagePort) -> None:
+        for _node, msg in port.inbox():
+            self._receive(msg, port)
         if not self.ready_published:
             if self.delay_remaining <= 0:
-                bus.publish(self.node, f"/ready/{self.effector}",
-                            {"module": self.effector, "ready": True})
+                port.publish(self.node, f"/ready/{self.effector}",
+                             {"module": self.effector, "ready": True})
                 self.ready_published = True
             else:
                 self.delay_remaining -= 1
-        self._execute(t, bus, sink)
+        self._execute(port)
 
-    def _receive(self, msg: Message, t: int, bus: MessageBus) -> None:
+    def _receive(self, msg: Message, port: StagePort) -> None:
         # A server subscribes to goals only.  The topic names the server the
         # goal was meant for; accept events record it so monitors can spot
         # traffic landing on the wrong node.
         intended = server_node(msg.topic.split("/")[1])
         payload = dict(msg.payload)
         goal_id = payload.pop("goal_id")
-        self._accept(GoalRecord(goal_id=goal_id, target=intended, request=payload), t, bus)
+        self._accept(GoalRecord(goal_id=goal_id, target=intended, request=payload), port)
 
-    def _accept(self, record: GoalRecord, t: int, bus: MessageBus) -> None:
+    def _accept(self, record: GoalRecord, port: StagePort) -> None:
         if self.active is not None:
             # Preemption: the running goal gives way to the newcomer.
-            self._resolve(self.active, CANCELED, t, bus)
+            self._resolve(self.active, CANCELED, port)
         record.transition(ACTIVE)
         index = self.accepted_count
         self.accepted_count += 1
-        self._trace_goal(t, "accept", record)
+        self._trace_goal(port, "accept", record)
         if index in self.scripted_faults:
-            self._resolve(record, ABORTED, t, bus)
+            self._resolve(record, ABORTED, port)
             return
         self.active = record
         self.work_done = 0
         self.duration = self.begin(record)
 
-    def _execute(self, t: int, bus: MessageBus, sink) -> None:
+    def _execute(self, port: StagePort) -> None:
         record = self.active
         if record is None:
             return
         if self.work_done < self.duration:
             self.work_done += 1
-            self.work_tick(record, t, bus)
+            self.work_tick(record, port)
             record.progress = self.work_done / self.duration
-            bus.publish(self.node, f"/{self.effector}/feedback",
-                        {"goal_id": record.goal_id, "progress": record.progress})
+            port.publish(self.node, f"/{self.effector}/feedback",
+                         {"goal_id": record.goal_id, "progress": record.progress})
             return  # resolution happens on the step after the last work unit
         status = SUCCEEDED
-        if self.fault_explore and sink is not None:
-            status = sink.choose(("fault", self.effector), (SUCCEEDED, ABORTED))
-        self._resolve(record, status, t, bus)
+        if self.fault_explore and port.exploring:
+            status = port.choose(("fault", self.effector), (SUCCEEDED, ABORTED))
+        self._resolve(record, status, port)
 
-    def _resolve(self, record: GoalRecord, status: str, t: int, bus: MessageBus) -> None:
-        self.pre_resolve(record, status, t, bus)
+    def _resolve(self, record: GoalRecord, status: str, port: StagePort) -> None:
+        self.pre_resolve(record, status, port)
         record.transition(status)
         if self.active is record:
             self.active = None
-        self._trace_goal(t, "resolve", record)
-        bus.publish(self.node, f"/{self.effector}/result",
-                    {"goal_id": record.goal_id, "status": record.status})
+        self._trace_goal(port, "resolve", record)
+        port.publish(self.node, f"/{self.effector}/result",
+                     {"goal_id": record.goal_id, "status": record.status})
 
-    def _trace_goal(self, t: int, phase: str, record: GoalRecord) -> None:
-        self.tracer.emit(
-            {
-                "t": t,
-                "kind": "goal",
-                "phase": phase,
-                "server": self.node,
-                "target": record.target,
-                "goal_id": record.goal_id,
-                "status": record.status,
-            }
-        )
+    def _trace_goal(self, port: StagePort, phase: str, record: GoalRecord) -> None:
+        port.emit("goal", phase=phase, server=self.node, target=record.target,
+                  goal_id=record.goal_id, status=record.status)
 
     # -- exploration support -------------------------------------------------
 

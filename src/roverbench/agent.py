@@ -339,9 +339,8 @@ def build_plans(config: ScenarioConfig) -> list[PlanRule]:
 # -- the agent ---------------------------------------------------------------
 
 class RoverAgent:
-    def __init__(self, config: ScenarioConfig, tracer):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.tracer = tracer
         self.ignore_env = config.mutant == "env-blind"
         self.beliefs: set = {
             ("at", config.start),
@@ -367,7 +366,7 @@ class RoverAgent:
 
     # -- perception ----------------------------------------------------------
 
-    def perceive(self, t: int, perceptions: list[dict]) -> tuple[list[tuple], list[tuple]]:
+    def perceive(self, port, perceptions: list[dict]) -> tuple[list[tuple], list[tuple]]:
         """Fold perceptions into the belief base; returns (added, removed)."""
         added: list[tuple] = []
         removed: list[tuple] = []
@@ -404,21 +403,21 @@ class RoverAgent:
             else:
                 log.debug("perception ignored: %s", p)
         for atom in removed:
-            self.tracer.emit({"t": t, "kind": "belief", "op": "del", "atom": atom_text(atom)})
+            port.emit("belief", op="del", atom=atom_text(atom))
         for atom in added:
-            self.tracer.emit({"t": t, "kind": "belief", "op": "add", "atom": atom_text(atom)})
+            port.emit("belief", op="add", atom=atom_text(atom))
         return added, removed
 
     # -- reasoning cycle -----------------------------------------------------
 
-    def cycle(self, t: int, perceptions: list[dict]) -> list[AgentAction]:
+    def cycle(self, port, perceptions: list[dict]) -> list[AgentAction]:
         events: list[tuple] = []
         if not self.started:
             self.started = True
             for atom in sorted(self.beliefs):
-                self.tracer.emit({"t": t, "kind": "belief", "op": "add", "atom": atom_text(atom)})
+                port.emit("belief", op="add", atom=atom_text(atom))
             events.append(("start",))
-        added, _removed = self.perceive(t, perceptions)
+        added, _removed = self.perceive(port, perceptions)
         events.extend(added)
 
         # Feed goal outcomes to the step that asked for them, then retire
@@ -435,7 +434,7 @@ class RoverAgent:
                 log.debug("event %s dropped: %s", event,
                           "intention busy" if busy else "no applicable plan")
 
-        return self._advance(t)
+        return self._advance(port)
 
     def _settle(self) -> None:
         while self.intention is not None:
@@ -464,7 +463,7 @@ class RoverAgent:
             return True
         return False
 
-    def _advance(self, t: int) -> list[AgentAction]:
+    def _advance(self, port) -> list[AgentAction]:
         while self.intention is not None:
             step = self.intention.current
             if step is None:
@@ -478,10 +477,10 @@ class RoverAgent:
                 return []
             _tag, actions = outcome
             for action in actions:
-                self.tracer.emit({"t": t, "kind": "action", "action": action.text()})
+                port.emit("action", action=action.text())
                 self.explanations.append(
                     {
-                        "t": t,
+                        "t": port.tick,
                         "rule": self.intention.rule.name,
                         "guard": {
                             "name": self.intention.rule.guard.__name__,
@@ -506,29 +505,23 @@ class RoverAgent:
 # -- agent host --------------------------------------------------------------
 
 class AgentHost:
-    """Runs the agent and its interface node: drains bus traffic into
-    perceptions, hands emitted actions to the per-effector clients, and maps
-    goal results back to the actions that caused them."""
+    """Runs the agent, its interface node and the clients through one
+    ``StagePort``: turns inbox traffic into perceptions, hands emitted actions
+    to the clients, and maps goal results back to the actions behind them."""
 
-    def __init__(self, config: ScenarioConfig, tracer, clients: dict):
+    def __init__(self, config: ScenarioConfig, clients: dict):
         from .messages import NODE_ENV_INTERFACE, client_node
 
         self.config = config
-        self.tracer = tracer
-        self.agent = RoverAgent(config, tracer)
+        self.agent = RoverAgent(config)
         self.clients = clients  # effector -> ClientEndpoint
         self.goal_actions: dict[str, AgentAction] = {}
-        self._interface_node = NODE_ENV_INTERFACE
         self._client_nodes = {client_node(e): e for e in clients}
+        self.nodes = (NODE_ENV_INTERFACE, *self._client_nodes)
 
-    def step(self, t: int, bus) -> None:
-        inbound = []
-        for node in (self._interface_node, *self._client_nodes):
-            inbound.extend((node, msg) for msg in bus.drain_inbox(node))
-        inbound.sort(key=lambda pair: pair[1].seq)
-
+    def step(self, port) -> None:
         perceptions: list[dict] = []
-        for node, msg in inbound:
+        for node, msg in port.inbox():
             if node in self._client_nodes:
                 client = self.clients[self._client_nodes[node]]
                 for goal_id, status in client.on_message(msg):
@@ -550,10 +543,10 @@ class AgentHost:
             else:
                 log.debug("interface percept on %s carries no belief; ignored", topic)
 
-        for action in self.agent.cycle(t, perceptions):
+        for action in self.agent.cycle(port, perceptions):
             client = self.clients[action.effector()]
             try:
-                goal_id = client.send_goal(bus, action.request())
+                goal_id = client.send_goal(port, action.request())
             except Exception as exc:  # noqa: BLE001 - fault isolation boundary
                 log.warning("action %s rejected by %s client: %s",
                             action.text(), action.effector(), exc)

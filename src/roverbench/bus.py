@@ -134,3 +134,36 @@ class MessageBus:
         inbox = self.inboxes[node]
         self.inboxes[node] = []
         return inbox
+
+
+class StagePort:
+    """All a stage reaches for one tick: the tick, its nodes' inboxes,
+    publishing as its nodes, emits and choices, any of which sets ``acted``."""
+
+    def __init__(self, bus: MessageBus, nodes: tuple[str, ...], sink=None):
+        self._bus = bus
+        self._nodes = nodes
+        self._sink = sink
+        self.tick = bus.tick
+        self.exploring = sink is not None
+        self.acted = False
+
+    def inbox(self) -> list[tuple[str, Message]]:
+        """Drain the stage's inboxes into (node, message) pairs, by seq, then node order."""
+        pairs = [(node, msg) for node in self._nodes for msg in self._bus.drain_inbox(node)]
+        pairs.sort(key=lambda pair: pair[1].seq)
+        return pairs
+
+    def publish(self, sender: str, topic: str, payload: dict) -> None:
+        if sender not in self._nodes:
+            raise UnauthorizedPublisherError(f"{sender} is not a node of this stage")
+        self._bus.publish(sender, topic, payload)
+        self.acted = True
+
+    def emit(self, kind: str, **fields) -> None:
+        self.acted = True
+        self._bus.tracer.emit({"t": self.tick, "kind": kind, **fields})
+
+    def choose(self, key: tuple, options):
+        self.acted = True
+        return self._sink.choose(key, options)

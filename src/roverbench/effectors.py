@@ -16,7 +16,7 @@ config validation keeps on the map.
 from __future__ import annotations
 
 from .action_protocol import GoalRecord, ServerBase
-from .bus import MessageBus
+from .bus import StagePort
 from .config import ScenarioConfig
 
 WHEEL_COUNT = 6
@@ -24,9 +24,9 @@ NOMINAL_SPEED = 1
 
 
 class WheelsServer(ServerBase):
-    def __init__(self, config: ScenarioConfig, tracer, **kwargs):
+    def __init__(self, config: ScenarioConfig, **kwargs):
         skip_stop = kwargs.pop("skip_stop", False)
-        super().__init__("wheels", config.init_delays["wheels"], tracer, **kwargs)
+        super().__init__("wheels", config.init_delays["wheels"], **kwargs)
         self.config = config
         self.pose: tuple[int, int] = config.coords(config.start)
         self.skip_stop = skip_stop  # no-stop mutant: omit the halt frame
@@ -38,7 +38,7 @@ class WheelsServer(ServerBase):
         tx, ty = self._target
         return abs(tx - x) + abs(ty - y)
 
-    def work_tick(self, record: GoalRecord, t: int, bus: MessageBus) -> None:
+    def work_tick(self, record: GoalRecord, port: StagePort) -> None:
         x, y = self.pose
         tx, ty = self._target
         if x != tx:
@@ -46,12 +46,12 @@ class WheelsServer(ServerBase):
         elif y != ty:
             y += 1 if ty > y else -1
         self.pose = (x, y)
-        bus.publish(self.node, "/pose", {"x": x, "y": y})
-        bus.publish(self.node, "/wheels/telemetry", {"speeds": [NOMINAL_SPEED] * WHEEL_COUNT})
+        port.publish(self.node, "/pose", {"x": x, "y": y})
+        port.publish(self.node, "/wheels/telemetry", {"speeds": [NOMINAL_SPEED] * WHEEL_COUNT})
 
-    def pre_resolve(self, record: GoalRecord, status: str, t: int, bus: MessageBus) -> None:
+    def pre_resolve(self, record: GoalRecord, status: str, port: StagePort) -> None:
         if not self.skip_stop:
-            bus.publish(self.node, "/wheels/telemetry", {"speeds": [0] * WHEEL_COUNT})
+            port.publish(self.node, "/wheels/telemetry", {"speeds": [0] * WHEEL_COUNT})
 
     def to_state(self) -> dict:
         state = self.base_state()
@@ -65,8 +65,8 @@ class WheelsServer(ServerBase):
 class PostureServer(ServerBase):
     """Arm or mast: linear joint interpolation between two named poses."""
 
-    def __init__(self, effector: str, config: ScenarioConfig, tracer, **kwargs):
-        super().__init__(effector, config.init_delays[effector], tracer, **kwargs)
+    def __init__(self, effector: str, config: ScenarioConfig, **kwargs):
+        super().__init__(effector, config.init_delays[effector], **kwargs)
         self.config = config
         self.closed = [float(v) for v in config.closed_pose[effector]]
         self.open = [float(v) for v in config.open_pose[effector]]
@@ -86,7 +86,7 @@ class PostureServer(ServerBase):
             return 0
         return self.config.posture_duration[self.effector]
 
-    def work_tick(self, record: GoalRecord, t: int, bus: MessageBus) -> None:
+    def work_tick(self, record: GoalRecord, port: StagePort) -> None:
         k, n = self.work_done, self.duration
         if k == n:
             self.joints = list(self._goal_joints)
@@ -96,11 +96,8 @@ class PostureServer(ServerBase):
                 s + (g - s) * k / n for s, g in zip(self._start, self._goal_joints)
             ]
             self.posture = "Moving"
-        bus.publish(
-            self.node,
-            f"/{self.effector}/telemetry",
-            {"effector": self.effector, "joints": list(self.joints), "posture": self.posture},
-        )
+        port.publish(self.node, f"/{self.effector}/telemetry", {
+            "effector": self.effector, "joints": list(self.joints), "posture": self.posture})
 
     def to_state(self) -> dict:
         state = self.base_state()
@@ -113,7 +110,7 @@ class PostureServer(ServerBase):
         return state
 
 
-def build_servers(config: ScenarioConfig, tracer) -> dict:
+def build_servers(config: ScenarioConfig) -> dict:
     scripted: dict[str, tuple[int, ...]] = {}
     for fault in config.scripted_faults:
         scripted.setdefault(fault["effector"], ())
@@ -124,8 +121,8 @@ def build_servers(config: ScenarioConfig, tracer) -> dict:
     }
     return {
         "wheels": WheelsServer(
-            config, tracer, skip_stop=(config.mutant == "no-stop-wheels"), **common("wheels")
+            config, skip_stop=(config.mutant == "no-stop-wheels"), **common("wheels")
         ),
-        "arm": PostureServer("arm", config, tracer, **common("arm")),
-        "mast": PostureServer("mast", config, tracer, **common("mast")),
+        "arm": PostureServer("arm", config, **common("arm")),
+        "mast": PostureServer("mast", config, **common("mast")),
     }

@@ -10,7 +10,7 @@ behind the truth.
 
 from __future__ import annotations
 
-from .bus import MessageBus
+from .bus import StagePort
 from .config import ScenarioConfig
 from .messages import NODE_WORLD, Message
 
@@ -66,27 +66,24 @@ class World:
 
     # -- node protocol -------------------------------------------------------
 
-    def step(self, t: int, bus: MessageBus, sink=None) -> None:
-        for msg in bus.drain_inbox(NODE_WORLD):
-            self._observe_pose(msg, sink)
+    def step(self, port: StagePort) -> None:
+        for _node, msg in port.inbox():
+            self._observe_pose(msg, port)
         if self.started:
             self.radiation = decay_radiation(self.radiation, self.config.decay_rate)
         self.started = True
         for wp in self.order:
             wind, radiation = self.wind[wp], self.radiation[wp]
             for fault in self.config.env_faults:
-                if fault["tick"] == t and fault["wp"] == wp:
+                if fault["tick"] == port.tick and fault["wp"] == wp:
                     wind = fault.get("wind", wind)
                     radiation = fault.get("radiation", radiation)
             cap = self.config.level_cap
             env = classify(clamp_level(wind, cap), clamp_level(radiation, cap))
-            bus.publish(
-                NODE_WORLD,
-                "/env/sample",
-                {"wp": wp, "wind": wind, "radiation": radiation, "env": env},
-            )
+            port.publish(NODE_WORLD, "/env/sample",
+                         {"wp": wp, "wind": wind, "radiation": radiation, "env": env})
 
-    def _observe_pose(self, msg: Message, sink) -> None:
+    def _observe_pose(self, msg: Message, port: StagePort) -> None:
         if msg.topic != "/pose":
             return
         pose = (msg.payload["x"], msg.payload["y"])
@@ -99,9 +96,9 @@ class World:
         # Arrival: when exploring, the wind at the reached waypoint is re-drawn
         # from its declared choice set; a plain simulation, which steps
         # without a sink, keeps it static.
-        if sink is not None:
+        if port.exploring:
             options = self.config.wind_choices[wp]
-            self.wind[wp] = clamp_level(sink.choose(("wind", wp), options), self.config.level_cap)
+            self.wind[wp] = clamp_level(port.choose(("wind", wp), options), self.config.level_cap)
 
     # -- exploration support -------------------------------------------------
 

@@ -21,15 +21,15 @@ the recorded one.  A snapshot is freed once its state's successors are made,
 a checkpoint once the walk is ``_CHECKPOINT`` depths below it.
 
 With schedule permutations, a stage (an effector server or the agent host)
-reads only its own state, its own inbox and ``bus.tick``, and acts only
-through ``bus.publish``, tracer emits and ``sink.choose``.  A stage that
-does not act changes nothing another stage sees, so a step's events, state
-and choices, bar the schedule pick, depend only on the relative order of the
-stages that act (partial-order reduction; Godefroid, LNCS 1032, 1996).  The
-schedule-0 step of each combination of the other picks reports its acting
-stages, and an order that runs them in the same relative order as an
-earlier order gets a copy of that order's edge with no restore, step or
-key.  No edge is dropped.
+steps through a ``bus.StagePort``, which enforces the stage contract: it reads
+only its own state, its own inboxes and the tick, and acts only by publishing,
+emitting and choosing through the port.  A stage that does not act changes
+nothing another stage sees, so a step's events, state and choices, bar the
+schedule pick, depend only on the relative order of the stages that act
+(partial-order reduction; Godefroid, LNCS 1032, 1996).  The schedule-0 step
+of each combination of the other picks reports its acting stages, and an
+order that runs them in the same relative order as an earlier order gets a
+copy of that order's edge with no restore, step or key.  No edge is dropped.
 
 A walk that lasts longer than ``_PROGRESS_EVERY`` seconds writes a progress
 line to stderr that often; stdout and counterexample files do not change.

@@ -24,7 +24,8 @@ the belief base; ``holds`` is a state predicate over the reconstructed belief
 base; ``action`` matches agent action events (``"*"`` and ``"name(*)"``
 wildcards).  Comparisons address event fields (``payload.status ==
 "Aborted"``, ``server != target``); field names are checked against the
-payload registry at parse time.
+payload registry at parse time.  A comparison with a missing side is false,
+and an ordering holds only between two numbers.
 
 Verdicts are three-valued over a finite, completed trace: Violated means the
 trace itself refutes the property; Satisfied means it holds with no pending
@@ -50,9 +51,9 @@ runs of equal ``t``.
 ``compile_event_predicate`` turns a temporal-operator-free formula into one
 generated function ``fn(event, state)``, built once per distinct formula
 per process, for the online monitors.  Atoms become inline expressions with
-the semantics of ``atom_holds``, which stays the reference; the operators
-become ``not``, ``and`` and ``or``.  The property's constants reach that
-code only through its globals, so no text of a property is ever compiled.
+the semantics stated above; the operators become ``not``, ``and`` and
+``or``.  The property's constants reach that code only through its globals,
+so no text of a property is ever compiled.
 A chain such as ``a && b && c`` nests as deep as it is long, so everything
 that walks a formula, equality and hashing included, folds chains in a loop.
 """
@@ -613,32 +614,6 @@ def _matches(op: str, positions, values, constant) -> list[int]:
             if isinstance(value, (int, float)) and order(value, constant)]
 
 
-def atom_holds(node, event: dict, state: frozenset) -> bool:
-    """Truth of an atomic predicate at one event.  ``state`` is the belief
-    base after the event has been applied."""
-    if isinstance(node, TopicAtom):
-        return event.get("kind") == "publish" and event.get("topic") == node.name
-    if isinstance(node, BeliefAtom):
-        return (event.get("kind") == "belief" and event.get("op") == "add"
-                and event.get("atom") == node.atom)
-    if isinstance(node, HoldsAtom):
-        return node.atom in state
-    if isinstance(node, ActionAtom):
-        if event.get("kind") != "action":
-            return False
-        action = event["action"]
-        if node.pattern == "*":
-            return True
-        if node.pattern.endswith("(*)"):
-            return action.startswith(node.pattern[:-2])
-        return action == node.pattern
-    if isinstance(node, Compare):
-        left = _resolve(event, node.path)
-        right = _resolve(event, node.value) if isinstance(node.value, Path) else node.value
-        return _compare(node.op, left, right)
-    raise TypeError(f"not an atomic predicate: {node!r}")
-
-
 # Python's parser refuses source nested about 200 parentheses deep: a
 # subformula whose source nests this deep becomes a function of its own.
 _SPLIT_DEPTH = 50
@@ -651,9 +626,9 @@ _ORDER_TEXT = {"<": "<", ">": ">", "<=": "<=", ">=": ">="}
 class _Codegen:
     """Python source for one event predicate: a function per formula, plus
     one per subformula nested past ``_SPLIT_DEPTH``.  Atoms are inline
-    expressions over ``event`` and ``state`` with the semantics of
-    ``atom_holds``; ``!``, ``&&``, ``||`` and ``=>`` are ``not``, ``and``
-    and ``or``, chains flattened.  Every constant of the formula (topic
+    expressions over ``event`` and ``state``, comparisons by ``_compare``'s
+    rules; ``!``, ``&&``, ``||`` and ``=>`` are ``not``, ``and`` and
+    ``or``, chains flattened.  Every constant of the formula (topic
     names, atoms, patterns, field names, compared values) reaches the code
     through the functions' globals under a generated name, so no text of a
     property is ever part of the source."""
@@ -706,7 +681,7 @@ class _Codegen:
         if isinstance(node, HoldsAtom):
             return f"({self.const(node.atom)} in state)"
         if isinstance(node, ActionAtom):
-            # The field is read, as ``atom_holds`` reads it, for every pattern.
+            # The field is read for every pattern, ``*`` included.
             if node.pattern == "*":
                 test = 'event["action"] is not _M'
             elif node.pattern.endswith("(*)"):

@@ -15,11 +15,11 @@ import time
 
 from .action_protocol import ClientEndpoint
 from .agent import AgentHost, atom_text
-from .bus import MessageBus
+from .bus import MessageBus, StagePort
 from .config import ScenarioConfig
 from .effectors import build_servers
 from .environment import World
-from .messages import EFFECTORS, Topology, server_node
+from .messages import EFFECTORS, NODE_WORLD, Topology, server_node
 from .tracing import EventTracer, json_encoder
 
 TRACE_FORMAT = 1
@@ -62,49 +62,37 @@ class Model:
             topology.reroute("/arm/goal", (server_node("mast"),))
         self.bus = MessageBus(topology, tracer, inbox_limit=config.inbox_limit)
         self.world = World(config, sink=sink)
-        self.servers = build_servers(config, tracer)
+        self.servers = build_servers(config)
         self.clients = {e: ClientEndpoint(e) for e in EFFECTORS}
-        self.host = AgentHost(config, tracer, self.clients)
+        self.host = AgentHost(config, self.clients)
 
     @property
     def tick(self) -> int:
         return self.bus.tick
 
     def step_tick(self, sink=None) -> int:
-        """Advance one tick; return the stages that acted as a bit mask, bit
-        i for ``stages[i]`` (wheels, arm, mast, host), taken only when the
-        schedule is a choice (``schedule_sensitivity`` and a sink), else
-        every stage's bit.
+        """Advance one tick; return the stages that acted, as read from
+        their ports, in a bit mask: bit i for ``stages[i]`` (wheels, arm,
+        mast, host), which run in that order unless the schedule is a choice
+        (``schedule_sensitivity`` and a sink).
 
-        A stage (an effector server or the agent host) reads only its own
-        state, its own inbox and ``bus.tick``, and acts only through
-        ``bus.publish``, tracer emits and ``sink.choose``.  So a stage that
-        does not emit or choose changes nothing another stage sees, and
-        the tick's events, state and choices depend only on the relative
-        order of the stages that act, bar the schedule pick.  Emits are
-        counted in ``tracer.events``, which a tracer streaming to a file
-        never grows, so with one every stage counts as acting."""
-        t = self.bus.tick
-        self.world.step(t, self.bus, sink)
-        stages = [
-            lambda: self.servers["wheels"].step(t, self.bus, sink),
-            lambda: self.servers["arm"].step(t, self.bus, sink),
-            lambda: self.servers["mast"].step(t, self.bus, sink),
-            lambda: self.host.step(t, self.bus),
-        ]
-        acting = ALL_STAGES
+        The world and each stage step through a ``StagePort`` of their own
+        nodes, which enforces the stage contract: the port holds all a stage
+        reaches (the tick, its inboxes, publishing as its nodes, emits and
+        choices).  So a stage that does not act changes nothing another stage
+        sees, and the tick's events, state and choices depend only on the
+        relative order of the stages that act, bar the schedule pick."""
+        bus = self.bus
+        self.world.step(StagePort(bus, (NODE_WORLD,), sink))
+        stages = (self.servers["wheels"], self.servers["arm"], self.servers["mast"], self.host)
+        ports = [StagePort(bus, stage.nodes, sink) for stage in stages]
+        order = _SCHEDULES[0]
         if self.config.schedule_sensitivity and sink is not None:
-            events, acting, streams = self.tracer.events, 0, self.tracer.streams
-            for i in _SCHEDULES[sink.choose(("schedule",), tuple(range(len(_SCHEDULES))))]:
-                before = len(events), sink.index
-                stages[i]()
-                if streams or before != (len(events), sink.index):
-                    acting |= 1 << i
-        else:
-            for stage in stages:
-                stage()
-        self.bus.step_deliver()
-        return acting
+            order = _SCHEDULES[sink.choose(("schedule",), tuple(range(len(_SCHEDULES))))]
+        for i in order:
+            stages[i].step(ports[i])
+        bus.step_deliver()
+        return sum(port.acted << i for i, port in enumerate(ports))
 
     def to_state(self) -> dict:
         # Inbox entries are sorted, not left in arrival order: same-tick

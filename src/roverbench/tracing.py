@@ -45,7 +45,6 @@ class EventTracer:
     def __init__(self, sink: IO[str] | None = None):
         self.events: list[dict] = []
         self._sink = sink
-        self.streams = sink is not None  # emits go to the file, not to ``events``
         self._observers: list[Callable[[dict], None]] = []
 
     def add_observer(self, fn: Callable[[dict], None]) -> None:

@@ -1,10 +1,13 @@
 """Reference semantics of the property language, for cross-checking
 ``prop_dsl.evaluate``: a direct recursive restatement that evaluates each
 formula at each position from scratch, over string verdicts and a list of
-event dicts, with the belief base folded here from the belief events.  It
-shares only ``atom_holds`` with the evaluator under test."""
+event dicts, with the belief base folded here from the belief events and
+every atom decided here by ``atom_holds``.  It shares no code with the
+evaluators under test, only the formula's node classes."""
 
 from __future__ import annotations
+
+import operator
 
 from roverbench.prop_dsl import (
     SATISFIED,
@@ -21,10 +24,67 @@ from roverbench.prop_dsl import (
     Never,
     Not,
     Or,
+    Path,
     TopicAtom,
     Until,
-    atom_holds,
 )
+
+
+_MISSING = object()
+
+
+def field(event: dict, parts: tuple):
+    """The value at a field path of an event, or ``_MISSING``."""
+    value = event
+    for part in parts:
+        if not isinstance(value, dict) or part not in value:
+            return _MISSING
+        value = value[part]
+    return value
+
+
+def compare(op: str, left, right) -> bool:
+    """A comparison as the property language defines it: false when a side
+    is missing, a tuple constant is a JSON list, and an ordering holds only
+    between two numbers."""
+    if left is _MISSING or right is _MISSING:
+        return False
+    right = list(right) if isinstance(right, tuple) else right
+    if op == "==":
+        return left == right
+    if op == "!=":
+        return left != right
+    numbers = (int, float)
+    if not (isinstance(left, numbers) and isinstance(right, numbers)):
+        return False
+    return {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}[op](
+        left, right)
+
+
+def atom_holds(node, event: dict, state: frozenset) -> bool:
+    """Truth of an atomic predicate at one event.  ``state`` is the belief
+    base after the event has been applied."""
+    kind = event.get("kind")
+    if isinstance(node, TopicAtom):
+        return kind == "publish" and event.get("topic") == node.name
+    if isinstance(node, BeliefAtom):
+        return kind == "belief" and event.get("op") == "add" and event.get("atom") == node.atom
+    if isinstance(node, HoldsAtom):
+        return node.atom in state
+    if isinstance(node, ActionAtom):
+        if kind != "action":
+            return False
+        action = event["action"]
+        if node.pattern == "*":
+            return True
+        if node.pattern.endswith("(*)"):
+            return action.startswith(node.pattern[:-2])
+        return action == node.pattern
+    if isinstance(node, Compare):
+        value = node.value
+        right = field(event, value.parts) if isinstance(value, Path) else value
+        return compare(node.op, field(event, node.path.parts), right)
+    raise TypeError(f"not an atomic predicate: {node!r}")
 
 
 def fold_belief(beliefs: set, event: dict) -> None:

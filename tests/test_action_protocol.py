@@ -15,7 +15,7 @@ from roverbench.action_protocol import (
     PENDING,
     SUCCEEDED,
 )
-from roverbench.bus import MessageBus
+from roverbench.bus import MessageBus, StagePort
 from roverbench.config import make_config
 from roverbench.effectors import PostureServer, WheelsServer
 from roverbench.messages import Message, Topology, client_node, server_node
@@ -29,17 +29,22 @@ def make_rig(effector: str = "arm", init_delay: int = 0):
     bus = MessageBus(Topology(), tracer)
     client = ClientEndpoint(effector)
     if effector == "wheels":
-        server = WheelsServer(config, tracer)
+        server = WheelsServer(config)
     else:
-        server = PostureServer(effector, config, tracer)
+        server = PostureServer(effector, config)
     return bus, client, server, tracer
+
+
+def port(bus, endpoint) -> StagePort:
+    """The port of one client or server node at the bus's tick."""
+    return StagePort(bus, (endpoint.node,))
 
 
 def pump(bus, client, server, ticks: int) -> list[tuple[str, str]]:
     """Run server-then-deliver-then-client for a number of ticks; collect news."""
     news = []
     for _ in range(ticks):
-        server.step(bus.tick, bus)
+        server.step(port(bus, server))
         bus.step_deliver()
         for msg in bus.drain_inbox(client.node):
             news.extend(client.on_message(msg))
@@ -91,27 +96,27 @@ class TestClient:
     def test_goal_before_ready_is_rejected(self):
         bus, client, server, _ = make_rig()
         with pytest.raises(NotReadyError):
-            client.send_goal(bus, {"cmd": "open"})
+            client.send_goal(port(bus, client), {"cmd": "open"})
 
     def test_ready_latches_after_announcement(self):
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)
         assert client.server_ready
-        goal_id = client.send_goal(bus, {"cmd": "open"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         assert goal_id == f"{client_node('arm')}:0"
 
     def test_goal_ids_count_up(self):
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)
-        first = client.send_goal(bus, {"cmd": "open"})
-        second = client.send_goal(bus, {"cmd": "close"})
+        first = client.send_goal(port(bus, client), {"cmd": "open"})
+        second = client.send_goal(port(bus, client), {"cmd": "close"})
         assert first.endswith(":0")
         assert second.endswith(":1")
 
     def test_feedback_drives_pending_to_active_with_progress(self):
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"cmd": "open"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 2)
         record = client.records[goal_id]
         assert record.status == ACTIVE
@@ -120,7 +125,7 @@ class TestClient:
     def test_result_completes_record(self):
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"cmd": "open"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         news = pump(bus, client, server, 6)
         assert (goal_id, SUCCEEDED) in news
         assert goal_id not in client.records
@@ -128,7 +133,7 @@ class TestClient:
     def test_feedback_after_result_is_ignored(self):
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"cmd": "open"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 6)
         late = Message(seq=0, sender=server.node, topic="/arm/feedback",
                        payload={"goal_id": goal_id, "progress": 0.5})
@@ -138,7 +143,7 @@ class TestClient:
     def test_client_and_server_agree_on_final_status(self):
         bus, client, server, tracer = make_rig()
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"cmd": "open"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         news = pump(bus, client, server, 6)
         resolves = [ev for ev in tracer.events
                     if ev["kind"] == "goal" and ev["phase"] == "resolve"]
@@ -155,7 +160,7 @@ class TestServer:
         """With delay d the announcement goes out on tick d (d delay decrements first)."""
         bus, client, server, tracer = make_rig(init_delay=2)
         for expected_tick in range(4):
-            server.step(bus.tick, bus)
+            server.step(port(bus, server))
             bus.step_deliver()
         ready = [ev for ev in tracer.events if ev["kind"] == "publish" and ev["topic"] == "/ready/arm"]
         assert len(ready) == 1
@@ -165,9 +170,9 @@ class TestServer:
         """Accepting a second goal cancels the first; both reach terminal states."""
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)
-        first = client.send_goal(bus, {"cmd": "open"})
+        first = client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 1)  # server accepts and starts work
-        second = client.send_goal(bus, {"cmd": "close"})
+        second = client.send_goal(port(bus, client), {"cmd": "close"})
         news = pump(bus, client, server, 8)
         assert (first, CANCELED) in news
         assert (second, SUCCEEDED) in news
@@ -176,9 +181,9 @@ class TestServer:
         bus, client, server, _ = make_rig()
         server.scripted_faults = {1}
         pump(bus, client, server, 1)
-        first = client.send_goal(bus, {"cmd": "open"})
+        first = client.send_goal(port(bus, client), {"cmd": "open"})
         news = pump(bus, client, server, 6)
-        second = client.send_goal(bus, {"cmd": "close"})
+        second = client.send_goal(port(bus, client), {"cmd": "close"})
         news += pump(bus, client, server, 6)
         assert (first, SUCCEEDED) in news
         assert (second, ABORTED) in news
@@ -187,7 +192,7 @@ class TestServer:
         """Accept events carry the server the topic addressed, for routing checks."""
         bus, client, server, tracer = make_rig()
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"cmd": "open"})
+        client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 2)
         accepts = [ev for ev in tracer.events if ev.get("kind") == "goal" and ev["phase"] == "accept"]
         assert accepts[0]["server"] == server_node("arm")
@@ -196,7 +201,7 @@ class TestServer:
     def test_progress_reaches_one_before_success(self):
         bus, client, server, tracer = make_rig()
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"cmd": "open"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 6)
         publishes = [ev for ev in tracer.events if ev["kind"] == "publish"]
         result = next(i for i, ev in enumerate(publishes) if ev["topic"] == "/arm/result")

@@ -15,14 +15,23 @@ from roverbench.agent import (
     next_waypoint,
     posture_cmd,
 )
+from roverbench.bus import MessageBus, StagePort
 from roverbench.config import make_config
+from roverbench.messages import Topology
 from roverbench.tracing import EventTracer
 
 ALL_READY = [{"kind": "ready", "module": m} for m in ("wheels", "arm", "mast")]
 
 
 def make_agent(overrides: dict | None = None) -> RoverAgent:
-    return RoverAgent(make_config(overrides or {}), EventTracer())
+    return RoverAgent(make_config(overrides or {}))
+
+
+def at(t: int, tracer: EventTracer | None = None) -> StagePort:
+    """A port for a cycle at tick ``t`` whose emits go to ``tracer``."""
+    bus = MessageBus(Topology(), tracer or EventTracer())
+    bus.tick = t
+    return StagePort(bus, ())
 
 
 def env_percept(wp: str, cls: str) -> dict:
@@ -128,23 +137,23 @@ class TestSelectActions:
 
     def test_empty_until_mission_ready(self):
         agent = make_agent()
-        assert agent.cycle(0, ALL_READY[:1]) == []
+        assert agent.cycle(at(0), ALL_READY[:1]) == []
         assert agent.intention is None
 
     def test_moves_toward_first_clear_stop(self):
         agent = make_agent()
-        assert agent.cycle(0, [env_percept("A", "Radiation"), *ALL_READY]) == [move_to("B")]
+        assert agent.cycle(at(0), [env_percept("A", "Radiation"), *ALL_READY]) == [move_to("B")]
 
     def test_waits_when_everything_radiated(self):
         agent = make_agent()
         hot = [env_percept(wp, "Radiation") for wp in ("A", "B", "C")]
-        assert agent.cycle(0, hot + ALL_READY) == []
+        assert agent.cycle(at(0), hot + ALL_READY) == []
         assert agent.intention.rule.name == "start_patrol"
-        assert agent.cycle(1, [env_percept("C", "Fine")]) == [move_to("C")]
+        assert agent.cycle(at(1), [env_percept("C", "Fine")]) == [move_to("C")]
 
 
 def opened(agent: RoverAgent, *instruments: str) -> RoverAgent:
-    agent.perceive(0, [resolved(posture_cmd(inst, "open")) for inst in instruments])
+    agent.perceive(at(0), [resolved(posture_cmd(inst, "open")) for inst in instruments])
     return agent
 
 
@@ -152,10 +161,10 @@ def arrive(agent: RoverAgent, wp: str, env: str | None, *instruments: str) -> li
     """Start the patrol, then arrive at its first stop ``wp`` with ``env``
     (None: no weather reading) perceived and ``instruments`` believed open;
     returns the arrival's actions."""
-    assert agent.cycle(0, ALL_READY) == [move_to(wp)]
+    assert agent.cycle(at(0), ALL_READY) == [move_to(wp)]
     percepts = [resolved(posture_cmd(inst, "open")) for inst in instruments]
     percepts += [] if env is None else [env_percept(wp, env)]
-    return agent.cycle(1, percepts + [resolved(move_to(wp))])
+    return agent.cycle(at(1), percepts + [resolved(move_to(wp))])
 
 
 class TestPosturePolicy:
@@ -201,48 +210,48 @@ class TestPosturePolicy:
 class TestPerceive:
     def test_env_belief_replaces_old_class(self):
         agent = make_agent()
-        agent.perceive(0, [env_percept("B", "Radiation")])
-        added, removed = agent.perceive(1, [env_percept("B", "Fine")])
+        agent.perceive(at(0), [env_percept("B", "Radiation")])
+        added, removed = agent.perceive(at(1), [env_percept("B", "Fine")])
         assert ("env", "B", "Fine") in added
         assert ("env", "B", "Radiation") in removed
         assert belief_value(agent.beliefs, "env", "B") == "Fine"
 
     def test_unchanged_value_emits_nothing(self):
         agent = make_agent()
-        agent.perceive(0, [env_percept("A", "Windy")])
-        added, removed = agent.perceive(1, [env_percept("A", "Windy")])
+        agent.perceive(at(0), [env_percept("A", "Windy")])
+        added, removed = agent.perceive(at(1), [env_percept("A", "Windy")])
         assert added == [] and removed == []
 
     def test_ready_latches_once(self):
         agent = make_agent()
-        added, _ = agent.perceive(0, [{"kind": "ready", "module": "arm"}])
+        added, _ = agent.perceive(at(0), [{"kind": "ready", "module": "arm"}])
         assert added == [("ready", "arm")]
-        added, _ = agent.perceive(1, [{"kind": "ready", "module": "arm"}])
+        added, _ = agent.perceive(at(1), [{"kind": "ready", "module": "arm"}])
         assert added == []
 
     def test_successful_move_updates_location(self):
         agent = make_agent()
-        agent.perceive(0, [resolved(move_to("A"))])
+        agent.perceive(at(0), [resolved(move_to("A"))])
         assert belief_value(agent.beliefs, "at") == "A"
 
     def test_failed_move_keeps_location(self):
         agent = make_agent()
-        agent.perceive(0, [resolved(move_to("A"), "Aborted")])
+        agent.perceive(at(0), [resolved(move_to("A"), "Aborted")])
         assert belief_value(agent.beliefs, "at") == "o"
 
     def test_posture_result_updates_instrument_state(self):
         agent = make_agent()
-        agent.perceive(0, [resolved(posture_cmd("arm", "open"))])
+        agent.perceive(at(0), [resolved(posture_cmd("arm", "open"))])
         assert belief_value(agent.beliefs, "arm") == "Open"
-        agent.perceive(1, [resolved(posture_cmd("arm", "close"))])
+        agent.perceive(at(1), [resolved(posture_cmd("arm", "close"))])
         assert belief_value(agent.beliefs, "arm") == "Closed"
 
     def test_belief_events_traced_del_before_add(self):
         tracer = EventTracer()
-        agent = RoverAgent(make_config(), tracer)
-        agent.perceive(0, [env_percept("B", "Radiation")])
+        agent = RoverAgent(make_config())
+        agent.perceive(at(0, tracer), [env_percept("B", "Radiation")])
         tracer.events.clear()
-        agent.perceive(1, [env_percept("B", "Fine")])
+        agent.perceive(at(1, tracer), [env_percept("B", "Fine")])
         ops = [(ev["op"], ev["atom"]) for ev in tracer.events if ev["kind"] == "belief"]
         assert ops == [("del", "env(B,Radiation)"), ("add", "env(B,Fine)")]
 
@@ -253,43 +262,43 @@ class TestPerceive:
 class TestCycle:
     def test_quiescent_without_readiness(self):
         agent = make_agent()
-        assert agent.cycle(0, []) == []
+        assert agent.cycle(at(0), []) == []
         assert agent.intention is None
 
     def test_patrol_starts_the_cycle_readiness_completes(self):
         """The readiness belief adopts the patrol plan and its first move goes
         out in the same cycle."""
         agent = make_agent()
-        actions = agent.cycle(0, ALL_READY)
+        actions = agent.cycle(at(0), ALL_READY)
         assert actions == [move_to("A")]
         assert agent.intention is not None
         assert agent.intention.rule.name == "start_patrol"
 
     def test_failed_drive_is_retried_with_fresh_choice(self):
         agent = make_agent()
-        agent.cycle(0, ALL_READY)
-        actions = agent.cycle(1, [resolved(move_to("A"), "Aborted")])
+        agent.cycle(at(0), ALL_READY)
+        actions = agent.cycle(at(1), [resolved(move_to("A"), "Aborted")])
         assert actions == [move_to("A")]
 
     def test_arrival_somewhere_unknown_moves_on(self):
         """With no weather picture for the stop the agent just keeps patrolling."""
         agent = make_agent()
-        agent.cycle(0, ALL_READY)
-        actions = agent.cycle(1, [resolved(move_to("A"))])
+        agent.cycle(at(0), ALL_READY)
+        actions = agent.cycle(at(1), [resolved(move_to("A"))])
         assert actions == [move_to("B")]
         assert agent.intention.rule.name == "move_on"
 
     def test_arrival_at_fine_stop_opens_instruments(self):
         agent = make_agent()
-        agent.cycle(0, ALL_READY)
-        actions = agent.cycle(1, [env_percept("A", "Fine"), resolved(move_to("A"))])
+        agent.cycle(at(0), ALL_READY)
+        actions = agent.cycle(at(1), [env_percept("A", "Fine"), resolved(move_to("A"))])
         assert actions == [posture_cmd("arm", "open"), posture_cmd("mast", "open")]
         assert agent.intention.rule.name == "collect_here"
 
     def test_arrival_at_windy_stop_passes_through(self):
         agent = make_agent()
-        agent.cycle(0, ALL_READY)
-        actions = agent.cycle(1, [env_percept("A", "Windy"), resolved(move_to("A"))])
+        agent.cycle(at(0), ALL_READY)
+        actions = agent.cycle(at(1), [env_percept("A", "Windy"), resolved(move_to("A"))])
         assert actions == [move_to("B")]
         assert agent.intention.rule.name == "pass_through_windy"
 
@@ -297,25 +306,25 @@ class TestCycle:
         """After the instruments open, the agent sits for the dwell and then
         closes up: three empty cycles, closes on the fourth."""
         agent = make_agent()
-        agent.cycle(0, ALL_READY)
-        agent.cycle(1, [env_percept("A", "Fine"), resolved(move_to("A"))])
+        agent.cycle(at(0), ALL_READY)
+        agent.cycle(at(1), [env_percept("A", "Fine"), resolved(move_to("A"))])
         t = 2
         actions = agent.cycle(
-            t, [resolved(posture_cmd("arm", "open")), resolved(posture_cmd("mast", "open"))]
+            at(t), [resolved(posture_cmd("arm", "open")), resolved(posture_cmd("mast", "open"))]
         )
         empty_cycles = 0
         while not actions:
             t += 1
             empty_cycles += 1
-            actions = agent.cycle(t, [])
+            actions = agent.cycle(at(t), [])
         assert empty_cycles == 3
         assert actions == [posture_cmd("arm", "close"), posture_cmd("mast", "close")]
 
     def test_explanations_one_per_action(self):
         """Every emitted action gets one explanation naming rule and guard."""
         agent = make_agent()
-        agent.cycle(0, ALL_READY)
-        agent.cycle(1, [env_percept("A", "Fine"), resolved(move_to("A"))])
+        agent.cycle(at(0), ALL_READY)
+        agent.cycle(at(1), [env_percept("A", "Fine"), resolved(move_to("A"))])
         emitted = 1 + 2  # one move, two opens
         assert len(agent.explanations) == emitted
         first = agent.explanations[0]
@@ -326,8 +335,8 @@ class TestCycle:
 
     def test_first_cycle_dumps_initial_beliefs(self):
         tracer = EventTracer()
-        agent = RoverAgent(make_config(), tracer)
-        agent.cycle(0, [])
+        agent = RoverAgent(make_config())
+        agent.cycle(at(0, tracer), [])
         atoms = sorted(ev["atom"] for ev in tracer.events if ev["kind"] == "belief")
         assert atoms == ["arm(Closed)", "at(o)", "mast(Closed)"]
 
@@ -352,29 +361,29 @@ class TestPlanVariants:
         """Radiation appearing at the occupied stop abandons the science dwell
         and closes up immediately."""
         agent = make_agent({"strict_radiation_mode": True})
-        agent.cycle(0, ALL_READY)
-        agent.cycle(1, [env_percept("A", "Fine"), resolved(move_to("A"))])
+        agent.cycle(at(0), ALL_READY)
+        agent.cycle(at(1), [env_percept("A", "Fine"), resolved(move_to("A"))])
         agent.cycle(
-            2, [resolved(posture_cmd("arm", "open")), resolved(posture_cmd("mast", "open"))]
+            at(2), [resolved(posture_cmd("arm", "open")), resolved(posture_cmd("mast", "open"))]
         )
-        actions = agent.cycle(3, [env_percept("A", "Radiation")])
+        actions = agent.cycle(at(3), [env_percept("A", "Radiation")])
         assert actions == [posture_cmd("arm", "close"), posture_cmd("mast", "close")]
         assert agent.explanations[-1]["rule"] == "evacuate_radiation"
 
     def test_default_mode_keeps_dwelling_through_radiation(self):
         """Without strict mode the busy dwell ignores the radiation event."""
         agent = make_agent()
-        agent.cycle(0, ALL_READY)
-        agent.cycle(1, [env_percept("A", "Fine"), resolved(move_to("A"))])
+        agent.cycle(at(0), ALL_READY)
+        agent.cycle(at(1), [env_percept("A", "Fine"), resolved(move_to("A"))])
         agent.cycle(
-            2, [resolved(posture_cmd("arm", "open")), resolved(posture_cmd("mast", "open"))]
+            at(2), [resolved(posture_cmd("arm", "open")), resolved(posture_cmd("mast", "open"))]
         )
-        assert agent.cycle(3, [env_percept("A", "Radiation")]) == []
+        assert agent.cycle(at(3), [env_percept("A", "Radiation")]) == []
         assert agent.intention.rule.name == "collect_here"
 
     def test_env_blind_mutant_sees_fine_everywhere(self):
         agent = make_agent({"mutant": "env-blind"})
-        agent.perceive(0, [env_percept("B", "Radiation")])
+        agent.perceive(at(0), [env_percept("B", "Radiation")])
         assert agent.env_view("B") == "Fine"
         assert agent.pick_next("A") == "B"
 
@@ -382,5 +391,5 @@ class TestPlanVariants:
         """The unguarded-start mutant issues its first drive on cycle one,
         before any readiness announcement."""
         agent = make_agent({"mutant": "premature-action"})
-        assert agent.cycle(0, []) == [move_to("A")]
-        assert make_agent().cycle(0, []) == []
+        assert agent.cycle(at(0), []) == [move_to("A")]
+        assert make_agent().cycle(at(0), []) == []

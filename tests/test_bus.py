@@ -7,6 +7,7 @@ import pytest
 from roverbench.bus import (
     InboxOverflowError,
     MessageBus,
+    StagePort,
     UnauthorizedPublisherError,
     UnknownTopicError,
 )
@@ -213,3 +214,61 @@ class TestCounters:
         assert counter["published"] == 2
         assert counter["blocked"] == 1
         assert counter["delivered"] == 4  # two messages, two subscribers each
+
+
+# -- stage ports -------------------------------------------------------------
+
+
+class ListSink:
+    """Choice sink stub: takes the first option."""
+
+    def choose(self, key, options):
+        return options[0]
+
+
+class TestStagePort:
+    def test_refuses_a_foreign_sender(self):
+        """A port publishes only as its own stage's nodes, even on a topic
+        the sender may publish on; the refused publish leaves no trace."""
+        bus = make_bus()
+        port = StagePort(bus, (server_node("arm"),))
+        with pytest.raises(UnauthorizedPublisherError):
+            port.publish(server_node("mast"), "/ready/mast", {"module": "mast", "ready": True})
+        with pytest.raises(UnauthorizedPublisherError):
+            port.publish(NODE_WORLD, "/env/sample", dict(SAMPLE))
+        assert not port.acted
+        assert bus.tracer.events == []
+        assert bus.counters == {}
+
+    @pytest.mark.parametrize("act", ["publish", "emit", "choose"])
+    def test_each_way_of_acting_sets_acted(self, act):
+        bus = make_bus()
+        bus.tick = 7
+        port = StagePort(bus, (server_node("arm"),), ListSink())
+        assert (port.tick, port.exploring, port.acted) == (7, True, False)
+        assert port.inbox() == []
+        assert not port.acted  # reading is not acting
+        if act == "publish":
+            port.publish(server_node("arm"), "/ready/arm", {"module": "arm", "ready": True})
+        elif act == "emit":
+            port.emit("goal", phase="accept")
+            assert bus.tracer.events == [{"t": 7, "kind": "goal", "phase": "accept"}]
+        else:
+            assert port.choose(("fault", "arm"), ("Succeeded", "Aborted")) == "Succeeded"
+        assert port.acted
+
+    def test_inbox_drains_its_nodes_in_seq_order(self):
+        """The host's port merges its nodes' inboxes by seq; a message sent
+        to two of its nodes comes once per node, in the port's node order.
+        Other nodes' inboxes are left alone."""
+        bus = make_bus()
+        bus.publish(server_node("arm"), "/ready/arm", {"module": "arm", "ready": True})
+        bus.publish(NODE_WORLD, "/env/sample", dict(SAMPLE))
+        bus.publish(server_node("wheels"), "/pose", {"x": 0, "y": 0})
+        bus.step_deliver()
+        port = StagePort(bus, (NODE_ENV_INTERFACE, client_node("arm")))
+        pairs = [(node, msg.seq) for node, msg in port.inbox()]
+        assert pairs == [(NODE_ENV_INTERFACE, 0), (client_node("arm"), 0),
+                         (NODE_ENV_INTERFACE, 1), (NODE_ENV_INTERFACE, 2)]
+        assert port.inbox() == []
+        assert [msg.seq for msg in bus.inboxes[NODE_WORLD]] == [2]

@@ -553,7 +553,7 @@ class TestInternalError:
         assert "internal error: RuntimeError: boom" in err
 
     def test_step_ending_before_its_tick_exits_5(self, capsys, monkeypatch):
-        monkeypatch.setattr(World, "step", lambda self, t, bus, sink=None: None)
+        monkeypatch.setattr(World, "step", lambda self, port: None)
         code, doc, err = run_cli(capsys, "verify")
         assert code == 5
         assert doc is None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from roverbench.action_protocol import ClientEndpoint, SUCCEEDED
-from roverbench.bus import MessageBus
+from roverbench.bus import MessageBus, StagePort
 from roverbench.config import make_config
 from roverbench.effectors import (
     NOMINAL_SPEED,
@@ -24,16 +24,21 @@ def make_rig(effector: str, config_overrides: dict | None = None, **server_kwarg
     bus = MessageBus(Topology(), tracer)
     client = ClientEndpoint(effector)
     if effector == "wheels":
-        server = WheelsServer(config, tracer, **server_kwargs)
+        server = WheelsServer(config, **server_kwargs)
     else:
-        server = PostureServer(effector, config, tracer, **server_kwargs)
+        server = PostureServer(effector, config, **server_kwargs)
     return bus, client, server, tracer
+
+
+def port(bus, endpoint) -> StagePort:
+    """The port of one client or server node at the bus's tick."""
+    return StagePort(bus, (endpoint.node,))
 
 
 def pump(bus, client, server, ticks: int) -> list[tuple[str, str]]:
     news = []
     for _ in range(ticks):
-        server.step(bus.tick, bus)
+        server.step(port(bus, server))
         bus.step_deliver()
         for msg in bus.drain_inbox(client.node):
             news.extend(client.on_message(msg))
@@ -53,7 +58,7 @@ class TestWheelsWaypointGoals:
         """A goal from o=(0,0) to B=(6,-4) takes 10 work ticks plus resolution."""
         bus, client, server, _ = make_rig("wheels")
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"kind": "waypoint", "wp": "B"})
+        goal_id = client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "B"})
         pump(bus, client, server, 2)
         assert server.duration == 10
         news = pump(bus, client, server, 11)
@@ -64,7 +69,7 @@ class TestWheelsWaypointGoals:
         """The drive closes the x gap first, then the y gap."""
         bus, client, server, tracer = make_rig("wheels")
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"kind": "waypoint", "wp": "B"})
+        client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "B"})
         pump(bus, client, server, 13)
         poses = [(p["x"], p["y"]) for p in published(tracer, "/pose")]
         assert poses == [
@@ -75,7 +80,7 @@ class TestWheelsWaypointGoals:
     def test_one_cell_per_tick(self):
         bus, client, server, tracer = make_rig("wheels")
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"kind": "waypoint", "wp": "A"})
+        client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "A"})
         pump(bus, client, server, 10)
         poses = [(0, 0)] + [(p["x"], p["y"]) for p in published(tracer, "/pose")]
         for (x0, y0), (x1, y1) in zip(poses, poses[1:]):
@@ -85,9 +90,9 @@ class TestWheelsWaypointGoals:
         """The second leg's length depends on where the first one ended."""
         bus, client, server, _ = make_rig("wheels")
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"kind": "waypoint", "wp": "A"})
+        client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "A"})
         pump(bus, client, server, 9)  # arrive at (6, 0)
-        client.send_goal(bus, {"kind": "waypoint", "wp": "B"})
+        client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "B"})
         pump(bus, client, server, 2)
         assert server.duration == 4  # |6-6| + |-4-0|
 
@@ -95,7 +100,7 @@ class TestWheelsWaypointGoals:
         """The last telemetry frame before the result is all zeros."""
         bus, client, server, tracer = make_rig("wheels")
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"kind": "waypoint", "wp": "A"})
+        client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "A"})
         pump(bus, client, server, 10)
         ordered = [
             ev for ev in tracer.events
@@ -109,7 +114,7 @@ class TestWheelsWaypointGoals:
     def test_skip_stop_flag_omits_halt_frame(self):
         bus, client, server, tracer = make_rig("wheels", skip_stop=True)
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"kind": "waypoint", "wp": "A"})
+        client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "A"})
         pump(bus, client, server, 10)
         frames = published(tracer, "/wheels/telemetry")
         assert all(f["speeds"] != [0] * WHEEL_COUNT for f in frames)
@@ -123,7 +128,7 @@ class TestPostureServer:
         """With duration 2 the arm passes through the midpoint pose."""
         bus, client, server, tracer = make_rig("arm")
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"cmd": "open"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         news = pump(bus, client, server, 5)
         assert (goal_id, SUCCEEDED) in news
         frames = published(tracer, "/arm/telemetry")
@@ -140,7 +145,7 @@ class TestPostureServer:
         """Closing an already-closed mast needs zero work ticks."""
         bus, client, server, _ = make_rig("mast")
         pump(bus, client, server, 1)
-        goal_id = client.send_goal(bus, {"cmd": "close"})
+        goal_id = client.send_goal(port(bus, client), {"cmd": "close"})
         news = pump(bus, client, server, 3)
         assert (goal_id, SUCCEEDED) in news
         assert server.duration == 0
@@ -153,9 +158,9 @@ class TestPostureServer:
             "arm", config_overrides={"posture_duration": {"arm": 4, "mast": 2}}
         )
         pump(bus, client, server, 1)
-        first = client.send_goal(bus, {"cmd": "open"})
+        first = client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 2)  # the preempting goal lands two ticks of work in
-        second = client.send_goal(bus, {"cmd": "open"})
+        second = client.send_goal(port(bus, client), {"cmd": "open"})
         news = pump(bus, client, server, 7)
         assert (first, "Canceled") in news
         assert (second, SUCCEEDED) in news
@@ -168,7 +173,7 @@ class TestPostureServer:
     def test_mast_has_two_joints(self):
         bus, client, server, tracer = make_rig("mast")
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"cmd": "open"})
+        client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 5)
         frames = published(tracer, "/mast/telemetry")
         assert all(len(f["joints"]) == 2 for f in frames)
@@ -177,7 +182,7 @@ class TestPostureServer:
     def test_final_telemetry_reports_target_posture(self):
         bus, client, server, tracer = make_rig("arm")
         pump(bus, client, server, 1)
-        client.send_goal(bus, {"cmd": "open"})
+        client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 5)
         frames = published(tracer, "/arm/telemetry")
         assert frames[-1]["posture"] == "Open"
@@ -190,14 +195,14 @@ class TestPostureServer:
 class TestBuildServers:
     def test_builds_all_three(self):
         config = make_config()
-        servers = build_servers(config, EventTracer())
+        servers = build_servers(config)
         assert sorted(servers) == ["arm", "mast", "wheels"]
         assert isinstance(servers["wheels"], WheelsServer)
         assert not servers["wheels"].skip_stop
 
     def test_no_stop_mutant_flags_wheels(self):
         config = make_config({"mutant": "no-stop-wheels"})
-        servers = build_servers(config, EventTracer())
+        servers = build_servers(config)
         assert servers["wheels"].skip_stop
         assert isinstance(servers["arm"], PostureServer)
 
@@ -205,6 +210,6 @@ class TestBuildServers:
         config = make_config(
             {"scripted_faults": [{"effector": "arm", "goal_index": 2}]}
         )
-        servers = build_servers(config, EventTracer())
+        servers = build_servers(config)
         assert servers["arm"].scripted_faults == {2}
         assert servers["wheels"].scripted_faults == set()

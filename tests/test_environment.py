@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from roverbench.bus import MessageBus
+from roverbench.bus import MessageBus, StagePort
 from roverbench.config import make_config
 from roverbench.environment import (
     FINE,
@@ -17,7 +17,7 @@ from roverbench.environment import (
     classify,
     decay_radiation,
 )
-from roverbench.messages import Message, Topology
+from roverbench.messages import NODE_WORLD, Message, Topology
 from roverbench.tracing import EventTracer
 
 
@@ -113,6 +113,12 @@ def make_world(overrides: dict | None = None, explore: bool = False, sink=None):
     return world, bus, tracer
 
 
+def port_at(bus, t: int, sink=None) -> StagePort:
+    """The world's port for a step at tick ``t``."""
+    bus.tick = t
+    return StagePort(bus, (NODE_WORLD,), sink)
+
+
 def samples(tracer) -> list[dict]:
     return [ev["payload"] for ev in tracer.events
             if ev["kind"] == "publish" and ev["topic"] == "/env/sample"]
@@ -121,14 +127,14 @@ def samples(tracer) -> list[dict]:
 class TestWorld:
     def test_one_sample_per_waypoint_per_tick(self):
         world, bus, tracer = make_world()
-        world.step(0, bus)
+        world.step(port_at(bus, 0))
         assert [s["wp"] for s in samples(tracer)] == ["o", "A", "B", "C"]
 
     def test_first_step_publishes_undecayed_levels(self):
         """Decay is skipped on the very first step, so tick 0 shows the
         configured field: radiation 20 at B, wind 7 at A."""
         world, bus, tracer = make_world()
-        world.step(0, bus)
+        world.step(port_at(bus, 0))
         by_wp = {s["wp"]: s for s in samples(tracer)}
         assert by_wp["B"]["radiation"] == 20
         assert by_wp["B"]["env"] == RADIATION
@@ -141,7 +147,7 @@ class TestWorld:
         so B crosses below the threshold between steps 15 and 16."""
         world, bus, tracer = make_world()
         for t in range(25):
-            world.step(t, bus)
+            world.step(port_at(bus, t))
         b_levels = [s["radiation"] for s in samples(tracer) if s["wp"] == "B"]
         assert b_levels == [max(0, 20 - t) for t in range(25)]
         b_classes = [s["env"] for s in samples(tracer) if s["wp"] == "B"]
@@ -151,7 +157,7 @@ class TestWorld:
     def test_wind_is_static_without_exploration(self):
         world, bus, tracer = make_world()
         for t in range(10):
-            world.step(t, bus)
+            world.step(port_at(bus, t))
         a_wind = {s["wind"] for s in samples(tracer) if s["wp"] == "A"}
         assert a_wind == {7}
 
@@ -161,7 +167,7 @@ class TestWorld:
             {"env_faults": [{"tick": 3, "wp": "o", "radiation": 9}]}
         )
         for t in range(6):
-            world.step(t, bus)
+            world.step(port_at(bus, t))
         o_samples = [s for s in samples(tracer) if s["wp"] == "o"]
         assert [s["radiation"] for s in o_samples] == [0, 0, 0, 9, 0, 0]
         assert [s["env"] for s in o_samples] == [FINE] * 3 + [RADIATION] + [FINE] * 2
@@ -173,7 +179,7 @@ class TestWorld:
             {"env_faults": [{"tick": 2, "wp": "A", "wind": -1}]}
         )
         for t in range(4):
-            world.step(t, bus)
+            world.step(port_at(bus, t))
         a_samples = [s for s in samples(tracer) if s["wp"] == "A"]
         assert a_samples[2]["wind"] == -1
         assert a_samples[2]["env"] == FINE  # clamped to 0 before classifying
@@ -181,7 +187,7 @@ class TestWorld:
 
     def test_initial_levels_clamped_to_cap(self):
         world, bus, tracer = make_world({"radiation": {"o": 0, "A": 0, "B": 50, "C": 0}})
-        world.step(0, bus)
+        world.step(port_at(bus, 0))
         by_wp = {s["wp"]: s for s in samples(tracer)}
         assert by_wp["B"]["radiation"] == 50
 
@@ -191,7 +197,7 @@ class TestWorld:
         assert state["pose"] == [0, 0]
         assert state["radiation"]["B"] == 20
         assert state["started"] is False
-        world.step(0, bus)
+        world.step(port_at(bus, 0))
         assert world.to_state()["started"] is True
 
 
@@ -210,7 +216,7 @@ class TestWorldExploration:
         world, bus, _ = make_world(explore=True, sink=sink)
         msg = Message(seq=0, sender="wheelsServer", topic="/pose",
                       payload={"x": 6, "y": 0})
-        world._observe_pose(msg, sink)
+        world._observe_pose(msg, port_at(bus, 0, sink))
         assert ("wind", "A") in sink.calls
         assert world.wind["A"] == 0
 
@@ -220,5 +226,5 @@ class TestWorldExploration:
         calls_before = len(sink.calls)
         msg = Message(seq=0, sender="wheelsServer", topic="/pose",
                       payload={"x": 3, "y": 0})
-        world._observe_pose(msg, sink)
+        world._observe_pose(msg, port_at(bus, 0, sink))
         assert len(sink.calls) == calls_before

@@ -192,7 +192,7 @@ class TestExplorationGuards:
         windows at the last event's time, so a step must end at its tick:
         with a world that publishes nothing, the first tick ends at event
         time 0 with ``model.tick`` 1."""
-        monkeypatch.setattr(World, "step", lambda self, t, bus, sink=None: None)
+        monkeypatch.setattr(World, "step", lambda self, port: None)
         with pytest.raises(RuntimeError, match="tick 1 ended at event time 0"):
             explore_properties(make_config(), SUITE)
 

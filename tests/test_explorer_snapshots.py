@@ -68,6 +68,7 @@ from roverbench.explorer import (
     explore_properties,
     write_counterexample,
 )
+from roverbench.messages import EFFECTORS, NODE_ENV_INTERFACE, client_node, server_node
 from roverbench.prop_dsl import parse_suite
 from roverbench.simulator import ALL_STAGES, SAME_ORDER, Model
 
@@ -607,6 +608,53 @@ class TestScheduleReduction:
             assert reduced[1]
 
 
+# The bit of ``Model.step_tick``'s acting mask for each node of a stage.
+STAGE_BIT = {**{server_node(e): 1 << i for i, e in enumerate(EFFECTORS)},
+             NODE_ENV_INTERFACE: 1 << 3, **{client_node(e): 1 << 3 for e in EFFECTORS}}
+
+
+def stages_named(events: list[dict], log: list) -> int:
+    """The stages a step's events and choice log show acting, found without
+    the ports: the sender of a publish or block, the server of a goal event,
+    the host for belief and action events, and the server of a fault
+    choice.  Deliveries, the world's samples and the world's and schedule's
+    choices name no stage."""
+    mask = 0
+    for event in events:
+        kind = event["kind"]
+        if kind in ("publish", "block"):
+            mask |= STAGE_BIT.get(event["sender"], 0)
+        elif kind == "goal":
+            mask |= STAGE_BIT[event["server"]]
+        elif kind in ("belief", "action"):
+            mask |= STAGE_BIT[NODE_ENV_INTERFACE]
+    for key, _count, _pick in log:
+        if key[0] == "fault":
+            mask |= STAGE_BIT[server_node(key[1])]
+    return mask
+
+
+class TestActingMask:
+    @pytest.mark.parametrize("scenario", sorted(REDUCTION_SCENARIOS))
+    def test_mask_is_the_stages_events_and_choices_name(self, scenario, monkeypatch):
+        """On every step of the walk, the mask the ports report is the set
+        of stages its events and choices name."""
+        step, masks, wrong = _Bundle.step, set(), []
+
+        def checked(self, script, strict=False):
+            events, log = step(self, script, strict)
+            masks.add(self.acting)
+            if self.acting != stages_named(events, log):
+                wrong.append((self.model.tick, self.acting, stages_named(events, log)))
+            return events, log
+
+        monkeypatch.setattr(_Bundle, "step", checked)
+        assert explore_properties(REDUCTION_SCENARIOS[scenario](), SUITE).complete
+        assert wrong == []
+        # Steps with every stage idle, one stage acting and several acting.
+        assert 0 in masks and masks & {1, 2, 4, 8} and masks - {0, 1, 2, 4, 8}
+
+
 # A goal id no client holds: the client drops the feedback when it arrives.
 _STRAY_GOAL = "mastClient:1000"
 
@@ -617,15 +665,16 @@ def order_dependent(monkeypatch):
     feedback whose progress is the number of messages published before it in
     that tick.  All three servers announce in the same tick, so the number
     depends on the schedule: the stage breaks the stage contract of
-    ``Model.step_tick`` by reading the bus's pending queue."""
+    ``Model.step_tick`` by reaching past its port to the bus's pending
+    queue."""
     step = ServerBase.step
 
-    def step_and_count(self, t, bus, sink=None):
+    def step_and_count(self, port):
         announced = self.ready_published
-        step(self, t, bus, sink)
+        step(self, port)
         if self.effector == "mast" and self.ready_published != announced:
-            bus.publish(self.node, "/mast/feedback",
-                        {"goal_id": _STRAY_GOAL, "progress": len(bus._pending)})
+            port.publish(self.node, "/mast/feedback",
+                         {"goal_id": _STRAY_GOAL, "progress": len(port._bus._pending)})
 
     monkeypatch.setattr(ServerBase, "step", step_and_count)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naive_semantics import belief_states, evaluate_naive
+from naive_semantics import atom_holds, belief_states, evaluate_naive
 from roverbench.bus import MessageBus
 from roverbench.messages import PAYLOAD_FIELDS, Topology
 from roverbench.monitor import build_engine, check_trace
@@ -37,14 +37,13 @@ from roverbench.prop_dsl import (
     VIOLATED,
     _TraceView,
     _predicate_source,
-    atom_holds,
     compile_event_predicate,
     evaluate,
     parse_formula,
     parse_suite,
     to_text,
 )
-from roverbench.tracing import EVENT_FIELDS, EventTracer, dump_event, read_trace
+from roverbench.tracing import EVENT_FIELDS, EventTracer, Trace, dump_event, read_trace
 from test_tracing import assert_columns_match
 
 
@@ -206,21 +205,29 @@ def publish(t: int, topic: str, **payload) -> dict:
     return {"t": t, "kind": "publish", "topic": topic, "payload": payload}
 
 
+def holds(atom, event: dict) -> bool:
+    """``atom`` at ``event`` by the compiled predicate, which must agree with
+    ``evaluate`` over the one-event trace."""
+    online = compile_event_predicate(atom)(event, frozenset())
+    assert evaluate(atom, [event]) == (SATISFIED if online else VIOLATED)
+    return online
+
+
 class TestAtoms:
     def test_topic_matches_publish_only(self):
         """Deliver copies and blocked publishes must not satisfy topic()."""
         atom = TopicAtom("/pose")
-        assert atom_holds(atom, publish(0, "/pose", x=0, y=0), frozenset())
+        assert holds(atom, publish(0, "/pose", x=0, y=0))
         for kind in ("deliver", "block"):
             event = {"t": 0, "kind": kind, "topic": "/pose", "payload": {}}
-            assert not atom_holds(atom, event, frozenset())
+            assert not holds(atom, event)
 
     def test_belief_matches_additions_not_removals(self):
         ast = parse_formula('belief("at(A)")')
         add = {"t": 0, "kind": "belief", "op": "add", "atom": "at(A)"}
         remove = {"t": 0, "kind": "belief", "op": "del", "atom": "at(A)"}
-        assert atom_holds(ast, add, frozenset())
-        assert not atom_holds(ast, remove, frozenset())
+        assert holds(ast, add)
+        assert not holds(ast, remove)
 
     def test_holds_reads_reconstructed_state(self):
         trace = [
@@ -230,39 +237,41 @@ class TestAtoms:
         ]
         states = belief_states(trace)
         assert [("at(A)" in s) for s in states] == [True, True, False]
+        column = _TraceView(Trace(enumerate(trace))).column(parse_formula('holds("at(A)")'))
+        assert [v == 2 for v in column] == [True, True, False]
 
     def test_action_wildcards(self):
         event = {"t": 0, "kind": "action", "action": "move_to_waypoint(B)"}
-        assert atom_holds(parse_formula('action("*")'), event, frozenset())
-        assert atom_holds(parse_formula('action("move_to_waypoint(*)")'), event, frozenset())
-        assert atom_holds(parse_formula('action("move_to_waypoint(B)")'), event, frozenset())
-        assert not atom_holds(parse_formula('action("control_arm(*)")'), event, frozenset())
+        assert holds(parse_formula('action("*")'), event)
+        assert holds(parse_formula('action("move_to_waypoint(*)")'), event)
+        assert holds(parse_formula('action("move_to_waypoint(B)")'), event)
+        assert not holds(parse_formula('action("control_arm(*)")'), event)
 
     def test_missing_field_compares_false(self):
         ast = parse_formula("payload.wind >= 0")
-        assert not atom_holds(ast, publish(0, "/pose", x=1, y=2), frozenset())
+        assert not holds(ast, publish(0, "/pose", x=1, y=2))
 
     def test_numeric_comparisons(self):
         ast = parse_formula("payload.wind >= 5")
-        assert atom_holds(ast, publish(0, "/env/sample", wind=7), frozenset())
-        assert not atom_holds(ast, publish(0, "/env/sample", wind=4), frozenset())
+        assert holds(ast, publish(0, "/env/sample", wind=7))
+        assert not holds(ast, publish(0, "/env/sample", wind=4))
 
     def test_list_value_matches_json_list(self):
         ast = parse_formula("payload.speeds == [0,0,0,0,0,0]")
-        assert atom_holds(ast, publish(0, "/wheels/telemetry", speeds=[0] * 6), frozenset())
-        assert not atom_holds(ast, publish(0, "/wheels/telemetry", speeds=[1] * 6), frozenset())
+        assert holds(ast, publish(0, "/wheels/telemetry", speeds=[0] * 6))
+        assert not holds(ast, publish(0, "/wheels/telemetry", speeds=[1] * 6))
 
     def test_cross_field_comparison_on_event(self):
         ast = parse_formula("server != target")
         event = {"t": 0, "kind": "goal", "server": "armServer", "target": "mastServer"}
-        assert atom_holds(ast, event, frozenset())
+        assert holds(ast, event)
         event["target"] = "armServer"
-        assert not atom_holds(ast, event, frozenset())
+        assert not holds(ast, event)
 
     def test_ordering_on_non_numbers_is_false(self):
         ast = parse_formula('status > "Active"')
         event = {"t": 0, "kind": "goal", "status": "Pending"}
-        assert not atom_holds(ast, event, frozenset())
+        assert not holds(ast, event)
 
     def test_compile_event_predicate_rejects_temporal(self):
         with pytest.raises(ValueError):
@@ -442,7 +451,14 @@ formulas = st.recursive(atoms, lambda sub: st.one_of(
     st.builds(Eventually, sub), st.builds(Eventually, sub, bounds),
     st.builds(Until, sub, sub)), max_leaves=5)
 
+# A body is an event, or a run of belief events of one atom.  Belief runs
+# are drawn three times as often as any other body (``one_of`` weighs
+# distinct strategies alike), and a third of them add the atom and then
+# delete it, so that a trace often deletes an atom it holds.
 bodies = st.one_of(
+    *(st.builds(lambda ops, atom: [{"kind": "belief", "op": op, "atom": atom} for op in ops],
+                st.sampled_from((("add", "del"), ("add",), ("del",))), st.sampled_from(BELIEFS))
+      for _ in range(3)),
     st.builds(lambda topic: {"kind": "publish", "topic": topic, "payload": {"x": 1}},
               st.sampled_from(("/pose", "/env/sample"))),
     st.builds(lambda wind: {"kind": "publish", "topic": "/env/sample",
@@ -452,8 +468,6 @@ bodies = st.one_of(
               st.sampled_from(([0, 0], [1, 0]))),
     st.builds(lambda topic: {"kind": "deliver", "topic": topic, "payload": {"wind": 5}},
               st.sampled_from(("/pose", "/env/sample"))),
-    st.builds(lambda op, atom: {"kind": "belief", "op": op, "atom": atom},
-              st.sampled_from(("add", "del")), st.sampled_from(BELIEFS)),
     st.builds(lambda action: {"kind": "action", "action": action},
               st.sampled_from(("move_to_waypoint(A)", "move_to_waypoint(B)", "open_arm"))),
     st.builds(lambda server, target, status: {"kind": "goal", "phase": "accept",
@@ -473,7 +487,7 @@ def traces(draw):
     for advance, body in draw(st.lists(st.tuples(st.sampled_from((0, 0, 1, 2)), bodies),
                                        max_size=10)):
         t += advance
-        trace.append({"t": t, **body})
+        trace.extend({"t": t, **event} for event in (body if isinstance(body, list) else [body]))
     return trace
 
 

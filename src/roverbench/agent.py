@@ -13,6 +13,7 @@ value replaces the old one.  ``ready`` beliefs latch.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -57,6 +58,9 @@ def posture_cmd(effector: str, cmd: str) -> AgentAction:
     return AgentAction(f"control_{effector}", (cmd,))
 
 
+# Memoised: a walk's keys list every state's belief texts.  Atoms range over
+# a map's waypoints and modules, so the memo stays small.
+@functools.cache
 def atom_text(belief: tuple) -> str:
     return f"{belief[0]}({','.join(str(a) for a in belief[1:])})"
 

@@ -150,6 +150,12 @@ class StagePort:
 
     def inbox(self) -> list[tuple[str, Message]]:
         """Drain the stage's inboxes into (node, message) pairs, by seq, then node order."""
+        inboxes = self._bus.inboxes
+        for node in self._nodes:
+            if inboxes[node]:
+                break
+        else:  # every inbox empty, as the servers' are on most ticks
+            return []
         pairs = [(node, msg) for node in self._nodes for msg in self._bus.drain_inbox(node)]
         pairs.sort(key=lambda pair: pair[1].seq)
         return pairs

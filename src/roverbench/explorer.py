@@ -3,22 +3,26 @@
 The explorer enumerates every nondeterministic choice the model can make -
 initial radiation levels, wind re-rolls on arrival, effector fault outcomes,
 and (optionally) node scheduling order - and walks the induced state graph
-breadth-first.  A state's key is the ``to_state`` view of the model and its
-riding monitors, with every absolute-tick quantity replaced by a relative
-counter and goal ids renamed by rank, so the graph is finite whenever the
-mission is cyclic.  The key is that view in ``marshal`` bytes, exact and
-cheap to compare.  A new state keeps its live bundle, and its first
-successor is stepped on it (at most ``_LIVE_LIMIT`` are held).  Other
-successors are restored from a pickled snapshot, but only checkpoints (every
-``_CHECKPOINT``-th depth, roots included), states past the live limit and
-states made by a branching step are frozen when added.  Any other state
-whose step branches has its pre-step bundle rebuilt once from its checkpoint
-by replaying the tree's picks (stateless search; Godefroid, POPL 1997), and
-steps the second choice script itself, frozen first only if more scripts
-follow.  That is exact: a step is a deterministic function of the bundle and
-its choices, and strict replay fails on any choice point that differs from
-the recorded one.  A snapshot is freed once its state's successors are made,
-a checkpoint once the walk is ``_CHECKPOINT`` depths below it.
+breadth-first.  A state's key stands for the ``to_state`` view of the model
+and its riding monitors, with every absolute-tick quantity replaced by a
+relative counter and goal ids renamed by rank, so the graph is finite
+whenever the mission is cyclic.  Each component of that view (the world, each
+server, the host, each node's inbox, the monitors, the trackers) is filed in
+``marshal`` bytes once per walk, and the key is the tuple of their indices in
+``marshal`` bytes: exact, about 85 bytes, and cheap to compare (collapse
+compression; Holzmann, "State compression in SPIN", 1997).  A new state keeps
+its live bundle, and its first successor is stepped on it (at most
+``_LIVE_LIMIT`` are held).  Other successors are restored from a pickled
+snapshot, but only checkpoints (every ``_CHECKPOINT``-th depth, roots
+included), states past the live limit and states made by a branching step are
+frozen when added.  Any other state whose step branches has its pre-step
+bundle rebuilt once from its checkpoint by replaying the tree's picks
+(stateless search; Godefroid, POPL 1997), and steps the second choice script
+itself, frozen first only if more scripts follow.  That is exact: a step is a
+deterministic function of the bundle and its choices, and strict replay fails
+on any choice point that differs from the recorded one.  A snapshot is freed
+once its state's successors are made, a checkpoint once the walk is
+``_CHECKPOINT`` depths below it.
 
 With schedule permutations, a stage (an effector server or the agent host)
 steps through a ``bus.StagePort``, which enforces the stage contract: it reads
@@ -49,9 +53,9 @@ event, all states, or those with the response obligation open).  The step
 labels every edge with the awaited events it produced; a cycle of
 unlabelled edges is a lasso-shaped counterexample.  Whether a cycle exists
 does not depend on where the search starts, so it first runs in discovery
-order; only when it finds a lasso are the states' sorted JSON texts built,
-from their keys, and the search rerun from start states in text order, so
-the reported lasso depends neither on hashing nor on the key's encoding.
+order; only when it finds a lasso are the states' sorted JSON texts rebuilt
+from the key tables, and the search rerun from start states in text order,
+so the reported lasso depends neither on hashing nor on the key's encoding.
 
 Counterexamples embed the scenario config plus the per-tick choice vectors
 and can be replayed later; a replay that no longer produces the recorded
@@ -184,14 +188,77 @@ class _Dispatch:
     awaited: dict  # liveness name -> awaited-event predicate
 
 
+class _KeyTable:
+    """The key components of one walk, each distinct value filed once in
+    ``marshal`` bytes (protocol 2: exact types, no references), and a key is
+    the tuple of its components' indices in ``marshal`` bytes (collapse
+    compression; Holzmann, "State compression in SPIN", 1997; Laarman, van de
+    Pol and Weber, SPIN 2011).  An inbox is the sorted list of the indices
+    of its entries' ``(topic, sender, payload)`` bytes, each filed once too,
+    so arrival order is not state.  Two keys of a table are equal exactly
+    when their views are."""
+
+    def __init__(self, model: Model):
+        self.servers = sorted(model.servers)
+        self.nodes = sorted(model.bus.inboxes)
+        self.names = ["world", *(f"servers.{e}" for e in self.servers), "host",
+                      *(f"inboxes.{node}" for node in self.nodes), "monitors", "trackers"]
+        self.tables: list[dict[bytes, int]] = [{} for _ in self.names]
+        self.entries: dict[bytes, int] = {}  # every queued message's bytes
+
+    def key(self, model: dict, monitors: dict, trackers: dict) -> bytes:
+        """The key of a ranked ``Model.to_state`` view and its monitors' and
+        trackers' views."""
+        dump, entries = marshal.dumps, self.entries
+        servers, inboxes = model["servers"], model["inboxes"]
+        values = [dump(model["world"], 2), *[dump(servers[e], 2) for e in self.servers],
+                  dump(model["host"], 2)]
+        for node in self.nodes:
+            filed = [entries.setdefault(dump((m["topic"], m["sender"], m["payload"]), 2),
+                                        len(entries)) for m in inboxes.get(node, ())]
+            values.append(dump(sorted(filed), 2))
+        values += [dump(monitors, 2), dump(trackers, 2)]
+        return dump(tuple([table.setdefault(value, len(table))
+                           for table, value in zip(self.tables, values)]), 2)
+
+    def sizes(self) -> dict[str, int]:
+        """The number of distinct values of each component."""
+        return {name: len(table) for name, table in zip(self.names, self.tables)}
+
+    def texts(self):
+        """A function from a key to the sorted JSON text of its ranked view,
+        rebuilt from the tables: what orders the lasso search.  Inbox entries
+        are put back as dicts, in the order of their sorted JSON text."""
+        queued = [dict(zip(("topic", "sender", "payload"), marshal.loads(entry)))
+                  for entry in self.entries]
+
+        def inbox(value: bytes) -> list[dict]:
+            return sorted(map(queued.__getitem__, marshal.loads(value)), key=_ENTRY_ORDER)
+
+        decoded = [list(map(inbox if name.startswith("inboxes.") else marshal.loads, table))
+                   for name, table in zip(self.names, self.tables)]
+
+        def text(key: bytes) -> str:
+            part = dict(zip(self.names, map(list.__getitem__, decoded, marshal.loads(key))))
+            model = {"world": part["world"], "host": part["host"],
+                     "servers": {e: part[f"servers.{e}"] for e in self.servers},
+                     "inboxes": {node: part[f"inboxes.{node}"] for node in self.nodes
+                                 if part[f"inboxes.{node}"]}}
+            return _sorted_text({"model": model, "monitors": part["monitors"],
+                                 "trackers": part["trackers"]})
+        return text
+
+
 class _Bundle:
     """One exploration branch: the model plus all riding monitor states."""
 
-    def __init__(self, model: Model, engine: MonitorEngine, trackers: dict, dispatch: _Dispatch):
+    def __init__(self, model: Model, engine: MonitorEngine, trackers: dict, dispatch: _Dispatch,
+                 keys: _KeyTable):
         self.model = model
         self.engine = engine  # log-mode monitors; a walk drops each once Violated
         self.trackers = trackers  # name -> _ResponseTracker
         self.dispatch = dispatch
+        self.keys = keys  # the walk's key table
         self.fired: set[str] = set()  # names whose awaited event the last step produced
 
     @staticmethod
@@ -229,22 +296,22 @@ class _Bundle:
         return [(name, m) for name, m in self.engine.monitors.items() if m.verdict == VIOLATED]
 
     def canonical(self) -> bytes:
-        """The dedupe key: the ranked ``to_state`` view in ``marshal`` bytes.
-
-        ``marshal`` protocol 2 writes every value with its exact type and no
-        references, so equal views give equal bytes as long as their dicts
-        are built in the same order, which every ``to_state`` does."""
+        """The dedupe key: the ranked ``to_state`` view of the model, the
+        monitors and the trackers, filed in the walk's ``_KeyTable``."""
         now = self.model.tick
-        return marshal.dumps({
-            "model": _rank_goals(self.model.to_state()),
-            "monitors": {n: m.to_state(now) for n, m in sorted(self.engine.monitors.items())},
-            "trackers": {n: t.to_state() for n, t in sorted(self.trackers.items())},
-        }, 2)
+        return self.keys.key(
+            _rank_goals(self.model.to_state()),
+            {n: m.to_state(now) for n, m in sorted(self.engine.monitors.items())},
+            {n: t.to_state() for n, t in sorted(self.trackers.items())})
 
 
-# The sorted JSON text of a ranked view, read back from its key: what orders
-# the lasso search.
+# The sorted JSON text of a ranked view, rebuilt from a key: what orders the
+# lasso search.
 _sorted_text = json_encoder(separators=(",", ":"), sort_keys=True)
+
+# The text of ``json.dumps(entry, sort_keys=True)``: the order of a rebuilt
+# inbox's entries.
+_ENTRY_ORDER = json_encoder(sort_keys=True)
 
 
 def _rank_goals(model: dict) -> dict:
@@ -284,9 +351,11 @@ def _rank_goals(model: dict) -> dict:
 # classes (a table lookup restores faster than an import by name), closures
 # and compiled predicates, the config, the bus topology, plan rules, the
 # formula AST (the dataclasses of prop_dsl), the awaited predicates, and
-# each root's monitor index (whose memo and counts only grow).
+# each root's monitor index and the walk's key table (which only grow, and
+# so are never written into a snapshot).
 _SHARED_TYPES = frozenset(
-    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch, DispatchIndex]
+    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch, DispatchIndex,
+     _KeyTable]
     + [c for c in vars(prop_dsl).values() if isinstance(c, type) and is_dataclass(c)])
 
 # The shared objects of the running walks, which nest but never run in
@@ -416,7 +485,7 @@ class _Node:
     # its successors are made.
     snapshot: bytes | None = None
     bundle: _Bundle | None = None  # the live bundle, until its first successor is stepped
-    open: frozenset = frozenset()  # response trackers with an open obligation
+    open: frozenset = frozenset()  # response trackers with an open obligation, shared
 
 
 @dataclass
@@ -424,7 +493,7 @@ class _Edge:
     src: bytes
     dst: bytes
     picks: list
-    awaited: set  # liveness names whose awaited event the edge produces
+    awaited: frozenset  # liveness names whose awaited event the edge produces, shared
 
 
 def _reject_scripted(config: ScenarioConfig) -> None:
@@ -463,19 +532,22 @@ class Explorer:
 
     # -- bundle construction -------------------------------------------------
 
-    def _build_bundle(self, init_script: list | None, strict: bool = False) -> tuple[_Bundle, list]:
+    def _build_bundle(self, init_script: list | None, strict: bool = False,
+                      keys: _KeyTable | None = None) -> tuple[_Bundle, list]:
+        """A root bundle, keyed in ``keys`` or in a key table of its own."""
         tracer = EventTracer()
         sink = ChoiceSink(init_script, strict=strict)
         model = Model(self.config, tracer, sink=sink)
         engine = MonitorEngine([synthesize(n, ast, "log") for n, ast in self.monitored.items()])
         trackers = {name: _ResponseTracker(live.trigger, live.goal)
                     for name, live in self.liveness.items() if live.kind == "response"}
-        return _Bundle(model, engine, trackers, self.dispatch), sink.log
+        return _Bundle(model, engine, trackers, self.dispatch, keys or _KeyTable(model)), sink.log
 
     def _roots(self) -> list[tuple[_Bundle, list]]:
+        """Every root of a walk, sharing one new key table."""
         base, signature = self._build_bundle(None)
         # The first script takes every first option: that is the base bundle.
-        return [(base, signature)] + [self._build_bundle(script)
+        return [(base, signature)] + [self._build_bundle(script, keys=base.keys)
                                       for script in _variants(signature)[1:]]
 
     # -- main walk -----------------------------------------------------------
@@ -499,6 +571,11 @@ class Explorer:
         unstepped = 0  # edges copied from an earlier order's, with no step of their own
         frozen = rebuilt = 0  # snapshots written; pre-step bundles replayed
         reported = started  # when the last progress line went to stderr
+        label_sets: dict[frozenset, frozenset] = {}  # one copy of each edge label and open set
+
+        def shared(names) -> frozenset:
+            names = frozenset(names)
+            return label_sets.setdefault(names, names)
 
         def timed(phase: str, call, *args):
             mark = time.perf_counter()
@@ -540,7 +617,7 @@ class Explorer:
                 frozen += 1
                 if checkpoint:
                     held.append(node)
-            node.open = frozenset(n for n, t in bundle.trackers.items() if t.open)
+            node.open = shared(n for n, t in bundle.trackers.items() if t.open)
             if keep:
                 node.bundle = bundle
                 live += 1
@@ -566,17 +643,17 @@ class Explorer:
             """Key one successor, record its edge and store it if it is new."""
             key = timed("key", succ.canonical)
             known = states.get(key)
-            # Edges share the stored key and the one empty label set: on a
-            # walk of mostly duplicates, copies of either would fill memory.
+            # Edges share the stored key and label sets: on a walk of mostly
+            # duplicates, copies of either would fill memory.
             edges.append(_Edge(source.key, key if known is None else known.key, picks,
-                               succ.fired or frozenset()))
+                               shared(succ.fired)))
             if known is None:
                 add_state(succ, key, _Node(key, source.key, picks, source.depth + 1), branched)
             check_budget()
 
-        def walk() -> None:
+        def walk(roots: list[tuple[_Bundle, list]]) -> None:
             nonlocal head, live, frontier_max, unstepped, frozen
-            for bundle, init_log in self._roots():
+            for bundle, init_log in roots:
                 key = timed("key", bundle.canonical)
                 if key in states:
                     continue
@@ -642,8 +719,10 @@ class Explorer:
                     if at >= 0 and picks[at] == signature[at]:
                         masks[n] = branch.acting
 
+        roots = self._roots()
+        keys = roots[0][0].keys  # every root's, and so every state's, key table
         with _Snapshots() as snapshots:
-            walk()
+            walk(roots)
         for node in held:  # the last checkpoints, which no head passed
             node.snapshot = None
         elapsed = time.monotonic() - started
@@ -653,7 +732,7 @@ class Explorer:
         for name in self.monitored:
             if verdicts[name] == UNDETERMINED:
                 verdicts[name] = SATISFIED
-        timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples)
+        timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples, keys)
 
         reached = sum(node.parent is not None for node in states.values())  # not as roots
         return ExplorationReport(
@@ -676,6 +755,8 @@ class Explorer:
                 "unstepped_transitions": unstepped,
                 "frozen": frozen,
                 "rebuilt": rebuilt,
+                # Distinct values of each key component over the stored states.
+                "distinct_components": keys.sizes(),
             },
         )
 
@@ -698,7 +779,7 @@ class Explorer:
 
     # -- liveness decisions --------------------------------------------------
 
-    def _decide_liveness(self, states, edges, verdicts, counterexamples) -> None:
+    def _decide_liveness(self, states, edges, verdicts, counterexamples, keys) -> None:
         """Every unbounded shape is a lasso search over its own state set:
         plain ``eventually`` over the states reachable before the awaited
         event, recurrence over all states, response over the states whose
@@ -726,7 +807,7 @@ class Explorer:
                 # Start states in the order of their sorted JSON text, so the
                 # reported lasso depends neither on set hashing nor on the
                 # key's encoding.
-                order = sorted(states, key=lambda key: _sorted_text(marshal.loads(key)))
+                order = sorted(states, key=keys.texts())
             verdicts[name] = VIOLATED
             entry, loop_edges = self._find_lasso(
                 dict.fromkeys(key for key in order if key in allowed), out, name)

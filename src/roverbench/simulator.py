@@ -43,9 +43,6 @@ def _first_same_order() -> tuple:
 
 SAME_ORDER = _first_same_order()
 
-# The text of ``json.dumps(entry, sort_keys=True)``, from an encoder built once.
-_ENTRY_ORDER = json_encoder(sort_keys=True)
-
 # One line of the ``.explain`` file: ``json.dumps(entry, separators=(",", ":"))``.
 _EXPLAIN_LINE = json_encoder(separators=(",", ":"))
 
@@ -95,22 +92,16 @@ class Model:
         return sum(port.acted << i for i, port in enumerate(ports))
 
     def to_state(self) -> dict:
-        # Inbox entries are sorted, not left in arrival order: same-tick
-        # publishes from different stages are order-independent to every
-        # consumer, so arrival order is scheduling noise, not state.
-        inboxes = {}
-        for node, msgs in sorted(self.bus.inboxes.items()):
-            if msgs:
-                entries = [{"topic": m.topic, "sender": m.sender, "payload": m.payload}
-                           for m in msgs]
-                if len(entries) > 1:  # a sort computes the key of a lone entry too
-                    entries.sort(key=_ENTRY_ORDER)
-                inboxes[node] = entries
+        # Inbox entries are left in arrival order, which is scheduling noise,
+        # not state: same-tick publishes from different stages are
+        # order-independent to every consumer, so the explorer's key sorts them.
         return {
             "world": self.world.to_state(),
             "servers": {e: s.to_state() for e, s in sorted(self.servers.items())},
             "host": self.host.to_state(),
-            "inboxes": inboxes,
+            "inboxes": {node: [{"topic": m.topic, "sender": m.sender, "payload": m.payload}
+                               for m in msgs]
+                        for node, msgs in sorted(self.bus.inboxes.items()) if msgs},
         }
 
 

@@ -232,7 +232,8 @@ class TestVerify:
             stats = doc.pop("stats")
             assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
                                   "states_per_depth", "frontier_max",
-                                  "unstepped_transitions", "frozen", "rebuilt"}
+                                  "unstepped_transitions", "frozen", "rebuilt",
+                                  "distinct_components"}
             assert sum(stats["states_per_depth"]) == doc["states"]
             # Dumped as the CLI dumps it: the bytes of stdout outside `stats`.
             outputs.append(json.dumps(doc, indent=2, sort_keys=True))

@@ -110,7 +110,14 @@ class TestNominalExploration:
         stats = data["stats"]
         assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
                               "states_per_depth", "frontier_max",
-                              "unstepped_transitions", "frozen", "rebuilt"}
+                              "unstepped_transitions", "frozen", "rebuilt",
+                              "distinct_components"}
+        assert list(stats["distinct_components"]) == [
+            "world", "servers.arm", "servers.mast", "servers.wheels", "host",
+            *(f"inboxes.{node}" for node in sorted(
+                ["agent", "armClient", "armServer", "envInterface", "mastClient",
+                 "mastServer", "wheelsClient", "wheelsServer", "world"])),
+            "monitors", "trackers"]
         assert set(stats["phase_s"]) == {"restore", "step", "key", "freeze", "liveness"}
         assert all(stats["phase_s"][phase] > 0 for phase in ("restore", "step", "key", "freeze"))
         # 133 states over 136 transitions and the roots' lookups.

@@ -1,20 +1,26 @@
 """Snapshot store and state keys of the explorer.
 
-A state's key is the ``marshal`` encoding of its ``to_state`` view with goal
-ids renamed by rank; the view's sorted JSON text, read back from the key once
-a lasso exists, orders the lasso search.  A state's first successor is
-stepped on its live bundle while at most ``_LIVE_LIMIT`` are held; every
-other successor is restored from a pickled snapshot.  Neither holds a
-finished goal: an endpoint forgets a goal once it finishes.  Only
+A state's key is the tuple of indices, in ``marshal`` bytes, of the
+components of its ``to_state`` view with goal ids renamed by rank (the world,
+each server, the host, each node's inbox, the monitors, the trackers), each
+filed once in the walk's key table; the view's sorted JSON text, rebuilt from
+the table once a lasso exists, orders the lasso search.  A state's first
+successor is stepped on its live bundle while at most ``_LIVE_LIMIT`` are
+held; every other successor is restored from a pickled snapshot.  Neither
+holds a finished goal: an endpoint forgets a goal once it finishes.  Only
 checkpoints (every ``_CHECKPOINT``-th depth), states past the live limit and
 states made by a branching step are frozen when they are added; any other
 state whose step branches gets its snapshot by replaying the tree's picks
 from its checkpoint.  These tests pin down what that must preserve:
 
-* the key is exact: two bundles have equal keys exactly when the sorted
-  texts of their keys are equal, and that text is the one of the reference
-  renaming ``_renumber_goals`` kept below, which renames every goal id
-  wherever it stands;
+* the key is exact: two bundles have equal keys exactly when the reference
+  texts of their views are equal, and the text rebuilt from a key is its
+  reference text.  That is the sorted JSON text of the view built from
+  scratch, with the renaming ``_renumber_goals`` kept below, which renames
+  every goal id wherever it stands.  It is checked on every bundle the
+  walks below key, and on the default walk of every scenario of
+  ``KEYED_SCENARIOS``, which also checks ``distinct_components`` against a
+  count of the stored states' components;
 * the structural renaming finds goal ids where the model puts them, and no
   ``to_state`` puts a goal id in a dict key;
 * a restored bundle has the key of the bundle that was frozen, and steps
@@ -48,7 +54,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import marshal
 import math
 from importlib.resources import files
 
@@ -127,9 +132,15 @@ def reference_key(raw: dict) -> str:
 
 
 def raw_state(bundle: _Bundle) -> dict:
+    """The view a key stands for, from scratch: the ``to_state`` views of
+    the model, its riding monitors and trackers, with every inbox's entries
+    in the order of their sorted JSON text."""
     now = bundle.model.tick
+    model = bundle.model.to_state()
+    for entries in model["inboxes"].values():
+        entries.sort(key=lambda entry: json.dumps(entry, sort_keys=True))
     return {
-        "model": bundle.model.to_state(),
+        "model": model,
         "monitors": {n: m.to_state(now) for n, m in sorted(bundle.engine.monitors.items())},
         "trackers": {n: t.to_state() for n, t in sorted(bundle.trackers.items())},
     }
@@ -299,6 +310,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
              "order_dependent": [], "clock_split": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
     keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
+    tables = set()  # the key tables of the walk's bundles
     stored: dict[bytes, bytes] = {}  # the frontier's snapshots
     successors: dict[bytes, set] = {}  # stored key -> its successor keys
     duplicates: dict[bytes, list[_Bundle]] = {}
@@ -308,9 +320,8 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         raw = raw_state(bundle)
         key = bundle.canonical()
         found["canonical_calls"] += 1
+        tables.add(bundle.keys)
         text = reference_key(raw)
-        if _sorted_text(marshal.loads(key)) != text:
-            found["oracle_mismatch"].append(text)
         if texts.setdefault(key, text) != text:
             found["merged"].append(text)
         if keys.setdefault(text, key) != key:
@@ -366,6 +377,11 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
                 found["compared"] += 1
                 if successor_keys(store.freeze(bundle)) != successors[key]:
                     found["unsound"].append(key)
+    # Every bundle of the walk is keyed in its roots' table, and each key's
+    # text rebuilt from it is the reference text.
+    (table,) = tables
+    rebuilt = table.texts()
+    found["oracle_mismatch"] = [text for key, text in texts.items() if rebuilt(key) != text]
     return found
 
 
@@ -518,11 +534,82 @@ def walk_output(config, directory) -> tuple[str, dict, list]:
     return json.dumps(doc, indent=2, sort_keys=True), files, edges
 
 
+def components(bundle: _Bundle) -> dict:
+    """The key components of a bundle's view, from scratch: each part of
+    the renamed view as sorted JSON text, an inbox as its entries' texts,
+    sorted, for every node of the bus."""
+    view = _renumber_goals(raw_state(bundle))
+    model, text = view["model"], lambda value: json.dumps(value, sort_keys=True)
+    found = {"world": text(model["world"])}
+    found.update((f"servers.{e}", text(server)) for e, server in model["servers"].items())
+    found["host"] = text(model["host"])
+    found.update((f"inboxes.{node}", tuple(sorted(map(text, model["inboxes"].get(node, [])))))
+                 for node in sorted(bundle.model.bus.inboxes))
+    found.update(monitors=text(view["monitors"]), trackers=text(view["trackers"]))
+    return found
+
+
+def keyed_walk(config, directory) -> dict:
+    """``walk_output`` of a walk that also builds the view of every bundle
+    it keys from scratch.  Keys must be equal exactly when the reference
+    texts of their views are, each key's text rebuilt from the walk's key
+    table must be its reference text, and ``distinct_components`` must count
+    each component's distinct values over the stored states."""
+    canonical, explore = _Bundle.canonical, Explorer.explore
+    texts: dict[bytes, str] = {}  # key -> reference text of every bundle with it
+    keys: dict[str, bytes] = {}  # reference text -> key of every bundle with it
+    stored: dict[bytes, dict] = {}  # key -> components of its first bundle
+    found = {"keyed": 0, "merged": [], "split": [], "tables": set(), "reports": []}
+
+    def checked(self):
+        key = canonical(self)
+        text = reference_key(raw_state(self))
+        found["keyed"] += 1
+        found["tables"].add(self.keys)
+        if texts.setdefault(key, text) != text:
+            found["merged"].append(text)
+        if keys.setdefault(text, key) != key:
+            found["split"].append(text)
+        if key not in stored:
+            stored[key] = components(self)
+        return key
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Bundle, "canonical", checked)
+        patch.setattr(Explorer, "explore",
+                      lambda self: found["reports"].append(explore(self)) or found["reports"][-1])
+        found["output"] = walk_output(config, directory)
+    (table,) = found.pop("tables")
+    rebuilt = table.texts()
+    found["mismatch"] = [text for key, text in texts.items() if rebuilt(key) != text]
+    (report,) = found.pop("reports")
+    found["distinct_components"] = report.stats["distinct_components"]
+    found["from_scratch"] = {name: len({parts[name] for parts in stored.values()})
+                             for name in next(iter(stored.values()))}
+    return found
+
+
+@pytest.fixture(scope="module")
+def default_walks(tmp_path_factory):
+    """``keyed_walk`` of a config at the default settings, made once per
+    module: the tests that compare a walk at other settings with it share
+    it, and ``TestKeyTables`` reads its key checks."""
+    made: dict[str, dict] = {}
+
+    def walk(config) -> dict:
+        name = json.dumps(config.to_json(), sort_keys=True)
+        if name not in made:
+            made[name] = keyed_walk(config, tmp_path_factory.mktemp("walk"))
+        return made[name]
+    return walk
+
+
 class TestLiveFirstSuccessor:
     @pytest.mark.parametrize("scenario", sorted(LIVE_SCENARIOS))
-    def test_same_bytes_without_live_bundles(self, scenario, monkeypatch, tmp_path):
+    def test_same_bytes_without_live_bundles(self, scenario, default_walks, monkeypatch,
+                                             tmp_path):
         config = LIVE_SCENARIOS[scenario]()
-        live = walk_output(config, tmp_path / "live")
+        live = default_walks(config)["output"]
         monkeypatch.setattr(explorer, "_LIVE_LIMIT", 0)
         restored = walk_output(config, tmp_path / "restored")
         assert live == restored
@@ -597,15 +684,40 @@ class TestScheduleReduction:
             assert len(set(firsts)) == math.factorial(bin(mask).count("1"))
 
     @pytest.mark.parametrize("scenario", sorted(REDUCTION_SCENARIOS))
-    def test_same_bytes_with_every_order_stepped(self, scenario, monkeypatch, tmp_path):
+    def test_same_bytes_with_every_order_stepped(self, scenario, default_walks, monkeypatch,
+                                                 tmp_path):
         config = REDUCTION_SCENARIOS[scenario]()
-        reduced = walk_output(config, tmp_path / "reduced")
+        reduced = default_walks(config)["output"]
         reduction_off(monkeypatch)
         stepped = walk_output(config, tmp_path / "stepped")
         assert reduced == stepped
         assert json.loads(reduced[0])["schedule_invariant"] is True
         if scenario.startswith("mutant-"):
             assert reduced[1]
+
+
+# Every scenario whose default walk ``TestKeyTables`` checks.
+KEYED_SCENARIOS = {**{f"live-{name}": make for name, make in LIVE_SCENARIOS.items()},
+                   **{f"reduction-{name}": make for name, make in REDUCTION_SCENARIOS.items()}}
+
+
+class TestKeyTables:
+    """The collapsed key against the view built from scratch, on every
+    bundle the default walk of each scenario keys."""
+
+    @pytest.mark.parametrize("scenario", sorted(KEYED_SCENARIOS))
+    def test_key_equal_exactly_when_view_equal(self, scenario, default_walks):
+        walk = default_walks(KEYED_SCENARIOS[scenario]())
+        assert walk["keyed"] > 0
+        assert walk["merged"] == []
+        assert walk["split"] == []
+        assert walk["mismatch"] == []
+
+    @pytest.mark.parametrize("scenario", ["default", "long-decay"])
+    def test_distinct_components_count_the_stored_states(self, scenario, default_walks):
+        walk = default_walks(LIVE_SCENARIOS[scenario]())
+        assert walk["distinct_components"] == walk["from_scratch"]
+        assert walk["from_scratch"]["inboxes.agent"] == 1  # no topic reaches the agent node
 
 
 # The bit of ``Model.step_tick``'s acting mask for each node of a stage.
@@ -701,10 +813,13 @@ CHECKPOINTS = {"every": 1, "roots": 10**6, "default": explorer._CHECKPOINT}
 
 class TestCheckpoints:
     @pytest.mark.parametrize("scenario", sorted(LIVE_SCENARIOS))
-    def test_same_bytes_at_every_checkpoint_spacing(self, scenario, monkeypatch, tmp_path):
+    def test_same_bytes_at_every_checkpoint_spacing(self, scenario, default_walks, monkeypatch,
+                                                    tmp_path):
         config = LIVE_SCENARIOS[scenario]()
-        outputs = {}
+        outputs = {"default": default_walks(config)["output"]}
         for name, checkpoint in CHECKPOINTS.items():
+            if name == "default":
+                continue
             monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
             outputs[name] = walk_output(config, tmp_path / name)
         assert outputs["every"] == outputs["roots"] == outputs["default"]

@@ -46,6 +46,7 @@ from roverbench.prop_dsl import (
     Or,
     TopicAtom,
     Until,
+    evaluate,
     parse_formula,
     parse_suite,
 )
@@ -447,6 +448,37 @@ class TestEngine:
         engine.attach(tracer, bus)
         verdicts = engine.finalize()
         assert verdicts == {"no_verdicts": SATISFIED}
+
+
+class TestBeliefRemoval:
+    """A del removes its atom from the state ``holds`` reads: on fixed
+    traces, the engine the runs use and the offline evaluator agree."""
+
+    # Violated exactly when an action happens while arm(Open) is believed.
+    PROP = parse_formula('always(action("*") => !holds("arm(Open)"))')
+
+    @pytest.mark.parametrize("trace,want", [
+        # Added, then removed before the action.
+        ([bel(1, "arm(Open)"), bel(2, "arm(Open)", "del"), act(3, "move_to_waypoint(A)")],
+         SATISFIED),
+        # Removed while another atom stays and a third is added.
+        ([bel(1, "arm(Open)"), bel(1, "at(o)"), bel(2, "arm(Open)", "del"),
+          bel(2, "at(A)"), act(3, "move_to_waypoint(B)")],
+         SATISFIED),
+        # Removed, then added back.
+        ([bel(1, "arm(Open)"), bel(2, "arm(Open)", "del"), act(2, "move_to_waypoint(A)"),
+          bel(3, "arm(Open)"), act(4, "move_to_waypoint(B)")],
+         VIOLATED),
+        # Never removed.
+        ([bel(1, "arm(Open)"), act(3, "move_to_waypoint(A)")], VIOLATED),
+    ])
+    def test_engine_and_evaluate_agree(self, trace, want):
+        engine = MonitorEngine([synthesize("p0", self.PROP)])
+        for event in trace:
+            engine.observe(event)
+            engine.on_tick(event["t"])
+        assert engine.finalize() == {"p0": want}
+        assert evaluate(self.PROP, trace) == want
 
 
 # -- online vs offline on real runs ------------------------------------------

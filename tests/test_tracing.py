@@ -31,6 +31,7 @@ from roverbench.tracing import (
     MalformedTraceError,
     Trace,
     dump_event,
+    next_beliefs,
     read_trace,
 )
 
@@ -94,7 +95,7 @@ class TestEncoders:
         compact = json.dumps(obj, separators=(",", ":"))
         assert dump_event(obj) == compact
         assert simulator._EXPLAIN_LINE(obj) == compact
-        assert simulator._ENTRY_ORDER(obj) == json.dumps(obj, sort_keys=True)
+        assert explorer._ENTRY_ORDER(obj) == json.dumps(obj, sort_keys=True)
         assert explorer._sorted_text(obj) == json.dumps(
             obj, sort_keys=True, separators=(",", ":"))
 
@@ -321,3 +322,21 @@ class TestMemory:
             tracemalloc.stop()
         assert len(trace) == len(path.read_text(encoding="utf-8").splitlines()) > 4000
         assert retained / len(trace) <= 400, f"{retained / len(trace):.0f} B per event"
+
+
+class TestNextBeliefs:
+    def test_add_and_del_of_one_atom(self):
+        """The one add/del rule: a del drops exactly its atom, a del of an
+        absent atom changes nothing, and a re-add brings the atom back."""
+        steps = [
+            ("add", "at(A)", {"at(A)"}),
+            ("add", "env(B,Radiation)", {"at(A)", "env(B,Radiation)"}),
+            ("del", "at(A)", {"env(B,Radiation)"}),
+            ("del", "at(A)", {"env(B,Radiation)"}),
+            ("add", "at(A)", {"at(A)", "env(B,Radiation)"}),
+            ("del", "env(B,Radiation)", {"at(A)"}),
+        ]
+        beliefs = frozenset()
+        for op, atom, want in steps:
+            beliefs = next_beliefs(beliefs, op, atom)
+            assert beliefs == want and isinstance(beliefs, frozenset), (op, atom)

@@ -41,7 +41,6 @@ from .monitor import (
     SafetyMonitor,
     build_engine,
     check_trace,
-    synthesize,
 )
 from .prop_dsl import VIOLATED, PropertyError, parse_suite
 from .tracing import MalformedTraceError, read_trace
@@ -100,37 +99,21 @@ def _build_config(args):
     return make_config(overrides)
 
 
-def _force_block(suite: dict, rows: list[dict]) -> list[dict]:
-    """--block-mode: switch every selected monitor that is allowed to block
-    (per-event safety shapes) into block mode; the rest stay logging."""
-    forced = []
-    for row in rows:
-        row = dict(row)
-        name = row.get("prop")
-        try:
-            monitor = synthesize(name, suite[name], "log")
-        except (MonitorShapeError, MonitorConfigError, KeyError):
-            monitor = None
-        if isinstance(monitor, SafetyMonitor):
-            row["mode"] = "block"
-        forced.append(row)
-    return forced
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     try:
         config = _build_config(args)
         suite = _load_suite(args.props)
-        rows = _load_monitor_rows(args.monitors)
-        if args.block_mode:
-            rows = _force_block(suite, rows)
-        engine = build_engine(suite, rows)
+        engine = build_engine(suite, _load_monitor_rows(args.monitors))
     except (ConfigError, PropertyError, MonitorConfigError, MonitorShapeError,
             OSError, json.JSONDecodeError) as exc:
         _say(f"error: {exc}")
         return EXIT_BAD_INPUT
+    if args.block_mode:  # the rows were checked as given: every safety monitor may block
+        for monitor in engine.monitors.values():
+            if isinstance(monitor, SafetyMonitor):
+                monitor.mode = "block"
 
     from .simulator import run_simulation
 

@@ -7,8 +7,8 @@ breadth-first.  A state's key stands for the ``to_state`` view of the model
 and its riding monitors, with every absolute-tick quantity replaced by a
 relative counter and goal ids renamed by rank, so the graph is finite
 whenever the mission is cyclic.  Each component of that view (the world, each
-server, the host, each node's inbox, the monitors, the trackers) is filed in
-``marshal`` bytes once per walk, and the key is the tuple of their indices in
+server, the host, each node's inbox, the monitors) is filed in ``marshal``
+bytes once per walk, and the key is the tuple of their indices in
 ``marshal`` bytes: exact, about 85 bytes, and cheap to compare (collapse
 compression; Holzmann, "State compression in SPIN", 1997).  A new state keeps
 its live bundle, and its first successor is stepped on it (at most
@@ -38,24 +38,26 @@ copy of that order's edge with no restore, step or key.  No edge is dropped.
 A walk that lasts longer than ``_PROGRESS_EVERY`` seconds writes a progress
 line to stderr that often; stdout and counterexample files do not change.
 
-Every property's shape comes from ``monitor.synthesize``.  Safety, until
-and bounded-window properties ride along inside the product in a
-``MonitorEngine``, one per root, as in ``simulate``; a violation is reported
-with the shortest choice path that reaches it.  Keys count deadlines from
+Every property's monitor comes from ``monitor.synthesize`` and rides along
+inside the product in a ``MonitorEngine``, one per root, as in
+``simulate``; a safety, until or window violation is reported with the
+shortest choice path that reaches it.  Keys count deadlines from
 ``model.tick`` and the engine expires windows at the last model event's
 time, so a step that ends before ``model.tick`` is an internal error.
 Unbounded liveness (plain ``eventually``, ``always(eventually)`` and
-unbounded response), which ``synthesize`` refuses with its shape attached,
-is decided on the finished graph by one lasso search: a depth-first search
-on an explicit stack, so graph depth is never bounded by the recursion
-limit, over the states each shape allows (those reached before the awaited
-event, all states, or those with the response obligation open).  The step
-labels every edge with the awaited events it produced; a cycle of
-unlabelled edges is a lasso-shaped counterexample.  Whether a cycle exists
-does not depend on where the search starts, so it first runs in discovery
-order; only when it finds a lasso are the states' sorted JSON texts rebuilt
-from the key tables, and the search rerun from start states in text order,
-so the reported lasso depends neither on hashing nor on the key's encoding.
+unbounded response), which ``synthesize`` refuses with a
+``LivenessMonitor`` attached, rides the same engine: its ``fired`` flag
+labels every edge with the awaited event, and its response obligation bit is
+part of the key.  It is decided on the finished graph by one lasso search:
+a depth-first search on an explicit stack, so graph depth is never bounded
+by the recursion limit, over the states each shape allows (those reached
+before the awaited event, all states, or those with the response
+obligation open); a cycle of unlabelled edges is a lasso-shaped
+counterexample.  Whether a cycle exists does not depend on where the search
+starts, so it first runs in discovery order; only when it finds a lasso are
+the states' sorted JSON texts rebuilt from the key tables, and the search
+rerun from start states in text order, so the reported lasso depends neither
+on hashing nor on the key's encoding.
 
 Counterexamples embed the scenario config plus the per-tick choice vectors
 and can be replayed later; a replay that no longer produces the recorded
@@ -83,7 +85,7 @@ from .messages import Topology
 from .monitor import (
     DispatchIndex,
     IllegalOperatorForRuntime,
-    Liveness,
+    LivenessMonitor,
     MonitorEngine,
     MonitorShapeError,
     OnlineMonitor,
@@ -180,14 +182,6 @@ def _variants(signature: list[list]) -> list[list[list]]:
 
 # -- product bundle ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Dispatch:
-    """The awaited-event predicate of each liveness property, the same for
-    every bundle of a walk."""
-
-    awaited: dict  # liveness name -> awaited-event predicate
-
-
 class _KeyTable:
     """The key components of one walk, each distinct value filed once in
     ``marshal`` bytes (protocol 2: exact types, no references), and a key is
@@ -202,13 +196,13 @@ class _KeyTable:
         self.servers = sorted(model.servers)
         self.nodes = sorted(model.bus.inboxes)
         self.names = ["world", *(f"servers.{e}" for e in self.servers), "host",
-                      *(f"inboxes.{node}" for node in self.nodes), "monitors", "trackers"]
+                      *(f"inboxes.{node}" for node in self.nodes), "monitors"]
         self.tables: list[dict[bytes, int]] = [{} for _ in self.names]
         self.entries: dict[bytes, int] = {}  # every queued message's bytes
 
-    def key(self, model: dict, monitors: dict, trackers: dict) -> bytes:
-        """The key of a ranked ``Model.to_state`` view and its monitors' and
-        trackers' views."""
+    def key(self, model: dict, monitors: dict) -> bytes:
+        """The key of a ranked ``Model.to_state`` view and its monitors'
+        views."""
         dump, entries = marshal.dumps, self.entries
         servers, inboxes = model["servers"], model["inboxes"]
         values = [dump(model["world"], 2), *[dump(servers[e], 2) for e in self.servers],
@@ -217,7 +211,7 @@ class _KeyTable:
             filed = [entries.setdefault(dump((m["topic"], m["sender"], m["payload"]), 2),
                                         len(entries)) for m in inboxes.get(node, ())]
             values.append(dump(sorted(filed), 2))
-        values += [dump(monitors, 2), dump(trackers, 2)]
+        values.append(dump(monitors, 2))
         return dump(tuple([table.setdefault(value, len(table))
                            for table, value in zip(self.tables, values)]), 2)
 
@@ -244,22 +238,19 @@ class _KeyTable:
                      "servers": {e: part[f"servers.{e}"] for e in self.servers},
                      "inboxes": {node: part[f"inboxes.{node}"] for node in self.nodes
                                  if part[f"inboxes.{node}"]}}
-            return _sorted_text({"model": model, "monitors": part["monitors"],
-                                 "trackers": part["trackers"]})
+            return _sorted_text({"model": model, "monitors": part["monitors"]})
         return text
 
 
 class _Bundle:
     """One exploration branch: the model plus all riding monitor states."""
 
-    def __init__(self, model: Model, engine: MonitorEngine, trackers: dict, dispatch: _Dispatch,
-                 keys: _KeyTable):
+    def __init__(self, model: Model, engine: MonitorEngine, keys: _KeyTable):
         self.model = model
         self.engine = engine  # log-mode monitors; a walk drops each once Violated
-        self.trackers = trackers  # name -> _ResponseTracker
-        self.dispatch = dispatch
         self.keys = keys  # the walk's key table
-        self.fired: set[str] = set()  # names whose awaited event the last step produced
+        # The engine's liveness monitors, never Violated and so never dropped.
+        self.liveness = [m for m in engine.monitors.values() if isinstance(m, LivenessMonitor)]
 
     @staticmethod
     def clone(snapshot: bytes) -> "_Bundle":
@@ -276,33 +267,31 @@ class _Bundle:
         events, tracer.events = tracer.events, []
         self.model.host.agent.explanations.clear()
         engine, observe, now = self.engine, self.engine.observe, self.model.tick
-        trackers, awaited = self.trackers.values(), self.dispatch.awaited.items()
-        self.fired = fired = set()
+        for m in self.liveness:
+            m.fired = False
         for event in events:
             observe(event)
-            state = engine.state
-            for tr in trackers:
-                tr.observe(event, state)
-            for name, pred in awaited:
-                if name not in fired and pred(event, state):
-                    fired.add(name)
         if engine.clock != now:
             raise RuntimeError(f"tick {now} ended at event time {engine.clock}: the "
                                "key's deadlines, relative to the tick, would be unsound")
         engine.on_tick(now)
         return events, sink.log
 
+    @property
+    def fired(self) -> frozenset:
+        """Names whose awaited event the last step produced."""
+        return frozenset(m.name for m in self.liveness if m.fired)
+
     def violations(self) -> list[tuple[str, OnlineMonitor]]:
         return [(name, m) for name, m in self.engine.monitors.items() if m.verdict == VIOLATED]
 
     def canonical(self) -> bytes:
-        """The dedupe key: the ranked ``to_state`` view of the model, the
-        monitors and the trackers, filed in the walk's ``_KeyTable``."""
+        """The dedupe key: the ranked ``to_state`` view of the model and the
+        monitors, filed in the walk's ``_KeyTable``."""
         now = self.model.tick
         return self.keys.key(
             _rank_goals(self.model.to_state()),
-            {n: m.to_state(now) for n, m in sorted(self.engine.monitors.items())},
-            {n: t.to_state() for n, t in sorted(self.trackers.items())})
+            {n: m.to_state(now) for n, m in sorted(self.engine.monitors.items())})
 
 
 # The sorted JSON text of a ranked view, rebuilt from a key: what orders the
@@ -350,12 +339,11 @@ def _rank_goals(model: dict) -> dict:
 # Never changed once built, so every bundle of a walk shares one of each:
 # classes (a table lookup restores faster than an import by name), closures
 # and compiled predicates, the config, the bus topology, plan rules, the
-# formula AST (the dataclasses of prop_dsl), the awaited predicates, and
-# each root's monitor index and the walk's key table (which only grow, and
-# so are never written into a snapshot).
+# formula AST (the dataclasses of prop_dsl), and each root's monitor index
+# and the walk's key table (which only grow, and so are never written into a
+# snapshot).
 _SHARED_TYPES = frozenset(
-    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, _Dispatch, DispatchIndex,
-     _KeyTable]
+    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, DispatchIndex, _KeyTable]
     + [c for c in vars(prop_dsl).values() if isinstance(c, type) and is_dataclass(c)])
 
 # The shared objects of the running walks, which nest but never run in
@@ -400,27 +388,6 @@ class _Snapshots(pickle.Pickler):
             position = self.positions[id(obj)] = len(_SHARED)
             _SHARED.append(obj)
         return _shared, (position,)
-
-
-# -- liveness helpers --------------------------------------------------------
-
-class _ResponseTracker:
-    """Obligation bit for ``always(T => eventually(G))`` (unbounded): set by a
-    trigger, cleared by the goal event, carried in the product state."""
-
-    def __init__(self, trigger, goal):
-        self._trigger = trigger
-        self._goal = goal
-        self.open = False
-
-    def observe(self, event: dict, state: frozenset) -> None:
-        if self._goal(event, state):
-            self.open = False
-        elif self._trigger(event, state):
-            self.open = True
-
-    def to_state(self) -> dict:
-        return {"open": self.open}
 
 
 # -- exploration -------------------------------------------------------------
@@ -485,7 +452,7 @@ class _Node:
     # its successors are made.
     snapshot: bytes | None = None
     bundle: _Bundle | None = None  # the live bundle, until its first successor is stepped
-    open: frozenset = frozenset()  # response trackers with an open obligation, shared
+    open: frozenset = frozenset()  # responses with an open obligation, shared
 
 
 @dataclass
@@ -518,19 +485,24 @@ class Explorer:
         self.suite = {n: suite[n] for n in picked}
         self.budget_states = budget_states
         self.budget_secs = budget_secs
-        self.monitored: dict = {}
-        self.liveness: dict[str, Liveness] = {}
-        for name, ast in self.suite.items():
-            try:
-                synthesize(name, ast, "log")
-                self.monitored[name] = ast  # synthesized afresh per root bundle
-            except IllegalOperatorForRuntime as exc:
-                self.liveness[name] = exc.liveness
-            except MonitorShapeError as exc:
-                raise ExplorationError(str(exc)) from exc
-        self.dispatch = _Dispatch({name: live.goal for name, live in self.liveness.items()})
+        # The kind of each unbounded shape, which the lasso search decides.
+        self.liveness = {m.name: m.kind for m in self._monitors()
+                         if isinstance(m, LivenessMonitor)}
 
     # -- bundle construction -------------------------------------------------
+
+    def _monitors(self) -> list[OnlineMonitor]:
+        """A fresh log-mode monitor of every property: an unbounded shape's
+        is the ``LivenessMonitor`` that ``synthesize`` refuses it with."""
+        monitors = []
+        for name, ast in self.suite.items():
+            try:
+                monitors.append(synthesize(name, ast, "log"))
+            except IllegalOperatorForRuntime as exc:
+                monitors.append(exc.monitor)
+            except MonitorShapeError as exc:
+                raise ExplorationError(str(exc)) from exc
+        return monitors
 
     def _build_bundle(self, init_script: list | None, strict: bool = False,
                       keys: _KeyTable | None = None) -> tuple[_Bundle, list]:
@@ -538,10 +510,7 @@ class Explorer:
         tracer = EventTracer()
         sink = ChoiceSink(init_script, strict=strict)
         model = Model(self.config, tracer, sink=sink)
-        engine = MonitorEngine([synthesize(n, ast, "log") for n, ast in self.monitored.items()])
-        trackers = {name: _ResponseTracker(live.trigger, live.goal)
-                    for name, live in self.liveness.items() if live.kind == "response"}
-        return _Bundle(model, engine, trackers, self.dispatch, keys or _KeyTable(model)), sink.log
+        return _Bundle(model, MonitorEngine(self._monitors()), keys or _KeyTable(model)), sink.log
 
     def _roots(self) -> list[tuple[_Bundle, list]]:
         """Every root of a walk, sharing one new key table."""
@@ -617,7 +586,7 @@ class Explorer:
                 frozen += 1
                 if checkpoint:
                     held.append(node)
-            node.open = shared(n for n, t in bundle.trackers.items() if t.open)
+            node.open = shared(m.name for m in bundle.liveness if m.open)
             if keep:
                 node.bundle = bundle
                 live += 1
@@ -727,10 +696,11 @@ class Explorer:
             node.snapshot = None
         elapsed = time.monotonic() - started
 
-        # Monitored properties that never violated anywhere: on an exhaustive
-        # finite graph every infinite run keeps satisfying them.
-        for name in self.monitored:
-            if verdicts[name] == UNDETERMINED:
+        # Properties that never violated anywhere: on an exhaustive finite
+        # graph every infinite run keeps satisfying them.  The lasso search
+        # then decides each unbounded shape.
+        for name, verdict in verdicts.items():
+            if verdict == UNDETERMINED:
                 verdicts[name] = SATISFIED
         timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples, keys)
 
@@ -791,11 +761,11 @@ class Explorer:
             out.setdefault(edge.src, []).append(edge)
         order = None  # every state, by sorted JSON text, once a lasso exists
 
-        for name, live in self.liveness.items():
-            if live.kind == "eventually":
+        for name, kind in self.liveness.items():
+            if kind == "eventually":
                 reach = self._reach_without(states, out, name)
                 allowed = dict.fromkeys(key for key in states if key in reach)
-            elif live.kind == "recurrence":
+            elif kind == "recurrence":
                 allowed = dict.fromkeys(states)
             else:  # response
                 allowed = dict.fromkeys(key for key in states if name in states[key].open)
@@ -908,9 +878,15 @@ def _is_choice(entry) -> bool:
 def load_counterexample(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ExplorationError("counterexample file must hold a JSON object")
     for field_name in ("config", "init", "ticks", "prop", "kind"):
         if field_name not in data:
             raise ExplorationError(f"counterexample file lacks {field_name!r}")
+    if not (isinstance(data["config"], dict) and isinstance(data["prop"], str)
+            and data["kind"] in ("safety", "deadline", "liveness")):
+        raise ExplorationError("counterexample needs an object config, a string prop "
+                               "and a kind of safety, deadline or liveness")
     init, ticks = data["init"], data["ticks"]
     if not (isinstance(init, list) and isinstance(ticks, list)
             and all(isinstance(script, list) for script in ticks)):
@@ -948,13 +924,13 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
     bundle, init_log = explorer._build_bundle(data["init"], strict=True)
     if len(init_log) < len(data["init"]):
         raise ReplayDivergenceError("initial choices were not all consumed")
-    tracker = bundle.trackers.get(prop)
+    monitor = bundle.engine.monitors[prop]
 
     entry = None
     for tick, script in enumerate(data["ticks"]):
         if tick == loop_from:
             entry = bundle.canonical()
-            if tracker is not None and not tracker.open:
+            if kind == "liveness" and monitor.kind == "response" and not monitor.open:
                 raise ReplayDivergenceError(
                     f"the obligation of {prop} is not open at the loop entry")
         bundle.step(script, strict=True)
@@ -963,7 +939,7 @@ def replay_counterexample(data: dict, suite: dict) -> dict:
                 f"tick {tick} of the loop produces the event {prop} awaits")
 
     if kind != "liveness":
-        if bundle.engine.monitors[prop].verdict != VIOLATED:
+        if monitor.verdict != VIOLATED:
             raise ReplayDivergenceError(
                 f"replay did not reproduce the {kind} violation of {prop}")
         return {"reproduced": True, "prop": prop, "kind": kind,

@@ -6,8 +6,10 @@ windows.  One window monitor serves every ``eventually[<=k]`` shape: bounded
 response, recurrence (a window opened at every event) and a bare deadline (a
 window opened at the first event).  Unbounded liveness (``eventually`` with
 no window, ``always(eventually(...))``, unbounded response) cannot be
-falsified by a running system and is rejected for runtime use, with its
-shape attached for the state-space explorer, which decides it.
+falsified by a running system and is rejected for runtime use, with a
+``LivenessMonitor`` attached: the state-space explorer carries it in its
+engine, where it labels the awaited events and keeps a response's
+obligation bit, and decides the shape on the finished graph.
 
 A monitor's running verdict starts Undetermined and can only harden to
 Violated while the run is live; Satisfied is issued at ``finalize`` when the
@@ -32,8 +34,6 @@ root, in every branch of its walk.  Both expire windows on the same clock.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .prop_dsl import (
     SATISFIED,
@@ -63,24 +63,13 @@ class MonitorShapeError(ValueError):
     """The formula's shape has no incremental monitor."""
 
 
-@dataclass(frozen=True)
-class Liveness:
-    """An unbounded shape, which only the explorer decides: ``kind`` is
-    "eventually", "recurrence" or "response", ``goal`` the awaited-event
-    predicate, and ``trigger`` the predicate that opens a response."""
-
-    kind: str
-    goal: object
-    trigger: object = None
-
-
 class IllegalOperatorForRuntime(MonitorShapeError):
-    """Unbounded liveness cannot be monitored online; the explorer decides
-    the shape named by ``liveness``."""
+    """Unbounded liveness cannot be monitored online; the explorer rides
+    the attached ``monitor`` and decides the shape on its graph."""
 
-    def __init__(self, message: str, liveness: Liveness):
+    def __init__(self, message: str, monitor: LivenessMonitor):
         super().__init__(message)
-        self.liveness = liveness
+        self.monitor = monitor
 
 
 class MonitorConfigError(ValueError):
@@ -288,6 +277,35 @@ class TriggeredUntilMonitor(OnlineMonitor):
         return {"verdict": self.verdict, "open": self.open}
 
 
+class LivenessMonitor(OnlineMonitor):
+    """An unbounded shape, which only the explorer decides: ``kind`` is
+    "eventually", "recurrence" or "response", ``goal`` the awaited-event
+    predicate, and ``trigger`` the predicate that opens a response.  Never
+    Violated: it sets ``fired`` at the awaited event (the explorer clears it
+    at each step) and keeps a response's obligation bit ``open``."""
+
+    def __init__(self, name, ast, mode, kind, goal, trigger=None):
+        super().__init__(name, ast, mode)
+        self.kind = kind
+        self.goal = goal
+        self.trigger = trigger
+        self.fired = False
+        self.open = False  # only a trigger sets it
+
+    @property
+    def keys(self):
+        return _quiet_keys(*((pred, False) for pred in (self.goal, self.trigger) if pred))
+
+    def _observe(self, event, state):
+        if self.goal(event, state):
+            self.fired, self.open = True, False
+        elif self.trigger is not None and self.trigger(event, state):
+            self.open = True
+
+    def to_state(self, now: int = 0):
+        return {"open": self.open}
+
+
 # -- dispatch keys -----------------------------------------------------------
 
 STATE_ONLY = "state"  # partial value of a predicate over holds atoms alone
@@ -441,8 +459,8 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
 def _window(name, ast, mode, kind, goal, bound, trigger=None) -> WindowMonitor:
     if bound is None:
         raise IllegalOperatorForRuntime(
-            f"{name}: unbounded {kind} cannot be monitored online; "
-            "check it with the explorer", Liveness(kind, goal, trigger))
+            f"{name}: unbounded {kind} cannot be monitored online; check it with "
+            "the explorer", LivenessMonitor(name, ast, mode, kind, goal, trigger))
     return WindowMonitor(name, ast, mode, goal, bound, trigger, once=kind == "eventually")
 
 
@@ -534,7 +552,7 @@ def build_engine(suite: dict, selection: list[dict]) -> MonitorEngine:
     monitors = []
     seen = set()
     for row in selection:
-        if not isinstance(row, dict) or "prop" not in row:
+        if not isinstance(row, dict) or not isinstance(row.get("prop"), str):
             raise MonitorConfigError(f"monitor row must name a prop: {row!r}")
         name = row["prop"]
         if name not in suite:

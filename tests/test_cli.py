@@ -131,6 +131,18 @@ class TestSimulate:
                              "--monitors", str(rows))
         assert code == 2
 
+    @pytest.mark.parametrize("block", [[], ["--block-mode"]], ids=["log", "block-mode"])
+    @pytest.mark.parametrize("row", [{"prop": ["x"]},
+                                     {"prop": "env_nonnegative", "mode": ["log"]}],
+                             ids=["prop-list", "mode-list"])
+    def test_malformed_monitor_row(self, capsys, tmp_path, row, block):
+        """A row is checked as written, before ``--block-mode`` switches the
+        safety monitors to block."""
+        rows = write_json(tmp_path / "monitors.json", {"monitors": [row]})
+        code, doc, err = run_cli(capsys, "simulate", "--ticks", "5", "--monitors", rows, *block)
+        assert (code, doc) == (2, None)
+        assert err.startswith("error:")
+
     def test_default_run_bytes_pinned(self, capsys, tmp_path):
         """A 300-tick default monitored run writes exactly these bytes:
         the trace encoder and the bus must not change what is written."""
@@ -484,17 +496,28 @@ class TestReplay:
         *((("ticks", 9, 0, 2), pick) for pick in (-1, -3, "0", 1.0)),
         (("init", 0, 1), True),  # a bool is no option count
         (("loop_from",), 11),
-    ], ids=["pick-1", "pick-3", "pick-str", "pick-float", "count-bool", "loop-past-end"])
+        (("config",), 3),
+        (("prop",), ["x"]),
+        (("kind",), "timeout"),
+        ((), 5),  # the whole file
+    ], ids=["pick-1", "pick-3", "pick-str", "pick-float", "count-bool", "loop-past-end",
+            "config-int", "prop-list", "kind-unknown", "not-an-object"])
     def test_malformed_choice_is_bad_input(self, capsys, tmp_path, field, value):
         """A pick outside its options, or not an int, is never replayed: the
-        tick-9 wind pick of -1 once reproduced as the last option."""
+        tick-9 wind pick of -1 once reproduced as the last option.  Nor is a
+        file that is no object, nor a record whose config is no object, whose
+        prop is no string or whose kind is none of safety, deadline and
+        liveness."""
         path = self.counterexample(capsys, tmp_path)
         data = json.loads(path.read_text())
-        *inner, last = field
-        target = data
-        for part in inner:
-            target = target[part]
-        target[last] = value
+        if field:
+            *inner, last = field
+            target = data
+            for part in inner:
+                target = target[part]
+            target[last] = value
+        else:
+            data = value
         path.write_text(json.dumps(data))
         code, doc, err = run_cli(capsys, "replay", str(path))
         assert (code, doc) == (2, None)

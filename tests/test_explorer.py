@@ -117,7 +117,7 @@ class TestNominalExploration:
             *(f"inboxes.{node}" for node in sorted(
                 ["agent", "armClient", "armServer", "envInterface", "mastClient",
                  "mastServer", "wheelsClient", "wheelsServer", "world"])),
-            "monitors", "trackers"]
+            "monitors"]
         assert set(stats["phase_s"]) == {"restore", "step", "key", "freeze", "liveness"}
         assert all(stats["phase_s"][phase] > 0 for phase in ("restore", "step", "key", "freeze"))
         # 133 states over 136 transitions and the roots' lookups.

@@ -2,9 +2,9 @@
 
 A state's key is the tuple of indices, in ``marshal`` bytes, of the
 components of its ``to_state`` view with goal ids renamed by rank (the world,
-each server, the host, each node's inbox, the monitors, the trackers), each
-filed once in the walk's key table; the view's sorted JSON text, rebuilt from
-the table once a lasso exists, orders the lasso search.  A state's first
+each server, the host, each node's inbox, the monitors), each filed once in
+the walk's key table; the view's sorted JSON text, rebuilt from the table
+once a lasso exists, orders the lasso search.  A state's first
 successor is stepped on its live bundle while at most ``_LIVE_LIMIT`` are
 held; every other successor is restored from a pickled snapshot.  Neither
 holds a finished goal: an endpoint forgets a goal once it finishes.  Only
@@ -29,6 +29,11 @@ from its checkpoint.  These tests pin down what that must preserve:
   clock at which the riding monitors expire their windows;
 * dedupe is sound: bundles reached with the same key have the same
   successor keys;
+* every step's liveness labels are the naive semantics': each unbounded
+  shape's ``fired`` flag says whether its goal held at one of the step's
+  events, a response's ``open`` bit is folded from its trigger and goal
+  from the root on, and ``revisits_B``, keyed on belief events, is handed
+  only those and a root's first event;
 * the table of shared objects lives for one walk only, and a finished walk
   holds no snapshot and no live bundle;
 * freezing every state, freezing only the roots and the default checkpoints
@@ -74,10 +79,12 @@ from roverbench.explorer import (
     write_counterexample,
 )
 from roverbench.messages import EFFECTORS, NODE_ENV_INTERFACE, client_node, server_node
-from roverbench.prop_dsl import parse_suite
+from roverbench.prop_dsl import And, Eventually, Implies, Not, Or, parse_suite
 from roverbench.simulator import ALL_STAGES, SAME_ORDER, Model
 
 from mutants import mutant_demo_config, mutant_names
+from naive_semantics import atom_holds, fold_belief
+from test_explorer import EVENTUALLY_B, RESPONSE_A_A
 
 SUITE = parse_suite((files("roverbench") / "data" / "default.props").read_text())
 
@@ -133,8 +140,8 @@ def reference_key(raw: dict) -> str:
 
 def raw_state(bundle: _Bundle) -> dict:
     """The view a key stands for, from scratch: the ``to_state`` views of
-    the model, its riding monitors and trackers, with every inbox's entries
-    in the order of their sorted JSON text."""
+    the model and its riding monitors, with every inbox's entries in the
+    order of their sorted JSON text."""
     now = bundle.model.tick
     model = bundle.model.to_state()
     for entries in model["inboxes"].values():
@@ -142,7 +149,6 @@ def raw_state(bundle: _Bundle) -> dict:
     return {
         "model": model,
         "monitors": {n: m.to_state(now) for n, m in sorted(bundle.engine.monitors.items())},
-        "trackers": {n: t.to_state() for n, t in sorted(bundle.trackers.items())},
     }
 
 
@@ -226,6 +232,62 @@ EXPLORED = {
     "mutant-premature-action": (22, 22),
 }
 
+# The instrumented walks' suite: the packaged one, whose one unbounded shape
+# is the recurrence ``revisits_B``, plus an unbounded ``eventually`` and an
+# unbounded response, neither of which splits a state of these scenarios.
+WALK_SUITE = {**SUITE, "eventually_B": EVENTUALLY_B, "response_A_A": RESPONSE_A_A}
+
+
+def awaited(ast) -> tuple:
+    """(goal, trigger) of ``eventually(G)``, ``always(eventually(G))`` or
+    ``always(T => eventually(G))``; the trigger is None but for a response."""
+    if isinstance(ast, Eventually):
+        return ast.sub, None
+    if isinstance(ast.sub, Implies):
+        return ast.sub.right.sub, ast.sub.left
+    return ast.sub.sub, None
+
+
+UNBOUNDED = {name: awaited(WALK_SUITE[name])
+             for name in ("revisits_B", "eventually_B", "response_A_A")}
+
+
+def holds(node, event: dict, state: frozenset) -> bool:
+    """An event predicate at one event, its atoms decided by the naive
+    ``atom_holds``."""
+    if isinstance(node, Not):
+        return not holds(node.sub, event, state)
+    if isinstance(node, And):
+        return holds(node.left, event, state) and holds(node.right, event, state)
+    if isinstance(node, Or):
+        return holds(node.left, event, state) or holds(node.right, event, state)
+    if isinstance(node, Implies):
+        return not holds(node.left, event, state) or holds(node.right, event, state)
+    return atom_holds(node, event, state)
+
+
+def reference_labels(events: list[dict], beliefs: frozenset, opened: frozenset,
+                     first: bool) -> tuple:
+    """One step's liveness labels by the naive semantics, from the belief
+    base and the open responses before it: (names whose goal held at some
+    event, belief base and open responses after it, events a monitor keyed
+    on belief events is handed: each belief event, and the first event of a
+    root)."""
+    current, opened, fired = set(beliefs), set(opened), set()
+    handed = 0
+    for i, event in enumerate(events):
+        fold_belief(current, event)
+        state = frozenset(current)
+        handed += first and i == 0 or event["kind"] == "belief"
+        for name, (goal, trigger) in UNBOUNDED.items():
+            if holds(goal, event, state):
+                fired.add(name)
+                opened.discard(name)
+            elif trigger is not None and holds(trigger, event, state):
+                opened.add(name)
+    return frozenset(fired), (frozenset(current), frozenset(opened)), handed
+
+
 # Same-key bundles whose successors are compared with the stored state's:
 # every duplicate, except on the schedule scenario, where each state is
 # reached ~24 times and only the last duplicate of each key is compared.
@@ -307,7 +369,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     found = {"states": 0, "transitions": 0, "canonical_calls": 0, "oracle_mismatch": [],
              "merged": [], "split": [], "goal_id_keys": set(), "restore": [],
              "unsound": [], "compared": 0, "same_order_groups": 0,
-             "order_dependent": [], "clock_split": []}
+             "order_dependent": [], "clock_split": [], "labels": [], "handed": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
     keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
     tables = set()  # the key tables of the walk's bundles
@@ -315,8 +377,12 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     successors: dict[bytes, set] = {}  # stored key -> its successor keys
     duplicates: dict[bytes, list[_Bundle]] = {}
     queue: list[bytes] = []
+    # key -> the belief base and open responses the naive semantics folds
+    # along the walk to it: the same along every path, since both are state.
+    folded: dict[bytes, tuple] = {}
+    roots: set[bytes] = set()
 
-    def reach(bundle: _Bundle) -> bytes:
+    def reach(bundle: _Bundle, after: tuple = (frozenset(), frozenset())) -> bytes:
         raw = raw_state(bundle)
         key = bundle.canonical()
         found["canonical_calls"] += 1
@@ -326,6 +392,8 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             found["merged"].append(text)
         if keys.setdefault(text, key) != key:
             found["split"].append(text)
+        if folded.setdefault(key, after) != after:
+            found["labels"].append(("folded", text))
         found["goal_id_keys"] |= goal_id_keys(raw)
         # Violated monitors leave a stored state, as in the explorer.
         for name, _monitor in bundle.violations():
@@ -341,17 +409,29 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             duplicates.setdefault(key, []).append(bundle)
         return key
 
-    def stepped(bundle: _Bundle, script) -> list:
+    def stepped(bundle: _Bundle, script, source: bytes) -> tuple[list, tuple]:
+        """Step a bundle of the state ``source``; returns its choice log and
+        the naive semantics' belief base and open responses after it."""
+        index = bundle.engine.index
+        before = index.handed()["revisits_B"]
+        events, log = bundle.step(script)
         # The monitors expire windows at the last model event's ``t``, the
         # key counts deadlines from ``model.tick``: the two must agree.
-        events, log = bundle.step(script)
         if not events or events[-1]["t"] != bundle.model.tick:
             found["clock_split"].append(bundle.model.tick)
-        return log
+        fired, after, handed = reference_labels(events, *folded[source], source in roots)
+        monitors = bundle.engine.monitors
+        if (bundle.fired != fired
+                or {n for n in UNBOUNDED if monitors[n].fired} != fired
+                or {n for n in UNBOUNDED if monitors[n].open} != after[1]):
+            found["labels"].append((bundle.model.tick, script))
+        if index.handed()["revisits_B"] - before != handed:
+            found["handed"].append((bundle.model.tick, script))
+        return log, after
 
     with _Snapshots() as store:
-        for bundle, _log in Explorer(config, SUITE)._roots():
-            reach(bundle)
+        for bundle, _log in Explorer(config, WALK_SUITE)._roots():
+            roots.add(reach(bundle))
         head = 0
         while head < len(queue):
             key = queue[head]
@@ -360,12 +440,12 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             # as in the explorer.
             snapshot = stored.pop(key)
             probe = _Bundle.clone(snapshot)
-            signature = stepped(probe, None)
-            steps = [(signature, signature, probe.acting, probe.fired, reach(probe))]
+            signature, after = stepped(probe, None, key)
+            steps = [(signature, signature, probe.acting, probe.fired, reach(probe, after))]
             for script in _variants(signature)[1:]:
                 branch = _Bundle.clone(snapshot)
-                log = stepped(branch, script)
-                steps.append((script, log, branch.acting, branch.fired, reach(branch)))
+                log, after = stepped(branch, script, key)
+                steps.append((script, log, branch.acting, branch.fired, reach(branch, after)))
             successors[key].update(step[-1] for step in steps)
             checked, problems = order_dependence(steps)
             found["same_order_groups"] += checked
@@ -413,6 +493,12 @@ class TestSnapshotWalk:
 
     def test_last_event_at_model_tick(self, walked):
         assert walked[1]["clock_split"] == []
+
+    def test_liveness_labels_match_naive_semantics(self, walked):
+        """Edge labels and response bits against the naive semantics, and
+        ``revisits_B`` handed only what its goal can match."""
+        assert walked[1]["labels"] == []
+        assert walked[1]["handed"] == []
 
     def test_single_actor_orders_agree(self, walked):
         """The independence the explorer's reduction rests on, checked on
@@ -545,7 +631,7 @@ def components(bundle: _Bundle) -> dict:
     found["host"] = text(model["host"])
     found.update((f"inboxes.{node}", tuple(sorted(map(text, model["inboxes"].get(node, [])))))
                  for node in sorted(bundle.model.bus.inboxes))
-    found.update(monitors=text(view["monitors"]), trackers=text(view["trackers"]))
+    found["monitors"] = text(view["monitors"])
     return found
 
 

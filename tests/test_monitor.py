@@ -138,7 +138,7 @@ class TestSynthesis:
         """The explorer decides these from the shape ``synthesize`` reports."""
         with pytest.raises(IllegalOperatorForRuntime) as refused:
             mon(text)
-        live = refused.value.liveness
+        live = refused.value.monitor
         assert live.kind == kind
         assert live.goal(bel(0, "done"), frozenset())
         assert (live.trigger is not None) == triggered

@@ -113,7 +113,7 @@ class MessageBus:
             for node in self.topology.topics[msg.topic].subscribers:
                 inbox = self.inboxes[node]
                 if len(inbox) >= self.inbox_limit:
-                    raise InboxOverflowError(f"inbox of {node} exceeded {self.inbox_limit}")
+                    raise InboxOverflowError(f"inbox of {node} exceeded inbox_limit={self.inbox_limit}")
                 inbox.append(msg)
                 delivered.append((node, msg))
                 counter["delivered"] += 1

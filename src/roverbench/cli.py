@@ -23,6 +23,7 @@ import time
 import traceback
 from importlib import resources
 
+from .bus import InboxOverflowError
 from .config import CONFIG_SCHEMA, DEFAULT_SCENARIO, ConfigError, make_config
 from .explorer import (
     DEFAULT_BUDGET_SECS,
@@ -273,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InboxOverflowError as exc:  # the run outgrew the config's inbox_limit
+        _say(f"error: {exc}")
+        return EXIT_BAD_INPUT
     except Exception as exc:  # a crash must not read as a verdict
         traceback.print_exc(file=sys.stderr)
         _say(f"internal error: {type(exc).__name__}: {exc}")

@@ -1,7 +1,11 @@
 """Scenario configuration: schema, defaults, merging, validation.
 
 A scenario file is JSON; user files are merged over the shipped defaults and
-the merged result is validated against a published JSON schema.  Unknown keys
+this module checks the merged result itself against the JSON schema that
+``roverbench schema`` prints.  It reads only ``type``, ``properties``,
+``additionalProperties``, ``required``, ``minProperties``, ``items``,
+``minItems``, ``maxItems``, ``minimum`` and ``enum`` (skipping ``$schema`` and
+``title``) and reports the error jsonschema would report first.  Unknown keys
 are rejected rather than ignored so typos fail loudly before a run starts.
 """
 
@@ -9,9 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any
-
-import jsonschema
+from typing import Any, Iterator
 
 from .messages import EFFECTORS
 
@@ -49,6 +51,11 @@ DEFAULT_SCENARIO: dict[str, Any] = {
 
 _LEVEL = {"type": "integer", "minimum": 0}
 _CHOICES = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1}
+_JOINTS = {"type": "array", "items": {"type": "number"}}
+_POSE = {"type": "object", "additionalProperties": False,
+         "properties": {"arm": {**_JOINTS, "minItems": 4, "maxItems": 4},
+                        "mast": {**_JOINTS, "minItems": 2, "maxItems": 2}},
+         "required": ["arm", "mast"]}
 
 CONFIG_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -80,8 +87,8 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "type": "object",
             "additionalProperties": {"type": "integer", "minimum": 1},
         },
-        "closed_pose": {"type": "object"},
-        "open_pose": {"type": "object"},
+        "closed_pose": _POSE,
+        "open_pose": _POSE,
         "dwell_ticks": {"type": "integer", "minimum": 0},
         "seed": {"type": "integer"},
         "mutant": {"enum": list(MUTANT_NAMES) + [None]},
@@ -207,14 +214,6 @@ def _cross_checks(raw: dict[str, Any]) -> None:
             raise ConfigError(f"{group} must cover exactly {EFFECTORS}")
     if set(raw["posture_duration"]) != {"arm", "mast"}:
         raise ConfigError("posture_duration must cover exactly arm and mast")
-    for pose in ("closed_pose", "open_pose"):
-        joints = raw[pose]
-        if set(joints) != {"arm", "mast"}:
-            raise ConfigError(f"{pose} must cover exactly arm and mast")
-        if len(joints["arm"]) != 4:
-            raise ConfigError("the arm has four joints")
-        if len(joints["mast"]) != 2:
-            raise ConfigError("the mast has two joints")
     for fault in raw["env_faults"]:
         if fault["wp"] not in waypoints:
             raise ConfigError(f"env_faults names unknown waypoint {fault['wp']!r}")
@@ -222,13 +221,70 @@ def _cross_checks(raw: dict[str, Any]) -> None:
             raise ConfigError("env_faults entries must override wind or radiation")
 
 
+_KEYWORDS = {"$schema", "title", "type", "properties", "additionalProperties", "required",
+             "minProperties", "items", "minItems", "maxItems", "minimum", "enum"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+
+def _is_type(value: Any, name: str) -> bool:
+    return isinstance(value, bool) == (name == "boolean") and (isinstance(value, _TYPES[name]) or (
+        name == "integer" and isinstance(value, float) and value.is_integer()))
+
+
+def _errors(schema: dict[str, Any], value: Any, path: list) -> Iterator[tuple[list, str]]:
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``, in
+    jsonschema's order and wording: keywords in the schema's own key order."""
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for key, arg in schema.items():
+        if key not in _KEYWORDS:
+            raise ValueError(f"unsupported schema keyword {key!r}")
+        if key == "type" and not _is_type(value, arg):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _errors(sub, value[name], path + [name])
+        elif key == "additionalProperties" and is_object:
+            extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if arg is False and extras:
+                names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+            for name in extras if isinstance(arg, dict) else ():
+                yield from _errors(arg, value[name], path + [name])
+        elif key == "required" and is_object:
+            yield from ((path, f"{name!r} is a required property")
+                        for name in arg if name not in value)
+        elif key == "minProperties" and is_object and len(value) < arg:
+            yield path, f"{value!r} " + ("should be non-empty" if arg == 1
+                                         else "does not have enough properties")
+        elif key == "items" and is_array:
+            for i, item in enumerate(value):
+                yield from _errors(arg, item, path + [i])
+        elif key == "minItems" and is_array and len(value) < arg:
+            yield path, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+        elif key == "maxItems" and is_array and len(value) > arg:
+            yield path, f"{value!r} " + ("is expected to be empty" if arg == 0 else "is too long")
+        elif key == "minimum" and _is_type(value, "number") and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "enum" and not any(  # a bool equals only itself, as in jsonschema
+                v == value and isinstance(v, bool) == isinstance(value, bool) for v in arg):
+            yield path, f"{value!r} is not one of {arg!r}"
+
+
+def _schema_error(schema: dict[str, Any], value: Any) -> str | None:
+    """The error jsonschema reports first (by path, then as found), or None."""
+    errors = list(_errors(schema, value, []))
+    if not errors:
+        return None
+    path, message = min(errors, key=lambda e: e[0])
+    return f"config invalid at {'/'.join(str(p) for p in path) or '<root>'}: {message}"
+
+
 def validate_config(raw: dict[str, Any]) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {err.message}")
+    error = _schema_error(CONFIG_SCHEMA, raw)
+    if error:
+        raise ConfigError(error)
     _cross_checks(raw)
 
 

@@ -112,6 +112,28 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("pose", [
+        {"closed_pose": {"arm": 5, "mast": [0, 0]}},
+        {"open_pose": {"arm": ["a", "b", "c", "d"], "mast": "xy"}},
+    ], ids=["arm-int", "angles-strings"])
+    def test_malformed_pose_is_bad_config(self, capsys, tmp_path, pose):
+        """A pose that is not four and two numbers is refused before the run.
+        Past the schema, the first would fail a length check and the second
+        the arm server's float conversion, both as internal errors."""
+        config = write_json(tmp_path / "pose.json", pose)
+        code, doc, err = run_cli(capsys, "simulate", "--ticks", "5", "--config", config)
+        assert code == 2
+        assert doc is None
+        assert err.startswith("error: config invalid at ")
+
+    def test_inbox_overflow_is_bad_config(self, capsys, tmp_path):
+        """The tick-0 samples outgrow an inbox of one message."""
+        config = write_json(tmp_path / "inbox.json", {"inbox_limit": 1})
+        code, doc, err = run_cli(capsys, "simulate", "--ticks", "5", "--config", config)
+        assert code == 2
+        assert doc is None
+        assert "error: inbox of envInterface exceeded inbox_limit=1" in err
+
     def test_unknown_mutant(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--ticks", "5",
                                "--mutant", "nonexistent")
@@ -224,6 +246,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--config", config)
         assert code == 2
         assert "single-run" in err
+
+    def test_inbox_overflow_is_bad_config(self, capsys, tmp_path):
+        config = write_json(tmp_path / "inbox.json", {"inbox_limit": 1})
+        code, doc, err = run_cli(capsys, "verify", "--config", config)
+        assert code == 2
+        assert doc is None
+        assert "error: inbox of envInterface exceeded inbox_limit=1" in err
 
     def test_budget_exceeded(self, capsys):
         code, doc, _ = run_cli(capsys, "verify", "--budget-states", "10")
@@ -478,6 +507,16 @@ class TestReplay:
         assert code == 4
         assert doc["reproduced"] is False
         assert "divergence" in err
+
+    def test_inbox_overflow_is_bad_config(self, capsys, tmp_path):
+        path = self.counterexample(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["config"]["inbox_limit"] = 1
+        path.write_text(json.dumps(data))
+        code, doc, err = run_cli(capsys, "replay", str(path))
+        assert code == 2
+        assert doc is None
+        assert "error: inbox of envInterface exceeded inbox_limit=1" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "replay", str(tmp_path / "nope.json"))

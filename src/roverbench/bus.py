@@ -100,7 +100,7 @@ class MessageBus:
 
         counter["published"] += 1
         self.tracer.emit(event)
-        self._pending.append(Message(seq=seq, sender=sender, topic=topic, payload=payload))
+        self._pending.append(Message(seq, sender, topic, payload))
         return seq
 
     def step_deliver(self) -> list[tuple[str, Message]]:

@@ -12,6 +12,7 @@ are rejected rather than ignored so typos fail loudly before a run starts.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -214,6 +215,15 @@ def _cross_checks(raw: dict[str, Any]) -> None:
             raise ConfigError(f"{group} must cover exactly {EFFECTORS}")
     if set(raw["posture_duration"]) != {"arm", "mast"}:
         raise ConfigError("posture_duration must cover exactly arm and mast")
+    for fld in ("closed_pose", "open_pose"):
+        for effector, angles in raw[fld].items():
+            for i, angle in enumerate(angles):
+                try:
+                    finite = math.isfinite(angle)
+                except OverflowError:  # an integer past the largest float
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"{fld}/{effector}/{i} must be a finite number")
     for fault in raw["env_faults"]:
         if fault["wp"] not in waypoints:
             raise ConfigError(f"env_faults names unknown waypoint {fault['wp']!r}")

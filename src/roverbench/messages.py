@@ -13,6 +13,7 @@ environment condition).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 EFFECTORS = ("wheels", "arm", "mast")
 
@@ -31,8 +32,7 @@ def server_node(effector: str) -> str:
     return f"{effector}Server"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One bus message.  ``seq`` is globally unique and totally orders traffic."""
 
     seq: int

@@ -159,6 +159,7 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
         if trace_path is not None:
             summary["trace"] = trace_path
             summary["explanations"] = trace_path + ".explain"
+        tracer.flush()
         seconds = time.perf_counter() - started
         summary["stats"] = {
             "seconds": round(seconds, 6),
@@ -170,4 +171,5 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
         return summary
     finally:
         if sink_file is not None:
+            tracer.flush()
             sink_file.close()

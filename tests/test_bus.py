@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib.resources import files
+
 import pytest
 
 from roverbench.bus import (
@@ -11,14 +13,18 @@ from roverbench.bus import (
     UnauthorizedPublisherError,
     UnknownTopicError,
 )
+from roverbench.config import make_config
+from roverbench.explorer import Explorer, _Bundle, _Snapshots
 from roverbench.messages import (
     NODE_ENV_INTERFACE,
     NODE_WORLD,
+    Message,
     PayloadShapeError,
     Topology,
     client_node,
     server_node,
 )
+from roverbench.prop_dsl import parse_suite
 from roverbench.tracing import EventTracer
 
 
@@ -95,6 +101,49 @@ class TestDelivery:
         assert [m.payload["wp"] for _, m in first] == ["A"]
         assert [m.payload["wp"] for _, m in second] == ["B"]
         assert bus.tick == 2
+
+
+# -- messages ----------------------------------------------------------------
+
+
+class TestMessage:
+    """A message is a fixed record: its fields cannot be reassigned, and it
+    survives a snapshot of the explorer unchanged."""
+
+    def test_fields_cannot_be_assigned(self):
+        msg = Message(0, NODE_WORLD, "/env/sample", dict(SAMPLE))
+        for field, value in (("seq", 1), ("sender", "x"), ("topic", "/pose"), ("payload", {})):
+            with pytest.raises(AttributeError):
+                setattr(msg, field, value)
+        assert msg == Message(seq=0, sender=NODE_WORLD, topic="/env/sample", payload=SAMPLE)
+
+    def test_restored_bundle_queues_equal_messages(self):
+        """A bundle frozen and restored between ticks holds equal queued
+        messages and gives the same key as the live one."""
+        suite = parse_suite((files("roverbench") / "data" / "default.props").read_text())
+        live, _log = Explorer(make_config(), suite)._roots()[0]
+        queued = 0
+        with _Snapshots() as store:
+            for tick in range(40):
+                restored = _Bundle.clone(store.freeze(live))
+                inboxes = restored.model.bus.inboxes
+                assert inboxes == live.model.bus.inboxes, tick
+                assert all(type(m) is Message for msgs in inboxes.values() for m in msgs)
+                assert restored.canonical() == live.canonical(), tick
+                queued += sum(map(len, inboxes.values()))
+                live.step(None)
+        assert queued > 40
+
+    def test_step_deliver_returns_each_delivery(self):
+        """``step_deliver`` returns a ``(node, message)`` pair per delivery,
+        in delivery order, each message the one queued in the node's inbox."""
+        bus = make_bus()
+        bus.publish(server_node("wheels"), "/pose", {"x": 1, "y": 0})
+        bus.publish(NODE_WORLD, "/env/sample", dict(SAMPLE))
+        delivered = bus.step_deliver()
+        assert [(node, m.seq) for node, m in delivered] == [
+            (NODE_WORLD, 0), (NODE_ENV_INTERFACE, 0), (NODE_ENV_INTERFACE, 1)]
+        assert all(bus.inboxes[node].count(m) == 1 for node, m in delivered)
 
 
 # -- wiring validation -------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -125,6 +126,18 @@ class TestSimulate:
         assert code == 2
         assert doc is None
         assert err.startswith("error: config invalid at ")
+
+    @pytest.mark.parametrize("angle", [10 ** 400, math.nan, -math.inf],
+                             ids=["int-past-float", "nan", "minus-infinity"])
+    def test_angle_not_a_finite_float_is_bad_config(self, capsys, tmp_path, angle):
+        """An angle the arm server could not hold as a finite float is
+        refused before the run: past the schema, an integer too large for a
+        float crashed the server's conversion and NaN ran."""
+        config = write_json(tmp_path / "pose.json", {"open_pose": {"arm": [angle, 1, 1, 1]}})
+        code, doc, err = run_cli(capsys, "simulate", "--ticks", "5", "--config", config)
+        assert code == 2
+        assert doc is None
+        assert "error: open_pose/arm/0 must be a finite number" in err
 
     def test_inbox_overflow_is_bad_config(self, capsys, tmp_path):
         """The tick-0 samples outgrow an inbox of one message."""
@@ -246,6 +259,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--config", config)
         assert code == 2
         assert "single-run" in err
+
+    @pytest.mark.parametrize("angle", [10 ** 400, math.nan, math.inf],
+                             ids=["int-past-float", "nan", "infinity"])
+    def test_angle_not_a_finite_float_is_bad_config(self, capsys, tmp_path, angle):
+        config = write_json(tmp_path / "pose.json", {"closed_pose": {"mast": [0, angle]}})
+        code, doc, err = run_cli(capsys, "verify", "--config", config)
+        assert code == 2
+        assert doc is None
+        assert "error: closed_pose/mast/1 must be a finite number" in err
 
     def test_inbox_overflow_is_bad_config(self, capsys, tmp_path):
         config = write_json(tmp_path / "inbox.json", {"inbox_limit": 1})
@@ -507,6 +529,18 @@ class TestReplay:
         assert code == 4
         assert doc["reproduced"] is False
         assert "divergence" in err
+
+    @pytest.mark.parametrize("angle", [10 ** 400, math.nan, math.inf],
+                             ids=["int-past-float", "nan", "infinity"])
+    def test_angle_not_a_finite_float_is_bad_config(self, capsys, tmp_path, angle):
+        path = self.counterexample(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        data["config"]["open_pose"]["mast"][0] = angle
+        path.write_text(json.dumps(data))
+        code, doc, err = run_cli(capsys, "replay", str(path))
+        assert code == 2
+        assert doc is None
+        assert "error: embedded config invalid: open_pose/mast/0 must be a finite number" in err
 
     def test_inbox_overflow_is_bad_config(self, capsys, tmp_path):
         path = self.counterexample(capsys, tmp_path)

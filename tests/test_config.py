@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -78,6 +79,23 @@ class TestPoses:
         with pytest.raises(ConfigError) as info:
             make_config(pose)
         assert str(info.value) == f"config invalid at {error}"
+
+    @pytest.mark.parametrize("pose, where", [
+        ({"open_pose": {"arm": [10 ** 400, 1, 1, 1]}}, "open_pose/arm/0"),
+        ({"open_pose": {"mast": [1, math.nan]}}, "open_pose/mast/1"),
+        ({"closed_pose": {"arm": [0, 0, math.inf, 0]}}, "closed_pose/arm/2"),
+        ({"closed_pose": {"mast": [-math.inf, 0]}}, "closed_pose/mast/0"),
+    ], ids=["int-past-float", "nan", "infinity", "minus-infinity"])
+    def test_angle_not_a_finite_float_rejected(self, pose, where):
+        """The servers convert each angle to a float: one that overflows, or
+        that is not finite, is refused as bad configuration."""
+        with pytest.raises(ConfigError) as info:
+            make_config(pose)
+        assert str(info.value) == f"{where} must be a finite number"
+
+    def test_large_finite_angles_accepted(self):
+        pose = {"arm": [10 ** 308, -10 ** 308, 1.5e308, 0], "mast": [0, 0]}
+        assert make_config({"closed_pose": pose}).closed_pose == pose
 
     def test_fractional_angles_accepted(self):
         config = make_config({"open_pose": {"arm": [0.5, 1, 1.5, 2], "mast": [0.25, -1]}})

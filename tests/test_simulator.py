@@ -359,6 +359,7 @@ class TestStreaming:
         tracer.add_observer(seen.append)
         for t in range(3):
             tracer.emit({"t": t, "kind": "header"})
+        tracer.flush()
         assert [json.loads(line) for line in sink.getvalue().splitlines()] == seen
         assert len(seen) == 3
         assert tracer.events == []

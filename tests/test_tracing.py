@@ -10,7 +10,10 @@ bools and ``None``.
 
 from __future__ import annotations
 
+import collections
+import copy
 import gc
+import io
 import json
 import math
 import tracemalloc
@@ -21,19 +24,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roverbench import explorer, simulator
-from roverbench.config import make_config
+from roverbench import explorer, simulator, tracing
+from roverbench.bus import InboxOverflowError
+from roverbench.config import DEFAULT_SCENARIO, ScenarioConfig, make_config, validate_config
 from roverbench.messages import PAYLOAD_FIELDS
 from roverbench.monitor import build_engine
 from roverbench.prop_dsl import parse_suite
 from roverbench.tracing import (
     EVENT_FIELDS,
+    EventTracer,
     MalformedTraceError,
     Trace,
     dump_event,
     next_beliefs,
     read_trace,
 )
+
+from mutants import mutant_demo_config, mutant_names
 
 # -- strategies --------------------------------------------------------------
 
@@ -340,3 +347,178 @@ class TestNextBeliefs:
         for op, atom, want in steps:
             beliefs = next_beliefs(beliefs, op, atom)
             assert beliefs == want and isinstance(beliefs, frozenset), (op, atom)
+
+
+# -- the streaming writer -----------------------------------------------------
+
+DATA = files("roverbench") / "data"
+PACKAGED_PROPS = (DATA / "default.props").read_text(encoding="utf-8")
+PACKAGED_ROWS = json.loads((DATA / "monitors.json").read_text())["monitors"]
+
+
+def compact(event: dict) -> str:
+    return json.dumps(event, separators=(",", ":"))
+
+
+def packaged_engine(extra_props: str = "", extra_rows: tuple = ()):
+    return build_engine(parse_suite(PACKAGED_PROPS + extra_props), PACKAGED_ROWS + list(extra_rows))
+
+
+def recording(monkeypatch, batch: int = EventTracer.BATCH) -> list[tuple[dict, str]]:
+    """Make ``run_simulation`` stream through a tracer whose first observer
+    records each event as emitted, with its ``json.dumps(event,
+    separators=(",", ":"))``: the line the per-line writer wrote.  Returns
+    the list of ``(event, line)`` pairs it fills."""
+    seen: list[tuple[dict, str]] = []
+
+    class Recording(EventTracer):
+        BATCH = batch
+
+        def __init__(self, sink=None):
+            super().__init__(sink)
+            self.add_observer(lambda event: seen.append((event, compact(event))))
+
+    monkeypatch.setattr(simulator, "EventTracer", Recording)
+    return seen
+
+
+def written(path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+def lines_of(seen) -> str:
+    return "".join(line + "\n" for _, line in seen)
+
+
+def renamed_map() -> ScenarioConfig:
+    """The default scenario with waypoint names that JSON escapes."""
+    names = {"o": "départ", "A": "Ålesund", "B": 'β"1\\', "C": "日本"}
+    raw = copy.deepcopy(DEFAULT_SCENARIO)
+    raw["start"] = names[raw["start"]]
+    raw["patrol"] = [names[wp] for wp in raw["patrol"]]
+    for fld in ("waypoints", "wind", "radiation", "wind_choices", "radiation_choices"):
+        raw[fld] = {names[wp]: value for wp, value in raw[fld].items()}
+    validate_config(raw)
+    return ScenarioConfig(raw)
+
+
+def blocked_mutant():
+    """The misroute-bus mutant with a block-mode monitor that vetoes every
+    arm goal, beside the packaged monitors."""
+    engine = packaged_engine('prop no_arm_goal: never(topic("/arm/goal"))\n',
+                             [{"prop": "no_arm_goal", "mode": "block"}])
+    return mutant_demo_config("misroute-bus"), engine
+
+
+RUNS = {
+    "default": lambda: (make_config(), packaged_engine()),
+    **{name: (lambda name=name: (mutant_demo_config(name), packaged_engine()))
+       for name in mutant_names()},
+    "faults": lambda: (make_config({
+        "scripted_faults": [{"effector": "arm", "goal_index": 1},
+                            {"effector": "wheels", "goal_index": 3}],
+        "env_faults": [{"tick": 10, "wp": "o", "wind": -1},
+                       {"tick": 40, "wp": "C", "radiation": 30}]}), packaged_engine()),
+    "block-mode": blocked_mutant,
+    "schedule": lambda: (make_config({"schedule_sensitivity": True}), packaged_engine()),
+    "non-ascii": lambda: (renamed_map(), packaged_engine()),
+}
+
+
+class TestStreamingWriter:
+    """The streaming tracer encodes each payload once and writes lines in
+    batches, yet every line is the compact ``json.dumps`` of the event its
+    observers received, in emit order."""
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_each_line_is_the_json_of_its_event(self, monkeypatch, tmp_path, name):
+        config, engine = RUNS[name]()
+        path = tmp_path / "t.jsonl"
+        seen = recording(monkeypatch)
+        summary = simulator.run_simulation(config, 300, str(path), engine)
+        assert written(path) == lines_of(seen)
+        kinds = collections.Counter(event["kind"] for event, _ in seen)
+        assert kinds["deliver"] > 1000 and kinds["verdict"] > 0
+        assert (kinds["block"] > 0) == (name == "block-mode") == (summary["messages_blocked"] > 0)
+        assert summary["stats"]["trace_bytes"] == path.stat().st_size
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(texts, texts, st.lists(texts, min_size=1, max_size=3),
+                              st.dictionaries(texts, values, max_size=4)),
+                    min_size=1, max_size=6))
+    def test_message_lines_of_any_route(self, messages):
+        """Publish and deliver lines built from fragments match ``json.dumps``
+        for any topic, sender and node strings and any payload."""
+        sink = io.StringIO()
+        tracer = EventTracer(sink=sink)
+        want = []
+        for seq, (topic, sender, nodes, payload) in enumerate(messages):
+            for event in ([{"t": seq // 2, "kind": "publish", "seq": seq, "topic": topic,
+                            "sender": sender, "payload": payload}]
+                          + [{"t": seq // 2 + 1, "kind": "deliver", "seq": seq, "topic": topic,
+                              "sender": sender, "node": node, "payload": payload}
+                             for node in nodes]):
+                want.append(compact(event))
+                tracer.emit(event)
+        tracer.flush()
+        assert sink.getvalue() == "".join(line + "\n" for line in want)
+
+    def test_deliver_of_another_payload_is_encoded(self):
+        """A deliver event whose payload is not the object its publish
+        carried is encoded from the event, not from the kept text."""
+        sink = io.StringIO()
+        tracer = EventTracer(sink=sink)
+        head = {"seq": 0, "topic": "/pose", "sender": "wheelsServer"}
+        tracer.emit({"t": 0, "kind": "publish", **head, "payload": {"x": 1, "y": 0}})
+        tracer.emit({"t": 1, "kind": "deliver", **head, "node": "world",
+                     "payload": {"x": 2, "y": 0}})
+        tracer.flush()
+        assert json.loads(sink.getvalue().splitlines()[1])["payload"] == {"x": 2, "y": 0}
+
+    def test_lines_wait_for_a_full_batch_or_a_flush(self):
+        sink = io.StringIO()
+        tracer = EventTracer(sink=sink)
+        for t in range(EventTracer.BATCH - 1):
+            tracer.emit({"t": t, "kind": "header"})
+        assert sink.getvalue() == ""
+        tracer.emit({"t": EventTracer.BATCH, "kind": "header"})
+        assert len(sink.getvalue().splitlines()) == EventTracer.BATCH
+        tracer.emit({"t": 0, "kind": "header"})
+        tracer.flush()
+        tracer.flush()
+        assert len(sink.getvalue().splitlines()) == EventTracer.BATCH + 1
+
+    @pytest.mark.parametrize("batch", [EventTracer.BATCH, 7])
+    def test_failed_run_leaves_every_line_emitted(self, monkeypatch, tmp_path, batch):
+        """A run that stops with an inbox overflow leaves exactly the lines
+        the per-line writer left: those of the full batches and the rest."""
+        path = tmp_path / "t.jsonl"
+        seen = recording(monkeypatch, batch)
+        with pytest.raises(InboxOverflowError):
+            simulator.run_simulation(make_config({"inbox_limit": 1}), 5, str(path),
+                                     packaged_engine())
+        assert len(seen) > 7
+        assert written(path) == lines_of(seen)
+
+    def test_payload_encoded_once_per_publish(self, monkeypatch, tmp_path):
+        """Regression guard: in a 300-tick default run each published
+        payload is encoded once, by its publish, and by none of its
+        deliveries."""
+        encodes = collections.Counter()
+        encode = tracing.dump_event
+
+        def counting(obj):
+            encodes[id(obj)] += 1
+            if isinstance(obj, dict) and isinstance(obj.get("payload"), dict):
+                encodes[id(obj["payload"])] += 1
+            return encode(obj)
+
+        monkeypatch.setattr(tracing, "dump_event", counting)
+        seen = recording(monkeypatch)  # keeps every payload alive, so each id stays its own
+        simulator.run_simulation(make_config(), 300, str(tmp_path / "t.jsonl"), packaged_engine())
+        events = [event for event, _ in seen]
+        published = collections.Counter(id(e["payload"]) for e in events if e["kind"] == "publish")
+        delivered = [e for e in events if e["kind"] == "deliver"]
+        assert len(published) > 1000 and len(delivered) > 1000
+        assert {key: encodes[key] for key in published} == published
+        assert all(id(e["payload"]) in published for e in delivered)

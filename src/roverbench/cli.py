@@ -234,13 +234,13 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--mutant", help="enable a named fault seed")
         p.add_argument("--props", help="property suite file (default: packaged suite)")
         p.add_argument("--trace", help=trace_help)
-        p.add_argument(
-            "--workers", type=int, default=1,
-            help="accepted for pipeline compatibility; runs are sequential "
-                 "and results do not depend on it")
 
     p = sub.add_parser("simulate", help="run the mission with monitors attached")
     common(p, "trace output path (JSON lines; explanations beside it)")
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for pipeline compatibility; runs are sequential "
+             "and results do not depend on it")
     p.add_argument("--ticks", type=int, default=500)
     p.add_argument("--monitors", help="monitor selection JSON (default: packaged)")
     p.add_argument("--block-mode", action="store_true",

@@ -48,16 +48,17 @@ Unbounded liveness (plain ``eventually``, ``always(eventually)`` and
 unbounded response), which ``synthesize`` refuses with a
 ``LivenessMonitor`` attached, rides the same engine: its ``fired`` flag
 labels every edge with the awaited event, and its response obligation bit is
-part of the key.  It is decided on the finished graph by one lasso search:
-a depth-first search on an explicit stack, so graph depth is never bounded
-by the recursion limit, over the states each shape allows (those reached
-before the awaited event, all states, or those with the response
-obligation open); a cycle of unlabelled edges is a lasso-shaped
-counterexample.  Whether a cycle exists does not depend on where the search
-starts, so it first runs in discovery order; only when it finds a lasso are
-the states' sorted JSON texts rebuilt from the key tables, and the search
-rerun from start states in text order, so the reported lasso depends neither
-on hashing nor on the key's encoding.
+part of the key.  It is decided on the finished graph by one lasso search
+over usable edges: those that do not produce the awaited event and lead to
+a state the shape allows (one with the obligation open for a response, any
+state otherwise).  One strongly connected component pass (Tarjan, SIAM J.
+Comput. 1972), on an explicit stack so graph depth is never bounded by the
+recursion limit, runs from the roots for plain ``eventually`` and from every
+allowed state otherwise, and marks each state on a cycle.  The lasso enters
+at the first such state in breadth-first discovery order, which depends on
+the walk alone, not on hashing or the key's encoding.  Its prefix is that
+state's breadth-first tree path and its loop the first return found by a
+breadth-first search from it, so both are shortest for that entry.
 
 Counterexamples embed the scenario config plus the per-tick choice vectors
 and can be replayed later; a replay that no longer produces the recorded
@@ -93,7 +94,7 @@ from .monitor import (
 )
 from .prop_dsl import SATISFIED, UNDETERMINED, VIOLATED
 from .simulator import ALL_STAGES, SAME_ORDER, Model
-from .tracing import EventTracer, json_encoder
+from .tracing import EventTracer
 
 DEFAULT_BUDGET_STATES = 1_000_000
 DEFAULT_BUDGET_SECS = 60.0
@@ -219,28 +220,6 @@ class _KeyTable:
         """The number of distinct values of each component."""
         return {name: len(table) for name, table in zip(self.names, self.tables)}
 
-    def texts(self):
-        """A function from a key to the sorted JSON text of its ranked view,
-        rebuilt from the tables: what orders the lasso search.  Inbox entries
-        are put back as dicts, in the order of their sorted JSON text."""
-        queued = [dict(zip(("topic", "sender", "payload"), marshal.loads(entry)))
-                  for entry in self.entries]
-
-        def inbox(value: bytes) -> list[dict]:
-            return sorted(map(queued.__getitem__, marshal.loads(value)), key=_ENTRY_ORDER)
-
-        decoded = [list(map(inbox if name.startswith("inboxes.") else marshal.loads, table))
-                   for name, table in zip(self.names, self.tables)]
-
-        def text(key: bytes) -> str:
-            part = dict(zip(self.names, map(list.__getitem__, decoded, marshal.loads(key))))
-            model = {"world": part["world"], "host": part["host"],
-                     "servers": {e: part[f"servers.{e}"] for e in self.servers},
-                     "inboxes": {node: part[f"inboxes.{node}"] for node in self.nodes
-                                 if part[f"inboxes.{node}"]}}
-            return _sorted_text({"model": model, "monitors": part["monitors"]})
-        return text
-
 
 class _Bundle:
     """One exploration branch: the model plus all riding monitor states."""
@@ -292,15 +271,6 @@ class _Bundle:
         return self.keys.key(
             _rank_goals(self.model.to_state()),
             {n: m.to_state(now) for n, m in sorted(self.engine.monitors.items())})
-
-
-# The sorted JSON text of a ranked view, rebuilt from a key: what orders the
-# lasso search.
-_sorted_text = json_encoder(separators=(",", ":"), sort_keys=True)
-
-# The text of ``json.dumps(entry, sort_keys=True)``: the order of a rebuilt
-# inbox's entries.
-_ENTRY_ORDER = json_encoder(sort_keys=True)
 
 
 def _rank_goals(model: dict) -> dict:
@@ -702,7 +672,7 @@ class Explorer:
         for name, verdict in verdicts.items():
             if verdict == UNDETERMINED:
                 verdicts[name] = SATISFIED
-        timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples, keys)
+        timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples)
 
         reached = sum(node.parent is not None for node in states.values())  # not as roots
         return ExplorationReport(
@@ -749,90 +719,105 @@ class Explorer:
 
     # -- liveness decisions --------------------------------------------------
 
-    def _decide_liveness(self, states, edges, verdicts, counterexamples, keys) -> None:
-        """Every unbounded shape is a lasso search over its own state set:
-        plain ``eventually`` over the states reachable before the awaited
-        event, recurrence over all states, response over the states whose
-        obligation is open."""
+    def _decide_liveness(self, states, edges, verdicts, counterexamples) -> None:
+        """Every unbounded shape is one lasso search: a response over the
+        states whose obligation is open, the other shapes over every state;
+        plain ``eventually`` from the roots, so only states reached before
+        the awaited event count, and the others from every allowed state."""
         if not self.liveness:
             return
         out: dict[bytes, list[_Edge]] = {}
         for edge in edges:
             out.setdefault(edge.src, []).append(edge)
-        order = None  # every state, by sorted JSON text, once a lasso exists
+        roots = [key for key, node in states.items() if node.parent is None]
 
         for name, kind in self.liveness.items():
-            if kind == "eventually":
-                reach = self._reach_without(states, out, name)
-                allowed = dict.fromkeys(key for key in states if key in reach)
-            elif kind == "recurrence":
-                allowed = dict.fromkeys(states)
-            else:  # response
-                allowed = dict.fromkeys(key for key in states if name in states[key].open)
-            # Whether a cycle exists does not depend on the start order.
-            if self._find_lasso(allowed, out, name) is None:
-                verdicts[name] = SATISFIED
+            allowed = states if kind != "response" else dict.fromkeys(
+                key for key, node in states.items() if name in node.open)
+            found = self._find_lasso(allowed, out, name,
+                                     roots if kind == "eventually" else allowed)
+            if found is None:
                 continue
-            if order is None:
-                # Start states in the order of their sorted JSON text, so the
-                # reported lasso depends neither on set hashing nor on the
-                # key's encoding.
-                order = sorted(states, key=keys.texts())
+            entry, loop_edges = found
             verdicts[name] = VIOLATED
-            entry, loop_edges = self._find_lasso(
-                dict.fromkeys(key for key in order if key in allowed), out, name)
             ce = self._trail(states, entry, "liveness",
                              "a reachable cycle never produces the awaited event")
             ce.prop = name
             ce.loop_from = len(ce.ticks)
-            ce.ticks = ce.ticks + [e.picks for e in loop_edges]
-            counterexamples.setdefault(name, ce)
-
-    def _reach_without(self, states, out, name: str) -> set:
-        """States reachable from the roots along edges lacking the awaited event."""
-        roots = [k for k, node in states.items() if node.parent is None]
-        seen = set(roots)
-        stack = list(roots)
-        while stack:
-            key = stack.pop()
-            for edge in out.get(key, ()):
-                if name not in edge.awaited and edge.dst not in seen:
-                    seen.add(edge.dst)
-                    stack.append(edge.dst)
-        return seen
+            ce.ticks += [e.picks for e in loop_edges]
+            counterexamples[name] = ce
 
     @staticmethod
-    def _find_lasso(allowed, out, name: str):
-        """A cycle through ``allowed`` states whose edges never produce the
-        awaited event, found by a depth-first search on an explicit stack
-        (so graph depth is not bounded by the recursion limit).  Start keys
-        are tried in the iteration order of ``allowed`` and out-edges in
-        insertion order.  Returns (entry key, [edges around the cycle]) or
-        None."""
-        done: set[bytes] = set()
-        for start in allowed:
-            if start in done:
+    def _find_lasso(allowed, out, name: str, starts):
+        """A cycle over usable edges, those that do not produce the awaited
+        event and lead into ``allowed``.  One Tarjan pass from ``starts``, on
+        explicit stacks, marks every state of a strongly connected component
+        with an inner edge, self-loops included.  The entry is the first
+        marked key in the iteration order of ``allowed``, and the cycle the
+        first return to it in a breadth-first search from it, out-edges in
+        insertion order: a shortest one.  Returns (entry key, [edges around
+        the cycle]) or None."""
+
+        def usable(key):
+            return (e for e in out.get(key, ()) if name not in e.awaited and e.dst in allowed)
+
+        index: dict = {}  # key -> discovery number
+        low: dict = {}  # key -> least discovery number it reaches on the stack
+        stack: list = []  # keys whose component is not closed yet
+        on_stack: dict = {}  # key -> its position in ``stack``
+        work: list = []  # (key, its usable edges not yet taken) down the search path
+        cyclic: set = set()
+
+        def enter(key) -> None:
+            index[key] = low[key] = len(index)
+            on_stack[key] = len(stack)
+            stack.append(key)
+            work.append((key, usable(key)))
+
+        for start in starts:
+            if start in index:
                 continue
-            on_path = {start: 0}  # key -> position on the DFS path
-            trail: list[_Edge] = []  # trail[i] leads out of the i-th path key
-            pending = [iter(out.get(start, ()))]
-            while pending:
-                for edge in pending[-1]:
+            enter(start)
+            while work:
+                key, later = work[-1]
+                for edge in later:
                     dst = edge.dst
-                    if name in edge.awaited or dst not in allowed or dst in done:
-                        continue
-                    if dst in on_path:
-                        return dst, trail[on_path[dst]:] + [edge]
-                    on_path[dst] = len(on_path)
-                    trail.append(edge)
-                    pending.append(iter(out.get(dst, ())))
-                    break
+                    if dst not in index:
+                        enter(dst)
+                        break
+                    if dst in on_stack:
+                        low[key] = min(low[key], index[dst])
+                        if dst == key:
+                            cyclic.add(key)
                 else:
-                    done.add(on_path.popitem()[0])
-                    pending.pop()
-                    if trail:
-                        trail.pop()
-        return None
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[key])
+                    if low[key] == index[key]:
+                        component = stack[on_stack[key]:]
+                        del stack[on_stack[key]:]
+                        for member in component:
+                            del on_stack[member]
+                        if len(component) > 1:
+                            cyclic.update(component)
+
+        entry = next((key for key in allowed if key in cyclic), None)
+        if entry is None:
+            return None
+        via: dict = {}  # key -> the usable edge the search first reached it by
+        frontier = [entry]
+        for key in frontier:
+            for edge in usable(key):
+                if edge.dst == entry:
+                    cycle = [edge]
+                    while key != entry:
+                        cycle.append(via[key])
+                        key = via[key].src
+                    return entry, cycle[::-1]
+                if edge.dst not in via:
+                    via[edge.dst] = edge
+                    frontier.append(edge.dst)
 
     def _schedule_invariant(self, edges) -> bool:
         """With schedule permutations enabled, the successor of a state must

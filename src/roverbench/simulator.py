@@ -20,7 +20,7 @@ from .config import ScenarioConfig
 from .effectors import build_servers
 from .environment import World
 from .messages import EFFECTORS, NODE_WORLD, Topology, server_node
-from .tracing import EventTracer, json_encoder
+from .tracing import EventTracer, dump_event
 
 TRACE_FORMAT = 1
 
@@ -42,10 +42,6 @@ def _first_same_order() -> tuple:
 
 
 SAME_ORDER = _first_same_order()
-
-# One line of the ``.explain`` file: ``json.dumps(entry, separators=(",", ":"))``.
-_EXPLAIN_LINE = json_encoder(separators=(",", ":"))
-
 
 class Model:
     """A fully wired system: bus, world, three servers, agent host."""
@@ -143,7 +139,7 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
         if trace_path is not None:
             with open(trace_path + ".explain", "w", encoding="utf-8") as fh:
                 for entry in model.host.agent.explanations:
-                    fh.write(_EXPLAIN_LINE(entry) + "\n")
+                    fh.write(dump_event(entry) + "\n")
         summary = {
             "ticks": ticks,
             "final_tick": model.tick,

@@ -121,19 +121,17 @@ class EventTracer:
             self._lines = []
 
 
-def json_encoder(separators: tuple[str, str] | None = None,
-                 sort_keys: bool = False) -> Callable[[object], str]:
-    """``json.dumps(obj, separators=..., sort_keys=...)`` with the encoder
-    built once: the same text, without a new ``JSONEncoder`` and C encoder
-    on every call.  Calls share one circular-reference table, so one
-    encoder is not for several threads at once."""
-    encoder = json.JSONEncoder(separators=separators, sort_keys=sort_keys)
+def json_encoder() -> Callable[[object], str]:
+    """``json.dumps(obj, separators=(",", ":"))`` with the encoder built
+    once: the same text, without a new ``JSONEncoder`` and C encoder on
+    every call.  Calls share one circular-reference table, so one encoder
+    is not for several threads at once."""
+    encoder = json.JSONEncoder(separators=(",", ":"))
     if c_make_encoder is None:
         return encoder.encode
     markers: dict = {}
     encode = c_make_encoder(markers, encoder.default, encode_basestring_ascii, None,
-                            encoder.key_separator, encoder.item_separator,
-                            sort_keys, False, True)
+                            ":", ",", False, False, True)
 
     def dumps(obj) -> str:
         try:
@@ -147,10 +145,10 @@ def json_encoder(separators: tuple[str, str] | None = None,
     return dumps
 
 
-# One trace line of ``event``, without its newline.  Insertion order is
-# preserved deliberately: emitters build dicts with "t" and "kind" first so
-# the files stay human-scannable.
-dump_event = json_encoder(separators=(",", ":"))
+# One trace or ``.explain`` line of ``event``, without its newline.
+# Insertion order is preserved deliberately: emitters build dicts with "t"
+# and "kind" first so the files stay human-scannable.
+dump_event = json_encoder()
 
 
 # Event fields a property may compare (``prop_dsl``), besides one field of

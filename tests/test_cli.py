@@ -230,6 +230,13 @@ class TestVerify:
         assert set(doc["verdicts"].values()) == {"Satisfied"}
         assert "all 19 properties hold" in err
 
+    def test_workers_is_a_usage_error(self, capsys):
+        """Only ``simulate`` takes ``--workers``: in ``verify`` it did nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--workers", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_mutant_violation_with_counterexample_file(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")
         code, doc, err = run_cli(capsys, "verify", "stop_after_move",
@@ -364,7 +371,7 @@ class TestVerify:
                                doc["counterexample_files"]["revisits_B"])
         assert code == 1
         assert doc["reproduced"] is True
-        assert doc["loop_from"] == 506
+        assert doc["loop_from"] == 505
 
 
 # -- check -------------------------------------------------------------------

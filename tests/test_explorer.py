@@ -287,8 +287,8 @@ class TestLiveness:
         assert report.verdicts == {"revisits_B": "Violated"}
         ce = report.counterexamples["revisits_B"]
         assert ce.kind == "liveness"
-        assert ce.loop_from == 12
-        assert len(ce.ticks) == 54
+        assert ce.loop_from == 11
+        assert len(ce.ticks) == 53
 
     def test_lasso_replays(self, tmp_path):
         report = explore_properties(make_config({"decay_rate": 0}), SUITE,
@@ -297,14 +297,15 @@ class TestLiveness:
         write_counterexample(report.counterexamples["revisits_B"], str(path))
         outcome = replay_counterexample(load_counterexample(str(path)), SUITE)
         assert outcome == {"reproduced": True, "prop": "revisits_B",
-                           "kind": "liveness", "ticks": 54, "loop_from": 12}
+                           "kind": "liveness", "ticks": 53, "loop_from": 11}
 
     def test_loop_through_the_awaited_event_does_not_replay(self, monkeypatch):
         """A cycle of the default map, where B keeps coming back, is no
         lasso for ``revisits_B``: its loop believes at(B)."""
         search = Explorer._find_lasso
         monkeypatch.setattr(Explorer, "_find_lasso", staticmethod(
-            lambda allowed, out, name: search(allowed, out, "no awaited event")))
+            lambda allowed, out, name, starts: search(allowed, out, "no awaited event",
+                                                      starts)))
         report = explore_properties(make_config(), SUITE, names=["revisits_B"])
         ce = report.counterexamples["revisits_B"]
         with pytest.raises(ReplayDivergenceError, match="of the loop produces"):
@@ -315,7 +316,8 @@ class TestLiveness:
         unbounded response, although the awaited event never comes."""
         search = Explorer._find_lasso
         monkeypatch.setattr(Explorer, "_find_lasso", staticmethod(
-            lambda allowed, out, name: search(set(out), out, name)))
+            lambda allowed, out, name, starts: search(dict.fromkeys(out), out, name,
+                                                      dict.fromkeys(out))))
         suite = {"idle": parse_formula(
             'always(action("dance") => eventually(belief("at(Z)")))')}
         ce = explore_properties(make_config(), suite).counterexamples["idle"]
@@ -352,9 +354,9 @@ class TestLivenessShapes:
         assert report.states == 87
         assert report.verdicts == {"eventually_B": "Violated"}
         ce = report.counterexamples["eventually_B"]
-        assert (ce.loop_from, len(ce.ticks)) == (12, 54)
+        assert (ce.loop_from, len(ce.ticks)) == (11, 53)
         assert lasso_digest(ce, tmp_path / "ev.json", {"eventually_B": EVENTUALLY_B}) == \
-            "5f61e63a3102a9409989d4a4d56a0b06f555a89bd6cc23bfd18cd58b79caea7c"
+            "6eb39328536e154eb562840e08268dbec4e08c392ca1a177663cc5e12a4a31cc"
 
     def test_unbounded_response(self, tmp_path):
         report = explore_properties(make_config({"decay_rate": 0}),
@@ -362,9 +364,9 @@ class TestLivenessShapes:
         assert report.states == 87
         assert report.verdicts == {"response_A_B": "Violated"}
         ce = report.counterexamples["response_A_B"]
-        assert (ce.loop_from, len(ce.ticks)) == (12, 54)
+        assert (ce.loop_from, len(ce.ticks)) == (11, 53)
         assert lasso_digest(ce, tmp_path / "resp.json", {"response_A_B": RESPONSE_A_B}) == \
-            "aa03ddc094491502e9deb3af02cb6976f9065d383fe07854a1fd1a8661a46fd7"
+            "868e7ac7beb1bcfe97da8593672fff0d2202195f2f0fd24500ab65a640a0e68d"
 
     def test_check_response_under_wheel_faults(self, tmp_path):
         report = explore_properties(make_config({"fault_exploration": {"wheels": True}}),
@@ -372,9 +374,9 @@ class TestLivenessShapes:
         assert (report.states, report.transitions) == (250, 284)
         assert report.verdicts == {"response": "Violated"}
         ce = report.counterexamples["response"]
-        assert (ce.loop_from, len(ce.ticks)) == (43, 45)
+        assert (ce.loop_from, len(ce.ticks)) == (21, 23)
         assert lasso_digest(ce, tmp_path / "wheels.json", {"response": RESPONSE_A_A}) == \
-            "01959da4d302d5e1c465962a58bd930909dc8c58957d66400c3c2fdc85be0776"
+            "6d0f2e5509e7a2e8a0ea84f279754b2a6d939463be1db10c6ac352994740800f"
 
     def test_every_shape_holds_on_the_default_map(self):
         report = explore_properties(
@@ -389,34 +391,21 @@ class TestLivenessShapes:
         assert report.verdicts == {"response": "Satisfied"}
 
 
-def recursive_lasso(allowed, out, name):
-    """Reference for ``Explorer._find_lasso``: the same depth-first search,
-    written recursively (so only for small graphs)."""
-    done: set = set()
-    path: list = []
-    trail: list = []
+def after(keys, allowed, out, name) -> set:
+    """The keys that one usable edge, one without the awaited event and into
+    ``allowed``, leads to from ``keys``."""
+    return {e.dst for key in keys for e in out.get(key, ())
+            if name not in e.awaited and e.dst in allowed}
 
-    def dfs(key):
-        path.append(key)
-        for edge in out.get(key, ()):
-            if name in edge.awaited or edge.dst not in allowed or edge.dst in done:
-                continue
-            if edge.dst in path:
-                return edge.dst, trail[path.index(edge.dst):] + [edge]
-            trail.append(edge)
-            found = dfs(edge.dst)
-            if found:
-                return found
-            trail.pop()
-        path.pop()
-        done.add(key)
-        return None
 
-    for key in sorted(allowed):
-        if key not in done:
-            found = dfs(key)
-            if found:
-                return found
+def shortest_return(key, allowed, out, name) -> int | None:
+    """The fewest usable edges that lead from ``key`` back to it, by brute
+    force: the keys each number of steps reaches, up to one per key."""
+    layer = {key}
+    for length in range(1, len(allowed) + 1):
+        layer = after(layer, allowed, out, name)
+        if key in layer:
+            return length
     return None
 
 
@@ -435,33 +424,49 @@ def has_cycle(allowed, out, name) -> bool:
 
 @st.composite
 def labelled_graphs(draw):
+    """(allowed keys in order, out-edges, start keys): up to 8 keys and
+    three edges per key, a third of them labelled with the awaited event
+    ``p``, and every allowed key a start or a drawn few."""
     size = draw(st.integers(1, 8))
     keys = [f"s{i}" for i in range(size)]
     out: dict = {}
     for n, (src, dst, fires) in enumerate(draw(st.lists(
-            st.tuples(st.sampled_from(keys), st.sampled_from(keys), st.booleans()),
-            max_size=20))):
+            st.tuples(st.sampled_from(keys), st.sampled_from(keys),
+                      st.sampled_from([False, False, True])),
+            max_size=3 * size))):
         out.setdefault(src, []).append(
             _Edge(src, dst, [n], {"p"} if fires else set()))
-    allowed = set(draw(st.lists(st.sampled_from(keys), min_size=1)))
-    return allowed, out
+    allowed = dict.fromkeys(sorted(set(draw(st.lists(st.sampled_from(keys), min_size=1)))))
+    starts = allowed
+    if draw(st.booleans()):
+        starts = draw(st.lists(st.sampled_from(list(allowed)), unique=True))
+    return allowed, out, starts
 
 
 class TestLassoSearch:
-    """The iterative lasso search on arbitrary labelled graphs."""
+    """The lasso rule on arbitrary labelled graphs, against brute force: the
+    entry is the first key, in order, that the starts reach and that can
+    return to itself, and the loop is a shortest return to it."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(labelled_graphs())
-    def test_matches_recursive_search(self, graph):
-        allowed, out = graph
-        found = Explorer._find_lasso(dict.fromkeys(sorted(allowed)), out, "p")
-        assert found == recursive_lasso(allowed, out, "p")
-        assert (found is not None) == has_cycle(allowed, out, "p")
+    def test_first_cyclic_entry_and_shortest_loop(self, graph):
+        allowed, out, starts = graph
+        found = Explorer._find_lasso(allowed, out, "p", starts)
+        reach = set(starts)
+        while not after(reach, allowed, out, "p") <= reach:
+            reach |= after(reach, allowed, out, "p")
+        returns = {key: shortest_return(key, allowed, out, "p") for key in reach}
+        entries = [key for key in allowed if returns.get(key) is not None]
+        assert (found is None) == (not entries) == (not has_cycle(reach, out, "p"))
         if found is not None:
             entry, cycle = found
+            assert entry == entries[0]
+            assert len(cycle) == returns[entry]
             assert cycle[0].src == cycle[-1].dst == entry
             assert all(a.dst == b.src for a, b in zip(cycle, cycle[1:]))
-            assert all("p" not in e.awaited and e.dst in allowed for e in cycle)
+            assert all(any(e is f for f in out[e.src]) and "p" not in e.awaited
+                       and e.dst in allowed for e in cycle)
 
     def test_self_loop_below_the_start(self):
         """A self-loop reached a few edges into the search is a one-edge
@@ -469,7 +474,7 @@ class TestLassoSearch:
         ab, bc, cc = _Edge("a", "b", [0], set()), _Edge("b", "c", [1], set()), \
             _Edge("c", "c", [2], set())
         out = {"a": [ab], "b": [bc], "c": [cc]}
-        assert Explorer._find_lasso({"a", "b", "c"}, out, "p") == ("c", [cc])
+        assert Explorer._find_lasso(dict.fromkeys("abc"), out, "p", ["a"]) == ("c", [cc])
 
 
 # 500-cell legs with a hot stop that never cools: the lasso's cycle and the
@@ -489,9 +494,9 @@ class TestDeepLasso:
         assert report.states == 2549
         assert report.verdicts == {"revisits_B": "Violated"}
         ce = report.counterexamples["revisits_B"]
-        assert (ce.loop_from, len(ce.ticks)) == (506, 1532)
+        assert (ce.loop_from, len(ce.ticks)) == (505, 1531)
         assert lasso_digest(ce, tmp_path / "far.json") == \
-            "428e941e61ff5c8ee81e8ce5facd0eeb2fb3977cbc4320ae7e1d7abcd570679f"
+            "53ea1810647df558857770fb04e3c151a653a1eff0d0821d7b826a59e23ca9ba"
 
 
 # -- counterexample replay ---------------------------------------------------

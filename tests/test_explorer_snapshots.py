@@ -3,21 +3,22 @@
 A state's key is the tuple of indices, in ``marshal`` bytes, of the
 components of its ``to_state`` view with goal ids renamed by rank (the world,
 each server, the host, each node's inbox, the monitors), each filed once in
-the walk's key table; the view's sorted JSON text, rebuilt from the table
-once a lasso exists, orders the lasso search.  A state's first
-successor is stepped on its live bundle while at most ``_LIVE_LIMIT`` are
-held; every other successor is restored from a pickled snapshot.  Neither
-holds a finished goal: an endpoint forgets a goal once it finishes.  Only
-checkpoints (every ``_CHECKPOINT``-th depth), states past the live limit and
-states made by a branching step are frozen when they are added; any other
-state whose step branches gets its snapshot by replaying the tree's picks
-from its checkpoint.  These tests pin down what that must preserve:
+the walk's key table.  A state's first successor is stepped on its live
+bundle while at most ``_LIVE_LIMIT`` are held; every other successor is
+restored from a pickled snapshot.  Neither holds a finished goal: an endpoint
+forgets a goal once it finishes.  Only checkpoints (every ``_CHECKPOINT``-th
+depth), states past the live limit and states made by a branching step are
+frozen when they are added; any other state whose step branches gets its
+snapshot by replaying the tree's picks from its checkpoint.  A liveness
+counterexample is a lasso that enters at the first state on a cycle in
+breadth-first discovery order, by that state's shortest prefix and a
+shortest loop through it, so it depends on the walk's order alone, not on
+how its bundles were made.  These tests pin down what that must preserve:
 
 * the key is exact: two bundles have equal keys exactly when the reference
-  texts of their views are equal, and the text rebuilt from a key is its
-  reference text.  That is the sorted JSON text of the view built from
-  scratch, with the renaming ``_renumber_goals`` kept below, which renames
-  every goal id wherever it stands.  It is checked on every bundle the
+  texts of their views are equal.  That is the sorted JSON text of the view
+  built from scratch, with the renaming ``_renumber_goals`` kept below, which
+  renames every goal id wherever it stands.  It is checked on every bundle the
   walks below key, and on the default walk of every scenario of
   ``KEYED_SCENARIOS``, which also checks ``distinct_components`` against a
   count of the stored states' components;
@@ -46,7 +47,10 @@ from its checkpoint.  These tests pin down what that must preserve:
   order that runs the stages acting in the schedule-0 step in the same
   relative order changes no output byte and no edge, all orders of such a
   class end alike, and ``schedule_invariant`` still fails for a stage whose
-  output depends on the order.
+  output depends on the order;
+* each of those output comparisons covers a lasso: ``decay-0``, whose hot
+  stop never cools, violates ``revisits_B`` with and without schedule
+  permutations.
 
 Each scenario is walked once, by a breadth-first walk that mirrors
 ``Explorer.explore`` with every successor restored from its source's
@@ -73,7 +77,6 @@ from roverbench.explorer import (
     _Bundle,
     _rank_goals,
     _Snapshots,
-    _sorted_text,
     _variants,
     explore_properties,
     write_counterexample,
@@ -209,7 +212,8 @@ class TestRankGoalIds:
     def test_matches_reference(self, raw):
         view = copy.deepcopy(raw)
         payloads = [m["payload"] for msgs in view["inboxes"].values() for m in msgs]
-        assert _sorted_text(_rank_goals(view)) == reference_key(raw)
+        assert json.dumps(_rank_goals(view), sort_keys=True,
+                          separators=(",", ":")) == reference_key(raw)
         # Queued payloads are the messages' own dicts: copied, never renamed.
         assert payloads == [m["payload"] for msgs in raw["inboxes"].values() for m in msgs]
 
@@ -366,13 +370,12 @@ def order_dependence(steps: list) -> tuple[int, list]:
 
 
 def instrumented_walk(config, last_duplicate_only: bool) -> dict:
-    found = {"states": 0, "transitions": 0, "canonical_calls": 0, "oracle_mismatch": [],
-             "merged": [], "split": [], "goal_id_keys": set(), "restore": [],
+    found = {"states": 0, "transitions": 0, "canonical_calls": 0, "merged": [],
+             "split": [], "goal_id_keys": set(), "restore": [],
              "unsound": [], "compared": 0, "same_order_groups": 0,
              "order_dependent": [], "clock_split": [], "labels": [], "handed": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
     keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
-    tables = set()  # the key tables of the walk's bundles
     stored: dict[bytes, bytes] = {}  # the frontier's snapshots
     successors: dict[bytes, set] = {}  # stored key -> its successor keys
     duplicates: dict[bytes, list[_Bundle]] = {}
@@ -386,7 +389,6 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         raw = raw_state(bundle)
         key = bundle.canonical()
         found["canonical_calls"] += 1
-        tables.add(bundle.keys)
         text = reference_key(raw)
         if texts.setdefault(key, text) != text:
             found["merged"].append(text)
@@ -457,11 +459,6 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
                 found["compared"] += 1
                 if successor_keys(store.freeze(bundle)) != successors[key]:
                     found["unsound"].append(key)
-    # Every bundle of the walk is keyed in its roots' table, and each key's
-    # text rebuilt from it is the reference text.
-    (table,) = tables
-    rebuilt = table.texts()
-    found["oracle_mismatch"] = [text for key, text in texts.items() if rebuilt(key) != text]
     return found
 
 
@@ -479,7 +476,6 @@ class TestSnapshotWalk:
     def test_canonical_matches_reference(self, walked):
         name, found = walked
         assert found["canonical_calls"] > EXPLORED[name][1]
-        assert found["oracle_mismatch"] == []
 
     def test_key_equal_exactly_when_text_equal(self, walked):
         assert walked[1]["merged"] == []
@@ -593,7 +589,17 @@ def three_winds_config():
 
 
 LIVE_SCENARIOS = {**SCENARIOS, "long-decay": long_decay_config,
-                  "three-winds": three_winds_config}
+                  "three-winds": three_winds_config,
+                  # A hot stop that never cools: ``revisits_B`` fails with a lasso.
+                  "decay-0": lambda: make_config({"decay_rate": 0})}
+
+
+def holds_counterexamples(scenario: str, files: dict) -> bool:
+    """Whether a walk's counterexample files are those its scenario must
+    compare: some for a mutant, a lasso for ``revisits_B`` at decay-0."""
+    if scenario == "decay-0":
+        return b'"loop_from"' in files.get("revisits_B", b"")
+    return bool(files) or not scenario.startswith("mutant-")
 
 
 def walk_output(config, directory) -> tuple[str, dict, list]:
@@ -637,10 +643,10 @@ def components(bundle: _Bundle) -> dict:
 
 def keyed_walk(config, directory) -> dict:
     """``walk_output`` of a walk that also builds the view of every bundle
-    it keys from scratch.  Keys must be equal exactly when the reference
-    texts of their views are, each key's text rebuilt from the walk's key
-    table must be its reference text, and ``distinct_components`` must count
-    each component's distinct values over the stored states."""
+    it keys from scratch.  Every bundle must be keyed in one table, keys
+    must be equal exactly when the reference texts of their views are, and
+    ``distinct_components`` must count each component's distinct values
+    over the stored states."""
     canonical, explore = _Bundle.canonical, Explorer.explore
     texts: dict[bytes, str] = {}  # key -> reference text of every bundle with it
     keys: dict[str, bytes] = {}  # reference text -> key of every bundle with it
@@ -665,9 +671,6 @@ def keyed_walk(config, directory) -> dict:
         patch.setattr(Explorer, "explore",
                       lambda self: found["reports"].append(explore(self)) or found["reports"][-1])
         found["output"] = walk_output(config, directory)
-    (table,) = found.pop("tables")
-    rebuilt = table.texts()
-    found["mismatch"] = [text for key, text in texts.items() if rebuilt(key) != text]
     (report,) = found.pop("reports")
     found["distinct_components"] = report.stats["distinct_components"]
     found["from_scratch"] = {name: len({parts[name] for parts in stored.values()})
@@ -699,8 +702,7 @@ class TestLiveFirstSuccessor:
         monkeypatch.setattr(explorer, "_LIVE_LIMIT", 0)
         restored = walk_output(config, tmp_path / "restored")
         assert live == restored
-        if scenario.startswith("mutant-"):
-            assert live[1]
+        assert holds_counterexamples(scenario, live[1])
 
     @pytest.mark.parametrize("limit", [2, explorer._LIVE_LIMIT])
     def test_never_more_live_bundles_than_the_limit(self, limit, monkeypatch):
@@ -744,6 +746,7 @@ REDUCTION_SCENARIOS = {
     # the order the schedule runs them.
     "arm-mast-faults": lambda: make_config(
         {**SCHEDULE, "fault_exploration": {"arm": True, "mast": True}}),
+    "decay-0": lambda: make_config({**SCHEDULE, "decay_rate": 0}),
 }
 
 
@@ -778,8 +781,7 @@ class TestScheduleReduction:
         stepped = walk_output(config, tmp_path / "stepped")
         assert reduced == stepped
         assert json.loads(reduced[0])["schedule_invariant"] is True
-        if scenario.startswith("mutant-"):
-            assert reduced[1]
+        assert holds_counterexamples(scenario, reduced[1])
 
 
 # Every scenario whose default walk ``TestKeyTables`` checks.
@@ -797,7 +799,7 @@ class TestKeyTables:
         assert walk["keyed"] > 0
         assert walk["merged"] == []
         assert walk["split"] == []
-        assert walk["mismatch"] == []
+        assert len(walk["tables"]) == 1
 
     @pytest.mark.parametrize("scenario", ["default", "long-decay"])
     def test_distinct_components_count_the_stored_states(self, scenario, default_walks):
@@ -909,8 +911,7 @@ class TestCheckpoints:
             monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
             outputs[name] = walk_output(config, tmp_path / name)
         assert outputs["every"] == outputs["roots"] == outputs["default"]
-        if scenario.startswith("mutant-"):
-            assert outputs["default"][1]
+        assert holds_counterexamples(scenario, outputs["default"][1])
 
     def test_stats_count_freezes_and_rebuilds(self, monkeypatch):
         """On the long chain a rebuild replays from a root when only the

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .messages import Message, Topology, validate_payload
-from .tracing import EventTracer
+from .tracing import EventTracer, InputError
 
 DEFAULT_INBOX_LIMIT = 1024
 
@@ -39,7 +39,7 @@ class UnauthorizedPublisherError(BusError):
     pass
 
 
-class InboxOverflowError(BusError):
+class InboxOverflowError(BusError, InputError):
     """A node inbox exceeded its bound; configuration or wiring bug."""
 
 

@@ -12,6 +12,10 @@ and a short human summary to standard error.  Exit codes: 0 all checks pass,
 1 a property is violated, 2 bad configuration or malformed input, 3 state or
 time budget exceeded, 4 a counterexample replay diverged from its record,
 5 an internal error (an unexpected exception, reported on standard error).
+Only ``main`` maps bad input to exit 2: every ``tracing.InputError``, which
+each input-domain error derives from, and every ``OSError`` (a path that
+cannot be read or written).  Input files go through ``tracing.read_input``
+or ``tracing.read_trace``, which turn undecodable text into InputError.
 """
 
 from __future__ import annotations
@@ -23,12 +27,10 @@ import time
 import traceback
 from importlib import resources
 
-from .bus import InboxOverflowError
 from .config import CONFIG_SCHEMA, DEFAULT_SCENARIO, ConfigError, make_config
 from .explorer import (
     DEFAULT_BUDGET_SECS,
     DEFAULT_BUDGET_STATES,
-    ExplorationError,
     ReplayDivergenceError,
     StateSpaceBudgetExceeded,
     explore_properties,
@@ -36,15 +38,9 @@ from .explorer import (
     replay_counterexample,
     write_counterexample,
 )
-from .monitor import (
-    MonitorConfigError,
-    MonitorShapeError,
-    SafetyMonitor,
-    build_engine,
-    check_trace,
-)
-from .prop_dsl import VIOLATED, PropertyError, parse_suite
-from .tracing import MalformedTraceError, read_trace
+from .monitor import MonitorConfigError, SafetyMonitor, build_engine, check_trace
+from .prop_dsl import VIOLATED, parse_suite
+from .tracing import InputError, read_input, read_trace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -52,6 +48,17 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_DIVERGENCE = 4
 EXIT_INTERNAL = 5
+
+
+def _non_negative(kind):
+    """An argparse type: ``kind`` of the text, refused below 0 or as NaN."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:  # NaN fails it too
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type of a value kind() refuses
+    return parse
 
 
 def _say(text: str) -> None:
@@ -68,18 +75,12 @@ def _packaged(name: str) -> str:
 
 
 def _load_suite(path: str | None) -> dict:
-    text = _packaged("default.props") if path is None else _read_file(path)
-    return parse_suite(text)
-
-
-def _read_file(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    return parse_suite(_packaged("default.props") if path is None else read_input(path))
 
 
 def _load_monitor_rows(path: str | None) -> list[dict]:
-    text = _packaged("monitors.json") if path is None else _read_file(path)
-    data = json.loads(text)
+    data = (json.loads(_packaged("monitors.json")) if path is None
+            else read_input(path, json.loads))
     rows = data.get("monitors") if isinstance(data, dict) else None
     if not isinstance(rows, list):
         raise MonitorConfigError('monitor config must be {"monitors": [...]}')
@@ -89,7 +90,7 @@ def _load_monitor_rows(path: str | None) -> list[dict]:
 def _build_config(args):
     overrides: dict = {}
     if args.config is not None:
-        data = json.loads(_read_file(args.config))
+        data = read_input(args.config, json.loads)
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         overrides.update(data)
@@ -103,14 +104,8 @@ def _build_config(args):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _build_config(args)
-        suite = _load_suite(args.props)
-        engine = build_engine(suite, _load_monitor_rows(args.monitors))
-    except (ConfigError, PropertyError, MonitorConfigError, MonitorShapeError,
-            OSError, json.JSONDecodeError) as exc:
-        _say(f"error: {exc}")
-        return EXIT_BAD_INPUT
+    config = _build_config(args)
+    engine = build_engine(_load_suite(args.props), _load_monitor_rows(args.monitors))
     if args.block_mode:  # the rows were checked as given: every safety monitor may block
         for monitor in engine.monitors.values():
             if isinstance(monitor, SafetyMonitor):
@@ -132,17 +127,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    config = _build_config(args)
+    suite = _load_suite(args.props)
     try:
-        config = _build_config(args)
-        suite = _load_suite(args.props)
-        names = args.names or None
         report = explore_properties(
-            config, suite, names,
+            config, suite, args.names or None,
             budget_states=args.budget_states, budget_secs=args.budget_secs)
-    except (ConfigError, PropertyError, ExplorationError,
-            OSError, json.JSONDecodeError) as exc:
-        _say(f"error: {exc}")
-        return EXIT_BAD_INPUT
     except StateSpaceBudgetExceeded as exc:
         _say(f"error: {exc}")
         _emit({"budget_exceeded": True, "states": exc.states, "limit": exc.limit,
@@ -171,17 +161,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        suite = _load_suite(args.props)
-        started = time.perf_counter()
-        trace = read_trace(args.trace)
-        read_s = time.perf_counter() - started
-        verdicts = check_trace(suite, trace, args.names or None)
-        evaluate_s = time.perf_counter() - started - read_s
-    except (PropertyError, MalformedTraceError, MonitorConfigError,
-            OSError, json.JSONDecodeError) as exc:
-        _say(f"error: {exc}")
-        return EXIT_BAD_INPUT
+    suite = _load_suite(args.props)
+    started = time.perf_counter()
+    trace = read_trace(args.trace)
+    read_s = time.perf_counter() - started
+    verdicts = check_trace(suite, trace, args.names or None)
+    evaluate_s = time.perf_counter() - started - read_s
     # Every event read, verdict lines included.
     stats = {"events": len(trace), "properties": len(verdicts),
              "read_s": round(read_s, 6), "evaluate_s": round(evaluate_s, 6)}
@@ -196,18 +181,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    data = load_counterexample(args.counterexample)
+    suite = _load_suite(args.props)
     try:
-        data = load_counterexample(args.counterexample)
-        suite = _load_suite(args.props)
         result = replay_counterexample(data, suite)
     except ReplayDivergenceError as exc:
         _say(f"divergence: {exc}")
         _emit({"reproduced": False, "divergence": str(exc)})
         return EXIT_DIVERGENCE
-    except (ExplorationError, ConfigError, PropertyError,
-            OSError, json.JSONDecodeError) as exc:
-        _say(f"error: {exc}")
-        return EXIT_BAD_INPUT
     _emit(result)
     _say(f"counterexample for {result['prop']} reproduced "
          f"({result['ticks']} ticks)")
@@ -241,7 +222,7 @@ def _parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="accepted for pipeline compatibility; runs are sequential "
              "and results do not depend on it")
-    p.add_argument("--ticks", type=int, default=500)
+    p.add_argument("--ticks", type=_non_negative(int), default=500)
     p.add_argument("--monitors", help="monitor selection JSON (default: packaged)")
     p.add_argument("--block-mode", action="store_true",
                    help="let safety monitors block violating publications")
@@ -250,8 +231,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="explore the state space against the suite")
     common(p, "prefix for counterexample files (default 'cex')")
     p.add_argument("names", nargs="*", help="property names (default: whole suite)")
-    p.add_argument("--budget-states", type=int, default=DEFAULT_BUDGET_STATES)
-    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
+    p.add_argument("--budget-states", type=_non_negative(int), default=DEFAULT_BUDGET_STATES)
+    p.add_argument("--budget-secs", type=_non_negative(float), default=DEFAULT_BUDGET_SECS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("check", help="evaluate properties over a recorded trace")
@@ -274,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InboxOverflowError as exc:  # the run outgrew the config's inbox_limit
+    except (InputError, OSError) as exc:  # bad input, or a path that cannot be read or written
         _say(f"error: {exc}")
         return EXIT_BAD_INPUT
     except Exception as exc:  # a crash must not read as a verdict

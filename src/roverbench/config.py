@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .messages import EFFECTORS
+from .tracing import InputError
 
 MUTANT_NAMES = ("env-blind", "misroute-bus", "no-stop-wheels", "premature-action")
 
@@ -133,7 +134,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(InputError):
     """Scenario config rejected before the run started."""
 
 

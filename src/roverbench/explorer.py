@@ -88,13 +88,12 @@ from .monitor import (
     IllegalOperatorForRuntime,
     LivenessMonitor,
     MonitorEngine,
-    MonitorShapeError,
     OnlineMonitor,
     synthesize,
 )
 from .prop_dsl import SATISFIED, UNDETERMINED, VIOLATED
 from .simulator import ALL_STAGES, SAME_ORDER, Model
-from .tracing import EventTracer
+from .tracing import EventTracer, InputError, read_input
 
 DEFAULT_BUDGET_STATES = 1_000_000
 DEFAULT_BUDGET_SECS = 60.0
@@ -112,7 +111,7 @@ _CHECKPOINT = 16
 _PROGRESS_EVERY = 2.0
 
 
-class ExplorationError(ValueError):
+class ExplorationError(InputError):
     pass
 
 
@@ -470,8 +469,6 @@ class Explorer:
                 monitors.append(synthesize(name, ast, "log"))
             except IllegalOperatorForRuntime as exc:
                 monitors.append(exc.monitor)
-            except MonitorShapeError as exc:
-                raise ExplorationError(str(exc)) from exc
         return monitors
 
     def _build_bundle(self, init_script: list | None, strict: bool = False,
@@ -861,8 +858,7 @@ def _is_choice(entry) -> bool:
 
 
 def load_counterexample(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_input(path, json.loads)
     if not isinstance(data, dict):
         raise ExplorationError("counterexample file must hold a JSON object")
     for field_name in ("config", "init", "ticks", "prop", "kind"):

@@ -56,10 +56,10 @@ from .prop_dsl import (
     left_spine,
     to_text,
 )
-from .tracing import next_beliefs
+from .tracing import InputError, next_beliefs
 
 
-class MonitorShapeError(ValueError):
+class MonitorShapeError(InputError):
     """The formula's shape has no incremental monitor."""
 
 
@@ -72,7 +72,7 @@ class IllegalOperatorForRuntime(MonitorShapeError):
         self.monitor = monitor
 
 
-class MonitorConfigError(ValueError):
+class MonitorConfigError(InputError):
     pass
 
 

@@ -66,13 +66,13 @@ import re
 from dataclasses import dataclass
 
 from .messages import PAYLOAD_FIELDS
-from .tracing import EVENT_FIELDS, Trace
+from .tracing import EVENT_FIELDS, InputError, Trace
 
 SATISFIED = "Satisfied"
 VIOLATED = "Violated"
 UNDETERMINED = "Undetermined"
 
-class PropertyError(ValueError):
+class PropertyError(InputError):
     def __init__(self, msg: str, line: int = 0, col: int = 0):
         super().__init__(f"line {line} col {col}: {msg}" if line else msg)
         self.line = line

@@ -30,7 +30,23 @@ from typing import Callable, IO, Sequence
 from .messages import PAYLOAD_FIELDS
 
 
-class MalformedTraceError(ValueError):
+class InputError(ValueError):
+    """Bad input; the base of every error of the input domain."""
+
+
+def read_input(path: str, parse: Callable[[str], object] = str):
+    """``parse`` of the UTF-8 text of the file at ``path``.  Bytes that are
+    not UTF-8, and text that ``parse`` refuses with a ValueError (bad JSON,
+    an integer past Python's digit limit) or a RecursionError (JSON nested
+    too deep), raise InputError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(fh.read())
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
+class MalformedTraceError(InputError):
     """A trace line failed to parse; carries the 1-based line number."""
 
     def __init__(self, lineno: int, reason: str):
@@ -294,18 +310,23 @@ def _parsed(lines):
         # any other line goes through ``json.loads`` for its error.
         try:
             obj, end = _scan_once(line, 0)
-        except (json.JSONDecodeError, StopIteration):
+        except (ValueError, RecursionError, StopIteration):
             end = -1
         if end != len(line):
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedTraceError(lineno, f"bad JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise MalformedTraceError(lineno, f"bad JSON ({reason})") from exc
         yield lineno, obj
 
 
 def read_trace(path: str) -> Trace:
-    """The trace file at ``path`` in columns, read in one pass; raises
-    MalformedTraceError with the line number of the first bad line."""
+    """The trace file at ``path`` in columns, streamed in one pass; raises
+    MalformedTraceError with the line number of the first bad line, or
+    InputError naming the file at bytes that are not UTF-8."""
     with open(path, encoding="utf-8") as fh:
-        return Trace(_parsed(fh))
+        try:
+            return Trace(_parsed(fh))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from exc

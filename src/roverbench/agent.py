@@ -224,8 +224,6 @@ class MoveNext(_GoalStep):
             self.pending = [action.text()]
             return (EMIT, [action])
         if not self.pending:
-            if self.succeeded:
-                return DONE
             self.issued = False  # drive failed: choose again
             return self.run(agent)
         return WAITING

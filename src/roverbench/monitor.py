@@ -1,11 +1,14 @@
 """Runtime monitors synthesized from temporal properties.
 
 ``synthesize`` compiles a property into an incremental monitor when its shape
-admits one: per-event safety checks, until obligations, and bounded
-windows.  One window monitor serves every ``eventually[<=k]`` shape: bounded
-response, recurrence (a window opened at every event) and a bare deadline (a
-window opened at the first event).  Unbounded liveness (``eventually`` with
-no window, ``always(eventually(...))``, unbounded response) cannot be
+admits one: a per-event safety check, or an obligation.  One obligation
+monitor serves the five shapes where a trigger opens an obligation that a
+goal event discharges, and a guard (``until``) or a deadline
+(``eventually[<=k]``) refutes it while it is open: bounded response,
+recurrence (a window opened at every event), a bare deadline (a window
+opened at the first event), a triggered until, and a top-level until (an
+obligation opened at the first event).  Unbounded liveness (``eventually``
+with no window, ``always(eventually(...))``, unbounded response) cannot be
 falsified by a running system and is rejected for runtime use, with a
 ``LivenessMonitor`` attached: the state-space explorer carries it in its
 engine, where it labels the awaited events and keeps a response's
@@ -35,6 +38,8 @@ root, in every branch of its walk.  Both expire windows on the same clock.
 
 from __future__ import annotations
 
+import math
+
 from .prop_dsl import (
     SATISFIED,
     UNDETERMINED,
@@ -54,6 +59,7 @@ from .prop_dsl import (
     compile_event_predicate,
     evaluate_suite,
     left_spine,
+    strip_not,
     to_text,
 )
 from .tracing import InputError, next_beliefs
@@ -154,38 +160,58 @@ class SafetyMonitor(OnlineMonitor):
         return self.verdict if self.verdict == VIOLATED else SATISFIED
 
 
-class WindowMonitor(OnlineMonitor):
-    """always(T => eventually[<=k](G)).  Recurrence, always(eventually[<=k](G)),
-    has T = every event (``trigger`` None); a bare eventually[<=k](G) has T =
-    the first event only (``once``).  Keeps only the earliest open deadline:
-    a G-event stamped no later than it discharges every open window at once,
-    so if the earliest has not expired, none has.  A G-event stamped after it
-    discharges nothing, as in ``check``; the tick then reports the expiry."""
+class ObligationMonitor(OnlineMonitor):
+    """A trigger T opens an obligation that a goal event G discharges; a
+    guard L, if any, must hold at each event from the trigger until a
+    G-event, and a bound k, if any, is its deadline.  T None is every event,
+    or with ``once`` the first event only:
+    - always(T => eventually[<=k](G)), a bounded response;
+    - always(eventually[<=k](G)), a recurrence (T every event);
+    - eventually[<=k](G), a bare window (T the first event);
+    - always(T => (L until G)), a triggered until;
+    - L until G at the top level (T the first event).
+    Keeps only the earliest open deadline, infinite without a bound: a
+    G-event stamped no later than it discharges every open obligation at
+    once, so if the earliest has not expired, none has.  A G-event stamped
+    after it discharges nothing, as in ``check``; the tick then reports the
+    expiry."""
 
-    shape = "deadline"
-
-    def __init__(self, name, ast, mode, goal, bound, trigger=None, once=False):
+    def __init__(self, name, ast, mode, goal, trigger=None, once=False, guard=None, bound=None):
         super().__init__(name, ast, mode)
         self._goal = goal
         self._trigger = trigger
-        self.bound = bound
+        self._guard = guard
         self.once = once
-        self.armed = True  # a trigger may still open a window
-        self.deadline: int | None = None
+        self.bound = bound
+        self.shape = "safety" if bound is None else "deadline"
+        self._span = math.inf if bound is None else bound
+        self.armed = True  # a trigger may still open an obligation
+        self.deadline: float | None = None  # the earliest open obligation's last tick
 
     @property
     def keys(self):
-        if self._trigger is None:
-            return None  # every event may open a window
-        return _quiet_keys((self._trigger, False), (self._goal, False))
+        if self._trigger is None and self._guard is None:
+            return None  # a window with no trigger takes every event
+        return _quiet_keys(*((pred, value) for pred, value in (
+            (self._trigger, False), (self._guard, True), (self._goal, False)) if pred is not None))
 
     def _observe(self, event, state):
-        if self._goal(event, state):
-            if self.deadline is not None and event["t"] <= self.deadline:
-                self.deadline = None
-        elif self.armed and self.deadline is None and (
-                self._trigger is None or self._trigger(event, state)):
-            self.deadline = event["t"] + self.bound
+        goal, guard = self._goal(event, state), self._guard
+        if self.deadline is not None:
+            if goal:
+                if event["t"] <= self.deadline:
+                    self.deadline = None
+            elif guard is not None and not guard(event, state):
+                self._violate(f"event at t={event.get('t')} breaks "
+                              f"{'the' if self.once else 'an open'} until guard")
+                return
+        elif self.armed and not goal and (self._trigger is None or self._trigger(event, state)):
+            if guard is not None and not guard(event, state):
+                t = event.get("t")
+                self._violate(f"event at t={t} breaks the until guard" if self.once
+                              else f"until guard already false at its trigger (t={t})")
+                return  # still armed: a top-level until is not done
+            self.deadline = event["t"] + self._span
         self.armed = not self.once
 
     def on_tick(self, t):
@@ -197,84 +223,18 @@ class WindowMonitor(OnlineMonitor):
     def finalize(self):
         if self.verdict == VIOLATED:
             return VIOLATED
-        # Open: a window not yet discharged, or a bare one before any event.
+        # Open: an obligation not yet discharged, or a first event still due.
         return UNDETERMINED if self.deadline is not None or self.once and self.armed else SATISFIED
 
     def to_state(self, now: int = 0):
+        if self.bound is None:
+            if self.once:
+                return {"verdict": self.verdict, "done": not self.armed and self.deadline is None}
+            return {"verdict": self.verdict, "open": self.deadline is not None}
         due = None if self.deadline is None else self.deadline - now
         if self.once:
             return {"verdict": self.verdict, "due": due, "armed": self.armed}
         return {"verdict": self.verdict, "due": due}
-
-
-class UntilMonitor(OnlineMonitor):
-    """L until R at the top level: L must hold at every event until some
-    event satisfies R; an event failing both refutes the property."""
-
-    def __init__(self, name, ast, mode, left, right):
-        super().__init__(name, ast, mode)
-        self._left = left
-        self._right = right
-        self.done = False
-
-    @property
-    def keys(self):
-        return _quiet_keys((self._left, True), (self._right, False))
-
-    def _observe(self, event, state):
-        if self.done:
-            return
-        if self._right(event, state):
-            self.done = True
-        elif not self._left(event, state):
-            self._violate(f"event at t={event.get('t')} breaks the until guard")
-
-    def finalize(self):
-        if self.verdict == VIOLATED:
-            return VIOLATED
-        return SATISFIED if self.done else UNDETERMINED
-
-    def to_state(self, now: int = 0):
-        return {"verdict": self.verdict, "done": self.done}
-
-
-class TriggeredUntilMonitor(OnlineMonitor):
-    """always(T => (L until R)): every trigger opens an obligation that some
-    later (or simultaneous) R-event discharges; all open obligations share the
-    same L/R, so one flag tracks them."""
-
-    def __init__(self, name, ast, mode, trigger, left, right):
-        super().__init__(name, ast, mode)
-        self._trigger = trigger
-        self._left = left
-        self._right = right
-        self.open = False
-
-    @property
-    def keys(self):
-        return _quiet_keys((self._trigger, False), (self._left, True), (self._right, False))
-
-    def _observe(self, event, state):
-        right = self._right(event, state)
-        if self.open:
-            if right:
-                self.open = False
-            elif not self._left(event, state):
-                self._violate(f"event at t={event.get('t')} breaks an open until guard")
-                return
-        if self._trigger(event, state) and not right:
-            if not self._left(event, state):
-                self._violate(f"until guard already false at its trigger (t={event.get('t')})")
-            else:
-                self.open = True
-
-    def finalize(self):
-        if self.verdict == VIOLATED:
-            return VIOLATED
-        return UNDETERMINED if self.open else SATISFIED
-
-    def to_state(self, now: int = 0):
-        return {"verdict": self.verdict, "open": self.open}
 
 
 class LivenessMonitor(OnlineMonitor):
@@ -329,8 +289,9 @@ def _partial(node) -> tuple[frozenset, object]:
             return frozenset([node.value]), False
         return frozenset(), None
     if isinstance(node, Not):
-        keys, value = _partial(node.sub)
-        return keys, (not value) if isinstance(value, bool) else value
+        node, odd = strip_not(node)
+        keys, value = _partial(node)
+        return keys, (not value) if odd and isinstance(value, bool) else value
     spine, below = left_spine(node)
     if not spine:
         raise TypeError(f"not an event predicate: {node!r}")
@@ -435,7 +396,7 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
                 elif isinstance(rhs, Until):
                     left, right = _try_pure(rhs.left), _try_pure(rhs.right)
                     if left is not None and right is not None:
-                        return TriggeredUntilMonitor(name, ast, mode, trigger, left, right)
+                        return ObligationMonitor(name, ast, mode, right, trigger, guard=left)
         elif isinstance(sub, Eventually):
             goal = _try_pure(sub.sub)
             if goal is not None:
@@ -444,7 +405,7 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
     if isinstance(ast, Until):
         left, right = _try_pure(ast.left), _try_pure(ast.right)
         if left is not None and right is not None:
-            return UntilMonitor(name, ast, mode, left, right)
+            return ObligationMonitor(name, ast, mode, right, once=True, guard=left)
 
     if isinstance(ast, Eventually):
         goal = _try_pure(ast.sub)
@@ -456,12 +417,13 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
         "shapes apply always, never, eventually and until to event predicates)")
 
 
-def _window(name, ast, mode, kind, goal, bound, trigger=None) -> WindowMonitor:
+def _window(name, ast, mode, kind, goal, bound, trigger=None) -> ObligationMonitor:
     if bound is None:
         raise IllegalOperatorForRuntime(
             f"{name}: unbounded {kind} cannot be monitored online; check it with "
             "the explorer", LivenessMonitor(name, ast, mode, kind, goal, trigger))
-    return WindowMonitor(name, ast, mode, goal, bound, trigger, once=kind == "eventually")
+    return ObligationMonitor(name, ast, mode, goal, trigger, once=kind == "eventually",
+                             bound=bound)
 
 
 # -- engine ------------------------------------------------------------------

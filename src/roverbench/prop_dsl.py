@@ -212,6 +212,15 @@ def left_spine(node) -> tuple[list, object]:
     return spine, node
 
 
+def strip_not(node) -> tuple[object, bool]:
+    """The node below a run of ``!`` from ``node`` down, and whether the run
+    is odd: what folds the run by parity, in a loop."""
+    odd = False
+    while type(node) is Not:
+        node, odd = node.sub, not odd
+    return node, odd
+
+
 @dataclass(frozen=True, eq=False)
 class Always(_Formula):
     sub: object
@@ -356,8 +365,14 @@ class _Parser:
 
     def unary(self):
         if self.peek_op("!"):
-            self.take()
-            return Not(self.unary())
+            bangs = 0
+            while self.peek_op("!"):  # a run of ``!`` in a loop, not a frame each
+                self.take()
+                bangs += 1
+            node = self.unary()
+            for _ in range(bangs):
+                node = Not(node)
+            return node
         if self.here.type == "name" and self.here.value in ("always", "never", "eventually"):
             word = self.take()
             bound = None
@@ -660,9 +675,7 @@ class _Codegen:
     def expr(self, node) -> tuple[str, int]:
         kind = type(node)
         if kind is Not:
-            negate = False
-            while type(node) is Not:  # every term is a bool: ``not not x`` is x
-                node, negate = node.sub, not negate
+            node, negate = strip_not(node)  # every term is a bool: ``not not x`` is x
             text, depth = self.term(node)
             return (f"(not {text})", depth + 1) if negate else (text, depth)
         if kind in _CONNECTIVES:
@@ -885,7 +898,8 @@ class _TraceView:
         if isinstance(node, (TopicAtom, BeliefAtom, HoldsAtom, ActionAtom, Compare)):
             return self._atom(node)
         if isinstance(node, Not):
-            return self.column(node.sub).translate(_NOT)
+            node, odd = strip_not(node)
+            return self.column(node).translate(_NOT if odd else None)  # None: a copy
         if isinstance(node, _CONNECTIVES):
             spine, below = left_spine(node)
             out = self.column(below)

@@ -21,10 +21,8 @@ from roverbench.monitor import (
     MonitorConfigError,
     MonitorEngine,
     MonitorShapeError,
+    ObligationMonitor,
     SafetyMonitor,
-    TriggeredUntilMonitor,
-    UntilMonitor,
-    WindowMonitor,
     _try_pure,
     build_engine,
     check_trace,
@@ -95,27 +93,32 @@ class TestSynthesis:
     def test_always_of_predicate_is_safety(self):
         assert isinstance(mon("always(payload.wind >= 0)"), SafetyMonitor)
 
+    @staticmethod
+    def fields(monitor) -> tuple:
+        """What tells the obligation shapes apart."""
+        assert isinstance(monitor, ObligationMonitor)
+        return (monitor.bound, monitor.once, monitor._trigger is not None,
+                monitor._guard is not None, monitor.shape)
+
     def test_bounded_response_shape(self):
         monitor = mon('always(action("go") => eventually[<=3](belief("done")))')
-        assert isinstance(monitor, WindowMonitor)
-        assert monitor.shape == "deadline"
-        assert monitor.bound == 3
+        assert self.fields(monitor) == (3, False, True, False, "deadline")
 
     def test_triggered_until_shape(self):
         monitor = mon('always(action("go") => ((!action("bad")) until belief("ok")))')
-        assert isinstance(monitor, TriggeredUntilMonitor)
+        assert self.fields(monitor) == (None, False, True, True, "safety")
 
     def test_bounded_recurrence_shape(self):
         monitor = mon('always(eventually[<=4](action("ping")))')
-        assert isinstance(monitor, WindowMonitor)
+        assert self.fields(monitor) == (4, False, False, False, "deadline")
 
     def test_top_level_until_shape(self):
         monitor = mon('(!action("*")) until belief("ready(wheels)")')
-        assert isinstance(monitor, UntilMonitor)
+        assert self.fields(monitor) == (None, True, False, True, "safety")
 
     def test_bare_bounded_eventually_shape(self):
         monitor = mon('eventually[<=5](belief("at(A)"))')
-        assert isinstance(monitor, WindowMonitor)
+        assert self.fields(monitor) == (5, True, False, False, "deadline")
 
     def test_unbounded_response_rejected_for_runtime(self):
         with pytest.raises(IllegalOperatorForRuntime):
@@ -331,9 +334,9 @@ class TestTriggeredUntilMonitor:
     def test_obligation_discharged(self):
         monitor = mon(self.FORMULA)
         monitor.observe(act(0, "go"), frozenset())
-        assert monitor.open
+        assert monitor.to_state()["open"]
         monitor.observe(bel(1, "ok"), frozenset())
-        assert not monitor.open
+        assert not monitor.to_state()["open"]
         monitor.observe(act(2, "bad"), frozenset())  # after discharge: no effect
         assert monitor.finalize() == SATISFIED
 
@@ -352,6 +355,98 @@ class TestTriggeredUntilMonitor:
         monitor = mon(self.FORMULA)
         monitor.observe(act(0, "go"), frozenset())
         assert monitor.finalize() == UNDETERMINED
+
+
+RESPONSE = 'always(action("go") => eventually[<=3](belief("done")))'
+RECURRENCE = 'always(eventually[<=3](belief("done")))'
+BARE = 'eventually[<=3](belief("done"))'
+TRIGGERED_UNTIL = 'always(action("*") => ((!action("bad")) until belief("done")))'
+UNTIL = '(!action("bad")) until belief("done")'
+END_OF_TICK_6 = ("tick", 6)
+OPEN = [act(2, "go")]
+DISCHARGED = [act(2, "go"), bel(4, "done")]
+EXPIRED = [act(2, "go"), END_OF_TICK_6]
+BROKEN_AT_TRIGGER = [act(2, "bad")]
+BROKEN_WHILE_OPEN = [act(2, "go"), act(3, "bad")]
+EXPIRY = "no response by t=5 (window 3)"
+
+# (shape, stage) -> (formula, events, view at the last event's time, reason,
+# finalize); ("tick", t) ends tick t.  The views are what explorer keys are
+# built from, and the reasons are written into traces and counterexamples.
+LIFE = {
+    ("response", "before"): (RESPONSE, [], {"verdict": UNDETERMINED, "due": None}, "", SATISFIED),
+    ("response", "open"): (RESPONSE, OPEN, {"verdict": UNDETERMINED, "due": 3}, "", UNDETERMINED),
+    ("response", "discharged"): (RESPONSE, DISCHARGED,
+                                 {"verdict": UNDETERMINED, "due": None}, "", SATISFIED),
+    ("response", "expired"): (RESPONSE, EXPIRED, {"verdict": VIOLATED, "due": -1}, EXPIRY,
+                              VIOLATED),
+    ("recurrence", "before"): (RECURRENCE, [], {"verdict": UNDETERMINED, "due": None}, "",
+                               SATISFIED),
+    ("recurrence", "open"): (RECURRENCE, OPEN, {"verdict": UNDETERMINED, "due": 3}, "",
+                             UNDETERMINED),
+    ("recurrence", "discharged"): (RECURRENCE, DISCHARGED,
+                                   {"verdict": UNDETERMINED, "due": None}, "", SATISFIED),
+    ("recurrence", "expired"): (RECURRENCE, EXPIRED, {"verdict": VIOLATED, "due": -1}, EXPIRY,
+                                VIOLATED),
+    ("bare", "before"): (BARE, [], {"verdict": UNDETERMINED, "due": None, "armed": True}, "",
+                         UNDETERMINED),
+    ("bare", "open"): (BARE, OPEN, {"verdict": UNDETERMINED, "due": 3, "armed": False}, "",
+                       UNDETERMINED),
+    ("bare", "discharged"): (BARE, DISCHARGED,
+                             {"verdict": UNDETERMINED, "due": None, "armed": False}, "",
+                             SATISFIED),
+    ("bare", "expired"): (BARE, EXPIRED, {"verdict": VIOLATED, "due": -1, "armed": False}, EXPIRY,
+                          VIOLATED),
+    ("triggered-until", "before"): (TRIGGERED_UNTIL, [], {"verdict": UNDETERMINED, "open": False},
+                                    "", SATISFIED),
+    ("triggered-until", "open"): (TRIGGERED_UNTIL, OPEN, {"verdict": UNDETERMINED, "open": True},
+                                  "", UNDETERMINED),
+    ("triggered-until", "discharged"): (TRIGGERED_UNTIL, DISCHARGED,
+                                        {"verdict": UNDETERMINED, "open": False}, "", SATISFIED),
+    ("triggered-until", "broken-at-trigger"): (
+        TRIGGERED_UNTIL, BROKEN_AT_TRIGGER, {"verdict": VIOLATED, "open": False},
+        "until guard already false at its trigger (t=2)", VIOLATED),
+    ("triggered-until", "broken-while-open"): (
+        TRIGGERED_UNTIL, BROKEN_WHILE_OPEN, {"verdict": VIOLATED, "open": True},
+        "event at t=3 breaks an open until guard", VIOLATED),
+    ("triggered-until", "never-expires"): (TRIGGERED_UNTIL, EXPIRED,
+                                           {"verdict": UNDETERMINED, "open": True}, "",
+                                           UNDETERMINED),
+    ("until", "before"): (UNTIL, [], {"verdict": UNDETERMINED, "done": False}, "", UNDETERMINED),
+    ("until", "open"): (UNTIL, OPEN, {"verdict": UNDETERMINED, "done": False}, "", UNDETERMINED),
+    ("until", "discharged"): (UNTIL, DISCHARGED, {"verdict": UNDETERMINED, "done": True}, "",
+                              SATISFIED),
+    ("until", "broken-at-trigger"): (UNTIL, BROKEN_AT_TRIGGER,
+                                     {"verdict": VIOLATED, "done": False},
+                                     "event at t=2 breaks the until guard", VIOLATED),
+    ("until", "broken-while-open"): (UNTIL, BROKEN_WHILE_OPEN,
+                                     {"verdict": VIOLATED, "done": False},
+                                     "event at t=3 breaks the until guard", VIOLATED),
+    ("until", "never-expires"): (UNTIL, EXPIRED, {"verdict": UNDETERMINED, "done": False}, "",
+                                 UNDETERMINED),
+}
+
+
+class TestObligationLife:
+    """Each obligation shape's ``to_state`` view, reason and final verdict
+    at every stage of its life: before the first event, open, discharged,
+    refuted at its trigger or while open (until forms), and expired (window
+    forms; an until has no deadline)."""
+
+    @pytest.mark.parametrize("case", sorted(LIFE), ids="/".join)
+    def test_view_and_reason(self, case):
+        formula, events, view, reason, final = LIFE[case]
+        monitor = mon(formula)
+        now = 0
+        for event in events:
+            if isinstance(event, tuple):
+                now = event[1]
+                monitor.on_tick(now)
+            else:
+                now = event["t"]
+                monitor.observe(event, frozenset())
+        assert (monitor.to_state(now), monitor.reason) == (view, reason)
+        assert monitor.finalize() == final
 
 
 # -- engine ------------------------------------------------------------------

@@ -792,6 +792,8 @@ def deep_properties() -> dict:
         "implications": "always(" + " => ".join(f'!topic("/t{i}")' for i in range(300)) + ")",
         "negations": "never(" + "!" * 300 + 'topic("/t2999"))',
         "odd_negations": "always(" + "!" * 301 + 'holds("a0"))',
+        "negations_2000": "never(" + "!" * 2000 + 'topic("/t2999"))',
+        "odd_negations_2001": "always(" + "!" * 2001 + 'holds("a0"))',
         "alternating": f"never({nested})",
     }
 
@@ -820,9 +822,10 @@ class TestDeepFormulas:
 
     def test_verdicts_differ_between_traces(self):
         """The deep properties are not vacuous: the busy trace violates the
-        conjunction, the disjunction and the negations, the quiet one none."""
+        conjunction, the disjunction and both runs of negations, the quiet
+        one none."""
         props = {n: parse_formula(t) for n, t in deep_properties().items()}
-        for name in ("conjunction", "disjunction", "negations"):
+        for name in ("conjunction", "disjunction", "negations", "negations_2000"):
             assert evaluate(props[name], self.TRACES["busy"]) == VIOLATED
             assert evaluate(props[name], self.TRACES["quiet"]) == SATISFIED
 

@@ -46,6 +46,7 @@ from .prop_dsl import (
     VIOLATED,
     ActionAtom,
     Always,
+    And,
     BeliefAtom,
     Compare,
     Eventually,
@@ -53,12 +54,11 @@ from .prop_dsl import (
     Implies,
     Never,
     Not,
-    Or,
     TopicAtom,
     Until,
+    chain,
     compile_event_predicate,
     evaluate_suite,
-    left_spine,
     strip_not,
     to_text,
 )
@@ -190,8 +190,8 @@ class ObligationMonitor(OnlineMonitor):
 
     @property
     def keys(self):
-        if self._trigger is None and self._guard is None:
-            return None  # a window with no trigger takes every event
+        if self._trigger is None and not self.once:
+            return None  # a recurrence arms at every event
         return _quiet_keys(*((pred, value) for pred, value in (
             (self._trigger, False), (self._guard, True), (self._goal, False)) if pred is not None))
 
@@ -289,24 +289,22 @@ def _partial(node) -> tuple[frozenset, object]:
             return frozenset([node.value]), False
         return frozenset(), None
     if isinstance(node, Not):
-        node, odd = strip_not(node)
+        node, bangs = strip_not(node)
         keys, value = _partial(node)
-        return keys, (not value) if odd and isinstance(value, bool) else value
-    spine, below = left_spine(node)
-    if not spine:
+        return keys, (not value) if bangs % 2 and isinstance(value, bool) else value
+    links, below = chain(node)
+    if not links:
         raise TypeError(f"not an event predicate: {node!r}")
-    keys, left = _partial(below)
-    for link in reversed(spine):
-        right_keys, right = _partial(link.right)
-        if isinstance(link, Implies):
-            left = (not left) if isinstance(left, bool) else left
-        absorbing = isinstance(link, (Or, Implies))  # the value that decides the link alone
-        if left is absorbing or right is absorbing:
-            left = absorbing
+    keys, value = _partial(below)
+    for link, other in reversed(links):  # ``a => b`` as ``!a || b``
+        other_keys, other = _partial(Not(other) if isinstance(link, Implies) else other)
+        absorbing = not isinstance(link, And)  # the value that decides the link alone
+        if value is absorbing or other is absorbing:
+            value = absorbing
         else:
-            left = left if left == right else None
-        keys |= right_keys
-    return keys, left
+            value = value if value == other else None
+        keys |= other_keys
+    return keys, value
 
 
 def _quiet_keys(*wanted) -> frozenset | None:

@@ -54,8 +54,10 @@ per process, for the online monitors.  Atoms become inline expressions with
 the semantics stated above; the operators become ``not``, ``and`` and
 ``or``.  The property's constants reach that code only through its globals,
 so no text of a property is ever compiled.
-A chain such as ``a && b && c`` nests as deep as it is long, so everything
-that walks a formula, equality and hashing included, folds chains in a loop.
+A chain such as ``a && b && c`` or ``a => b => c`` nests as deep as it is
+long, so everything that walks a formula folds chains and runs of ``!`` in
+a loop, and recurses only into groups, which nest at most ``MAX_NESTING``
+deep.  Equal formulas are one node, so equality and hashing walk nothing.
 """
 
 from __future__ import annotations
@@ -101,99 +103,78 @@ class Path:
         return ".".join(self.parts)
 
 
+_NODES: dict = {}  # (node type, field keys) -> the one node with those fields
+
+
 class _Formula:
-    """Base of the formula nodes.  ``a && b && c`` parses to And(And(a, b), c),
-    so a formula nests as deep as a chain is long: hashing and equality read
-    it in a loop, not by recursion, and each node keeps its hash once known."""
+    """Base of the formula nodes, which are hash-consed (Filliatre and
+    Conchon, "Type-Safe Modular Hash-Consing", 2006): the constructor files
+    each node in ``_NODES``, so equal formulas are one object, and equality
+    and hashing are identity, which never walk a formula.  A sub-formula is
+    keyed by itself, a leaf by its type and ``repr``, so ``1`` and ``1.0``,
+    or ``0.0`` and ``-0.0``, stay apart and print as written."""
 
-    __slots__ = ("_hash",)
-
-    def _fields(self) -> tuple:
-        # Read by name: ``vars`` would give the node a real ``__dict__``,
-        # which makes every later attribute read slower.
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __hash__(self):
-        stack = [self]
-        while not hasattr(self, "_hash"):
-            node = stack[-1]
-            below = [f for f in node._fields()
-                     if isinstance(f, _Formula) and not hasattr(f, "_hash")]
-            if below:
-                stack += below
-            else:  # every child's hash is known
-                object.__setattr__(node, "_hash", hash((type(node), *node._fields())))
-                stack.pop()
-        return self._hash
+    def __new__(cls, *fields):
+        fields += tuple(getattr(cls, name) for name in cls.__match_args__[len(fields):])
+        key = (cls, *(f if isinstance(f, _Formula) else (type(f), repr(f)) for f in fields))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls.__match_args__, fields, strict=True))
+            _NODES[key] = node
+        return node
 
     def __reduce__(self):
-        # Rebuilt through the constructor: a hash is only good in its process.
-        return type(self), self._fields()
-
-    def _preorder(self) -> tuple:
-        """Node types and leaf values in preorder, which every node type's
-        fixed arity makes equal exactly for equal formulas."""
-        flat, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Formula):
-                flat.append(type(node))
-                stack += node._fields()
-            else:
-                flat.append(node)
-        return tuple(flat)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return hash(self) == hash(other) and self._preorder() == other._preorder()
+        # Rebuilt through the constructor: a pickled or copied node comes
+        # back as the filed one.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TopicAtom(_Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BeliefAtom(_Formula):
     atom: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HoldsAtom(_Formula):
     atom: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ActionAtom(_Formula):
     pattern: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Compare(_Formula):
     path: Path
     op: str
     value: object  # number | str | tuple | Path
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(_Formula):
     sub: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class And(_Formula):
     left: object
     right: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(_Formula):
     left: object
     right: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Implies(_Formula):
     left: object
     right: object
@@ -202,42 +183,46 @@ class Implies(_Formula):
 _CONNECTIVES = (And, Or, Implies)
 
 
-def left_spine(node) -> tuple[list, object]:
-    """The left spine of binary connectives from ``node`` down, root first,
-    and the node below it: what folds a chain in a loop."""
-    spine = []
+def chain(node) -> tuple[list, object]:
+    """The links of the chain of binary connectives from ``node`` down,
+    root first, each with its side not followed, and the node below them:
+    ``&&`` and ``||`` are followed down their left side and ``=>`` down its
+    right, the side each nests along, so that a chain of any length folds
+    in a loop and only the sides not followed are recursed into."""
+    links = []
     while type(node) in _CONNECTIVES:
-        spine.append(node)
-        node = node.left
-    return spine, node
+        other, below = (node.left, node.right) if type(node) is Implies else (node.right, node.left)
+        links.append((node, other))
+        node = below
+    return links, node
 
 
-def strip_not(node) -> tuple[object, bool]:
-    """The node below a run of ``!`` from ``node`` down, and whether the run
-    is odd: what folds the run by parity, in a loop."""
-    odd = False
+def strip_not(node) -> tuple[object, int]:
+    """The node below a run of ``!`` from ``node`` down, and the run's
+    length: what folds the run by parity, in a loop."""
+    bangs = 0
     while type(node) is Not:
-        node, odd = node.sub, not odd
-    return node, odd
+        node, bangs = node.sub, bangs + 1
+    return node, bangs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Always(_Formula):
     sub: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Never(_Formula):
     sub: object
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Eventually(_Formula):
     sub: object
     bound: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Until(_Formula):
     left: object
     right: object
@@ -302,10 +287,17 @@ def _tokenize(text: str) -> list[_Token]:
 
 # -- parser ------------------------------------------------------------------
 
+# Every walker of a formula recurses once per group (``(``, ``always(``,
+# ``never(``, ``eventually(``), and only per group, so this bound keeps them
+# all within Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # groups open at ``pos``
 
     @property
     def here(self) -> _Token:
@@ -343,11 +335,14 @@ class _Parser:
         return left
 
     def implies(self):
-        left = self.or_()
-        if self.peek_op("=>"):
+        terms = [self.or_()]
+        while self.peek_op("=>"):
             self.take()
-            return Implies(left, self.implies())
-        return left
+            terms.append(self.or_())
+        node = terms.pop()
+        while terms:  # ``=>`` nests to the right
+            node = Implies(terms.pop(), node)
+        return node
 
     def or_(self):
         left = self.and_()
@@ -364,15 +359,10 @@ class _Parser:
         return left
 
     def unary(self):
-        if self.peek_op("!"):
-            bangs = 0
-            while self.peek_op("!"):  # a run of ``!`` in a loop, not a frame each
-                self.take()
-                bangs += 1
-            node = self.unary()
-            for _ in range(bangs):
-                node = Not(node)
-            return node
+        bangs = 0
+        while self.peek_op("!"):  # a run of ``!`` in a loop, not a frame each
+            self.take()
+            bangs += 1
         if self.here.type == "name" and self.here.value in ("always", "never", "eventually"):
             word = self.take()
             bound = None
@@ -388,20 +378,28 @@ class _Parser:
                         number.line, number.col)
                 bound = self.take().value
                 self.expect_op("]")
-            self.expect_op("(")
-            sub = self.formula()
-            self.expect_op(")")
-            if word.value == "always":
-                return Always(sub)
-            if word.value == "never":
-                return Never(sub)
-            return Eventually(sub, bound)
-        if self.peek_op("("):
-            self.take()
-            sub = self.formula()
-            self.expect_op(")")
-            return sub
-        return self.atom()
+            sub = self.group(word)
+            node = (Always(sub) if word.value == "always" else
+                    Never(sub) if word.value == "never" else Eventually(sub, bound))
+        elif self.peek_op("("):
+            node = self.group(self.here)
+        else:
+            node = self.atom()
+        for _ in range(bangs):
+            node = Not(node)
+        return node
+
+    def group(self, opening: _Token):
+        """The formula between ``(`` and ``)``, in a group opened by
+        ``opening`` that may nest no deeper than ``MAX_NESTING``."""
+        if self.depth == MAX_NESTING:
+            self._fail(f"groups nest deeper than {MAX_NESTING}", opening)
+        self.depth += 1
+        self.expect_op("(")
+        sub = self.formula()
+        self.expect_op(")")
+        self.depth -= 1
+        return sub
 
     def atom(self):
         token = self.here
@@ -528,28 +526,30 @@ def _prec(node) -> int:
     return _PREC.get(type(node), 5)
 
 
+def _parens(text: str, node, minimum: int) -> str:
+    return f"({text})" if _prec(node) < minimum else text
+
+
 def _wrap(child, minimum: int) -> str:
-    text = to_text(child)
-    return f"({text})" if _prec(child) < minimum else text
+    return _parens(to_text(child), child, minimum)
 
 
 def to_text(node) -> str:
-    spine, below = left_spine(node)
+    links, below = chain(node)
     text = _node_text(below)
-    for link in reversed(spine):
+    for link, other in reversed(links):
         symbol, left, right = _INFIX[type(link)]
-        if _prec(below) < left:
-            text = f"({text})"
-        text = f"{text} {symbol} {_wrap(link.right, right)}"
+        if type(link) is Implies:  # folded up its right side
+            text = f"{_wrap(other, left)} {symbol} {_parens(text, below, right)}"
+        else:
+            text = f"{_parens(text, below, left)} {symbol} {_wrap(other, right)}"
         below = link
     return text
 
 
 def _node_text(node) -> str:
     if isinstance(node, Not):
-        bangs = 0
-        while type(node) is Not:
-            node, bangs = node.sub, bangs + 1
+        node, bangs = strip_not(node)
         return "!" * bangs + _wrap(node, 5)
     if isinstance(node, TopicAtom):
         return f'topic("{node.name}")'
@@ -675,9 +675,9 @@ class _Codegen:
     def expr(self, node) -> tuple[str, int]:
         kind = type(node)
         if kind is Not:
-            node, negate = strip_not(node)  # every term is a bool: ``not not x`` is x
+            node, bangs = strip_not(node)  # every term is a bool: ``not not x`` is x
             text, depth = self.term(node)
-            return (f"(not {text})", depth + 1) if negate else (text, depth)
+            return (f"(not {text})", depth + 1) if bangs % 2 else (text, depth)
         if kind in _CONNECTIVES:
             terms = [self.term(t) for t in _flat(node)]
             joiner = " and " if kind is And else " or "
@@ -781,11 +781,10 @@ def _pair_table(fn) -> bytes:
     return bytes(fn(v // 3, v % 3) for v in range(9)) + bytes(247)
 
 
-_AND = _pair_table(min)
-_OR = _pair_table(max)
-_IMPLIES = _pair_table(lambda a, b: max(2 - a, b))
 _NOT = bytes((2, 1, 0)) + bytes(253)
-_TABLES = {And: _AND, Or: _OR, Implies: _IMPLIES}
+# Per connective, over (the side its chain follows, the other side).
+_TABLES = {And: _pair_table(min), Or: _pair_table(max),
+           Implies: _pair_table(lambda right, left: max(2 - left, right))}
 # An until decides at a position where its right side holds (2) or, failing
 # that, where its left side fails: refuted (0) if the right side is
 # Violated there, else open (1).  Any other position (3) takes the verdict
@@ -898,13 +897,13 @@ class _TraceView:
         if isinstance(node, (TopicAtom, BeliefAtom, HoldsAtom, ActionAtom, Compare)):
             return self._atom(node)
         if isinstance(node, Not):
-            node, odd = strip_not(node)
-            return self.column(node).translate(_NOT if odd else None)  # None: a copy
+            node, bangs = strip_not(node)
+            return self.column(node).translate(_NOT if bangs % 2 else None)  # None: a copy
         if isinstance(node, _CONNECTIVES):
-            spine, below = left_spine(node)
+            links, below = chain(node)
             out = self.column(below)
-            for link in reversed(spine):
-                out = bytearray(_pack(out, self.column(link.right)).translate(_TABLES[type(link)]))
+            for link, other in reversed(links):
+                out = bytearray(_pack(out, self.column(other)).translate(_TABLES[type(link)]))
             return out
         if isinstance(node, Always):
             return _suffix(self.column(node.sub), ((0, 0), (1, 1)), 2)

@@ -670,14 +670,10 @@ BAD_INPUTS = {
 
 DEEP_PROPS = {
     "nested-not": "prop deep: " + "!(" * 200 + 'kind == "x"' + ")" * 200 + "\n",
+    "nested-always": "prop deep: " + "always(" * 200 + 'kind == "x"' + ")" * 200 + "\n",
+    "nested-and": "prop deep: " + 'kind == "x" && (' * 200 + 'kind == "x"' + ")" * 200 + "\n",
     "consecutive-not": "prop deep: " + "!" * 2000 + 'kind == "x"\n',
 }
-# Nested groups still end in a RecursionError in the recursive-descent
-# parser (ROADMAP item 4, the nesting half); a run of ``!`` is read in a loop.
-STILL_RECURSIVE = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 4, nesting half: the recursive-descent prop_dsl parser "
-           "has no bound on nested groups (RecursionError)")
 
 
 class TestBadInput:
@@ -704,9 +700,10 @@ class TestBadInput:
     @pytest.mark.parametrize("command", [["check", "--trace", "TRACE"],
                                          ["verify", "--budget-states", "30"]],
                              ids=["check", "verify"])
-    @pytest.mark.parametrize("case", ["consecutive-not",
-                                      pytest.param("nested-not", marks=STILL_RECURSIVE)])
+    @pytest.mark.parametrize("case", sorted(DEEP_PROPS))
     def test_deep_formula_is_no_internal_error(self, capsys, tmp_path, case, command):
+        """Groups nested past the parser's bound are bad input; a run of
+        ``!`` is read in a loop."""
         props = tmp_path / "deep.props"
         props.write_text(DEEP_PROPS[case])
         trace = tmp_path / "t.jsonl"
@@ -714,6 +711,64 @@ class TestBadInput:
         argv = [arg.replace("TRACE", str(trace)) for arg in command]
         code, _, err = run_cli(capsys, *argv, "--props", str(props))
         assert code != 5 and "internal error" not in err
+        if case.startswith("nested"):
+            assert code == 2 and "groups nest deeper than 100" in err
+
+
+def _implications(links: int) -> str:
+    return "always(" + " => ".join(f'!topic("/t{i}")' for i in range(links)) + ")"
+
+
+# Each kind of group, as (wrapper, opening text, innermost formula): event
+# predicate groups sit inside ``never(``, one of the groups counted.
+GROUPS = {
+    "paren": ("never(", "(", 'kind == "y"'),
+    "not": ("never(", "!(", 'kind == "y"'),
+    "and": ("never(", 'kind == "x" && (', 'kind == "y"'),
+    "always": ("", "always(", 'kind != "y"'),
+    "never": ("", "never(", 'kind == "y"'),
+    "eventually": ("", "eventually(", 'kind == "y"'),
+    "window": ("", "eventually[<=3](", 'kind == "y"'),
+}
+
+
+def _nested(kind: str, depth: int) -> str:
+    wrapper, opening, inner = GROUPS[kind]
+    return wrapper + opening * (depth - bool(wrapper)) + inner + ")" * depth
+
+
+# name -> (formula, whether the parser refuses it)
+DEEP_FORMULAS = {
+    **{f"implies-{n}": (_implications(n), False) for n in (500, 1000, 3000)},
+    **{f"{kind}-{depth}": (_nested(kind, depth), depth > 100)
+       for kind in GROUPS for depth in (100, 101)},
+}
+
+
+class TestDeepProperties:
+    """``=>`` chains of any length run under every command that reads
+    properties, and groups of each kind nest up to the parser's bound; one
+    group more is bad input.  None ends in an internal error."""
+
+    @pytest.fixture(scope="class")
+    def run_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep")
+        assert _run_quiet("simulate", "--ticks", "20", "--trace", str(root / "t.jsonl"))[0] == 0
+        (root / "monitors.json").write_text(json.dumps({"monitors": [{"prop": "deep"}]}))
+        return root
+
+    @pytest.mark.parametrize("case", list(DEEP_FORMULAS))
+    def test_every_command(self, run_files, case):
+        text, refused = DEEP_FORMULAS[case]
+        props = run_files / f"{case}.props"
+        props.write_text(f"prop deep: {text}\n")
+        for argv in (["check", "--trace", str(run_files / "t.jsonl")],
+                     ["verify", "--trace", str(run_files / case)],
+                     ["simulate", "--ticks", "20", "--monitors", str(run_files / "monitors.json")]):
+            code, err = _run_quiet(*argv, "--props", str(props))
+            assert code in ((0, 1) if case.startswith("implies") else (0, 1, 2)), (argv, err)
+            assert "internal error" not in err
+            assert ("groups nest deeper than 100" in err) == refused, (argv, err)
 
 
 class TestNumericFlags:
@@ -802,13 +857,11 @@ def _replace_a_value(data, value):
 
 def _mutated(data, kind: str, content: bytes) -> bytes:
     """``content`` truncated, spliced with a piece of itself, given a byte
-    that is not UTF-8, for props with a run of ``!`` before a formula, or
-    for JSON with one value replaced by JSON nested deep, an integer past
-    Python's digit limit or NaN."""
+    that is not UTF-8, for props with a run of ``!`` before a formula or a
+    formula nested in groups, or for JSON with one value replaced by JSON
+    nested deep, an integer past Python's digit limit or NaN."""
     mutations = ["truncate", "splice", "not-utf8"]
-    # Props get no nested groups: the parser's nesting bound is open (see
-    # DEEP_PROPS).
-    mutations += ["not-run"] if kind == "props" else ["nest", "huge-int", "nan"]
+    mutations += ["not-run", "groups"] if kind == "props" else ["nest", "huge-int", "nan"]
     mutation = data.draw(st.sampled_from(mutations))
     at = st.integers(0, len(content))
     if mutation == "truncate":
@@ -826,6 +879,15 @@ def _mutated(data, kind: str, content: bytes) -> bytes:
                                        if line.startswith("prop ")]))
         head, _, formula = lines[n].partition(":")
         lines[n] = f"{head}: {'!' * data.draw(st.integers(1, 2000))}{formula.lstrip()}"
+        return "".join(lines).encode()
+    if mutation == "groups":  # a formula nested up to 200 groups deep
+        lines = content.decode().splitlines(keepends=True)
+        n = data.draw(st.sampled_from([i for i, line in enumerate(lines)
+                                       if line.startswith("prop ")]))
+        head, _, formula = lines[n].partition(":")
+        opening = data.draw(st.sampled_from([group[1] for group in GROUPS.values()]))
+        depth = data.draw(st.integers(1, 200))
+        lines[n] = f"{head}: {opening * depth}{formula.strip()}{')' * depth}\n"
         return "".join(lines).encode()
     raw = {"nest": DEEP, "huge-int": HUGE, "nan": "NaN"}[mutation]
     lines = content.decode().splitlines() if kind == "trace" else [content.decode()]

@@ -662,13 +662,33 @@ class TestDispatchKeys:
 
     @pytest.mark.parametrize("text", [
         'always(eventually[<=4](action("ping")))',  # arms on any event
-        'eventually[<=5](belief("at(A)"))',  # anchored at the first event
         "always(payload.wind >= 0)",  # reads every event
         'never(!topic("/a"))',  # true off its key
         'never(holds("x") && !topic("/a"))',  # mixes the state and the event
     ])
     def test_unproven_no_op_gets_every_event(self, text):
         assert mon(text).keys is None
+
+    def test_bare_window_gets_its_goal_events(self):
+        """A bare window is opened at the first event, which every monitor
+        is handed; after it only a goal event can change the window.  Its
+        verdict on a run is ``check``'s over the run's trace."""
+        text = 'eventually[<=5](belief("at(A)"))'
+        assert mon(text).keys == {"belief"}
+        suite = {"probe": parse_formula(text)}
+        verdicts = []
+        for stream in ([pub(0, "/x"), pub(3, "/x"), bel(4, "at(A)"), pub(9, "/x")],
+                       [pub(0, "/x"), pub(3, "/x"), bel(7, "at(A)"), pub(9, "/x")],
+                       [bel(0, "at(A)"), pub(9, "/x")]):
+            tracer = EventTracer()
+            engine = MonitorEngine([mon(text)])
+            engine.attach(tracer, MessageBus(Topology(), tracer))
+            for event in stream:
+                tracer.emit(event)
+                engine.on_tick(event["t"])
+            verdicts.append(engine.finalize()["probe"])
+            assert verdicts[-1] == check_trace(suite, stream)["probe"]
+        assert verdicts == [SATISFIED, VIOLATED, SATISFIED]
 
     def test_index_matches_kind_and_topic(self):
         index = DispatchIndex([("any publish", frozenset(["publish"])),

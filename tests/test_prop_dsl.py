@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.resources
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from naive_semantics import atom_holds, belief_states, evaluate_naive
 from roverbench.bus import MessageBus
+from roverbench.config import make_config
+from roverbench.explorer import Explorer, _Bundle, _Snapshots
 from roverbench.messages import PAYLOAD_FIELDS, Topology
 from roverbench.monitor import build_engine, check_trace
 from roverbench.prop_dsl import (
@@ -196,6 +200,43 @@ class TestPrinterRoundTrip:
         for text in formulas:
             ast = parse_formula(text)
             assert parse_formula(to_text(ast)) == ast, text
+
+
+class TestHashConsing:
+    """Equal formulas are one node, however they are built, copied or
+    restored, and leaves of different types stay apart."""
+
+    def test_shipped_properties_parse_to_one_node(self):
+        suite = parse_suite(packaged_suite())
+        for name, ast in parse_suite(packaged_suite()).items():
+            assert suite[name] is ast, name
+            assert parse_formula(to_text(ast)) is ast, name
+
+    def test_pickled_and_copied_node_is_the_filed_one(self):
+        for name, ast in parse_suite(packaged_suite()).items():
+            assert pickle.loads(pickle.dumps(ast)) is ast, name
+            assert copy.deepcopy(ast) is ast, name
+            assert copy.copy(ast) is ast, name
+
+    def test_snapshot_restores_the_filed_node(self):
+        suite = parse_suite(packaged_suite())
+        bundle, _log = Explorer(make_config(), suite)._roots()[0]
+        with _Snapshots() as store:
+            restored = _Bundle.clone(store.freeze(bundle))
+        assert restored.engine.monitors.keys() == bundle.engine.monitors.keys()
+        for name, monitor in restored.engine.monitors.items():
+            assert monitor.ast is suite[name], name
+
+    @pytest.mark.parametrize("first, second", [
+        ("payload.wind == 1", "payload.wind == 1.0"),
+        ("payload.speeds == [0]", "payload.speeds == [0.0]"),
+        ("payload.wind >= 0.0", "payload.wind >= -0.0"),
+    ])
+    def test_leaves_of_different_types_stay_apart(self, first, second):
+        a, b = parse_formula(first), parse_formula(second)
+        assert a is not b and a != b
+        assert (to_text(a), to_text(b)) == (first, second)
+        assert parse_formula(first) is a
 
 
 # -- atomic predicates -------------------------------------------------------
@@ -790,6 +831,8 @@ def deep_properties() -> dict:
         "conjunction": "never(" + " && ".join(f'holds("a{i % 3}")' for i in range(3000)) + ")",
         "disjunction": "never(" + " || ".join(f'topic("/t{i}")' for i in range(3000)) + ")",
         "implications": "always(" + " => ".join(f'!topic("/t{i}")' for i in range(300)) + ")",
+        "implications_3000": "always(" + " => ".join(f'!topic("/t{i}")'
+                                                     for i in range(3000)) + ")",
         "negations": "never(" + "!" * 300 + 'topic("/t2999"))',
         "odd_negations": "always(" + "!" * 301 + 'holds("a0"))',
         "negations_2000": "never(" + "!" * 2000 + 'topic("/t2999"))',
@@ -819,6 +862,11 @@ class TestDeepFormulas:
         for event in events:
             tracer.emit(dict(event))
         assert engine.finalize() == {name: evaluate(suite[name], events)}
+
+    @pytest.mark.parametrize("name", sorted(deep_properties()))
+    def test_text_round_trips(self, name):
+        node = parse_formula(deep_properties()[name])
+        assert parse_formula(to_text(node)) is node
 
     def test_verdicts_differ_between_traces(self):
         """The deep properties are not vacuous: the busy trace violates the

@@ -45,8 +45,8 @@ shortest choice path that reaches it.  Keys count deadlines from
 ``model.tick`` and the engine expires windows at the last model event's
 time, so a step that ends before ``model.tick`` is an internal error.
 Unbounded liveness (plain ``eventually``, ``always(eventually)`` and
-unbounded response), which ``synthesize`` refuses with a
-``LivenessMonitor`` attached, rides the same engine: its ``fired`` flag
+unbounded response), whose monitor from ``synthesize`` is a
+``LivenessMonitor``, rides the same engine: its ``fired`` flag
 labels every edge with the awaited event, and its response obligation bit is
 part of the key.  It is decided on the finished graph by one lasso search
 over usable edges: those that do not produce the awaited event and lead to
@@ -76,16 +76,14 @@ import sys
 import time
 import types
 from collections import deque
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
-from . import prop_dsl
 from .agent import PlanRule
 from .config import ConfigError, ScenarioConfig, make_config
 from .messages import Topology
 from .monitor import (
     DispatchIndex,
-    IllegalOperatorForRuntime,
     LivenessMonitor,
     MonitorEngine,
     OnlineMonitor,
@@ -307,13 +305,12 @@ def _rank_goals(model: dict) -> dict:
 
 # Never changed once built, so every bundle of a walk shares one of each:
 # classes (a table lookup restores faster than an import by name), closures
-# and compiled predicates, the config, the bus topology, plan rules, the
-# formula AST (the dataclasses of prop_dsl), and each root's monitor index
-# and the walk's key table (which only grow, and so are never written into a
-# snapshot).
+# and compiled predicates, the config, the bus topology, plan rules, and each
+# root's monitor index and the walk's key table (which only grow, and so are
+# never written into a snapshot).  Monitors hold predicates, not formulas, so
+# no snapshot reaches a formula node.
 _SHARED_TYPES = frozenset(
-    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, DispatchIndex, _KeyTable]
-    + [c for c in vars(prop_dsl).values() if isinstance(c, type) and is_dataclass(c)])
+    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, DispatchIndex, _KeyTable])
 
 # The shared objects of the running walks, which nest but never run in
 # parallel threads; a snapshot holds their positions.
@@ -461,15 +458,9 @@ class Explorer:
     # -- bundle construction -------------------------------------------------
 
     def _monitors(self) -> list[OnlineMonitor]:
-        """A fresh log-mode monitor of every property: an unbounded shape's
-        is the ``LivenessMonitor`` that ``synthesize`` refuses it with."""
-        monitors = []
-        for name, ast in self.suite.items():
-            try:
-                monitors.append(synthesize(name, ast, "log"))
-            except IllegalOperatorForRuntime as exc:
-                monitors.append(exc.monitor)
-        return monitors
+        """A fresh log-mode monitor of every property, a ``LivenessMonitor``
+        for an unbounded shape."""
+        return [synthesize(name, ast, "log") for name, ast in self.suite.items()]
 
     def _build_bundle(self, init_script: list | None, strict: bool = False,
                       keys: _KeyTable | None = None) -> tuple[_Bundle, list]:

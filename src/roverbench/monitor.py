@@ -9,10 +9,12 @@ recurrence (a window opened at every event), a bare deadline (a window
 opened at the first event), a triggered until, and a top-level until (an
 obligation opened at the first event).  Unbounded liveness (``eventually``
 with no window, ``always(eventually(...))``, unbounded response) cannot be
-falsified by a running system and is rejected for runtime use, with a
-``LivenessMonitor`` attached: the state-space explorer carries it in its
-engine, where it labels the awaited events and keeps a response's
-obligation bit, and decides the shape on the finished graph.
+falsified by a running system.  ``synthesize`` gives it a
+``LivenessMonitor``, which ``build_engine`` refuses for a run; the
+state-space explorer carries it in its engine, where it labels the awaited
+events and keeps a response's obligation bit, and decides the shape on the
+finished graph.  Monitors hold compiled predicates, not formulas, so a
+violation's reason names the property, not its text.
 
 A monitor's running verdict starts Undetermined and can only harden to
 Violated while the run is live; Satisfied is issued at ``finalize`` when the
@@ -60,7 +62,6 @@ from .prop_dsl import (
     compile_event_predicate,
     evaluate_suite,
     strip_not,
-    to_text,
 )
 from .tracing import InputError, next_beliefs
 
@@ -70,12 +71,8 @@ class MonitorShapeError(InputError):
 
 
 class IllegalOperatorForRuntime(MonitorShapeError):
-    """Unbounded liveness cannot be monitored online; the explorer rides
-    the attached ``monitor`` and decides the shape on its graph."""
-
-    def __init__(self, message: str, monitor: LivenessMonitor):
-        super().__init__(message)
-        self.monitor = monitor
+    """Unbounded liveness cannot be monitored online; only the explorer
+    decides it."""
 
 
 class MonitorConfigError(InputError):
@@ -91,9 +88,8 @@ class OnlineMonitor:
 
     shape = "safety"  # "deadline" on monitors whose violations are expiries
 
-    def __init__(self, name: str, ast, mode: str):
+    def __init__(self, name: str, mode: str):
         self.name = name
-        self.ast = ast
         self.mode = mode
         self.verdict = UNDETERMINED
         self.reason = ""
@@ -135,8 +131,8 @@ class OnlineMonitor:
 class SafetyMonitor(OnlineMonitor):
     """always(P) / never(P) for a per-event predicate P."""
 
-    def __init__(self, name, ast, mode, violates):
-        super().__init__(name, ast, mode)
+    def __init__(self, name, mode, violates):
+        super().__init__(name, mode)
         self._violates = violates  # fn(event, state) -> bool
 
     @property
@@ -151,7 +147,7 @@ class SafetyMonitor(OnlineMonitor):
 
     def _observe(self, event, state):
         if self._violates(event, state):
-            self._violate(f"event at t={event.get('t')} violates {to_text(self.ast)}")
+            self._violate(f"event at t={event.get('t')} violates {self.name}")
 
     def would_violate(self, event, state):
         return self.verdict != VIOLATED and self._violates(event, state)
@@ -176,8 +172,8 @@ class ObligationMonitor(OnlineMonitor):
     after it discharges nothing, as in ``check``; the tick then reports the
     expiry."""
 
-    def __init__(self, name, ast, mode, goal, trigger=None, once=False, guard=None, bound=None):
-        super().__init__(name, ast, mode)
+    def __init__(self, name, mode, goal, trigger=None, once=False, guard=None, bound=None):
+        super().__init__(name, mode)
         self._goal = goal
         self._trigger = trigger
         self._guard = guard
@@ -244,8 +240,8 @@ class LivenessMonitor(OnlineMonitor):
     Violated: it sets ``fired`` at the awaited event (the explorer clears it
     at each step) and keeps a response's obligation bit ``open``."""
 
-    def __init__(self, name, ast, mode, kind, goal, trigger=None):
-        super().__init__(name, ast, mode)
+    def __init__(self, name, mode, kind, goal, trigger=None):
+        super().__init__(name, mode)
         self.kind = kind
         self.goal = goal
         self.trigger = trigger
@@ -365,24 +361,23 @@ def _try_pure(node):
 
 
 def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
-    """Build the incremental monitor for a property, or raise
-    MonitorShapeError / IllegalOperatorForRuntime.  This is the one match of
-    a formula's shape: the explorer reads its unbounded shapes from here."""
+    """Build the incremental monitor for a property: a ``LivenessMonitor``
+    for an unbounded shape, which only the explorer runs; raise
+    MonitorShapeError for a shape with no monitor.  This is the one match of
+    a formula's shape."""
     if mode not in MODES:
         raise MonitorConfigError(f"unknown monitor mode {mode!r}")
 
-    body = ast
-    if isinstance(body, Never):
-        pred = _try_pure(body.sub)
+    if isinstance(ast, Never):
+        pred = _try_pure(ast.sub)
         if pred is not None:
-            return SafetyMonitor(name, ast, mode, pred)
-        body = Always(Not(body.sub))  # fall through for temporal sub-shapes
+            return SafetyMonitor(name, mode, pred)
 
-    if isinstance(body, Always):
-        sub = body.sub
+    if isinstance(ast, Always):
+        sub = ast.sub
         pred = _try_pure(Not(sub))
         if pred is not None:
-            return SafetyMonitor(name, ast, mode, pred)
+            return SafetyMonitor(name, mode, pred)
         if isinstance(sub, Implies):
             trigger = _try_pure(sub.left)
             if trigger is not None:
@@ -390,38 +385,35 @@ def synthesize(name: str, ast, mode: str = "log") -> OnlineMonitor:
                 if isinstance(rhs, Eventually):
                     goal = _try_pure(rhs.sub)
                     if goal is not None:
-                        return _window(name, ast, mode, "response", goal, rhs.bound, trigger)
+                        return _window(name, mode, "response", goal, rhs.bound, trigger)
                 elif isinstance(rhs, Until):
                     left, right = _try_pure(rhs.left), _try_pure(rhs.right)
                     if left is not None and right is not None:
-                        return ObligationMonitor(name, ast, mode, right, trigger, guard=left)
+                        return ObligationMonitor(name, mode, right, trigger, guard=left)
         elif isinstance(sub, Eventually):
             goal = _try_pure(sub.sub)
             if goal is not None:
-                return _window(name, ast, mode, "recurrence", goal, sub.bound)
+                return _window(name, mode, "recurrence", goal, sub.bound)
 
     if isinstance(ast, Until):
         left, right = _try_pure(ast.left), _try_pure(ast.right)
         if left is not None and right is not None:
-            return ObligationMonitor(name, ast, mode, right, once=True, guard=left)
+            return ObligationMonitor(name, mode, right, once=True, guard=left)
 
     if isinstance(ast, Eventually):
         goal = _try_pure(ast.sub)
         if goal is not None:
-            return _window(name, ast, mode, "eventually", goal, ast.bound)
+            return _window(name, mode, "eventually", goal, ast.bound)
 
     raise MonitorShapeError(
-        f"{name}: no incremental monitor for shape {to_text(ast)} (the monitored "
+        f"{name}: no incremental monitor for its shape (the monitored "
         "shapes apply always, never, eventually and until to event predicates)")
 
 
-def _window(name, ast, mode, kind, goal, bound, trigger=None) -> ObligationMonitor:
+def _window(name, mode, kind, goal, bound, trigger=None) -> OnlineMonitor:
     if bound is None:
-        raise IllegalOperatorForRuntime(
-            f"{name}: unbounded {kind} cannot be monitored online; check it with "
-            "the explorer", LivenessMonitor(name, ast, mode, kind, goal, trigger))
-    return ObligationMonitor(name, ast, mode, goal, trigger, once=kind == "eventually",
-                             bound=bound)
+        return LivenessMonitor(name, mode, kind, goal, trigger)
+    return ObligationMonitor(name, mode, goal, trigger, once=kind == "eventually", bound=bound)
 
 
 # -- engine ------------------------------------------------------------------
@@ -520,8 +512,12 @@ def build_engine(suite: dict, selection: list[dict]) -> MonitorEngine:
         if name in seen:
             raise MonitorConfigError(f"property {name!r} selected twice")
         seen.add(name)
-        mode = row.get("mode", "log")
-        monitors.append(synthesize(name, suite[name], mode))
+        monitor = synthesize(name, suite[name], row.get("mode", "log"))
+        if isinstance(monitor, LivenessMonitor):
+            raise IllegalOperatorForRuntime(
+                f"{name}: unbounded {monitor.kind} cannot be monitored online; check it "
+                "with the explorer")
+        monitors.append(monitor)
     return MonitorEngine(monitors)
 
 

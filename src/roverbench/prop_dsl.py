@@ -58,6 +58,7 @@ A chain such as ``a && b && c`` or ``a => b => c`` nests as deep as it is
 long, so everything that walks a formula folds chains and runs of ``!`` in
 a loop, and recurses only into groups, which nest at most ``MAX_NESTING``
 deep.  Equal formulas are one node, so equality and hashing walk nothing.
+No formula is printed back to text: a report names its property.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class _Formula:
     each node in ``_NODES``, so equal formulas are one object, and equality
     and hashing are identity, which never walk a formula.  A sub-formula is
     keyed by itself, a leaf by its type and ``repr``, so ``1`` and ``1.0``,
-    or ``0.0`` and ``-0.0``, stay apart and print as written."""
+    or ``0.0`` and ``-0.0``, stay apart."""
 
     def __new__(cls, *fields):
         fields += tuple(getattr(cls, name) for name in cls.__match_args__[len(fields):])
@@ -513,87 +514,9 @@ def parse_suite(text: str) -> dict:
     return suite
 
 
-# -- pretty printer ----------------------------------------------------------
-
-_PREC = {Until: 1, Implies: 2, Or: 3, And: 4}
-
-# Per binary connective: its symbol, and the least precedence its left and
-# its right side print without parentheses.
-_INFIX = {And: ("&&", 4, 5), Or: ("||", 3, 4), Implies: ("=>", 3, 2)}
-
-
-def _prec(node) -> int:
-    return _PREC.get(type(node), 5)
-
-
-def _parens(text: str, node, minimum: int) -> str:
-    return f"({text})" if _prec(node) < minimum else text
-
-
-def _wrap(child, minimum: int) -> str:
-    return _parens(to_text(child), child, minimum)
-
-
-def to_text(node) -> str:
-    links, below = chain(node)
-    text = _node_text(below)
-    for link, other in reversed(links):
-        symbol, left, right = _INFIX[type(link)]
-        if type(link) is Implies:  # folded up its right side
-            text = f"{_wrap(other, left)} {symbol} {_parens(text, below, right)}"
-        else:
-            text = f"{_parens(text, below, left)} {symbol} {_wrap(other, right)}"
-        below = link
-    return text
-
-
-def _node_text(node) -> str:
-    if isinstance(node, Not):
-        node, bangs = strip_not(node)
-        return "!" * bangs + _wrap(node, 5)
-    if isinstance(node, TopicAtom):
-        return f'topic("{node.name}")'
-    if isinstance(node, BeliefAtom):
-        return f'belief("{node.atom}")'
-    if isinstance(node, HoldsAtom):
-        return f'holds("{node.atom}")'
-    if isinstance(node, ActionAtom):
-        return f'action("{node.pattern}")'
-    if isinstance(node, Compare):
-        if isinstance(node.value, Path):
-            value = node.value.text()
-        elif isinstance(node.value, str):
-            value = f'"{node.value}"'
-        elif isinstance(node.value, tuple):
-            value = "[" + ",".join(str(v) for v in node.value) + "]"
-        else:
-            value = str(node.value)
-        return f"{node.path.text()} {node.op} {value}"
-    if isinstance(node, Always):
-        return f"always({to_text(node.sub)})"
-    if isinstance(node, Never):
-        return f"never({to_text(node.sub)})"
-    if isinstance(node, Eventually):
-        window = f"[<={node.bound}]" if node.bound is not None else ""
-        return f"eventually{window}({to_text(node.sub)})"
-    if isinstance(node, Until):
-        return f"{_wrap(node.left, 2)} until {_wrap(node.right, 2)}"
-    raise TypeError(f"not a formula node: {node!r}")
-
-
 # -- event predicates --------------------------------------------------------
 
 _MISSING = object()
-
-
-def _resolve(event: dict, path: Path):
-    value = event
-    for part in path.parts:
-        if isinstance(value, dict) and part in value:
-            value = value[part]
-        else:
-            return _MISSING
-    return value
 
 
 _ORDER = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
@@ -651,7 +574,7 @@ class _Codegen:
     def __init__(self):
         self.names: dict = {
             "__builtins__": {}, "isinstance": isinstance, "dict": dict,
-            "_M": _MISSING, "_num": (int, float), "_resolve": _resolve, "_compare": _compare,
+            "_M": _MISSING, "_num": (int, float), "_compare": _compare,
         }
         self.defs: list[str] = []
 
@@ -722,14 +645,13 @@ class _Codegen:
         raise ValueError(f"temporal operator {type(node).__name__} is not an event predicate")
 
     def path(self, path: Path) -> str:
-        """An expression for the value at ``path`` in the event, or _M."""
+        """An expression for the value at ``path`` in the event, or _M: the
+        parser admits a field of the event or one of its payload."""
         parts = path.parts
         if len(parts) == 1:
             return f"event.get({self.const(parts[0])}, _M)"
-        if len(parts) == 2:
-            return (f"(v.get({self.const(parts[1])}, _M) "
-                    f"if isinstance(v := event.get({self.const(parts[0])}), dict) else _M)")
-        return f"_resolve(event, {self.const(path)})"
+        return (f"(v.get({self.const(parts[1])}, _M) "
+                f"if isinstance(v := event.get({self.const(parts[0])}), dict) else _M)")
 
 
 def _flat(node) -> list:

@@ -251,10 +251,18 @@ class TestMutantKills:
     # sha256 of each mutant's counterexample file for its killer property.
     # How the walk stores and restores states must not change these bytes.
     COUNTEREXAMPLE_SHA256 = {
-        "env-blind": "fdabb6d337c4b3d3f3b581d38e2cc87d9024fa557d7cbc40215bd4a0cf24ade6",
-        "misroute-bus": "250307a7583bda87dc81143dc01a19f2303941a5d5e40eccf421727f703869b1",
+        "env-blind": "7b29af44ccbcafad5ee895a143758f1f179f02709db18ccab994887440f09d0b",
+        "misroute-bus": "af1e7d1579f87228b63f17a2a55f7f8567449db5870c28c77acfcd9dd7dc9024",
         "no-stop-wheels": "9ad158db086f758dd4a3d16914a56043dd2a07f59dcdc6ed982472ec46b6fdea",
         "premature-action": "600f3e51e730259bb75402779b6087f2cc2a5ec9195f1dc0ddb45d039547ae9f",
+    }
+    # sha256 of the same files' JSON with ``reason`` dropped, keys sorted:
+    # the config and the choice path, which no change of wording may move.
+    WITHOUT_REASON_SHA256 = {
+        "env-blind": "5a1eeecd648e2772a18e5187712d0dbe15841aa0a8f1674d3c4bbfc058a18501",
+        "misroute-bus": "3ae461c945dc88b0aab77ce33484dab064391440f425ef665b00cd9a7f1b391f",
+        "no-stop-wheels": "f4fc4a070347e0aa3b7deeadefcc405deabcf0c886db662e5117337954a60cae",
+        "premature-action": "47a43f4b9d225d249029e0dc31e3fbef0e72da42c3bc76356e148c8564c892d1",
     }
 
     def test_every_kill_has_a_counterexample(self, tmp_path):
@@ -269,6 +277,10 @@ class TestMutantKills:
             write_counterexample(report.counterexamples[prop], str(path))
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == self.COUNTEREXAMPLE_SHA256[name], name
+            rest = json.loads(path.read_bytes())
+            del rest["reason"]
+            digest = hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()
+            assert digest == self.WITHOUT_REASON_SHA256[name], name
             outcome = replay_counterexample(load_counterexample(str(path)), SUITE)
             assert outcome["reproduced"] is True
 
@@ -665,7 +677,7 @@ class SequenceReference(OnlineMonitor):
     immediate violation."""
 
     def __init__(self, steps, forbidden):
-        super().__init__("sequence", None, "log")
+        super().__init__("sequence", "log")
         self.steps = steps
         self.forbidden = forbidden
         self.reached = 0

@@ -18,6 +18,7 @@ from roverbench.monitor import (
     STATE_ONLY,
     DispatchIndex,
     IllegalOperatorForRuntime,
+    LivenessMonitor,
     MonitorConfigError,
     MonitorEngine,
     MonitorShapeError,
@@ -74,9 +75,10 @@ def mon(text: str, mode: str = "log"):
 
 
 def synthesizable(ast) -> bool:
+    """Whether the property has a runtime monitor: a shape with one that is
+    not unbounded liveness, which only the explorer runs."""
     try:
-        synthesize("probe", ast)
-        return True
+        return not isinstance(synthesize("probe", ast), LivenessMonitor)
     except MonitorShapeError:
         return False
 
@@ -120,17 +122,25 @@ class TestSynthesis:
         monitor = mon('eventually[<=5](belief("at(A)"))')
         assert self.fields(monitor) == (5, True, False, False, "deadline")
 
+    @staticmethod
+    def rejected_for_runtime(text: str, kind: str) -> None:
+        """``synthesize`` gives the shape its liveness monitor, which only
+        the explorer runs: an engine for a run refuses it."""
+        assert isinstance(mon(text), LivenessMonitor)
+        with pytest.raises(IllegalOperatorForRuntime) as refused:
+            build_engine({"probe": parse_formula(text)}, [{"prop": "probe"}])
+        assert str(refused.value) == (f"probe: unbounded {kind} cannot be monitored "
+                                      "online; check it with the explorer")
+
     def test_unbounded_response_rejected_for_runtime(self):
-        with pytest.raises(IllegalOperatorForRuntime):
-            mon('always(action("go") => eventually(belief("done")))')
+        self.rejected_for_runtime('always(action("go") => eventually(belief("done")))',
+                                  "response")
 
     def test_unbounded_recurrence_rejected_for_runtime(self):
-        with pytest.raises(IllegalOperatorForRuntime):
-            mon('always(eventually(belief("at(B)")))')
+        self.rejected_for_runtime('always(eventually(belief("at(B)")))', "recurrence")
 
     def test_bare_unbounded_eventually_rejected_for_runtime(self):
-        with pytest.raises(IllegalOperatorForRuntime):
-            mon('eventually(belief("at(A)"))')
+        self.rejected_for_runtime('eventually(belief("at(A)"))', "eventually")
 
     @pytest.mark.parametrize("text, kind, triggered", [
         ('eventually(belief("done"))', "eventually", False),
@@ -139,16 +149,22 @@ class TestSynthesis:
     ])
     def test_unbounded_shape_comes_with_its_liveness(self, text, kind, triggered):
         """The explorer decides these from the shape ``synthesize`` reports."""
-        with pytest.raises(IllegalOperatorForRuntime) as refused:
-            mon(text)
-        live = refused.value.monitor
+        live = mon(text)
+        assert isinstance(live, LivenessMonitor)
         assert live.kind == kind
         assert live.goal(bel(0, "done"), frozenset())
         assert (live.trigger is not None) == triggered
 
     def test_nested_temporal_shape_rejected(self):
-        with pytest.raises(MonitorShapeError):
-            mon('eventually[<=2](always(payload.wind >= 0))')
+        for text in ('eventually[<=2](always(payload.wind >= 0))',
+                     'never(eventually[<=3](belief("done")))',
+                     'never(action("go") until belief("done"))',
+                     'never(always(payload.wind >= 0))',
+                     'never(eventually(belief("done")))'):
+            with pytest.raises(MonitorShapeError) as refused:
+                mon(text)
+            assert type(refused.value) is MonitorShapeError, text
+            assert str(refused.value).startswith("probe: no incremental monitor"), text
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(MonitorConfigError):
@@ -227,7 +243,8 @@ class TestBoundedResponseMonitor:
         """A goal event stamped past the deadline leaves the window open, even
         seen before that tick ends, as a run's deliveries are: the tick
         reports the expiry, as ``check`` does on the same events."""
-        monitor = mon('always(action("go") => eventually[<=3](belief("done")))')
+        formula = parse_formula('always(action("go") => eventually[<=3](belief("done")))')
+        monitor = synthesize("probe", formula)
         events = [act(2, "go"), bel(6, "done")]
         for event in events:
             monitor.observe(event, frozenset())
@@ -235,7 +252,7 @@ class TestBoundedResponseMonitor:
         monitor.on_tick(6)
         assert monitor.verdict == VIOLATED
         assert monitor.reason == "no response by t=5 (window 3)"
-        assert check_trace({"probe": monitor.ast}, events)["probe"] == VIOLATED
+        assert check_trace({"probe": formula}, events)["probe"] == VIOLATED
 
 
 class TestBoundedRecurrenceMonitor:

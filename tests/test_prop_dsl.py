@@ -1,4 +1,4 @@
-"""Tests for the property language: parser, printer, and trace semantics."""
+"""Tests for the property language: parser, hash-consed nodes, and trace semantics."""
 
 from __future__ import annotations
 
@@ -7,15 +7,18 @@ import importlib.resources
 import itertools
 import json
 import pickle
+import pickletools
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_semantics import atom_holds, belief_states, evaluate_naive
+from roverbench import explorer
 from roverbench.bus import MessageBus
 from roverbench.config import make_config
-from roverbench.explorer import Explorer, _Bundle, _Snapshots
+from roverbench.explorer import Explorer, _Snapshots
 from roverbench.messages import PAYLOAD_FIELDS, Topology
 from roverbench.monitor import build_engine, check_trace
 from roverbench.prop_dsl import (
@@ -45,7 +48,6 @@ from roverbench.prop_dsl import (
     evaluate,
     parse_formula,
     parse_suite,
-    to_text,
 )
 from roverbench.tracing import EVENT_FIELDS, EventTracer, Trace, dump_event, read_trace
 from test_tracing import assert_columns_match
@@ -178,39 +180,19 @@ class TestParser:
             parse_formula('topic("/pose") @ 1')
 
 
-class TestPrinterRoundTrip:
-    def test_shipped_suite_round_trips(self):
-        """Printing any shipped property and re-parsing it reproduces the AST."""
-        suite = parse_suite(packaged_suite())
-        assert len(suite) == 19
-        for name, ast in suite.items():
-            assert parse_formula(to_text(ast)) == ast, name
-
-    def test_synthetic_formulas_round_trip(self):
-        formulas = [
-            '!(topic("/pose") && action("*"))',
-            '(topic("/pose") || action("*")) => belief("at(A)")',
-            '(!action("*")) until belief("ready(wheels)")',
-            'always(eventually[<=3](holds("at(B)")))',
-            'never(payload.wind < 0)',
-            'payload.speeds != [0,0,0,0,0,0]',
-            "server != target",
-            'kind == "deliver" && topic == "/wheels/goal"',
-        ]
-        for text in formulas:
-            ast = parse_formula(text)
-            assert parse_formula(to_text(ast)) == ast, text
-
-
 class TestHashConsing:
     """Equal formulas are one node, however they are built, copied or
     restored, and leaves of different types stay apart."""
 
     def test_shipped_properties_parse_to_one_node(self):
+        """Each shipped property, parsed again with its suite or alone from
+        its own text, is the same node."""
         suite = parse_suite(packaged_suite())
+        sources = dict(re.findall(r"^prop (\w+):(.*)$", packaged_suite(), re.M))
+        assert sources.keys() == suite.keys() and len(suite) == 19
         for name, ast in parse_suite(packaged_suite()).items():
             assert suite[name] is ast, name
-            assert parse_formula(to_text(ast)) is ast, name
+            assert parse_formula(sources[name]) is ast, name
 
     def test_pickled_and_copied_node_is_the_filed_one(self):
         for name, ast in parse_suite(packaged_suite()).items():
@@ -218,14 +200,20 @@ class TestHashConsing:
             assert copy.deepcopy(ast) is ast, name
             assert copy.copy(ast) is ast, name
 
-    def test_snapshot_restores_the_filed_node(self):
+    def test_snapshot_holds_no_formula_node(self):
+        """Monitors hold compiled predicates, not formulas: a frozen root
+        bundle reaches no node of the property language, neither written
+        by reference nor by name."""
         suite = parse_suite(packaged_suite())
         bundle, _log = Explorer(make_config(), suite)._roots()[0]
         with _Snapshots() as store:
-            restored = _Bundle.clone(store.freeze(bundle))
-        assert restored.engine.monitors.keys() == bundle.engine.monitors.keys()
-        for name, monitor in restored.engine.monitors.items():
-            assert monitor.ast is suite[name], name
+            frozen = store.freeze(bundle)
+            shared = list(explorer._SHARED)
+        assert shared
+        assert [obj for obj in shared if "roverbench.prop_dsl" in
+                (type(obj).__module__, getattr(obj, "__module__", None))] == []
+        assert not any(isinstance(arg, str) and "prop_dsl" in arg
+                       for _op, arg, _pos in pickletools.genops(frozen))
 
     @pytest.mark.parametrize("first, second", [
         ("payload.wind == 1", "payload.wind == 1.0"),
@@ -235,7 +223,6 @@ class TestHashConsing:
     def test_leaves_of_different_types_stay_apart(self, first, second):
         a, b = parse_formula(first), parse_formula(second)
         assert a is not b and a != b
-        assert (to_text(a), to_text(b)) == (first, second)
         assert parse_formula(first) is a
 
 
@@ -713,14 +700,15 @@ def tree_walk(node, event: dict, state: frozenset) -> bool:
     return atom_holds(node, event, state)
 
 
-# Paths of one, two and three parts, to present, missing and non-dict fields.
+# Paths of one and two parts (the parser admits no longer path), to present,
+# missing and non-dict fields.
 PATHS = [Path(parts) for parts in (
     ("kind",), ("server",), ("target",), ("x",), ("missing",), ("payload", "a"),
-    ("payload", "b"), ("payload", "missing"), ("x", "a"), ("payload", "inner", "a"))]
+    ("payload", "b"), ("payload", "missing"), ("x", "a"))]
 # Compared constants: bool against int, tuples against lists, and strings and
 # None under ordering operators.
 CONSTANTS = (0, 1, 5, 2.5, -1, True, False, None, "", "a", "b", (0, 0), (1,))
-# Field values: the constants, and lists, and nested dicts for 3-part paths.
+# Field values: the constants, and lists, and dicts for 2-part paths.
 FIELD_VALUES = st.one_of(st.sampled_from(CONSTANTS + ([0, 0], [1], (True, False))),
                          st.fixed_dictionaries({}, optional={"a": st.sampled_from(CONSTANTS)}))
 
@@ -750,7 +738,7 @@ def random_events(draw) -> dict:
         "atom": st.sampled_from(("p", "q")), "server": FIELD_VALUES, "target": FIELD_VALUES,
         "x": FIELD_VALUES,
         "payload": st.one_of(FIELD_VALUES, st.fixed_dictionaries({}, optional={
-            "a": FIELD_VALUES, "b": FIELD_VALUES, "inner": FIELD_VALUES})),
+            "a": FIELD_VALUES, "b": FIELD_VALUES})),
     }
     for name, values in fields.items():
         if draw(st.booleans()):
@@ -774,10 +762,6 @@ class TestCompiledPredicates:
     @example(parse_formula('server >= "a"'), {"t": 0, "server": "b"}, set())
     @example(parse_formula("server < 1"), {"t": 0, "server": None}, set())
     @example(parse_formula("server < 5"), {"t": 0, "server": 2.5}, set())
-    @example(Compare(Path(("payload", "inner", "a")), "<=", 2.5),
-             {"t": 0, "payload": {"inner": {"a": 1}}}, set())
-    @example(Compare(Path(("payload", "inner", "a")), "<=", 2.5), {"t": 0, "payload": {"inner": 1}},
-             set())
     @example(parse_formula('action("*") && !action("go(*)")'),
              {"t": 0, "kind": "action", "action": "stop"}, set())
     @example(parse_formula('holds("p") => belief("q")'),
@@ -864,9 +848,19 @@ class TestDeepFormulas:
         assert engine.finalize() == {name: evaluate(suite[name], events)}
 
     @pytest.mark.parametrize("name", sorted(deep_properties()))
-    def test_text_round_trips(self, name):
-        node = parse_formula(deep_properties()[name])
-        assert parse_formula(to_text(node)) is node
+    def test_reparse_is_the_filed_node(self, name):
+        text = deep_properties()[name]
+        assert parse_formula(text) is parse_formula(text)
+
+    def test_reason_names_the_property(self):
+        """A violation's reason names the property, however long its text."""
+        suite = {"conjunction": parse_formula(deep_properties()["conjunction"])}
+        engine = build_engine(suite, [{"prop": "conjunction"}])
+        tracer = EventTracer()
+        engine.attach(tracer, MessageBus(Topology(), tracer))
+        for event in self.TRACES["busy"]:
+            tracer.emit(dict(event))
+        assert engine.monitors["conjunction"].reason == "event at t=1 violates conjunction"
 
     def test_verdicts_differ_between_traces(self):
         """The deep properties are not vacuous: the busy trace violates the
@@ -880,4 +874,3 @@ class TestDeepFormulas:
     def test_deep_nesting_splits_the_source(self):
         node = parse_formula(deep_properties()["alternating"]).sub
         assert _predicate_source(node)[0].count("def ") > 1
-        assert parse_formula(to_text(node)) == node

@@ -100,14 +100,11 @@ class ClientEndpoint:
             return [(record.goal_id, status)]
         return []
 
-    def to_state(self) -> dict:
-        return {
-            "ready": self.server_ready,
-            "live": [
-                {"goal_id": r.goal_id, "status": r.status, "progress": r.progress}
-                for r in sorted(self.records.values(), key=lambda r: r.goal_id)
-            ],
-        }
+    def to_state(self) -> tuple:
+        # Records are kept in the order their goals were sent, which is the
+        # order of their numbers, so a record's place is its id's rank.
+        return (self.server_ready,
+                *[(r.status, r.progress, r.request) for r in self.records.values()])
 
 
 class ServerBase:
@@ -217,18 +214,10 @@ class ServerBase:
 
     # -- exploration support -------------------------------------------------
 
-    def base_state(self) -> dict:
+    def base_state(self, rank) -> tuple:
+        """The active goal's id is read as ``rank`` renames it."""
         record = self.active
-        state = {
-            "ready": self.ready_published,
-            "delay": self.delay_remaining,
-            "live": [] if record is None else [{
-                "goal_id": record.goal_id,
-                "status": record.status,
-                "request": record.request,
-                "active": True,
-            }],
-        }
-        if record is not None:
-            state["work"] = [self.work_done, self.duration]
-        return state
+        if record is None:
+            return (self.ready_published, self.delay_remaining)
+        return (self.ready_published, self.delay_remaining, rank(record.goal_id),
+                record.status, record.request, self.work_done, self.duration)

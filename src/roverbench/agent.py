@@ -58,8 +58,8 @@ def posture_cmd(effector: str, cmd: str) -> AgentAction:
     return AgentAction(f"control_{effector}", (cmd,))
 
 
-# Memoised: a walk's keys list every state's belief texts.  Atoms range over
-# a map's waypoints and modules, so the memo stays small.
+# Memoised: every belief event names its atom's text.  Atoms range over a
+# map's waypoints and modules, so the memo stays small.
 @functools.cache
 def atom_text(belief: tuple) -> str:
     return f"{belief[0]}({','.join(str(a) for a in belief[1:])})"
@@ -106,8 +106,8 @@ class Step:
     def on_resolution(self, agent: "RoverAgent", action: AgentAction, status: str) -> None:
         pass
 
-    def to_state(self) -> dict:
-        return {"step": type(self).__name__}
+    def to_state(self) -> tuple:
+        return (type(self).__name__,)
 
 
 class _GoalStep(Step):
@@ -147,13 +147,9 @@ class _GoalStep(Step):
         if status != "Succeeded":
             self.retry.append(action)
 
-    def to_state(self) -> dict:
-        return {
-            "step": type(self).__name__,
-            "issued": self.issued,
-            "pending": sorted(self.pending),
-            "retry": sorted(a.text() for a in self.retry),
-        }
+    def to_state(self) -> tuple:
+        return (type(self).__name__, self.issued, sorted(self.pending),
+                sorted([a.text() for a in self.retry]))
 
 
 class SetPosture(_GoalStep):
@@ -173,10 +169,8 @@ class SetPosture(_GoalStep):
             if belief_value(agent.beliefs, inst) != self.target
         ]
 
-    def to_state(self) -> dict:
-        state = super().to_state()
-        state["cmd"] = self.cmd
-        return state
+    def to_state(self) -> tuple:
+        return (*super().to_state(), self.cmd)
 
 
 class Hold(Step):
@@ -195,8 +189,8 @@ class Hold(Step):
         self.remaining -= 1
         return WAITING
 
-    def to_state(self) -> dict:
-        return {"step": "Hold", "remaining": self.remaining}
+    def to_state(self) -> tuple:
+        return ("Hold", self.remaining)
 
 
 class MoveNext(_GoalStep):
@@ -235,13 +229,8 @@ class MoveNext(_GoalStep):
         if status == "Succeeded":
             self.succeeded = True
 
-    def to_state(self) -> dict:
-        return {
-            "step": "MoveNext",
-            "issued": self.issued,
-            "pending": sorted(self.pending),
-            "succeeded": self.succeeded,
-        }
+    def to_state(self) -> tuple:
+        return ("MoveNext", self.issued, sorted(self.pending), self.succeeded)
 
 
 @dataclass
@@ -264,16 +253,12 @@ class Intention:
     def current(self) -> Step | None:
         return self.steps[self.index] if self.index < len(self.steps) else None
 
-    def to_state(self) -> dict:
+    def to_state(self) -> tuple:
         # Bindings are left out: after adoption they only label explanations.
         # start_patrol binds whichever ready message arrived first, so keeping
         # them would make same-tick arrival order, which the inbox key sorts
         # away, decide a successor's key.
-        return {
-            "rule": self.rule.name,
-            "index": self.index,
-            "steps": [s.to_state() for s in self.steps[self.index:]],
-        }
+        return (self.rule.name, self.index, *[s.to_state() for s in self.steps[self.index:]])
 
 
 def _match(trigger: tuple, event: tuple) -> dict | None:
@@ -496,12 +481,10 @@ class RoverAgent:
 
     # -- exploration support -------------------------------------------------
 
-    def to_state(self) -> dict:
-        return {
-            "beliefs": sorted(atom_text(b) for b in self.beliefs),
-            "started": self.started,
-            "intention": self.intention.to_state() if self.intention else None,
-        }
+    def to_state(self) -> tuple:
+        # Beliefs as sorted tuples, not texts: ``atom_text`` is one-to-one.
+        return (sorted(self.beliefs), self.started,
+                self.intention.to_state() if self.intention else None)
 
 
 # -- agent host --------------------------------------------------------------
@@ -555,10 +538,7 @@ class AgentHost:
                 continue
             self.goal_actions[goal_id] = action
 
-    def to_state(self) -> dict:
-        return {
-            "agent": self.agent.to_state(),
-            # Pairs, not a dict: goal ids are renamed after the keys are sorted.
-            "goal_actions": [[gid, a.text()] for gid, a in sorted(self.goal_actions.items())],
-            "clients": {e: c.to_state() for e, c in sorted(self.clients.items())},
-        }
+    def to_state(self) -> tuple:
+        # ``goal_actions`` is left out: its ids are those of the clients' live
+        # records, and each action is the one the record's request names.
+        return (self.agent.to_state(), *[c.to_state() for c in self.clients.values()])

@@ -56,7 +56,8 @@ class MessageBus:
         self.tick = 0
         self._next_seq = 0
         self._pending: list[Message] = []
-        self.inboxes: dict[str, list[Message]] = {n: [] for n in topology.nodes}
+        # In name order, the order in which a state key files them.
+        self.inboxes: dict[str, list[Message]] = {n: [] for n in sorted(topology.nodes)}
         self.counters: dict[str, dict[str, int]] = {}
         # gate(event_dict) -> True to drop the message (set by the monitor engine)
         self.gate: Callable[[dict], bool] | None = None

@@ -53,13 +53,10 @@ class WheelsServer(ServerBase):
         if not self.skip_stop:
             port.publish(self.node, "/wheels/telemetry", {"speeds": [0] * WHEEL_COUNT})
 
-    def to_state(self) -> dict:
-        state = self.base_state()
-        state["pose"] = list(self.pose)
-        if self.active is not None:
-            state["speeds"] = [NOMINAL_SPEED] * WHEEL_COUNT
-            state["march"] = list(self._target)
-        return state
+    def to_state(self, rank) -> tuple:
+        if self.active is None:
+            return (self.base_state(rank), self.pose)
+        return (self.base_state(rank), self.pose, self._target)
 
 
 class PostureServer(ServerBase):
@@ -99,15 +96,11 @@ class PostureServer(ServerBase):
         port.publish(self.node, f"/{self.effector}/telemetry", {
             "effector": self.effector, "joints": list(self.joints), "posture": self.posture})
 
-    def to_state(self) -> dict:
-        state = self.base_state()
-        state["joints"] = list(self.joints)
-        state["posture"] = self.posture
-        if self.active is not None:
-            state["start"] = list(self._start)
-            state["goal_joints"] = list(self._goal_joints)
-            state["goal_posture"] = self._goal_posture
-        return state
+    def to_state(self, rank) -> tuple:
+        if self.active is None:
+            return (self.base_state(rank), self.joints, self.posture)
+        return (self.base_state(rank), self.joints, self.posture,
+                self._start, self._goal_joints, self._goal_posture)
 
 
 def build_servers(config: ScenarioConfig) -> dict:
@@ -119,10 +112,11 @@ def build_servers(config: ScenarioConfig) -> dict:
         "fault_explore": config.fault_exploration[e],
         "scripted_faults": scripted.get(e, ()),
     }
+    # In name order, the order in which a state key files them.
     return {
+        "arm": PostureServer("arm", config, **common("arm")),
+        "mast": PostureServer("mast", config, **common("mast")),
         "wheels": WheelsServer(
             config, skip_stop=(config.mutant == "no-stop-wheels"), **common("wheels")
         ),
-        "arm": PostureServer("arm", config, **common("arm")),
-        "mast": PostureServer("mast", config, **common("mast")),
     }

@@ -102,10 +102,6 @@ class World:
 
     # -- exploration support -------------------------------------------------
 
-    def to_state(self) -> dict:
-        return {
-            "wind": dict(self.wind),
-            "radiation": dict(self.radiation),
-            "pose": list(self.last_pose),
-            "started": self.started,
-        }
+    def to_state(self) -> tuple:
+        # Both level maps list the waypoints in one order, ``self.order``.
+        return (self.wind, self.radiation, self.last_pose, self.started)

@@ -4,12 +4,13 @@ The explorer enumerates every nondeterministic choice the model can make -
 initial radiation levels, wind re-rolls on arrival, effector fault outcomes,
 and (optionally) node scheduling order - and walks the induced state graph
 breadth-first.  A state's key stands for the ``to_state`` view of the model
-and its riding monitors, with every absolute-tick quantity replaced by a
-relative counter and goal ids renamed by rank, so the graph is finite
-whenever the mission is cyclic.  Each component of that view (the world, each
-server, the host, each node's inbox, the monitors) is filed in ``marshal``
-bytes once per walk, and the key is the tuple of their indices in
-``marshal`` bytes: exact, about 85 bytes, and cheap to compare (collapse
+and its riding monitors: tuples read from the live objects in one pass, with
+every absolute-tick quantity replaced by a relative counter and every goal id
+renamed where it is read, by its rank among its client's live records, so
+the graph is finite whenever the mission is cyclic.  Each component of that
+view (the world, each server, the host, each node's inbox, the monitors) is
+filed in ``marshal`` bytes once per walk, and the key is the tuple of their
+indices in ``marshal`` bytes: exact, 80 bytes, and cheap to compare (collapse
 compression; Holzmann, "State compression in SPIN", 1997).  A new state keeps
 its live bundle, and its first successor is stepped on it (at most
 ``_LIVE_LIMIT`` are held).  Other successors are restored from a pickled
@@ -185,30 +186,28 @@ class _KeyTable:
     ``marshal`` bytes (protocol 2: exact types, no references), and a key is
     the tuple of its components' indices in ``marshal`` bytes (collapse
     compression; Holzmann, "State compression in SPIN", 1997; Laarman, van de
-    Pol and Weber, SPIN 2011).  An inbox is the sorted list of the indices
-    of its entries' ``(topic, sender, payload)`` bytes, each filed once too,
-    so arrival order is not state.  Two keys of a table are equal exactly
-    when their views are."""
+    Pol and Weber, SPIN 2011).  The components are the parts of a
+    ``Model.to_state`` view and the monitors' names and views.  An inbox is
+    the sorted list of the indices of its entries' bytes, each entry filed
+    once too, so arrival order is not state.  Two keys of a table are equal
+    exactly when their views are."""
 
     def __init__(self, model: Model):
-        self.servers = sorted(model.servers)
-        self.nodes = sorted(model.bus.inboxes)
-        self.names = ["world", *(f"servers.{e}" for e in self.servers), "host",
-                      *(f"inboxes.{node}" for node in self.nodes), "monitors"]
+        self.parts = len(model.servers) + 2  # the world, each server and the host
+        self.names = ["world", *(f"servers.{e}" for e in model.servers), "host",
+                      *(f"inboxes.{node}" for node in model.bus.inboxes), "monitors"]
         self.tables: list[dict[bytes, int]] = [{} for _ in self.names]
         self.entries: dict[bytes, int] = {}  # every queued message's bytes
 
-    def key(self, model: dict, monitors: dict) -> bytes:
-        """The key of a ranked ``Model.to_state`` view and its monitors'
-        views."""
-        dump, entries = marshal.dumps, self.entries
-        servers, inboxes = model["servers"], model["inboxes"]
-        values = [dump(model["world"], 2), *[dump(servers[e], 2) for e in self.servers],
-                  dump(model["host"], 2)]
-        for node in self.nodes:
-            filed = [entries.setdefault(dump((m["topic"], m["sender"], m["payload"]), 2),
-                                        len(entries)) for m in inboxes.get(node, ())]
-            values.append(dump(sorted(filed), 2))
+    def key(self, view: tuple, monitors: tuple) -> bytes:
+        """The key of a ``Model.to_state`` view and its monitors' views."""
+        dump, entries, parts = marshal.dumps, self.entries, self.parts
+        values = [dump(part, 2) for part in view[:parts]]
+        for inbox in view[parts:]:
+            if inbox:
+                inbox = sorted([entries.setdefault(dump(entry, 2), len(entries))
+                                for entry in inbox])
+            values.append(dump(inbox, 2))
         values.append(dump(monitors, 2))
         return dump(tuple([table.setdefault(value, len(table))
                            for table, value in zip(self.tables, values)]), 2)
@@ -262,43 +261,12 @@ class _Bundle:
         return [(name, m) for name, m in self.engine.monitors.items() if m.verdict == VIOLATED]
 
     def canonical(self) -> bytes:
-        """The dedupe key: the ranked ``to_state`` view of the model and the
-        monitors, filed in the walk's ``_KeyTable``."""
-        now = self.model.tick
-        return self.keys.key(
-            _rank_goals(self.model.to_state()),
-            {n: m.to_state(now) for n, m in sorted(self.engine.monitors.items())})
-
-
-def _rank_goals(model: dict) -> dict:
-    """Rename the goal ids ("wheelsClient:12") of a ``Model.to_state`` view
-    by their rank per client node, so that states differing only in how many
-    goals came before compare equal.  Ids occur only as the first item of a
-    host ``goal_actions`` pair and as the ``goal_id`` of a live goal or of a
-    queued message's payload, which is copied first: it is the message's own."""
-    host = model["host"]
-    pairs = host["goal_actions"]
-    entries = [g for c in host["clients"].values() for g in c["live"]]
-    entries += [g for s in model["servers"].values() for g in s["live"]]
-    for messages in model["inboxes"].values():
-        for message in messages:
-            if "goal_id" in message["payload"]:
-                message["payload"] = payload = dict(message["payload"])
-                entries.append(payload)
-    ids = {pair[0] for pair in pairs}
-    ids.update(entry["goal_id"] for entry in entries)
-    if not ids:
-        return model
-    numbered = sorted((node, int(num), gid)
-                      for gid in ids for node, _, num in [gid.rpartition(":")])
-    names = {}
-    for node, same_node in groupby(numbered, key=lambda parts: parts[0]):
-        names.update((gid, f"{node}#{rank}") for rank, (_, _, gid) in enumerate(same_node))
-    for pair in pairs:
-        pair[0] = names[pair[0]]
-    for entry in entries:
-        entry["goal_id"] = names[entry["goal_id"]]
-    return model
+        """The dedupe key: the ``to_state`` view of the model and, in the
+        engine's fixed order, the names and views of the monitors it still
+        holds, filed in the walk's ``_KeyTable``."""
+        now, monitors = self.model.tick, self.engine.monitors
+        return self.keys.key(self.model.to_state(),
+                             (tuple(monitors), [m.to_state(now) for m in monitors.values()]))
 
 
 # -- state snapshots ---------------------------------------------------------

@@ -122,10 +122,11 @@ class OnlineMonitor:
         self.verdict = VIOLATED
         self.reason = reason
 
-    def to_state(self, now: int = 0) -> dict:
+    def to_state(self, now: int = 0):
         """Canonical monitor state; deadlines are reported relative to ``now``
-        so snapshots taken at different absolute ticks compare equal."""
-        return {"verdict": self.verdict}
+        so snapshots taken at different absolute ticks compare equal.  A
+        safety monitor's is its verdict alone."""
+        return self.verdict
 
 
 class SafetyMonitor(OnlineMonitor):
@@ -224,13 +225,13 @@ class ObligationMonitor(OnlineMonitor):
 
     def to_state(self, now: int = 0):
         if self.bound is None:
-            if self.once:
-                return {"verdict": self.verdict, "done": not self.armed and self.deadline is None}
-            return {"verdict": self.verdict, "open": self.deadline is not None}
+            if self.once:  # (verdict, done)
+                return (self.verdict, not self.armed and self.deadline is None)
+            return (self.verdict, self.deadline is not None)  # (verdict, open)
         due = None if self.deadline is None else self.deadline - now
         if self.once:
-            return {"verdict": self.verdict, "due": due, "armed": self.armed}
-        return {"verdict": self.verdict, "due": due}
+            return (self.verdict, due, self.armed)
+        return (self.verdict, due)
 
 
 class LivenessMonitor(OnlineMonitor):
@@ -259,7 +260,7 @@ class LivenessMonitor(OnlineMonitor):
             self.open = True
 
     def to_state(self, now: int = 0):
-        return {"open": self.open}
+        return self.open
 
 
 # -- dispatch keys -----------------------------------------------------------

@@ -19,7 +19,7 @@ from .bus import MessageBus, StagePort
 from .config import ScenarioConfig
 from .effectors import build_servers
 from .environment import World
-from .messages import EFFECTORS, NODE_WORLD, Topology, server_node
+from .messages import EFFECTORS, NODE_WORLD, Message, Topology, server_node
 from .tracing import EventTracer, dump_event
 
 TRACE_FORMAT = 1
@@ -87,18 +87,38 @@ class Model:
         bus.step_deliver()
         return sum(port.acted << i for i, port in enumerate(ports))
 
-    def to_state(self) -> dict:
-        # Inbox entries are left in arrival order, which is scheduling noise,
-        # not state: same-tick publishes from different stages are
-        # order-independent to every consumer, so the explorer's key sorts them.
-        return {
-            "world": self.world.to_state(),
-            "servers": {e: s.to_state() for e, s in sorted(self.servers.items())},
-            "host": self.host.to_state(),
-            "inboxes": {node: [{"topic": m.topic, "sender": m.sender, "payload": m.payload}
-                               for m in msgs]
-                        for node, msgs in sorted(self.bus.inboxes.items()) if msgs},
-        }
+    def to_state(self) -> tuple:
+        # The components a state key files: the world, each server, the host,
+        # and each node's inbox entries, servers and nodes in name order.  The
+        # view shares the live objects' lists and dicts, so it is filed or
+        # compared before the model steps again.  A goal id is read as
+        # ``rank`` renames it.  An entry is a message's topic and payload
+        # (``msg[2:]``): its sender is the topic's one publisher.  Entries are
+        # left in arrival order, which is scheduling noise, not state:
+        # same-tick publishes from different stages are order-independent to
+        # every consumer, so the explorer's key sorts them.
+        rank = self.rank
+        view = [self.world.to_state(), *[s.to_state(rank) for s in self.servers.values()],
+                self.host.to_state()]
+        for msgs in self.bus.inboxes.values():
+            view.append([m[2:] if "goal_id" not in m.payload else _ranked(m, rank)
+                         for m in msgs] if msgs else msgs)
+        return tuple(view)
+
+    def rank(self, goal_id: str) -> str:
+        """A goal id renamed by its rank among its client's live records,
+        which the client keeps in the order of their numbers.  Every goal id
+        the model holds names a live record."""
+        for client in self.clients.values():
+            if goal_id in client.records:
+                return f"{client.node}#{[*client.records].index(goal_id)}"
+        raise KeyError(f"goal id {goal_id} names no live record")
+
+
+def _ranked(msg: Message, rank) -> tuple:
+    """The inbox entry of a message that names a goal, its id renamed."""
+    return (msg.topic, rank(msg.payload["goal_id"]),
+            *[item for item in msg.payload.items() if item[0] != "goal_id"])
 
 
 def header_event(config: ScenarioConfig, ticks: int | None = None) -> dict:

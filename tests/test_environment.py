@@ -193,12 +193,12 @@ class TestWorld:
 
     def test_to_state_tracks_field_and_pose(self):
         world, bus, _ = make_world()
-        state = world.to_state()
-        assert state["pose"] == [0, 0]
-        assert state["radiation"]["B"] == 20
-        assert state["started"] is False
+        _wind, radiation, pose, started = world.to_state()
+        assert pose == (0, 0)
+        assert radiation["B"] == 20
+        assert started is False
         world.step(port_at(bus, 0))
-        assert world.to_state()["started"] is True
+        assert world.to_state()[3] is True  # started
 
 
 class TestWorldExploration:

@@ -1,35 +1,42 @@
 """Snapshot store and state keys of the explorer.
 
 A state's key is the tuple of indices, in ``marshal`` bytes, of the
-components of its ``to_state`` view with goal ids renamed by rank (the world,
-each server, the host, each node's inbox, the monitors), each filed once in
-the walk's key table.  A state's first successor is stepped on its live
-bundle while at most ``_LIVE_LIMIT`` are held; every other successor is
-restored from a pickled snapshot.  Neither holds a finished goal: an endpoint
-forgets a goal once it finishes.  Only checkpoints (every ``_CHECKPOINT``-th
-depth), states past the live limit and states made by a branching step are
-frozen when they are added; any other state whose step branches gets its
-snapshot by replaying the tree's picks from its checkpoint.  A liveness
-counterexample is a lasso that enters at the first state on a cycle in
-breadth-first discovery order, by that state's shortest prefix and a
-shortest loop through it, so it depends on the walk's order alone, not on
-how its bundles were made.  These tests pin down what that must preserve:
+components of its ``to_state`` view (the world, each server, the host, each
+node's inbox, the monitors), each filed once in the walk's key table.  The
+view is a tuple read from the live objects, with every goal id renamed by its
+rank among its client's live records where it is read.  A state's first
+successor is stepped on its live bundle while at most ``_LIVE_LIMIT`` are
+held; every other successor is restored from a pickled snapshot.  Neither
+holds a finished goal: an endpoint forgets a goal once it finishes.  Only
+checkpoints (every ``_CHECKPOINT``-th depth), states past the live limit and
+states made by a branching step are frozen when they are added; any other
+state whose step branches gets its snapshot by replaying the tree's picks
+from its checkpoint.  A liveness counterexample is a lasso that enters at the
+first state on a cycle in breadth-first discovery order, by that state's
+shortest prefix and a shortest loop through it, so it depends on the walk's
+order alone, not on how its bundles were made.  These tests pin down what
+that must preserve:
 
 * the key is exact: two bundles have equal keys exactly when the reference
-  texts of their views are equal.  That is the sorted JSON text of the view
-  built from scratch, with the renaming ``_renumber_goals`` kept below, which
-  renames every goal id wherever it stands.  It is checked on every bundle the
-  walks below key, and on the default walk of every scenario of
+  texts of their views are equal.  That is the sorted JSON text of the dict
+  view that ``reference_views`` builds from the live objects' attributes,
+  apart from ``to_state``, with the renaming ``_renumber_goals`` kept below,
+  which renames every goal id wherever it stands.  It is checked on every
+  bundle the walks below key, on the default walk of every scenario of
   ``KEYED_SCENARIOS``, which also checks ``distinct_components`` against a
-  count of the stored states' components;
-* the structural renaming finds goal ids where the model puts them, and no
-  ``to_state`` puts a goal id in a dict key;
+  count of the stored states' components, and on goal ids placed by hand in
+  a live model;
+* goal ids rank by number, not by text, and no raw goal id reaches the view
+  the key files;
 * a restored bundle has the key of the bundle that was frozen, and steps
   exactly like that live bundle;
 * every explored step ends on an event stamped with the model's tick, the
   clock at which the riding monitors expire their windows;
 * dedupe is sound: bundles reached with the same key have the same
   successor keys;
+* a run with no choice sink, keyed in a walk's own table, stays inside the
+  explored graph: each of its states is a state of the walk and each step an
+  edge, and a run outside the walk's choice sets leaves it;
 * every step's liveness labels are the naive semantics': each unbounded
   shape's ``fired`` flag says whether its goal held at one of the step's
   events, a response's ``open`` bit is folded from its trigger and goal
@@ -60,7 +67,6 @@ state and transition counts must match the explorer's.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -69,24 +75,27 @@ from importlib.resources import files
 import pytest
 
 from roverbench import explorer
-from roverbench.action_protocol import ACTIVE, PENDING, ServerBase
+from roverbench.action_protocol import ACTIVE, PENDING, GoalRecord, ServerBase
+from roverbench.agent import move_to, posture_cmd
 from roverbench.config import make_config
 from roverbench.explorer import (
     Explorer,
     StateSpaceBudgetExceeded,
     _Bundle,
-    _rank_goals,
     _Snapshots,
     _variants,
     explore_properties,
     write_counterexample,
 )
-from roverbench.messages import EFFECTORS, NODE_ENV_INTERFACE, client_node, server_node
+from roverbench.messages import EFFECTORS, NODE_ENV_INTERFACE, Message, client_node, server_node
+from roverbench.monitor import MonitorEngine
 from roverbench.prop_dsl import And, Eventually, Implies, Not, Or, parse_suite
 from roverbench.simulator import ALL_STAGES, SAME_ORDER, Model
+from roverbench.tracing import EventTracer
 
 from mutants import mutant_demo_config, mutant_names
 from naive_semantics import atom_holds, fold_belief
+from reference_views import model_view, monitor_view
 from test_explorer import EVENTUALLY_B, RESPONSE_A_A
 
 SUITE = parse_suite((files("roverbench") / "data" / "default.props").read_text())
@@ -142,16 +151,16 @@ def reference_key(raw: dict) -> str:
 
 
 def raw_state(bundle: _Bundle) -> dict:
-    """The view a key stands for, from scratch: the ``to_state`` views of
-    the model and its riding monitors, with every inbox's entries in the
-    order of their sorted JSON text."""
+    """The view a key stands for, from scratch: the reference views of the
+    model and its riding monitors, with every inbox's entries in the order
+    of their sorted JSON text."""
     now = bundle.model.tick
-    model = bundle.model.to_state()
+    model = model_view(bundle.model)
     for entries in model["inboxes"].values():
         entries.sort(key=lambda entry: json.dumps(entry, sort_keys=True))
     return {
         "model": model,
-        "monitors": {n: m.to_state(now) for n, m in sorted(bundle.engine.monitors.items())},
+        "monitors": {n: monitor_view(m, now) for n, m in sorted(bundle.engine.monitors.items())},
     }
 
 
@@ -168,54 +177,105 @@ def goal_id_keys(value) -> set:
     return found
 
 
-def model_view(goal_actions=(), clients=(), servers=(), inboxes=()) -> dict:
-    """A hand-made ``Model.to_state`` view with goal ids where the model puts
-    them: host action pairs, live goal lists and queued message payloads."""
-    return {
-        "world": {"pose": [0, 0]},
-        "servers": {e: {"live": live, "ready": True} for e, live in servers},
-        "host": {"agent": {"beliefs": ["at(o)"]},
-                 "goal_actions": [list(pair) for pair in goal_actions],
-                 "clients": {e: {"live": live, "ready": True} for e, live in clients}},
-        "inboxes": dict(inboxes),
-    }
+def raw_goal_ids(bundle: _Bundle) -> set:
+    """Goal ids, as the model holds them, in the view its key files."""
+    found: set = set()
+    _collect_goal_ids(bundle.model.to_state(), found)
+    return found
 
 
-def message(topic, payload) -> dict:
-    return {"topic": topic, "sender": "x", "payload": payload}
+def goals_bundle(places: dict, number=lambda node, num: num, keys=None) -> _Bundle:
+    """A default root bundle holding goal ids where the model puts them:
+    ``live`` numbers per effector, each a client record with the host's
+    action for it; ``active``, the server that runs a goal (effector, number)
+    of a client; ``queued``, inbox messages (node, topic, sender, (effector,
+    number), payload rest).  ``number`` renames each number; a record's
+    progress and action follow its place in ``live``, so renaming numbers out
+    of order changes the view.  Keyed in ``keys`` if given."""
+    bundle, _ = Explorer(make_config(), SUITE)._build_bundle(None, keys=keys)
+    model = bundle.model
+
+    def gid(effector: str, num: int) -> str:
+        return f"{client_node(effector)}:{number(effector, num)}"
+
+    for effector, nums in places.get("live", {}).items():
+        client = model.clients[effector]
+        for place, num in sorted(enumerate(nums), key=lambda pair: number(effector, pair[1])):
+            action = (move_to(["A", "B", "C"][place % 3]) if effector == "wheels"
+                      else posture_cmd(effector, ["open", "close"][place % 2]))
+            client.records[gid(effector, num)] = GoalRecord(
+                gid(effector, num), server_node(effector), action.request(), PENDING,
+                progress=place / 4)
+            model.host.goal_actions[gid(effector, num)] = action
+    for effector, (owner, num) in places.get("active", {}).items():
+        server = model.servers[effector]
+        record = model.clients[owner].records[gid(owner, num)]
+        server.active = GoalRecord(record.goal_id, server.node, dict(record.request), ACTIVE)
+        server.work_done, server.duration = 1, 3
+    for seq, (node, topic, sender, (owner, num), rest) in enumerate(places.get("queued", ())):
+        model.bus.inboxes[node].append(
+            Message(1000 + seq, sender, topic, {"goal_id": gid(owner, num), **rest}))
+    return bundle
+
+
+def by_rank(places: dict):
+    """The renaming of each number to its rank among its effector's."""
+    nums = {e: sorted(ns) for e, ns in places.get("live", {}).items()}
+    return lambda effector, num: nums[effector].index(num)
+
+
+def reversed_numbers(places: dict):
+    """The renaming that reverses the order of each effector's numbers."""
+    nums = {e: sorted(ns) for e, ns in places.get("live", {}).items()}
+    return lambda effector, num: nums[effector][0] + nums[effector][-1] - num
 
 
 class TestRankGoalIds:
-    """The structural renaming against the reference on hand-made views."""
+    """Goal ids placed by hand in a live model, keyed against the reference."""
 
     @pytest.mark.parametrize("raw", [
-        model_view(),
-        model_view(clients=[("wheels", [{"goal_id": "wheelsClient:9"},
-                                        {"goal_id": "wheelsClient:10"}]),
-                            ("arm", [{"goal_id": "armClient:4"}])]),
-        model_view(goal_actions=[("mastClient:7", "control_mast(open)"),
-                                 ("wheelsClient:3", "wheelsClient:3 is busy")],
-                   servers=[("mast", [{"goal_id": "mastClient:7", "request": {"cmd": "open"}}])]),
-        # An id that only a queued result still names, ranked below a live one.
-        model_view(clients=[("wheels", [{"goal_id": "wheelsClient:12"}])],
-                   inboxes=[("wheelsClient", [
-                       message("/wheels/feedback", {"goal_id": "wheelsClient:12", "progress": 0.5}),
-                       message("/wheels/result", {"goal_id": "wheelsClient:11", "status": "Succeeded"}),
-                       message("/pose", {"x": 1, "y": 0})])]),
-        model_view(inboxes=[("armServer", [message("/arm/goal", {"goal_id": "armClient:2", "cmd": "open"})]),
-                            ("mastServer", [message("/mast/goal", {"goal_id": "mastClient:0", "cmd": "close"})])]),
+        {},
+        {"live": {"wheels": [9, 10], "arm": [4]}},
+        {"live": {"mast": [7], "wheels": [3]}, "active": {"mast": ("mast", 7)}},
+        # A queued result for the older of two live goals, and feedback for
+        # the newer one.
+        {"live": {"wheels": [11, 12]},
+         "queued": [("wheelsClient", "/wheels/feedback", "wheelsServer", ("wheels", 12),
+                     {"progress": 0.5}),
+                    ("wheelsClient", "/wheels/result", "wheelsServer", ("wheels", 11),
+                     {"status": "Succeeded"})]},
+        {"live": {"arm": [2], "mast": [0, 1]},
+         "queued": [("armServer", "/arm/goal", "armClient", ("arm", 2), {"cmd": "open"}),
+                    ("mastServer", "/mast/goal", "mastClient", ("mast", 1), {"cmd": "close"})]},
         # Ranks follow the number, not the text: 99 comes before 100.
-        model_view(goal_actions=[("armClient:100", "control_arm(open)")],
-                   clients=[("arm", [{"goal_id": "armClient:99"}])],
-                   servers=[("arm", [{"goal_id": "armClient:100", "request": {"cmd": "open"}}])]),
+        {"live": {"arm": [99, 100]}, "active": {"arm": ("arm", 100)}},
     ])
     def test_matches_reference(self, raw):
-        view = copy.deepcopy(raw)
-        payloads = [m["payload"] for msgs in view["inboxes"].values() for m in msgs]
-        assert json.dumps(_rank_goals(view), sort_keys=True,
-                          separators=(",", ":")) == reference_key(raw)
-        # Queued payloads are the messages' own dicts: copied, never renamed.
-        assert payloads == [m["payload"] for msgs in raw["inboxes"].values() for m in msgs]
+        """Renaming every number to its rank, or shifting them all, keeps
+        the key and the reference text; reversing each effector's numbers
+        changes the key exactly when it changes the reference text."""
+        placed = goals_bundle(raw)
+        keys = placed.keys
+        assert raw_goal_ids(placed) == set()
+        variants = [goals_bundle(raw, by_rank(raw), keys),
+                    goals_bundle(raw, lambda effector, num: num + 1000, keys)]
+        for variant in variants:
+            assert variant.canonical() == placed.canonical()
+            assert reference_key(raw_state(variant)) == reference_key(raw_state(placed))
+        flipped = goals_bundle(raw, reversed_numbers(raw), keys)
+        same_text = reference_key(raw_state(flipped)) == reference_key(raw_state(placed))
+        assert (flipped.canonical() == placed.canonical()) == same_text
+        if any(len(nums) > 1 for nums in raw.get("live", {}).values()):
+            assert not same_text
+
+    def test_ranked_by_number_not_text(self):
+        """A client holding live goals ``:9`` and ``:10`` keys like one
+        holding ``:1`` and ``:2``: by text, ``:10`` would come first."""
+        nine_ten = goals_bundle({"live": {"wheels": [9, 10]}})
+        one_two = goals_bundle({"live": {"wheels": [1, 2]}}, keys=nine_ten.keys)
+        assert nine_ten.canonical() == one_two.canonical()
+        assert list(nine_ten.model.clients["wheels"].records) == [
+            "wheelsClient:9", "wheelsClient:10"]
 
 
 # -- one instrumented walk per scenario --------------------------------------
@@ -371,7 +431,7 @@ def order_dependence(steps: list) -> tuple[int, list]:
 
 def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     found = {"states": 0, "transitions": 0, "canonical_calls": 0, "merged": [],
-             "split": [], "goal_id_keys": set(), "restore": [],
+             "split": [], "goal_id_keys": set(), "raw_ids": set(), "restore": [],
              "unsound": [], "compared": 0, "same_order_groups": 0,
              "order_dependent": [], "clock_split": [], "labels": [], "handed": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
@@ -397,6 +457,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         if folded.setdefault(key, after) != after:
             found["labels"].append(("folded", text))
         found["goal_id_keys"] |= goal_id_keys(raw)
+        found["raw_ids"] |= raw_goal_ids(bundle)
         # Violated monitors leave a stored state, as in the explorer.
         for name, _monitor in bundle.violations():
             del bundle.engine.monitors[name]
@@ -482,7 +543,11 @@ class TestSnapshotWalk:
         assert walked[1]["split"] == []
 
     def test_no_goal_id_dict_keys(self, walked):
+        """No reference view keys a dict by a goal id, and the view the key
+        files holds none as the model holds it: each is renamed where it is
+        read."""
         assert walked[1]["goal_id_keys"] == set()
+        assert walked[1]["raw_ids"] == set()
 
     def test_restore_round_trip_and_step(self, walked):
         assert walked[1]["restore"] == []
@@ -672,6 +737,7 @@ def keyed_walk(config, directory) -> dict:
                       lambda self: found["reports"].append(explore(self)) or found["reports"][-1])
         found["output"] = walk_output(config, directory)
     (report,) = found.pop("reports")
+    found["states"] = set(stored)
     found["distinct_components"] = report.stats["distinct_components"]
     found["from_scratch"] = {name: len({parts[name] for parts in stored.values()})
                              for name in next(iter(stored.values()))}
@@ -808,6 +874,61 @@ class TestKeyTables:
         assert walk["from_scratch"]["inboxes.agent"] == 1  # no topic reaches the agent node
 
 
+# -- simulated runs inside the explored graph --------------------------------
+
+def simulated_keys(config, keys, ticks: int = 600) -> list[bytes]:
+    """Each tick's key, in a walk's key table ``keys``, of a run of
+    ``config`` with no choice sink, as ``simulate`` runs it.  A key is taken
+    before the Violated monitors are dropped, as the walk takes it."""
+    model = Model(config, EventTracer())
+    bundle = _Bundle(model, MonitorEngine(Explorer(config, SUITE)._monitors()), keys)
+    engine = bundle.engine
+    found = [bundle.canonical()]
+    for _ in range(ticks):
+        for name, _monitor in bundle.violations():
+            del engine.monitors[name]
+        model.step_tick()
+        events, model.tracer.events = model.tracer.events, []
+        for event in events:
+            engine.observe(event)
+        engine.on_tick(model.tick)
+        found.append(bundle.canonical())
+    return found
+
+
+def first_outside(walk: dict, keys: list[bytes]) -> int | None:
+    """The tick at which a run's keys leave a walk's graph, at a key that is
+    no state of the walk or a step that is no edge; None if they never do."""
+    edges = {(src, dst) for src, dst, _picks, _awaited in walk["output"][2]}
+    for tick, key in enumerate(keys):
+        if key not in walk["states"] or tick and (keys[tick - 1], key) not in edges:
+            return tick
+    return None
+
+
+class TestSimulatedRunsInsideTheGraph:
+    """A run with no choice sink, keyed in the table of its config's walk:
+    the model ``simulate`` runs is the one ``verify`` explores, and the key
+    drops nothing a step depends on."""
+
+    @pytest.mark.parametrize("scenario", ["default", "decay-0", "long-decay"])
+    def test_every_state_and_step_explored(self, scenario, default_walks):
+        config = LIVE_SCENARIOS[scenario]()
+        walk = default_walks(config)
+        (keys,) = walk["tables"]
+        assert first_outside(walk, simulated_keys(config, keys)) is None
+
+    @pytest.mark.parametrize("overrides", [
+        {"wind_choices": {"A": [0]}},  # the run keeps its wind of 7 at A
+        {"wind": {"A": 9}},  # the walk draws 0 or 7 on arrival at A
+    ])
+    def test_leaves_at_the_first_arrival_outside_the_choices(self, overrides, default_walks):
+        config = make_config(overrides)
+        walk = default_walks(config)
+        (keys,) = walk["tables"]
+        assert first_outside(walk, simulated_keys(config, keys)) == 10
+
+
 # The bit of ``Model.step_tick``'s acting mask for each node of a stage.
 STAGE_BIT = {**{server_node(e): 1 << i for i, e in enumerate(EFFECTORS)},
              NODE_ENV_INTERFACE: 1 << 3, **{client_node(e): 1 << 3 for e in EFFECTORS}}
@@ -855,26 +976,23 @@ class TestActingMask:
         assert 0 in masks and masks & {1, 2, 4, 8} and masks - {0, 1, 2, 4, 8}
 
 
-# A goal id no client holds: the client drops the feedback when it arrives.
-_STRAY_GOAL = "mastClient:1000"
-
-
 @pytest.fixture
 def order_dependent(monkeypatch):
     """In the tick the mast server announces readiness, it also publishes a
-    feedback whose progress is the number of messages published before it in
-    that tick.  All three servers announce in the same tick, so the number
-    depends on the schedule: the stage breaks the stage contract of
-    ``Model.step_tick`` by reaching past its port to the bus's pending
-    queue."""
+    telemetry frame, which the interface ignores, whose joints are the number
+    of messages published before it in that tick.  All three servers announce
+    in the same tick, so the number depends on the schedule: the stage breaks
+    the stage contract of ``Model.step_tick`` by reaching past its port to the
+    bus's pending queue."""
     step = ServerBase.step
 
     def step_and_count(self, port):
         announced = self.ready_published
         step(self, port)
         if self.effector == "mast" and self.ready_published != announced:
-            port.publish(self.node, "/mast/feedback",
-                         {"goal_id": _STRAY_GOAL, "progress": len(port._bus._pending)})
+            count = float(len(port._bus._pending))
+            port.publish(self.node, "/mast/telemetry",
+                         {"effector": "mast", "joints": [count, count], "posture": "Closed"})
 
     monkeypatch.setattr(ServerBase, "step", step_and_count)
 

@@ -210,7 +210,7 @@ class TestBoundedResponseMonitor:
         monitor = mon('always(action("go") => eventually[<=3](belief("done")))')
         monitor.observe(act(2, "go"), frozenset())
         assert monitor.deadline == 5
-        assert monitor.to_state(4) == {"verdict": UNDETERMINED, "due": 1}
+        assert monitor.to_state(4) == (UNDETERMINED, 1)
         monitor.observe(bel(4, "done"), frozenset())
         assert monitor.deadline is None
         monitor.on_tick(9)
@@ -288,7 +288,7 @@ class TestBoundedRecurrenceMonitor:
         assert monitor.deadline == 2
         monitor.on_tick(3)
         assert monitor.verdict == VIOLATED
-        assert monitor.to_state(3) == {"verdict": VIOLATED, "due": -1}
+        assert monitor.to_state(3) == (VIOLATED, -1)
 
 
 class TestDeadlineMonitor:
@@ -322,8 +322,8 @@ class TestDeadlineMonitor:
         monitor.observe(pub(0, "/pose", x=0, y=0), frozenset())
         monitor.observe(bel(3, "at(A)"), frozenset())
         monitor.on_tick(9)
-        assert monitor.to_state(4) == monitor.to_state(9) == {
-            "verdict": UNDETERMINED, "due": None, "armed": False}
+        # (verdict, due, armed)
+        assert monitor.to_state(4) == monitor.to_state(9) == (UNDETERMINED, None, False)
         assert monitor.finalize() == SATISFIED
 
 
@@ -351,9 +351,9 @@ class TestTriggeredUntilMonitor:
     def test_obligation_discharged(self):
         monitor = mon(self.FORMULA)
         monitor.observe(act(0, "go"), frozenset())
-        assert monitor.to_state()["open"]
+        assert monitor.to_state() == (UNDETERMINED, True)  # (verdict, open)
         monitor.observe(bel(1, "ok"), frozenset())
-        assert not monitor.to_state()["open"]
+        assert monitor.to_state() == (UNDETERMINED, False)
         monitor.observe(act(2, "bad"), frozenset())  # after discharge: no effect
         assert monitor.finalize() == SATISFIED
 
@@ -389,57 +389,59 @@ EXPIRY = "no response by t=5 (window 3)"
 
 # (shape, stage) -> (formula, events, view at the last event's time, reason,
 # finalize); ("tick", t) ends tick t.  The views are what explorer keys are
-# built from, and the reasons are written into traces and counterexamples.
+# built from: (verdict, due) for a window, with ``armed`` for a bare one,
+# (verdict, open) for a triggered until and (verdict, done) for an until.  The
+# reasons are written into traces and counterexamples.
 LIFE = {
-    ("response", "before"): (RESPONSE, [], {"verdict": UNDETERMINED, "due": None}, "", SATISFIED),
-    ("response", "open"): (RESPONSE, OPEN, {"verdict": UNDETERMINED, "due": 3}, "", UNDETERMINED),
+    ("response", "before"): (RESPONSE, [], (UNDETERMINED, None), "", SATISFIED),
+    ("response", "open"): (RESPONSE, OPEN, (UNDETERMINED, 3), "", UNDETERMINED),
     ("response", "discharged"): (RESPONSE, DISCHARGED,
-                                 {"verdict": UNDETERMINED, "due": None}, "", SATISFIED),
-    ("response", "expired"): (RESPONSE, EXPIRED, {"verdict": VIOLATED, "due": -1}, EXPIRY,
+                                 (UNDETERMINED, None), "", SATISFIED),
+    ("response", "expired"): (RESPONSE, EXPIRED, (VIOLATED, -1), EXPIRY,
                               VIOLATED),
-    ("recurrence", "before"): (RECURRENCE, [], {"verdict": UNDETERMINED, "due": None}, "",
+    ("recurrence", "before"): (RECURRENCE, [], (UNDETERMINED, None), "",
                                SATISFIED),
-    ("recurrence", "open"): (RECURRENCE, OPEN, {"verdict": UNDETERMINED, "due": 3}, "",
+    ("recurrence", "open"): (RECURRENCE, OPEN, (UNDETERMINED, 3), "",
                              UNDETERMINED),
     ("recurrence", "discharged"): (RECURRENCE, DISCHARGED,
-                                   {"verdict": UNDETERMINED, "due": None}, "", SATISFIED),
-    ("recurrence", "expired"): (RECURRENCE, EXPIRED, {"verdict": VIOLATED, "due": -1}, EXPIRY,
+                                   (UNDETERMINED, None), "", SATISFIED),
+    ("recurrence", "expired"): (RECURRENCE, EXPIRED, (VIOLATED, -1), EXPIRY,
                                 VIOLATED),
-    ("bare", "before"): (BARE, [], {"verdict": UNDETERMINED, "due": None, "armed": True}, "",
+    ("bare", "before"): (BARE, [], (UNDETERMINED, None, True), "",
                          UNDETERMINED),
-    ("bare", "open"): (BARE, OPEN, {"verdict": UNDETERMINED, "due": 3, "armed": False}, "",
+    ("bare", "open"): (BARE, OPEN, (UNDETERMINED, 3, False), "",
                        UNDETERMINED),
     ("bare", "discharged"): (BARE, DISCHARGED,
-                             {"verdict": UNDETERMINED, "due": None, "armed": False}, "",
+                             (UNDETERMINED, None, False), "",
                              SATISFIED),
-    ("bare", "expired"): (BARE, EXPIRED, {"verdict": VIOLATED, "due": -1, "armed": False}, EXPIRY,
+    ("bare", "expired"): (BARE, EXPIRED, (VIOLATED, -1, False), EXPIRY,
                           VIOLATED),
-    ("triggered-until", "before"): (TRIGGERED_UNTIL, [], {"verdict": UNDETERMINED, "open": False},
+    ("triggered-until", "before"): (TRIGGERED_UNTIL, [], (UNDETERMINED, False),
                                     "", SATISFIED),
-    ("triggered-until", "open"): (TRIGGERED_UNTIL, OPEN, {"verdict": UNDETERMINED, "open": True},
+    ("triggered-until", "open"): (TRIGGERED_UNTIL, OPEN, (UNDETERMINED, True),
                                   "", UNDETERMINED),
     ("triggered-until", "discharged"): (TRIGGERED_UNTIL, DISCHARGED,
-                                        {"verdict": UNDETERMINED, "open": False}, "", SATISFIED),
+                                        (UNDETERMINED, False), "", SATISFIED),
     ("triggered-until", "broken-at-trigger"): (
-        TRIGGERED_UNTIL, BROKEN_AT_TRIGGER, {"verdict": VIOLATED, "open": False},
+        TRIGGERED_UNTIL, BROKEN_AT_TRIGGER, (VIOLATED, False),
         "until guard already false at its trigger (t=2)", VIOLATED),
     ("triggered-until", "broken-while-open"): (
-        TRIGGERED_UNTIL, BROKEN_WHILE_OPEN, {"verdict": VIOLATED, "open": True},
+        TRIGGERED_UNTIL, BROKEN_WHILE_OPEN, (VIOLATED, True),
         "event at t=3 breaks an open until guard", VIOLATED),
     ("triggered-until", "never-expires"): (TRIGGERED_UNTIL, EXPIRED,
-                                           {"verdict": UNDETERMINED, "open": True}, "",
+                                           (UNDETERMINED, True), "",
                                            UNDETERMINED),
-    ("until", "before"): (UNTIL, [], {"verdict": UNDETERMINED, "done": False}, "", UNDETERMINED),
-    ("until", "open"): (UNTIL, OPEN, {"verdict": UNDETERMINED, "done": False}, "", UNDETERMINED),
-    ("until", "discharged"): (UNTIL, DISCHARGED, {"verdict": UNDETERMINED, "done": True}, "",
+    ("until", "before"): (UNTIL, [], (UNDETERMINED, False), "", UNDETERMINED),
+    ("until", "open"): (UNTIL, OPEN, (UNDETERMINED, False), "", UNDETERMINED),
+    ("until", "discharged"): (UNTIL, DISCHARGED, (UNDETERMINED, True), "",
                               SATISFIED),
     ("until", "broken-at-trigger"): (UNTIL, BROKEN_AT_TRIGGER,
-                                     {"verdict": VIOLATED, "done": False},
+                                     (VIOLATED, False),
                                      "event at t=2 breaks the until guard", VIOLATED),
     ("until", "broken-while-open"): (UNTIL, BROKEN_WHILE_OPEN,
-                                     {"verdict": VIOLATED, "done": False},
+                                     (VIOLATED, False),
                                      "event at t=3 breaks the until guard", VIOLATED),
-    ("until", "never-expires"): (UNTIL, EXPIRED, {"verdict": UNDETERMINED, "done": False}, "",
+    ("until", "never-expires"): (UNTIL, EXPIRED, (UNDETERMINED, False), "",
                                  UNDETERMINED),
 }
 

@@ -78,8 +78,8 @@ class ClientEndpoint:
         port.publish(self.node, f"/{self.effector}/goal", {"goal_id": goal_id, **request})
         return goal_id
 
-    def on_message(self, msg: Message) -> list[tuple[str, str]]:
-        """Consume one delivered message; return [(goal_id, terminal_status)] news."""
+    def on_message(self, msg: Message) -> list[tuple[GoalRecord, str]]:
+        """Consume one delivered message; return [(record, terminal_status)] news."""
         if msg.topic == f"/ready/{self.effector}":
             self.server_ready = True
             return []
@@ -97,7 +97,7 @@ class ClientEndpoint:
                 record.transition(ACTIVE)
             record.transition(status)
             del self.records[record.goal_id]
-            return [(record.goal_id, status)]
+            return [(record, status)]
         return []
 
     def to_state(self) -> tuple:
@@ -105,6 +105,14 @@ class ClientEndpoint:
         # order of their numbers, so a record's place is its id's rank.
         return (self.server_ready,
                 *[(r.status, r.progress, r.request) for r in self.records.values()])
+
+    def from_state(self, state: tuple) -> None:
+        # A record's id is ``node:rank``, so goals count on from the records.
+        self.server_ready, target = state[0], server_node(self.effector)
+        self.records = {f"{self.node}:{i}": GoalRecord(f"{self.node}:{i}", target, request,
+                                                       status, progress)
+                        for i, (status, progress, request) in enumerate(state[1:])}
+        self._counter = len(self.records)
 
 
 class ServerBase:
@@ -214,10 +222,20 @@ class ServerBase:
 
     # -- exploration support -------------------------------------------------
 
-    def base_state(self, rank) -> tuple:
-        """The active goal's id is read as ``rank`` renames it."""
+    def to_state(self, rank) -> tuple:
+        """The active goal's id is read as ``rank`` renames it.  Not state:
+        ``accepted_count``, which only ``scripted_faults`` read and ``verify``
+        rejects, and the progress a work tick sets before it publishes it."""
         record = self.active
         if record is None:
             return (self.ready_published, self.delay_remaining)
         return (self.ready_published, self.delay_remaining, rank(record.goal_id),
                 record.status, record.request, self.work_done, self.duration)
+
+    def from_state(self, state: tuple, unrank) -> None:
+        """``unrank`` gives the id and target of the goal a rank names."""
+        self.ready_published, self.delay_remaining = state[:2]
+        self.active = None
+        if len(state) > 2:
+            rank, status, request, self.work_done, self.duration = state[2:]
+            self.active = GoalRecord(*unrank(rank), request, status)

@@ -49,6 +49,13 @@ class AgentAction:
             return {"kind": "waypoint", "wp": self.args[0]}
         return {"cmd": self.args[0]}
 
+    @staticmethod
+    def of_request(effector: str, request: dict) -> "AgentAction":
+        """The action whose ``request`` went to ``effector``."""
+        if effector == "wheels":
+            return move_to(request["wp"])
+        return posture_cmd(effector, request["cmd"])
+
 
 def move_to(wp: str) -> AgentAction:
     return AgentAction("move_to_waypoint", (wp,))
@@ -106,9 +113,6 @@ class Step:
     def on_resolution(self, agent: "RoverAgent", action: AgentAction, status: str) -> None:
         pass
 
-    def to_state(self) -> tuple:
-        return (type(self).__name__,)
-
 
 class _GoalStep(Step):
     """Base for steps that issue effector goals and wait for their results."""
@@ -147,10 +151,6 @@ class _GoalStep(Step):
         if status != "Succeeded":
             self.retry.append(action)
 
-    def to_state(self) -> tuple:
-        return (type(self).__name__, self.issued, sorted(self.pending),
-                sorted([a.text() for a in self.retry]))
-
 
 class SetPosture(_GoalStep):
     """Drive both instruments to a named posture, skipping ones already there."""
@@ -170,7 +170,13 @@ class SetPosture(_GoalStep):
         ]
 
     def to_state(self) -> tuple:
-        return (*super().to_state(), self.cmd)
+        return ("SetPosture", self.issued, sorted(self.pending),
+                sorted([a.text() for a in self.retry]), self.cmd)
+
+    def from_state(self, state: tuple) -> None:
+        self.issued, self.pending, retry, _cmd = state[1:]
+        # Each retried action is a posture command: ``control_<effector>(cmd)``.
+        self.retry = [AgentAction(text.partition("(")[0], (self.cmd,)) for text in retry]
 
 
 class Hold(Step):
@@ -191,6 +197,9 @@ class Hold(Step):
 
     def to_state(self) -> tuple:
         return ("Hold", self.remaining)
+
+    def from_state(self, state: tuple) -> None:
+        self.remaining = state[1]
 
 
 class MoveNext(_GoalStep):
@@ -232,6 +241,9 @@ class MoveNext(_GoalStep):
     def to_state(self) -> tuple:
         return ("MoveNext", self.issued, sorted(self.pending), self.succeeded)
 
+    def from_state(self, state: tuple) -> None:
+        self.issued, self.pending, self.succeeded = state[1:]
+
 
 @dataclass
 class PlanRule:
@@ -246,19 +258,29 @@ class Intention:
     def __init__(self, rule: PlanRule, bindings: dict):
         self.rule = rule
         self.bindings = bindings
-        self.steps: list[Step] = []
-        self.index = 0
+        self.steps: list[Step] = []  # the steps not finished yet
 
     @property
     def current(self) -> Step | None:
-        return self.steps[self.index] if self.index < len(self.steps) else None
+        return self.steps[0] if self.steps else None
 
     def to_state(self) -> tuple:
         # Bindings are left out: after adoption they only label explanations.
         # start_patrol binds whichever ready message arrived first, so keeping
         # them would make same-tick arrival order, which the inbox key sorts
         # away, decide a successor's key.
-        return (self.rule.name, self.index, *[s.to_state() for s in self.steps[self.index:]])
+        return (self.rule.name, *[s.to_state() for s in self.steps])
+
+    @classmethod
+    def from_state(cls, agent: "RoverAgent", state: tuple) -> "Intention":
+        # Bindings come back empty: they only label explanations.  The steps
+        # not finished are the last of the rule's body.
+        intention = cls(next(rule for rule in agent.plans if rule.name == state[0]), {})
+        body = intention.rule.body(agent, {})
+        intention.steps = body[len(body) + 1 - len(state):]
+        for step, view in zip(intention.steps, state[1:]):
+            step.from_state(view)
+        return intention
 
 
 def _match(trigger: tuple, event: tuple) -> dict | None:
@@ -429,7 +451,7 @@ class RoverAgent:
             if step is None:
                 self.intention = None
             elif step.finished:
-                self.intention.index += 1
+                del self.intention.steps[0]
             else:
                 return
 
@@ -458,7 +480,7 @@ class RoverAgent:
                 break
             outcome = step.run(self)
             if outcome == DONE:
-                self.intention.index += 1
+                del self.intention.steps[0]
                 continue
             if outcome == WAITING:
                 return []
@@ -486,13 +508,19 @@ class RoverAgent:
         return (sorted(self.beliefs), self.started,
                 self.intention.to_state() if self.intention else None)
 
+    def from_state(self, state: tuple) -> None:
+        beliefs, self.started, intention = state
+        self.beliefs = set(beliefs)
+        self.intention = None if intention is None else Intention.from_state(self, intention)
+
 
 # -- agent host --------------------------------------------------------------
 
 class AgentHost:
     """Runs the agent, its interface node and the clients through one
     ``StagePort``: turns inbox traffic into perceptions, hands emitted actions
-    to the clients, and maps goal results back to the actions behind them."""
+    to the clients, and maps goal results back to the actions behind them,
+    each the one its goal's request names."""
 
     def __init__(self, config: ScenarioConfig, clients: dict):
         from .messages import NODE_ENV_INTERFACE, client_node
@@ -500,7 +528,6 @@ class AgentHost:
         self.config = config
         self.agent = RoverAgent(config)
         self.clients = clients  # effector -> ClientEndpoint
-        self.goal_actions: dict[str, AgentAction] = {}
         self._client_nodes = {client_node(e): e for e in clients}
         self.nodes = (NODE_ENV_INTERFACE, *self._client_nodes)
 
@@ -508,12 +535,9 @@ class AgentHost:
         perceptions: list[dict] = []
         for node, msg in port.inbox():
             if node in self._client_nodes:
-                client = self.clients[self._client_nodes[node]]
-                for goal_id, status in client.on_message(msg):
-                    action = self.goal_actions.pop(goal_id, None)
-                    if action is None:
-                        log.debug("result for unknown goal %s ignored", goal_id)
-                        continue
+                effector = self._client_nodes[node]
+                for record, status in self.clients[effector].on_message(msg):
+                    action = AgentAction.of_request(effector, record.request)
                     perceptions.append({"kind": "resolved", "action": action, "status": status})
                 continue
             topic = msg.topic
@@ -531,14 +555,15 @@ class AgentHost:
         for action in self.agent.cycle(port, perceptions):
             client = self.clients[action.effector()]
             try:
-                goal_id = client.send_goal(port, action.request())
+                client.send_goal(port, action.request())
             except Exception as exc:  # noqa: BLE001 - fault isolation boundary
                 log.warning("action %s rejected by %s client: %s",
                             action.text(), action.effector(), exc)
-                continue
-            self.goal_actions[goal_id] = action
 
     def to_state(self) -> tuple:
-        # ``goal_actions`` is left out: its ids are those of the clients' live
-        # records, and each action is the one the record's request names.
         return (self.agent.to_state(), *[c.to_state() for c in self.clients.values()])
+
+    def from_state(self, state: tuple) -> None:
+        self.agent.from_state(state[0])
+        for client, view in zip(self.clients.values(), state[1:]):
+            client.from_state(view)

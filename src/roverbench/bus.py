@@ -131,6 +131,12 @@ class MessageBus:
                 )
         return delivered
 
+    def queue(self, node: str, topic: str, payload: dict) -> None:
+        """Put a message in ``node``'s inbox, sent by the topic's publisher."""
+        self.inboxes[node].append(
+            Message(self._next_seq, self.topology.topics[topic].publisher, topic, payload))
+        self._next_seq += 1
+
     def drain_inbox(self, node: str) -> list[Message]:
         inbox = self.inboxes[node]
         self.inboxes[node] = []

@@ -292,6 +292,20 @@ def _schema_error(schema: dict[str, Any], value: Any) -> str | None:
     return f"config invalid at {'/'.join(str(p) for p in path) or '<root>'}: {message}"
 
 
+def _integers(schema: dict[str, Any], value: Any) -> Any:
+    """A valid ``value`` with each integral float where ``schema`` asks for
+    an integer made an ``int``: a run of it is a run of the config with the int."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        named, rest = schema.get("properties", {}), schema.get("additionalProperties")
+        return {key: _integers(named.get(key, rest if isinstance(rest, dict) else {}), item)
+                for key, item in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integers(schema["items"], item) for item in value]
+    return value
+
+
 def validate_config(raw: dict[str, Any]) -> None:
     error = _schema_error(CONFIG_SCHEMA, raw)
     if error:
@@ -302,5 +316,5 @@ def validate_config(raw: dict[str, Any]) -> None:
 def make_config(overrides: dict[str, Any] | None = None) -> ScenarioConfig:
     raw = _merge(DEFAULT_SCENARIO, overrides or {})
     validate_config(raw)
-    return ScenarioConfig(raw)
+    return ScenarioConfig(_integers(CONFIG_SCHEMA, raw))
 

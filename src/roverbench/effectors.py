@@ -54,9 +54,12 @@ class WheelsServer(ServerBase):
             port.publish(self.node, "/wheels/telemetry", {"speeds": [0] * WHEEL_COUNT})
 
     def to_state(self, rank) -> tuple:
-        if self.active is None:
-            return (self.base_state(rank), self.pose)
-        return (self.base_state(rank), self.pose, self._target)
+        target = None if self.active is None else self._target  # stale after a goal
+        return (super().to_state(rank), self.pose, target)
+
+    def from_state(self, state: tuple, unrank) -> None:
+        super().from_state(state[0], unrank)
+        self.pose, self._target = state[1:]
 
 
 class PostureServer(ServerBase):
@@ -97,10 +100,14 @@ class PostureServer(ServerBase):
             "effector": self.effector, "joints": list(self.joints), "posture": self.posture})
 
     def to_state(self, rank) -> tuple:
-        if self.active is None:
-            return (self.base_state(rank), self.joints, self.posture)
-        return (self.base_state(rank), self.joints, self.posture,
-                self._start, self._goal_joints, self._goal_posture)
+        goal = () if self.active is None else (self._start, self._goal_joints, self._goal_posture)
+        return (super().to_state(rank), self.joints, self.posture, *goal)
+
+    def from_state(self, state: tuple, unrank) -> None:
+        super().from_state(state[0], unrank)
+        self.joints, self.posture, *goal = state[1:]
+        if goal:
+            self._start, self._goal_joints, self._goal_posture = goal
 
 
 def build_servers(config: ScenarioConfig) -> dict:

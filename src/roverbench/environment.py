@@ -105,3 +105,6 @@ class World:
     def to_state(self) -> tuple:
         # Both level maps list the waypoints in one order, ``self.order``.
         return (self.wind, self.radiation, self.last_pose, self.started)
+
+    def from_state(self, state: tuple) -> None:
+        self.wind, self.radiation, self.last_pose, self.started = state

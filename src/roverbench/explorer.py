@@ -11,19 +11,16 @@ the graph is finite whenever the mission is cyclic.  Each component of that
 view (the world, each server, the host, each node's inbox, the monitors) is
 filed in ``marshal`` bytes once per walk, and the key is the tuple of their
 indices in ``marshal`` bytes: exact, 80 bytes, and cheap to compare (collapse
-compression; Holzmann, "State compression in SPIN", 1997).  A new state keeps
-its live bundle, and its first successor is stepped on it (at most
-``_LIVE_LIMIT`` are held).  Other successors are restored from a pickled
-snapshot, but only checkpoints (every ``_CHECKPOINT``-th depth, roots
-included), states past the live limit and states made by a branching step are
-frozen when added.  Any other state whose step branches has its pre-step
-bundle rebuilt once from its checkpoint by replaying the tree's picks
-(stateless search; Godefroid, POPL 1997), and steps the second choice script
-itself, frozen first only if more scripts follow.  That is exact: a step is a
-deterministic function of the bundle and its choices, and strict replay fails
-on any choice point that differs from the recorded one.  A snapshot is freed
-once its state's successors are made, a checkpoint once the walk is
-``_CHECKPOINT`` depths below it.
+compression; Holzmann, "State compression in SPIN", 1997).  A stored state
+is its key: each part of the model and each monitor has a ``from_state``
+beside its ``to_state``, and a state's bundle is rebuilt from the views its
+key files, at a tick equal to its depth, since every root starts at tick 0
+and every edge is one tick.  A new state keeps its live bundle, and its
+first successor is stepped on it (at most ``_LIVE_LIMIT`` are held); every
+other successor is stepped on a rebuilt bundle.  What the view leaves out
+(goal numbers, arrival order in an inbox, finished intention steps, rule
+bindings, message seqs) changes no step's successor key, choice log, liveness
+labels or violations, so a rebuilt bundle steps like the live one.
 
 With schedule permutations, a stage (an effector server or the agent host)
 steps through a ``bus.StagePort``, which enforces the stage contract: it reads
@@ -68,28 +65,18 @@ behavior reports divergence instead of guessing.
 
 from __future__ import annotations
 
-import io
+import copy
 import json
 import marshal
 import math
-import pickle
 import sys
 import time
-import types
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
 
-from .agent import PlanRule
+from .agent import atom_text
 from .config import ConfigError, ScenarioConfig, make_config
-from .messages import Topology
-from .monitor import (
-    DispatchIndex,
-    LivenessMonitor,
-    MonitorEngine,
-    OnlineMonitor,
-    synthesize,
-)
+from .monitor import LivenessMonitor, MonitorEngine, OnlineMonitor, synthesize
 from .prop_dsl import SATISFIED, UNDETERMINED, VIOLATED
 from .simulator import ALL_STAGES, SAME_ORDER, Model
 from .tracing import EventTracer, InputError, read_input
@@ -97,14 +84,11 @@ from .tracing import EventTracer, InputError, read_input
 DEFAULT_BUDGET_STATES = 1_000_000
 DEFAULT_BUDGET_SECS = 60.0
 
-# Live bundles a walk holds at once for its states' first successors: 25-40
-# KB each, against a snapshot's 6-7 KB.  The frontier of every packaged
-# scenario and benchmark workload, at most 14 states, fits inside it.
+# Live bundles a walk holds at once for its states' first successors, 25-40
+# KB each; past it, a first successor is stepped on a bundle rebuilt from its
+# state's key, as every other one is.  The frontier of every packaged scenario
+# and benchmark workload, at most 14 states, fits inside it.
 _LIVE_LIMIT = 64
-
-# Depths at which every new state is frozen, so that rebuilding a state
-# that kept only its live bundle replays fewer than this many steps.
-_CHECKPOINT = 16
 
 # Seconds between the progress lines a walk writes to stderr.
 _PROGRESS_EVERY = 2.0
@@ -190,14 +174,20 @@ class _KeyTable:
     ``Model.to_state`` view and the monitors' names and views.  An inbox is
     the sorted list of the indices of its entries' bytes, each entry filed
     once too, so arrival order is not state.  Two keys of a table are equal
-    exactly when their views are."""
+    exactly when their views are.  The table reads a key's views back, and
+    holds the config and a root's unstepped monitors and dispatch index."""
 
-    def __init__(self, model: Model):
+    def __init__(self, model: Model, engine: MonitorEngine):
         self.parts = len(model.servers) + 2  # the world, each server and the host
         self.names = ["world", *(f"servers.{e}" for e in model.servers), "host",
                       *(f"inboxes.{node}" for node in model.bus.inboxes), "monitors"]
         self.tables: list[dict[bytes, int]] = [{} for _ in self.names]
         self.entries: dict[bytes, int] = {}  # every queued message's bytes
+        # The values of each table, then of ``entries``, as far as read back.
+        self.filed: list[list[bytes]] = [[] for _ in range(len(self.names) + 1)]
+        self.config = model.config
+        self.monitors = {name: copy.copy(m) for name, m in engine.monitors.items()}
+        self.index = engine.index
 
     def key(self, view: tuple, monitors: tuple) -> bytes:
         """The key of a ``Model.to_state`` view and its monitors' views."""
@@ -212,9 +202,27 @@ class _KeyTable:
         return dump(tuple([table.setdefault(value, len(table))
                            for table, value in zip(self.tables, values)]), 2)
 
+    def view(self, key: bytes) -> tuple[tuple, tuple]:
+        """The ``Model.to_state`` view and the monitors' names and views that
+        ``key`` stands for, each inbox's entries in key order."""
+        load, read = marshal.loads, _filed
+        values = [load(read(table, filed, i))
+                  for table, filed, i in zip(self.tables, self.filed, load(key))]
+        for at in range(self.parts, len(values) - 1):
+            values[at] = [load(read(self.entries, self.filed[-1], i)) for i in values[at]]
+        return tuple(values[:-1]), values[-1]
+
     def sizes(self) -> dict[str, int]:
         """The number of distinct values of each component."""
         return {name: len(table) for name, table in zip(self.names, self.tables)}
+
+
+def _filed(table: dict, filed: list, index: int) -> bytes:
+    """The value ``table`` files under ``index``: ``filed``, its first values
+    in insertion order, is extended from the table's newest end."""
+    if index >= len(filed):
+        filed += reversed([*islice(reversed(table), len(table) - len(filed))])
+    return filed[index]
 
 
 class _Bundle:
@@ -228,14 +236,27 @@ class _Bundle:
         self.liveness = [m for m in engine.monitors.values() if isinstance(m, LivenessMonitor)]
 
     @staticmethod
-    def clone(snapshot: bytes) -> "_Bundle":
-        """A live bundle restored from a snapshot of the running walk."""
-        return pickle.loads(snapshot)
+    def clone(keys: _KeyTable, key: bytes, tick: int) -> "_Bundle":
+        """The bundle of a stored state at tick ``tick``, rebuilt from the
+        views ``key`` files in ``keys``, less its Violated monitors as the walk
+        stores it.  Monitors are copies of a root's: ``synthesize`` costs more."""
+        view, (names, states) = keys.view(key)
+        model = Model(keys.config, EventTracer())
+        model.from_state(view, tick)
+        monitors = [copy.copy(keys.monitors[name]) for name in names]
+        for monitor, state in zip(monitors, states):
+            monitor.from_state(state, tick)
+        engine = MonitorEngine([m for m in monitors if m.verdict != VIOLATED], keys.index)
+        engine.clock = engine.last_tick = tick
+        if tick:  # past a root's first event, which folds in the agent's beliefs
+            engine.state = frozenset(map(atom_text, model.host.agent.beliefs))
+            engine.first = False
+        return _Bundle(model, engine, keys)
 
     def step(self, script: list | None, strict: bool = False) -> tuple[list[dict], list]:
         """Advance one tick under a choice script; returns (events, choice log).
-        The tick's events are handed over and its explanations dropped, so a
-        snapshot taken between steps carries neither."""
+        The tick's events are handed over and its explanations dropped, so
+        a bundle stepped down a chain of live states does not grow."""
         sink = ChoiceSink(script, strict=strict)
         self.acting = self.model.step_tick(sink)  # mask of the stages that acted
         tracer = self.model.tracer
@@ -269,61 +290,6 @@ class _Bundle:
                              (tuple(monitors), [m.to_state(now) for m in monitors.values()]))
 
 
-# -- state snapshots ---------------------------------------------------------
-
-# Never changed once built, so every bundle of a walk shares one of each:
-# classes (a table lookup restores faster than an import by name), closures
-# and compiled predicates, the config, the bus topology, plan rules, and each
-# root's monitor index and the walk's key table (which only grow, and so are
-# never written into a snapshot).  Monitors hold predicates, not formulas, so
-# no snapshot reaches a formula node.
-_SHARED_TYPES = frozenset(
-    [type, types.FunctionType, ScenarioConfig, Topology, PlanRule, DispatchIndex, _KeyTable])
-
-# The shared objects of the running walks, which nest but never run in
-# parallel threads; a snapshot holds their positions.
-_SHARED: list = []
-
-
-def _shared(position: int):
-    return _SHARED[position]
-
-
-class _Snapshots(pickle.Pickler):
-    """Freezes the bundles of one walk to ``bytes`` (SPIN-style state-vector
-    storage; Holzmann, *The SPIN Model Checker*, ch. 8-9).  Shared objects
-    are written as references into ``_SHARED`` and stay there until the
-    ``with`` block ends."""
-
-    def __init__(self):
-        self.buffer = io.BytesIO()
-        super().__init__(self.buffer, pickle.HIGHEST_PROTOCOL)
-        self.base = len(_SHARED)
-        self.positions: dict[int, int] = {}  # id(obj) -> position in _SHARED
-
-    def __enter__(self) -> "_Snapshots":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        del _SHARED[self.base:]
-
-    def freeze(self, bundle: _Bundle) -> bytes:
-        self.buffer.seek(0)
-        self.buffer.truncate()
-        self.clear_memo()
-        self.dump(bundle)
-        return self.buffer.getvalue()
-
-    def reducer_override(self, obj):
-        if type(obj) not in _SHARED_TYPES or obj is _shared:
-            return NotImplemented
-        position = self.positions.get(id(obj))
-        if position is None:
-            position = self.positions[id(obj)] = len(_SHARED)
-            _SHARED.append(obj)
-        return _shared, (position,)
-
-
 # -- exploration -------------------------------------------------------------
 
 @dataclass
@@ -337,17 +303,7 @@ class Counterexample:
     loop_from: int | None = None
 
     def to_json(self) -> dict:
-        data = {
-            "prop": self.prop,
-            "kind": self.kind,
-            "reason": self.reason,
-            "config": self.config,
-            "init": self.init,
-            "ticks": self.ticks,
-        }
-        if self.loop_from is not None:
-            data["loop_from"] = self.loop_from
-        return data
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 @dataclass
@@ -363,16 +319,11 @@ class ExplorationReport:
     stats: dict = field(default_factory=dict)  # dedupe, phases, BFS shape
 
     def to_json(self) -> dict:
-        return {
-            "states": self.states,
-            "transitions": self.transitions,
-            "verdicts": self.verdicts,
-            "counterexamples": {n: c.to_json() for n, c in self.counterexamples.items()},
-            "complete": self.complete,
-            "schedule_invariant": self.schedule_invariant,
-            # The only wall-clock figures, kept apart from the verdicts.
-            "stats": {"seconds": round(self.seconds, 3), **self.stats},
-        }
+        data = {**vars(self), "counterexamples": {
+            n: c.to_json() for n, c in self.counterexamples.items()}}
+        # The only wall-clock figures, kept apart from the verdicts.
+        data["stats"] = {"seconds": round(data.pop("seconds"), 3), **self.stats}
+        return data
 
 
 @dataclass
@@ -380,11 +331,7 @@ class _Node:
     key: bytes  # the one copy every edge into this state holds
     parent: bytes | None
     picks: list  # choice log of the edge that discovered this node
-    depth: int
-    # The frozen bundle, if the state was frozen: a checkpoint's until the
-    # walk expands states _CHECKPOINT depths below it, any other's until
-    # its successors are made.
-    snapshot: bytes | None = None
+    depth: int  # and tick: every root starts at tick 0, every edge is one tick
     bundle: _Bundle | None = None  # the live bundle, until its first successor is stepped
     open: frozenset = frozenset()  # responses with an open obligation, shared
 
@@ -436,7 +383,8 @@ class Explorer:
         tracer = EventTracer()
         sink = ChoiceSink(init_script, strict=strict)
         model = Model(self.config, tracer, sink=sink)
-        return _Bundle(model, MonitorEngine(self._monitors()), keys or _KeyTable(model)), sink.log
+        engine = MonitorEngine(self._monitors())
+        return _Bundle(model, engine, keys or _KeyTable(model, engine)), sink.log
 
     def _roots(self) -> list[tuple[_Bundle, list]]:
         """Every root of a walk, sharing one new key table."""
@@ -450,8 +398,8 @@ class Explorer:
     def explore(self) -> ExplorationReport:
         """Breadth-first walk over every reachable state.  States are keyed by
         ``canonical()``.  A state's first successor is stepped on its live
-        bundle, if it kept one, and every other one is restored from its
-        snapshot, rebuilt by replay if the state was not frozen when added."""
+        bundle, if it kept one, and every other one on a bundle rebuilt from
+        its key."""
         started = time.monotonic()
         states: dict[bytes, _Node] = {}
         edges: list[_Edge] = []
@@ -459,12 +407,11 @@ class Explorer:
         head = 0
         verdicts: dict[str, str] = {n: UNDETERMINED for n in self.suite}
         counterexamples: dict[str, Counterexample] = {}
-        phase_s = dict.fromkeys(("restore", "step", "key", "freeze", "liveness"), 0.0)
+        phase_s = dict.fromkeys(("restore", "step", "key", "liveness"), 0.0)
         live = 0  # states holding their live bundle
-        held: deque[_Node] = deque()  # checkpoints holding their snapshot, by depth
         frontier_max = 0  # most states waiting to be expanded at once
         unstepped = 0  # edges copied from an earlier order's, with no step of their own
-        frozen = rebuilt = 0  # snapshots written; pre-step bundles replayed
+        restored = 0  # bundles rebuilt from a key
         reported = started  # when the last progress line went to stderr
         label_sets: dict[frozenset, frozenset] = {}  # one copy of each edge label and open set
 
@@ -492,49 +439,28 @@ class Explorer:
                       f"frontier {len(queue) - head}, "
                       f"{len(edges) / elapsed:.0f} transitions/s", file=sys.stderr)
 
-        def add_state(bundle: _Bundle, key: bytes, node: _Node, branched: bool) -> None:
-            """Store a new state, made by a step that offered more than one
-            choice script if ``branched``."""
-            nonlocal live, frozen
+        def add_state(bundle: _Bundle, key: bytes, node: _Node) -> None:
+            nonlocal live
             states[key] = node
             queue.append(node)
             for name, monitor in bundle.violations():
                 if name not in counterexamples:
-                    ce = self._trail(states, key, monitor.shape, monitor.reason)
-                    ce.prop = name
-                    counterexamples[name] = ce
+                    counterexamples[name] = self._trail(states, key, name, monitor.shape,
+                                                        monitor.reason)
                     verdicts[name] = VIOLATED
                 del bundle.engine.monitors[name]
-            keep = live < _LIVE_LIMIT
-            checkpoint = node.depth % _CHECKPOINT == 0
-            if checkpoint or branched or not keep:
-                node.snapshot = timed("freeze", snapshots.freeze, bundle)
-                frozen += 1
-                if checkpoint:
-                    held.append(node)
             node.open = shared(m.name for m in bundle.liveness if m.open)
-            if keep:
+            if live < _LIVE_LIMIT:
                 node.bundle = bundle
                 live += 1
 
-        def rebuild(node: _Node) -> _Bundle:
-            """The pre-step bundle of a state that kept only its live bundle:
-            replay the picks down from the nearest ancestor holding a
-            snapshot, dropping violated monitors as ``add_state`` does."""
-            nonlocal rebuilt
-            path = []
-            while node.snapshot is None:
-                path.append(node)
-                node = states[node.parent]
-            bundle = timed("restore", _Bundle.clone, node.snapshot)
-            for below in reversed(path):
-                timed("step", bundle.step, below.picks, True)
-                for name, _ in bundle.violations():
-                    del bundle.engine.monitors[name]
-            rebuilt += 1
-            return bundle
+        def restore(node: _Node) -> _Bundle:
+            nonlocal restored
+            restored += 1
+            # Called through the class, which instrumentation may patch.
+            return timed("restore", _Bundle.clone, keys, node.key, node.depth)
 
-        def visit(source: _Node, succ: _Bundle, picks: list, branched: bool) -> None:
+        def visit(source: _Node, succ: _Bundle, picks: list) -> None:
             """Key one successor, record its edge and store it if it is new."""
             key = timed("key", succ.canonical)
             known = states.get(key)
@@ -543,83 +469,56 @@ class Explorer:
             edges.append(_Edge(source.key, key if known is None else known.key, picks,
                                shared(succ.fired)))
             if known is None:
-                add_state(succ, key, _Node(key, source.key, picks, source.depth + 1), branched)
+                add_state(succ, key, _Node(key, source.key, picks, source.depth + 1))
             check_budget()
-
-        def walk(roots: list[tuple[_Bundle, list]]) -> None:
-            nonlocal head, live, frontier_max, unstepped, frozen
-            for bundle, init_log in roots:
-                key = timed("key", bundle.canonical)
-                if key in states:
-                    continue
-                add_state(bundle, key, _Node(key, None, init_log, 0), True)
-                check_budget()
-
-            while head < len(queue):
-                frontier_max = max(frontier_max, len(queue) - head)
-                node = queue[head]
-                head += 1
-                # Every state left to expand has a checkpoint nearer than one
-                # _CHECKPOINT depths above the head: free those.
-                while held and held[0].depth + _CHECKPOINT <= node.depth:
-                    held.popleft().snapshot = None
-                # Breadth-first order expands a state once, so its snapshot,
-                # bar a checkpoint's, and its live bundle are dropped now and
-                # each successor is keyed as it is made.
-                snapshot = node.snapshot
-                if node.depth % _CHECKPOINT:
-                    node.snapshot = None
-                probe, node.bundle = node.bundle, None
-                if probe is None:
-                    # Called through the class, which instrumentation may patch.
-                    probe = timed("restore", _Bundle.clone, snapshot)
-                else:
-                    live -= 1
-                _, signature = timed("step", probe.step, None)
-                scripts = _variants(signature)
-                branched = len(scripts) > 1
-                replayed = None  # a rebuilt bundle, which steps the next script itself
-                if branched and snapshot is None:
-                    replayed = rebuild(node)
-                    if len(scripts) > 2:
-                        snapshot = timed("freeze", snapshots.freeze, replayed)
-                        frozen += 1
-                # Variant n's schedule pick has weight ``stride`` in the
-                # odometer order, so n - pick * stride is its schedule-0
-                # sibling, stepped before it.  The orders that run the stages
-                # that acted in that step (taken only with the schedule as a
-                # choice) in the same relative order end alike: each copies
-                # the edge of the first of them.
-                at = next((i for i, (k, _, _) in enumerate(signature) if k == ["schedule"]), -1)
-                stride = math.prod(count for _, count, _ in signature[at + 1:])
-                masks: dict[int, int] = {}  # schedule-0 variant -> its acting stages
-                base = len(edges)  # variant n's edge is edges[base + n]
-                branch, picks = probe, signature  # [0] is the probe's
-                for n, script in enumerate(scripts):
-                    if n:
-                        pick = script[at][2] if at >= 0 else 0
-                        same = SAME_ORDER[masks.get(n - pick * stride, ALL_STAGES)][pick]
-                        if same < pick:
-                            edge = edges[base + n - (pick - same) * stride]
-                            picks = [*edge.picks[:at], script[at], *edge.picks[at + 1:]]
-                            edges.append(_Edge(node.key, edge.dst, picks, edge.awaited))
-                            unstepped += 1
-                            continue
-                        if replayed is None:
-                            branch = timed("restore", _Bundle.clone, snapshot)
-                        else:
-                            branch, replayed = replayed, None
-                        picks = timed("step", branch.step, script)[1]
-                    visit(node, branch, picks, branched)
-                    if at >= 0 and picks[at] == signature[at]:
-                        masks[n] = branch.acting
 
         roots = self._roots()
         keys = roots[0][0].keys  # every root's, and so every state's, key table
-        with _Snapshots() as snapshots:
-            walk(roots)
-        for node in held:  # the last checkpoints, which no head passed
-            node.snapshot = None
+        for bundle, init_log in roots:
+            key = timed("key", bundle.canonical)
+            if key in states:
+                continue
+            add_state(bundle, key, _Node(key, None, init_log, 0))
+            check_budget()
+
+        while head < len(queue):
+            frontier_max = max(frontier_max, len(queue) - head)
+            node = queue[head]
+            head += 1
+            # Breadth-first order expands a state once, so its live bundle is
+            # dropped now and each successor is keyed as it is made.
+            probe, node.bundle = node.bundle, None
+            if probe is None:
+                probe = restore(node)
+            else:
+                live -= 1
+            _, signature = timed("step", probe.step, None)
+            scripts = _variants(signature)
+            # Variant n's schedule pick has weight ``stride`` in the odometer
+            # order, so n - pick * stride is its schedule-0 sibling, stepped
+            # before it.  The orders that run the stages that acted in that
+            # step (taken only with the schedule as a choice) in the same
+            # relative order end alike: each copies the edge of the first.
+            at = next((i for i, (k, _, _) in enumerate(signature) if k == ["schedule"]), -1)
+            stride = math.prod(count for _, count, _ in signature[at + 1:])
+            masks: dict[int, int] = {}  # schedule-0 variant -> its acting stages
+            base = len(edges)  # variant n's edge is edges[base + n]
+            branch, picks = probe, signature  # [0] is the probe's
+            for n, script in enumerate(scripts):
+                if n:
+                    pick = script[at][2] if at >= 0 else 0
+                    same = SAME_ORDER[masks.get(n - pick * stride, ALL_STAGES)][pick]
+                    if same < pick:
+                        edge = edges[base + n - (pick - same) * stride]
+                        picks = [*edge.picks[:at], script[at], *edge.picks[at + 1:]]
+                        edges.append(_Edge(node.key, edge.dst, picks, edge.awaited))
+                        unstepped += 1
+                        continue
+                    branch = restore(node)
+                    picks = timed("step", branch.step, script)[1]
+                visit(node, branch, picks)
+                if at >= 0 and picks[at] == signature[at]:
+                    masks[n] = branch.acting
         elapsed = time.monotonic() - started
 
         # Properties that never violated anywhere: on an exhaustive finite
@@ -649,29 +548,20 @@ class Explorer:
                                      for _, same in groupby(node.depth for node in queue)],
                 "frontier_max": frontier_max,
                 "unstepped_transitions": unstepped,
-                "frozen": frozen,
-                "rebuilt": rebuilt,
+                "restored": restored,
                 # Distinct values of each key component over the stored states.
                 "distinct_components": keys.sizes(),
             },
         )
 
-    def _trail(self, states: dict, key: bytes, kind: str, reason: str) -> Counterexample:
-        picks: list[list] = []
-        cursor = key
-        init: list = []
-        while cursor is not None:
-            node = states[cursor]
-            if node.parent is None:
-                init = node.picks
-                break
-            picks.append(node.picks)
-            cursor = node.parent
-        picks.reverse()
-        return Counterexample(
-            prop="", kind=kind, reason=reason,
-            config=self.config.to_json(), init=init, ticks=picks,
-        )
+    def _trail(self, states: dict, key: bytes, prop: str, kind: str,
+               reason: str) -> Counterexample:
+        """The tree path to ``key``: its root's choices, then each tick's."""
+        node, ticks = states[key], []
+        while node.parent is not None:
+            ticks.append(node.picks)
+            node = states[node.parent]
+        return Counterexample(prop, kind, reason, self.config.to_json(), node.picks, ticks[::-1])
 
     # -- liveness decisions --------------------------------------------------
 
@@ -696,9 +586,8 @@ class Explorer:
                 continue
             entry, loop_edges = found
             verdicts[name] = VIOLATED
-            ce = self._trail(states, entry, "liveness",
+            ce = self._trail(states, entry, name, "liveness",
                              "a reachable cycle never produces the awaited event")
-            ce.prop = name
             ce.loop_from = len(ce.ticks)
             ce.ticks += [e.picks for e in loop_edges]
             counterexamples[name] = ce

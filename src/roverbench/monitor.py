@@ -34,8 +34,9 @@ found at synthesis by partially evaluating its compiled predicates.  The
 engine hands an event only to the monitors its key can match.
 
 ``MonitorEngine`` is the one driver of monitors: ``simulate`` attaches one
-to the run's tracer, and the explorer carries one, built afresh for each
-root, in every branch of its walk.  Both expire windows on the same clock.
+to the run's tracer, and the explorer carries one in every branch of its
+walk, built for each root and rebuilt from a state's key with the root's
+dispatch index.  Both expire windows on the same clock.
 """
 
 from __future__ import annotations
@@ -124,9 +125,13 @@ class OnlineMonitor:
 
     def to_state(self, now: int = 0):
         """Canonical monitor state; deadlines are reported relative to ``now``
-        so snapshots taken at different absolute ticks compare equal.  A
+        so states reached at different absolute ticks compare equal.  A
         safety monitor's is its verdict alone."""
         return self.verdict
+
+    def from_state(self, state, now: int = 0) -> None:
+        """Set this monitor to the state ``to_state(now)`` gave."""
+        self.verdict = state
 
 
 class SafetyMonitor(OnlineMonitor):
@@ -233,6 +238,14 @@ class ObligationMonitor(OnlineMonitor):
             return (self.verdict, due, self.armed)
         return (self.verdict, due)
 
+    def from_state(self, state, now: int = 0) -> None:
+        # Only ``once`` disarms, at the first event, which the first step has.
+        self.verdict, self.armed = state[0], not self.once or now == 0
+        if self.bound is not None:
+            self.deadline = None if state[1] is None else state[1] + now
+        else:  # state[1] is "open", or "done" with ``once``
+            self.deadline = math.inf if now and state[1] != self.once else None
+
 
 class LivenessMonitor(OnlineMonitor):
     """An unbounded shape, which only the explorer decides: ``kind`` is
@@ -261,6 +274,9 @@ class LivenessMonitor(OnlineMonitor):
 
     def to_state(self, now: int = 0):
         return self.open
+
+    def from_state(self, state, now: int = 0) -> None:
+        self.open = state
 
 
 # -- dispatch keys -----------------------------------------------------------
@@ -351,8 +367,8 @@ class DispatchIndex:
 def _try_pure(node):
     """The compiled event predicate of ``node``, labelled with its partial
     evaluation (``keys`` and ``outside``); None if ``node`` is temporal.
-    The labels sit on the predicate, which explorer snapshots write as a
-    reference, so a stored state does not grow by them."""
+    The labels sit on the predicate, which every copy of its monitor
+    shares."""
     try:
         pred = compile_event_predicate(node)
     except ValueError:
@@ -428,14 +444,15 @@ class MonitorEngine:
     and gates bus publishes for block-mode monitors.  Verdict events are
     monitor output, which no monitor observes."""
 
-    def __init__(self, monitors: list[OnlineMonitor]):
+    def __init__(self, monitors: list[OnlineMonitor], index: DispatchIndex | None = None):
         for m in monitors:
             if m.mode == "block" and not isinstance(m, SafetyMonitor):
                 raise MonitorConfigError(
                     f"{m.name}: only per-event safety monitors may block "
                     "(a deadline expiry has no message to veto)")
         self.monitors = {m.name: m for m in monitors}  # the explorer drops Violated ones
-        self.index = DispatchIndex([(m.name, m.keys) for m in monitors])
+        # A given index is shared: that of an engine over the same monitors.
+        self.index = index or DispatchIndex([(m.name, m.keys) for m in monitors])
         self.state = frozenset()  # the belief base as of the last belief event
         self.tracer = None
         self.last_tick = 0

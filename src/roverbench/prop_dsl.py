@@ -126,7 +126,7 @@ class _Formula:
         return node
 
     def __reduce__(self):
-        # Rebuilt through the constructor: a pickled or copied node comes
+        # Rebuilt through the constructor: a copied or serialized node comes
         # back as the filed one.
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 

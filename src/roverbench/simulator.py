@@ -3,9 +3,9 @@ order, delivering bus traffic between ticks.
 
 Per tick: the environment publishes its samples, each effector server makes
 progress, the agent host reasons, and then the bus delivers everything that
-was published this tick so it arrives at the start of the next one.  State
-snapshots are taken right after delivery, which keeps the pending queue empty
-at every snapshot point.
+was published this tick so it arrives at the start of the next one.  The
+explorer reads and restores a state right after delivery, when the pending
+queue is empty.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .bus import MessageBus, StagePort
 from .config import ScenarioConfig
 from .effectors import build_servers
 from .environment import World
-from .messages import EFFECTORS, NODE_WORLD, Message, Topology, server_node
+from .messages import EFFECTORS, NODE_WORLD, Topology, server_node
 from .tracing import EventTracer, dump_event
 
 TRACE_FORMAT = 1
@@ -101,7 +101,8 @@ class Model:
         view = [self.world.to_state(), *[s.to_state(rank) for s in self.servers.values()],
                 self.host.to_state()]
         for msgs in self.bus.inboxes.values():
-            view.append([m[2:] if "goal_id" not in m.payload else _ranked(m, rank)
+            view.append([m[2:] if "goal_id" not in m.payload else
+                         (m.topic, {**m.payload, "goal_id": rank(m.payload["goal_id"])})
                          for m in msgs] if msgs else msgs)
         return tuple(view)
 
@@ -114,11 +115,29 @@ class Model:
                 return f"{client.node}#{[*client.records].index(goal_id)}"
         raise KeyError(f"goal id {goal_id} names no live record")
 
+    def from_state(self, view: tuple, tick: int) -> None:
+        """Set a model built with no sink, whose world would draw its choices
+        again, to the state a ``to_state`` view stands for, at tick ``tick``.
+        Inbox entries come in key order, with fresh seqs."""
+        targets = {client.node: server_node(e) for e, client in self.clients.items()}
 
-def _ranked(msg: Message, rank) -> tuple:
-    """The inbox entry of a message that names a goal, its id renamed."""
-    return (msg.topic, rank(msg.payload["goal_id"]),
-            *[item for item in msg.payload.items() if item[0] != "goal_id"])
+        # A rank ``node#i`` names the goal ``node:i``, whose target is the
+        # server of its client: with ``misroute-bus`` too, where an arm goal
+        # lands on the mast server.
+        def unrank(rank: str) -> tuple[str, str]:
+            return rank.replace("#", ":"), targets[rank.partition("#")[0]]
+
+        parts = len(self.servers)
+        self.world.from_state(view[0])
+        for server, state in zip(self.servers.values(), view[1:parts + 1]):
+            server.from_state(state, unrank)
+        self.host.from_state(view[parts + 1])
+        self.bus.tick = tick
+        for node, entries in zip(self.bus.inboxes, view[parts + 2:]):
+            for topic, payload in entries:
+                if "goal_id" in payload:
+                    payload["goal_id"] = unrank(payload["goal_id"])[0]
+                self.bus.queue(node, topic, payload)
 
 
 def header_event(config: ScenarioConfig, ticks: int | None = None) -> dict:

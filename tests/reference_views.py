@@ -2,7 +2,7 @@
 ``to_state`` tuples the key files: the view of a model and of each riding
 monitor as a dict, read here from the live objects' attributes.  They share
 no code with the ``to_state`` methods under test.  Goal ids stay as the model
-holds them, live records and host actions listed by goal number; the key
+holds them, live records listed by goal number; the key
 tests rename every id by its rank per client before they compare."""
 
 from __future__ import annotations
@@ -64,24 +64,22 @@ def agent_view(agent) -> dict:
     return {
         "beliefs": sorted(atom_text(b) for b in agent.beliefs),
         "started": agent.started,
-        # Bindings only label explanations; finished steps are done with.
+        # Bindings only label explanations; an intention holds only the
+        # steps it has not finished.
         "intention": None if intention is None else {
-            "rule": intention.rule.name, "index": intention.index,
-            "steps": [step_view(s) for s in intention.steps[intention.index:]]},
+            "rule": intention.rule.name, "steps": [step_view(s) for s in intention.steps]},
     }
 
 
 def client_view(client) -> dict:
     records = sorted(client.records.values(), key=lambda r: goal_number(r.goal_id))
     return {"ready": client.server_ready,
-            "live": [{"goal_id": r.goal_id, "status": r.status, "progress": r.progress}
-                     for r in records]}
+            "live": [{"goal_id": r.goal_id, "status": r.status, "progress": r.progress,
+                      "request": r.request} for r in records]}
 
 
 def host_view(host) -> dict:
-    actions = sorted(host.goal_actions.items(), key=lambda pair: goal_number(pair[0]))
     return {"agent": agent_view(host.agent),
-            "goal_actions": [[gid, action.text()] for gid, action in actions],
             "clients": {e: client_view(c) for e, c in sorted(host.clients.items())}}
 
 

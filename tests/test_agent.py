@@ -393,3 +393,31 @@ class TestPlanVariants:
         agent = make_agent({"mutant": "premature-action"})
         assert agent.cycle(at(0), []) == [move_to("A")]
         assert make_agent().cycle(at(0), []) == []
+
+
+class TestFromState:
+    """An agent set from another's ``to_state`` view has that view and acts
+    like it: its unfinished steps are the last of its rule's body."""
+
+    def test_collect_plan_with_a_command_to_retry(self):
+        agent = make_agent()
+        agent.cycle(at(0), ALL_READY)
+        agent.cycle(at(1), [env_percept("A", "Fine"), resolved(move_to("A"))])
+        step = agent.intention.current  # SetPosture("open"), both commands sent
+        step.on_resolution(agent, posture_cmd("mast", "open"), "Aborted")
+        view = agent.to_state()
+        other = make_agent()
+        other.from_state(view)
+        assert other.to_state() == view
+        assert [type(s) for s in other.intention.steps] == [type(s) for s in agent.intention.steps]
+        assert other.intention.current.retry == [posture_cmd("mast", "open")]
+        assert other.cycle(at(2), []) == agent.cycle(at(2), []) == [posture_cmd("mast", "open")]
+
+    def test_finished_steps_are_not_restored(self):
+        agent = make_agent()
+        agent.cycle(at(0), ALL_READY)
+        agent.cycle(at(1), [resolved(move_to("A"))])  # move_on: its posture step is done
+        other = make_agent()
+        other.from_state(agent.to_state())
+        assert other.to_state() == agent.to_state()
+        assert len(other.intention.steps) == len(agent.intention.steps) == 1

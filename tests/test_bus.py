@@ -14,7 +14,7 @@ from roverbench.bus import (
     UnknownTopicError,
 )
 from roverbench.config import make_config
-from roverbench.explorer import Explorer, _Bundle, _Snapshots
+from roverbench.explorer import Explorer, _Bundle
 from roverbench.messages import (
     NODE_ENV_INTERFACE,
     NODE_WORLD,
@@ -107,8 +107,8 @@ class TestDelivery:
 
 
 class TestMessage:
-    """A message is a fixed record: its fields cannot be reassigned, and it
-    survives a snapshot of the explorer unchanged."""
+    """A message is a fixed record: its fields cannot be reassigned, and a
+    bundle rebuilt from a state key queues the messages of the state."""
 
     def test_fields_cannot_be_assigned(self):
         msg = Message(0, NODE_WORLD, "/env/sample", dict(SAMPLE))
@@ -118,21 +118,31 @@ class TestMessage:
         assert msg == Message(seq=0, sender=NODE_WORLD, topic="/env/sample", payload=SAMPLE)
 
     def test_restored_bundle_queues_equal_messages(self):
-        """A bundle frozen and restored between ticks holds equal queued
-        messages and gives the same key as the live one."""
+        """A bundle rebuilt between ticks from the key of a live one queues,
+        in each inbox, the live one's messages up to their seqs, arrival
+        order and goal numbers, and gives the same key."""
         suite = parse_suite((files("roverbench") / "data" / "default.props").read_text())
         live, _log = Explorer(make_config(), suite)._roots()[0]
-        queued = 0
-        with _Snapshots() as store:
-            for tick in range(40):
-                restored = _Bundle.clone(store.freeze(live))
-                inboxes = restored.model.bus.inboxes
-                assert inboxes == live.model.bus.inboxes, tick
-                assert all(type(m) is Message for msgs in inboxes.values() for m in msgs)
-                assert restored.canonical() == live.canonical(), tick
-                queued += sum(map(len, inboxes.values()))
-                live.step(None)
-        assert queued > 40
+
+        def queued(msgs: list) -> list:
+            return sorted(repr((m.sender, m.topic, {k: v for k, v in m.payload.items()
+                                                    if k != "goal_id"})) for m in msgs)
+
+        count = 0
+        for tick in range(40):
+            key = live.canonical()
+            rebuilt = _Bundle.clone(live.keys, key, tick)
+            inboxes = rebuilt.model.bus.inboxes
+            assert list(inboxes) == list(live.model.bus.inboxes)
+            for node, msgs in inboxes.items():
+                assert queued(msgs) == queued(live.model.bus.inboxes[node]), (tick, node)
+                assert all(type(m) is Message for m in msgs)
+            seqs = [m.seq for msgs in inboxes.values() for m in msgs]
+            assert len(set(seqs)) == len(seqs)
+            assert rebuilt.canonical() == key, tick
+            count += len(seqs)
+            live.step(None)
+        assert count > 40
 
     def test_step_deliver_returns_each_delivery(self):
         """``step_deliver`` returns a ``(node, message)`` pair per delivery,

@@ -69,6 +69,19 @@ class TestSimulate:
         head = json.loads(trace.read_text().splitlines()[0])
         assert head["kind"] == "header"
 
+    def test_integral_float_runs_as_its_int(self, capsys, tmp_path):
+        """A wind of 7.0 at A runs as the wind of 7 that ``verify`` draws on
+        arrival there: the same trace and explanation bytes."""
+        runs = []
+        for wind in (7.0, 7):
+            config = write_json(tmp_path / f"{wind!r}.json", {"wind": {"A": wind}})
+            trace = tmp_path / f"{wind!r}.jsonl"
+            code, _doc, _err = run_cli(capsys, "simulate", "--config", config, "--ticks", "60",
+                                       "--trace", str(trace))
+            assert code == 0
+            runs.append((trace.read_bytes(), Path(f"{trace}.explain").read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_zero_ticks_emits_final_verdicts(self, capsys, tmp_path):
         """Even an empty run closes every monitor: header plus one final
         verdict line each."""
@@ -309,7 +322,7 @@ class TestVerify:
             stats = doc.pop("stats")
             assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
                                   "states_per_depth", "frontier_max",
-                                  "unstepped_transitions", "frozen", "rebuilt",
+                                  "unstepped_transitions", "restored",
                                   "distinct_components"}
             assert sum(stats["states_per_depth"]) == doc["states"]
             # Dumped as the CLI dumps it: the bytes of stdout outside `stats`.

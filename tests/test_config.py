@@ -53,6 +53,28 @@ class TestAttributes:
         assert [getattr(other, key) for key in KEYS] == [other.raw[key] for key in KEYS]
 
 
+class TestIntegralFloats:
+    """A float with an integral value passes where the schema asks for an
+    integer, as in jsonschema, and the config holds it as an ``int``."""
+
+    def test_integer_fields_hold_ints(self):
+        config = make_config({"seed": 1.0, "wind": {"A": 7.0}, "wind_choices": {"A": [0.0, 7]},
+                              "scripted_faults": [{"effector": "arm", "goal_index": 2.0}]})
+        assert type(config.seed) is int
+        assert type(config.wind["A"]) is int
+        assert [type(level) for level in config.wind_choices["A"]] == [int, int]
+        assert type(config.scripted_faults[0]["goal_index"]) is int
+        assert config.to_json() == make_config({
+            "seed": 1, "wind": {"A": 7}, "wind_choices": {"A": [0, 7]},
+            "scripted_faults": [{"effector": "arm", "goal_index": 2}]}).to_json()
+
+    def test_number_fields_keep_floats(self):
+        pose = {"arm": [1.0, 2.5, 3, 4], "mast": [0.0, 1]}
+        assert make_config({"open_pose": pose}).open_pose == pose
+        assert [type(a) for a in make_config({"open_pose": pose}).open_pose["arm"]] == [
+            float, float, int, int]
+
+
 class TestCrossChecks:
     def test_patrol_stop_off_the_map_rejected(self):
         """The agent sends the wheels only patrol stops, and the wheels

@@ -3,7 +3,7 @@ package, and every function and class defined anywhere in it, is named
 somewhere besides its definition, in the package or the benchmark harness.
 A helper only the tests call belongs under ``tests/``.  Dunder names
 (``__all__``, ``__version__``, ``__init__``) are read by Python and tooling,
-not by name in code; so is the pickle hook ``reducer_override``.
+not by name in code.
 
 Instance attributes too: every ``self.<attr> = ...`` in the package is read
 somewhere in the package or the benchmark harness, as an attribute or by a
@@ -19,7 +19,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "roverbench"
-CALLED_BY_PYTHON = {"reducer_override"}
 # The line of a malformed trace, for a caller that reports it.
 READ_BY_CALLERS = {"MalformedTraceError.lineno"}
 
@@ -49,8 +48,7 @@ def unused(names_of) -> list[str]:
     return [f"{path.name}: {name}"
             for path in sorted(PACKAGE.glob("*.py"))
             for name in names_of(ast.parse(path.read_text(encoding="utf-8")))
-            if words[name] < 2 and name not in CALLED_BY_PYTHON
-            and not (name.startswith("__") and name.endswith("__"))]
+            if words[name] < 2 and not (name.startswith("__") and name.endswith("__"))]
 
 
 def test_every_module_level_name_is_used():

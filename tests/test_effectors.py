@@ -41,7 +41,7 @@ def pump(bus, client, server, ticks: int) -> list[tuple[str, str]]:
         server.step(port(bus, server))
         bus.step_deliver()
         for msg in bus.drain_inbox(client.node):
-            news.extend(client.on_message(msg))
+            news.extend((record.goal_id, status) for record, status in client.on_message(msg))
     return news
 
 

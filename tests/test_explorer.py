@@ -110,7 +110,7 @@ class TestNominalExploration:
         stats = data["stats"]
         assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
                               "states_per_depth", "frontier_max",
-                              "unstepped_transitions", "frozen", "rebuilt",
+                              "unstepped_transitions", "restored",
                               "distinct_components"}
         assert list(stats["distinct_components"]) == [
             "world", "servers.arm", "servers.mast", "servers.wheels", "host",
@@ -118,8 +118,8 @@ class TestNominalExploration:
                 ["agent", "armClient", "armServer", "envInterface", "mastClient",
                  "mastServer", "wheelsClient", "wheelsServer", "world"])),
             "monitors"]
-        assert set(stats["phase_s"]) == {"restore", "step", "key", "freeze", "liveness"}
-        assert all(stats["phase_s"][phase] > 0 for phase in ("restore", "step", "key", "freeze"))
+        assert set(stats["phase_s"]) == {"restore", "step", "key", "liveness"}
+        assert all(stats["phase_s"][phase] > 0 for phase in ("restore", "step", "key"))
         # 133 states over 136 transitions and the roots' lookups.
         assert 0 < stats["dedupe_hit_rate"] < 0.1
         # Without schedule permutations every transition has its own step.

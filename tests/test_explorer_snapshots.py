@@ -1,21 +1,18 @@
-"""Snapshot store and state keys of the explorer.
+"""State keys of the explorer, and the bundles rebuilt from them.
 
 A state's key is the tuple of indices, in ``marshal`` bytes, of the
 components of its ``to_state`` view (the world, each server, the host, each
 node's inbox, the monitors), each filed once in the walk's key table.  The
 view is a tuple read from the live objects, with every goal id renamed by its
-rank among its client's live records where it is read.  A state's first
-successor is stepped on its live bundle while at most ``_LIVE_LIMIT`` are
-held; every other successor is restored from a pickled snapshot.  Neither
-holds a finished goal: an endpoint forgets a goal once it finishes.  Only
-checkpoints (every ``_CHECKPOINT``-th depth), states past the live limit and
-states made by a branching step are frozen when they are added; any other
-state whose step branches gets its snapshot by replaying the tree's picks
-from its checkpoint.  A liveness counterexample is a lasso that enters at the
-first state on a cycle in breadth-first discovery order, by that state's
-shortest prefix and a shortest loop through it, so it depends on the walk's
-order alone, not on how its bundles were made.  These tests pin down what
-that must preserve:
+rank among its client's live records where it is read.  A stored state is
+its key: a state's first successor is stepped on its live bundle while at
+most ``_LIVE_LIMIT`` are held, and every other successor on a bundle rebuilt
+from its key by the ``from_state`` of each part.  Neither holds a finished
+goal: an endpoint forgets a goal once it finishes.  A liveness
+counterexample is a lasso that enters at the first state on a cycle in
+breadth-first discovery order, by that state's shortest prefix and a
+shortest loop through it, so it depends on the walk's order alone, not on
+how its bundles were made.  These tests pin down what that must preserve:
 
 * the key is exact: two bundles have equal keys exactly when the reference
   texts of their views are equal.  That is the sorted JSON text of the dict
@@ -28,28 +25,28 @@ that must preserve:
   a live model;
 * goal ids rank by number, not by text, and no raw goal id reaches the view
   the key files;
-* a restored bundle has the key of the bundle that was frozen, and steps
-  exactly like that live bundle;
+* on the default walk of every scenario of ``KEYED_SCENARIOS``, each stored
+  state rebuilt from its key is the state the walk stored, and under every
+  choice script the walk steps from it, a bundle rebuilt from its key steps
+  like the state's own bundle, or a ``copy.deepcopy`` of it: the same choice
+  log, liveness labels, violations and successor key.  The copy shares with
+  the walk only what never changes once built, so it does not rest on
+  ``from_state``;
 * every explored step ends on an event stamped with the model's tick, the
   clock at which the riding monitors expire their windows;
 * dedupe is sound: bundles reached with the same key have the same
   successor keys;
 * a run with no choice sink, keyed in a walk's own table, stays inside the
-  explored graph: each of its states is a state of the walk and each step an
-  edge, and a run outside the walk's choice sets leaves it;
+  explored graph of every scenario of ``KEYED_SCENARIOS``: each of its
+  states is a state of the walk and each step an edge, and a run outside
+  the walk's choice sets leaves it;
 * every step's liveness labels are the naive semantics': each unbounded
   shape's ``fired`` flag says whether its goal held at one of the step's
   events, a response's ``open`` bit is folded from its trigger and goal
   from the root on, and ``revisits_B``, keyed on belief events, is handed
   only those and a root's first event;
-* the table of shared objects lives for one walk only, and a finished walk
-  holds no snapshot and no live bundle;
-* freezing every state, freezing only the roots and the default checkpoints
-  give the same output bytes and edges; a replayed bundle freezes to the
-  bytes of the state's own bundle, and checkpoints are held at no more than
-  two depths at once;
 * stepping first successors on live bundles changes no output byte, and no
-  walk holds more live bundles than the limit;
+  walk holds more live bundles than the limit or any once it ends;
 * with schedule permutations, copying an earlier order's edge to every
   order that runs the stages acting in the schedule-0 step in the same
   relative order changes no output byte and no edge, all orders of such a
@@ -60,13 +57,14 @@ that must preserve:
   permutations.
 
 Each scenario is walked once, by a breadth-first walk that mirrors
-``Explorer.explore`` with every successor restored from its source's
-snapshot, and visits every root and successor, duplicates included; its
-state and transition counts must match the explorer's.
+``Explorer.explore`` with every successor stepped on a deep copy of its
+source's bundle, and visits every root and successor, duplicates included;
+its state and transition counts must match the explorer's.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -80,9 +78,7 @@ from roverbench.agent import move_to, posture_cmd
 from roverbench.config import make_config
 from roverbench.explorer import (
     Explorer,
-    StateSpaceBudgetExceeded,
     _Bundle,
-    _Snapshots,
     _variants,
     explore_properties,
     write_counterexample,
@@ -186,12 +182,12 @@ def raw_goal_ids(bundle: _Bundle) -> set:
 
 def goals_bundle(places: dict, number=lambda node, num: num, keys=None) -> _Bundle:
     """A default root bundle holding goal ids where the model puts them:
-    ``live`` numbers per effector, each a client record with the host's
-    action for it; ``active``, the server that runs a goal (effector, number)
-    of a client; ``queued``, inbox messages (node, topic, sender, (effector,
-    number), payload rest).  ``number`` renames each number; a record's
-    progress and action follow its place in ``live``, so renaming numbers out
-    of order changes the view.  Keyed in ``keys`` if given."""
+    ``live`` numbers per effector, each a client record; ``active``, the
+    server that runs a goal (effector, number) of a client; ``queued``, inbox
+    messages (node, topic, sender, (effector, number), payload rest).
+    ``number`` renames each number; a record's progress and request follow
+    its place in ``live``, so renaming numbers out of order changes the view.
+    Keyed in ``keys`` if given."""
     bundle, _ = Explorer(make_config(), SUITE)._build_bundle(None, keys=keys)
     model = bundle.model
 
@@ -206,7 +202,6 @@ def goals_bundle(places: dict, number=lambda node, num: num, keys=None) -> _Bund
             client.records[gid(effector, num)] = GoalRecord(
                 gid(effector, num), server_node(effector), action.request(), PENDING,
                 progress=place / 4)
-            model.host.goal_actions[gid(effector, num)] = action
     for effector, (owner, num) in places.get("active", {}).items():
         server = model.servers[effector]
         record = model.clients[owner].records[gid(owner, num)]
@@ -358,15 +353,38 @@ def reference_labels(events: list[dict], beliefs: frozenset, opened: frozenset,
 LAST_DUPLICATE_ONLY = {"schedule"}
 
 
-def successor_keys(snapshot: bytes) -> set:
-    probe = _Bundle.clone(snapshot)
+def detached(bundle: _Bundle) -> _Bundle:
+    """A ``copy.deepcopy`` of a bundle that shares with it only what the
+    bundles of one walk share: the config, the key table and the dispatch
+    index, and the bus topology and plan rules, which never change once
+    built.  It is made without ``from_state``, so a bundle rebuilt from a key
+    can be checked against it."""
+    model = bundle.model
+    shared = (model.config, bundle.keys, bundle.engine.index, model.bus.topology,
+              model.host.agent.plans)
+    return copy.deepcopy(bundle, {id(obj): obj for obj in shared})
+
+
+def successor_keys(stored: _Bundle) -> set:
+    probe = detached(stored)
     _, signature = probe.step(None)
     keys = {probe.canonical()}
     for script in _variants(signature)[1:]:
-        branch = _Bundle.clone(snapshot)
+        branch = detached(stored)
         branch.step(script)
         keys.add(branch.canonical())
     return keys
+
+
+def step_outcome(bundle: _Bundle, script, step=_Bundle.step, canonical=_Bundle.canonical):
+    """What a step must repeat on a bundle rebuilt from a key: its choice
+    log, liveness labels, violations and successor key.  Its events may
+    differ in message seqs, goal numbers and the order of a node's
+    same-tick deliveries, none of which is state.  The step and the key are
+    taken by the methods as defined, which a walk's instrumentation may
+    patch."""
+    _, log = step(bundle, script)
+    return log, bundle.fired, [name for name, _ in bundle.violations()], canonical(bundle)
 
 
 def finished_goals(bundle: _Bundle) -> int:
@@ -375,24 +393,23 @@ def finished_goals(bundle: _Bundle) -> int:
     return sum(r.status not in (PENDING, ACTIVE) for r in records)
 
 
-def restore_problems(bundle: _Bundle, snapshot: bytes, pick: int) -> list[str]:
-    """Round-trip check of one frozen bundle, then one step, under the
-    ``pick``-th choice script (wrapped), of the restored copy against the
+def rebuild_problems(bundle: _Bundle, key: bytes, pick: int) -> list[str]:
+    """Round-trip check of one stored state, whose Violated monitors are
+    dropped: the bundle rebuilt from its key has that key, and one step of
+    it, under the ``pick``-th choice script (wrapped), repeats that of the
     live bundle itself."""
     problems = []
     tick = bundle.model.tick
-    restored = _Bundle.clone(snapshot)
-    if finished_goals(restored):
-        problems.append(f"snapshot holds finished goals at tick {tick}")
-    if restored.canonical() != bundle.canonical():
-        problems.append(f"restored key differs at tick {tick}")
-    _, signature = _Bundle.clone(snapshot).step(None)
+    rebuilt = _Bundle.clone(bundle.keys, key, tick)
+    if finished_goals(rebuilt):
+        problems.append(f"rebuilt bundle holds finished goals at tick {tick}")
+    if rebuilt.canonical() != bundle.canonical():
+        problems.append(f"rebuilt key differs at tick {tick}")
+    _, signature = _Bundle.clone(bundle.keys, key, tick).step(None)
     scripts = _variants(signature)
     script = scripts[pick % len(scripts)]
-    if restored.step(script) != bundle.step(script):
+    if step_outcome(rebuilt, script) != step_outcome(bundle, script):
         problems.append(f"step({script}) differs from the live bundle at tick {tick}")
-    elif restored.canonical() != bundle.canonical():
-        problems.append(f"state after step({script}) differs from the live bundle")
     return problems
 
 
@@ -436,7 +453,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
              "order_dependent": [], "clock_split": [], "labels": [], "handed": []}
     texts: dict[bytes, str] = {}  # key -> sorted text of every bundle with it
     keys: dict[str, bytes] = {}  # sorted text -> key of every bundle with it
-    stored: dict[bytes, bytes] = {}  # the frontier's snapshots
+    stored: dict[bytes, _Bundle] = {}  # the frontier's bundles, detached
     successors: dict[bytes, set] = {}  # stored key -> its successor keys
     duplicates: dict[bytes, list[_Bundle]] = {}
     queue: list[bytes] = []
@@ -463,9 +480,9 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             del bundle.engine.monitors[name]
         if key not in successors:
             successors[key] = set()
-            stored[key] = snapshot = store.freeze(bundle)
+            stored[key] = detached(bundle)
             queue.append(key)
-            found["restore"] += restore_problems(bundle, snapshot, len(queue))
+            found["restore"] += rebuild_problems(bundle, key, len(queue))
         elif last_duplicate_only:
             duplicates[key] = [bundle]
         else:
@@ -492,34 +509,33 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
             found["handed"].append((bundle.model.tick, script))
         return log, after
 
-    with _Snapshots() as store:
-        for bundle, _log in Explorer(config, WALK_SUITE)._roots():
-            roots.add(reach(bundle))
-        head = 0
-        while head < len(queue):
-            key = queue[head]
-            head += 1
-            # Freed once expanded, and each successor keyed as it is made,
-            # as in the explorer.
-            snapshot = stored.pop(key)
-            probe = _Bundle.clone(snapshot)
-            signature, after = stepped(probe, None, key)
-            steps = [(signature, signature, probe.acting, probe.fired, reach(probe, after))]
-            for script in _variants(signature)[1:]:
-                branch = _Bundle.clone(snapshot)
-                log, after = stepped(branch, script, key)
-                steps.append((script, log, branch.acting, branch.fired, reach(branch, after)))
-            successors[key].update(step[-1] for step in steps)
-            checked, problems = order_dependence(steps)
-            found["same_order_groups"] += checked
-            found["order_dependent"] += problems
-            found["transitions"] += len(steps)
-        found["states"] = len(successors)
-        for key, bundles in duplicates.items():
-            for bundle in bundles:
-                found["compared"] += 1
-                if successor_keys(store.freeze(bundle)) != successors[key]:
-                    found["unsound"].append(key)
+    for bundle, _log in Explorer(config, WALK_SUITE)._roots():
+        roots.add(reach(bundle))
+    head = 0
+    while head < len(queue):
+        key = queue[head]
+        head += 1
+        # Freed once expanded, and each successor keyed as it is made, as in
+        # the explorer.
+        source = stored.pop(key)
+        probe = detached(source)
+        signature, after = stepped(probe, None, key)
+        steps = [(signature, signature, probe.acting, probe.fired, reach(probe, after))]
+        for script in _variants(signature)[1:]:
+            branch = detached(source)
+            log, after = stepped(branch, script, key)
+            steps.append((script, log, branch.acting, branch.fired, reach(branch, after)))
+        successors[key].update(step[-1] for step in steps)
+        checked, problems = order_dependence(steps)
+        found["same_order_groups"] += checked
+        found["order_dependent"] += problems
+        found["transitions"] += len(steps)
+    found["states"] = len(successors)
+    for key, bundles in duplicates.items():
+        for bundle in bundles:
+            found["compared"] += 1
+            if successor_keys(bundle) != successors[key]:
+                found["unsound"].append(key)
     return found
 
 
@@ -578,59 +594,21 @@ class TestSnapshotWalk:
 
 
 class TestLiveHistory:
-    """Along one long path, a bundle restored from each tick's snapshot
-    steps exactly like the live bundle, and neither holds a finished goal."""
+    """Along one long path, a bundle rebuilt from each tick's key steps
+    like the live bundle, and neither holds a finished goal."""
 
     @pytest.mark.parametrize("scenario", ["default", "schedule"])
     def test_restored_steps_like_live(self, scenario):
         live, _log = Explorer(SCENARIOS[scenario](), SUITE)._roots()[0]
-        with _Snapshots() as store:
-            for tick in range(150):
-                snapshot = store.freeze(live)
-                restored = _Bundle.clone(snapshot)
-                assert finished_goals(restored) == finished_goals(live) == 0
-                _, signature = _Bundle.clone(snapshot).step(None)
-                scripts = _variants(signature)
-                script = scripts[tick * 7 % len(scripts)]
-                assert restored.step(script) == live.step(script), tick
-                assert restored.canonical() == live.canonical(), tick
+        for tick in range(150):
+            key = live.canonical()
+            rebuilt = _Bundle.clone(live.keys, key, tick)
+            assert finished_goals(rebuilt) == finished_goals(live) == 0
+            _, signature = _Bundle.clone(live.keys, key, tick).step(None)
+            scripts = _variants(signature)
+            script = scripts[tick * 7 % len(scripts)]
+            assert step_outcome(rebuilt, script) == step_outcome(live, script), tick
         assert finished_goals(live) == 0
-
-
-# -- table scope -------------------------------------------------------------
-
-class TestSharedTable:
-    """Shared objects are held for one walk and dropped when it ends."""
-
-    def test_repeat_explorations_agree_and_release(self):
-        config = mutant_demo_config("misroute-bus")
-        first = explore_properties(config, SUITE).to_json()
-        assert explorer._SHARED == []
-        second = explore_properties(config, SUITE).to_json()
-        assert explorer._SHARED == []
-        first.pop("stats")
-        second.pop("stats")
-        assert first == second
-
-    def test_finished_walk_holds_no_snapshot(self, monkeypatch):
-        """Every state of a complete walk was expanded, so its snapshot and
-        its live bundle were freed, and the last checkpoints, which no head
-        passed, were freed when the walk ended."""
-        seen = {}
-        decide = Explorer._decide_liveness
-        monkeypatch.setattr(Explorer, "_decide_liveness",
-                            lambda self, states, *rest: seen.update(states) or
-                            decide(self, states, *rest))
-        explore_properties(mutant_demo_config("misroute-bus"), SUITE)
-        assert len(seen) == EXPLORED["mutant-misroute-bus"][0]
-        assert all(node.snapshot is None and node.bundle is None for node in seen.values())
-        # The deepest states lie below a checkpoint other than the roots.
-        assert max(node.depth for node in seen.values()) > explorer._CHECKPOINT
-
-    def test_released_when_budget_runs_out(self):
-        with pytest.raises(StateSpaceBudgetExceeded):
-            explore_properties(make_config(), SUITE, budget_states=10)
-        assert explorer._SHARED == []
 
 
 # -- live first successors ---------------------------------------------------
@@ -649,7 +627,8 @@ def long_decay_config():
 
 def three_winds_config():
     """Three wind draws on arrival at A: a step that follows a one-way step
-    branches three ways, so its rebuilt bundle is frozen before it steps."""
+    branches three ways, so a state that kept its live bundle still steps
+    two scripts on bundles rebuilt from its key."""
     return make_config({"wind_choices": {"o": [0], "A": [0, 3, 7], "B": [0], "C": [0]}})
 
 
@@ -711,12 +690,28 @@ def keyed_walk(config, directory) -> dict:
     it keys from scratch.  Every bundle must be keyed in one table, keys
     must be equal exactly when the reference texts of their views are, and
     ``distinct_components`` must count each component's distinct values
-    over the stored states."""
-    canonical, explore = _Bundle.canonical, Explorer.explore
+    over the stored states.  Each stored state is also rebuilt from its key,
+    which must give the state's bundle as the walk stores it, and for each
+    choice script the walk steps from the state, a bundle rebuilt from its
+    key must step like that bundle, or a ``detached`` copy of it once it has
+    stepped.  Both comparisons
+    key their bundles in a table apart from the walk's, so the walk's table
+    files only what the walk keys."""
+    canonical, explore, clone, step = (_Bundle.canonical, Explorer.explore, _Bundle.clone,
+                                       _Bundle.step)
     texts: dict[bytes, str] = {}  # key -> reference text of every bundle with it
     keys: dict[str, bytes] = {}  # reference text -> key of every bundle with it
     stored: dict[bytes, dict] = {}  # key -> components of its first bundle
-    found = {"keyed": 0, "merged": [], "split": [], "tables": set(), "reports": []}
+    # key -> a detached copy of the state's bundle as the walk stores it,
+    # until the walk expands a later state
+    copies: dict[bytes, _Bundle] = {}
+    apart: list = []  # the key table the comparisons key in
+    found = {"keyed": 0, "merged": [], "split": [], "tables": set(), "reports": [],
+             "rebuilt": 0, "rekeyed": [], "stepped": 0, "unlike": []}
+
+    def key_apart(bundle: _Bundle) -> bytes:
+        bundle.keys = apart[0]
+        return canonical(bundle)
 
     def checked(self):
         key = canonical(self)
@@ -729,15 +724,57 @@ def keyed_walk(config, directory) -> dict:
             found["split"].append(text)
         if key not in stored:
             stored[key] = components(self)
+            apart[:] = apart or [explorer._KeyTable(self.model, self.engine)]  # made once
+            # Stored as the walk stores it, with its Violated monitors dropped.
+            copies[key] = stored_copy = detached(self)
+            for name, _monitor in stored_copy.violations():
+                del stored_copy.engine.monitors[name]
+            rebuilt = clone(self.keys, key, self.model.tick)
+            found["rebuilt"] += 1
+            if (not self.violations() and canonical(rebuilt) != key
+                    or key_apart(rebuilt) != key_apart(stored_copy)):
+                found["rekeyed"].append(text)
+            self.stepped_from = key, True
         return key
+
+    def cloned(keys, key, tick):
+        bundle = clone(keys, key, tick)
+        bundle.stepped_from = key, False
+        return bundle
+
+    def compared(self, script, strict=False):
+        key, live = self.__dict__.pop("stepped_from", (None, False))
+        if key is None:
+            return step(self, script, strict)
+        while next(iter(copies)) != key:  # states expanded before this one
+            del copies[next(iter(copies))]
+        rebuilt = clone(self.keys, key, self.model.tick)
+        rebuilt.keys = apart[0]
+        found["stepped"] += 1
+        expected = step_outcome(rebuilt, script)
+        if live:  # the state's own bundle steps in the walk: compare it, keyed apart
+            result = step(self, script, strict)
+            keys, self.keys = self.keys, apart[0]
+            outcome = result[1], self.fired, [name for name, _ in self.violations()], canonical(self)
+            self.keys = keys
+        else:
+            like = detached(copies[key])
+            like.keys = apart[0]
+            result, outcome = step(self, script, strict), step_outcome(like, script)
+        if outcome != expected:
+            found["unlike"].append((self.model.tick, script))
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Bundle, "canonical", checked)
+        patch.setattr(_Bundle, "clone", cloned)
+        patch.setattr(_Bundle, "step", compared)
         patch.setattr(Explorer, "explore",
                       lambda self: found["reports"].append(explore(self)) or found["reports"][-1])
         found["output"] = walk_output(config, directory)
     (report,) = found.pop("reports")
     found["states"] = set(stored)
+    found["steps"] = report.transitions - report.stats["unstepped_transitions"]
     found["distinct_components"] = report.stats["distinct_components"]
     found["from_scratch"] = {name: len({parts[name] for parts in stored.values()})
                              for name in next(iter(stored.values()))}
@@ -867,6 +904,20 @@ class TestKeyTables:
         assert walk["split"] == []
         assert len(walk["tables"]) == 1
 
+    @pytest.mark.parametrize("scenario", sorted(KEYED_SCENARIOS))
+    def test_rebuilt_from_the_key_is_the_stored_state(self, scenario, default_walks):
+        walk = default_walks(KEYED_SCENARIOS[scenario]())
+        assert walk["rebuilt"] == len(walk["states"]) > 0
+        assert walk["rekeyed"] == []
+
+    @pytest.mark.parametrize("scenario", sorted(KEYED_SCENARIOS))
+    def test_rebuilt_steps_like_a_copy_of_the_state(self, scenario, default_walks):
+        """Under every choice script the walk steps, including every script
+        of every state without schedule permutations."""
+        walk = default_walks(KEYED_SCENARIOS[scenario]())
+        assert walk["stepped"] == walk["steps"] >= len(walk["states"])
+        assert walk["unlike"] == []
+
     @pytest.mark.parametrize("scenario", ["default", "long-decay"])
     def test_distinct_components_count_the_stored_states(self, scenario, default_walks):
         walk = default_walks(LIVE_SCENARIOS[scenario]())
@@ -911,9 +962,11 @@ class TestSimulatedRunsInsideTheGraph:
     the model ``simulate`` runs is the one ``verify`` explores, and the key
     drops nothing a step depends on."""
 
-    @pytest.mark.parametrize("scenario", ["default", "decay-0", "long-decay"])
+    # A live scenario keeps its own name.
+    @pytest.mark.parametrize("scenario", sorted(KEYED_SCENARIOS),
+                             ids=lambda name: name.removeprefix("live-"))
     def test_every_state_and_step_explored(self, scenario, default_walks):
-        config = LIVE_SCENARIOS[scenario]()
+        config = KEYED_SCENARIOS[scenario]()
         walk = default_walks(config)
         (keys,) = walk["tables"]
         assert first_outside(walk, simulated_keys(config, keys)) is None
@@ -1008,125 +1061,3 @@ class TestScheduleInvariantCanFail:
         assert report.complete
         assert report.to_json()["schedule_invariant"] is False
         assert (report.stats["unstepped_transitions"] > 0) == (reduction == "on")
-
-
-# -- checkpoints and replayed bundles ----------------------------------------
-
-# _CHECKPOINT settings: every state frozen, only the roots (every rebuild
-# replays from a root), and the default.
-CHECKPOINTS = {"every": 1, "roots": 10**6, "default": explorer._CHECKPOINT}
-
-
-class TestCheckpoints:
-    @pytest.mark.parametrize("scenario", sorted(LIVE_SCENARIOS))
-    def test_same_bytes_at_every_checkpoint_spacing(self, scenario, default_walks, monkeypatch,
-                                                    tmp_path):
-        config = LIVE_SCENARIOS[scenario]()
-        outputs = {"default": default_walks(config)["output"]}
-        for name, checkpoint in CHECKPOINTS.items():
-            if name == "default":
-                continue
-            monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
-            outputs[name] = walk_output(config, tmp_path / name)
-        assert outputs["every"] == outputs["roots"] == outputs["default"]
-        assert holds_counterexamples(scenario, outputs["default"][1])
-
-    def test_stats_count_freezes_and_rebuilds(self, monkeypatch):
-        """On the long chain a rebuild replays from a root when only the
-        roots are checkpoints; freezing every state rebuilds none."""
-        stats = {}
-        for name, checkpoint in CHECKPOINTS.items():
-            monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
-            report = explore_properties(long_decay_config(), SUITE)
-            assert report.complete
-            stats[name] = report.stats
-        assert stats["every"]["rebuilt"] == 0
-        assert stats["every"]["frozen"] == report.states
-        assert stats["roots"]["rebuilt"] > 0
-        assert stats["default"]["rebuilt"] > 0
-        # Frozen when added, or rebuilt: far fewer snapshots than states.
-        assert stats["default"]["frozen"] < report.states / 4
-
-    @pytest.mark.parametrize("checkpoint", ["roots", "default"])
-    def test_replayed_bundle_steps_like_the_eager_snapshot(self, checkpoint, monkeypatch):
-        """On the long chain, every pre-step bundle rebuilt by replay is the
-        state that freezing it when it was added would have stored.  The
-        bytes cannot match: a set's order and which equal strings are one
-        object depend on how the bundle was reached.  So the rebuilt
-        snapshot must have the key of the state's own live bundle, frozen
-        just before its first step, and every choice script must step both
-        to the same events, choice log and successor key.  A two-way step
-        runs its second script on the rebuilt bundle, unfrozen: that step
-        must match the eager snapshot's too."""
-        store = []  # the walk's pickler
-        probed = []  # the last first step's state: (key, snapshot)
-        replayed = [None]  # the bundle strict steps last replayed, until checked
-        compared, problems, unfrozen = [], [], []
-        step, freeze = _Bundle.step, _Snapshots.freeze
-
-        def successors(snapshot: bytes) -> list:
-            probe = _Bundle.clone(snapshot)
-            events, signature = step(probe, None)
-            out = [(events, signature, probe.canonical())]
-            for script in _variants(signature)[1:]:
-                branch = _Bundle.clone(snapshot)
-                out.append((*step(branch, script), branch.canonical()))
-            return out
-
-        def watch_step(self, script, strict=False):
-            if strict:
-                replayed[0] = self
-            elif script is None:  # a state's first step, rebuilt or not after it
-                probed[:] = [self.canonical(), freeze(store[0], self)]
-            elif replayed[0] is self:  # the second script, on the rebuilt bundle
-                replayed[0] = None
-                key, eager = probed
-                compared.append(key)
-                unfrozen.append(key)
-                rebuilt_key = self.canonical()
-                out = (*step(self, script, strict), self.canonical())
-                if rebuilt_key != key or [out] != successors(eager)[1:]:
-                    problems.append(key)
-                return out[:2]
-            return step(self, script, strict)
-
-        def watch_freeze(self, bundle):
-            store[:1] = [self]
-            data = freeze(self, bundle)
-            if replayed[0] is bundle:
-                replayed[0] = None
-                key, eager = probed
-                compared.append(key)
-                if bundle.canonical() != key or successors(data) != successors(eager):
-                    problems.append(key)
-            return data
-
-        monkeypatch.setattr(_Bundle, "step", watch_step)
-        monkeypatch.setattr(_Snapshots, "freeze", watch_freeze)
-        monkeypatch.setattr(explorer, "_CHECKPOINT", CHECKPOINTS[checkpoint])
-        report = explore_properties(long_decay_config(), SUITE)
-        assert report.complete and report.stats["rebuilt"] == len(compared) > 0
-        assert unfrozen  # the long chain has two-way steps
-        assert problems == []
-
-    @pytest.mark.parametrize("checkpoint", [1, 4, explorer._CHECKPOINT])
-    def test_checkpoints_held_at_two_depths_at_most(self, checkpoint, monkeypatch):
-        held: dict[int, int] = {}  # id of a checkpoint holding its snapshot -> depth
-        peak = [0]
-
-        class CountingNode(explorer._Node):
-            def __setattr__(self, name, value):
-                super().__setattr__(name, value)
-                if name == "snapshot" and self.depth % checkpoint == 0:
-                    if value is None:
-                        held.pop(id(self), None)
-                    else:
-                        held[id(self)] = self.depth
-                    peak[0] = max(peak[0], len(set(held.values())))
-
-        monkeypatch.setattr(explorer, "_Node", CountingNode)
-        monkeypatch.setattr(explorer, "_CHECKPOINT", checkpoint)
-        report = explore_properties(long_decay_config(), SUITE)
-        assert report.complete and len(report.stats["states_per_depth"]) > 4 * checkpoint
-        assert peak[0] == 2
-        assert held == {}

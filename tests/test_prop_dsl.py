@@ -7,7 +7,6 @@ import importlib.resources
 import itertools
 import json
 import pickle
-import pickletools
 import re
 
 import pytest
@@ -15,10 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_semantics import atom_holds, belief_states, evaluate_naive
-from roverbench import explorer
 from roverbench.bus import MessageBus
-from roverbench.config import make_config
-from roverbench.explorer import Explorer, _Snapshots
 from roverbench.messages import PAYLOAD_FIELDS, Topology
 from roverbench.monitor import build_engine, check_trace
 from roverbench.prop_dsl import (
@@ -199,21 +195,6 @@ class TestHashConsing:
             assert pickle.loads(pickle.dumps(ast)) is ast, name
             assert copy.deepcopy(ast) is ast, name
             assert copy.copy(ast) is ast, name
-
-    def test_snapshot_holds_no_formula_node(self):
-        """Monitors hold compiled predicates, not formulas: a frozen root
-        bundle reaches no node of the property language, neither written
-        by reference nor by name."""
-        suite = parse_suite(packaged_suite())
-        bundle, _log = Explorer(make_config(), suite)._roots()[0]
-        with _Snapshots() as store:
-            frozen = store.freeze(bundle)
-            shared = list(explorer._SHARED)
-        assert shared
-        assert [obj for obj in shared if "roverbench.prop_dsl" in
-                (type(obj).__module__, getattr(obj, "__module__", None))] == []
-        assert not any(isinstance(arg, str) and "prop_dsl" in arg
-                       for _op, arg, _pos in pickletools.genops(frozen))
 
     @pytest.mark.parametrize("first, second", [
         ("payload.wind == 1", "payload.wind == 1.0"),

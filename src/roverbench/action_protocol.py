@@ -44,13 +44,15 @@ class IllegalTransitionError(ProtocolError):
 
 @dataclass
 class GoalRecord:
-    """One unfinished goal, kept by each endpoint that observes it."""
+    """One unfinished goal, kept by each endpoint that observes it.  A
+    server's record names the server its goal's topic meant, ``target``,
+    for its goal events; a client's names none."""
 
     goal_id: str
-    target: str
     request: dict
     status: str = PENDING
     progress: float = 0.0
+    target: str | None = None
 
     def transition(self, new_status: str) -> None:
         if (self.status, new_status) not in _LEGAL_TRANSITIONS:
@@ -73,8 +75,7 @@ class ClientEndpoint:
             raise NotReadyError(f"{self.effector} server has not announced readiness")
         goal_id = f"{self.node}:{self._counter}"
         self._counter += 1
-        self.records[goal_id] = GoalRecord(
-            goal_id=goal_id, target=server_node(self.effector), request=dict(request))
+        self.records[goal_id] = GoalRecord(goal_id, dict(request))
         port.publish(self.node, f"/{self.effector}/goal", {"goal_id": goal_id, **request})
         return goal_id
 
@@ -108,9 +109,9 @@ class ClientEndpoint:
 
     def from_state(self, state: tuple) -> None:
         # A record's id is ``node:rank``, so goals count on from the records.
-        self.server_ready, target = state[0], server_node(self.effector)
-        self.records = {f"{self.node}:{i}": GoalRecord(f"{self.node}:{i}", target, request,
-                                                       status, progress)
+        self.server_ready = state[0]
+        self.records = {f"{self.node}:{i}": GoalRecord(f"{self.node}:{i}", request, status,
+                                                       progress)
                         for i, (status, progress, request) in enumerate(state[1:])}
         self._counter = len(self.records)
 
@@ -174,7 +175,7 @@ class ServerBase:
         intended = server_node(msg.topic.split("/")[1])
         payload = dict(msg.payload)
         goal_id = payload.pop("goal_id")
-        self._accept(GoalRecord(goal_id=goal_id, target=intended, request=payload), port)
+        self._accept(GoalRecord(goal_id, payload, target=intended), port)
 
     def _accept(self, record: GoalRecord, port: StagePort) -> None:
         if self.active is not None:
@@ -238,4 +239,5 @@ class ServerBase:
         self.active = None
         if len(state) > 2:
             rank, status, request, self.work_done, self.duration = state[2:]
-            self.active = GoalRecord(*unrank(rank), request, status)
+            goal_id, target = unrank(rank)
+            self.active = GoalRecord(goal_id, request, status, target=target)

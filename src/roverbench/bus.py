@@ -9,7 +9,9 @@ Delivery model: messages published during tick t sit in a pending queue and
 are moved to subscriber inboxes, in global seq order, by the single
 ``step_deliver`` call that closes the tick.  Nodes therefore always observe
 traffic one tick after it was published, and the delivery order is a pure
-function of the publish order.
+function of the publish order.  ``step_deliver`` hands the tick's
+``(node, message)`` pairs to the tracer in one call, which writes their
+deliver lines without building an event for each unless something reads it.
 
 Runtime monitors interpose on ``publish``: a gate callback inspects every
 message before it is enqueued and may veto it (block mode), in which case the
@@ -62,17 +64,10 @@ class MessageBus:
         # gate(event_dict) -> True to drop the message (set by the monitor engine)
         self.gate: Callable[[dict], bool] | None = None
 
-    def _counter(self, topic: str) -> dict[str, int]:
-        counter = self.counters.get(topic)
-        if counter is None:
-            counter = self.counters[topic] = {
-                "attempts": 0, "published": 0, "blocked": 0, "delivered": 0}
-        return counter
-
     # -- traffic -------------------------------------------------------------
 
     def publish(self, sender: str, topic: str, payload: dict) -> int:
-        spec = self.topology.spec_for(topic)
+        spec = self.topology.topics.get(topic)
         if spec is None:
             raise UnknownTopicError(topic)
         if sender != spec.publisher:
@@ -81,7 +76,10 @@ class MessageBus:
 
         seq = self._next_seq
         self._next_seq += 1
-        counter = self._counter(topic)
+        counter = self.counters.get(topic)
+        if counter is None:
+            counter = self.counters[topic] = {
+                "attempts": 0, "published": 0, "blocked": 0, "delivered": 0}
         counter["attempts"] += 1
 
         event = {
@@ -105,30 +103,24 @@ class MessageBus:
         return seq
 
     def step_deliver(self) -> list[tuple[str, Message]]:
-        """Deliver everything published before now, then advance the tick."""
+        """Deliver everything published before now, then advance the tick.
+        Returns the ``(node, message)`` pairs in delivery order, which the
+        tracer gets in one ``deliver`` call, those before an overflow too."""
         pending, self._pending = self._pending, []
         self.tick += 1
         delivered: list[tuple[str, Message]] = []
+        topics, inboxes, counters = self.topology.topics, self.inboxes, self.counters
         for msg in pending:  # already in seq order
-            counter = self._counter(msg.topic)
-            for node in self.topology.topics[msg.topic].subscribers:
-                inbox = self.inboxes[node]
+            counter = counters[msg.topic]  # counted at its publish
+            for node in topics[msg.topic].subscribers:
+                inbox = inboxes[node]
                 if len(inbox) >= self.inbox_limit:
+                    self.tracer.deliver(self.tick, delivered)
                     raise InboxOverflowError(f"inbox of {node} exceeded inbox_limit={self.inbox_limit}")
                 inbox.append(msg)
                 delivered.append((node, msg))
                 counter["delivered"] += 1
-                self.tracer.emit(
-                    {
-                        "t": self.tick,
-                        "kind": "deliver",
-                        "seq": msg.seq,
-                        "topic": msg.topic,
-                        "sender": msg.sender,
-                        "node": node,
-                        "payload": msg.payload,
-                    }
-                )
+        self.tracer.deliver(self.tick, delivered)
         return delivered
 
     def queue(self, node: str, topic: str, payload: dict) -> None:
@@ -145,13 +137,18 @@ class MessageBus:
 
 class StagePort:
     """All a stage reaches for one tick: the tick, its nodes' inboxes,
-    publishing as its nodes, emits and choices, any of which sets ``acted``."""
+    publishing as its nodes, emits and choices, any of which sets ``acted``.
+    A model keeps one port per stage and resets it at every tick."""
 
     def __init__(self, bus: MessageBus, nodes: tuple[str, ...], sink=None):
         self._bus = bus
         self._nodes = nodes
+        self.reset(sink)
+
+    def reset(self, sink) -> None:
+        """Start the bus's current tick, with choices going to ``sink``."""
         self._sink = sink
-        self.tick = bus.tick
+        self.tick = self._bus.tick
         self.exploring = sink is not None
         self.acted = False
 

@@ -65,7 +65,6 @@ behavior reports divergence instead of guessing.
 
 from __future__ import annotations
 
-import copy
 import json
 import marshal
 import math
@@ -175,7 +174,8 @@ class _KeyTable:
     the sorted list of the indices of its entries' bytes, each entry filed
     once too, so arrival order is not state.  Two keys of a table are equal
     exactly when their views are.  The table reads a key's views back, and
-    holds the config and a root's unstepped monitors and dispatch index."""
+    holds the config, a root's topology, which every rebuilt model shares,
+    and a root's unstepped monitors and dispatch index."""
 
     def __init__(self, model: Model, engine: MonitorEngine):
         self.parts = len(model.servers) + 2  # the world, each server and the host
@@ -186,7 +186,8 @@ class _KeyTable:
         # The values of each table, then of ``entries``, as far as read back.
         self.filed: list[list[bytes]] = [[] for _ in range(len(self.names) + 1)]
         self.config = model.config
-        self.monitors = {name: copy.copy(m) for name, m in engine.monitors.items()}
+        self.topology = model.bus.topology
+        self.monitors = {name: _copied(m) for name, m in engine.monitors.items()}
         self.index = engine.index
 
     def key(self, view: tuple, monitors: tuple) -> bytes:
@@ -217,6 +218,13 @@ class _KeyTable:
         return {name: len(table) for name, table in zip(self.names, self.tables)}
 
 
+def _copied(monitor: OnlineMonitor) -> OnlineMonitor:
+    """A shallow copy of ``monitor``: its class and a copy of its attributes."""
+    twin = object.__new__(monitor.__class__)
+    twin.__dict__.update(monitor.__dict__)
+    return twin
+
+
 def _filed(table: dict, filed: list, index: int) -> bytes:
     """The value ``table`` files under ``index``: ``filed``, its first values
     in insertion order, is extended from the table's newest end."""
@@ -239,11 +247,12 @@ class _Bundle:
     def clone(keys: _KeyTable, key: bytes, tick: int) -> "_Bundle":
         """The bundle of a stored state at tick ``tick``, rebuilt from the
         views ``key`` files in ``keys``, less its Violated monitors as the walk
-        stores it.  Monitors are copies of a root's: ``synthesize`` costs more."""
+        stores it.  Monitors are copies of a root's: ``synthesize`` costs more,
+        and so does ``copy.copy``."""
         view, (names, states) = keys.view(key)
-        model = Model(keys.config, EventTracer())
+        model = Model(keys.config, EventTracer(), topology=keys.topology)
         model.from_state(view, tick)
-        monitors = [copy.copy(keys.monitors[name]) for name in names]
+        monitors = [_copied(keys.monitors[name]) for name in names]
         for monitor, state in zip(monitors, states):
             monitor.from_state(state, tick)
         engine = MonitorEngine([m for m in monitors if m.verdict != VIOLATED], keys.index)

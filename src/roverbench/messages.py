@@ -89,9 +89,6 @@ class Topology:
             self.nodes.add(spec.publisher)
             self.nodes.update(spec.subscribers)
 
-    def spec_for(self, topic: str) -> TopicSpec | None:
-        return self.topics.get(topic)
-
     def reroute(self, topic: str, subscribers: tuple[str, ...]) -> None:
         """Replace a topic's subscriber set (used by the misrouting mutant)."""
         self.topics[topic] = replace(self.topics[topic], subscribers=subscribers)
@@ -115,13 +112,22 @@ class PayloadShapeError(ValueError):
     """Payload does not match the shape its topic declares."""
 
 
+# Per declared key set, the ``_FIELD_VALUES`` fields it holds, with their values.
+_CHECKS: dict[frozenset, tuple] = {}
+
+
 def validate_payload(spec: TopicSpec, payload: dict) -> None:
-    if payload.keys() != spec.keys:
+    keys = spec.keys
+    if payload.keys() != keys:
         raise PayloadShapeError(
             f"{spec.name} payload keys {sorted(payload)} are not the declared "
-            f"{sorted(spec.keys)}")
-    for field, allowed in _FIELD_VALUES.items():
-        if field in payload and payload[field] not in allowed:
+            f"{sorted(keys)}")
+    checks = _CHECKS.get(keys)
+    if checks is None:
+        checks = _CHECKS[keys] = tuple(
+            (field, allowed) for field, allowed in _FIELD_VALUES.items() if field in keys)
+    for field, allowed in checks:
+        if payload[field] not in allowed:
             raise PayloadShapeError(f"bad {field} {payload[field]!r} on {spec.name}")
-    if "speeds" in payload and len(payload["speeds"]) != 6:
+    if "speeds" in keys and len(payload["speeds"]) != 6:
         raise PayloadShapeError("wheel telemetry must carry six speeds")

@@ -198,6 +198,8 @@ class ObligationMonitor(OnlineMonitor):
             (self._trigger, False), (self._guard, True), (self._goal, False)) if pred is not None))
 
     def _observe(self, event, state):
+        if self.deadline is None and not self.armed:
+            return  # a first-event obligation, discharged: nothing is left to change
         goal, guard = self._goal(event, state), self._guard
         if self.deadline is not None:
             if goal:
@@ -353,6 +355,11 @@ class DispatchIndex:
         hit[1] += 1
         return hit[0]
 
+    def reaches(self, key) -> bool:
+        """Whether an event of key ``key``, past a first event, has a
+        target; a probe that counts no event."""
+        return any(keys is None or key in keys for _item, keys in self._entries)
+
     def handed(self) -> dict:
         """Events looked up for each entry, from the counts of its keys."""
         counts = {item: 0 for item, _keys in self._entries}
@@ -451,6 +458,9 @@ class MonitorEngine:
                     f"{m.name}: only per-event safety monitors may block "
                     "(a deadline expiry has no message to veto)")
         self.monitors = {m.name: m for m in monitors}  # the explorer drops Violated ones
+        # Only a deadline expires on the clock; a dropped monitor is Violated
+        # and expires no more.
+        self._timed = [m for m in monitors if m.shape == "deadline"]
         # A given index is shared: that of an engine over the same monitors.
         self.index = index or DispatchIndex([(m.name, m.keys) for m in monitors])
         self.state = frozenset()  # the belief base as of the last belief event
@@ -462,10 +472,16 @@ class MonitorEngine:
         self.first = True  # until the first model event
 
     def attach(self, tracer, bus) -> None:
+        """Observe ``tracer``'s events; deliver events only if some monitor
+        can read one, else a tick's deliveries just move the clock."""
         self.tracer = tracer
-        tracer.add_observer(self.observe)
+        tracer.add_observer(self.observe, clock=None if self.index.reaches("deliver")
+                            else self._set_clock)
         if any(m.mode == "block" for m in self.monitors.values()):
             bus.gate = self.gate
+
+    def _set_clock(self, t: int) -> None:
+        self.clock = t
 
     # The bus consults the gate before a publish event is enqueued.
     def gate(self, event: dict) -> bool:
@@ -497,7 +513,7 @@ class MonitorEngine:
         """End of tick ``t``: expire the windows due before the last model
         event, stamping each violation ``t``."""
         self.last_tick = t
-        for m in self.monitors.values():
+        for m in self._timed:
             if m.on_tick(self.clock):
                 self._emit(t, m, "violation", VIOLATED, reason=m.reason)
 

@@ -46,18 +46,26 @@ SAME_ORDER = _first_same_order()
 class Model:
     """A fully wired system: bus, world, three servers, agent host."""
 
-    def __init__(self, config: ScenarioConfig, tracer: EventTracer, sink=None):
+    def __init__(self, config: ScenarioConfig, tracer: EventTracer, sink=None,
+                 topology: Topology | None = None):
+        """``topology`` is another model's of the same config, shared: nothing
+        changes a model's topology once it is built."""
         self.config = config
         self.tracer = tracer
-        topology = Topology()
-        if config.mutant == "misroute-bus":
-            # The wiring bug under test: arm goals land on the mast server.
-            topology.reroute("/arm/goal", (server_node("mast"),))
+        if topology is None:
+            topology = Topology()
+            if config.mutant == "misroute-bus":
+                # The wiring bug under test: arm goals land on the mast server.
+                topology.reroute("/arm/goal", (server_node("mast"),))
         self.bus = MessageBus(topology, tracer, inbox_limit=config.inbox_limit)
         self.world = World(config, sink=sink)
         self.servers = build_servers(config)
         self.clients = {e: ClientEndpoint(e) for e in EFFECTORS}
         self.host = AgentHost(config, self.clients)
+        self._stages = (self.servers["wheels"], self.servers["arm"], self.servers["mast"],
+                        self.host)
+        self._world_port = StagePort(self.bus, (NODE_WORLD,))
+        self._ports = tuple(StagePort(self.bus, stage.nodes) for stage in self._stages)
 
     @property
     def tick(self) -> int:
@@ -75,16 +83,17 @@ class Model:
         choices).  So a stage that does not act changes nothing another stage
         sees, and the tick's events, state and choices depend only on the
         relative order of the stages that act, bar the schedule pick."""
-        bus = self.bus
-        self.world.step(StagePort(bus, (NODE_WORLD,), sink))
-        stages = (self.servers["wheels"], self.servers["arm"], self.servers["mast"], self.host)
-        ports = [StagePort(bus, stage.nodes, sink) for stage in stages]
+        world_port, stages, ports = self._world_port, self._stages, self._ports
+        world_port.reset(sink)
+        for port in ports:
+            port.reset(sink)
+        self.world.step(world_port)
         order = _SCHEDULES[0]
         if self.config.schedule_sensitivity and sink is not None:
             order = _SCHEDULES[sink.choose(("schedule",), tuple(range(len(_SCHEDULES))))]
         for i in order:
             stages[i].step(ports[i])
-        bus.step_deliver()
+        self.bus.step_deliver()
         return sum(port.acted << i for i, port in enumerate(ports))
 
     def to_state(self) -> tuple:
@@ -159,12 +168,12 @@ def run_simulation(config: ScenarioConfig, ticks: int, trace_path: str | None = 
     visits: list[str] = []
 
     def watch(event: dict) -> None:
-        if event.get("kind") == "belief" and event.get("op") == "add":
+        if event["op"] == "add":
             atom = event["atom"]
             if atom.startswith("at("):
                 visits.append(atom[3:-1])
 
-    tracer.add_observer(watch)
+    tracer.add_observer(watch, frozenset(["belief"]))
     try:
         model = Model(config, tracer)
         if monitor_engine is not None:

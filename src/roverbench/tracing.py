@@ -10,7 +10,12 @@ wall-clock time or unordered collections.
 separators=(",", ":"))``.  It encodes each message payload once, at its
 publish, and puts the publish and deliver lines of the message together
 around that text; lines are written in batches and flushed at the end of a
-run, or when it fails, so the bytes are those of one encode per line.
+run, or when it fails, so the bytes are those of one encode per line.  The
+bus hands over a tick's deliveries in one call, and their deliver events
+are built only for what reads them: an observer that reads deliveries, or
+a tracer with no file, which keeps its events.  Other observers name the
+kinds they read, and the monitor engine, when none of its monitors reads a
+delivery, takes only the time of a tick's deliveries, its clock.
 
 ``read_trace`` reads a trace file into a ``Trace`` in one pass: each line is
 parsed, checked and filed into columns (the event times, the positions of
@@ -64,10 +69,13 @@ class EventTracer:
     """Streams events to a file, or without one collects them in
     ``events``, so a streamed run's memory does not grow with its length.
 
-    A streaming tracer writes the bus's publish and deliver lines with
-    ``_message_line`` and every other event with ``dump_event``, in batches
-    of ``BATCH`` lines; ``flush`` writes the rest.  Each line is
-    ``dump_event(event)``, byte for byte."""
+    A streaming tracer writes the lines of emitted publish and deliver
+    events with ``_message_line`` and every other event with
+    ``dump_event``, in batches of ``BATCH`` lines; ``flush`` writes the
+    rest.  The bus hands over each tick's deliveries in one ``deliver``
+    call, which emits a deliver event only for a reader: an observer that
+    reads deliveries, or ``events``.  Each line is ``dump_event(event)``,
+    byte for byte, whether its event was built or not."""
 
     # About four ticks of lines: the batch is the most a streaming run holds,
     # and 512 lines doubled the peak memory of a 500-tick run's simulate.
@@ -76,20 +84,37 @@ class EventTracer:
     def __init__(self, sink: IO[str] | None = None):
         self.events: list[dict] = []
         self._sink = sink
-        self._observers: list[Callable[[dict], None]] = []
+        self._observers: list[tuple] = []  # (fn, kinds, clock)
+        self._calls: dict[str, list] = {}  # kind -> what its events are handed to
         self._lines: list[str] = []
         self._texts: dict[int, tuple[dict, str]] = {}  # seq -> (payload, its text)
         self._texts_t = None
         self._routes: dict[tuple, str] = {}  # (topic, sender[, node]) -> its fragment
 
-    def add_observer(self, fn: Callable[[dict], None]) -> None:
-        self._observers.append(fn)
+    def add_observer(self, fn: Callable[[dict], None], kinds: frozenset | None = None,
+                     clock: Callable[[int], None] | None = None) -> None:
+        """Call ``fn(event)`` at each event whose ``kind`` is in ``kinds``,
+        or at every event for None.  An observer with a ``clock`` reads
+        deliveries by their time alone: it is handed no deliver event, and
+        ``clock(t)`` is called instead."""
+        self._observers.append((fn, kinds, clock))
+        self._calls = {}
+
+    def _handed(self, kind: str) -> list:
+        """What an event of ``kind`` is handed to, in observer order."""
+        calls = self._calls[kind] = []
+        for fn, kinds, clock in self._observers:
+            if kind == "deliver" and clock is not None:
+                calls.append(lambda event, clock=clock: clock(event["t"]))
+            elif kinds is None or kind in kinds:
+                calls.append(fn)
+        return calls
 
     def emit(self, event: dict) -> dict:
+        kind = event.get("kind")
         if self._sink is None:
             self.events.append(event)
         else:
-            kind = event.get("kind")
             if kind == "publish" or kind == "deliver":
                 line = self._message_line(kind, event)
             else:
@@ -98,9 +123,38 @@ class EventTracer:
             lines.append(line)
             if len(lines) >= self.BATCH:
                 self.flush()
-        for fn in self._observers:
+        calls = self._calls.get(kind)
+        for fn in calls if calls is not None else self._handed(kind):
             fn(event)
         return event
+
+    def deliver(self, t: int, delivered: list) -> None:
+        """The deliver events, stamped ``t``, of a tick's ``(node, message)``
+        pairs in delivery order.  With no reader of deliver events, a
+        streaming tracer writes their lines from the kept payload texts and
+        builds no event; clocks are called either way."""
+        if not delivered:
+            return
+        if self._sink is None or any(clock is None and (kinds is None or "deliver" in kinds)
+                                     for _fn, kinds, clock in self._observers):
+            for node, msg in delivered:
+                self.emit(_deliver_event(t, node, msg))
+            return
+        for _fn, _kinds, clock in self._observers:
+            if clock is not None:
+                clock(t)
+        lines, texts, routes = self._lines, self._texts, self._routes
+        head = f'{{"t":{t},"kind":"deliver","seq":'
+        for node, msg in delivered:
+            seq, sender, topic, payload = msg
+            kept = texts.get(seq)
+            if kept is None or kept[0] is not payload:
+                lines.append(dump_event(_deliver_event(t, node, msg)))
+            else:
+                middle = routes.get((topic, sender, node)) or self._route(topic, sender, node)
+                lines.append(f"{head}{seq}{middle}{kept[1]}}}")
+            if len(lines) >= self.BATCH:
+                self.flush()
 
     def _message_line(self, kind: str, event: dict) -> str:
         """The line of a publish or deliver event as the bus builds it
@@ -116,25 +170,35 @@ class EventTracer:
                 self._texts, self._texts_t = {}, t
             text = dump_event(payload)
             self._texts[seq] = (payload, text)
-            route = (event["topic"], event["sender"])
+            middle = self._route(event["topic"], event["sender"])
         else:
             kept = self._texts.get(seq)
             if kept is None or kept[0] is not payload:
                 return dump_event(event)
             text = kept[1]
-            route = (event["topic"], event["sender"], event["node"])
+            middle = self._route(event["topic"], event["sender"], event["node"])
+        return f'{{"t":{t},"kind":"{kind}","seq":{seq}{middle}{text}}}'
+
+    def _route(self, *route: str) -> str:
+        """The fragment from ``topic`` to ``"payload":`` of a message line,
+        for ``route``: topic, sender and a deliver's node."""
         middle = self._routes.get(route)
         if middle is None:
             middle = self._routes[route] = "".join(
                 f',"{name}":{dump_event(value)}'
                 for name, value in zip(("topic", "sender", "node"), route)) + ',"payload":'
-        return f'{{"t":{t},"kind":"{kind}","seq":{seq}{middle}{text}}}'
+        return middle
 
     def flush(self) -> None:
         """Write the lines not yet written to the sink."""
         if self._lines:
             self._sink.write("\n".join(self._lines) + "\n")
-            self._lines = []
+            self._lines.clear()  # in place: ``deliver`` holds the list across a flush
+
+
+def _deliver_event(t: int, node: str, msg) -> dict:
+    return {"t": t, "kind": "deliver", "seq": msg.seq, "topic": msg.topic, "sender": msg.sender,
+            "node": node, "payload": msg.payload}
 
 
 def json_encoder() -> Callable[[object], str]:

@@ -113,6 +113,18 @@ class TestClient:
         assert first.endswith(":0")
         assert second.endswith(":1")
 
+    def test_only_the_server_record_names_a_target(self):
+        """A client's record holds no target; the server's names the server
+        its goal's topic meant, which its accept event carries."""
+        bus, client, server, tracer = make_rig()
+        pump(bus, client, server, 1)
+        goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
+        pump(bus, client, server, 2)
+        assert client.records[goal_id].target is None
+        assert server.active.goal_id == goal_id and server.active.target == server_node("arm")
+        (accept,) = [e for e in tracer.events if e["kind"] == "goal" and e["phase"] == "accept"]
+        assert accept["target"] == server_node("arm")
+
     def test_feedback_drives_pending_to_active_with_progress(self):
         bus, client, server, _ = make_rig()
         pump(bus, client, server, 1)

@@ -200,12 +200,12 @@ def goals_bundle(places: dict, number=lambda node, num: num, keys=None) -> _Bund
             action = (move_to(["A", "B", "C"][place % 3]) if effector == "wheels"
                       else posture_cmd(effector, ["open", "close"][place % 2]))
             client.records[gid(effector, num)] = GoalRecord(
-                gid(effector, num), server_node(effector), action.request(), PENDING,
-                progress=place / 4)
+                gid(effector, num), action.request(), PENDING, progress=place / 4)
     for effector, (owner, num) in places.get("active", {}).items():
         server = model.servers[effector]
         record = model.clients[owner].records[gid(owner, num)]
-        server.active = GoalRecord(record.goal_id, server.node, dict(record.request), ACTIVE)
+        server.active = GoalRecord(record.goal_id, dict(record.request), ACTIVE,
+                                   target=server.node)
         server.work_done, server.duration = 1, 3
     for seq, (node, topic, sender, (owner, num), rest) in enumerate(places.get("queued", ())):
         model.bus.inboxes[node].append(

@@ -659,6 +659,69 @@ class TestDualRoute:
         assert check_trace(suite, read_trace(str(trace))) == {"fast_delivery": VIOLATED}
 
 
+# Suites whose engine reads deliver events or not, each with its monitor rows.
+_DELIVER_SUITE = (
+    'prop goals_reach_the_server: always((kind == "deliver" && '
+    'topic == "/wheels/goal") => node == "wheelsServer")\n'
+    'prop no_goal_delivered: never(kind == "deliver" && topic == "/wheels/goal")\n'
+    'prop no_goal_atom_at_delivery: never(kind == "deliver" && topic("/wheels/goal"))\n')
+TRACED_RUNS = {
+    "packaged": lambda: (packaged_suite(), json.loads(
+        (importlib.resources.files("roverbench") / "data" / "monitors.json")
+        .read_text(encoding="utf-8"))["monitors"]),
+    "deliver-keyed": lambda: (parse_suite(_DELIVER_SUITE), None),
+    "recurrence": lambda: (parse_suite('prop pose_often: always(eventually[<=2]'
+                                       '(topic("/pose")))\n'), None),
+    "block-everything": lambda: (parse_suite(
+        'prop no_publish: never(kind == "publish")\n'
+        'prop arm_goal_due: eventually[<=49](topic("/arm/goal"))\n'),
+        [{"prop": "no_publish", "mode": "block"}, {"prop": "arm_goal_due"}]),
+}
+
+
+class TestTracedAndUntraced:
+    """A monitored run gives the same verdicts, monitor event counts and
+    bus counters whether its trace is streamed, which writes deliver lines
+    with no event unless a monitor reads them, or its events kept."""
+
+    @pytest.mark.parametrize("name", sorted(TRACED_RUNS))
+    def test_same_verdicts_and_counts(self, tmp_path, name):
+        suite, rows = TRACED_RUNS[name]()
+        rows = rows or [{"prop": prop} for prop in suite]
+        reads_deliveries = build_engine(suite, rows).index.reaches("deliver")
+        assert reads_deliveries == (name in ("deliver-keyed", "recurrence"))
+        runs = []
+        for trace in (None, str(tmp_path / "t.jsonl")):
+            summary = run_simulation(make_config(), 200, trace, build_engine(suite, rows))
+            runs.append((summary["verdicts"], summary["stats"]["topics"],
+                         summary["stats"]["monitor_events"]))
+        assert runs[0] == runs[1]
+
+    def test_deadline_passed_by_the_last_deliveries(self, tmp_path):
+        """A run's last model events are its last tick's deliveries, which
+        no monitor here reads, stamped past the deadline: they still move
+        the clock, and every route says Violated."""
+        suite = parse_suite('prop due: eventually[<=9](kind == "nothing")\n')
+        trace = str(tmp_path / "t.jsonl")
+        for path in (None, trace):
+            engine = build_engine(suite, [{"prop": "due"}])
+            assert not engine.index.reaches("deliver")
+            summary = run_simulation(make_config(), 10, path, engine)
+            assert summary["verdicts"] == {"due": VIOLATED}
+        assert check_trace(suite, read_trace(trace)) == {"due": VIOLATED}
+
+    def test_verify_of_a_deliver_property(self):
+        """The explorer's tracer keeps its events, deliver events included,
+        and its engine observes each: the first goal delivery violates."""
+        suite = parse_suite('prop no_goal_delivered: '
+                            'never(kind == "deliver" && topic == "/wheels/goal")\n')
+        report = Explorer(make_config(), suite).explore()
+        assert report.verdicts == {"no_goal_delivered": VIOLATED}
+        ce = report.counterexamples["no_goal_delivered"]
+        assert (ce.kind, ce.reason, ce.ticks) == (
+            "safety", "event at t=3 violates no_goal_delivered", [[], [], []])
+
+
 # -- indexed dispatch --------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from roverbench import simulator, tracing
 from roverbench.bus import InboxOverflowError
 from roverbench.config import DEFAULT_SCENARIO, ScenarioConfig, make_config, validate_config
 from roverbench.messages import PAYLOAD_FIELDS
-from roverbench.monitor import build_engine
+from roverbench.monitor import MonitorEngine, build_engine
 from roverbench.prop_dsl import parse_suite
 from roverbench.tracing import (
     EVENT_FIELDS,
@@ -378,6 +378,16 @@ def recording(monkeypatch, batch: int = EventTracer.BATCH) -> list[tuple[dict, s
     return seen
 
 
+def batched(monkeypatch, batch: int) -> None:
+    """Make ``run_simulation`` stream in batches of ``batch`` lines, with
+    no observer of its own."""
+
+    class Batched(EventTracer):
+        BATCH = batch
+
+    monkeypatch.setattr(simulator, "EventTracer", Batched)
+
+
 def written(path) -> str:
     return path.read_text(encoding="utf-8")
 
@@ -495,6 +505,74 @@ class TestStreamingWriter:
                                      packaged_engine())
         assert len(seen) > 7
         assert written(path) == lines_of(seen)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_same_trace_with_or_without_a_deliver_reader(self, monkeypatch, tmp_path, name):
+        """With no reader of deliver events the tracer writes their lines
+        from the kept payload texts; a catch-all observer makes it build
+        each event instead.  The bytes and the run's summary are the same."""
+        runs = []
+        for reader in (False, True):
+            config, engine = RUNS[name]()
+            path = tmp_path / f"{reader}.jsonl"
+            if reader:
+                seen = recording(monkeypatch)
+            summary = simulator.run_simulation(config, 300, str(path), engine)
+            summary["stats"] = {k: summary["stats"][k] for k in ("topics", "monitor_events")}
+            summary.pop("trace"), summary.pop("explanations")
+            runs.append((written(path), summary))
+        assert runs[0] == runs[1]
+        assert any(event["kind"] == "deliver" for event, _ in seen)
+
+    @pytest.mark.parametrize("batch", [EventTracer.BATCH, 7])
+    def test_failed_run_keeps_the_deliveries_before_the_overflow(self, monkeypatch, tmp_path,
+                                                                 batch):
+        """An inbox overflow in the middle of a tick's deliveries leaves
+        the lines of the deliveries before it, with or without a reader."""
+        texts = []
+        for reader in (False, True):
+            path = tmp_path / f"{reader}.jsonl"
+            if reader:
+                recording(monkeypatch, batch)
+            else:
+                batched(monkeypatch, batch)
+            with pytest.raises(InboxOverflowError):
+                simulator.run_simulation(make_config({"inbox_limit": 1}), 5, str(path),
+                                         packaged_engine())
+            texts.append(written(path))
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0].splitlines()[-1])["kind"] == "deliver"
+
+    def test_no_deliver_event_is_built_without_a_reader(self, monkeypatch, tmp_path):
+        """Regression guard: in a monitored, traced 300-tick default run no
+        deliver event reaches ``emit`` or an observer, and the engine
+        observes each other event once."""
+        emitted, handed = collections.Counter(), collections.Counter()
+        observed = []
+        emit, add_observer = EventTracer.emit, EventTracer.add_observer
+        observe = MonitorEngine.observe
+
+        def counting_emit(tracer, event):
+            emitted[event["kind"]] += 1
+            return emit(tracer, event)
+
+        def counting_add_observer(tracer, fn, *args, **kwargs):
+            def counting(event):
+                handed[event["kind"]] += 1
+                fn(event)
+            add_observer(tracer, counting, *args, **kwargs)
+
+        monkeypatch.setattr(EventTracer, "emit", counting_emit)
+        monkeypatch.setattr(EventTracer, "add_observer", counting_add_observer)
+        monkeypatch.setattr(MonitorEngine, "observe",
+                            lambda engine, event: observed.append(event) or observe(engine, event))
+        path = tmp_path / "t.jsonl"
+        summary = simulator.run_simulation(make_config(), 300, str(path), packaged_engine())
+        kinds = collections.Counter(json.loads(line)["kind"] for line in written(path).splitlines())
+        assert kinds["deliver"] > 1000
+        assert kinds["deliver"] == sum(c["delivered"] for c in summary["stats"]["topics"].values())
+        assert emitted["deliver"] == handed["deliver"] == 0
+        assert len(observed) == sum(kinds.values()) - kinds["deliver"]
 
     def test_payload_encoded_once_per_publish(self, monkeypatch, tmp_path):
         """Regression guard: in a 300-tick default run each published

@@ -167,8 +167,9 @@ def cmd_check(args) -> int:
     read_s = time.perf_counter() - started
     verdicts = check_trace(suite, trace, args.names or None)
     evaluate_s = time.perf_counter() - started - read_s
-    # Every event read, verdict lines included.
-    stats = {"events": len(trace), "properties": len(verdicts),
+    # Every event read, verdict lines included, and the lines decoded: a
+    # line that repeats an earlier one but for its ``t`` and ``seq`` is not.
+    stats = {"events": len(trace), "parsed": trace.parsed, "properties": len(verdicts),
              "read_s": round(read_s, 6), "evaluate_s": round(evaluate_s, 6)}
     _emit({"trace": args.trace, "events": len(trace), "verdicts": verdicts,
            "stats": stats})

@@ -239,6 +239,7 @@ class _Bundle:
     def __init__(self, model: Model, engine: MonitorEngine, keys: _KeyTable):
         self.model = model
         self.engine = engine  # log-mode monitors; a walk drops each once Violated
+        engine.attach(model.tracer, model.bus)
         self.keys = keys  # the walk's key table
         # The engine's liveness monitors, never Violated and so never dropped.
         self.liveness = [m for m in engine.monitors.values() if isinstance(m, LivenessMonitor)]
@@ -262,25 +263,22 @@ class _Bundle:
             engine.first = False
         return _Bundle(model, engine, keys)
 
-    def step(self, script: list | None, strict: bool = False) -> tuple[list[dict], list]:
-        """Advance one tick under a choice script; returns (events, choice log).
-        The tick's events are handed over and its explanations dropped, so
-        a bundle stepped down a chain of live states does not grow."""
-        sink = ChoiceSink(script, strict=strict)
-        self.acting = self.model.step_tick(sink)  # mask of the stages that acted
-        tracer = self.model.tracer
-        events, tracer.events = tracer.events, []
-        self.model.host.agent.explanations.clear()
-        engine, observe, now = self.engine, self.engine.observe, self.model.tick
+    def step(self, script: list | None, strict: bool = False) -> list:
+        """Advance one tick under a choice script, the engine observing its
+        events as they are emitted; returns the choice log.  The tick's
+        explanations are dropped, so a bundle stepped down a chain of live
+        states does not grow."""
         for m in self.liveness:
             m.fired = False
-        for event in events:
-            observe(event)
+        sink = ChoiceSink(script, strict=strict)
+        self.acting = self.model.step_tick(sink)  # mask of the stages that acted
+        self.model.host.agent.explanations.clear()
+        engine, now = self.engine, self.model.tick
         if engine.clock != now:
             raise RuntimeError(f"tick {now} ended at event time {engine.clock}: the "
                                "key's deadlines, relative to the tick, would be unsound")
         engine.on_tick(now)
-        return events, sink.log
+        return sink.log
 
     @property
     def fired(self) -> frozenset:
@@ -501,7 +499,7 @@ class Explorer:
                 probe = restore(node)
             else:
                 live -= 1
-            _, signature = timed("step", probe.step, None)
+            signature = timed("step", probe.step, None)
             scripts = _variants(signature)
             # Variant n's schedule pick has weight ``stride`` in the odometer
             # order, so n - pick * stride is its schedule-0 sibling, stepped
@@ -524,7 +522,7 @@ class Explorer:
                         unstepped += 1
                         continue
                     branch = restore(node)
-                    picks = timed("step", branch.step, script)[1]
+                    picks = timed("step", branch.step, script)
                 visit(node, branch, picks)
                 if at >= 0 and picks[at] == signature[at]:
                     masks[n] = branch.acting

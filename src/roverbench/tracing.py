@@ -6,28 +6,35 @@ goal lifecycle transitions, and monitor verdicts.  Two runs with the same
 config and seed must produce byte-identical streams, so nothing here may touch
 wall-clock time or unordered collections.
 
-``EventTracer`` writes one line per event, the text of ``json.dumps(event,
+``EventTracer`` hands each event to its observers and keeps none; given a
+file, it writes one line per event, the text of ``json.dumps(event,
 separators=(",", ":"))``.  It encodes each message payload once, at its
 publish, and puts the publish and deliver lines of the message together
 around that text; lines are written in batches and flushed at the end of a
 run, or when it fails, so the bytes are those of one encode per line.  The
 bus hands over a tick's deliveries in one call, and their deliver events
-are built only for what reads them: an observer that reads deliveries, or
-a tracer with no file, which keeps its events.  Other observers name the
-kinds they read, and the monitor engine, when none of its monitors reads a
-delivery, takes only the time of a tick's deliveries, its clock.
+are built only for an observer that reads deliveries.  Other observers
+name the kinds they read, and the monitor engine, when none of its monitors
+reads a delivery, takes only the time of a tick's deliveries, its clock.
 
 ``read_trace`` reads a trace file into a ``Trace`` in one pass: each line is
-parsed, checked and filed into columns (the event times, the positions of
-each event key, the belief states, and the values of every field path a
+checked and filed into columns (the event times, the positions of each
+event key, the belief states, and the values of every field path a
 property can compare), then dropped, so no list of event dicts is kept.
-The offline evaluator (``prop_dsl.evaluate_suite``) reads only the columns;
-a list of event dicts goes through the same builder first.
+A line is filed by a plan: its event keys, a belief's op and atom, and the
+value of each column its fields reach.  Lines as the tracer writes them
+differ mostly in the ``t`` and ``seq`` of their head, so the plan of the
+rest of a line is made once, from one JSON decode of that rest, and kept
+for the lines that repeat it, for the first ``MAX_PLANS`` rests.  The
+offline evaluator (``prop_dsl.evaluate_suite``) reads only the columns; a
+list of event dicts is filed by plans of the same builder first.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import starmap
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from sys import intern
 from typing import Callable, IO, Sequence
@@ -66,23 +73,23 @@ def next_beliefs(beliefs: frozenset, op: str, atom: str) -> frozenset:
 
 
 class EventTracer:
-    """Streams events to a file, or without one collects them in
-    ``events``, so a streamed run's memory does not grow with its length.
+    """Hands each event to its observers and, given a file, streams it
+    there; it keeps no event, so a run's memory does not grow with its
+    length.
 
     A streaming tracer writes the lines of emitted publish and deliver
     events with ``_message_line`` and every other event with
     ``dump_event``, in batches of ``BATCH`` lines; ``flush`` writes the
     rest.  The bus hands over each tick's deliveries in one ``deliver``
-    call, which emits a deliver event only for a reader: an observer that
-    reads deliveries, or ``events``.  Each line is ``dump_event(event)``,
-    byte for byte, whether its event was built or not."""
+    call, which emits a deliver event only for an observer that reads
+    deliveries.  Each line is ``dump_event(event)``, byte for byte, whether
+    its event was built or not."""
 
     # About four ticks of lines: the batch is the most a streaming run holds,
     # and 512 lines doubled the peak memory of a 500-tick run's simulate.
     BATCH = 64
 
     def __init__(self, sink: IO[str] | None = None):
-        self.events: list[dict] = []
         self._sink = sink
         self._observers: list[tuple] = []  # (fn, kinds, clock)
         self._calls: dict[str, list] = {}  # kind -> what its events are handed to
@@ -112,9 +119,7 @@ class EventTracer:
 
     def emit(self, event: dict) -> dict:
         kind = event.get("kind")
-        if self._sink is None:
-            self.events.append(event)
-        else:
+        if self._sink is not None:
             if kind == "publish" or kind == "deliver":
                 line = self._message_line(kind, event)
             else:
@@ -130,19 +135,21 @@ class EventTracer:
 
     def deliver(self, t: int, delivered: list) -> None:
         """The deliver events, stamped ``t``, of a tick's ``(node, message)``
-        pairs in delivery order.  With no reader of deliver events, a
-        streaming tracer writes their lines from the kept payload texts and
-        builds no event; clocks are called either way."""
+        pairs in delivery order.  With no reader of deliver events none is
+        built: a streaming tracer writes their lines from the kept payload
+        texts.  Clocks are called either way."""
         if not delivered:
             return
-        if self._sink is None or any(clock is None and (kinds is None or "deliver" in kinds)
-                                     for _fn, kinds, clock in self._observers):
+        if any(clock is None and (kinds is None or "deliver" in kinds)
+               for _fn, kinds, clock in self._observers):
             for node, msg in delivered:
                 self.emit(_deliver_event(t, node, msg))
             return
         for _fn, _kinds, clock in self._observers:
             if clock is not None:
                 clock(t)
+        if self._sink is None:
+            return
         lines, texts, routes = self._lines, self._texts, self._routes
         head = f'{{"t":{t},"kind":"deliver","seq":'
         for node, msg in delivered:
@@ -256,80 +263,144 @@ class Trace:
     - ``column(parts)``: the positions where a field path resolves and its
       values there, for each path a property can compare.
 
-    Equal strings in the columns share one object.
+    ``parsed`` is the number of lines handed to the JSON decoder.  Equal
+    strings in the columns share one object, and so do the values of the
+    lines one plan files: a column value is read, never changed.
     """
 
-    def __init__(self, numbered):
-        """Check and file each ``(line number, event)`` pair of ``numbered``.
+    def __init__(self, numbered=(), *, lines=None):
+        """Check and file each ``(line number, event)`` pair of ``numbered``,
+        or each non-blank line of ``lines``, the text of a trace file.
         An event must be an object with a string ``kind`` and an integer
         ``t`` that does not decrease (bounded windows compare timestamps); a
         publish needs a string ``topic``, a belief ``op`` add or del and a
         string ``atom``, an action a string ``action``.  Raises
-        MalformedTraceError at the first event that breaks a rule."""
+        MalformedTraceError at the first event that breaks a rule, with the
+        first rule it breaks in that order.
+
+        Each event is filed by its plan (``_plan``); a line's plan is kept
+        for the later lines that differ from it only in ``t`` and ``seq``."""
         self.tick_times: list[int] = []
         self.tick_starts: list[int] = []
         self.keys: dict = {}
         self.states: list[frozenset] = []
+        self.parsed = 0
         # Per field name, positions and values interleaved: one list takes
         # both with two appends, the cheapest filing there is.
-        self._fields = fields = {name: [] for name in EVENT_FIELDS - {"t", "kind", "payload"}}
-        self._payload = payload_fields = {name: [] for name in PAYLOAD_FIELDS}
-        tick_times, tick_starts = self.tick_times, self.tick_starts
-        keys, states = self.keys, self.states
+        self._fields = {name: [] for name in EVENT_FIELDS - {"t", "kind", "payload"}}
+        self._payload = {name: [] for name in PAYLOAD_FIELDS}
+        tick_times, tick_starts, states = self.tick_times, self.tick_starts, self.states
+        seqs = self._fields["seq"]
         last_t = tick_t = float("-inf")
         read = i = 0
         beliefs = frozenset()
-        for lineno, event in numbered:
-            kind = event.get("kind") if isinstance(event, dict) else None
-            if not isinstance(kind, str):
-                raise MalformedTraceError(lineno, "event must be an object with a string 'kind'")
-            t = event.get("t")
-            if type(t) is not int:
-                raise MalformedTraceError(lineno, "event must have an integer 't'")
+        planned = starmap(self._event, numbered) if lines is None else self._lines(lines)
+        for lineno, t, seq, (error, at, belief, appends) in planned:
             if t < last_t:
                 raise MalformedTraceError(lineno, f"'t' decreases from {last_t} to {t}")
+            if error is not None:
+                raise MalformedTraceError(lineno, error)
             last_t = t
             read += 1
-            if kind == "verdict":
+            if at is None:  # a verdict
                 continue
-            if kind == "publish":
-                topic = event.get("topic")
-                if not isinstance(topic, str):
-                    raise MalformedTraceError(lineno, "publish event must have a string 'topic'")
-                at = keys.get(("publish", topic))
-                if at is None:
-                    at = keys[("publish", topic)] = []
-                at.append(i)
-            elif kind == "belief":
-                op, atom = event.get("op"), event.get("atom")
-                if op not in ("add", "del") or not isinstance(atom, str):
-                    raise MalformedTraceError(
-                        lineno, "belief event must have 'op' add or del and a string 'atom'")
-                beliefs = next_beliefs(beliefs, op, atom)
+            for positions in at:
+                positions.append(i)
+            if belief is not None:
+                beliefs = next_beliefs(beliefs, *belief)
                 states.append(beliefs)
-            elif kind == "action" and not isinstance(event.get("action"), str):
-                raise MalformedTraceError(lineno, "action event must have a string 'action'")
-            at = keys.get(kind)
-            if at is None:
-                at = keys[kind] = []
-            at.append(i)
             if t != tick_t:
                 tick_t = t
                 tick_times.append(t)
                 tick_starts.append(i)
-            for name, value in event.items():
-                filed = fields.get(name)
-                if filed is not None:
-                    filed.append(i)
-                    filed.append(intern(value) if value.__class__ is str else value)
-                elif name == "payload" and isinstance(value, dict):
-                    for name, value in value.items():
-                        filed = payload_fields.get(name)
-                        if filed is not None:
-                            filed.append(i)
-                            filed.append(intern(value) if value.__class__ is str else value)
+            if seq is not None:
+                seqs.append(i)
+                seqs.append(seq)
+            for filed, value in appends:
+                filed.append(i)
+                filed.append(value)
             i += 1
         self.read, self.size = read, i
+
+    def _plan(self, kind: str, body: dict) -> tuple:
+        """How an event of ``kind`` with the fields ``body`` is filed:
+        ``(error, positions, belief, appends)``.  ``error`` is why the event
+        is malformed, or None; ``positions`` are the lists of the event's
+        keys, None for a verdict; ``belief`` is a belief event's ``(op,
+        atom)``; ``appends`` pairs each column a field of ``body`` reaches
+        with its value.  Neither ``t`` nor ``kind`` is a column."""
+        if kind == "verdict":
+            return _VERDICT
+        keys, belief = self.keys, None
+        if kind == "publish":
+            topic = body.get("topic")
+            if not isinstance(topic, str):
+                return "publish event must have a string 'topic'", None, None, None
+            at = keys.setdefault(kind, []), keys.setdefault((kind, topic), [])
+        else:
+            if kind == "belief":
+                op, atom = body.get("op"), body.get("atom")
+                if op not in ("add", "del") or not isinstance(atom, str):
+                    return ("belief event must have 'op' add or del and a string 'atom'",
+                            None, None, None)
+                belief = op, _interned(atom)
+            elif kind == "action" and not isinstance(body.get("action"), str):
+                return "action event must have a string 'action'", None, None, None
+            at = keys.setdefault(kind, []),
+        fields, payload_fields = self._fields, self._payload
+        appends = []
+        for name, value in body.items():
+            filed = fields.get(name)
+            if filed is not None:
+                appends.append((filed, _interned(value)))
+            elif name == "payload" and isinstance(value, dict):
+                for name, value in value.items():
+                    filed = payload_fields.get(name)
+                    if filed is not None:
+                        appends.append((filed, _interned(value)))
+        return None, at, belief, tuple(appends)
+
+    def _event(self, lineno: int, event) -> tuple:
+        """``(lineno, t, None, plan)`` of a decoded ``event``; raises
+        MalformedTraceError for one with no string ``kind`` or integer ``t``."""
+        kind = event.get("kind") if isinstance(event, dict) else None
+        if not isinstance(kind, str):
+            raise MalformedTraceError(lineno, "event must be an object with a string 'kind'")
+        t = event.get("t")
+        if type(t) is not int:
+            raise MalformedTraceError(lineno, "event must have an integer 't'")
+        return lineno, t, None, self._plan(kind, event)
+
+    def _lines(self, lines):
+        """``(line number, t, seq, plan)`` of each non-blank line, ``seq``
+        the head's or None.  A line whose head ``_HEAD`` matches is looked up
+        by its kind, whether it has a seq, and the rest of the line, whose
+        plan is made once, from that rest alone, if it is one object that
+        repeats no field of the head.  Any other line is decoded whole."""
+        plans: dict[tuple, tuple] = {}
+        head = _HEAD.match
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            match = head(line)
+            if match is None:
+                self.parsed += 1
+                yield self._event(lineno, _decoded(lineno, line))
+                continue
+            t, kind, seq = match.groups()
+            key = kind, seq is None, line[match.end():]
+            plan = plans.get(key)
+            if plan is None:
+                self.parsed += 1
+                body = _body(key[2])
+                if body is None:
+                    yield self._event(lineno, _decoded(lineno, line))
+                    continue
+                plan = self._plan(kind, body)
+                if len(plans) < MAX_PLANS:
+                    plans[key] = plan
+            yield lineno, int(t), seq and int(seq), plan
 
     def __len__(self) -> int:
         return self.read
@@ -360,29 +431,59 @@ class Trace:
         return None if filed is None else (filed[0::2], filed[1::2])
 
 
+# The plan of a verdict line, which is counted and not stored.
+_VERDICT = None, None, None, ()
+
+# The head ``EventTracer`` writes a line with, ``{"t":T,"kind":"K"`` and
+# ``,"seq":S`` for a message, and the comma before the next field, or the
+# line's closing brace, which the match does not take.  The
+# integers are JSON's, with no leading zero; at most 18 digits, so a longer
+# one is decoded whole and meets Python's digit limit there.  ``[0-9]``, as
+# ``\d`` takes any Unicode digit.
+_HEAD = re.compile(r'\{"t":(0|[1-9][0-9]{0,17}),"kind":"([a-z]+)"'
+                   r'(?:,"seq":(0|[1-9][0-9]{0,17}))?(?:,(?=")|(?=\}))')
+
+# The most plans one read keeps.  The rests that repeat come in a trace's
+# first ticks, so a full cache keeps its plans and takes no more: a later
+# new rest is decoded each time it comes.
+MAX_PLANS = 256
+
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _parsed(lines):
-    """``(line number, event)`` for each non-blank line."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        # A stripped line starts with no JSON whitespace, so one scan
-        # from 0 that ends at the line's end is all of ``json.loads``;
-        # any other line goes through ``json.loads`` for its error.
+def _interned(value):
+    return intern(value) if value.__class__ is str else value
+
+
+def _body(rest: str) -> dict | None:
+    """The fields of a line after its head: ``rest`` behind a ``{`` if that
+    is one JSON object on its own with none of the head's fields, else
+    None."""
+    try:
+        obj, end = _scan_once("{" + rest, 0)
+    except (ValueError, RecursionError, StopIteration):
+        return None
+    if end != len(rest) + 1 or "t" in obj or "kind" in obj or "seq" in obj:
+        return None
+    return obj
+
+
+def _decoded(lineno: int, line: str):
+    """The JSON value of a stripped line, as ``json.loads`` reads it."""
+    # A stripped line starts with no JSON whitespace, so one scan from 0
+    # that ends at the line's end is all of ``json.loads``; any other line
+    # goes through ``json.loads`` for its error.
+    try:
+        obj, end = _scan_once(line, 0)
+    except (ValueError, RecursionError, StopIteration):
+        end = -1
+    if end != len(line):
         try:
-            obj, end = _scan_once(line, 0)
-        except (ValueError, RecursionError, StopIteration):
-            end = -1
-        if end != len(line):
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                raise MalformedTraceError(lineno, f"bad JSON ({reason})") from exc
-        yield lineno, obj
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise MalformedTraceError(lineno, f"bad JSON ({reason})") from exc
+    return obj
 
 
 def read_trace(path: str) -> Trace:
@@ -391,6 +492,6 @@ def read_trace(path: str) -> Trace:
     InputError naming the file at bytes that are not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return Trace(_parsed(fh))
+            return Trace(lines=fh)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: {exc}") from exc

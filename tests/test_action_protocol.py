@@ -21,9 +21,12 @@ from roverbench.effectors import PostureServer, WheelsServer
 from roverbench.messages import Message, Topology, client_node, server_node
 from roverbench.tracing import EventTracer
 
+from recorded import recorded
+
 
 def make_rig(effector: str = "arm", init_delay: int = 0):
-    """A bus with one client/server pair stepped by hand."""
+    """A bus with one client/server pair stepped by hand, and the events
+    its tracer emits."""
     config = make_config({"init_delays": {"wheels": 0, "arm": init_delay, "mast": 0}})
     tracer = EventTracer()
     bus = MessageBus(Topology(), tracer)
@@ -32,7 +35,7 @@ def make_rig(effector: str = "arm", init_delay: int = 0):
         server = WheelsServer(config)
     else:
         server = PostureServer(effector, config)
-    return bus, client, server, tracer
+    return bus, client, server, recorded(tracer)
 
 
 def port(bus, endpoint) -> StagePort:
@@ -116,13 +119,13 @@ class TestClient:
     def test_only_the_server_record_names_a_target(self):
         """A client's record holds no target; the server's names the server
         its goal's topic meant, which its accept event carries."""
-        bus, client, server, tracer = make_rig()
+        bus, client, server, events = make_rig()
         pump(bus, client, server, 1)
         goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 2)
         assert client.records[goal_id].target is None
         assert server.active.goal_id == goal_id and server.active.target == server_node("arm")
-        (accept,) = [e for e in tracer.events if e["kind"] == "goal" and e["phase"] == "accept"]
+        (accept,) = [e for e in events if e["kind"] == "goal" and e["phase"] == "accept"]
         assert accept["target"] == server_node("arm")
 
     def test_feedback_drives_pending_to_active_with_progress(self):
@@ -153,11 +156,11 @@ class TestClient:
         assert client.records == {}
 
     def test_client_and_server_agree_on_final_status(self):
-        bus, client, server, tracer = make_rig()
+        bus, client, server, events = make_rig()
         pump(bus, client, server, 1)
         goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         news = pump(bus, client, server, 6)
-        resolves = [ev for ev in tracer.events
+        resolves = [ev for ev in events
                     if ev["kind"] == "goal" and ev["phase"] == "resolve"]
         assert [(ev["goal_id"], ev["status"]) for ev in resolves] == news
         assert news == [(goal_id, SUCCEEDED)]
@@ -170,11 +173,11 @@ class TestClient:
 class TestServer:
     def test_ready_published_after_init_delay(self):
         """With delay d the announcement goes out on tick d (d delay decrements first)."""
-        bus, client, server, tracer = make_rig(init_delay=2)
+        bus, client, server, events = make_rig(init_delay=2)
         for expected_tick in range(4):
             server.step(port(bus, server))
             bus.step_deliver()
-        ready = [ev for ev in tracer.events if ev["kind"] == "publish" and ev["topic"] == "/ready/arm"]
+        ready = [ev for ev in events if ev["kind"] == "publish" and ev["topic"] == "/ready/arm"]
         assert len(ready) == 1
         assert ready[0]["t"] == 2
 
@@ -202,20 +205,20 @@ class TestServer:
 
     def test_goal_trace_records_intended_target(self):
         """Accept events carry the server the topic addressed, for routing checks."""
-        bus, client, server, tracer = make_rig()
+        bus, client, server, events = make_rig()
         pump(bus, client, server, 1)
         client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 2)
-        accepts = [ev for ev in tracer.events if ev.get("kind") == "goal" and ev["phase"] == "accept"]
+        accepts = [ev for ev in events if ev.get("kind") == "goal" and ev["phase"] == "accept"]
         assert accepts[0]["server"] == server_node("arm")
         assert accepts[0]["target"] == server_node("arm")
 
     def test_progress_reaches_one_before_success(self):
-        bus, client, server, tracer = make_rig()
+        bus, client, server, events = make_rig()
         pump(bus, client, server, 1)
         goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 6)
-        publishes = [ev for ev in tracer.events if ev["kind"] == "publish"]
+        publishes = [ev for ev in events if ev["kind"] == "publish"]
         result = next(i for i, ev in enumerate(publishes) if ev["topic"] == "/arm/result")
         feedback = [ev["payload"] for ev in publishes[:result] if ev["topic"] == "/arm/feedback"]
         assert feedback[-1] == {"goal_id": goal_id, "progress": 1.0}

@@ -20,6 +20,8 @@ from roverbench.config import make_config
 from roverbench.messages import Topology
 from roverbench.tracing import EventTracer
 
+from recorded import recorded
+
 ALL_READY = [{"kind": "ready", "module": m} for m in ("wheels", "arm", "mast")]
 
 
@@ -248,11 +250,12 @@ class TestPerceive:
 
     def test_belief_events_traced_del_before_add(self):
         tracer = EventTracer()
+        events = recorded(tracer)
         agent = RoverAgent(make_config())
         agent.perceive(at(0, tracer), [env_percept("B", "Radiation")])
-        tracer.events.clear()
+        events.clear()
         agent.perceive(at(1, tracer), [env_percept("B", "Fine")])
-        ops = [(ev["op"], ev["atom"]) for ev in tracer.events if ev["kind"] == "belief"]
+        ops = [(ev["op"], ev["atom"]) for ev in events if ev["kind"] == "belief"]
         assert ops == [("del", "env(B,Radiation)"), ("add", "env(B,Fine)")]
 
 
@@ -335,9 +338,10 @@ class TestCycle:
 
     def test_first_cycle_dumps_initial_beliefs(self):
         tracer = EventTracer()
+        events = recorded(tracer)
         agent = RoverAgent(make_config())
         agent.cycle(at(0, tracer), [])
-        atoms = sorted(ev["atom"] for ev in tracer.events if ev["kind"] == "belief")
+        atoms = sorted(ev["atom"] for ev in events if ev["kind"] == "belief")
         assert atoms == ["arm(Closed)", "at(o)", "mast(Closed)"]
 
 

@@ -27,6 +27,8 @@ from roverbench.messages import (
 from roverbench.prop_dsl import parse_suite
 from roverbench.tracing import EventTracer
 
+from recorded import recorded
+
 
 SAMPLE = {"wp": "A", "wind": 0, "radiation": 0, "env": "Fine"}
 
@@ -84,10 +86,11 @@ class TestDelivery:
     def test_deliver_events_stamped_with_new_tick(self):
         """Publish events carry the publish tick, deliver events the arrival tick."""
         tracer = EventTracer()
+        events = recorded(tracer)
         bus = MessageBus(Topology(), tracer)
         bus.publish(NODE_WORLD, "/env/sample", dict(SAMPLE))
         bus.step_deliver()
-        kinds = {ev["kind"]: ev for ev in tracer.events}
+        kinds = {ev["kind"]: ev for ev in events}
         assert kinds["publish"]["t"] == 0
         assert kinds["deliver"]["t"] == 1
 
@@ -227,13 +230,14 @@ class TestGate:
     def test_gate_veto_blocks_message(self):
         """A vetoed publish becomes a block event and reaches no inbox."""
         tracer = EventTracer()
+        events = recorded(tracer)
         bus = MessageBus(Topology(), tracer)
         bus.gate = lambda event: event["payload"]["wp"] == "B"
         bus.publish(NODE_WORLD, "/env/sample", dict(SAMPLE))
         bus.publish(NODE_WORLD, "/env/sample", {**SAMPLE, "wp": "B"})
         delivered = bus.step_deliver()
         assert [m.payload["wp"] for _, m in delivered] == ["A"]
-        kinds = [ev["kind"] for ev in tracer.events if ev["kind"] != "deliver"]
+        kinds = [ev["kind"] for ev in events if ev["kind"] != "deliver"]
         assert kinds == ["publish", "block"]
 
     def test_gate_sees_publish_event_shape(self):
@@ -290,18 +294,20 @@ class TestStagePort:
         """A port publishes only as its own stage's nodes, even on a topic
         the sender may publish on; the refused publish leaves no trace."""
         bus = make_bus()
+        events = recorded(bus.tracer)
         port = StagePort(bus, (server_node("arm"),))
         with pytest.raises(UnauthorizedPublisherError):
             port.publish(server_node("mast"), "/ready/mast", {"module": "mast", "ready": True})
         with pytest.raises(UnauthorizedPublisherError):
             port.publish(NODE_WORLD, "/env/sample", dict(SAMPLE))
         assert not port.acted
-        assert bus.tracer.events == []
+        assert events == []
         assert bus.counters == {}
 
     @pytest.mark.parametrize("act", ["publish", "emit", "choose"])
     def test_each_way_of_acting_sets_acted(self, act):
         bus = make_bus()
+        events = recorded(bus.tracer)
         bus.tick = 7
         port = StagePort(bus, (server_node("arm"),), ListSink())
         assert (port.tick, port.exploring, port.acted) == (7, True, False)
@@ -311,7 +317,7 @@ class TestStagePort:
             port.publish(server_node("arm"), "/ready/arm", {"module": "arm", "ready": True})
         elif act == "emit":
             port.emit("goal", phase="accept")
-            assert bus.tracer.events == [{"t": 7, "kind": "goal", "phase": "accept"}]
+            assert events == [{"t": 7, "kind": "goal", "phase": "accept"}]
         else:
             assert port.choose(("fault", "arm"), ("Succeeded", "Aborted")) == "Succeeded"
         assert port.acted

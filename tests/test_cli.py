@@ -523,9 +523,11 @@ class TestCheck:
         run_cli(capsys, "simulate", "--ticks", "20", "--trace", trace)
         code, doc, _ = run_cli(capsys, "check", "--trace", trace, "env_nonnegative")
         assert code == 0
-        assert set(doc["stats"]) == {"events", "properties", "read_s", "evaluate_s"}
+        assert set(doc["stats"]) == {"events", "parsed", "properties", "read_s", "evaluate_s"}
         assert doc["stats"]["events"] == doc["events"]
         assert doc["stats"]["properties"] == 1
+        # Lines that repeat an earlier one but for ``t`` and ``seq`` are not decoded.
+        assert 0 < doc["stats"]["parsed"] < doc["events"]
 
 
 # -- replay ------------------------------------------------------------------

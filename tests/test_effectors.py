@@ -15,6 +15,8 @@ from roverbench.effectors import (
 from roverbench.messages import Topology
 from roverbench.tracing import EventTracer
 
+from recorded import recorded
+
 
 def make_rig(effector: str, config_overrides: dict | None = None, **server_kwargs):
     overrides = {"init_delays": {"wheels": 0, "arm": 0, "mast": 0}}
@@ -27,7 +29,7 @@ def make_rig(effector: str, config_overrides: dict | None = None, **server_kwarg
         server = WheelsServer(config, **server_kwargs)
     else:
         server = PostureServer(effector, config, **server_kwargs)
-    return bus, client, server, tracer
+    return bus, client, server, recorded(tracer)
 
 
 def port(bus, endpoint) -> StagePort:
@@ -45,8 +47,8 @@ def pump(bus, client, server, ticks: int) -> list[tuple[str, str]]:
     return news
 
 
-def published(tracer, topic: str) -> list[dict]:
-    return [ev["payload"] for ev in tracer.events
+def published(events, topic: str) -> list[dict]:
+    return [ev["payload"] for ev in events
             if ev["kind"] == "publish" and ev["topic"] == topic]
 
 
@@ -67,22 +69,22 @@ class TestWheelsWaypointGoals:
 
     def test_path_moves_x_before_y(self):
         """The drive closes the x gap first, then the y gap."""
-        bus, client, server, tracer = make_rig("wheels")
+        bus, client, server, events = make_rig("wheels")
         pump(bus, client, server, 1)
         client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "B"})
         pump(bus, client, server, 13)
-        poses = [(p["x"], p["y"]) for p in published(tracer, "/pose")]
+        poses = [(p["x"], p["y"]) for p in published(events, "/pose")]
         assert poses == [
             (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0),
             (6, -1), (6, -2), (6, -3), (6, -4),
         ]
 
     def test_one_cell_per_tick(self):
-        bus, client, server, tracer = make_rig("wheels")
+        bus, client, server, events = make_rig("wheels")
         pump(bus, client, server, 1)
         client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "A"})
         pump(bus, client, server, 10)
-        poses = [(0, 0)] + [(p["x"], p["y"]) for p in published(tracer, "/pose")]
+        poses = [(0, 0)] + [(p["x"], p["y"]) for p in published(events, "/pose")]
         for (x0, y0), (x1, y1) in zip(poses, poses[1:]):
             assert abs(x1 - x0) + abs(y1 - y0) == 1
 
@@ -98,12 +100,12 @@ class TestWheelsWaypointGoals:
 
     def test_stop_frame_precedes_result(self):
         """The last telemetry frame before the result is all zeros."""
-        bus, client, server, tracer = make_rig("wheels")
+        bus, client, server, events = make_rig("wheels")
         pump(bus, client, server, 1)
         client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "A"})
         pump(bus, client, server, 10)
         ordered = [
-            ev for ev in tracer.events
+            ev for ev in events
             if ev["kind"] == "publish" and ev["topic"] in ("/wheels/telemetry", "/wheels/result")
         ]
         assert ordered[-1]["topic"] == "/wheels/result"
@@ -112,11 +114,11 @@ class TestWheelsWaypointGoals:
         assert ordered[0]["payload"]["speeds"] == [NOMINAL_SPEED] * WHEEL_COUNT
 
     def test_skip_stop_flag_omits_halt_frame(self):
-        bus, client, server, tracer = make_rig("wheels", skip_stop=True)
+        bus, client, server, events = make_rig("wheels", skip_stop=True)
         pump(bus, client, server, 1)
         client.send_goal(port(bus, client), {"kind": "waypoint", "wp": "A"})
         pump(bus, client, server, 10)
-        frames = published(tracer, "/wheels/telemetry")
+        frames = published(events, "/wheels/telemetry")
         assert all(f["speeds"] != [0] * WHEEL_COUNT for f in frames)
 
 
@@ -126,12 +128,12 @@ class TestWheelsWaypointGoals:
 class TestPostureServer:
     def test_open_interpolates_linearly(self):
         """With duration 2 the arm passes through the midpoint pose."""
-        bus, client, server, tracer = make_rig("arm")
+        bus, client, server, events = make_rig("arm")
         pump(bus, client, server, 1)
         goal_id = client.send_goal(port(bus, client), {"cmd": "open"})
         news = pump(bus, client, server, 5)
         assert (goal_id, SUCCEEDED) in news
-        frames = published(tracer, "/arm/telemetry")
+        frames = published(events, "/arm/telemetry")
         # Each frame reports the pose after that tick's motion: half way after
         # the first of two work ticks, the full target after the second.
         assert frames[0]["joints"] == [0.5, 0.5, 0.5, 0.5]
@@ -154,7 +156,7 @@ class TestPostureServer:
     def test_preemption_freezes_joints_then_resumes(self):
         """A goal interrupted mid-motion leaves the joints where they stopped;
         the next goal starts from that partial pose rather than from zero."""
-        bus, client, server, tracer = make_rig(
+        bus, client, server, events = make_rig(
             "arm", config_overrides={"posture_duration": {"arm": 4, "mast": 2}}
         )
         pump(bus, client, server, 1)
@@ -164,27 +166,27 @@ class TestPostureServer:
         news = pump(bus, client, server, 7)
         assert (first, "Canceled") in news
         assert (second, SUCCEEDED) in news
-        frames = published(tracer, "/arm/telemetry")
+        frames = published(events, "/arm/telemetry")
         # First goal climbs to 0.5; the replacement resumes from there (a
         # restart from the closed pose would drop back to 0.25).
         assert [f["joints"][0] for f in frames] == [0.25, 0.5, 0.625, 0.75, 0.875, 1.0]
         assert server.joints == [1.0, 1.0, 1.0, 1.0]
 
     def test_mast_has_two_joints(self):
-        bus, client, server, tracer = make_rig("mast")
+        bus, client, server, events = make_rig("mast")
         pump(bus, client, server, 1)
         client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 5)
-        frames = published(tracer, "/mast/telemetry")
+        frames = published(events, "/mast/telemetry")
         assert all(len(f["joints"]) == 2 for f in frames)
         assert all(f["effector"] == "mast" for f in frames)
 
     def test_final_telemetry_reports_target_posture(self):
-        bus, client, server, tracer = make_rig("arm")
+        bus, client, server, events = make_rig("arm")
         pump(bus, client, server, 1)
         client.send_goal(port(bus, client), {"cmd": "open"})
         pump(bus, client, server, 5)
-        frames = published(tracer, "/arm/telemetry")
+        frames = published(events, "/arm/telemetry")
         assert frames[-1]["posture"] == "Open"
         assert frames[-1]["joints"] == [1.0, 1.0, 1.0, 1.0]
 

@@ -20,6 +20,8 @@ from roverbench.environment import (
 from roverbench.messages import NODE_WORLD, Message, Topology
 from roverbench.tracing import EventTracer
 
+from recorded import recorded
+
 
 class ScriptSink:
     """Choice sink stub: always picks a scripted option (default the first)."""
@@ -110,7 +112,7 @@ def make_world(overrides: dict | None = None, explore: bool = False, sink=None):
     tracer = EventTracer()
     bus = MessageBus(Topology(), tracer)
     world = World(config, sink=sink if explore else None)
-    return world, bus, tracer
+    return world, bus, recorded(tracer)
 
 
 def port_at(bus, t: int, sink=None) -> StagePort:
@@ -119,23 +121,23 @@ def port_at(bus, t: int, sink=None) -> StagePort:
     return StagePort(bus, (NODE_WORLD,), sink)
 
 
-def samples(tracer) -> list[dict]:
-    return [ev["payload"] for ev in tracer.events
+def samples(events) -> list[dict]:
+    return [ev["payload"] for ev in events
             if ev["kind"] == "publish" and ev["topic"] == "/env/sample"]
 
 
 class TestWorld:
     def test_one_sample_per_waypoint_per_tick(self):
-        world, bus, tracer = make_world()
+        world, bus, events = make_world()
         world.step(port_at(bus, 0))
-        assert [s["wp"] for s in samples(tracer)] == ["o", "A", "B", "C"]
+        assert [s["wp"] for s in samples(events)] == ["o", "A", "B", "C"]
 
     def test_first_step_publishes_undecayed_levels(self):
         """Decay is skipped on the very first step, so tick 0 shows the
         configured field: radiation 20 at B, wind 7 at A."""
-        world, bus, tracer = make_world()
+        world, bus, events = make_world()
         world.step(port_at(bus, 0))
-        by_wp = {s["wp"]: s for s in samples(tracer)}
+        by_wp = {s["wp"]: s for s in samples(events)}
         assert by_wp["B"]["radiation"] == 20
         assert by_wp["B"]["env"] == RADIATION
         assert by_wp["A"]["wind"] == 7
@@ -145,50 +147,50 @@ class TestWorld:
     def test_radiation_decays_one_per_tick_from_second_step(self):
         """At step t the level is the initial value minus t, floored at zero,
         so B crosses below the threshold between steps 15 and 16."""
-        world, bus, tracer = make_world()
+        world, bus, events = make_world()
         for t in range(25):
             world.step(port_at(bus, t))
-        b_levels = [s["radiation"] for s in samples(tracer) if s["wp"] == "B"]
+        b_levels = [s["radiation"] for s in samples(events) if s["wp"] == "B"]
         assert b_levels == [max(0, 20 - t) for t in range(25)]
-        b_classes = [s["env"] for s in samples(tracer) if s["wp"] == "B"]
+        b_classes = [s["env"] for s in samples(events) if s["wp"] == "B"]
         assert b_classes[15] == RADIATION  # level 5, still hazardous
         assert b_classes[16] == FINE  # level 4
 
     def test_wind_is_static_without_exploration(self):
-        world, bus, tracer = make_world()
+        world, bus, events = make_world()
         for t in range(10):
             world.step(port_at(bus, t))
-        a_wind = {s["wind"] for s in samples(tracer) if s["wp"] == "A"}
+        a_wind = {s["wind"] for s in samples(events) if s["wp"] == "A"}
         assert a_wind == {7}
 
     def test_env_fault_overrides_single_tick(self):
         """A fault rewrites the published reading at its tick only."""
-        world, bus, tracer = make_world(
+        world, bus, events = make_world(
             {"env_faults": [{"tick": 3, "wp": "o", "radiation": 9}]}
         )
         for t in range(6):
             world.step(port_at(bus, t))
-        o_samples = [s for s in samples(tracer) if s["wp"] == "o"]
+        o_samples = [s for s in samples(events) if s["wp"] == "o"]
         assert [s["radiation"] for s in o_samples] == [0, 0, 0, 9, 0, 0]
         assert [s["env"] for s in o_samples] == [FINE] * 3 + [RADIATION] + [FINE] * 2
 
     def test_negative_fault_published_raw_but_classified_clamped(self):
         """A wind=-1 fault reaches the wire as -1 (monitor-visible) while the
         classifier sees the clamped reading and does not crash."""
-        world, bus, tracer = make_world(
+        world, bus, events = make_world(
             {"env_faults": [{"tick": 2, "wp": "A", "wind": -1}]}
         )
         for t in range(4):
             world.step(port_at(bus, t))
-        a_samples = [s for s in samples(tracer) if s["wp"] == "A"]
+        a_samples = [s for s in samples(events) if s["wp"] == "A"]
         assert a_samples[2]["wind"] == -1
         assert a_samples[2]["env"] == FINE  # clamped to 0 before classifying
         assert a_samples[3]["wind"] == 7
 
     def test_initial_levels_clamped_to_cap(self):
-        world, bus, tracer = make_world({"radiation": {"o": 0, "A": 0, "B": 50, "C": 0}})
+        world, bus, events = make_world({"radiation": {"o": 0, "A": 0, "B": 50, "C": 0}})
         world.step(port_at(bus, 0))
-        by_wp = {s["wp"]: s for s in samples(tracer)}
+        by_wp = {s["wp"]: s for s in samples(events)}
         assert by_wp["B"]["radiation"] == 50
 
     def test_to_state_tracks_field_and_pose(self):

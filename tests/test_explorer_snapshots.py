@@ -91,6 +91,7 @@ from roverbench.tracing import EventTracer
 
 from mutants import mutant_demo_config, mutant_names
 from naive_semantics import atom_holds, fold_belief
+from recorded import recorded
 from reference_views import model_view, monitor_view
 from test_explorer import EVENTUALLY_B, RESPONSE_A_A
 
@@ -362,12 +363,16 @@ def detached(bundle: _Bundle) -> _Bundle:
     model = bundle.model
     shared = (model.config, bundle.keys, bundle.engine.index, model.bus.topology,
               model.host.agent.plans)
-    return copy.deepcopy(bundle, {id(obj): obj for obj in shared})
+    copied = copy.deepcopy(bundle, {id(obj): obj for obj in shared})
+    # The tracer's memo of what each kind is handed to holds functions,
+    # which ``deepcopy`` shares; rebuilt, it calls the copy's observers.
+    copied.model.tracer._calls = {}
+    return copied
 
 
 def successor_keys(stored: _Bundle) -> set:
     probe = detached(stored)
-    _, signature = probe.step(None)
+    signature = probe.step(None)
     keys = {probe.canonical()}
     for script in _variants(signature)[1:]:
         branch = detached(stored)
@@ -383,7 +388,7 @@ def step_outcome(bundle: _Bundle, script, step=_Bundle.step, canonical=_Bundle.c
     same-tick deliveries, none of which is state.  The step and the key are
     taken by the methods as defined, which a walk's instrumentation may
     patch."""
-    _, log = step(bundle, script)
+    log = step(bundle, script)
     return log, bundle.fired, [name for name, _ in bundle.violations()], canonical(bundle)
 
 
@@ -405,7 +410,7 @@ def rebuild_problems(bundle: _Bundle, key: bytes, pick: int) -> list[str]:
         problems.append(f"rebuilt bundle holds finished goals at tick {tick}")
     if rebuilt.canonical() != bundle.canonical():
         problems.append(f"rebuilt key differs at tick {tick}")
-    _, signature = _Bundle.clone(bundle.keys, key, tick).step(None)
+    signature = _Bundle.clone(bundle.keys, key, tick).step(None)
     scripts = _variants(signature)
     script = scripts[pick % len(scripts)]
     if step_outcome(rebuilt, script) != step_outcome(bundle, script):
@@ -461,6 +466,10 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
     # along the walk to it: the same along every path, since both are state.
     folded: dict[bytes, tuple] = {}
     roots: set[bytes] = set()
+    # The events of the step in progress.  Every walked bundle is a copy of
+    # a root, whose tracer appends to this list: ``detached`` copies the
+    # recorder, the list's own ``append``, as it is.
+    emitted: list[dict] = []
 
     def reach(bundle: _Bundle, after: tuple = (frozenset(), frozenset())) -> bytes:
         raw = raw_state(bundle)
@@ -494,7 +503,10 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         the naive semantics' belief base and open responses after it."""
         index = bundle.engine.index
         before = index.handed()["revisits_B"]
-        events, log = bundle.step(script)
+        emitted.clear()
+        log = bundle.step(script)
+        # Verdicts are the engine's output, which no monitor observes.
+        events = [event for event in emitted if event["kind"] != "verdict"]
         # The monitors expire windows at the last model event's ``t``, the
         # key counts deadlines from ``model.tick``: the two must agree.
         if not events or events[-1]["t"] != bundle.model.tick:
@@ -510,6 +522,7 @@ def instrumented_walk(config, last_duplicate_only: bool) -> dict:
         return log, after
 
     for bundle, _log in Explorer(config, WALK_SUITE)._roots():
+        recorded(bundle.model.tracer, emitted)
         roots.add(reach(bundle))
     head = 0
     while head < len(queue):
@@ -604,7 +617,7 @@ class TestLiveHistory:
             key = live.canonical()
             rebuilt = _Bundle.clone(live.keys, key, tick)
             assert finished_goals(rebuilt) == finished_goals(live) == 0
-            _, signature = _Bundle.clone(live.keys, key, tick).step(None)
+            signature = _Bundle.clone(live.keys, key, tick).step(None)
             scripts = _variants(signature)
             script = scripts[tick * 7 % len(scripts)]
             assert step_outcome(rebuilt, script) == step_outcome(live, script), tick
@@ -755,7 +768,7 @@ def keyed_walk(config, directory) -> dict:
         if live:  # the state's own bundle steps in the walk: compare it, keyed apart
             result = step(self, script, strict)
             keys, self.keys = self.keys, apart[0]
-            outcome = result[1], self.fired, [name for name, _ in self.violations()], canonical(self)
+            outcome = result, self.fired, [name for name, _ in self.violations()], canonical(self)
             self.keys = keys
         else:
             like = detached(copies[key])
@@ -933,15 +946,12 @@ def simulated_keys(config, keys, ticks: int = 600) -> list[bytes]:
     before the Violated monitors are dropped, as the walk takes it."""
     model = Model(config, EventTracer())
     bundle = _Bundle(model, MonitorEngine(Explorer(config, SUITE)._monitors()), keys)
-    engine = bundle.engine
+    engine = bundle.engine  # attached to the model's tracer, as in ``simulate``
     found = [bundle.canonical()]
     for _ in range(ticks):
         for name, _monitor in bundle.violations():
             del engine.monitors[name]
         model.step_tick()
-        events, model.tracer.events = model.tracer.events, []
-        for event in events:
-            engine.observe(event)
         engine.on_tick(model.tick)
         found.append(bundle.canonical())
     return found
@@ -1016,11 +1026,12 @@ class TestActingMask:
         step, masks, wrong = _Bundle.step, set(), []
 
         def checked(self, script, strict=False):
-            events, log = step(self, script, strict)
+            events = recorded(self.model.tracer)
+            log = step(self, script, strict)
             masks.add(self.acting)
             if self.acting != stages_named(events, log):
                 wrong.append((self.model.tick, self.acting, stages_named(events, log)))
-            return events, log
+            return log
 
         monkeypatch.setattr(_Bundle, "step", checked)
         assert explore_properties(REDUCTION_SCENARIOS[scenario](), SUITE).complete

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naive_semantics import evaluate_naive, fold_belief
+from recorded import recorded
 from roverbench.bus import MessageBus
 from roverbench.config import make_config
 from roverbench.explorer import Explorer
@@ -483,11 +484,12 @@ SMALL_SUITE = parse_suite(
 class TestEngine:
     def test_log_monitor_emits_violation_event(self):
         tracer = EventTracer()
+        events = recorded(tracer)
         bus = MessageBus(Topology(), tracer)
         engine = build_engine(SMALL_SUITE, [{"prop": "no_negative_wind"}])
         engine.attach(tracer, bus)
         bus.publish(NODE_WORLD, "/env/sample", {"wp": "A", "wind": -1, "radiation": 0, "env": "Fine"})
-        verdict_events = [ev for ev in tracer.events if ev["kind"] == "verdict"]
+        verdict_events = [ev for ev in events if ev["kind"] == "verdict"]
         assert len(verdict_events) == 1
         assert verdict_events[0]["prop"] == "no_negative_wind"
         assert verdict_events[0]["outcome"] == "violation"
@@ -499,27 +501,29 @@ class TestEngine:
         """Block mode stops the bad message on the bus: a block tombstone is
         recorded, nothing is delivered, and the trace re-checks clean."""
         tracer = EventTracer()
+        events = recorded(tracer)
         bus = MessageBus(Topology(), tracer)
         engine = build_engine(SMALL_SUITE, [{"prop": "no_negative_wind", "mode": "block"}])
         engine.attach(tracer, bus)
         bus.publish(NODE_WORLD, "/env/sample", {"wp": "A", "wind": -1, "radiation": 0, "env": "Fine"})
         assert bus.step_deliver() == []
-        kinds = [ev["kind"] for ev in tracer.events]
+        kinds = [ev["kind"] for ev in events]
         assert "block" in kinds and "publish" not in kinds
         (monitor,) = engine.monitors.values()
         assert monitor.blocked == 1
         assert monitor.verdict == UNDETERMINED  # the violation never happened
         assert engine.finalize()["no_negative_wind"] == SATISFIED
-        offline = check_trace(SMALL_SUITE, tracer.events, ["no_negative_wind"])
+        offline = check_trace(SMALL_SUITE, events, ["no_negative_wind"])
         assert offline["no_negative_wind"] == SATISFIED
 
     def test_blocked_verdict_event_recorded(self):
         tracer = EventTracer()
+        events = recorded(tracer)
         bus = MessageBus(Topology(), tracer)
         engine = build_engine(SMALL_SUITE, [{"prop": "no_negative_wind", "mode": "block"}])
         engine.attach(tracer, bus)
         bus.publish(NODE_WORLD, "/env/sample", {"wp": "A", "wind": -1, "radiation": 0, "env": "Fine"})
-        blocked = [ev for ev in tracer.events
+        blocked = [ev for ev in events
                    if ev["kind"] == "verdict" and ev["outcome"] == "blocked"]
         assert len(blocked) == 1
         assert blocked[0]["topic"] == "/env/sample"
@@ -542,13 +546,14 @@ class TestEngine:
 
     def test_finalize_emits_one_final_verdict_per_monitor(self):
         tracer = EventTracer()
+        events = recorded(tracer)
         bus = MessageBus(Topology(), tracer)
         engine = build_engine(
             SMALL_SUITE, [{"prop": "no_negative_wind"}, {"prop": "quiet_start"}]
         )
         engine.attach(tracer, bus)
         verdicts = engine.finalize()
-        finals = [ev for ev in tracer.events
+        finals = [ev for ev in events
                   if ev["kind"] == "verdict" and ev["outcome"] == "final"]
         assert [ev["prop"] for ev in finals] == ["no_negative_wind", "quiet_start"]
         assert verdicts == {"no_negative_wind": SATISFIED, "quiet_start": UNDETERMINED}
@@ -952,9 +957,10 @@ class TestIndexedDispatch:
     def test_engine_matches_unindexed_loop(self, suite, stream):
         """... and its final verdicts are ``check``'s over the trace it
         emitted and the naive semantics' over that trace's model events."""
-        engines, tracers = [], []
+        engines, tracers, emitted = [], [], []
         for kind in (MonitorEngine, ReferenceEngine):
             tracer = EventTracer()
+            emitted.append(recorded(tracer))
             engine = kind([synthesize(n, ast) for n, ast in suite.items()])
             engine.attach(tracer, MessageBus(Topology(), tracer))
             engines.append(engine)
@@ -970,13 +976,13 @@ class TestIndexedDispatch:
                 tracer.emit({"t": tick, **body})
             assert monitor_states(indexed.monitors.values(), tick) == \
                 monitor_states(reference.monitors.values(), tick)
-            assert tracers[0].events == tracers[1].events
+            assert emitted[0] == emitted[1]
         verdicts = indexed.finalize()
         assert verdicts == reference.finalize()
-        assert tracers[0].events == tracers[1].events
-        model = [ev for ev in tracers[0].events if ev["kind"] != "verdict"]
+        assert emitted[0] == emitted[1]
+        model = [ev for ev in emitted[0] if ev["kind"] != "verdict"]
         if model:
-            assert verdicts == check_trace(suite, tracers[0].events)
+            assert verdicts == check_trace(suite, emitted[0])
             assert verdicts == {n: evaluate_naive(ast, model) for n, ast in suite.items()}
 
     def test_dispatched_counts_each_handed_event(self):
@@ -1015,11 +1021,14 @@ class TestIndexedDispatch:
     @example(HOLDS_ARM)
     def test_bundle_step_matches_unindexed_loop(self, suite):
         bundle, _log = Explorer(make_config(), suite)._build_bundle(None)
+        events = recorded(bundle.model.tracer)
         reference = [synthesize(n, ast) for n, ast in suite.items()]
         beliefs: set = set()
         for _ in range(30):
-            events, _picks = bundle.step(None)
-            for event in events:
+            events.clear()
+            bundle.step(None)
+            # Verdicts are the engine's output, which no monitor observes.
+            for event in (e for e in events if e["kind"] != "verdict"):
                 fold_belief(beliefs, event)
                 state = frozenset(beliefs)
                 for m in reference:

@@ -21,6 +21,8 @@ from roverbench.messages import Topology, server_node
 from roverbench.simulator import TRACE_FORMAT, Model, run_simulation
 from roverbench.tracing import EventTracer
 
+from recorded import recorded
+
 
 # -- helpers -----------------------------------------------------------------
 
@@ -85,10 +87,11 @@ class TestSummary:
 
 def model_events(overrides=None, ticks=60) -> list[dict]:
     tracer = EventTracer()
+    events = recorded(tracer)
     model = Model(make_config(overrides or {}), tracer)
     for _ in range(ticks):
         model.step_tick()
-    return tracer.events
+    return events
 
 
 class TestTopology:
@@ -362,7 +365,7 @@ class TestStreaming:
         tracer.flush()
         assert [json.loads(line) for line in sink.getvalue().splitlines()] == seen
         assert len(seen) == 3
-        assert tracer.events == []
+        assert not hasattr(tracer, "events")
 
     def test_streaming_tracer_gives_the_same_acting_mask(self):
         """The acting mask is read from the stages' ports, not from the

@@ -16,9 +16,11 @@ import gc
 import io
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from importlib.resources import files
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,6 +329,21 @@ class TestMemory:
         assert retained / len(trace) <= 400, f"{retained / len(trace):.0f} B per event"
 
 
+    def test_untraced_run_keeps_no_event(self):
+        """Regression guard: a monitored 2000-tick default run with no trace
+        file peaks at 1 MB of traced allocation.  A tracer that kept every
+        event took about 11.5 MB."""
+        engine = packaged_engine()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            simulator.run_simulation(make_config(), 2000, None, engine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, f"{peak / 1024:.0f} KB"
+
+
 class TestNextBeliefs:
     def test_add_and_del_of_one_atom(self):
         """The one add/del rule: a del drops exactly its atom, a del of an
@@ -596,3 +613,175 @@ class TestStreamingWriter:
         assert len(published) > 1000 and len(delivered) > 1000
         assert {key: encodes[key] for key in published} == published
         assert all(id(e["payload"]) in published for e in delivered)
+
+
+# -- the reader's plan cache ---------------------------------------------------
+
+# Events as the tracer writes them, whose rests (the line after ``t``,
+# ``kind`` and ``seq``) a trace repeats: messages with a seq, and events
+# with none.  The action's rest is a valid belief's too, and nested objects
+# hold ``t``, ``kind`` and ``seq`` keys of their own.
+POOL = [
+    {"kind": "publish", "seq": 0, "topic": "/env/sample", "sender": "world",
+     "payload": {"wp": "A", "wind": 7, "radiation": 0.5, "env": "Windy"}},
+    {"kind": "deliver", "seq": 0, "topic": "/wheels/goal", "sender": "wheelsClient",
+     "node": "wheelsServer", "payload": {"goal_id": "wheelsClient:0", "kind": "waypoint",
+                                         "wp": "A", "seq": [1e16, -0.0]}},
+    {"kind": "belief", "op": "add", "atom": "at(A)"},
+    {"kind": "belief", "op": "del", "atom": "at(A)"},
+    {"kind": "action", "action": "move_to(B)", "op": "add", "atom": "at(B)"},
+    {"kind": "goal", "phase": "accept", "server": "armServer", "goal_id": "armClient:0",
+     "status": "Active"},
+    {"kind": "verdict", "prop": "p", "outcome": "final", "verdict": "Satisfied"},
+    {"kind": "header", "format": 1, "config": {"t": 0, "kind": "x", "seq": None}},
+]
+
+# One line of a trace, changed, at a ``t`` that may be below the last
+# line's: each rule a plan must keep, broken on a line whose rest may be
+# cached, or a line the cache must not take.  ``earlier`` is a line before.
+MUTATIONS = {
+    "none": lambda line, earlier, t: line,
+    "cut": lambda line, earlier, t: line[:-1],
+    "trailing comma": lambda line, earlier, t: line[:-1] + ",}",
+    "bad value": lambda line, earlier, t: line[:-1] + ',"x":-}',
+    "no topic": lambda line, earlier, t: dump_event(
+        {"t": t, "kind": "publish", "seq": 1, "sender": "world", "payload": {}}),
+    "no op": lambda line, earlier, t: dump_event({"t": t, "kind": "belief", "atom": "at(A)"}),
+    "no atom": lambda line, earlier, t: dump_event({"t": t, "kind": "belief", "op": "add"}),
+    "no action": lambda line, earlier, t: dump_event(
+        {"t": t, "kind": "action", "op": "add", "atom": "at(B)"}),
+    # The rest of a line read before, so its plan may be cached.
+    "earlier line": lambda line, earlier, t: dump_event({**json.loads(earlier), "t": t}),
+    "t again": lambda line, earlier, t: line[:-1] + f',"t":{t}}}',
+    "kind again": lambda line, earlier, t: line[:-1] + ',"kind":"belief"}',
+    "verdict again": lambda line, earlier, t: line[:-1] + ',"kind":"verdict"}',
+    "seq again": lambda line, earlier, t: line[:-1] + ',"seq":"s"}',
+    "no comma after kind": lambda line, earlier, t: re.sub(
+        r'^(\{"t":[0-9]+,"kind":"[a-z]+"),', r"\1", line),
+    "no comma after head": lambda line, earlier, t: re.sub(
+        r'^(\{"t":[0-9]+,"kind":"[a-z]+"(?:,"seq":[0-9]+)?),', r"\1", line),
+    "other kind": lambda line, earlier, t: line.replace(
+        '"kind":"belief"', '"kind":"action"', 1) if '"kind":"belief"' in line
+    else line.replace(json.dumps(json.loads(line)["kind"]), '"belief"', 1),
+}
+
+
+def pooled_line(t: int, pick: int, seq: int) -> str:
+    kind, *rest = POOL[pick].items()
+    head = {"t": t, "kind": kind[1]}
+    if rest and rest[0][0] == "seq":
+        head["seq"] = seq
+        rest = rest[1:]
+    return dump_event({**head, **dict(rest)})
+
+
+class TestPlanCache:
+    """A line whose rest repeats an earlier line's is filed by the plan
+    made for that line: the columns and every ``(line number, message)``
+    are those of ``json.loads`` on every line, with the cache full at any
+    size."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(POOL) - 1), st.integers(0, 2),
+                              st.integers(0, 10**18)), min_size=1, max_size=40),
+           st.sampled_from(sorted(MUTATIONS)), st.integers(0, 39), st.integers(0, 39),
+           st.integers(-1, 1), st.sampled_from([1, 2, 3, tracing.MAX_PLANS]))
+    @example([(2, 1, 5), (2, 1, 0), (2, 0, 0)], "earlier line", 2, 0, -1, tracing.MAX_PLANS)
+    @example([(0, 1, 5), (0, 0, 6)], "no topic", 1, 0, -1, tracing.MAX_PLANS)
+    @example([(0, 1, 5), (0, 0, 6), (0, 1, 7)], "t again", 2, 0, -1, tracing.MAX_PLANS)
+    @example([(4, 1, 0), (4, 0, 0), (2, 0, 0)], "other kind", 1, 0, 0, tracing.MAX_PLANS)
+    @example([(2, 1, 0), (2, 0, 0), (4, 0, 0)], "other kind", 1, 0, 0, tracing.MAX_PLANS)
+    @example([(4, 1, 0), (2, 0, 0)], "other kind", 0, 0, 0, tracing.MAX_PLANS)
+    @example([(6, 1, 0), (6, 0, 0)], "verdict again", 0, 0, 0, tracing.MAX_PLANS)
+    @example([(1, 1, 0), (1, 0, 1)], "seq again", 1, 0, 0, tracing.MAX_PLANS)
+    @example([(0, 1, 10**18), (0, 0, 0), (5, 0, 0), (0, 0, 0)], "none", 0, 0, 0, 1)
+    @example([(2, 1, 0), (2, 0, 0)], "no comma after kind", 1, 0, 0, tracing.MAX_PLANS)
+    @example([(0, 1, 5), (0, 0, 6)], "no comma after head", 1, 0, 0, tracing.MAX_PLANS)
+    def test_same_columns_and_errors_as_json_loads(self, tmp_path_factory, picks, mutation,
+                                                   at, before, shift, cap):
+        """Lines drawn from a few events, the one at ``at`` changed by
+        ``mutation`` at the last line's ``t`` plus ``shift``, with at most
+        ``cap`` plans kept at once."""
+        lines, t = [], 1
+        for pick, advance, seq in picks:
+            t += advance
+            lines.append(pooled_line(t, pick, seq))
+        at %= len(lines)
+        last_t = json.loads(lines[at - 1])["t"] if at else 1
+        lines[at] = MUTATIONS[mutation](lines[at], lines[before % (at + 1)], last_t + shift)
+        path = tmp_path_factory.mktemp("plans") / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with mock.patch.object(tracing, "MAX_PLANS", cap):
+            got = outcome(read_trace, str(path))
+        want = outcome(reference_read, str(path))
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert_columns_match(got[1], want[1])
+            assert got[1].parsed <= len(lines)
+
+    @pytest.mark.parametrize("line", [
+        '{"t":01,"kind":"x"}', '{"t":1234567890123456789,"kind":"x"}',
+        '{"t":١,"kind":"x"}', '{"t":1,"kind":"x","seq":١}',
+        '{"t":1,"kind":"x","seq":-1}', '{"t":1,"kind":"x","seq":1.5}',
+        '{"t":1,"kind":"x","seq":01}', '{"t":1,"kind":"x","seq":2,}', '{"t":1,"kind":"x",}',
+        '{"t":1,"kind":"x"}}', '{"t":1,"kind":"x" ,"a":1}', '{"t":1,"kind":"x", "a":1}',
+        '{"t":1,"kind":"Belief","op":"add","atom":"a"}', '{"t":1,"kind":"\\u0078"}',
+        '{"t":1,"kind":"x","seq":null}', '{"t":1,"kind":"x","seq":2,"seq":3}',
+        '{"t":1,"kind":"x","\\u0074":0}', '{"t":1,"kind":"belief","kind":"x"}',
+        '{"t":1,"kind":"x""a":1}', '{"t":1,"kind":"x","seq":2"a":1}',
+        '{"t":1,"kind":"belief""op":"add","atom":"a"}', '{"t":1,"kind":"x","seq":2"seq":3}',
+    ])
+    def test_lines_beside_the_head(self, tmp_path, line):
+        """Lines whose start is almost the tracer's head, each twice, read
+        as ``json.loads`` reads them."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(HEADER + line + "\n" + line + "\n", encoding="utf-8")
+        got, want = outcome(read_trace, str(path)), outcome(reference_read, str(path))
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got[1] == want[1]
+        else:
+            assert_columns_match(got[1], want[1])
+
+    def test_more_remainders_than_the_cap(self, tmp_path):
+        """Two and a half times as many distinct rests as a read keeps
+        plans, each line twice in a row: each line of a kept rest but the
+        first is filed by its plan, and every line of the rests past the
+        cap is decoded."""
+        distinct = tracing.MAX_PLANS * 5 // 2
+        lines = [dump_event({"t": i // 2, "kind": "belief", "op": "add", "atom": f"a{i // 2}"})
+                 for i in range(2 * distinct)]
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        trace = read_trace(str(path))
+        assert trace.parsed == tracing.MAX_PLANS + 2 * (distinct - tracing.MAX_PLANS)
+        assert_columns_match(trace, reference_read(str(path)))
+
+    @pytest.mark.parametrize("order,parsed", [("aabbcc", 4), ("abcabc", 4), ("abab", 2),
+                                              ("cabcab", 4)])
+    def test_full_cache_keeps_its_plans(self, tmp_path, order, parsed):
+        """With two plans kept at most, the first two rests keep theirs and
+        a third rest is decoded at each of its lines."""
+        lines = [dump_event({"t": t, "kind": "belief", "op": "add", "atom": atom})
+                 for t, atom in enumerate(order)]
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with mock.patch.object(tracing, "MAX_PLANS", 2):
+            assert read_trace(str(path)).parsed == parsed
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_read_and_built_from_events_alike(self, monkeypatch, tmp_path, name):
+        """The columns ``read_trace`` makes of a run's trace are those a
+        ``Trace`` makes of its event dicts, and the decoder sees each
+        distinct line once."""
+        config, engine = RUNS[name]()
+        path = tmp_path / "t.jsonl"
+        seen = recording(monkeypatch)
+        simulator.run_simulation(config, 300, str(path), engine)
+        events = [event for event, _ in seen]
+        read, built = read_trace(str(path)), Trace(enumerate(events, start=1))
+        assert_columns_match(read, events)
+        assert_columns_match(built, events)
+        assert built.parsed == 0 < read.parsed < len(events) // 2

@@ -110,17 +110,19 @@ class MessageBus:
         self.tick += 1
         delivered: list[tuple[str, Message]] = []
         topics, inboxes, counters = self.topology.topics, self.inboxes, self.counters
-        for msg in pending:  # already in seq order
-            counter = counters[msg.topic]  # counted at its publish
-            for node in topics[msg.topic].subscribers:
-                inbox = inboxes[node]
-                if len(inbox) >= self.inbox_limit:
-                    self.tracer.deliver(self.tick, delivered)
-                    raise InboxOverflowError(f"inbox of {node} exceeded inbox_limit={self.inbox_limit}")
-                inbox.append(msg)
-                delivered.append((node, msg))
-                counter["delivered"] += 1
-        self.tracer.deliver(self.tick, delivered)
+        try:
+            for msg in pending:  # already in seq order
+                counter = counters[msg.topic]  # counted at its publish
+                for node in topics[msg.topic].subscribers:
+                    inbox = inboxes[node]
+                    if len(inbox) >= self.inbox_limit:
+                        raise InboxOverflowError(
+                            f"inbox of {node} exceeded inbox_limit={self.inbox_limit}")
+                    inbox.append(msg)
+                    delivered.append((node, msg))
+                    counter["delivered"] += 1
+        finally:
+            self.tracer.deliver(self.tick, delivered)
         return delivered
 
     def queue(self, node: str, topic: str, payload: dict) -> None:

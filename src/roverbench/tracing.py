@@ -9,12 +9,12 @@ wall-clock time or unordered collections.
 ``EventTracer`` hands each event to its observers and keeps none; given a
 file, it writes one line per event, the text of ``json.dumps(event,
 separators=(",", ":"))``.  It encodes each message payload once, at its
-publish, and puts the publish and deliver lines of the message together
-around that text; lines are written in batches and flushed at the end of a
-run, or when it fails, so the bytes are those of one encode per line.  The
-bus hands over a tick's deliveries in one call, and their deliver events
-are built only for an observer that reads deliveries.  Other observers
-name the kinds they read, and the monitor engine, when none of its monitors
+publish, and keeps the text until the bus hands over the tick's deliveries
+in one call; that call alone writes deliver lines, around the kept text,
+and builds deliver events only for an observer that reads deliveries.
+Lines are written in batches and flushed at the end of a run, or when it
+fails, so the bytes are those of one encode per line.  Other observers name
+the kinds they read, and the monitor engine, when none of its monitors
 reads a delivery, takes only the time of a tick's deliveries, its clock.
 
 ``read_trace`` reads a trace file into a ``Trace`` in one pass: each line is
@@ -77,13 +77,12 @@ class EventTracer:
     there; it keeps no event, so a run's memory does not grow with its
     length.
 
-    A streaming tracer writes the lines of emitted publish and deliver
-    events with ``_message_line`` and every other event with
-    ``dump_event``, in batches of ``BATCH`` lines; ``flush`` writes the
-    rest.  The bus hands over each tick's deliveries in one ``deliver``
-    call, which emits a deliver event only for an observer that reads
-    deliveries.  Each line is ``dump_event(event)``, byte for byte, whether
-    its event was built or not."""
+    A streaming tracer writes the line of an emitted publish event with
+    ``_publish_line``, the lines of the deliveries the bus hands over with
+    ``deliver``, and every other line, a deliver event emitted on its own
+    too, with ``dump_event``, in batches of ``BATCH`` lines; ``flush``
+    writes the rest.  Each line is ``dump_event(event)``, byte for byte,
+    whether its event was built or not."""
 
     # About four ticks of lines: the batch is the most a streaming run holds,
     # and 512 lines doubled the peak memory of a 500-tick run's simulate.
@@ -95,7 +94,6 @@ class EventTracer:
         self._calls: dict[str, list] = {}  # kind -> what its events are handed to
         self._lines: list[str] = []
         self._texts: dict[int, tuple[dict, str]] = {}  # seq -> (payload, its text)
-        self._texts_t = None
         self._routes: dict[tuple, str] = {}  # (topic, sender[, node]) -> its fragment
 
     def add_observer(self, fn: Callable[[dict], None], kinds: frozenset | None = None,
@@ -103,88 +101,84 @@ class EventTracer:
         """Call ``fn(event)`` at each event whose ``kind`` is in ``kinds``,
         or at every event for None.  An observer with a ``clock`` reads
         deliveries by their time alone: it is handed no deliver event, and
-        ``clock(t)`` is called instead."""
+        ``clock(t)`` is called instead, once per ``deliver`` call and at a
+        deliver event emitted on its own."""
         self._observers.append((fn, kinds, clock))
         self._calls = {}
 
     def _handed(self, kind: str) -> list:
         """What an event of ``kind`` is handed to, in observer order."""
-        calls = self._calls[kind] = []
-        for fn, kinds, clock in self._observers:
-            if kind == "deliver" and clock is not None:
-                calls.append(lambda event, clock=clock: clock(event["t"]))
-            elif kinds is None or kind in kinds:
-                calls.append(fn)
+        calls = self._calls[kind] = [
+            fn for fn, kinds, clock in self._observers
+            if (kinds is None or kind in kinds) and (clock is None or kind != "deliver")]
         return calls
 
-    def emit(self, event: dict) -> dict:
-        kind = event.get("kind")
-        if self._sink is not None:
-            if kind == "publish" or kind == "deliver":
-                line = self._message_line(kind, event)
-            else:
-                line = dump_event(event)
-            lines = self._lines
-            lines.append(line)
-            if len(lines) >= self.BATCH:
-                self.flush()
-        calls = self._calls.get(kind)
-        for fn in calls if calls is not None else self._handed(kind):
-            fn(event)
-        return event
-
-    def deliver(self, t: int, delivered: list) -> None:
-        """The deliver events, stamped ``t``, of a tick's ``(node, message)``
-        pairs in delivery order.  With no reader of deliver events none is
-        built: a streaming tracer writes their lines from the kept payload
-        texts.  Clocks are called either way."""
-        if not delivered:
-            return
-        if any(clock is None and (kinds is None or "deliver" in kinds)
-               for _fn, kinds, clock in self._observers):
-            for node, msg in delivered:
-                self.emit(_deliver_event(t, node, msg))
-            return
+    def _clock(self, t: int) -> None:
         for _fn, _kinds, clock in self._observers:
             if clock is not None:
                 clock(t)
-        if self._sink is None:
-            return
-        lines, texts, routes = self._lines, self._texts, self._routes
-        head = f'{{"t":{t},"kind":"deliver","seq":'
-        for node, msg in delivered:
-            seq, sender, topic, payload = msg
-            kept = texts.get(seq)
-            if kept is None or kept[0] is not payload:
-                lines.append(dump_event(_deliver_event(t, node, msg)))
-            else:
-                middle = routes.get((topic, sender, node)) or self._route(topic, sender, node)
-                lines.append(f"{head}{seq}{middle}{kept[1]}}}")
+
+    def emit(self, event: dict) -> None:
+        kind = event.get("kind")
+        if self._sink is not None:
+            lines = self._lines
+            lines.append(self._publish_line(event) if kind == "publish" else dump_event(event))
             if len(lines) >= self.BATCH:
                 self.flush()
+        if kind == "deliver":
+            self._clock(event["t"])
+        calls = self._calls.get(kind)
+        for fn in calls if calls is not None else self._handed(kind):
+            fn(event)
 
-    def _message_line(self, kind: str, event: dict) -> str:
-        """The line of a publish or deliver event as the bus builds it
-        (``t``, ``kind``, ``seq``, ``topic``, ``sender``, a deliver's
-        ``node``, then ``payload``), put together from fixed fragments: the
-        integers, the route's strings encoded once per route, and the payload
-        text.  A publish encodes its payload and keeps the text by ``seq``
-        until the first publish of a later tick, for the deliveries of the
-        same payload object."""
+    def deliver(self, t: int, delivered: list) -> None:
+        """A tick's deliveries, ``(node, message)`` pairs in delivery order,
+        stamped ``t``.  The clocks are called once; then each delivery's
+        line is written, from the text its publish kept, and its deliver
+        event handed to the observers that read deliveries, so what they
+        emit follows that line.  An event is built only for those readers,
+        or for a payload with no kept text.  The bus delivers every pending
+        message in one call, so the kept texts are dropped."""
+        texts, self._texts = self._texts, {}
+        if not delivered:
+            return
+        self._clock(t)
+        readers = self._calls.get("deliver")
+        if readers is None:
+            readers = self._handed("deliver")
+        sink, lines, routes = self._sink, self._lines, self._routes
+        if sink is None and not readers:
+            return
+        head = f'{{"t":{t},"kind":"deliver","seq":'
+        for node, msg in delivered:
+            event = None
+            if sink is not None:
+                seq, sender, topic, payload = msg
+                kept = texts.get(seq)
+                if kept is None or kept[0] is not payload:
+                    event = _deliver_event(t, node, msg)
+                    lines.append(dump_event(event))
+                else:
+                    middle = routes.get((topic, sender, node)) or self._route(topic, sender, node)
+                    lines.append(f"{head}{seq}{middle}{kept[1]}}}")
+                if len(lines) >= self.BATCH:
+                    self.flush()
+            if readers:
+                event = event or _deliver_event(t, node, msg)
+                for fn in readers:
+                    fn(event)
+
+    def _publish_line(self, event: dict) -> str:
+        """The line of a publish event as the bus builds it (``t``,
+        ``kind``, ``seq``, ``topic``, ``sender``, then ``payload``), put
+        together from fixed fragments: the integers, the route's strings
+        encoded once per route, and the payload text.  The text is kept by
+        ``seq`` for the deliver lines of the same payload object."""
         t, seq, payload = event["t"], event["seq"], event["payload"]
-        if kind == "publish":
-            if t != self._texts_t:
-                self._texts, self._texts_t = {}, t
-            text = dump_event(payload)
-            self._texts[seq] = (payload, text)
-            middle = self._route(event["topic"], event["sender"])
-        else:
-            kept = self._texts.get(seq)
-            if kept is None or kept[0] is not payload:
-                return dump_event(event)
-            text = kept[1]
-            middle = self._route(event["topic"], event["sender"], event["node"])
-        return f'{{"t":{t},"kind":"{kind}","seq":{seq}{middle}{text}}}'
+        text = dump_event(payload)
+        self._texts[seq] = (payload, text)
+        middle = self._route(event["topic"], event["sender"])
+        return f'{{"t":{t},"kind":"publish","seq":{seq}{middle}{text}}}'
 
     def _route(self, *route: str) -> str:
         """The fragment from ``topic`` to ``"payload":`` of a message line,

@@ -27,11 +27,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roverbench import simulator, tracing
-from roverbench.bus import InboxOverflowError
+from roverbench.bus import InboxOverflowError, MessageBus
 from roverbench.config import DEFAULT_SCENARIO, ScenarioConfig, make_config, validate_config
-from roverbench.messages import PAYLOAD_FIELDS
-from roverbench.monitor import MonitorEngine, build_engine
-from roverbench.prop_dsl import parse_suite
+from roverbench.messages import PAYLOAD_FIELDS, Message, Topology
+from roverbench.monitor import MonitorEngine, build_engine, check_trace
+from roverbench.prop_dsl import VIOLATED, parse_suite
 from roverbench.tracing import (
     EVENT_FIELDS,
     EventTracer,
@@ -613,6 +613,64 @@ class TestStreamingWriter:
         assert len(published) > 1000 and len(delivered) > 1000
         assert {key: encodes[key] for key in published} == published
         assert all(id(e["payload"]) in published for e in delivered)
+
+    def test_reader_verdict_follows_its_delivery(self, tmp_path):
+        """A verdict that a reader of deliveries emits lands right after
+        the line of the delivery it read, not after the tick's last
+        delivery: in a traced 40-tick default run the first delivery, of
+        ``/env/sample`` seq 0, is line 9 and its violation line 10."""
+        engine = packaged_engine('prop p: never(kind == "deliver" && topic == "/env/sample")\n',
+                                 [{"prop": "p"}])
+        path = tmp_path / "t.jsonl"
+        simulator.run_simulation(make_config(), 40, str(path), engine)
+        events = [json.loads(line) for line in written(path).splitlines()]
+        kinds = [event["kind"] for event in events]
+        first = kinds.index("deliver")
+        assert (first + 1, events[first]["topic"], events[first]["seq"]) == (9, "/env/sample", 0)
+        assert events[first + 1] == {"t": 1, "kind": "verdict", "prop": "p",
+                                     "outcome": "violation", "verdict": VIOLATED, "mode": "log",
+                                     "reason": "event at t=1 violates p"}
+        assert kinds[first + 2:first + 5] == ["deliver"] * 3
+        assert kinds.count("verdict") == 1 + len(engine.monitors)  # one violation, the finals
+
+    def test_no_payload_text_kept_past_its_deliveries(self, monkeypatch, tmp_path):
+        """A streaming tracer keeps a payload's text from its publish until
+        the next ``deliver`` call, which hands over every pending message,
+        and keeps none after a run."""
+        tracer = EventTracer(sink=io.StringIO())
+        payload = {"x": 1, "y": 0}
+        tracer.emit({"t": 0, "kind": "publish", "seq": 0, "topic": "/pose",
+                     "sender": "wheelsServer", "payload": payload})
+        assert tracer._texts
+        tracer.deliver(1, [("world", Message(0, "wheelsServer", "/pose", payload))])
+        assert tracer._texts == {}
+        tracers = []
+
+        class Kept(EventTracer):
+            def __init__(self, sink=None):
+                super().__init__(sink)
+                tracers.append(self)
+
+        monkeypatch.setattr(simulator, "EventTracer", Kept)
+        simulator.run_simulation(make_config(), 50, str(tmp_path / "t.jsonl"), packaged_engine())
+        assert tracers[0]._texts == {}
+
+    def test_emitted_deliver_moves_the_clocks(self):
+        """A deliver event handed to ``emit`` moves the clock of an engine
+        that reads no delivery, as a tick's deliveries do: a window that
+        only the delivery's time shows missed is violated online, as
+        ``check`` finds."""
+        suite = parse_suite('prop p: always(topic("/a") => eventually[<=1](topic("/b")))\n')
+        stream = [{"t": 0, "kind": "publish", "topic": "/a", "payload": {}},
+                  {"t": 5, "kind": "deliver", "topic": "/b"}]
+        tracer = EventTracer()
+        engine = build_engine(suite, [{"prop": "p"}])
+        engine.attach(tracer, MessageBus(Topology(), tracer))
+        assert not engine.index.reaches("deliver")
+        for event in stream:
+            tracer.emit(event)
+        engine.on_tick(5)
+        assert engine.finalize() == check_trace(suite, stream) == {"p": VIOLATED}
 
 
 # -- the reader's plan cache ---------------------------------------------------

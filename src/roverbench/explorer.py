@@ -30,8 +30,13 @@ nothing another stage sees, so a step's events, state and choices, bar the
 schedule pick, depend only on the relative order of the stages that act
 (partial-order reduction; Godefroid, LNCS 1032, 1996).  The schedule-0 step
 of each combination of the other picks reports its acting stages, and an
-order that runs them in the same relative order as an earlier order gets a
-copy of that order's edge with no restore, step or key.  No edge is dropped.
+order that runs them in the same relative order as an earlier order is a copy
+of that order's transition (the same successor, awaited events and choice
+log, bar the schedule pick) with no restore, step or key.  A copy is counted
+but not stored: a state keeps its first out-edge to each successor with each
+set of awaited events, in the order made, which is all a lasso search reads.
+Whether a successor depends on the schedule pick is decided as each state's
+successors are made, over the orders that are stepped.
 
 A walk that lasts longer than ``_PROGRESS_EVERY`` seconds writes a progress
 line to stderr that often; stdout and counterexample files do not change.
@@ -409,7 +414,7 @@ class Explorer:
         its key."""
         started = time.monotonic()
         states: dict[bytes, _Node] = {}
-        edges: list[_Edge] = []
+        out: dict[bytes, list[_Edge]] = {}  # each state's out-edges, in the order made
         queue: list[_Node] = []  # breadth-first frontier, expanded from ``head`` on
         head = 0
         verdicts: dict[str, str] = {n: UNDETERMINED for n in self.suite}
@@ -417,7 +422,9 @@ class Explorer:
         phase_s = dict.fromkeys(("restore", "step", "key", "liveness"), 0.0)
         live = 0  # states holding their live bundle
         frontier_max = 0  # most states waiting to be expanded at once
-        unstepped = 0  # edges copied from an earlier order's, with no step of their own
+        transitions = 0
+        unstepped = 0  # transitions copied from an earlier order's, with no step of their own
+        invariant = True  # no state's successor has depended on the schedule pick
         restored = 0  # bundles rebuilt from a key
         reported = started  # when the last progress line went to stderr
         label_sets: dict[frozenset, frozenset] = {}  # one copy of each edge label and open set
@@ -444,7 +451,7 @@ class Explorer:
                 reported = now
                 print(f"verify: {len(states)} states, depth {queue[-1].depth}, "
                       f"frontier {len(queue) - head}, "
-                      f"{len(edges) / elapsed:.0f} transitions/s", file=sys.stderr)
+                      f"{transitions / elapsed:.0f} transitions/s", file=sys.stderr)
 
         def add_state(bundle: _Bundle, key: bytes, node: _Node) -> None:
             nonlocal live
@@ -467,18 +474,6 @@ class Explorer:
             # Called through the class, which instrumentation may patch.
             return timed("restore", _Bundle.clone, keys, node.key, node.depth)
 
-        def visit(source: _Node, succ: _Bundle, picks: list) -> None:
-            """Key one successor, record its edge and store it if it is new."""
-            key = timed("key", succ.canonical)
-            known = states.get(key)
-            # Edges share the stored key and label sets: on a walk of mostly
-            # duplicates, copies of either would fill memory.
-            edges.append(_Edge(source.key, key if known is None else known.key, picks,
-                               shared(succ.fired)))
-            if known is None:
-                add_state(succ, key, _Node(key, source.key, picks, source.depth + 1))
-            check_budget()
-
         roots = self._roots()
         keys = roots[0][0].keys  # every root's, and so every state's, key table
         for bundle, init_log in roots:
@@ -500,32 +495,42 @@ class Explorer:
             else:
                 live -= 1
             signature = timed("step", probe.step, None)
-            scripts = _variants(signature)
             # Variant n's schedule pick has weight ``stride`` in the odometer
             # order, so n - pick * stride is its schedule-0 sibling, stepped
             # before it.  The orders that run the stages that acted in that
             # step (taken only with the schedule as a choice) in the same
-            # relative order end alike: each copies the edge of the first.
+            # relative order end alike: each is a copy of the first, counted
+            # but not stored, since the first already holds its edge.
             at = next((i for i, (k, _, _) in enumerate(signature) if k == ["schedule"]), -1)
             stride = math.prod(count for _, count, _ in signature[at + 1:])
             masks: dict[int, int] = {}  # schedule-0 variant -> its acting stages
-            base = len(edges)  # variant n's edge is edges[base + n]
+            firsts: dict[tuple, _Edge] = {}  # (successor, awaited) -> its first edge
+            successors: dict[tuple, bytes] = {}  # choice log bar the schedule -> successor
             branch, picks = probe, signature  # [0] is the probe's
-            for n, script in enumerate(scripts):
+            for n, script in enumerate(_variants(signature)):
+                transitions += 1
                 if n:
                     pick = script[at][2] if at >= 0 else 0
-                    same = SAME_ORDER[masks.get(n - pick * stride, ALL_STAGES)][pick]
-                    if same < pick:
-                        edge = edges[base + n - (pick - same) * stride]
-                        picks = [*edge.picks[:at], script[at], *edge.picks[at + 1:]]
-                        edges.append(_Edge(node.key, edge.dst, picks, edge.awaited))
+                    if SAME_ORDER[masks.get(n - pick * stride, ALL_STAGES)][pick] < pick:
                         unstepped += 1
                         continue
                     branch = restore(node)
                     picks = timed("step", branch.step, script)
-                visit(node, branch, picks)
-                if at >= 0 and picks[at] == signature[at]:
-                    masks[n] = branch.acting
+                key = timed("key", branch.canonical)
+                known = states.get(key)
+                if known is None:
+                    add_state(branch, key, _Node(key, node.key, picks, node.depth + 1))
+                else:
+                    key = known.key  # edges share the stored key
+                awaited = shared(branch.fired)
+                firsts.setdefault((key, awaited), _Edge(node.key, key, picks, awaited))
+                if at >= 0:
+                    if picks[at] == signature[at]:
+                        masks[n] = branch.acting
+                    rest = tuple((*k, count, p) for k, count, p in picks if k[0] != "schedule")
+                    invariant = invariant and successors.setdefault(rest, key) == key
+                check_budget()
+            out[node.key] = [*firsts.values()]
         elapsed = time.monotonic() - started
 
         # Properties that never violated anywhere: on an exhaustive finite
@@ -534,20 +539,19 @@ class Explorer:
         for name, verdict in verdicts.items():
             if verdict == UNDETERMINED:
                 verdicts[name] = SATISFIED
-        timed("liveness", self._decide_liveness, states, edges, verdicts, counterexamples)
+        timed("liveness", self._decide_liveness, states, out, verdicts, counterexamples)
 
         reached = sum(node.parent is not None for node in states.values())  # not as roots
         return ExplorationReport(
             states=len(states),
-            transitions=len(edges),
+            transitions=transitions,
             verdicts=verdicts,
             counterexamples=counterexamples,
             seconds=elapsed,
-            schedule_invariant=(self._schedule_invariant(edges)
-                                if self.config.schedule_sensitivity else None),
+            schedule_invariant=invariant if self.config.schedule_sensitivity else None,
             stats={
-                # The share of successors that were known states.
-                "dedupe_hit_rate": round(1 - reached / len(edges), 4) if edges else 0.0,
+                # The share of transitions that found no new state.
+                "dedupe_hit_rate": round(1 - reached / transitions, 4) if transitions else 0.0,
                 "phase_s": {phase: round(spent, 6) for phase, spent in phase_s.items()},
                 # States per breadth-first depth: the queue holds every state
                 # in order of depth.
@@ -555,6 +559,7 @@ class Explorer:
                                      for _, same in groupby(node.depth for node in queue)],
                 "frontier_max": frontier_max,
                 "unstepped_transitions": unstepped,
+                "edges": sum(map(len, out.values())),  # stored: one per successor and label
                 "restored": restored,
                 # Distinct values of each key component over the stored states.
                 "distinct_components": keys.sizes(),
@@ -572,16 +577,13 @@ class Explorer:
 
     # -- liveness decisions --------------------------------------------------
 
-    def _decide_liveness(self, states, edges, verdicts, counterexamples) -> None:
+    def _decide_liveness(self, states, out, verdicts, counterexamples) -> None:
         """Every unbounded shape is one lasso search: a response over the
         states whose obligation is open, the other shapes over every state;
         plain ``eventually`` from the roots, so only states reached before
         the awaited event count, and the others from every allowed state."""
         if not self.liveness:
             return
-        out: dict[bytes, list[_Edge]] = {}
-        for edge in edges:
-            out.setdefault(edge.src, []).append(edge)
         roots = [key for key, node in states.items() if node.parent is None]
 
         for name, kind in self.liveness.items():
@@ -670,21 +672,6 @@ class Explorer:
                 if edge.dst not in via:
                     via[edge.dst] = edge
                     frontier.append(edge.dst)
-
-    def _schedule_invariant(self, edges) -> bool:
-        """With schedule permutations enabled, the successor of a state must
-        not depend on the schedule pick: group edges by (src, non-schedule
-        picks) and check each group lands on a single destination.  Copied
-        edges agree by construction, so the check bites on one order per
-        relative order of the stages that acted in the group's schedule-0
-        step."""
-        groups: dict[tuple, set] = {}
-        for edge in edges:
-            rest = tuple(
-                (tuple(k), n, p) for k, n, p in edge.picks if k[0] != "schedule"
-            )
-            groups.setdefault((edge.src, rest), set()).add(edge.dst)
-        return all(len(dsts) == 1 for dsts in groups.values())
 
 
 # -- public entry points -----------------------------------------------------

@@ -322,7 +322,7 @@ class TestVerify:
             stats = doc.pop("stats")
             assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
                                   "states_per_depth", "frontier_max",
-                                  "unstepped_transitions", "restored",
+                                  "unstepped_transitions", "edges", "restored",
                                   "distinct_components"}
             assert sum(stats["states_per_depth"]) == doc["states"]
             # Dumped as the CLI dumps it: the bytes of stdout outside `stats`.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from importlib.resources import files
 
 import pytest
@@ -110,7 +111,7 @@ class TestNominalExploration:
         stats = data["stats"]
         assert set(stats) == {"seconds", "dedupe_hit_rate", "phase_s",
                               "states_per_depth", "frontier_max",
-                              "unstepped_transitions", "restored",
+                              "unstepped_transitions", "edges", "restored",
                               "distinct_components"}
         assert list(stats["distinct_components"]) == [
             "world", "servers.arm", "servers.mast", "servers.wheels", "host",
@@ -147,8 +148,29 @@ class TestScheduleSensitivity:
         the same relative order: of the 136 groups of 24 orders, 98 had at
         most one acting stage (one step each), 36 had the arm and mast
         acting and one the wheels and host (two steps each), and one had
-        all four acting (24 steps): 196 steps, and 3068 copied edges."""
+        all four acting (24 steps): 196 steps, and 3068 copied transitions."""
         assert schedule_report.stats["unstepped_transitions"] == 3068
+
+    def test_copies_are_counted_not_stored(self, schedule_report):
+        """A state keeps one out-edge per successor and awaited events: the
+        3264 transitions are stored as the 136 edges of the walk without
+        schedule permutations, one per transition."""
+        assert schedule_report.stats["edges"] == 136
+        plain = explore_properties(make_config(), SUITE)
+        assert (plain.transitions, plain.stats["edges"]) == (136, 136)
+
+    def test_copies_take_no_memory(self):
+        """The walk holds no object per copied transition: its peak of traced
+        allocations stays below 1 MB, where an edge per transition held
+        about 1.4 MB."""
+        config = make_config({"schedule_sensitivity": True})
+        tracemalloc.start()
+        try:
+            explore_properties(config, SUITE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_properties_still_hold(self, schedule_report):
         assert set(schedule_report.verdicts.values()) == {"Satisfied"}
@@ -389,6 +411,16 @@ class TestLivenessShapes:
         assert (ce.loop_from, len(ce.ticks)) == (21, 23)
         assert lasso_digest(ce, tmp_path / "wheels.json", {"response": RESPONSE_A_A}) == \
             "6d0f2e5509e7a2e8a0ea84f279754b2a6d939463be1db10c6ac352994740800f"
+
+    def test_lasso_under_schedule_permutations(self, tmp_path):
+        """Most of this walk's transitions are copies of another order's,
+        which are counted but not stored, and the lasso must not move."""
+        report = explore_properties(
+            make_config({"decay_rate": 0, "schedule_sensitivity": True}), SUITE)
+        assert report.transitions == 2160
+        ce = report.counterexamples["revisits_B"]
+        assert lasso_digest(ce, tmp_path / "schedule.json") == \
+            "813c054b3c1a6b448d0c78d7ae346ba62b0f2d2ce4c273c59c2db7645e1dc11c"
 
     def test_every_shape_holds_on_the_default_map(self):
         report = explore_properties(

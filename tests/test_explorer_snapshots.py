@@ -47,11 +47,11 @@ how its bundles were made.  These tests pin down what that must preserve:
   only those and a root's first event;
 * stepping first successors on live bundles changes no output byte, and no
   walk holds more live bundles than the limit or any once it ends;
-* with schedule permutations, copying an earlier order's edge to every
-  order that runs the stages acting in the schedule-0 step in the same
-  relative order changes no output byte and no edge, all orders of such a
-  class end alike, and ``schedule_invariant`` still fails for a stage whose
-  output depends on the order;
+* with schedule permutations, counting every order that runs the stages
+  acting in the schedule-0 step in the same relative order as an earlier
+  order as a copy of it, with no step, changes no output byte and no stored
+  edge, all orders of such a class end alike, and ``schedule_invariant``
+  still fails for a stage whose output depends on the order;
 * each of those output comparisons covers a lasso: ``decay-0``, whose hot
   stop never cools, violates ``revisits_B`` with and without schedule
   permutations.
@@ -661,13 +661,13 @@ def holds_counterexamples(scenario: str, files: dict) -> bool:
 
 def walk_output(config, directory) -> tuple[str, dict, list]:
     """A walk's JSON without ``stats``, its counterexample files' bytes and
-    its ordered edges."""
+    its stored edges, each state's in the order made."""
     edges = []
     decide = Explorer._decide_liveness
 
-    def record(self, states, walked, *rest):
-        edges.extend((e.src, e.dst, e.picks, e.awaited) for e in walked)
-        return decide(self, states, walked, *rest)
+    def record(self, states, out, *rest):
+        edges.extend((e.src, e.dst, e.picks, e.awaited) for made in out.values() for e in made)
+        return decide(self, states, out, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Explorer, "_decide_liveness", record)
